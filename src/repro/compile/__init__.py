@@ -21,7 +21,7 @@ that form per state:
   verdicts with the interpreted path's exact cap and eviction policy.
 
 Entry point: :func:`compile_spec`, called by
-:class:`repro.engine.core.ModelChecker` per the ``--compile on|off|auto``
+:func:`repro.engine.base.make_expander` per the ``--compile on|off|auto``
 policy.  ``auto`` (the default) falls back to interpretation if compilation
 raises; ``on`` turns a :class:`CompileError` into a run failure.
 """

@@ -153,7 +153,7 @@ class ValueInterner:
         self.evictions += 1
 
     def stats(self) -> dict:
-        """Hit/miss/eviction counters for the bench report and telemetry."""
+        """Hit/miss/eviction counters and the current entry counts."""
         return {
             "hits": self.hits,
             "misses": self.misses,

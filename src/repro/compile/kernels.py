@@ -10,13 +10,13 @@ fixed-slot, schema-indexed state representation -- no dict lookups, no
     expansion of a state as :data:`~repro.engine.base.SuccessorInfo`
     entries -- ``(action, values, fingerprint, violated invariant,
     constraint verdict)`` -- the exact wire shape the interpreted
-    :func:`~repro.engine.base.expand_state` produces, so every engine merge
-    loop consumes either interchangeably.
+    :class:`~repro.engine.base.InterpretedExpander` produces, so every
+    engine consumes either interchangeably.
 
 ``verdict_for(values, fp)``
-    The specialized invariant/constraint evaluator, memoized per
-    fingerprint with the same cap and eviction policy as the interpreted
-    :func:`~repro.engine.base.memoized_verdict`.
+    The invariant/constraint evaluator, memoized per fingerprint through
+    the same :func:`~repro.engine.base.memoized_verdict` (cap and eviction
+    policy included) the interpreted expander uses.
 
 Two kernel generators exist: a *native* backend (currently
 :mod:`repro.compile.native_locking`) that compiles the spec's transition
@@ -37,10 +37,9 @@ stay bit-identical.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..engine.base import VERDICT_MEMO_MAX, SuccessorInfo
+from ..engine.base import SuccessorInfo, memoized_verdict
 from ..tla.errors import EvaluationError
 from ..tla.spec import Invariant, Specification
 from ..tla.state import State
@@ -66,22 +65,12 @@ def build_generic_kernels(
     intern = interner.intern
     slot_fingerprints = interner.slot_fingerprints
     verdicts: Dict[int, Tuple[Optional[str], bool]] = {}
-    violated_invariant = spec.violated_invariant
-    within_constraint = spec.within_constraint
 
     def verdict_for(values: Tuple[Any, ...], fp: int) -> Tuple[Optional[str], bool]:
-        cached = verdicts.get(fp)
+        cached = verdicts.get(fp)  # a hit must not pay for building a State
         if cached is None:
             state = State.from_values(schema, values)
-            violated = violated_invariant(state)
-            cached = (
-                None if violated is None else violated.name,
-                within_constraint(state),
-            )
-            if len(verdicts) >= VERDICT_MEMO_MAX:
-                for key in list(islice(verdicts, len(verdicts) // 2)):
-                    del verdicts[key]
-            verdicts[fp] = cached
+            cached = memoized_verdict(spec, state, fp, verdicts)
         return cached
 
     def expand(values: Tuple[Any, ...]) -> List[SuccessorInfo]:
@@ -192,10 +181,6 @@ class CompiledSpec:
     def within_constraint(self, state: State) -> bool:
         _name, within = self.verdict_for(state.values, state.fingerprint())
         return within
-
-    def to_state(self, values: Tuple[Any, ...]) -> State:
-        """Lossless conversion of a compiled value tuple to a real state."""
-        return State.from_values(self.schema, values)
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self.spec, name)

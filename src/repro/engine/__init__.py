@@ -28,13 +28,20 @@ bounded retry, degrade-to-serial), the level-synchronous BFS engines can
 checkpoint and resume through the store snapshot seam, and a seeded chaos
 layer injects worker faults deterministically for testing all of it.
 
-Spec execution is a fourth seam (:mod:`repro.compile`): by default every
-engine runs the spec's *compiled* form -- fused successor kernels over
-fixed-slot value tuples with precomputed fingerprints and verdicts --
-falling back to interpreting the action closures when compilation is off
-(``compile_mode="off"`` / ``--compile off``) or fails under ``auto``.
-Results are bit-identical either way; the engines branch on
-``CheckContext.compiled`` per state and share all boundary code.
+Spec execution is a fourth seam, the *expander*: an object with
+``expand(values)`` -- a state's full expansion as ``(action, successor
+values, fingerprint, violated invariant, constraint verdict)`` entries --
+and ``verdict_for(values, fp)``.  It has two implementations,
+:class:`repro.compile.CompiledSpec` (fused successor kernels over
+fixed-slot value tuples) and
+:class:`~repro.engine.base.InterpretedExpander` (the spec's own action
+closures), and one factory, :func:`~repro.engine.base.make_expander`, which
+applies ``compile_mode="on"|"off"|"auto"`` for the coordinator and for
+every pool worker.  Each engine is written once against
+``CheckContext.expander`` and never asks which implementation it holds;
+``fingerprint`` and ``parallel`` also share one level loop
+(:func:`~repro.engine.fingerprint.bfs_levels`).  Results are bit-identical
+under either expander.
 
 :class:`~repro.engine.core.ModelChecker` coordinates: it resolves
 ``engine="auto"``/``store="auto"`` eagerly, validates the combination,
@@ -44,8 +51,7 @@ package, so historical imports keep working unchanged.
 
 Adding an engine or store is one file: subclass
 :class:`~repro.engine.base.Engine` (or register a store factory) and
-register it -- the coordinator, CLI, bench harness and registry pick it up
-by name.
+register it -- the coordinator, CLI and registry pick it up by name.
 """
 
 from .base import (
@@ -53,7 +59,6 @@ from .base import (
     CheckResult,
     Engine,
     engine_names,
-    expand_state,
     get_engine,
     register_engine,
 )
@@ -97,7 +102,6 @@ __all__ = [
     "check_spec",
     "default_worker_count",
     "engine_names",
-    "expand_state",
     "get_engine",
     "make_store",
     "register_engine",

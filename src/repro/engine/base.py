@@ -2,17 +2,24 @@
 
 An *engine* is one exploration strategy over a specification's state space
 (exhaustive BFS, sharded BFS, random simulation, ...).  Every engine receives
-a :class:`CheckContext` -- the spec, the run limits, the visited-state store
-and the shared bookkeeping helpers -- and fills in the context's
-:class:`CheckResult`.  The context owns everything the original monolithic
-checker duplicated across engines: initial-frontier seeding, successor
-expansion with memoized invariant/constraint verdicts, and counterexample
-replay from the fingerprint-keyed parent map.
+a :class:`CheckContext` -- the spec, its *expander*, the run limits, the
+visited-state store and the shared bookkeeping helpers -- and fills in the
+context's :class:`CheckResult`.  The context owns everything the original
+monolithic checker duplicated across engines: initial-frontier seeding,
+checkpointing, and counterexample replay from the fingerprint-keyed parent
+map.
+
+The expander is the one way any engine computes successors: an object with
+``expand(values)`` and ``verdict_for(values, fp)`` over value tuples.  There
+are exactly two -- :class:`InterpretedExpander` here and
+:class:`repro.compile.CompiledSpec` -- and :func:`make_expander` is the one
+place the ``on|off|auto`` policy picks between them, for the coordinator and
+for pool workers alike.
 
 Engines are classes registered by name (:func:`register_engine`); adding an
 exploration strategy is one module that defines an ``Engine`` subclass and
-registers it -- the coordinator (:class:`repro.engine.core.ModelChecker`),
-the CLI and the bench harness pick it up from the registry.
+registers it -- the coordinator (:class:`repro.engine.core.ModelChecker`)
+and the CLI pick it up from the registry.
 """
 
 from __future__ import annotations
@@ -35,10 +42,11 @@ __all__ = [
     "CheckContext",
     "CheckResult",
     "Engine",
+    "InterpretedExpander",
     "SuccessorInfo",
     "engine_names",
-    "expand_state",
     "get_engine",
+    "make_expander",
     "memoized_verdict",
     "register_engine",
 ]
@@ -50,7 +58,7 @@ __all__ = [
 SuccessorInfo = Tuple[str, Tuple[Any, ...], int, Optional[str], bool]
 
 #: Cap on an expander's invariant/constraint verdict memo (see
-#: :func:`expand_state`); bounds per-process memory on paper-scale runs.
+#: :func:`memoized_verdict`); bounds per-process memory on paper-scale runs.
 VERDICT_MEMO_MAX = 500_000
 
 
@@ -62,8 +70,8 @@ def memoized_verdict(
 ) -> Tuple[Optional[str], bool]:
     """``(violated invariant name, constraint verdict)``, memoized per fingerprint.
 
-    Both BFS expansion (:func:`expand_state`) and the simulation engine's
-    walks evaluate invariants once per *generated* state without this memo
+    Both expanders go through it.  Without this memo, BFS expansion and the
+    simulation engine's walks evaluate invariants once per *generated* state
     instead of once per *distinct* state -- a 3-15x multiplier on the
     benchmarked specs.  Verdicts are deterministic per state, so memoization
     cannot change results; the memo is capped (oldest half discarded, like
@@ -84,26 +92,63 @@ def memoized_verdict(
     return cached
 
 
-def expand_state(
-    spec: Specification,
-    cache: FingerprintCache,
-    state: State,
-    verdicts: Dict[int, Tuple[Optional[str], bool]],
-) -> List[SuccessorInfo]:
-    """Expand one state into successor-info tuples.
+class InterpretedExpander:
+    """The expander seam over the spec's own action closures.
 
-    This is the single source of truth for what an expansion produces: the
-    fingerprint engine, the parallel engine's pool workers and its inline
-    path (narrow BFS levels) all go through it, so the bit-identical
-    statistics guarantee between them cannot be broken by the paths drifting
-    apart.  ``verdicts`` is this expander's :func:`memoized_verdict` memo.
+    ``expand(values)`` is a state's full expansion as :data:`SuccessorInfo`
+    entries and ``verdict_for(values, fp)`` one state's ``(violated invariant
+    name, constraint verdict)``.  :class:`repro.compile.CompiledSpec` is the
+    other implementation and emits the same entries in the same order
+    (``tests/test_compile.py`` compares them entry for entry); engines hold
+    one of the two and never ask which.  The fingerprint cache and the verdict memo live as long as the expander:
+    one per run in the coordinator, one per process in a pool worker.
     """
-    entries: List[SuccessorInfo] = []
-    for action_name, nxt in spec.successors(state):
-        nfp = nxt.fingerprint(cache)
-        cached = memoized_verdict(spec, nxt, nfp, verdicts)
-        entries.append((action_name, nxt.values, nfp, cached[0], cached[1]))
-    return entries
+
+    def __init__(self, spec: Specification) -> None:
+        self.spec = spec
+        self._cache = FingerprintCache()
+        self._verdicts: Dict[int, Tuple[Optional[str], bool]] = {}
+
+    def expand(self, values: Tuple[Any, ...]) -> List[SuccessorInfo]:
+        spec, cache, verdicts = self.spec, self._cache, self._verdicts
+        state = State.from_values(spec.schema, values)
+        entries: List[SuccessorInfo] = []
+        for action_name, nxt in spec.successors(state):
+            nfp = nxt.fingerprint(cache)
+            cached = memoized_verdict(spec, nxt, nfp, verdicts)
+            entries.append((action_name, nxt.values, nfp, cached[0], cached[1]))
+        return entries
+
+    def verdict_for(
+        self, values: Tuple[Any, ...], fp: int
+    ) -> Tuple[Optional[str], bool]:
+        state = State.from_values(self.spec.schema, values)
+        return memoized_verdict(self.spec, state, fp, self._verdicts)
+
+
+def make_expander(spec: Specification, mode: str) -> Tuple[Any, Optional[str]]:
+    """``(expander, fallback reason)`` for ``spec`` under compile ``mode``.
+
+    ``off`` interprets; ``on`` and ``auto`` specialize the spec
+    (:func:`repro.compile.compile_spec`, imported lazily so the engine
+    package carries no load-time dependency on it).  A compile failure is a
+    :class:`CheckerError` under ``on``; under ``auto`` it falls back to
+    interpretation and the second item says why (``None`` otherwise).  The
+    coordinator and every pool worker call this with the same mode, so both
+    sides of a pool decide the same way.
+    """
+    if mode != "off":
+        from ..compile import compile_spec
+
+        try:
+            return compile_spec(spec), None
+        except Exception as exc:  # noqa: BLE001 - the policy decides
+            if mode == "on":
+                raise CheckerError(
+                    f"spec compilation failed for {spec.name!r}: {exc}"
+                ) from exc
+            return InterpretedExpander(spec), f"{type(exc).__name__}: {exc}"
+    return InterpretedExpander(spec), None
 
 
 @dataclass
@@ -147,7 +192,7 @@ class CheckResult:
     #: lru run that never filled its capacity still reports exact counts.
     store_exact: bool = True
     #: Wall-clock seconds the store spent on disk I/O (0 for in-memory
-    #: stores); the bench harness classifies store-bound vs CPU-bound with it.
+    #: stores): what tells a store-bound run from a CPU-bound one.
     store_io_seconds: float = 0.0
     #: States the BFS frontiers spilled to compressed disk chunks (0 when
     #: spilling never triggered or is disabled).
@@ -157,6 +202,9 @@ class CheckResult:
     compiled: bool = False
     #: Wall-clock seconds spent specializing the spec (0 when interpreted).
     compile_seconds: float = 0.0
+    #: Why ``compile_mode="auto"`` fell back to interpreting (None when it
+    #: did not: the spec compiled, or compilation was off).
+    compile_error: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -201,15 +249,19 @@ class CheckContext:
     """Everything one engine run needs: spec, limits, store and bookkeeping.
 
     The context is built per run by :class:`repro.engine.core.ModelChecker`
-    and handed to the selected engine's :meth:`Engine.run`.  The shared
-    helpers (:meth:`seed_frontier`, :meth:`fp_violation`, :meth:`replay`)
-    are what the three BFS engines used to duplicate as private methods of
-    the monolithic checker.
+    and handed to the selected engine's :meth:`Engine.run`.
     """
 
     spec: Specification
     result: CheckResult
     store: Any  # a StateStore (see repro.engine.store)
+    #: How successors are computed (see :func:`make_expander`).  Everything
+    #: at the boundaries (seeding, replay, checkpoints) stays on the spec's
+    #: own interpreted surface, so the two expanders cannot drift there.
+    expander: Any
+    #: The mode ``expander`` was made under; pooled engines hand it to their
+    #: workers so each makes its own expander by the same policy.
+    compile_mode: str = "off"
     collect_graph: bool = False
     check_deadlock: bool = False
     max_states: Optional[int] = None
@@ -220,7 +272,6 @@ class CheckContext:
     walks: int = 100
     walk_depth: int = 50
     seed: int = 0
-    cache: FingerprintCache = field(default_factory=FingerprintCache)
     #: Fingerprint-keyed parent map: ``fp -> (parent fp or None, action)``.
     parents: Dict[int, Tuple[Optional[int], Optional[str]]] = field(
         default_factory=dict
@@ -247,11 +298,6 @@ class CheckContext:
     #: Set by the coordinator when resuming: ``(depth, wire frontier)`` --
     #: the next level to expand and its pending frontier as value tuples.
     resume: Optional[Tuple[int, List[Tuple[Tuple[Any, ...], int]]]] = None
-    #: The spec's compiled form (:class:`repro.compile.CompiledSpec`), or
-    #: None to interpret.  Engines that support the fast path branch on it;
-    #: everything at the boundaries (seeding, replay, checkpoints) stays on
-    #: the interpreted code so the two paths cannot drift there.
-    compiled: Optional[Any] = None
 
     # Shared fingerprint-BFS helpers -----------------------------------------
     def new_frontier(self):
@@ -290,17 +336,15 @@ class CheckContext:
     def seed_frontier(self) -> Tuple[List[Tuple[State, int]], bool]:
         """Enumerate initial states into the depth-0 frontier.
 
-        Shared by the fingerprint and parallel engines (both are serial
-        here: initial sets are tiny, and forking for them would be pure
-        cost), so the two cannot drift apart in how exploration starts --
-        part of the bit-identical-statistics contract between them.
+        Always in the coordinator: initial sets are tiny, and forking for
+        them would be pure cost.
         """
         spec, result = self.spec, self.result
         frontier: List[Tuple[State, int]] = []
         stop = False
         for state in spec.initial_states():
             result.generated_states += 1
-            fp = state.fingerprint(self.cache)
+            fp = state.fingerprint()
             if not self.store.add(fp):
                 continue
             self.parents[fp] = (None, None)

@@ -25,7 +25,14 @@ from ..tla.errors import (
     StateSpaceLimitExceeded,
 )
 from ..tla.spec import Specification
-from .base import CheckContext, CheckResult, engine_names, get_engine
+from .base import (
+    CheckContext,
+    CheckResult,
+    InterpretedExpander,
+    engine_names,
+    get_engine,
+    make_expander,
+)
 from .frontier import DEFAULT_SPILL_THRESHOLD
 from .store import make_store, store_names
 
@@ -73,6 +80,10 @@ class ModelChecker:
             )
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
+        if max_states is not None and max_states < 1:
+            raise ValueError(f"max_states must be >= 1; got {max_states}")
+        if max_depth is not None and max_depth < 0:
+            raise ValueError(f"max_depth must be >= 0; got {max_depth}")
         if walks < 1:
             raise ValueError("walks must be >= 1")
         if walk_depth < 1:
@@ -237,6 +248,18 @@ class ModelChecker:
             store=self.resolved_store,
             checkpoint_path=self.checkpoint_path,
         )
+        # emit=False: making the expander (compiling the spec, unless the
+        # mode is off) is recorded as a metrics gauge and a run label, not a
+        # span event -- event streams stay stable for consumers that pin the
+        # per-run event sequence.
+        compile_timer = span("check.compile", emit=False)
+        with compile_timer:
+            expander, result.compile_error = make_expander(
+                self.spec, self.compile_mode
+            )
+        if not isinstance(expander, InterpretedExpander):
+            result.compiled = True
+            result.compile_seconds = compile_timer.elapsed
         store = make_store(
             self.resolved_store, capacity=self.store_capacity, path=self.store_path
         )
@@ -244,6 +267,8 @@ class ModelChecker:
             spec=self.spec,
             result=result,
             store=store,
+            expander=expander,
+            compile_mode=self.compile_mode,
             collect_graph=self.collect_graph,
             check_deadlock=self.check_deadlock,
             max_states=self.max_states,
@@ -266,29 +291,6 @@ class ModelChecker:
             # parent map is the *other* per-distinct-state memory consumer,
             # so leaving it in a dict would defeat the store's flat RSS.
             ctx.parents = store.parent_map()
-        if self.compile_mode != "off":
-            # Specialize the spec into its compiled form (repro.compile):
-            # default-on ("auto") with graceful fallback to interpretation,
-            # hard failure under explicit --compile on.  Imported lazily so
-            # the engine package carries no load-time dependency on it.
-            from ..compile import compile_spec
-
-            # emit=False: the compile step is recorded as a metrics gauge and
-            # a run label, not a span event -- event streams stay stable for
-            # consumers that pin the per-run event sequence.
-            compile_timer = span("check.compile", emit=False)
-            try:
-                with compile_timer:
-                    ctx.compiled = compile_spec(self.spec)
-            except Exception as exc:  # noqa: BLE001 - policy decides
-                if self.compile_mode == "on":
-                    raise CheckerError(
-                        f"spec compilation failed for {self.spec.name!r}: {exc}"
-                    ) from exc
-                ctx.compiled = None
-            else:
-                result.compiled = True
-                result.compile_seconds = compile_timer.elapsed
         if self.resume_path is not None:
             self._restore(ctx, result)
         timer = span("check.run")
@@ -375,12 +377,15 @@ class ModelChecker:
         run = obs_current()
         if run is None:
             return
+        compiled_label = "compiled" if result.compiled else "interpreted"
+        if result.compile_error is not None:
+            compiled_label += f" ({result.compile_error})"
         run.labels.update(
             {
                 "spec": result.spec_name,
                 "engine": result.engine,
                 "store": result.store,
-                "compiled": "compiled" if result.compiled else "interpreted",
+                "compiled": compiled_label,
             }
         )
         reg = run.registry

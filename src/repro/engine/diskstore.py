@@ -212,8 +212,7 @@ class DiskFingerprintStore:
         self._added = 0
         self._parents_added = 0
         #: Wall-clock seconds spent inside SQLite (lookups, flushes, restore
-        #: scans); the bench harness uses it to classify a run as
-        #: store-bound vs CPU-bound.
+        #: scans): what tells a store-bound run from a CPU-bound one.
         self.io_seconds = 0.0
         self.flushes = 0
         #: Telemetry counters: cold membership checks the Bloom filter

@@ -18,11 +18,122 @@ keeps peak RSS flat into the millions of distinct states.
 
 from __future__ import annotations
 
+from typing import Any, Callable, List, Optional, Tuple
+
 from ..obs import COUNT_BUCKETS, current as obs_current, span
 from ..tla.state import State
-from .base import CheckContext, Engine, register_engine
+from .base import CheckContext, Engine, SuccessorInfo, register_engine
 
-__all__ = ["FingerprintEngine"]
+__all__ = ["FingerprintEngine", "bfs_levels"]
+
+#: ``values -> entries``: what the level loop calls once per frontier state.
+Expand = Callable[[Tuple[Any, ...]], List[SuccessorInfo]]
+
+
+def bfs_levels(
+    ctx: CheckContext,
+    level_expand: Optional[Callable[[Any], Expand]] = None,
+) -> None:
+    """The level-synchronous BFS loop, one depth level per batch.
+
+    The ``fingerprint`` and ``parallel`` engines both run exactly this:
+    seeding or resuming, limits, the merge into store, parent map and next
+    frontier, telemetry and checkpoints.  They differ only in where a
+    level's expansions come from.  By default every state goes through
+    ``ctx.expander.expand``; an engine that computes a level ahead of the
+    merge passes ``level_expand``, called with each level's frontier and
+    returning that level's ``expand``.  The loop calls it once per frontier
+    state, in frontier order, so it may hand back precomputed expansions in
+    that order instead of looking at its argument.
+    """
+    spec, result, store = ctx.spec, ctx.result, ctx.store
+    schema = spec.schema
+    from_values = State.from_values
+    expand = ctx.expander.expand
+    add = store.add
+    set_parent = ctx.parents.setdefault
+    max_states, check_deadlock = ctx.max_states, ctx.check_deadlock
+    stop_on_violation = ctx.stop_on_violation
+    frontier, stop, depth, action_counts = ctx.start_frontier()
+    obs_run = obs_current()
+    ticker = obs_run.progress if obs_run is not None else None
+
+    while frontier and not stop:
+        if ctx.max_depth is not None and depth >= ctx.max_depth:
+            result.truncated = True
+            break
+        level_size = len(frontier)
+        # A ``with`` block, so a level cut short by an interrupt or a raising
+        # spec still lands in the ``span.engine.level.seconds`` time budget.
+        with span("engine.level", emit=False):
+            if level_expand is not None:
+                expand = level_expand(frontier)
+            next_frontier = ctx.new_frontier()
+            append = next_frontier.append
+            for state, fp in frontier:
+                if ticker is not None and ticker.due():
+                    ticker.emit(
+                        depth=depth,
+                        frontier=level_size,
+                        distinct=store.distinct_count,
+                        generated=result.generated_states,
+                    )
+                if max_states is not None and store.distinct_count >= max_states:
+                    result.truncated = True
+                    stop = True
+                    break
+                # One call yields the full expansion with fingerprints and
+                # verdicts precomputed.  Real State objects are rebuilt only
+                # for successors that enter the next frontier (checkpoints
+                # and spill files consume them there).
+                entries = expand(state.values)
+                if not entries and check_deadlock:
+                    result.deadlock = ctx.deadlock_at(fp)
+                    if stop_on_violation:
+                        stop = True
+                        break
+                for action_name, nvalues, nfp, violated_name, within in entries:
+                    result.generated_states += 1
+                    action_counts[action_name] += 1
+                    if not add(nfp):
+                        continue
+                    # setdefault, not assignment: a bounded store can hand an
+                    # *evicted* fingerprint back as "new" while a descendant
+                    # chain already runs through it; overwriting its parent
+                    # would put a cycle in the replay chain.  The
+                    # first-discovery entry is always acyclic (parents are
+                    # recorded before their children and never pruned), and
+                    # with an exact store add() returns True exactly once, so
+                    # this is the plain assignment it always was.
+                    set_parent(nfp, (fp, action_name))
+                    result.max_depth = max(result.max_depth, depth + 1)
+                    if violated_name is not None:
+                        result.invariant_violation = ctx.fp_violation(
+                            nfp, violated_name
+                        )
+                        if stop_on_violation:
+                            stop = True
+                            break
+                    if within:
+                        append((from_values(schema, nvalues), nfp))
+                if stop:
+                    break
+            if hasattr(frontier, "close"):
+                frontier.close()  # drop the consumed level's spill file early
+            frontier = next_frontier
+            ctx.note_frontier(frontier)
+            result.peak_frontier = max(result.peak_frontier, len(frontier))
+            depth += 1
+        if obs_run is not None:
+            reg = obs_run.registry
+            reg.inc("engine.levels")
+            reg.observe("engine.level_states", level_size, edges=COUNT_BUCKETS)
+            reg.set_gauge("engine.frontier_depth", depth)
+        if not stop:
+            ctx.maybe_checkpoint(depth, frontier, action_counts)
+
+    result.distinct_states = store.distinct_count
+    result.action_counts = action_counts
 
 
 @register_engine
@@ -36,115 +147,4 @@ class FingerprintEngine(Engine):
     supports_checkpoint = True
 
     def run(self, ctx: CheckContext) -> None:
-        spec, result, store = ctx.spec, ctx.result, ctx.store
-        compiled = ctx.compiled
-        schema = spec.schema
-        frontier, stop, depth, action_counts = ctx.start_frontier()
-        obs_run = obs_current()
-        ticker = obs_run.progress if obs_run is not None else None
-
-        # Breadth-first exploration, one depth level per batch --------------
-        while frontier and not stop:
-            if ctx.max_depth is not None and depth >= ctx.max_depth:
-                result.truncated = True
-                break
-            level_size = len(frontier)
-            level_span = span("engine.level", emit=False)
-            level_span.__enter__()
-            next_frontier = ctx.new_frontier()
-            for state, fp in frontier:
-                if ticker is not None and ticker.due():
-                    ticker.emit(
-                        depth=depth,
-                        frontier=level_size,
-                        distinct=store.distinct_count,
-                        generated=result.generated_states,
-                    )
-                if ctx.max_states is not None and store.distinct_count >= ctx.max_states:
-                    result.truncated = True
-                    stop = True
-                    break
-                if compiled is not None:
-                    # The compiled fast path: one kernel call yields the full
-                    # expansion with fingerprints and verdicts precomputed.
-                    # Real State objects are rebuilt only for successors that
-                    # enter the next frontier (checkpoints and spill files
-                    # consume them there), so they stay bit-identical.
-                    entries = compiled.expand(state.values)
-                    if not entries and ctx.check_deadlock:
-                        result.deadlock = ctx.deadlock_at(fp)
-                        if ctx.stop_on_violation:
-                            stop = True
-                            break
-                    for action_name, nvalues, nfp, violated_name, within in entries:
-                        result.generated_states += 1
-                        action_counts[action_name] += 1
-                        if not store.add(nfp):
-                            continue
-                        ctx.parents.setdefault(nfp, (fp, action_name))
-                        result.max_depth = max(result.max_depth, depth + 1)
-                        if violated_name is not None:
-                            result.invariant_violation = ctx.fp_violation(
-                                nfp, violated_name
-                            )
-                            if ctx.stop_on_violation:
-                                stop = True
-                                break
-                        if within:
-                            next_frontier.append(
-                                (State.from_values(schema, nvalues), nfp)
-                            )
-                    if stop:
-                        break
-                    continue
-                successors = spec.successors(state)
-                if not successors and ctx.check_deadlock:
-                    result.deadlock = ctx.deadlock_at(fp)
-                    if ctx.stop_on_violation:
-                        stop = True
-                        break
-                for action_name, nxt in successors:
-                    result.generated_states += 1
-                    action_counts[action_name] += 1
-                    nfp = nxt.fingerprint(ctx.cache)
-                    if not store.add(nfp):
-                        continue
-                    # setdefault, not assignment: a bounded store can hand an
-                    # *evicted* fingerprint back as "new" while a descendant
-                    # chain already runs through it; overwriting its parent
-                    # would put a cycle in the replay chain.  The
-                    # first-discovery entry is always acyclic (parents are
-                    # recorded before their children and never pruned), and
-                    # with an exact store add() returns True exactly once, so
-                    # this is the plain assignment it always was.
-                    ctx.parents.setdefault(nfp, (fp, action_name))
-                    result.max_depth = max(result.max_depth, depth + 1)
-                    violated = spec.violated_invariant(nxt)
-                    if violated is not None:
-                        result.invariant_violation = ctx.fp_violation(
-                            nfp, violated.name
-                        )
-                        if ctx.stop_on_violation:
-                            stop = True
-                            break
-                    if spec.within_constraint(nxt):
-                        next_frontier.append((nxt, nfp))
-                if stop:
-                    break
-            if hasattr(frontier, "close"):
-                frontier.close()  # drop the consumed level's spill file early
-            frontier = next_frontier
-            ctx.note_frontier(frontier)
-            result.peak_frontier = max(result.peak_frontier, len(frontier))
-            depth += 1
-            level_span.__exit__(None, None, None)
-            if obs_run is not None:
-                reg = obs_run.registry
-                reg.inc("engine.levels")
-                reg.observe("engine.level_states", level_size, edges=COUNT_BUCKETS)
-                reg.set_gauge("engine.frontier_depth", depth)
-            if not stop:
-                ctx.maybe_checkpoint(depth, frontier, action_counts)
-
-        result.distinct_states = store.distinct_count
-        result.action_counts = action_counts
+        bfs_levels(ctx)

@@ -1,12 +1,11 @@
 """The multi-core BFS engine: each depth level sharded across processes.
 
-The same level-synchronous BFS as :mod:`repro.engine.fingerprint`, but each
-depth's frontier is split into contiguous shards, one per worker; workers
-expand states, fingerprint successors and evaluate invariants and the state
-constraint with their own per-process
-:class:`~repro.tla.values.FingerprintCache`, and the coordinator merges the
-per-shard results -- *in frontier order*, so every statistic, the visited
-set, and any counterexample it finds coincide exactly with the serial
+The level loop *is* :func:`repro.engine.fingerprint.bfs_levels`; this module
+only decides where a level's expansions come from.  A wide level's frontier
+is split into contiguous shards, one per worker; workers expand their states
+with their own per-process expander, and the coordinator's loop consumes the
+per-shard results *in frontier order*, so every statistic, the visited set,
+and any counterexample it finds coincide exactly with the serial
 ``fingerprint`` engine's.  Because a spec is a bundle of closures, workers
 rebuild it from its :attr:`~repro.tla.spec.Specification.registry_ref` (see
 :mod:`repro.tla.registry`), the way every TLC worker re-parses the ``.tla``
@@ -16,30 +15,26 @@ Shards are dispatched through a :class:`~repro.resilience.SupervisedPool`
 rather than a bare ``ProcessPoolExecutor``: a crashed, hung or corrupted
 worker costs one bounded retry on a fresh worker instead of the whole run,
 and any shard that exhausts its retries is expanded *inline* by the
-coordinator -- the merge consumes results in shard order either way, so the
+coordinator -- the loop consumes results in shard order either way, so the
 bit-identical guarantee holds no matter which attempt (or fallback)
 produced each shard.  If the pool degrades entirely (too many consecutive
 failures), the remaining levels run serially in the coordinator with a
-logged warning rather than dying.  Since the engine is level-synchronous,
-it also honors checkpoint/resume through the shared
-:meth:`~repro.engine.base.CheckContext.start_frontier` /
-:meth:`~repro.engine.base.CheckContext.maybe_checkpoint` seam.
+logged warning rather than dying.  Limits, telemetry and checkpoint/resume
+come with the shared loop.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..obs import COUNT_BUCKETS, current as obs_current, span
 from ..resilience import SupervisedPool, TaskError
 from ..tla.spec import Specification
-from ..tla.state import State
-from ..tla.values import FingerprintCache
-from .base import CheckContext, Engine, SuccessorInfo, expand_state, register_engine
+from .base import CheckContext, Engine, SuccessorInfo, make_expander, register_engine
+from .fingerprint import Expand, bfs_levels
 
-__all__ = ["ParallelEngine", "default_worker_count"]
+__all__ = ["ParallelEngine", "default_worker_count", "spec_worker_pool"]
 
 
 def default_worker_count() -> int:
@@ -56,23 +51,21 @@ _INLINE_FRONTIER = 8
 
 # ---------------------------------------------------------------------------
 # Worker side.  Each pool process builds its own copy of the spec (by
-# registry name) once, in the initializer, and keeps a private
-# FingerprintCache for the whole run.
+# registry name) and its own expander once, in the initializer, and keeps
+# them for the whole run.
 # ---------------------------------------------------------------------------
 
 _WORKER_SPEC: Optional[Specification] = None
-_WORKER_CACHE: Optional[FingerprintCache] = None
-_WORKER_VERDICTS: Dict[int, Tuple[Optional[str], bool]] = {}
-_WORKER_COMPILED: Optional[Any] = None
+_WORKER_EXPANDER: Optional[Any] = None
 
 
 def _parallel_worker_init(
     registry_name: str,
     params: Dict[str, Any],
     provider_modules: List[str],
-    compile_on: bool = False,
+    compile_mode: str,
 ) -> None:
-    global _WORKER_SPEC, _WORKER_CACHE, _WORKER_VERDICTS, _WORKER_COMPILED
+    global _WORKER_SPEC, _WORKER_EXPANDER
     from ..tla import registry
 
     # Under the 'spawn' start method a worker starts with a fresh registry;
@@ -81,43 +74,43 @@ def _parallel_worker_init(
     # registrations are inherited and this is a no-op.)
     registry.adopt_providers(provider_modules)
     _WORKER_SPEC = registry.build_spec(registry_name, **params)
-    _WORKER_CACHE = FingerprintCache()
-    _WORKER_VERDICTS = {}
-    _WORKER_COMPILED = None
-    if compile_on:
-        # Each worker specializes its own spec copy, the way it rebuilds the
-        # spec itself: compiled kernels are closures and cannot be pickled.
-        from ..compile import compile_spec
+    # Each worker makes its own expander, the way it rebuilds the spec
+    # itself: compiled kernels are closures and cannot be pickled.
+    _WORKER_EXPANDER, _fallback = make_expander(_WORKER_SPEC, compile_mode)
 
-        _WORKER_COMPILED = compile_spec(_WORKER_SPEC)
+
+def spec_worker_pool(ctx: CheckContext, workers: int, name: str) -> SupervisedPool:
+    """A supervised pool whose workers hold ``ctx``'s spec and an expander.
+
+    The parallel BFS and the sharded simulation engine both start their
+    workers this way; each worker applies the coordinator's compile mode
+    itself (see :func:`_parallel_worker_init`).
+    """
+    from ..tla.registry import PROVIDER_MODULES
+
+    assert ctx.spec.registry_ref is not None  # enforced by the coordinator
+    registry_name, params = ctx.spec.registry_ref
+    return SupervisedPool(
+        workers,
+        initializer=_parallel_worker_init,
+        initargs=(registry_name, params, list(PROVIDER_MODULES), ctx.compile_mode),
+        config=ctx.supervision,
+        chaos=ctx.chaos,
+        name=name,
+    )
 
 
 def _parallel_expand_shard(
-    shard: List[Tuple[Tuple[Any, ...], int]],
-) -> List[Tuple[int, List[SuccessorInfo]]]:
-    """Expand one frontier shard: successors + fingerprints + invariant verdicts.
+    shard: List[Tuple[Any, ...]],
+) -> List[List[SuccessorInfo]]:
+    """Expand one frontier shard: one expansion per state, in shard order.
 
     Input and output are value tuples rather than ``State`` objects to keep
     the pickled payloads minimal; the coordinator rebuilds ``State`` only for
-    successors that actually enter the next frontier.  The compiled and
-    interpreted paths emit the same :data:`SuccessorInfo` wire shape, so the
-    coordinator's merge cannot tell which one ran.
+    successors that actually enter the next frontier.
     """
-    spec, cache = _WORKER_SPEC, _WORKER_CACHE
-    assert spec is not None and cache is not None
-    compiled = _WORKER_COMPILED
-    if compiled is not None:
-        return [(fp, compiled.expand(values)) for values, fp in shard]
-    schema = spec.schema
-    return [
-        (
-            fp,
-            expand_state(
-                spec, cache, State.from_values(schema, values), _WORKER_VERDICTS
-            ),
-        )
-        for values, fp in shard
-    ]
+    assert _WORKER_EXPANDER is not None
+    return [_WORKER_EXPANDER.expand(values) for values in shard]
 
 
 @register_engine
@@ -131,151 +124,56 @@ class ParallelEngine(Engine):
     supports_checkpoint = True
 
     def run(self, ctx: CheckContext) -> None:
-        spec, result, store = ctx.spec, ctx.result, ctx.store
-        assert spec.registry_ref is not None  # enforced by the coordinator
-        registry_name, params = spec.registry_ref
-        workers = ctx.workers or default_worker_count()
-        result.workers = workers
-        frontier, stop, depth, action_counts = ctx.start_frontier()
-        inline_verdicts: Dict[int, Tuple[Optional[str], bool]] = {}
-        obs_run = obs_current()
-        ticker = obs_run.progress if obs_run is not None else None
-
-        pool: Optional[SupervisedPool] = None
-        pooling = True  # cleared for good once the pool degrades
+        self._ctx = ctx
+        self._workers = ctx.workers or default_worker_count()
+        ctx.result.workers = self._workers
+        self._pool: Optional[SupervisedPool] = None
+        self._pooling = True  # cleared for good once the pool degrades
         try:
-            while frontier and not stop:
-                if ctx.max_depth is not None and depth >= ctx.max_depth:
-                    result.truncated = True
-                    break
-                level_size = len(frontier)
-                level_span = span("engine.level", emit=False)
-                level_span.__enter__()
-                if pooling and pool is None and len(frontier) >= workers * _INLINE_FRONTIER:
-                    from ..tla.registry import PROVIDER_MODULES
-
-                    pool = SupervisedPool(
-                        workers,
-                        initializer=_parallel_worker_init,
-                        initargs=(
-                            registry_name,
-                            params,
-                            list(PROVIDER_MODULES),
-                            ctx.compiled is not None,
-                        ),
-                        config=ctx.supervision,
-                        chaos=ctx.chaos,
-                        name="parallel",
-                    )
-                next_frontier = ctx.new_frontier()
-                for fp, entries in self._expand_level(
-                    ctx, pool, workers, frontier, inline_verdicts
-                ):
-                    if ticker is not None and ticker.due():
-                        ticker.emit(
-                            depth=depth,
-                            frontier=level_size,
-                            distinct=store.distinct_count,
-                            generated=result.generated_states,
-                        )
-                    if (
-                        ctx.max_states is not None
-                        and store.distinct_count >= ctx.max_states
-                    ):
-                        result.truncated = True
-                        stop = True
-                        break
-                    if not entries and ctx.check_deadlock:
-                        result.deadlock = ctx.deadlock_at(fp)
-                        if ctx.stop_on_violation:
-                            stop = True
-                            break
-                    for action_name, nvalues, nfp, violated_name, within in entries:
-                        result.generated_states += 1
-                        action_counts[action_name] += 1
-                        if not store.add(nfp):
-                            continue
-                        # setdefault for the same reason as the fingerprint
-                        # engine: a bounded store can re-report an evicted
-                        # fingerprint as new, and overwriting its parent
-                        # entry would make the replay chain cyclic.
-                        ctx.parents.setdefault(nfp, (fp, action_name))
-                        result.max_depth = max(result.max_depth, depth + 1)
-                        if violated_name is not None:
-                            result.invariant_violation = ctx.fp_violation(
-                                nfp, violated_name
-                            )
-                            if ctx.stop_on_violation:
-                                stop = True
-                                break
-                        if within:
-                            next_frontier.append(
-                                (State.from_values(spec.schema, nvalues), nfp)
-                            )
-                    if stop:
-                        break
-                if hasattr(frontier, "close"):
-                    frontier.close()  # drop the consumed level's spill file
-                frontier = next_frontier
-                ctx.note_frontier(frontier)
-                result.peak_frontier = max(result.peak_frontier, len(frontier))
-                depth += 1
-                level_span.__exit__(None, None, None)
-                if obs_run is not None:
-                    reg = obs_run.registry
-                    reg.inc("engine.levels")
-                    reg.observe("engine.level_states", level_size, edges=COUNT_BUCKETS)
-                    reg.set_gauge("engine.frontier_depth", depth)
-                if pool is not None and pool.degraded:
-                    # Too many consecutive pool failures: finish serially
-                    # in the coordinator rather than feeding a dead pool.
-                    result.supervision = pool.stats
-                    pool.shutdown()
-                    pool = None
-                    pooling = False
-                if not stop:
-                    ctx.maybe_checkpoint(depth, frontier, action_counts)
+            bfs_levels(ctx, self._level_expand)
         finally:
-            if pool is not None:
-                result.supervision = pool.stats
-                pool.shutdown()
+            self._close_pool()
 
-        result.distinct_states = store.distinct_count
-        result.action_counts = action_counts
+    def _close_pool(self) -> None:
+        if self._pool is not None:
+            self._ctx.result.supervision = self._pool.stats
+            self._pool.shutdown()
+            self._pool = None
 
-    def _expand_level(
-        self,
-        ctx: CheckContext,
-        pool: Optional[SupervisedPool],
-        workers: int,
-        frontier: List[Tuple[State, int]],
-        verdicts: Dict[int, Tuple[Optional[str], bool]],
-    ) -> Iterable[Tuple[int, List[SuccessorInfo]]]:
-        """Expand one BFS level, in frontier order.
+    def _level_expand(self, frontier: Any) -> Expand:
+        """The ``expand`` of one BFS level: inline, or served from the pool.
 
         Narrow levels (and everything before the pool is first needed) are
         expanded inline -- shipping a handful of states through pickle costs
-        more than computing their successors -- with results in the same
-        shape the workers produce, so the merge loop cannot tell the
-        difference.
-
-        A shard whose task exhausts its retries is likewise expanded inline:
-        ``expand_state`` is deterministic and results are consumed in shard
-        order, so the run's statistics and counterexamples are the same no
-        matter which attempt (worker or fallback) produced each shard.
+        more than computing their successors.  The pool is started at the
+        first level wide enough to amortize it.
         """
-        spec = ctx.spec
-        compiled = ctx.compiled
-        if pool is None or pool.degraded or len(frontier) < workers * _INLINE_FRONTIER:
-            if compiled is not None:
-                for state, fp in frontier:
-                    yield fp, compiled.expand(state.values)
-                return
-            for state, fp in frontier:
-                yield fp, expand_state(spec, ctx.cache, state, verdicts)
-            return
+        ctx = self._ctx
+        if self._pool is not None and self._pool.degraded:
+            # Too many consecutive pool failures: finish serially in the
+            # coordinator rather than feeding a dead pool.
+            self._close_pool()
+            self._pooling = False
+        if not self._pooling or len(frontier) < self._workers * _INLINE_FRONTIER:
+            return ctx.expander.expand
+        if self._pool is None:
+            self._pool = spec_worker_pool(ctx, self._workers, "parallel")
+        expansions = self._pooled(self._pool, frontier)
+        # The loop asks in frontier order, which is the order the shards were
+        # cut in, so the next pooled expansion is always the one it wants.
+        return lambda _values: next(expansions)
 
-        shard_size = -(-len(frontier) // workers)  # ceil division
+    def _pooled(
+        self, pool: SupervisedPool, frontier: Any
+    ) -> Iterator[List[SuccessorInfo]]:
+        """One level's expansions from the pool, in frontier order.
+
+        A shard whose task exhausts its retries is expanded inline:
+        expansion is deterministic and results are consumed in shard order,
+        so the run's statistics and counterexamples are the same no matter
+        which attempt (worker or fallback) produced each shard.
+        """
+        shard_size = -(-len(frontier) // self._workers)  # ceil division
         shards = []
         tasks = []
         # Build shards by streaming the frontier rather than slicing it:
@@ -283,29 +181,14 @@ class ParallelEngine(Engine):
         pairs = iter(frontier)
         while True:
             shard = [
-                (state.values, fp)
-                for state, fp in itertools.islice(pairs, shard_size)
+                state.values for state, _fp in itertools.islice(pairs, shard_size)
             ]
             if not shard:
                 break
             shards.append(shard)
             tasks.append(pool.submit(_parallel_expand_shard, (shard,)))
-        schema = spec.schema
         for shard, task_index in zip(shards, tasks):
             try:
                 yield from pool.result(task_index)
             except TaskError:
-                if compiled is not None:
-                    for values, fp in shard:
-                        yield fp, compiled.expand(values)
-                    continue
-                for values, fp in shard:
-                    yield (
-                        fp,
-                        expand_state(
-                            spec,
-                            ctx.cache,
-                            State.from_values(schema, values),
-                            verdicts,
-                        ),
-                    )
+                yield from map(self._ctx.expander.expand, shard)

@@ -5,6 +5,13 @@ The original engine: every distinct ``State`` object is retained in a
 ``engine="auto"``) when the state graph is collected -- temporal properties,
 DOT export and :mod:`repro.mbtcg` behaviour enumeration all need graph nodes
 that resolve back to states.
+
+It deliberately does not share the level loop of
+:mod:`repro.engine.fingerprint`: a ``State``-keyed queue with nothing hashed
+to 64 bits is the independent reference the parity suites and the
+benchmark's known answers were confirmed against, and its ``peak_frontier``
+is a queue length, not a level width.  It does take its successors from the
+same expander as every other engine.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ class SerialStatesEngine(Engine):
 
     def run(self, ctx: CheckContext) -> None:
         spec, result, store = ctx.spec, ctx.result, ctx.store
+        schema, expand = spec.schema, ctx.expander.expand
         graph = StateGraph() if ctx.collect_graph else None
         parents: Dict[int, Tuple[Optional[int], Optional[str]]] = {}
         depths: Dict[int, int] = {}
@@ -64,10 +72,8 @@ class SerialStatesEngine(Engine):
             if violated is not None:
                 result.invariant_violation = record_violation(state_id, violated.name)
                 if ctx.stop_on_violation:
-                    result.distinct_states = store.distinct_count
-                    result.action_counts = action_counts
-                    result.graph = graph
-                    return
+                    queue.clear()  # nothing to explore: straight to the epilogue
+                    break
             if spec.within_constraint(state):
                 queue.append(state)
         result.peak_frontier = len(queue)
@@ -92,55 +98,22 @@ class SerialStatesEngine(Engine):
             if ctx.max_depth is not None and depth >= ctx.max_depth:
                 result.truncated = True
                 continue
-            if ctx.compiled is not None:
-                # Compiled fast path: expand through the specialized kernel,
-                # rebuild real State objects for interning -- the retained
-                # store and graph hold exactly what the interpreted path
-                # retains, so DOT export / properties / MBTCG see no change.
-                entries = ctx.compiled.expand(state.values)
-                if not entries and ctx.check_deadlock:
-                    trace = self._reconstruct_trace(store, state_id, parents)
-                    result.deadlock = DeadlockError(
-                        f"deadlock reached in specification {spec.name!r}",
-                        trace=trace,
-                    )
-                    if ctx.stop_on_violation:
-                        break
-                schema = spec.schema
-                for action_name, nvalues, _nfp, violated_name, within in entries:
-                    result.generated_states += 1
-                    action_counts[action_name] += 1
-                    nxt = State.from_values(schema, nvalues)
-                    next_id, is_new = intern(nxt, initial=False)
-                    if graph is not None:
-                        graph.add_edge(state_id, action_name, next_id)
-                    if not is_new:
-                        continue
-                    parents[next_id] = (state_id, action_name)
-                    depths[next_id] = depth + 1
-                    result.max_depth = max(result.max_depth, depth + 1)
-                    if violated_name is not None:
-                        result.invariant_violation = record_violation(
-                            next_id, violated_name
-                        )
-                        if ctx.stop_on_violation:
-                            queue.clear()
-                            break
-                    if within:
-                        queue.append(nxt)
-                result.peak_frontier = max(result.peak_frontier, len(queue))
-                continue
-            successors = spec.successors(state)
-            if not successors and ctx.check_deadlock:
+            # Successors come from the run's expander as value tuples; real
+            # State objects are rebuilt for interning, so the retained store
+            # and graph hold the same states under either expander and DOT
+            # export / properties / MBTCG see no difference.
+            entries = expand(state.values)
+            if not entries and ctx.check_deadlock:
                 trace = self._reconstruct_trace(store, state_id, parents)
                 result.deadlock = DeadlockError(
                     f"deadlock reached in specification {spec.name!r}", trace=trace
                 )
                 if ctx.stop_on_violation:
                     break
-            for action_name, nxt in successors:
+            for action_name, nvalues, _nfp, violated_name, within in entries:
                 result.generated_states += 1
                 action_counts[action_name] += 1
+                nxt = State.from_values(schema, nvalues)
                 next_id, is_new = intern(nxt, initial=False)
                 if graph is not None:
                     graph.add_edge(state_id, action_name, next_id)
@@ -149,13 +122,14 @@ class SerialStatesEngine(Engine):
                 parents[next_id] = (state_id, action_name)
                 depths[next_id] = depth + 1
                 result.max_depth = max(result.max_depth, depth + 1)
-                violated = spec.violated_invariant(nxt)
-                if violated is not None:
-                    result.invariant_violation = record_violation(next_id, violated.name)
+                if violated_name is not None:
+                    result.invariant_violation = record_violation(
+                        next_id, violated_name
+                    )
                     if ctx.stop_on_violation:
                         queue.clear()
                         break
-                if spec.within_constraint(nxt):
+                if within:
                     queue.append(nxt)
             result.peak_frontier = max(result.peak_frontier, len(queue))
 

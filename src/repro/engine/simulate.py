@@ -32,13 +32,12 @@ import random
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs import current as obs_current
-from ..resilience import SupervisedPool, TaskError
+from ..resilience import TaskError
 from ..tla.errors import DeadlockError, InvariantViolation
 from ..tla.spec import Specification
 from ..tla.state import State
-from ..tla.values import FingerprintCache
-from .base import CheckContext, Engine, memoized_verdict, register_engine
-from .parallel import _parallel_worker_init
+from .base import CheckContext, Engine, register_engine
+from .parallel import spec_worker_pool
 
 __all__ = ["SimulationEngine"]
 
@@ -52,13 +51,11 @@ _WalkOutcome = Tuple[int, int, List[int], Optional[str], bool, _WireTrace, Tuple
 
 
 def _run_walk(
-    spec: Specification,
-    cache: FingerprintCache,
+    expander: Any,
     initial: List[State],
     walk_index: int,
     seed: int,
     walk_depth: int,
-    verdicts: Dict[int, Tuple[Optional[str], bool]],
 ) -> _WalkOutcome:
     """Run one seeded random walk; pure function of its arguments.
 
@@ -71,89 +68,27 @@ def _run_walk(
     with the walk prefix plus that successor as the counterexample.  The
     walk ends at the depth budget, at an invariant violation, at a deadlock,
     or when the constraint fences every successor off.
+
+    The walk carries value tuples, not ``State`` objects.  Walk *i* is the
+    same under either expander because ``random.Random.choice`` depends only
+    on the sequence *length* and both enumerate successors in the same
+    order -- so it draws the same initial state and the same successor
+    indices either way.
     """
     rng = random.Random(f"{seed}:{walk_index}")
     generated = len(initial)
     state = rng.choice(initial)
-    fp = state.fingerprint(cache)
-    fps = [fp]
-    trace: List[State] = [state]
-    actions: List[str] = []
-    violated_name, within = memoized_verdict(spec, state, fp, verdicts)
-    deadlocked = False
-    steps = 0
-    if violated_name is None and within:
-        while steps < walk_depth:
-            successors = spec.successors(state)
-            generated += len(successors)
-            if not successors:
-                deadlocked = True
-                break
-            hit: Optional[Tuple[str, State, int, str]] = None
-            candidates: List[Tuple[str, State, int]] = []
-            for action_name, nxt in successors:
-                nfp = nxt.fingerprint(cache)
-                inv_name, nxt_within = memoized_verdict(spec, nxt, nfp, verdicts)
-                if inv_name is not None:
-                    hit = (action_name, nxt, nfp, inv_name)
-                    break
-                if nxt_within:
-                    candidates.append((action_name, nxt, nfp))
-            if hit is not None:
-                action_name, state, fp, violated_name = hit
-                steps += 1
-                fps.append(fp)
-                trace.append(state)
-                actions.append(action_name)
-                break
-            if not candidates:
-                break
-            action_name, state, fp = rng.choice(candidates)
-            steps += 1
-            fps.append(fp)
-            trace.append(state)
-            actions.append(action_name)
-    return (
-        steps,
-        generated,
-        fps,
-        violated_name,
-        deadlocked,
-        tuple(s.values for s in trace),
-        tuple(actions),
-    )
-
-
-def _run_walk_compiled(
-    compiled: Any,
-    cache: FingerprintCache,
-    initial: List[State],
-    walk_index: int,
-    seed: int,
-    walk_depth: int,
-) -> _WalkOutcome:
-    """:func:`_run_walk` through the compiled kernels; same outcome shape.
-
-    The walk carries value tuples instead of ``State`` objects.  RNG parity
-    with the interpreted walk holds because ``random.Random.choice`` depends
-    only on the sequence *length*, and the compiled expansion enumerates
-    candidates in the interpreted order -- so walk *i* draws the same
-    initial state and the same successor indices either way.
-    """
-    rng = random.Random(f"{seed}:{walk_index}")
-    generated = len(initial)
-    state = rng.choice(initial)
-    fp = state.fingerprint(cache)
+    fp = state.fingerprint()
     values = state.values
     fps = [fp]
     trace: List[Tuple[Any, ...]] = [values]
     actions: List[str] = []
-    violated_name, within = compiled.verdict_for(values, fp)
+    violated_name, within = expander.verdict_for(values, fp)
     deadlocked = False
     steps = 0
     if violated_name is None and within:
         while steps < walk_depth:
-            entries = compiled.expand(values)
+            entries = expander.expand(values)
             generated += len(entries)
             if not entries:
                 deadlocked = True
@@ -193,7 +128,7 @@ def _run_walk_compiled(
 
 # ---------------------------------------------------------------------------
 # Pool worker side.  The initializer is shared with the parallel BFS engine:
-# rebuild the spec by registry name, keep a private FingerprintCache.
+# rebuild the spec by registry name, make a private expander.
 # ---------------------------------------------------------------------------
 
 
@@ -214,30 +149,28 @@ def _simulate_shard(
     """
     from . import parallel
 
-    spec, cache = parallel._WORKER_SPEC, parallel._WORKER_CACHE
-    assert spec is not None and cache is not None
+    spec, expander = parallel._WORKER_SPEC, parallel._WORKER_EXPANDER
+    assert spec is not None and expander is not None
     return _drive_walks(
         spec,
-        cache,
+        expander,
         range(start, stop),
         seed,
         walk_depth,
         check_deadlock,
         stop_on_violation,
-        compiled=parallel._WORKER_COMPILED,
     )
 
 
 def _drive_walks(
     spec: Specification,
-    cache: FingerprintCache,
+    expander: Any,
     indices: range,
     seed: int,
     walk_depth: int,
     check_deadlock: bool,
     stop_on_violation: bool,
     store: Any = None,
-    compiled: Any = None,
 ) -> Dict[str, Any]:
     """Run a slice of walks and aggregate their outcomes (wire-friendly).
 
@@ -256,24 +189,14 @@ def _drive_walks(
     obs_run = obs_current() if store is not None else None
     ticker = obs_run.progress if obs_run is not None else None
     unique_fps: Dict[int, None] = {}
-    verdicts: Dict[int, Tuple[Optional[str], bool]] = {}
     action_counts: Dict[str, int] = {}
     violation: Optional[Tuple[int, str, _WireTrace]] = None
     deadlock: Optional[Tuple[int, _WireTrace]] = None
     initial = spec.initial_states()  # once per slice, not once per walk
     for walk_index in indices:
-        if compiled is not None:
-            steps, walk_generated, walk_fps, inv_name, deadlocked, trace, actions = (
-                _run_walk_compiled(
-                    compiled, cache, initial, walk_index, seed, walk_depth
-                )
-            )
-        else:
-            steps, walk_generated, walk_fps, inv_name, deadlocked, trace, actions = (
-                _run_walk(
-                    spec, cache, initial, walk_index, seed, walk_depth, verdicts
-                )
-            )
+        steps, walk_generated, walk_fps, inv_name, deadlocked, trace, actions = (
+            _run_walk(expander, initial, walk_index, seed, walk_depth)
+        )
         walks_run += 1
         generated += walk_generated
         max_steps = max(max_steps, steps)
@@ -342,24 +265,19 @@ class SimulationEngine(Engine):
             shards = [
                 _drive_walks(
                     spec,
-                    ctx.cache,
+                    ctx.expander,
                     range(ctx.walks),
                     ctx.seed,
                     ctx.walk_depth,
                     ctx.check_deadlock,
                     ctx.stop_on_violation,
                     store=ctx.store,
-                    compiled=ctx.compiled,
                 )
             ]
         self._merge(ctx, shards)
 
     def _run_pooled(self, ctx: CheckContext, workers: int) -> List[Dict[str, Any]]:
         spec = ctx.spec
-        assert spec.registry_ref is not None  # enforced by the coordinator
-        registry_name, params = spec.registry_ref
-        from ..tla.registry import PROVIDER_MODULES
-
         shard_size = -(-ctx.walks // workers)  # ceil division
         bounds = [
             (start, min(start + shard_size, ctx.walks))
@@ -369,19 +287,7 @@ class SimulationEngine(Engine):
         # 9 walks / 4 workers -> 3 shards of 3); report what actually runs.
         ctx.result.workers = len(bounds)
         shards: List[Dict[str, Any]] = []
-        with SupervisedPool(
-            len(bounds),
-            initializer=_parallel_worker_init,
-            initargs=(
-                registry_name,
-                params,
-                list(PROVIDER_MODULES),
-                ctx.compiled is not None,
-            ),
-            config=ctx.supervision,
-            chaos=ctx.chaos,
-            name="simulate",
-        ) as pool:
+        with spec_worker_pool(ctx, len(bounds), "simulate") as pool:
             tasks = [
                 pool.submit(
                     _simulate_shard,
@@ -406,13 +312,12 @@ class SimulationEngine(Engine):
                     shards.append(
                         _drive_walks(
                             spec,
-                            ctx.cache,
+                            ctx.expander,
                             range(start, stop),
                             ctx.seed,
                             ctx.walk_depth,
                             ctx.check_deadlock,
                             ctx.stop_on_violation,
-                            compiled=ctx.compiled,
                         )
                     )
             ctx.result.supervision = pool.stats

@@ -5,7 +5,7 @@ state-retaining checker to obtain the reachable :class:`StateGraph` (or
 accepts one the caller already has), applies a strategy from
 :mod:`repro.mbtcg.strategies`, and packages the surviving behaviours as
 :class:`~repro.mbtcg.testcase.TestCase` objects plus the statistics
-(enumerated count, dedup ratio, tests/sec) that ``repro bench`` tracks.
+(enumerated count, dedup ratio, tests/sec) that ``benchmarks/`` tracks.
 
 Parallel generation shards behaviour enumeration over graph partitions: the
 edges leaving the initial states are split round-robin across a process

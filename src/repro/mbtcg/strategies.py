@@ -17,7 +17,7 @@ faced (4,913 exhaustive OT tests were practical; larger models need less):
 
 Every strategy returns ``(behaviours, enumerated)`` where ``enumerated``
 counts behaviours *before* deduplication; the generator turns the ratio into
-the dedup statistic the bench reports.
+the suite's dedup statistic.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ Design constraints, in order:
   observation is one ``bisect`` into a fixed bucket layout.  The hot loops
   only touch the registry at coarse granularity (per BFS level, per pool
   event), so instrumentation overhead on a checking run stays well under
-  the 3% budget the bench's ``observability`` stage pins.
+  3% (``obs.overhead_share`` in ``benchmarks/`` measures it).
 * **Mergeable.**  :meth:`MetricsRegistry.snapshot` returns a plain
   picklable/JSON-able dict and :meth:`MetricsRegistry.merge` folds such a
   snapshot back in -- this is how supervised worker processes ship their

@@ -11,12 +11,9 @@ pipeline:
 * :mod:`~repro.pipeline.runner` -- concurrent batch checking (thread or
   process executors) with successor caching and merged coverage,
 * :mod:`~repro.pipeline.registry` -- the CLI-facing view of the spec registry
-  in :mod:`repro.tla.registry`,
-* :mod:`~repro.pipeline.bench` -- the states/sec / traces/sec benchmark
-  harness behind ``python -m repro bench``.
+  in :mod:`repro.tla.registry`.
 """
 
-from .bench import BenchConfig, run_bench
 from .logs import (
     LogEvent,
     LogParseError,
@@ -34,7 +31,6 @@ from .workload import GeneratedTrace, generate_trace, generate_workload
 
 __all__ = [
     "BatchReport",
-    "BenchConfig",
     "EXECUTORS",
     "GeneratedTrace",
     "LogEvent",
@@ -51,7 +47,6 @@ __all__ = [
     "merge_event_streams",
     "parse_log_lines",
     "read_log_files",
-    "run_bench",
     "trace_from_logs",
     "write_log_file",
 ]

@@ -12,9 +12,9 @@ Subcommands mirror the paper's workflow:
   per-node logs, and replay the corpus through the MBTC batch checker,
 * ``watch``   -- streaming MBTC: follow live log files as a long-running
   service, checking each trace incrementally with backpressure, a quarantine
-  channel for undecodable lines and SIGTERM/SIGINT graceful drain,
-* ``bench``   -- the perf trajectory: time every engine x worker count on the
-  registered specs and write ``BENCH_results.json``.
+  channel for undecodable lines and SIGTERM/SIGINT graceful drain.
+
+Performance is measured from outside, by ``benchmarks/run.py``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from ..tla.coverage import CoverageReport, coverage_of_trace
 from ..tla.dot import to_dot
 from ..tla.errors import CheckInterrupted, ReproError
 from ..tla.trace import check_trace, explain_failure
-from . import bench as bench_module
 from . import logs as log_module
 from .registry import build_spec_by_name, parse_params, SPECS
 from .runner import EXECUTORS, check_traces
@@ -68,22 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
             help="spec configuration parameter (repeatable), e.g. n_nodes=3",
         )
 
-    def add_obs_arguments(p: argparse.ArgumentParser, *, metrics: bool = True) -> None:
-        """Telemetry flags shared by every execution path.
-
-        ``bench`` opts out of ``--metrics-out``: it measures instrumentation
-        overhead itself, and must be free to activate (and deactivate) its
-        own runs without the CLI holding the process-wide run slot.
-        """
-        if metrics:
-            p.add_argument(
-                "--metrics-out",
-                metavar="FILE",
-                default=None,
-                help="append run telemetry (spans, counters, histograms) here "
-                f"as schema-versioned JSON lines; ${ENV_METRICS_OUT} is the "
-                "equivalent environment channel",
-            )
+    def add_obs_arguments(p: argparse.ArgumentParser) -> None:
+        """Telemetry flags shared by every execution path."""
+        p.add_argument(
+            "--metrics-out",
+            metavar="FILE",
+            default=None,
+            help="append run telemetry (spans, counters, histograms) here "
+            f"as schema-versioned JSON lines; ${ENV_METRICS_OUT} is the "
+            "equivalent environment channel",
+        )
         p.add_argument(
             "--profile",
             action="store_true",
@@ -483,34 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="CI preset: small ot_array suite, corpus written, replay verified",
     )
     add_obs_arguments(gen_p)
-
-    bench_p = sub.add_parser(
-        "bench", help="time all engines x worker counts; write BENCH_results.json"
-    )
-    bench_p.add_argument(
-        "--out",
-        metavar="FILE",
-        default="BENCH_results.json",
-        help="where to write the JSON results (default: %(default)s)",
-    )
-    bench_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized run: fewer specs, worker counts and traces",
-    )
-    bench_p.add_argument(
-        "--workers-list",
-        metavar="N[,N...]",
-        default=None,
-        help="comma-separated parallel worker counts (default: 1,2,4; smoke: 1,2)",
-    )
-    bench_p.add_argument(
-        "--traces",
-        type=int,
-        default=None,
-        help="batch size for the trace-checking matrix (default: 400; smoke: 60)",
-    )
-    add_obs_arguments(bench_p, metrics=False)
     return parser
 
 
@@ -838,6 +803,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
             f"{sup.corruptions} corrupt results, {sup.task_errors} task errors)"
             + ("; pool degraded to serial" if sup.degraded else "")
         )
+    if result.compile_error is not None:
+        print(
+            f"WARNING: spec compilation failed ({result.compile_error}); "
+            "interpreting"
+        )
     if result.truncated:
         print(
             "WARNING: exploration truncated by --max-states/--max-depth; "
@@ -1063,60 +1033,28 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    config = (
-        bench_module.BenchConfig.smoke_config()
-        if args.smoke
-        else bench_module.BenchConfig()
-    )
-    if args.workers_list:
-        try:
-            config.worker_counts = tuple(
-                int(part) for part in args.workers_list.split(",") if part
-            )
-        except ValueError:
-            print(f"error: bad --workers-list {args.workers_list!r}", file=sys.stderr)
-            return 2
-        if not config.worker_counts or min(config.worker_counts) < 1:
-            print("error: --workers-list entries must be >= 1", file=sys.stderr)
-            return 2
-    if args.traces is not None:
-        config.n_traces = args.traces
-    results = bench_module.run_bench(
-        config, progress=lambda message: print(f"bench: {message}", file=sys.stderr)
-    )
-    bench_module.write_results(results, args.out)
-    print(bench_module.summarize(results))
-    print(f"results written to {args.out}")
-    return 0
-
-
 _COMMANDS = {
     "check": _cmd_check,
     "trace": _cmd_trace,
     "watch": _cmd_watch,
     "simulate": _cmd_simulate,
     "generate": _cmd_generate,
-    "bench": _cmd_bench,
 }
 
 
 def _run_command(args: argparse.Namespace) -> int:
     """Dispatch one parsed command, under telemetry/profiling when asked.
 
-    A run activates only for commands that expose ``--metrics-out`` (bench
-    manages its own runs) and only when the flag, the ``REPRO_METRICS_OUT``
+    A run activates only when ``--metrics-out``, the ``REPRO_METRICS_OUT``
     environment channel, or ``--progress-every`` asks for it -- the default
     path never touches the obs runtime, which is what keeps every existing
     output byte-identical.
     """
     command = _COMMANDS[args.command]
-    metrics_path = getattr(args, "metrics_out", None) or os.environ.get(
-        ENV_METRICS_OUT
-    )
+    metrics_path = args.metrics_out or os.environ.get(ENV_METRICS_OUT)
     progress_every = getattr(args, "progress_every", None) or 0.0
     run = None
-    if hasattr(args, "metrics_out") and (metrics_path or progress_every > 0):
+    if metrics_path or progress_every > 0:
         run = start_run(
             command=f"repro {args.command}",
             sink_path=metrics_path or None,

@@ -120,7 +120,7 @@ class BatchReport:
 
     @property
     def traces_per_second(self) -> float:
-        """Checked traces per wall-clock second (the bench's headline number)."""
+        """Checked traces per wall-clock second (MBTC's headline number)."""
         if self.duration_seconds <= 0:
             return 0.0
         return self.total / self.duration_seconds

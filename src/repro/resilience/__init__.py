@@ -12,12 +12,11 @@ Three pieces, each usable on its own:
 * :mod:`repro.resilience.checkpoint` -- periodic atomic snapshots of a BFS
   run (visited store, frontier, parent map, stats) and the resume path that
   continues an interrupted run to bit-identical final statistics; plus the
-  atomic-write helpers shared with the bench harness.
+  atomic-write helpers the streaming reports share.
 * :mod:`repro.resilience.faults` -- :class:`FaultPlan`, the deterministic
   seeded chaos layer that injects worker crashes, hangs, slowdowns and
   corrupt results keyed on ``(worker_id, task_index)``, so every recovery
-  path above is exercised reproducibly in tests, in CI and in the bench's
-  chaos stage.
+  path above is exercised reproducibly in tests and in CI.
 """
 
 from .checkpoint import (

@@ -15,7 +15,7 @@ contract the checkpoint test suite pins.
 Checkpoints are written atomically (temp file in the target directory, then
 ``os.replace``), so a crash *during* checkpointing leaves the previous
 checkpoint intact rather than a truncated file; the same helpers back the
-benchmark harness's results file.  The format is a pickle with a version
+watch service's report and status files.  The format is a pickle with a version
 header and the spec's registry identity, validated on load: resuming a
 ``locking`` checkpoint into a ``raftmongo`` run is an error, not garbage.
 

@@ -384,8 +384,8 @@ class FingerprintCache:
     When the memo fills up, the oldest half (dict insertion order) is
     discarded rather than the whole memo: sub-values inserted recently are the
     ones the current BFS frontier still shares, so wholesale clearing dropped
-    every hot entry mid-run.  ``hits``/``misses``/``evictions`` feed the bench
-    report.
+    every hot entry mid-run.  ``hits``/``misses``/``evictions`` are reported
+    by :meth:`stats`.
     """
 
     MAX_ENTRIES = 1_000_000
@@ -411,7 +411,7 @@ class FingerprintCache:
         self.evictions += 1
 
     def stats(self) -> dict[str, int]:
-        """Hit/miss/eviction counters, for the bench report."""
+        """Hit/miss/eviction counters and the current entry count."""
         return {
             "hits": self.hits,
             "misses": self.misses,

@@ -14,6 +14,7 @@ import signal as signal_module
 import pytest
 
 from repro.engine import check_spec
+from repro.obs import MemorySink, start_run
 from repro.pipeline.cli import main
 from repro.resilience import (
     CheckpointError,
@@ -188,6 +189,29 @@ def test_keyboard_interrupt_partial_result_then_resume(tmp_path):
     )
     assert _stats(resumed) == _stats(golden)
     assert resumed.distinct_states == 61 and resumed.max_depth == 60
+
+
+@pytest.mark.parametrize("engine,workers", [("fingerprint", None), ("parallel", 2)])
+def test_interrupted_level_stays_in_the_time_budget(engine, workers):
+    """The level an interrupt cuts short is timed like every other level."""
+    run = start_run(command="test", sink=MemorySink(), run_id="interrupted")
+    _INTERRUPT["armed"] = True
+    try:
+        with pytest.raises(CheckInterrupted):
+            check_spec(
+                build_spec("_test_interrupter"),
+                check_properties=False,
+                engine=engine,
+                workers=workers,
+            )
+        snapshot = run.registry.snapshot()
+    finally:
+        _INTERRUPT["armed"] = False
+        run.close()
+    # x == 45 is generated while the level at depth 44 is being expanded:
+    # 45 levels were started, 44 of them completed.
+    assert snapshot["histograms"]["span.engine.level.seconds"]["count"] == 45
+    assert snapshot["counters"]["engine.levels"] == 44
 
 
 def test_resume_refuses_a_different_store_capacity(tmp_path):

@@ -148,6 +148,10 @@ from repro.pipeline.cli import main
             ["check", "locking", "--store", "disk", "--resume", "x.ckpt"],
             "--store-path",
         ),
+        # ISSUE 12: nonsensical BFS bounds used to run and report OK.
+        (["check", "locking", "--max-states", "-1"], "max_states"),
+        (["check", "locking", "--max-states", "0"], "max_states"),
+        (["check", "locking", "--max-depth", "-3"], "max_depth"),
         # ISSUE 9: the progress heartbeat needs a positive interval.
         (["check", "locking", "--progress-every", "0"], "--progress-every"),
         (["check", "locking", "--progress-every", "-2"], "--progress-every"),

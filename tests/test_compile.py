@@ -16,6 +16,7 @@ from repro.compile import compile_spec
 from repro.compile.interner import ValueInterner, state_fingerprint
 from repro.compile.kernels import CompiledSpec
 from repro.engine import check_spec
+from repro.engine.base import InterpretedExpander, make_expander
 from repro.pipeline.cli import main
 from repro.tla.errors import CheckerError
 from repro.tla.registry import build_spec
@@ -199,19 +200,43 @@ def _reachable_sample(spec, limit=300, sample=40, seed=0):
     return rng.sample(states, min(sample, len(states)))
 
 
-@pytest.mark.parametrize("spec_name", ["locking", "ot_array", "raftmongo"])
-def test_compiled_successors_match_interpreted_on_random_states(spec_name):
-    spec = build_spec(spec_name)
-    compiled = compile_spec(build_spec(spec_name))
+@pytest.mark.parametrize(
+    "spec_name,params,native",
+    [
+        ("locking", {}, True),
+        ("ot_array", {}, True),
+        ("raftmongo", {}, True),
+        ("locking", {"mutation": "xx_compatible"}, True),
+        ("locking", {}, False),
+        ("locking", {"mutation": "xx_compatible"}, False),
+    ],
+)
+def test_compiled_successors_match_interpreted_on_random_states(
+    spec_name, params, native
+):
+    """The expander seam itself: both implementations, entry for entry."""
+    spec = build_spec(spec_name, **params)
+    compiled = compile_spec(build_spec(spec_name, **params), native=native)
     assert isinstance(compiled, CompiledSpec)
+    interpreted = InterpretedExpander(spec)
+    for state in spec.initial_states():
+        fp = state.fingerprint()
+        assert compiled.verdict_for(state.values, fp) == interpreted.verdict_for(
+            state.values, fp
+        )
     for state in _reachable_sample(spec):
+        # Action, value tuple, fingerprint, violated-invariant name and
+        # constraint verdict of every successor, in order.
+        assert compiled.expand(state.values) == interpreted.expand(state.values)
         expected = [(name, successor) for name, successor in spec.successors(state)]
         actual = list(compiled.successors(state))
         assert actual == expected
         for _, successor in expected:
-            assert compiled.violated_invariant(successor) == (
-                spec.violated_invariant(successor)
-            )
+            # By name: the two specs are separate builds, so a violated
+            # Invariant is a different (identity-compared) object in each.
+            violated = compiled.violated_invariant(successor)
+            reference = spec.violated_invariant(successor)
+            assert (violated and violated.name) == (reference and reference.name)
             assert compiled.within_constraint(successor) == spec.within_constraint(
                 successor
             )
@@ -250,6 +275,42 @@ def test_auto_mode_falls_back_to_interpreted(monkeypatch):
     )
     assert not fallback.compiled
     assert _stats(fallback) == _stats(golden)
+
+
+def test_auto_fallback_says_why(monkeypatch, tmp_path, capsys):
+    """The fallback keeps ``compiled == False`` but is no longer silent."""
+    import json
+
+    import repro.compile as compile_pkg
+
+    def _boom(spec, **kwargs):
+        raise RuntimeError("synthetic compile failure")
+
+    monkeypatch.setattr(compile_pkg, "compile_spec", _boom)
+    reason = "RuntimeError: synthetic compile failure"
+    expander, fallback = make_expander(build_spec("locking"), "auto")
+    assert isinstance(expander, InterpretedExpander) and fallback == reason
+    assert make_expander(build_spec("locking"), "off")[1] is None
+
+    # Pool workers apply the same policy with the same mode: they fall back
+    # too, and the run still matches the interpreted one.
+    golden = check_spec(
+        build_spec("locking"), check_properties=False, compile_mode="off"
+    )
+    pooled = check_spec(
+        build_spec("locking"), check_properties=False, engine="parallel", workers=2
+    )
+    assert not pooled.compiled and pooled.compile_error == reason
+    assert _stats(pooled) == _stats(golden)
+
+    path = tmp_path / "m.jsonl"
+    assert main(["check", "locking", "--metrics-out", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert f"WARNING: spec compilation failed ({reason}); interpreting" in out
+    assert " compiled" not in out
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    (metrics,) = [r for r in records if r["kind"] == "metrics"]
+    assert metrics["labels"]["compiled"] == f"interpreted ({reason})"
 
 
 def test_compile_on_failure_is_a_checker_error(monkeypatch):

@@ -143,7 +143,7 @@ def test_mbtcg_imports_cold():
     """`import repro.mbtcg` must work before repro.pipeline is initialized."""
     src_dir = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", "import repro.mbtcg; import repro.pipeline.bench"],
+        [sys.executable, "-c", "import repro.mbtcg; import repro.pipeline"],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": str(src_dir), "PATH": "/usr/bin:/bin:/usr/local/bin"},
