@@ -1,10 +1,9 @@
 """Spec compilation: specialize a specification at check time.
 
-Interpreting action closures over dict-backed frozen values caps serial
-throughput around 25k generated states/sec at million-state scale.  This
-package takes the query-engine route instead -- compile the high-level
-description down to a specialized executable form once per run, then execute
-that form per state:
+Interpreting action closures over dict-backed frozen values re-does, for
+every generated state, work whose answer is already known.  This package
+takes the query-engine route instead -- specialize the high-level
+description once per run, then execute the specialized form per state:
 
 * **fixed-slot tuple states** -- kernels operate on schema-indexed value
   tuples; real ``State`` objects are built only at boundaries (replay,
@@ -13,12 +12,22 @@ that form per state:
 * **precomputed per-slot fingerprint layout** -- a successor's fingerprint
   is spliced from the parent's per-slot fingerprints, never re-walking
   unchanged variables (:mod:`repro.compile.interner`);
-* **fused guard+update successor kernels** -- plain Python functions
-  generated per action; the locking spec gets exec-specialized unrolled
-  kernels (:mod:`repro.compile.native_locking`), everything else the
-  generic interning driver (:mod:`repro.compile.kernels`);
-* **specialized invariant/constraint evaluators** -- fingerprint-memoized
-  verdicts with the interpreted path's exact cap and eviction policy.
+* **one generic kernel for any spec: a read-set memo**
+  (:mod:`repro.compile.kernels`) -- each action effect, invariant and the
+  constraint runs once per distinct binding of the variables it *reads*
+  (recorded by a read-tracking ``State``), not once per state; the results
+  sit in per-action decision tries keyed on the interner's canonical
+  objects, so an expansion is a few dict lookups and slot splices.  It
+  relies on one contract: an effect or predicate is a function of what it
+  reads through the ``State`` surface.  Anything it cannot attribute to
+  single slots counts as reading all of them and is simply not memoized;
+* **a native kernel for the locking spec**
+  (:mod:`repro.compile.native_locking`) -- exec-generated straight-line
+  code, 313 hand-specialized lines that the generic kernel cannot replace
+  yet: locking has one variable, so every read is the whole state and the
+  memo cannot hit (README "Spec compilation" has the numbers);
+* **fingerprint-memoized invariant/constraint verdicts** -- with the
+  interpreted path's exact cap and eviction policy.
 
 Entry point: :func:`compile_spec`, called by
 :func:`repro.engine.base.make_expander` per the ``--compile on|off|auto``

@@ -43,7 +43,7 @@ from ..tla.values import (
     freeze,
 )
 
-__all__ = ["ValueInterner", "state_fingerprint"]
+__all__ = ["ValueInterner", "packed_state_fingerprint", "state_fingerprint"]
 
 #: Types fingerprinted through the ``P`` (primitive) digest without any
 #: structural walk.  Exact-type membership, so ``bool`` (a subclass of
@@ -61,7 +61,17 @@ def state_fingerprint(slot_fps) -> int:
     :meth:`~repro.tla.values.FingerprintCache.state_values_fingerprint`:
     the ``T`` digest over the packed slot fingerprints.
     """
-    return _digest(b"T" + b"".join(map(_FP_PACK, slot_fps)))
+    return packed_state_fingerprint(map(_FP_PACK, slot_fps))
+
+
+def packed_state_fingerprint(packed_slot_fps) -> int:
+    """:func:`state_fingerprint` over already-packed slot fingerprints.
+
+    The generic kernel keeps slot fingerprints packed, in bound states and
+    in memoized updates alike, so a successor's fingerprint is one splice,
+    one join and one digest.
+    """
+    return _digest(b"T" + b"".join(packed_slot_fps))
 
 
 class ValueInterner:

@@ -1,30 +1,79 @@
-"""CompiledSpec: the specialized executable form of a specification.
+"""CompiledSpec and the generic kernel: a read-set memo over the spec's closures.
 
 A :class:`CompiledSpec` is what the engines run instead of interpreting the
 spec per state.  Its core surface is two functions over *value tuples* (the
-fixed-slot, schema-indexed state representation -- no dict lookups, no
-``State`` allocation on the hot path):
+fixed-slot, schema-indexed state representation):
 
 ``expand(values)``
-    The fused guard+update successor kernel: one call yields the complete
-    expansion of a state as :data:`~repro.engine.base.SuccessorInfo`
-    entries -- ``(action, values, fingerprint, violated invariant,
-    constraint verdict)`` -- the exact wire shape the interpreted
-    :class:`~repro.engine.base.InterpretedExpander` produces, so every
-    engine consumes either interchangeably.
+    One call yields the complete expansion of a state as
+    :data:`~repro.engine.base.SuccessorInfo` entries -- ``(action, values,
+    fingerprint, violated invariant, constraint verdict)`` -- the exact wire
+    shape the interpreted :class:`~repro.engine.base.InterpretedExpander`
+    produces, so every engine consumes either interchangeably.
 
 ``verdict_for(values, fp)``
     The invariant/constraint evaluator, memoized per fingerprint through
     the same :func:`~repro.engine.base.memoized_verdict` (cap and eviction
     policy included) the interpreted expander uses.
 
-Two kernel generators exist: a *native* backend (currently
-:mod:`repro.compile.native_locking`) that compiles the spec's transition
-relation down to exec-generated straight-line code, and the *generic*
-backend in this module, which still calls the spec's action closures but
-replaces everything around them -- freeze walks, state fingerprints,
-invariant dispatch -- with one interning pass and incremental per-slot
-fingerprint splicing (unchanged slots are never re-walked).
+Two kernel generators exist: the *native* backend
+(:mod:`repro.compile.native_locking`, exec-generated straight-line code for
+the locking spec) and the *generic* one here, :func:`build_generic_kernels`,
+which works for any specification.
+
+The generic kernel
+------------------
+An action effect, an invariant or the constraint is a function of the state
+it is handed -- and almost never of *all* of it: RaftMongo's ``AppendOplog``
+and ``LogMatching`` read only ``oplog``, ``Stepdown`` only ``role``.  So the
+kernel runs each of them **once per distinct binding of the variables it
+reads**, not once per state:
+
+* evaluation happens against a :class:`_BoundState`, a ``State`` subclass
+  that records, in first-read order, which slots ``state[...]`` (and ``get``
+  / ``in``, which go through it) touched;
+* the result -- an action's yielded updates, already interned to ``(slot,
+  canonical value, packed slot fingerprint)`` triples, or a predicate's
+  boolean -- is stored in a per-action *decision trie*: the root names the
+  first slot read, its children are keyed on that slot's value and name the
+  next slot read under that value, and so on down to the result.  The next
+  slot to look at is a function of the values read so far, so the trie is
+  exact for value-dependent read orders (``AdvanceCommitPoint`` reads only
+  ``role`` when there is no leader and three more variables when there is
+  one);
+* ``expand`` is then, per action, one dict lookup per slot read down to a
+  leaf, and per stored update a slot splice, one fingerprint join and a
+  verdict lookup -- no closure call, no ``freeze``, no ``intern``.
+
+**The purity contract.**  Memoizing is sound when an effect, invariant or
+constraint is a function of what it reads through the ``State`` surface (and
+of constants): the same contract fingerprint-memoized verdicts and
+counterexample replay already rely on.  What the tracker cannot attribute to
+single slots it treats as *reading every slot*: ``.values``, iteration,
+``hash``/``==``, ``with_updates``, ``fingerprint`` -- anything but
+``__getitem__`` -- and yielding a ready-made ``State``.  A result that read
+every slot is never stored (it could only hit on the very same state, which
+the engines never expand twice).
+
+**Exactness.**  Trie keys are the interner's canonical objects (``id``; a
+``(type, value)`` pair for primitives, so ``True``/``1``/``1.0`` stay
+apart), never 64-bit fingerprints, so the memo adds no collision surface.
+An id is only meaningful while the interner retains the object: every bound
+state remembers the interner's eviction count, the tries are dropped when it
+moves, and nothing is stored under keys bound before an eviction.
+Exceptions are never cached and surface with the wrapping they always had.
+
+**When an action goes opaque.**  It is called directly from then on, with
+no lookup and no bookkeeping, (a) after :data:`OPAQUE_AFTER` evaluations
+that all read every slot -- single-variable specs such as ``locking``, where
+the memo cannot hit -- or (b) the moment it reads slots in a different order
+for the same values, i.e. shows itself not to be a function of what it
+reads.  The decision comes from the observed read-sets, not from a flag.
+
+The tries share one entry cap (:data:`MEMO_MAX` leaves, oldest half
+discarded, like ``VERDICT_MEMO_MAX``).  Per action/invariant ``hits``,
+``misses``, ``entries`` and ``opaque`` are live in
+``compile_info["memo"]``.
 
 Boundary fidelity: the adapter also satisfies the interpreted
 ``initial_states`` / ``successors`` / ``violated_invariant`` /
@@ -37,91 +86,343 @@ stay bit-identical.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from collections import deque
+from collections.abc import Mapping
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..engine.base import SuccessorInfo, memoized_verdict
 from ..tla.errors import EvaluationError
-from ..tla.spec import Invariant, Specification
-from ..tla.state import State
-from .interner import ValueInterner, state_fingerprint
+from ..tla.spec import Action, Invariant, Specification
+from ..tla.state import State, VariableSchema
+from ..tla.values import _FP_PACK
+from .interner import _PRIMITIVE_TYPES, ValueInterner, packed_state_fingerprint
 
 __all__ = ["CompiledSpec", "build_generic_kernels"]
+
+#: Cap on stored results (trie leaves) across all of a spec's tries; bounds
+#: per-process memory the way ``VERDICT_MEMO_MAX`` does.
+MEMO_MAX = 500_000
+
+#: Evaluations, all reading every slot, after which an action, invariant or
+#: constraint that never produced a storable result is called directly.
+OPAQUE_AFTER = 32
+
+
+class _BoundState(State):
+    """One state as the generic kernel sees it, and as an effect reads it.
+
+    Holds the canonical value tuple with its per-slot memo keys and
+    fingerprints, and records which slots are read through ``state[...]``.
+    Every other way at the values goes through :attr:`values` (the base
+    class's own methods included) and counts as reading all of them.
+    """
+
+    __slots__ = ("_vals", "_keys", "_fps", "_epoch", "_reads", "_all")
+
+    __setattr__ = object.__setattr__
+
+    def __init__(
+        self,
+        schema: VariableSchema,
+        vals: Tuple[Any, ...],
+        keys: List[Any],
+        fps: List[bytes],
+        epoch: int,
+    ) -> None:
+        self.schema = schema
+        self._vals = vals
+        self._keys = keys
+        self._fps = fps
+        #: The interner's eviction count when the keys were taken.
+        self._epoch = epoch
+        self._fp = None
+        self._reads: Dict[int, None] = {}
+        self._all = False
+
+    def __getitem__(self, name: str) -> Any:
+        slot = self.schema.index_of(name)
+        self._reads[slot] = None
+        return self._vals[slot]
+
+    @property
+    def values(self) -> Tuple[Any, ...]:  # type: ignore[override]
+        self._all = True
+        return self._vals
+
+    def __iter__(self) -> Iterator[str]:
+        self._all = True
+        return iter(self.schema.names)
+
+    def __hash__(self) -> int:
+        return hash((self.schema.names, self.values))
+
+
+class _Branch:
+    """An inner trie node: which slot to look at next, and where each value leads."""
+
+    __slots__ = ("slot", "children")
+
+    def __init__(self, slot: int) -> None:
+        self.slot = slot
+        self.children: Dict[Any, Any] = {}
+
+
+class _Memoized:
+    """One memoized function of the state: an action, an invariant or the constraint."""
+
+    __slots__ = ("name", "evaluate", "top", "stats")
+
+    def __init__(self, name: str, evaluate: Callable[[_BoundState], Any]) -> None:
+        self.name = name
+        self.evaluate = evaluate
+        #: ``top[None]`` is the trie's root: a pseudo-parent, so that the
+        #: root is evicted like any other node.
+        self.top: Dict[Any, Any] = {}
+        self.stats = {"hits": 0, "misses": 0, "entries": 0, "opaque": False}
+
+
+class _ReadSetMemo:
+    """The tries of one compiled spec: lookup, store, shared cap, eviction."""
+
+    def __init__(self, schema: VariableSchema, interner: ValueInterner) -> None:
+        self.schema = schema
+        self.interner = interner
+        self.max_entries = MEMO_MAX
+        self.functions: List[_Memoized] = []
+        #: One ``(stats, path)`` per stored leaf, oldest first; a path is
+        #: the ``(children dict, key)`` pairs from ``top`` down to the leaf.
+        self.log: Deque[Tuple[Dict[str, Any], List[Tuple[dict, Any]]]] = deque()
+        #: The interner eviction count the stored keys are valid for.
+        self.epoch = interner.evictions
+
+    def memoize(self, name: str, evaluate: Callable[[_BoundState], Any]) -> _Memoized:
+        taken = {function.name for function in self.functions}
+        while name in taken:  # an invariant named like an action
+            name += "'"
+        function = _Memoized(name, evaluate)
+        self.functions.append(function)
+        return function
+
+    def bind(self, values: Tuple[Any, ...]) -> _BoundState:
+        """Canonicalize ``values`` and take their memo keys and fingerprints."""
+        interner = self.interner
+        intern = interner.intern
+        vals, keys, fps = [], [], []
+        for value in values:
+            canonical, fp = intern(value)
+            tp = type(canonical)
+            vals.append(canonical)
+            keys.append((tp, canonical) if tp in _PRIMITIVE_TYPES else id(canonical))
+            fps.append(_FP_PACK(fp))
+        epoch = interner.evictions
+        if epoch != self.epoch:
+            # The interner let go of objects the tries are keyed on.
+            for function in self.functions:
+                function.top.clear()
+                function.stats["entries"] = 0
+            self.log.clear()
+            self.epoch = epoch
+        return _BoundState(self.schema, tuple(vals), keys, fps, epoch)
+
+    def recall(self, function: _Memoized, state: _BoundState) -> Any:
+        """``function.evaluate(state)``, from the trie when its reads are known."""
+        stats, keys = function.stats, state._keys
+        if stats["opaque"]:
+            return function.evaluate(state)
+        node = function.top.get(None)
+        while type(node) is _Branch:
+            node = node.children.get(keys[node.slot])
+        if node is not None:
+            stats["hits"] += 1
+            return node
+        stats["misses"] += 1
+        state._reads = {}
+        state._all = False
+        result = function.evaluate(state)
+        self._store(function, state, result)
+        return result
+
+    def _store(self, function: _Memoized, state: _BoundState, result: Any) -> None:
+        stats, reads = function.stats, state._reads
+        if state._all or len(reads) == len(state._vals):
+            if not stats["entries"] and not stats["hits"]:
+                stats["opaque"] = stats["misses"] >= OPAQUE_AFTER
+            return
+        if state._epoch != self.interner.evictions:
+            return  # the keys may name objects the interner no longer retains
+        # Walk the reads down from the root, growing branches as needed.  A
+        # node that disagrees -- same values, another slot read next, or a
+        # result where this evaluation read on -- shows the function is not
+        # one of what it reads: never look it up again.
+        keys = state._keys
+        children, key = function.top, None
+        path = []
+        for slot in reads:
+            node = children.get(key)
+            if node is None:
+                node = children[key] = _Branch(slot)
+            elif type(node) is not _Branch or node.slot != slot:
+                stats["opaque"] = True
+                return
+            path.append((children, key))
+            children, key = node.children, keys[slot]
+        if key in children:
+            stats["opaque"] = True
+            return
+        children[key] = result
+        path.append((children, key))
+        stats["entries"] += 1
+        self.log.append((stats, path))
+        if len(self.log) > self.max_entries:
+            self._evict_oldest_half()
+
+    def _evict_oldest_half(self) -> None:
+        log = self.log
+        for _ in range(len(log) // 2):
+            stats, path = log.popleft()
+            stats["entries"] -= 1
+            for children, key in reversed(path):
+                children.pop(key, None)
+                if children:
+                    break  # the branch above still leads somewhere
+
+
+def _action_evaluator(
+    act: Action, schema: VariableSchema, interner: ValueInterner
+) -> Callable[[_BoundState], Tuple[Tuple[Tuple[int, Any, bytes], ...], ...]]:
+    """``evaluate(state)``: the action's updates as ``(slot, canonical, packed fp)`` triples.
+
+    Parity with :class:`~repro.tla.spec.Action` is structural: the effect
+    call alone is wrapped in :class:`EvaluationError` (generator-body
+    exceptions escape raw, exactly as in ``Action.successors``), items are
+    classified State-before-Mapping, and unknown update variables raise the
+    schema's own ``SpecError``.
+    """
+    name, effect = act.name, act.effect
+    index_of, intern = schema.index_of, interner.intern
+
+    def evaluate(state: _BoundState) -> Tuple[Tuple[Tuple[int, Any, bytes], ...], ...]:
+        try:
+            produced = effect(state)
+        except Exception as exc:  # noqa: BLE001 - mirror Action.successors
+            raise EvaluationError(
+                f"action {name!r} raised {type(exc).__name__}: {exc}",
+                action=name,
+            ) from exc
+        if produced is None:
+            return ()
+        updates = []
+        for item in produced:
+            tp = type(item)
+            if tp is dict or (
+                not isinstance(item, State) and isinstance(item, Mapping)
+            ):
+                update = []
+                for var, val in item.items():
+                    canonical, vfp = intern(val)
+                    update.append((index_of(var), canonical, _FP_PACK(vfp)))
+            elif isinstance(item, State):
+                state._all = True  # a ready-made State stands for every slot
+                update = []
+                for slot, val in enumerate(item.values):
+                    canonical, vfp = intern(val)
+                    update.append((slot, canonical, _FP_PACK(vfp)))
+            else:
+                raise EvaluationError(
+                    f"action {name!r} produced {tp.__name__}; "
+                    "expected State or mapping of variable updates",
+                    action=name,
+                )
+            updates.append(tuple(update))
+        return tuple(updates)
+
+    return evaluate
+
+
+class _MemoizedPredicates:
+    """``violated_invariant`` / ``within_constraint`` over bound states.
+
+    The two calls :func:`~repro.engine.base.memoized_verdict` makes on a
+    spec, answered from the tries.
+    """
+
+    def __init__(self, spec: Specification, memo: _ReadSetMemo) -> None:
+        self._recall = memo.recall
+        self._invariants = [
+            (inv, memo.memoize(inv.name, inv.holds)) for inv in spec.invariants
+        ]
+        constraint = spec.constraint
+        self._constraint = (
+            None
+            if constraint is None
+            else memo.memoize("constraint", lambda state: bool(constraint(state)))
+        )
+
+    def violated_invariant(self, state: _BoundState) -> Optional[Invariant]:
+        recall = self._recall
+        for inv, function in self._invariants:
+            if not recall(function, state):
+                return inv
+        return None
+
+    def within_constraint(self, state: _BoundState) -> bool:
+        return self._constraint is None or self._recall(self._constraint, state)
 
 
 def build_generic_kernels(
     spec: Specification, interner: ValueInterner
 ) -> Tuple[Callable, Callable, Dict[str, Any]]:
-    """``(expand, verdict_for, info)`` driving the spec's own action closures.
+    """``(expand, verdict_for, info)``: the read-set memo over ``spec``'s closures.
 
-    Works for any specification.  Parity with :class:`~repro.tla.spec.Action`
-    is structural: the effect call alone is wrapped in
-    :class:`EvaluationError` (generator-body exceptions escape raw, exactly
-    as in ``Action.successors``), items are classified State-before-Mapping,
-    and unknown update variables raise the schema's own ``SpecError``.
+    Works for any specification; see the module docstring for what is
+    memoized and why that is exact.
     """
     schema = spec.schema
-    index_of = schema.index_of
-    actions = spec.actions
-    intern = interner.intern
-    slot_fingerprints = interner.slot_fingerprints
+    memo = _ReadSetMemo(schema, interner)
+    bind, recall = memo.bind, memo.recall
+    actions = [
+        memo.memoize(act.name, _action_evaluator(act, schema, interner))
+        for act in spec.actions
+    ]
+    predicates = _MemoizedPredicates(spec, memo)
     verdicts: Dict[int, Tuple[Optional[str], bool]] = {}
 
     def verdict_for(values: Tuple[Any, ...], fp: int) -> Tuple[Optional[str], bool]:
         cached = verdicts.get(fp)  # a hit must not pay for building a State
         if cached is None:
+            # Asked from outside ``expand`` (a walk's start, the adapter
+            # below): values the interner may never have seen, asked about
+            # once.  The spec's own predicates answer, so it does not grow.
             state = State.from_values(schema, values)
             cached = memoized_verdict(spec, state, fp, verdicts)
         return cached
 
     def expand(values: Tuple[Any, ...]) -> List[SuccessorInfo]:
-        state = State.from_values(schema, values)
-        slot_fps: Optional[List[int]] = None
+        state = bind(values)
+        vals, fps = state._vals, state._fps
         entries: List[SuccessorInfo] = []
         append = entries.append
-        for act in actions:
-            name = act.name
-            try:
-                produced = act.effect(state)
-            except Exception as exc:  # noqa: BLE001 - mirror Action.successors
-                raise EvaluationError(
-                    f"action {name!r} raised {type(exc).__name__}: {exc}",
-                    action=name,
-                ) from exc
-            if produced is None:
-                continue
-            for item in produced:
-                tp = type(item)
-                if tp is dict or (
-                    not isinstance(item, State) and isinstance(item, Mapping)
-                ):
-                    if slot_fps is None:
-                        slot_fps = slot_fingerprints(values)
-                    new_values = list(values)
-                    new_fps = list(slot_fps)
-                    for var, val in item.items():
-                        canonical, vfp = intern(val)
-                        slot = index_of(var)
-                        new_values[slot] = canonical
-                        new_fps[slot] = vfp
-                    nvals = tuple(new_values)
-                    nfp = state_fingerprint(new_fps)
-                elif isinstance(item, State):
-                    pairs = [intern(val) for val in item.values]
-                    nvals = tuple(pair[0] for pair in pairs)
-                    nfp = state_fingerprint(pair[1] for pair in pairs)
-                else:
-                    raise EvaluationError(
-                        f"action {name!r} produced {tp.__name__}; "
-                        "expected State or mapping of variable updates",
-                        action=name,
-                    )
+        for function in actions:
+            name = function.name
+            for update in recall(function, state):
+                new_values = list(vals)
+                new_fps = list(fps)
+                for slot, canonical, vfp in update:
+                    new_values[slot] = canonical
+                    new_fps[slot] = vfp
+                nvals = tuple(new_values)
+                nfp = packed_state_fingerprint(new_fps)
                 verdict = verdicts.get(nfp)
                 if verdict is None:
-                    verdict = verdict_for(nvals, nfp)
+                    verdict = memoized_verdict(predicates, bind(nvals), nfp, verdicts)
                 append((name, nvals, nfp, verdict[0], verdict[1]))
         return entries
 
-    info = {"native": False, "kernel": "generic"}
+    info = {
+        "native": False,
+        "kernel": "generic",
+        "memo": {function.name: function.stats for function in memo.functions},
+    }
     return expand, verdict_for, info
 
 
@@ -147,6 +448,9 @@ class CompiledSpec:
         self.schema = spec.schema
         self.expand = expand
         self.verdict_for = verdict_for
+        #: ``kernel`` / ``native``, and for the generic kernel ``memo``: per
+        #: action, invariant and constraint the live ``hits`` / ``misses`` /
+        #: ``entries`` / ``opaque`` of its read-set memo.
         self.compile_info = dict(info)
         self.interner = interner
         self._invariants_by_name = {inv.name: inv for inv in spec.invariants}

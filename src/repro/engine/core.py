@@ -12,7 +12,7 @@ hands it to the selected :class:`~repro.engine.base.Engine`.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from ..obs import current as obs_current, span
 from ..resilience.checkpoint import Checkpoint, read_checkpoint
@@ -302,7 +302,7 @@ class ModelChecker:
             result.interrupted = True
             result.truncated = True
             result.distinct_states = ctx.store.distinct_count
-            self._record_telemetry(result)
+            self._record_telemetry(result, expander)
             raise CheckInterrupted(
                 f"check of {self.spec.name!r} interrupted after "
                 f"{result.distinct_states} distinct states",
@@ -311,7 +311,7 @@ class ModelChecker:
         finally:
             self._finalize_store(ctx, result)
         result.duration_seconds = timer.elapsed
-        self._record_telemetry(result)
+        self._record_telemetry(result, expander)
 
         # Temporal properties ------------------------------------------------
         if (
@@ -372,7 +372,7 @@ class ModelChecker:
                 )
 
     @staticmethod
-    def _record_telemetry(result: CheckResult) -> None:
+    def _record_telemetry(result: CheckResult, expander: Any) -> None:
         """Fold the finished (or interrupted) result into the active run."""
         run = obs_current()
         if run is None:
@@ -393,6 +393,16 @@ class ModelChecker:
         if result.compiled:
             reg.inc("check.compiled_runs")
             reg.set_gauge("check.compile_seconds", result.compile_seconds)
+            # The generic kernel's read-set memo, summed over its actions
+            # and invariants (this process's expander; pool workers keep
+            # their own).  The native kernel has none.
+            memo = expander.compile_info.get("memo")
+            if memo:
+                for field in ("hits", "misses", "entries"):
+                    reg.inc(
+                        f"compile.memo_{field}",
+                        sum(stats[field] for stats in memo.values()),
+                    )
         reg.inc("check.generated_states", result.generated_states)
         reg.inc("check.distinct_states", result.distinct_states)
         reg.set_gauge("check.max_depth", result.max_depth)

@@ -39,13 +39,14 @@ from __future__ import annotations
 import logging
 import os
 import pickle
+import signal
 import threading
 import time
 import zlib
 from dataclasses import dataclass, field
 from multiprocessing import Pipe, Process
 from multiprocessing.connection import Connection, wait as connection_wait
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Mapping, Optional, Tuple
 
 from collections import deque
 
@@ -193,6 +194,13 @@ def _worker_main(
     worker killed by recycle/terminate loses its snapshot -- telemetry is
     best-effort, results are not.
     """
+    # A fork-started worker also inherits the coordinator's signal handlers
+    # (the CLI turns SIGTERM/SIGINT into KeyboardInterrupt for its own
+    # checkpoint-and-report path).  A worker has nothing to report: it dies
+    # silently when the supervisor terminates it, and leaves a terminal's
+    # ctrl-C to the coordinator, which tears the pool down.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     # A fork-started worker inherits the coordinator's active telemetry run
     # (and its open sink handle); drop it so the parent stays the stream's
     # only writer, then join the run through the env channel instead.

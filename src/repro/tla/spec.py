@@ -17,8 +17,9 @@ variables); unmentioned variables are left unchanged, mirroring TLA+'s
 from __future__ import annotations
 
 import inspect
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EvaluationError, SpecError
 from .state import State, VariableSchema

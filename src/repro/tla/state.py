@@ -8,7 +8,8 @@ aligned with a shared :class:`VariableSchema`, with the hash computed once.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+from collections.abc import Mapping
+from typing import Any, Dict, Iterable, Iterator, Sequence, Tuple
 
 from .errors import SpecError
 from .values import FingerprintCache, fingerprint, freeze, thaw

@@ -19,8 +19,9 @@ Two checking modes are provided:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import TraceInitialStateMismatch, TraceMismatch
 from .spec import Specification

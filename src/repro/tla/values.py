@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Mapping
 from itertools import islice
-from typing import Any, Iterable, Iterator, Mapping, Tuple
+from typing import Any, Iterable, Iterator, Tuple
 
 __all__ = [
     "NULL",

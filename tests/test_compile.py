@@ -9,6 +9,7 @@ memoisation) is re-derived here through the interpreted path and compared.
 """
 
 import random
+import re
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.compile.kernels import CompiledSpec
 from repro.engine import check_spec
 from repro.engine.base import InterpretedExpander, make_expander
 from repro.pipeline.cli import main
+from repro.tla import Action, Invariant, Specification, State
 from repro.tla.errors import CheckerError
 from repro.tla.registry import build_spec
 from repro.tla.values import NULL, fingerprint, freeze
@@ -253,6 +255,359 @@ def test_native_locking_kernel_matches_generic(params):
     spec = build_spec("locking", **params)
     for state in _reachable_sample(spec, limit=200, sample=30):
         assert native.expand(state.values) == generic.expand(state.values)
+
+
+# ---------------------------------------------------------------------------
+# The generic kernel's read-set memo: its edges, entry for entry
+# ---------------------------------------------------------------------------
+
+
+def _all_reachable(spec):
+    """Every reachable state, by an interpreted BFS keyed on fingerprints."""
+    states = list(spec.initial_states())
+    seen = {state.fingerprint() for state in states}
+    for state in states:  # grows while iterating: a FIFO queue
+        for _, successor in spec.successors(state):
+            if successor.fingerprint() not in seen:
+                seen.add(successor.fingerprint())
+                states.append(successor)
+    return states
+
+
+def _assert_memo_parity(build, passes=2):
+    """Generic kernel vs interpreted walk over every reachable state.
+
+    Several passes, so the later ones are answered from the tries.  Returns
+    the live ``compile_info["memo"]`` counters.
+    """
+    spec = build()
+    compiled = compile_spec(build(), native=False)
+    interpreted = InterpretedExpander(spec)
+    states = _all_reachable(spec)
+    for _ in range(passes):
+        for state in states:
+            assert compiled.expand(state.values) == interpreted.expand(state.values)
+    return compiled.compile_info["memo"]
+
+
+def _counter_spec(actions, invariants=(), variables=("a", "b", "n"), inits=None):
+    def init():
+        yield from inits or [{"a": False, "b": 0, "n": 0}]
+
+    return Specification(
+        "MemoEdge",
+        variables=variables,
+        init=init,
+        actions=actions,
+        invariants=invariants,
+        constraint=lambda state: state["n"] <= 3,
+    )
+
+
+def test_memo_value_dependent_read_order():
+    """``b`` is read only when ``a`` is true: both trie shapes, both exact."""
+
+    def flip(state):
+        yield {"a": not state["a"]}
+
+    def bump(state):
+        if state["b"] < 2:
+            yield {"b": state["b"] + 1}
+
+    def tick(state):
+        if state["n"] < 3:
+            yield {"n": state["n"] + 1}
+
+    def gated(state):  # reads [a] or [a, b]
+        if state["a"]:
+            yield {"n": state["b"]}
+
+    def b_first(state):  # reads [b] or [b, a]: another root slot
+        if state["b"] and not state["a"]:
+            yield {"b": 0}
+
+    def only_when_a(state):  # an invariant with a value-dependent read too
+        return not state["a"] or state["b"] <= 2
+
+    memo = _assert_memo_parity(
+        lambda: _counter_spec(
+            [
+                Action("Flip", flip),
+                Action("Bump", bump),
+                Action("Tick", tick),
+                Action("Gated", gated),
+                Action("BFirst", b_first),
+            ],
+            [Invariant("OnlyWhenA", only_when_a)],
+        )
+    )
+    # Gated: one leaf for a=False, one per value of b under a=True.
+    assert memo["Gated"]["entries"] == 1 + 3
+    assert memo["BFirst"]["entries"] == 1 + 2 * 2
+    for name in ("Flip", "Bump", "Tick", "Gated", "BFirst"):
+        assert memo[name]["hits"] > memo[name]["misses"] > 0
+        assert not memo[name]["opaque"]
+    assert memo["OnlyWhenA"]["hits"] > 0 and memo["constraint"]["hits"] > 0
+
+
+def test_memo_keeps_true_one_and_one_point_zero_apart():
+    """``True == 1 == 1.0``: a trie keyed by equality would serve one for all."""
+
+    def tag(state):  # reads x alone; the result depends on its *type*
+        yield {"tag": type(state["x"]).__name__}
+
+    def tick(state):
+        if state["n"] < 3:
+            yield {"n": state["n"] + 1}
+
+    memo = _assert_memo_parity(
+        lambda: _counter_spec(
+            [Action("Tag", tag), Action("Tick", tick)],
+            variables=("x", "n", "tag"),
+            inits=[{"x": x, "n": 0, "tag": ""} for x in (True, 1, 1.0)],
+        )
+    )
+    assert memo["Tag"]["entries"] == 3 and memo["Tag"]["hits"] > 0
+
+
+def test_memo_reads_all_fallbacks_store_nothing():
+    """Ready-made ``State``, iteration, ``.values``: exact, and never stored."""
+
+    def ready_made(state):
+        yield state.with_updates(n=min(state["n"] + 1, 3))
+
+    def built(state):  # reads b alone, but a ready-made State stands for all
+        yield State(state.schema, {"a": False, "b": min(state["b"] + 1, 2), "n": 0})
+
+    def iterates(state):
+        if sum(1 for name in state if state[name]) == 1:
+            yield {"a": not state["a"]}
+
+    def reads_values(state):
+        if state.values[1] == 1:
+            yield {"b": 2}
+
+    def hashes(state):
+        return hash(state) == hash(State.from_values(state.schema, state.values))
+
+    memo = _assert_memo_parity(
+        lambda: _counter_spec(
+            [
+                Action("ReadyMade", ready_made),
+                Action("Built", built),
+                Action("Iterates", iterates),
+                Action("ReadsValues", reads_values),
+            ],
+            [Invariant("Hashes", hashes)],
+        ),
+        passes=3,
+    )
+    for name in ("ReadyMade", "Built", "Iterates", "ReadsValues", "Hashes"):
+        assert memo[name]["entries"] == 0 and memo[name]["hits"] == 0
+    # 36 reachable states x 3 passes: every one of them went opaque.
+    assert all(memo[name]["opaque"] for name in ("ReadyMade", "Iterates", "ReadsValues"))
+    assert memo["constraint"]["hits"] > 0  # reads n alone: still memoized
+
+
+def test_memo_gives_up_on_an_inconsistent_reader():
+    """Same values, another read order: not a function of its reads -> opaque."""
+
+    def bump(state):
+        if state["b"] < 2:
+            yield {"b": state["b"] + 1}
+
+    def build():
+        calls = []  # per build: the compiled spec's own call count
+
+        def fickle(state):  # the same answer, but it looks at a or at b first
+            calls.append(None)
+            first, second = ("a", "b") if len(calls) % 2 else ("b", "a")
+            if state[first] or state[second]:
+                yield {"n": 0}
+
+        return _counter_spec([Action("Fickle", fickle), Action("Bump", bump)])
+
+    memo = _assert_memo_parity(build)
+    assert memo["Fickle"]["opaque"] and not memo["Bump"]["opaque"]
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_memo_never_caches_an_exception(lazy):
+    """A raising state raises identically every time; its neighbours memoize."""
+
+    def tick(state):
+        if state["n"] < 3:
+            yield {"n": state["n"] + 1}
+
+    def bump(state):
+        if state["b"] < 2:
+            yield {"b": state["b"] + 1}
+
+    def eager(state):  # raises in the call: wrapped in EvaluationError
+        if state["b"] == 2:
+            raise ValueError("b went too far")
+        return [{"a": True}]
+
+    def generator(state):  # raises in the body: escapes raw, as interpreted
+        if state["b"] == 2:
+            raise ValueError("b went too far")
+        yield {"a": True}
+
+    def build():
+        return _counter_spec(
+            [Action("Tick", tick), Action("Bump", bump), Action("Boom", generator if lazy else eager)]
+        )
+
+    spec = build()
+    compiled = compile_spec(build(), native=False)
+    interpreted = InterpretedExpander(spec)
+    pending = [state.values for state in spec.initial_states()]
+    seen = set(pending)
+    raised = 0
+    while pending:
+        values = pending.pop(0)
+        try:
+            expected = interpreted.expand(values)
+        except Exception as exc:  # noqa: BLE001 - the reference outcome
+            for _ in range(2):  # the 1st and the 2nd expansion of that state
+                with pytest.raises(type(exc)) as caught:
+                    compiled.expand(values)
+                assert str(caught.value) == str(exc)
+                assert type(caught.value.__cause__) is type(exc.__cause__)
+            raised += 1
+            # Walk on through the other actions, as if Boom were disabled.
+            state = State.from_values(spec.schema, values)
+            expected = [
+                (act.name, successor.values)
+                for act in spec.actions[:2]
+                for successor in act.successors(state)
+            ]
+        else:
+            assert compiled.expand(values) == expected
+            assert compiled.expand(values) == expected
+        for entry in expected:
+            if entry[1] not in seen:
+                seen.add(entry[1])
+                pending.append(entry[1])
+    assert raised == 2 * 4  # b == 2, for either a and each n in 0..3
+    memo = compiled.compile_info["memo"]
+    assert memo["Boom"]["entries"] == 2  # b == 0 and b == 1; never b == 2
+    assert memo["Boom"]["hits"] > 0 and memo["Tick"]["hits"] > 0
+
+
+def test_memo_eviction_mid_run_is_invisible(monkeypatch):
+    """A tiny shared cap: leaves come and go, the walk does not change."""
+    from repro.compile import kernels
+
+    monkeypatch.setattr(kernels, "MEMO_MAX", 6)
+    spec = build_spec("raftmongo", n_nodes=2)
+    compiled = compile_spec(build_spec("raftmongo", n_nodes=2))
+    interpreted = InterpretedExpander(spec)
+    for state in _all_reachable(spec):
+        assert compiled.expand(state.values) == interpreted.expand(state.values)
+    memo = compiled.compile_info["memo"]
+    assert 0 < sum(stats["entries"] for stats in memo.values()) <= 6
+    assert all(stats["entries"] >= 0 for stats in memo.values())
+    assert sum(stats["misses"] for stats in memo.values()) > 100  # evicted, recomputed
+    assert sum(stats["hits"] for stats in memo.values()) > 0
+
+    evicting, interpreted_run = _run_pair("raftmongo", {"n_nodes": 2})
+    assert _stats(evicting) == _stats(interpreted_run)
+    monkeypatch.undo()
+    roomy = check_spec(
+        build_spec("raftmongo", n_nodes=2), check_properties=False, compile_mode="on"
+    )
+    assert _stats(evicting) == _stats(roomy)
+
+
+def test_memo_dropped_when_the_interner_evicts():
+    """Trie keys are ids of interned objects: no id may outlive its object."""
+    spec = build_spec("raftmongo", n_nodes=2)
+    compiled = compile_spec(build_spec("raftmongo", n_nodes=2))
+    compiled.interner.max_entries = 16  # the interner halves itself all the time
+    interpreted = InterpretedExpander(spec)
+    for state in _all_reachable(spec):
+        assert compiled.expand(state.values) == interpreted.expand(state.values)
+    assert compiled.interner.evictions > 10
+    assert sum(s["entries"] for s in compiled.compile_info["memo"].values()) < 100
+
+
+RAFTMONGO_DEPTH9_ACTION_COUNTS = {
+    "AdvanceCommitPoint": 954,
+    "AppendOplog": 11214,
+    "BecomePrimaryByMagic": 2034,
+    "ClientWrite": 1689,
+    "LearnCommitPointFromSyncSourceNeverBeyondLastApplied": 2952,
+    "LearnCommitPointWithTermCheck": 1350,
+    "RollbackOplog": 1848,
+    "Stepdown": 4056,
+    "UpdateTermThroughHeartbeat": 13032,
+}
+
+RAFTMONGO_SIMULATE_ACTION_COUNTS = {
+    "AdvanceCommitPoint": 18,
+    "AppendOplog": 119,
+    "BecomePrimaryByMagic": 120,
+    "ClientWrite": 60,
+    "LearnCommitPointFromSyncSourceNeverBeyondLastApplied": 18,
+    "LearnCommitPointWithTermCheck": 16,
+    "RollbackOplog": 2,
+    "Stepdown": 75,
+    "UpdateTermThroughHeartbeat": 156,
+}
+
+
+def test_memo_golden_action_counts_parallel_and_simulate():
+    """Counts taken from the interpreted walk before the memo existed."""
+    pooled = check_spec(
+        build_spec("raftmongo"),
+        check_properties=False,
+        engine="parallel",
+        workers=2,
+        max_depth=9,
+        compile_mode="on",
+    )
+    assert (pooled.distinct_states, pooled.generated_states) == (9792, 39130)
+    assert pooled.action_counts == RAFTMONGO_DEPTH9_ACTION_COUNTS
+    walked = check_spec(
+        build_spec("raftmongo"),
+        check_properties=False,
+        engine="simulate",
+        walks=60,
+        walk_depth=25,
+        seed=7,
+        compile_mode="on",
+    )
+    assert (walked.distinct_states, walked.generated_states) == (310, 2885)
+    assert walked.action_counts == RAFTMONGO_SIMULATE_ACTION_COUNTS
+
+
+def test_memo_counters_reach_the_metrics_stream(tmp_path, capsys):
+    import json
+
+    path = tmp_path / "m.jsonl"
+    argv = ["check", "raftmongo", "--param", "n_nodes=2", "--no-properties"]
+    assert main(argv + ["--metrics-out", str(path)]) == 0
+    with_metrics = capsys.readouterr().out
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    (metrics,) = [r for r in records if r["kind"] == "metrics"]
+    counters = metrics["counters"]
+    assert counters["compile.memo_hits"] > counters["compile.memo_misses"] > 0
+    assert 0 < counters["compile.memo_entries"] <= counters["compile.memo_misses"]
+    assert metrics["labels"]["spec"].startswith("RaftMongo")
+    from repro.obs.schema import validate_metrics_path
+
+    validate_metrics_path(str(path))
+    # The native kernel has no memo and says nothing about one.
+    native_path = tmp_path / "native.jsonl"
+    assert main(["check", "locking", "--metrics-out", str(native_path)]) == 0
+    capsys.readouterr()
+    assert "check.compiled_runs" in native_path.read_text()
+    assert "compile.memo" not in native_path.read_text()
+    # Without --metrics-out the run prints exactly what it always printed.
+    assert main(argv) == 0
+    strip = re.compile(r"\d+\.\d+s")
+    assert strip.sub("", capsys.readouterr().out) == strip.sub("", with_metrics)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ faults.  Timeouts are deliberately small: the suite must stay fast on a
 single-core CI box where every hang costs a full task timeout.
 """
 
+import re
 import time
 
 import pytest
@@ -296,3 +297,39 @@ def test_pool_shutdown_terminates_stragglers_within_grace():
     assert stats.tasks == 1
     assert stats.workers_spawned == 1
     assert stats.completed == 0
+
+
+def test_terminated_workers_die_silently_under_the_cli(monkeypatch, capfd):
+    # `repro check` turns SIGTERM into KeyboardInterrupt for its own
+    # checkpoint-and-report path, and fork-started workers inherit that
+    # handler: before they reset it, a hung worker the supervisor terminated
+    # reported the interrupt as a task error, outlived the grace period, and
+    # printed a KeyboardInterrupt traceback if a later SIGTERM found it idle.
+    from repro.pipeline.cli import main
+
+    survivors = []
+    recycle = SupervisedPool._recycle
+
+    def recycle_and_look(pool, slot):
+        process = slot.process
+        recycle(pool, slot)
+        if process is not None and process.is_alive():
+            survivors.append(process.name)
+
+    monkeypatch.setattr(SupervisedPool, "_recycle", recycle_and_look)
+    counts = re.compile(r"(\d+) distinct states, (\d+) states generated, depth (\d+)")
+    assert main(["check", "locking"]) == 0
+    clean = counts.search(capfd.readouterr().out).groups()
+    monkeypatch.setenv("REPRO_TASK_TIMEOUT", "0.3")
+    code = main(
+        [
+            "check", "locking", "--engine", "parallel", "--workers", "2",
+            "--chaos-rate", "1", "--chaos-kinds", "hang",
+        ]
+    )  # fmt: skip
+    captured = capfd.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    assert survivors == []  # SIGTERM killed them; none caught it and lived on
+    assert "6 hangs" in captured.out  # the faults were injected and detected
+    assert counts.search(captured.out).groups() == clean
