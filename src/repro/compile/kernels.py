@@ -293,10 +293,10 @@ def _action_evaluator(
     """``evaluate(state)``: the action's updates as ``(slot, canonical, packed fp)`` triples.
 
     Parity with :class:`~repro.tla.spec.Action` is structural: the effect
-    call alone is wrapped in :class:`EvaluationError` (generator-body
-    exceptions escape raw, exactly as in ``Action.successors``), items are
-    classified State-before-Mapping, and unknown update variables raise the
-    schema's own ``SpecError``.
+    call *and its iteration* are wrapped in :class:`EvaluationError` (effects
+    are generators, so the body runs while iterating), items are classified
+    State-before-Mapping, and unknown update variables raise the schema's
+    own ``SpecError``.
     """
     name, effect = act.name, act.effect
     index_of, intern = schema.index_of, interner.intern
@@ -304,15 +304,14 @@ def _action_evaluator(
     def evaluate(state: _BoundState) -> Tuple[Tuple[Tuple[int, Any, bytes], ...], ...]:
         try:
             produced = effect(state)
+            items = () if produced is None else list(produced)
         except Exception as exc:  # noqa: BLE001 - mirror Action.successors
             raise EvaluationError(
                 f"action {name!r} raised {type(exc).__name__}: {exc}",
                 action=name,
             ) from exc
-        if produced is None:
-            return ()
         updates = []
-        for item in produced:
+        for item in items:
             tp = type(item)
             if tp is dict or (
                 not isinstance(item, State) and isinstance(item, Mapping)

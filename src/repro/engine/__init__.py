@@ -1,7 +1,6 @@
 """Pluggable exploration engines for the model checker (the TLC substitute).
 
-This package is the engine seam the monolithic ``repro.tla.checker`` grew
-out of.  One exploration strategy per module, all registered by name:
+One exploration strategy per module, all registered by name:
 
 * :mod:`repro.engine.fingerprint` -- ``"fingerprint"``: serial BFS over
   interned 64-bit fingerprints (the default when no state graph is needed),
@@ -46,8 +45,7 @@ under either expander.
 :class:`~repro.engine.core.ModelChecker` coordinates: it resolves
 ``engine="auto"``/``store="auto"`` eagerly, validates the combination,
 builds the shared :class:`~repro.engine.base.CheckContext` and runs the
-selected engine.  ``repro.tla.checker`` remains as a thin façade over this
-package, so historical imports keep working unchanged.
+selected engine.
 
 Adding an engine or store is one file: subclass
 :class:`~repro.engine.base.Engine` (or register a store factory) and

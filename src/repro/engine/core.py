@@ -1,8 +1,7 @@
 """The coordinator: resolve engine + store, build the context, run, report.
 
-:class:`ModelChecker` is the public face of the engine package (and, through
-the :mod:`repro.tla.checker` façade, of the whole checking layer).  It no
-longer contains any exploration logic: it validates the requested
+:class:`ModelChecker` is the public face of the engine package.  It
+contains no exploration logic: it validates the requested
 configuration, resolves ``engine="auto"`` / ``store="auto"`` to concrete
 registered names *eagerly* (``checker.resolved_engine`` and
 ``checker.resolved_store`` are set before ``run()`` -- nothing resolves

@@ -38,13 +38,13 @@ from ..resilience import (
     read_watch_checkpoint,
 )
 from ..stream import WatchConfig, WatchService
-from ..tla.coverage import CoverageReport, coverage_of_trace
+from ..tla.coverage import CoverageReport
 from ..tla.dot import to_dot
 from ..tla.errors import CheckInterrupted, ReproError
-from ..tla.trace import check_trace, explain_failure
+from ..tla.trace import explain_failure
 from . import logs as log_module
 from .registry import build_spec_by_name, parse_params, SPECS
-from .runner import EXECUTORS, check_traces
+from .runner import EXECUTORS, check_one, check_traces
 from .workload import generate_workload
 
 __all__ = ["build_parser", "main"]
@@ -881,20 +881,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     per_node = entry.per_node_variables(spec)
     trace = log_module.trace_from_logs(spec, args.logs, per_node=per_node)
     print(f"rebuilt trace of {len(trace)} state(s) from {len(args.logs)} log file(s)")
-    result = check_trace(
+    result, coverage = check_one(
         spec,
+        None,
         trace,
         allow_stuttering=not args.no_stuttering,
         require_initial=not args.no_require_initial,
+        collect_coverage=bool(args.coverage_out),
     )
     print(result.summary())
     if not result.ok:
         print(explain_failure(result))
-    if args.coverage_out:
-        validated = result.validated_prefix(trace)
-        coverage = coverage_of_trace(
-            spec, validated, matched_actions=result.matched_actions
-        )
+    if coverage is not None:
         merged = _merge_coverage_file(args.coverage_out, coverage)
         print("accumulated " + merged.summary())
     return 0 if result.ok else 1

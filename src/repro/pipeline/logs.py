@@ -49,6 +49,7 @@ __all__ = [
     "LogParseError",
     "SNAPSHOT_ACTION",
     "adapter_names",
+    "anchor_state",
     "decode_value",
     "encode_value",
     "apply_event",
@@ -56,7 +57,7 @@ __all__ = [
     "events_to_trace",
     "format_event",
     "get_adapter",
-    "snapshot_state",
+    "split_location",
     "merge_event_streams",
     "parse_log_lines",
     "read_log_files",
@@ -100,7 +101,7 @@ class LogIngestError(ReproError):
     """A log file disappeared or turned unreadable while being ingested."""
 
 
-def _split_location(location: str) -> Tuple[Optional[str], Optional[int]]:
+def split_location(location: str) -> Tuple[Optional[str], Optional[int]]:
     """Best-effort ``(path, lineno)`` from a ``"path:lineno"`` location string."""
     path, sep, tail = location.rpartition(":")
     if sep and tail.isdigit():
@@ -384,16 +385,19 @@ def read_log_files(
 # ---------------------------------------------------------------------------
 
 
-def _chain_back(first: LogEvent, rest: Iterator[LogEvent]) -> Iterator[LogEvent]:
-    yield first
-    yield from rest
+def anchor_state(spec: Specification, event: LogEvent) -> Optional[State]:
+    """The full state a trace's *first* event re-bases it on, if it is an anchor.
 
-
-def snapshot_state(spec: Specification, event: LogEvent) -> State:
-    """Build the full state a :data:`SNAPSHOT_ACTION` anchor event carries."""
+    The snapshot-anchor rule of the batch fold (:func:`events_to_trace`) and
+    the streaming checker alike: a leading :data:`SNAPSHOT_ACTION` event
+    replaces the spec's initial state as the trace's start; any other event
+    (``None``) is an ordinary step.
+    """
+    if event.action != SNAPSHOT_ACTION:
+        return None
     missing = [name for name in spec.schema.names if name not in event.vars]
     if missing or event.node is not None:
-        path, lineno = _split_location(event.location)
+        path, lineno = split_location(event.location)
         raise LogParseError(
             f"snapshot event at {event.location} must be global and bind "
             f"every variable (missing: {missing})",
@@ -419,7 +423,7 @@ def apply_event(
     updates: Dict[str, Any] = {}
     for name, value in event.vars.items():
         if name not in spec.schema:
-            path, lineno = _split_location(event.location)
+            path, lineno = split_location(event.location)
             raise LogParseError(
                 f"event at {event.location} reports unknown variable {name!r}",
                 path=path,
@@ -428,7 +432,7 @@ def apply_event(
         if event.node is not None and name in per_node_set:
             slots = list(current[name])
             if not 0 <= event.node < len(slots):
-                path, lineno = _split_location(event.location)
+                path, lineno = split_location(event.location)
                 raise LogParseError(
                     f"event at {event.location} names node {event.node}, but "
                     f"variable {name!r} has {len(slots)} slots",
@@ -466,18 +470,15 @@ def events_to_trace(
             )
         initial = initials[0]
     per_node_set = frozenset(per_node)
-    events = iter(events)
-    first = next(events, None)
-    if first is not None and first.action == SNAPSHOT_ACTION:
-        initial = snapshot_state(spec, first)
-    elif first is not None:
-        events = _chain_back(first, events)
-    trace = [initial]
-    current = initial
+    trace: List[State] = []
     for event in events:
-        current = apply_event(spec, current, event, per_node_set)
-        trace.append(current)
-    return trace
+        if not trace:
+            anchor = anchor_state(spec, event)
+            trace.append(initial if anchor is None else anchor)
+            if anchor is not None:
+                continue
+        trace.append(apply_event(spec, trace[-1], event, per_node_set))
+    return trace or [initial]
 
 
 def trace_from_logs(

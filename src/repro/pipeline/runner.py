@@ -34,25 +34,30 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..obs import current as obs_current
 from ..resilience import SupervisedPool, SupervisionConfig, SupervisionStats, TaskError
 from ..tla import Specification, State
-from ..tla.coverage import CoverageReport, coverage_of_trace
-from ..tla.trace import SuccessorCache, TraceCheckResult, check_trace, explain_failure
+from ..tla.coverage import CoverageReport
+from ..tla.trace import SuccessorCache, TraceCheckResult, TraceFold, explain_failure
 from .workload import GeneratedTrace
 
 __all__ = [
     "BatchReport",
     "EXECUTORS",
     "TraceOutcome",
+    "check_one",
     "check_traces",
     "process_worker_init",
     "worker_runtime",
 ]
 
 TraceLike = Union[GeneratedTrace, Sequence[State]]
+#: One unit of batch work: ``(index, trace, labelled)``.
+Item = Tuple[int, GeneratedTrace, bool]
+Checked = Tuple["TraceOutcome", Optional[CoverageReport]]
 
 EXECUTORS = ("thread", "process")
 
@@ -167,61 +172,62 @@ def _as_generated(item: TraceLike, index: int) -> tuple:
     return GeneratedTrace(states=states, actions=[None] * len(states), seed=index), False
 
 
-def _check_one(
+def check_one(
     spec: Specification,
     cache: Optional[SuccessorCache],
-    index: int,
-    generated: GeneratedTrace,
-    labelled: bool,
+    trace: Sequence[Any],
+    *,
     allow_stuttering: bool,
     require_initial: bool,
     collect_coverage: bool,
-) -> Tuple[TraceOutcome, Optional[CoverageReport]]:
-    """Check one trace; shared by the thread path and the process workers.
+) -> Tuple[TraceCheckResult, Optional[CoverageReport]]:
+    """Check one trace, with the coverage of exactly the states it validated.
+
+    The fold fills the report as it goes, so only validated states count:
+    everything up to a failing transition was witnessed as a behaviour
+    prefix, the rest was never checked and may not even be reachable.
+    ``repro trace`` and every path of :func:`check_traces` call this, the
+    latter with everything but ``trace`` bound.
+    """
+    coverage = (
+        CoverageReport(spec_name=spec.name, trace_count=1) if collect_coverage else None
+    )
+    fold = TraceFold(spec, cache, allow_stuttering=allow_stuttering, coverage=coverage)
+    return fold.check(trace, require_initial), coverage
+
+
+def _judge(check: Callable[[Sequence[Any]], tuple], item: Item) -> Checked:
+    """One item's outcome through the bound ``check``.
 
     An exception raised *by the check itself* (malformed trace item, a spec
     operator blowing up) becomes an error outcome rather than propagating:
     one bad trace must not take the other traces of a CI batch down with it.
     """
-    try:
-        result: TraceCheckResult = check_trace(
-            spec,
-            generated.states,
-            allow_stuttering=allow_stuttering,
-            require_initial=require_initial,
-            successor_cache=cache,
-        )
-    except Exception as exc:  # noqa: BLE001 - recorded per trace, not fatal
-        outcome = TraceOutcome(
-            index=index,
-            ok=False,
-            expected_ok=generated.expect_ok if labelled else None,
-            fault=generated.fault,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        return outcome, None
-    coverage = None
-    if collect_coverage:
-        # Only validated states count: everything up to the failing
-        # transition was witnessed as a behaviour prefix, the rest was
-        # never checked and may not even be reachable.  Folding unchecked
-        # states in would inflate the cross-run coverage fraction this
-        # pipeline exists to compute.
-        validated = result.validated_prefix(generated.states)
-        if validated:
-            coverage = coverage_of_trace(
-                spec,
-                validated,
-                matched_actions=result.matched_actions,
-            )
+    index, generated, labelled = item
     outcome = TraceOutcome(
         index=index,
-        ok=result.ok,
+        ok=False,
         expected_ok=generated.expect_ok if labelled else None,
         fault=generated.fault,
-        detail="" if result.ok else explain_failure(result),
     )
+    try:
+        result, coverage = check(generated.states)
+    except Exception as exc:  # noqa: BLE001 - recorded per trace, not fatal
+        outcome.error = f"{type(exc).__name__}: {exc}"
+        return outcome, None
+    outcome.ok = result.ok
+    outcome.detail = "" if result.ok else explain_failure(result)
     return outcome, coverage
+
+
+def _check_chunk(
+    spec: Specification, cache: SuccessorCache, options: Dict[str, bool], chunk: List[Item]
+) -> Tuple[List[Checked], Tuple[int, int]]:
+    """Check a chunk against ``cache``; returns results + cache-stat deltas."""
+    check = partial(check_one, spec, cache, **options)
+    hits_before, misses_before = cache.hits, cache.misses
+    results = [_judge(check, item) for item in chunk]
+    return results, (cache.hits - hits_before, cache.misses - misses_before)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +245,7 @@ def process_worker_init(
 
     Shared by every :class:`SupervisedPool` whose tasks need the
     specification -- the batch runner's chunk tasks and the streaming
-    service's ``advance_events`` tasks both pair this initializer with
+    service's fold tasks both pair this initializer with
     :func:`worker_runtime` on the task side.
     """
     global _RUNNER_SPEC, _RUNNER_CACHE
@@ -260,29 +266,9 @@ def worker_runtime() -> Tuple[Specification, SuccessorCache]:
     return _RUNNER_SPEC, _RUNNER_CACHE
 
 
-def _process_check_chunk(
-    chunk: List[Tuple[int, GeneratedTrace, bool]],
-    allow_stuttering: bool,
-    require_initial: bool,
-    collect_coverage: bool,
-) -> Tuple[List[Tuple[TraceOutcome, Optional[CoverageReport]]], Tuple[int, int]]:
-    """Check a chunk of traces in a worker; returns results + cache-stat deltas."""
-    spec, cache = worker_runtime()
-    hits_before, misses_before = cache.hits, cache.misses
-    results = [
-        _check_one(
-            spec,
-            cache,
-            index,
-            generated,
-            labelled,
-            allow_stuttering,
-            require_initial,
-            collect_coverage,
-        )
-        for index, generated, labelled in chunk
-    ]
-    return results, (cache.hits - hits_before, cache.misses - misses_before)
+def _process_check_chunk(chunk: List[Item], options: Dict[str, bool]) -> tuple:
+    """Pool task: :func:`_check_chunk` on this worker's spec and cache."""
+    return _check_chunk(*worker_runtime(), options, chunk)
 
 
 class _FailFastStop(Exception):
@@ -354,32 +340,22 @@ def check_traces(
             raise _FailFastStop
 
     items = ((i, *_as_generated(t, i)) for i, t in enumerate(traces))
+    options = dict(
+        allow_stuttering=allow_stuttering,
+        require_initial=require_initial,
+        collect_coverage=collect_coverage,
+    )
     try:
         if executor == "thread":
             self_cache = SuccessorCache(spec)
-
-            def check_item(
-                item: tuple,
-            ) -> Tuple[TraceOutcome, Optional[CoverageReport]]:
-                index, generated, labelled = item
-                return _check_one(
-                    spec,
-                    self_cache,
-                    index,
-                    generated,
-                    labelled,
-                    allow_stuttering,
-                    require_initial,
-                    collect_coverage,
-                )
-
+            judge = partial(_judge, partial(check_one, spec, self_cache, **options))
             # Bounded submission window: Executor.map would eagerly turn the
             # whole (possibly huge, generator-backed) workload into futures;
             # this keeps at most a few batches of traces alive at once.
             window: deque = deque()
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 for item in items:
-                    window.append(pool.submit(check_item, item))
+                    window.append(pool.submit(judge, item))
                     if len(window) >= workers * 4:
                         consume(*window.popleft().result())
                 while window:
@@ -388,15 +364,7 @@ def check_traces(
             report.cache_misses = self_cache.misses
         else:
             _check_traces_process(
-                spec,
-                items,
-                workers,
-                allow_stuttering,
-                require_initial,
-                collect_coverage,
-                supervision,
-                report,
-                consume,
+                spec, items, workers, options, supervision, report, consume
             )
     except _FailFastStop:
         report.stopped_early = True
@@ -435,11 +403,9 @@ def _record_batch_telemetry(report: BatchReport) -> None:
 
 def _check_traces_process(
     spec: Specification,
-    items: Iterable[Tuple[int, GeneratedTrace, bool]],
+    items: Iterable[Item],
     workers: int,
-    allow_stuttering: bool,
-    require_initial: bool,
-    collect_coverage: bool,
+    options: Dict[str, bool],
     supervision: Optional[SupervisionConfig],
     report: BatchReport,
     consume,
@@ -465,44 +431,25 @@ def _check_traces_process(
         name="runner",
     )
 
-    def consume_chunk(task_index: int, chunk: List[Tuple[int, GeneratedTrace, bool]]) -> None:
+    def consume_chunk(task_index: int, chunk: List[Item]) -> None:
         nonlocal fallback_cache
         try:
             results, (hits, misses) = pool.result(task_index)
         except TaskError:
             if fallback_cache is None:
                 fallback_cache = SuccessorCache(spec)
-            hits_before = fallback_cache.hits
-            misses_before = fallback_cache.misses
-            results = [
-                _check_one(
-                    spec,
-                    fallback_cache,
-                    index,
-                    generated,
-                    labelled,
-                    allow_stuttering,
-                    require_initial,
-                    collect_coverage,
-                )
-                for index, generated, labelled in chunk
-            ]
-            hits = fallback_cache.hits - hits_before
-            misses = fallback_cache.misses - misses_before
+            results, (hits, misses) = _check_chunk(spec, fallback_cache, options, chunk)
         report.cache_hits += hits
         report.cache_misses += misses
         for outcome, coverage in results:
             consume(outcome, coverage)
 
-    def submit(chunk: List[Tuple[int, GeneratedTrace, bool]]) -> int:
-        return pool.submit(
-            _process_check_chunk,
-            (chunk, allow_stuttering, require_initial, collect_coverage),
-        )
+    def submit(chunk: List[Item]) -> int:
+        return pool.submit(_process_check_chunk, (chunk, options))
 
     window: deque = deque()  # of (task_index, chunk)
     try:
-        chunk: List[Tuple[int, GeneratedTrace, bool]] = []
+        chunk: List[Item] = []
         for item in items:
             chunk.append(item)
             if len(chunk) >= _PROCESS_CHUNK:

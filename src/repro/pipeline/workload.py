@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from ..tla import Specification, State
-from ..tla.trace import SuccessorCache, _matching_action
+from ..tla.trace import SuccessorCache, TraceFold
 
 __all__ = ["FAULT_KINDS", "GeneratedTrace", "generate_trace", "generate_workload"]
 
@@ -62,6 +62,7 @@ def generate_trace(
     """
     if min_steps < 0 or max_steps < min_steps:
         raise ValueError(f"bad step bounds: min={min_steps} max={max_steps}")
+    cache = successor_cache if successor_cache is not None else SuccessorCache(spec)
     state = rng.choice(spec.initial_states())
     states = [state]
     actions: List[Optional[str]] = [None]
@@ -71,11 +72,7 @@ def generate_trace(
             states.append(state)
             actions.append("<stutter>")
             continue
-        successors = (
-            successor_cache.successors(state)
-            if successor_cache is not None
-            else spec.successors(state)
-        )
+        successors = cache.successors(state)
         if not successors:
             break
         action_name, state = rng.choice(successors)
@@ -93,6 +90,7 @@ def _inject_teleport(
         return None
     candidates = list(range(1, len(states)))
     rng.shuffle(candidates)
+    fold = TraceFold(spec)
     for index in candidates:
         previous = states[index - 1]
         foreign = [
@@ -100,7 +98,8 @@ def _inject_teleport(
         ]
         rng.shuffle(foreign)
         for replacement in foreign:
-            if _matching_action(spec, previous, replacement) is None:
+            fold.begin(previous, require_initial=False)
+            if fold.step(replacement) is None:
                 mutated = states[: index] + [replacement]
                 return GeneratedTrace(
                     states=mutated,

@@ -8,8 +8,8 @@ logs as the system under test writes them.  This package is that service:
   truncation-aware file following with bounded-retry handling of torn
   (partially written) tail lines.
 * :mod:`repro.stream.incremental` -- :class:`IncrementalChecker`, a per-trace
-  checker that advances state by state as events arrive, plus the pure
-  ``advance_events`` step function shared by the inline path and the
+  checker that advances state by state as events arrive: the batch
+  checker's ``TraceFold`` driven by log events, inline or through the
   supervised worker pool.
 * :mod:`repro.stream.report` -- the deterministic rolling coverage/violation
   report and the quarantine channel for undecodable lines.
@@ -19,7 +19,7 @@ logs as the system under test writes them.  This package is that service:
   and a resumable service checkpoint.
 """
 
-from .incremental import IncrementalChecker, advance_events
+from .incremental import IncrementalChecker
 from .report import QuarantineLog, build_report, render_report, report_to_json
 from .service import WatchConfig, WatchService
 from .tailer import LogTailer, TailBatch, TailedLine
@@ -32,7 +32,6 @@ __all__ = [
     "TailedLine",
     "WatchConfig",
     "WatchService",
-    "advance_events",
     "build_report",
     "render_report",
     "report_to_json",

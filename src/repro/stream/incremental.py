@@ -2,93 +2,33 @@
 
 The batch checker (:func:`repro.tla.trace.check_trace`) needs the whole
 trace up front; a streaming service has only a prefix that grows.  The
-:class:`IncrementalChecker` holds exactly the state the batch fold would be
-in after the events seen so far -- the current full specification state plus
-counters -- and advances it per event, so verdicts arrive while the system
-under test is still running.
+:class:`IncrementalChecker` is the same :class:`~repro.tla.trace.TraceFold`
+fed by log events instead of a state list: each event becomes the next
+state (:func:`~repro.pipeline.logs.apply_event`) and one fold step, so
+verdicts arrive while the system under test is still running.
 
-All transition logic lives in the pure function :func:`advance_events`: the
-inline path feeds it one service round's events at a time, and the
-supervised-pool path ships the same call to a worker process.  Both apply
-the returned outcomes through :meth:`IncrementalChecker.apply_outcomes`, so
-a retried or inline-recomputed batch yields bit-identical counters -- the
-determinism contract the service checkpoint relies on.
+The fold is deterministic, which the supervised-pool path and the service
+checkpoint rely on: a worker folds a batch from the checker's current state
+(:meth:`IncrementalChecker.fold_events`), the coordinator adds the returned
+books to its own (:meth:`IncrementalChecker.absorb`), and a retried or
+inline-recomputed batch yields bit-identical counters.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..pipeline.logs import (
-    SNAPSHOT_ACTION,
-    LogEvent,
-    LogParseError,
-    apply_event,
-    snapshot_state,
-)
-from ..tla import Specification, State
-from ..tla.trace import SuccessorCache, _matching_action
+from ..pipeline.logs import LogEvent, LogParseError, anchor_state, apply_event
+from ..tla import EvaluationError, Specification, State
+from ..tla.trace import STUTTER, SuccessorCache, TraceFold
 
-__all__ = ["IncrementalChecker", "Outcome", "advance_events"]
+__all__ = ["IncrementalChecker"]
 
-#: ``(kind, matched_action, next_fingerprint, detail)`` -- one event's fate.
-#: ``kind`` is ``"step" | "stutter" | "violation" | "quarantine" | "ignored"``
-#: (plus ``"rebased"`` for a leading snapshot anchor, emitted by the checker
-#: itself rather than by :func:`advance_events`).
-Outcome = Tuple[str, Optional[str], Optional[int], Optional[str]]
+#: The additive books: what a pooled delta adds and a checkpoint carries.
+_COUNTERS = ("events", "steps", "stutters", "quarantined_events", "after_violation")
 
 
-def advance_events(
-    spec: Specification,
-    per_node_set: FrozenSet[str],
-    state: State,
-    events: Sequence[LogEvent],
-    successor_cache: Optional[SuccessorCache] = None,
-    *,
-    violated: bool = False,
-) -> Tuple[State, List[Outcome]]:
-    """Fold ``events`` from ``state``; pure, so pool and inline paths agree.
-
-    Returns the final state plus one :data:`Outcome` per event.  An event
-    that cannot be applied (unknown variable, bad node index) becomes a
-    ``"quarantine"`` outcome -- the state is unchanged and the stream
-    continues.  The first ``"violation"`` freezes the fold: every later
-    event is ``"ignored"`` (counted but unchecked), mirroring how the batch
-    checker stops at the first non-conforming step.  ``violated=True``
-    starts the fold already frozen -- callers pass the checker's status so
-    the freeze survives batch boundaries, keeping the counters independent
-    of how the stream was chunked into rounds.
-    """
-    outcomes: List[Outcome] = []
-    current = state
-    for event in events:
-        if violated:
-            outcomes.append(("ignored", None, None, None))
-            continue
-        try:
-            nxt = apply_event(spec, current, event, per_node_set)
-        except LogParseError as exc:
-            outcomes.append(("quarantine", None, None, str(exc)))
-            continue
-        if nxt == current:
-            outcomes.append(("stutter", None, None, None))
-            continue
-        matched = _matching_action(spec, current, nxt, successor_cache)
-        if matched is None:
-            detail = (
-                f"event at {event.location} ({event.action!r}) is not "
-                f"permitted by any action of {spec.name!r} "
-                f"(enabled: {spec.enabled_actions(current)})"
-            )
-            outcomes.append(("violation", None, None, detail))
-            violated = True
-            continue
-        current = nxt
-        outcomes.append(("step", matched, nxt.fingerprint(), None))
-    return current, outcomes
-
-
-class IncrementalChecker:
+class IncrementalChecker(TraceFold):
     """One live trace's checking state, advanced as its log grows."""
 
     def __init__(
@@ -99,122 +39,113 @@ class IncrementalChecker:
         source: str = "<stream>",
         successor_cache: Optional[SuccessorCache] = None,
     ) -> None:
-        self.spec = spec
+        super().__init__(spec, successor_cache)
         self.per_node_set = frozenset(per_node)
         self.source = source
-        self.cache = successor_cache
-        initials = spec.initial_states()
-        #: None until the first event when the spec has several initial
-        #: states -- such a stream must open with a snapshot anchor.
-        self.current: Optional[State] = (
-            initials[0] if len(initials) == 1 else None
-        )
         self.started = False
         self.events = 0
-        self.steps = 0
-        self.stutters = 0
         self.quarantined_events = 0
         #: Events that arrived after a violation froze this checker.
         self.after_violation = 0
-        self.status = "conforming"
         self.violation: Optional[Dict[str, Any]] = None
-        self.action_counts: Dict[str, int] = {}
         self.visited: set = set()
-        if self.current is not None:
-            self.visited.add(self.current.fingerprint())
+        initials = spec.initial_states()
+        # With several initial states ``self.state`` stays None until the
+        # first event -- such a stream must open with a snapshot anchor.
+        if len(initials) == 1:
+            self._anchor(initials[0])
+
+    @property
+    def status(self) -> str:
+        return "conforming" if self.violation is None else "violated"
+
+    def _anchor(self, state: State) -> None:
+        self.begin(state, require_initial=False)
+        self.visited = {state.fingerprint()}
 
     # -- feeding --------------------------------------------------------------
-    def feed(self, event: LogEvent) -> Outcome:
-        """Advance by one event inline; returns the event's outcome."""
-        rebased = self._pre_feed(event)
-        if rebased is not None:
-            return rebased
-        assert self.current is not None
-        final, outcomes = advance_events(
-            self.spec,
-            self.per_node_set,
-            self.current,
-            [event],
-            self.cache,
-            violated=self.status == "violated",
-        )
-        self.apply_outcomes([event], outcomes, final)
-        return outcomes[0]
+    def feed(self, event: LogEvent) -> Optional[str]:
+        """Advance by one event; the reason if it had to be quarantined.
 
-    def _pre_feed(self, event: LogEvent) -> Optional[Outcome]:
-        """Snapshot-anchor and no-initial-state handling; None = check it.
-
-        Raises :class:`LogParseError` for an event the caller must
-        quarantine; the event counter is rolled back so the quarantine path
-        owns the accounting.
+        An event that cannot be applied (unknown variable, bad node index) or
+        whose step cannot be evaluated is quarantined: counted, state
+        unchanged, the stream continues.  The first violation freezes the
+        fold -- later events are counted but unchecked, as the batch checker
+        stops at the first non-conforming step.  A malformed or missing
+        anchor raises :class:`LogParseError` before anything is counted; the
+        caller quarantines that line.
         """
-        self.events += 1
-        if not self.started and event.action == SNAPSHOT_ACTION:
-            try:
-                self.current = snapshot_state(self.spec, event)
-            except LogParseError:
-                self.events -= 1
-                raise
-            self.started = True
-            self.visited = {self.current.fingerprint()}
-            return ("rebased", None, self.current.fingerprint(), None)
-        if self.current is None:
-            self.events -= 1
+        anchor = None if self.started else anchor_state(self.spec, event)
+        if anchor is None and self.state is None:
             raise LogParseError(
                 f"specification {self.spec.name!r} has multiple initial "
                 "states; a streamed trace must begin with a snapshot event"
             )
         self.started = True
-        return None
-
-    def apply_outcomes(
-        self,
-        events: Sequence[LogEvent],
-        outcomes: Sequence[Outcome],
-        final_state: State,
-    ) -> None:
-        """Merge a batch's :func:`advance_events` result into the counters.
-
-        ``self.events`` is *not* advanced here -- the caller counts events as
-        it accepts them (inline via :meth:`feed`, batched via the service's
-        dispatch), so a pool retry can never double-count.
-        """
-        for event, (kind, action, fingerprint, detail) in zip(events, outcomes):
-            if kind == "step":
-                self.steps += 1
-                if action is not None:
-                    self.action_counts[action] = (
-                        self.action_counts.get(action, 0) + 1
-                    )
-                if fingerprint is not None:
-                    self.visited.add(fingerprint)
-            elif kind == "stutter":
-                self.steps += 1
-                self.stutters += 1
-            elif kind == "quarantine":
+        self.events += 1
+        if anchor is not None:
+            self._anchor(anchor)
+        elif self.violation is not None:
+            self.after_violation += 1
+        else:
+            try:
+                nxt = apply_event(self.spec, self.state, event, self.per_node_set)
+                matched = self.step(nxt, f"event at {event.location} ({event.action!r})")
+            except (LogParseError, EvaluationError) as exc:
                 self.quarantined_events += 1
-            elif kind == "violation":
-                self.status = "violated"
+                return str(exc)
+            if matched is None:
                 self.violation = {
                     "step": self.steps,
                     "location": event.location,
-                    "detail": detail,
+                    "detail": str(self.failure),
                 }
-            elif kind == "ignored":
-                self.after_violation += 1
-        self.current = final_state
+            elif matched != STUTTER:
+                self.visited.add(nxt.fingerprint())
+        return None
+
+    # -- pooled folding -------------------------------------------------------
+    @classmethod
+    def fold_events(
+        cls,
+        spec: Specification,
+        per_node: Sequence[str],
+        state: State,
+        events: Sequence[LogEvent],
+        successor_cache: SuccessorCache,
+    ) -> Tuple[Dict[str, Any], List[Optional[str]]]:
+        """Fold ``events`` from ``state`` in a scratch checker (a pool task).
+
+        Returns the scratch checker's :meth:`snapshot` -- the delta
+        :meth:`absorb` adds to the checker that owns ``state`` -- plus each
+        event's :meth:`feed` result.
+        """
+        scratch = cls(spec, per_node=per_node, successor_cache=successor_cache)
+        scratch._anchor(state)
+        scratch.started = True
+        reasons = [scratch.feed(event) for event in events]
+        return scratch.snapshot(), reasons
+
+    def absorb(self, delta: Dict[str, Any]) -> None:
+        """Add the books of a :meth:`fold_events` run started at ``self.state``."""
+        if delta["violation"] is not None:
+            self.violation = dict(
+                delta["violation"], step=self.steps + delta["violation"]["step"]
+            )
+        self.state = delta["state"]
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + delta[name])
+        for name, count in delta["action_counts"].items():
+            self.action_counts[name] = self.action_counts.get(name, 0) + count
+        self.visited |= delta["visited"]
 
     # -- checkpointing --------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """Picklable state for the service checkpoint."""
         return {
-            "state": self.current,
+            **{name: getattr(self, name) for name in _COUNTERS},
+            "state": self.state,
             "started": self.started,
-            "events": self.events,
-            "steps": self.steps,
-            "stutters": self.stutters,
-            "quarantined_events": self.quarantined_events,
-            "after_violation": self.after_violation,
             "status": self.status,
             "violation": self.violation,
             "action_counts": dict(self.action_counts),
@@ -234,15 +165,8 @@ class IncrementalChecker:
         checker = cls(
             spec, per_node=per_node, source=source, successor_cache=successor_cache
         )
-        checker.current = data["state"]
-        checker.started = data["started"]
-        checker.events = data["events"]
-        checker.steps = data["steps"]
-        checker.stutters = data["stutters"]
-        checker.quarantined_events = data["quarantined_events"]
-        checker.after_violation = data["after_violation"]
-        checker.status = data["status"]
-        checker.violation = data["violation"]
+        for name in _COUNTERS + ("state", "started", "violation"):
+            setattr(checker, name, data[name])
         checker.action_counts = dict(data["action_counts"])
         checker.visited = set(data["visited"])
         return checker
@@ -250,11 +174,7 @@ class IncrementalChecker:
     def to_report(self) -> Dict[str, Any]:
         """The deterministic per-trace section of the rolling report."""
         return {
-            "events": self.events,
-            "steps": self.steps,
-            "stutters": self.stutters,
-            "quarantined_events": self.quarantined_events,
-            "after_violation": self.after_violation,
+            **{name: getattr(self, name) for name in _COUNTERS},
             "status": self.status,
             "violation": self.violation,
             "action_counts": dict(sorted(self.action_counts.items())),

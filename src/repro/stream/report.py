@@ -43,7 +43,12 @@ class QuarantineLog:
         self.count = count
         self._handle = None
 
-    def record(
+    def record(self, **entry: Any) -> Dict[str, Any]:
+        """Quarantine one line: :meth:`write` its record and count it."""
+        self.count += 1
+        return self.write(**entry)
+
+    def write(
         self,
         *,
         source: str,
@@ -52,7 +57,7 @@ class QuarantineLog:
         reason: str,
         raw: str,
     ) -> Dict[str, Any]:
-        """Quarantine one line; returns the record that was written."""
+        """Append one record (uncounted: an event its checker already counted)."""
         entry = {
             "source": source,
             "lineno": lineno,
@@ -60,7 +65,6 @@ class QuarantineLog:
             "reason": reason,
             "raw": raw[:500],
         }
-        self.count += 1
         if self.path is not None:
             if self._handle is None:
                 self._handle = open(self.path, "a", encoding="utf-8")

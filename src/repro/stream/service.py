@@ -17,8 +17,8 @@ Architecture (one :class:`WatchService` per ``repro watch`` invocation):
   ``workers > 0`` the per-round event batches are shipped through a
   :class:`~repro.resilience.SupervisedPool` instead -- a crashed or hung
   checker worker costs one retried batch, and a batch that exhausts its
-  retries is recomputed inline through the same pure ``advance_events``
-  function, so the verdicts are bit-identical either way.
+  retries is fed inline through the same deterministic fold, so the
+  verdicts are bit-identical either way.
 * A **watchdog** flags sources that have produced no data for
   ``stall_timeout`` seconds (runtime diagnostics only -- a stalled source
   is not an error).
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from ..obs import SCHEMA_VERSION as OBS_SCHEMA_VERSION, STATUS_KIND, current as obs_current
-from ..pipeline.logs import LogEvent, LogParseError, get_adapter
+from ..pipeline.logs import LogEvent, LogParseError, get_adapter, split_location
 from ..pipeline.runner import process_worker_init
 from ..resilience import (
     SupervisedPool,
@@ -63,23 +63,21 @@ from ..resilience import (
 )
 from ..tla import Specification
 from ..tla.trace import SuccessorCache
-from .incremental import IncrementalChecker, advance_events
+from .incremental import IncrementalChecker
 from .report import QuarantineLog, build_report, render_report, write_report
 from .tailer import LogTailer, TailedLine
 
 __all__ = ["WatchConfig", "WatchService"]
 
 
-def _advance_task(
-    state: Any, events: List[LogEvent], per_node: List[str], violated: bool
-) -> Tuple[Any, list]:
-    """Pool task: advance one source's batch in a supervised worker."""
+def _fold_task(
+    state: Any, events: List[LogEvent], per_node: List[str]
+) -> Tuple[Dict[str, Any], List[Optional[str]]]:
+    """Pool task: fold one source's batch from ``state`` in a supervised worker."""
     from ..pipeline.runner import worker_runtime
 
     spec, cache = worker_runtime()
-    return advance_events(
-        spec, frozenset(per_node), state, events, cache, violated=violated
-    )
+    return IncrementalChecker.fold_events(spec, per_node, state, events, cache)
 
 
 @dataclass
@@ -480,7 +478,7 @@ class WatchService:
         self, source: str, checker: IncrementalChecker, event: LogEvent
     ) -> None:
         try:
-            checker.feed(event)
+            reason = checker.feed(event)
         except LogParseError as exc:
             self.quarantine.record(
                 source=source,
@@ -489,54 +487,61 @@ class WatchService:
                 reason=str(exc),
                 raw=repr(event),
             )
+        else:
+            self._note_quarantined_event(source, event, reason)
+
+    def _note_quarantined_event(
+        self, source: str, event: LogEvent, reason: Optional[str]
+    ) -> None:
+        """Leave the evidence for an event the checker quarantined (if it did).
+
+        Such events are counted by their checker (``quarantined_events``), so
+        the record is written without advancing the line counter.
+        """
+        if reason is not None:
+            self.quarantine.write(
+                source=source,
+                lineno=split_location(event.location)[1],
+                offset=None,
+                reason=reason,
+                raw=repr(event),
+            )
 
     def _feed_pooled(
         self, parsed: List[Tuple[str, List[TailedLine], List[LogEvent]]]
     ) -> None:
         assert self._pool is not None
-        tasks: List[Tuple[IncrementalChecker, List[LogEvent], int]] = []
+        tasks: List[Tuple[str, IncrementalChecker, List[LogEvent], int]] = []
         for source, _lines, events in parsed:
-            if not events:
-                continue
             checker = self._checker(source)
-            # The first events of a stream may re-anchor the checker (snapshot
-            # handling lives in feed's pre-step); feed those inline, ship the
-            # started remainder as one worker batch.
+            # A stream's first events may re-anchor the checker and a violated
+            # checker only counts: feed those inline, ship the rest as one
+            # worker batch.
             index = 0
-            while index < len(events) and not checker.started:
+            while index < len(events) and (
+                not checker.started or checker.violation is not None
+            ):
                 self._feed_one(source, checker, events[index])
                 index += 1
             rest = events[index:]
-            if not rest:
-                continue
-            assert checker.current is not None
-            # Count at dispatch so a retried batch can never double-count.
-            checker.events += len(rest)
-            task_index = self._pool.submit(
-                _advance_task,
-                (
-                    checker.current,
-                    list(rest),
-                    list(self.per_node),
-                    checker.status == "violated",
-                ),
-            )
-            tasks.append((checker, rest, task_index))
-        for checker, rest, task_index in tasks:
-            try:
-                final, outcomes = self._pool.result(task_index)
-            except TaskError:
-                # Exhausted retries (or degraded pool): same pure fold inline.
-                assert checker.current is not None
-                final, outcomes = advance_events(
-                    self.spec,
-                    checker.per_node_set,
-                    checker.current,
-                    rest,
-                    self.cache,
-                    violated=checker.status == "violated",
+            if rest:
+                task_index = self._pool.submit(
+                    _fold_task, (checker.state, rest, list(self.per_node))
                 )
-            checker.apply_outcomes(rest, outcomes, final)
+                tasks.append((source, checker, rest, task_index))
+        for source, checker, rest, task_index in tasks:
+            try:
+                delta, reasons = self._pool.result(task_index)
+            except TaskError:
+                # Exhausted retries (or degraded pool): the inline path.
+                for event in rest:
+                    self._feed_one(source, checker, event)
+                continue
+            # Absorbed (and its evidence written) once per task, however many
+            # attempts the pool needed.
+            checker.absorb(delta)
+            for event, reason in zip(rest, reasons):
+                self._note_quarantined_event(source, event, reason)
 
     def _announce_violation(self, source: str) -> None:
         checker = self._checkers.get(source)

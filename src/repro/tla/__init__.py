@@ -3,12 +3,11 @@
 This package is the reproduction's replacement for the TLA+ tool chain the
 paper uses (the TLA+ language plus the TLC model checker).  Specifications
 are written as plain Python (variables, actions, invariants); the
-:class:`~repro.engine.core.ModelChecker` (re-exported here and through the
-:mod:`repro.tla.checker` façade) explores the reachable state space with a
-pluggable engine -- exhaustive BFS exactly as TLC does, or seeded random
-simulation -- the :mod:`~repro.tla.trace` module checks recorded
-implementation traces against a specification (MBTC), and the
-:mod:`~repro.tla.dot` module exports the state graph for model-based
+:class:`~repro.engine.core.ModelChecker` of :mod:`repro.engine` explores the
+reachable state space with a pluggable engine -- exhaustive BFS exactly as
+TLC does, or seeded random simulation -- the :mod:`~repro.tla.trace` module
+checks recorded implementation traces against a specification (MBTC), and
+the :mod:`~repro.tla.dot` module exports the state graph for model-based
 test-case generation (MBTCG).
 """
 
@@ -37,6 +36,7 @@ from .state import State, VariableSchema
 from .trace import (
     SuccessorCache,
     TraceCheckResult,
+    TraceFold,
     check_partial_trace,
     check_trace,
     explain_failure,
@@ -56,7 +56,6 @@ from .values import (
 __all__ = [
     "NULL",
     "Action",
-    "CheckResult",
     "CheckerError",
     "CoverageReport",
     "DeadlockError",
@@ -66,7 +65,6 @@ __all__ = [
     "Invariant",
     "InvariantViolation",
     "LivenessViolation",
-    "ModelChecker",
     "NonTerminationError",
     "ParsedStateGraph",
     "PropertyCheckOutcome",
@@ -83,6 +81,7 @@ __all__ = [
     "TemporalProperty",
     "TraceCheckError",
     "TraceCheckResult",
+    "TraceFold",
     "TraceInitialStateMismatch",
     "TraceMismatch",
     "VariableSchema",
@@ -90,7 +89,6 @@ __all__ = [
     "append",
     "build_spec",
     "check_partial_trace",
-    "check_spec",
     "check_trace",
     "coverage_of_trace",
     "explain_failure",
@@ -107,25 +105,3 @@ __all__ = [
     "thaw",
     "to_dot",
 ]
-
-#: Checker names are provided lazily (PEP 562): the checker is a façade over
-#: :mod:`repro.engine`, which itself imports this package's submodules --
-#: importing it eagerly here would be a circular import.  Attribute access
-#: (``repro.tla.ModelChecker``), ``from repro.tla import ModelChecker`` and
-#: star-imports all resolve through ``__getattr__`` unchanged.
-_CHECKER_EXPORTS = ("CheckResult", "ModelChecker", "check_spec")
-
-
-def __getattr__(name: str):
-    # "checker" itself is handled too: the eager import used to bind the
-    # submodule as an attribute of this package, and `import repro.tla;
-    # repro.tla.checker.ModelChecker` must keep working.  import_module (not
-    # `from . import checker`) on purpose: the from-import form ends with a
-    # getattr on this package, which re-enters this __getattr__ and recurses
-    # when the submodule attribute is not yet bound.
-    if name == "checker" or name in _CHECKER_EXPORTS:
-        from importlib import import_module
-
-        checker = import_module(".checker", __name__)
-        return checker if name == "checker" else getattr(checker, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

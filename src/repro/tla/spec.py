@@ -19,6 +19,7 @@ from __future__ import annotations
 import inspect
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EvaluationError, SpecError
@@ -48,29 +49,36 @@ class Action:
     def __repr__(self) -> str:
         return f"Action({self.name!r})"
 
+    def _evaluation_error(self, exc: Exception) -> EvaluationError:
+        return EvaluationError(
+            f"action {self.name!r} raised {type(exc).__name__}: {exc}",
+            action=self.name,
+        )
+
+    def _bad_item(self, item: Any) -> EvaluationError:
+        return EvaluationError(
+            f"action {self.name!r} produced {type(item).__name__}; "
+            "expected State or mapping of variable updates",
+            action=self.name,
+        )
+
     def successors(self, state: State) -> List[State]:
         """All states reachable from ``state`` by taking this action once."""
+        # Effects are generators: the body runs while *iterating*, so the
+        # iteration sits inside the try with the call.
         try:
             produced = self.effect(state)
+            items = [] if produced is None else list(produced)
         except Exception as exc:  # noqa: BLE001 - rewrap with action context
-            raise EvaluationError(
-                f"action {self.name!r} raised {type(exc).__name__}: {exc}",
-                action=self.name,
-            ) from exc
-        if produced is None:
-            return []
+            raise self._evaluation_error(exc) from exc
         results: List[State] = []
-        for item in produced:
+        for item in items:
             if isinstance(item, State):
                 results.append(item)
             elif isinstance(item, Mapping):
                 results.append(state.with_updates(**item))
             else:
-                raise EvaluationError(
-                    f"action {self.name!r} produced {type(item).__name__}; "
-                    "expected State or mapping of variable updates",
-                    action=self.name,
-                )
+                raise self._bad_item(item)
         return results
 
     def is_enabled(self, state: State) -> bool:
@@ -83,21 +91,13 @@ class Action:
         """
         try:
             produced = self.effect(state)
+            first = [] if produced is None else list(islice(produced, 1))
         except Exception as exc:  # noqa: BLE001 - rewrap with action context
-            raise EvaluationError(
-                f"action {self.name!r} raised {type(exc).__name__}: {exc}",
-                action=self.name,
-            ) from exc
-        if produced is None:
-            return False
-        for item in produced:
+            raise self._evaluation_error(exc) from exc
+        for item in first:
             if isinstance(item, (State, Mapping)):
                 return True
-            raise EvaluationError(
-                f"action {self.name!r} produced {type(item).__name__}; "
-                "expected State or mapping of variable updates",
-                action=self.name,
-            )
+            raise self._bad_item(item)
         return False
 
 

@@ -10,6 +10,8 @@ Two checking modes are provided:
 
 * :func:`check_trace` -- the observed states bind *every* specification
   variable.  This is the mode the MongoDB team used for ``RaftMongo.tla``.
+  Its per-step decision is :class:`TraceFold`, which the batch runner and
+  the streaming checker drive too.
 * :func:`check_partial_trace` -- the observations bind only a subset of the
   variables; the checker searches for *some* assignment of the hidden
   variables that makes the trace a behaviour (Pressler's refinement-mapping
@@ -21,19 +23,26 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from .coverage import CoverageReport
 from .errors import TraceInitialStateMismatch, TraceMismatch
 from .spec import Specification
 from .state import State
 
 __all__ = [
+    "STUTTER",
     "SuccessorCache",
     "TraceCheckResult",
+    "TraceFold",
     "check_partial_trace",
     "check_trace",
     "explain_failure",
 ]
+
+#: What :meth:`TraceFold.step` reports for a step that changes nothing.
+STUTTER = "<stutter>"
 
 
 class SuccessorCache:
@@ -122,6 +131,130 @@ def _as_state(spec: Specification, item: Any) -> State:
     raise TypeError(f"trace items must be State or mapping, got {type(item).__name__}")
 
 
+class TraceFold:
+    """The one trace-step core: is ``current -> next`` an action, a stutter
+    or a violation?
+
+    :meth:`begin` anchors the fold on a first state, :meth:`step` judges each
+    next state and keeps the books: ``steps`` (stutters included),
+    ``stutters``, ``action_counts`` and the ``failure`` record.  Handed a
+    :class:`~repro.tla.coverage.CoverageReport` it also fills that with
+    exactly the states it validated (``action_counts`` then *is* the
+    report's), so coverage takes no second walk.  :func:`check_trace`, the
+    batch runner and the streaming ``IncrementalChecker`` are its drivers.
+    """
+
+    def __init__(
+        self,
+        spec: Specification,
+        successor_cache: Optional[SuccessorCache] = None,
+        *,
+        allow_stuttering: bool = True,
+        coverage: Optional[CoverageReport] = None,
+    ) -> None:
+        self.spec = spec
+        self.cache = (
+            successor_cache if successor_cache is not None else SuccessorCache(spec)
+        )
+        self.allow_stuttering = allow_stuttering
+        self.coverage = coverage
+        self._reset()
+
+    def _reset(self) -> None:
+        self.state: Optional[State] = None
+        self.steps = 0
+        self.stutters = 0
+        self.action_counts: Dict[str, int] = (
+            self.coverage.action_counts if self.coverage is not None else {}
+        )
+        self.failure: Optional[Exception] = None
+        #: ``(state, its successor list)`` of the last lookup, so a state is
+        #: fetched once however many of step/coverage/failure ask for it.
+        self._fetched: Tuple[Optional[State], List[Tuple[str, State]]] = (None, [])
+
+    def begin(self, state: State, require_initial: bool = True) -> bool:
+        """Start a trace at ``state``; False, with ``failure`` set, if it had to be initial."""
+        self._reset()
+        if require_initial and state not in self.spec.initial_states():
+            self.failure = TraceInitialStateMismatch(
+                f"trace state 0 is not an initial state of {self.spec.name!r}"
+            )
+            return False
+        self.state = state
+        if self.coverage is not None:
+            self._cover()
+        return True
+
+    def step(self, nxt: State, what: Optional[str] = None) -> Optional[str]:
+        """Judge ``current -> nxt``: the matched action's name, ``"<stutter>"``,
+        or None for a violation (the fold then holds ``failure`` and stays put).
+
+        ``what`` names the observation in the failure message (the streaming
+        driver says which log event it was); the default is the step's index.
+        """
+        if self.allow_stuttering and nxt == self.state:
+            matched = STUTTER
+            self.stutters += 1
+        else:
+            for matched, successor in self._successors():
+                if successor == nxt:
+                    break
+            else:
+                index = self.steps
+                self.failure = TraceMismatch(
+                    f"{what or f'step {index} -> {index + 1} of the trace'} is not "
+                    f"permitted by any action of {self.spec.name!r} "
+                    f"(enabled: {self.enabled()})",
+                    step_index=index,
+                    observed=nxt.to_dict(),
+                )
+                return None
+            self.action_counts[matched] = self.action_counts.get(matched, 0) + 1
+            self.state = nxt
+        self.steps += 1
+        if self.coverage is not None:
+            self._cover()
+        return matched
+
+    def check(self, trace: Sequence[Any], require_initial: bool = True) -> TraceCheckResult:
+        """Fold a whole trace on a fresh fold: begin, then step to the first failure."""
+        states = [_as_state(self.spec, item) for item in trace]
+        matched_actions: List[Optional[str]] = []
+        if states and self.begin(states[0], require_initial):
+            matched_actions.append(None)
+            for nxt in islice(states, 1, None):
+                matched = self.step(nxt)
+                if matched is None:
+                    break
+                matched_actions.append(matched)
+        return TraceCheckResult(
+            spec_name=self.spec.name,
+            trace_length=len(states),
+            ok=self.failure is None,
+            checked_steps=self.steps,
+            failure_index=None if self.failure is None else self.steps,
+            failure=self.failure,
+            matched_actions=matched_actions,
+            stuttering_steps=self.stutters,
+        )
+
+    def enabled(self) -> List[str]:
+        """Actions enabled in the current state, read off its successor list."""
+        return list(dict.fromkeys(name for name, _ in self._successors()))
+
+    def _successors(self) -> List[Tuple[str, State]]:
+        if self._fetched[0] is not self.state:
+            self._fetched = (self.state, self.cache.successors(self.state))
+        return self._fetched[1]
+
+    def _cover(self) -> None:
+        """Count the (just validated) current state into the coverage report."""
+        self.coverage.visited_fingerprints.add(self.state.fingerprint())
+        counts = self.coverage.enabled_action_counts
+        for name in self.enabled():
+            counts[name] = counts.get(name, 0) + 1
+
+
 def check_trace(
     spec: Specification,
     trace: Sequence[Any],
@@ -138,62 +271,8 @@ def check_trace(
     must be produced by one of the specification's actions, or be a
     stuttering step when ``allow_stuttering`` is true.
     """
-    states = [_as_state(spec, item) for item in trace]
-    result = TraceCheckResult(
-        spec_name=spec.name, trace_length=len(states), ok=True, checked_steps=0
-    )
-    if not states:
-        return result
-
-    if require_initial:
-        initial = spec.initial_states()
-        if states[0] not in initial:
-            result.ok = False
-            result.failure_index = 0
-            result.failure = TraceInitialStateMismatch(
-                f"trace state 0 is not an initial state of {spec.name!r}"
-            )
-            return result
-    result.matched_actions.append(None)
-
-    for index in range(len(states) - 1):
-        current, nxt = states[index], states[index + 1]
-        if allow_stuttering and current == nxt:
-            result.matched_actions.append("<stutter>")
-            result.stuttering_steps += 1
-            result.checked_steps += 1
-            continue
-        matched = _matching_action(spec, current, nxt, successor_cache)
-        if matched is None:
-            result.ok = False
-            result.failure_index = index
-            result.failure = TraceMismatch(
-                f"step {index} -> {index + 1} of the trace is not permitted by any "
-                f"action of {spec.name!r} (enabled: {spec.enabled_actions(current)})",
-                step_index=index,
-                observed=nxt.to_dict(),
-            )
-            return result
-        result.matched_actions.append(matched)
-        result.checked_steps += 1
-    return result
-
-
-def _matching_action(
-    spec: Specification,
-    current: State,
-    nxt: State,
-    successor_cache: Optional[SuccessorCache] = None,
-) -> Optional[str]:
-    successors = (
-        successor_cache.successors(current)
-        if successor_cache is not None
-        else spec.successors(current)
-    )
-    for action_name, successor in successors:
-        if successor == nxt:
-            return action_name
-    return None
+    fold = TraceFold(spec, successor_cache, allow_stuttering=allow_stuttering)
+    return fold.check(trace, require_initial)
 
 
 def check_partial_trace(

@@ -8,7 +8,7 @@ reproducing them exactly.
 import pytest
 
 from conftest import make_counter_spec
-from repro.tla import ModelChecker, check_spec
+from repro.engine import ModelChecker, check_spec
 from repro.tla.errors import (
     DeadlockError,
     InvariantViolation,

@@ -448,7 +448,7 @@ def test_memo_never_caches_an_exception(lazy):
             raise ValueError("b went too far")
         return [{"a": True}]
 
-    def generator(state):  # raises in the body: escapes raw, as interpreted
+    def generator(state):  # raises in the body, while iterated: wrapped the same
         if state["b"] == 2:
             raise ValueError("b went too far")
         yield {"a": True}

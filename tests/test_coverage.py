@@ -4,8 +4,13 @@ import random
 
 import pytest
 
-from repro.tla import check_spec, check_trace
+from repro.engine import check_spec
+from repro.tla import check_trace
+from repro.pipeline.runner import check_one
+from repro.pipeline.workload import generate_workload
 from repro.tla.coverage import CoverageReport, coverage_of_trace, merge_reports
+from repro.tla.errors import TraceInitialStateMismatch
+from repro.tla.registry import build_spec
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +99,30 @@ def test_merge_reports_folds_many(trace_report):
     assert merged.trace_count == 5
     with pytest.raises(ValueError):
         merge_reports([])
+
+
+@pytest.mark.parametrize("spec_name", ["locking", "raftmongo", "ot_array"])
+def test_fold_coverage_equals_the_reference_walk(spec_name):
+    # The fold fills its report as it validates; coverage_of_trace is the
+    # independent second walk it replaced.  Passing, mid-trace-failing and
+    # rejected-at-state-0 traces must all agree.
+    spec = build_spec(spec_name)
+    seen = set()
+    for generated in generate_workload(spec, n_traces=60, seed=4, fault_rate=0.6):
+        result, coverage = check_one(
+            spec,
+            None,
+            generated.states,
+            allow_stuttering=True,
+            require_initial=True,
+            collect_coverage=True,
+        )
+        reference = coverage_of_trace(
+            spec,
+            result.validated_prefix(generated.states),
+            matched_actions=result.matched_actions,
+        )
+        assert coverage.to_json() == reference.to_json()
+        rejected_at_0 = isinstance(result.failure, TraceInitialStateMismatch)
+        seen.add("pass" if result.ok else "state-0" if rejected_at_0 else "mid-trace")
+    assert seen == {"pass", "state-0", "mid-trace"}

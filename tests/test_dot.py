@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.tla import check_spec, parse_dot, to_dot
+from repro.engine import check_spec
+from repro.tla import parse_dot, to_dot
 from repro.tla.dot import roundtrip_counts
 from repro.tla.errors import SpecError
 

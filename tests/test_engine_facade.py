@@ -1,16 +1,13 @@
-"""Back-compat façade + cross-engine parity across the repro.engine seam.
+"""Cross-engine parity across the repro.engine seam.
 
-The refactor contract (ISSUE 5): ``repro.tla.checker`` is a thin façade over
-:mod:`repro.engine`, every historical import keeps working and produces
-results identical to the new package's, and all engines -- including the new
-``simulate`` engine -- agree about what is reachable and what violates.
+The engine and store registries, store validation, and the contract that all
+engines -- including ``simulate`` -- agree about what is reachable and what
+violates.
 """
 
 import pytest
 
 import repro.engine
-import repro.tla
-import repro.tla.checker
 from repro.engine import ENGINES, STORES, engine_names, get_engine, store_names
 from repro.tla.registry import build_spec
 
@@ -25,60 +22,7 @@ def _stats(result):
     )
 
 
-class TestFacade:
-    def test_facade_reexports_identical_objects(self):
-        assert repro.tla.checker.ModelChecker is repro.engine.ModelChecker
-        assert repro.tla.checker.CheckResult is repro.engine.CheckResult
-        assert repro.tla.checker.check_spec is repro.engine.check_spec
-        assert (
-            repro.tla.checker.default_worker_count
-            is repro.engine.default_worker_count
-        )
-        assert repro.tla.checker.ENGINES == repro.engine.ENGINES
-
-    def test_tla_package_lazy_exports(self):
-        # PEP 562 exports: attribute access, from-import and __all__ intact.
-        assert repro.tla.ModelChecker is repro.engine.ModelChecker
-        assert repro.tla.check_spec is repro.engine.check_spec
-        assert repro.tla.CheckResult is repro.engine.CheckResult
-        from repro.tla import ModelChecker
-
-        assert ModelChecker is repro.engine.ModelChecker
-        assert "ModelChecker" in repro.tla.__all__
-        with pytest.raises(AttributeError):
-            repro.tla.NoSuchName
-
-    def test_tla_checker_submodule_accessible_without_explicit_import(self):
-        # Regression: `import repro.tla` used to bind the checker submodule
-        # eagerly; the lazy __getattr__ must keep `repro.tla.checker.X`
-        # working in a fresh interpreter that imported nothing else.
-        import os
-        import subprocess
-        import sys
-
-        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ, PYTHONPATH=os.path.join(repo_root, "src"))
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import repro.tla; print(repro.tla.checker.ModelChecker.__name__)",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ModelChecker"
-
-    def test_facade_and_engine_produce_identical_results(self):
-        spec = build_spec("locking")
-        via_facade = repro.tla.checker.check_spec(spec, check_properties=False)
-        via_engine = repro.engine.check_spec(spec, check_properties=False)
-        assert _stats(via_facade) == _stats(via_engine)
-        assert via_facade.engine == via_engine.engine == "fingerprint"
-        assert via_facade.store == via_engine.store == "fingerprint"
-
+class TestRegistries:
     def test_registries_expose_all_engines_and_stores(self):
         assert ENGINES == ("auto",) + engine_names()
         assert set(engine_names()) >= {"fingerprint", "states", "parallel", "simulate"}

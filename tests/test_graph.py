@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.tla import check_spec
+from repro.engine import check_spec
 from repro.tla.errors import SpecError
 from repro.tla.graph import StateGraph
 from repro.tla.state import State, VariableSchema

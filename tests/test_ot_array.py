@@ -4,7 +4,8 @@ import pytest
 
 from repro.pipeline.logs import trace_from_logs, write_per_node_logs
 from repro.specs import ot_array
-from repro.tla import NULL, check_spec, check_trace
+from repro.engine import check_spec
+from repro.tla import NULL, check_trace
 from repro.tla.registry import build_spec, get_entry
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import widecounter_spec  # noqa: F401 - registers _test_widecounter + its provider
 from repro.resilience import FaultPlan, SupervisionConfig
-from repro.tla import ModelChecker, check_spec
+from repro.engine import ModelChecker, check_spec
 from repro.tla.errors import CheckerError
 from repro.tla.registry import build_spec
 

@@ -246,20 +246,89 @@ def test_missing_log_file_is_an_ingest_error_and_cli_exit_2(tmp_path, capsys):
     assert "cannot read log file" in err
 
 
+_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+def test_trace_cli_reports_an_unevaluable_state_as_one_error_line(capsys):
+    # The snapshot anchors the trace on garbage; the spec's (generator)
+    # actions then raise while being *iterated*.  One diagnostic, exit 2 --
+    # not a traceback and not exit 1, which means "violation".
+    bad = os.path.join(_DATA, "bad_snapshot.jsonl")
+    assert main(["trace", "locking", bad, "--no-require-initial"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: action 'Acquire' raised IndexError")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_watch_cli_quarantines_an_event_whose_step_cannot_be_evaluated(tmp_path, capsys):
+    bad = os.path.join(_DATA, "bad_snapshot.jsonl")
+    quarantine = tmp_path / "q.jsonl"
+    assert main(["watch", "locking", bad, "--once", "--quarantine", str(quarantine)]) == 0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "quarantined: 0 line(s), 1 event(s)" in err
+    (record,) = [json.loads(line) for line in quarantine.read_text().splitlines()]
+    assert (record["source"], record["lineno"]) == (bad, 2)
+    assert "raised IndexError" in record["reason"]
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_watch_cli_writes_evidence_for_each_quarantined_event(tmp_path, capsys, workers):
+    # Events that parse but cannot be applied were only ever *counted*.
+    source = os.path.join(_DATA, "unappliable_events.jsonl")
+    quarantine = tmp_path / "q.jsonl"
+    argv = ["watch", "locking", source, "--once", "--quarantine", str(quarantine)]
+    assert main(argv + ["--workers", str(workers)]) == 0
+    assert "quarantined: 0 line(s), 2 event(s)" in capsys.readouterr().err
+    records = [json.loads(line) for line in quarantine.read_text().splitlines()]
+    assert [(r["source"], r["lineno"]) for r in records] == [(source, 1), (source, 2)]
+    assert "unknown variable 'nosuch'" in records[0]["reason"]
+    assert "names node 99" in records[1]["reason"]
+
+
 # -- IncrementalChecker -------------------------------------------------------
 
 
-def test_incremental_checker_matches_batch_verdict_on_conforming_trace():
-    spec, per_node = _locking()
-    generated, events = _trace_events(spec, per_node, seed=5)
+def _seeded_trace(spec, fault):
+    """The first seeded trace of ``spec`` with the wanted fault (None = valid)."""
+    for seed in range(200):
+        generated = next(
+            iter(generate_workload(spec, n_traces=1, seed=seed, fault_rate=1.0 if fault else 0.0))
+        )
+        if generated.fault == fault:
+            return generated
+    raise AssertionError(f"no {fault!r} trace of {spec.name} in 200 seeds")
+
+
+@pytest.mark.parametrize("fault", [None, "teleport"])
+@pytest.mark.parametrize("spec_name", ["locking", "raftmongo", "ot_array"])
+def test_incremental_checker_matches_batch_check(spec_name, fault):
+    # One fold, two drivers: the same trace as a state list through
+    # check_trace and as log events through the incremental checker.
+    spec = build_spec(spec_name)
+    per_node = get_entry(spec_name).per_node_variables(spec)
+    generated = _seeded_trace(spec, fault)
+    events = log_module.events_from_trace(
+        spec, generated.states, per_node=per_node, actions=generated.actions
+    )
+    # Stuttering steps are not logged, so the batch side checks the trace
+    # those events rebuild.
+    states = log_module.events_to_trace(spec, events, per_node=per_node)
+    batch = check_trace(spec, states)
     checker = IncrementalChecker(spec, per_node=per_node)
     for event in events:
         checker.feed(event)
-    assert checker.status == "conforming"
+
     assert checker.events == len(events)
-    batch = check_trace(spec, generated.states)
-    assert batch.ok
-    assert checker.steps == len(generated.states) - 1
+    assert (checker.status == "conforming") == batch.ok == (fault is None)
+    assert checker.steps == batch.checked_steps
+    assert checker.stutters == batch.stuttering_steps
+    if fault is not None:
+        assert checker.violation["step"] == batch.failure_index
+    actions = [a for a in batch.matched_actions if a and a != "<stutter>"]
+    assert checker.action_counts == {a: actions.count(a) for a in set(actions)}
+    validated = batch.validated_prefix(states)
+    assert checker.to_report()["distinct_states"] == len(set(validated))
 
 
 def test_incremental_checker_flags_seeded_violation_and_freezes():

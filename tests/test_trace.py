@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.tla import check_partial_trace, check_spec, check_trace
+from repro.engine import check_spec
+from repro.tla import check_partial_trace, check_trace
 from repro.tla.errors import TraceInitialStateMismatch, TraceMismatch
 from repro.tla.trace import SuccessorCache, explain_failure
 
