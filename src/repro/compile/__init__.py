@@ -76,5 +76,4 @@ def compile_spec(spec: Specification, *, native: bool = True) -> CompiledSpec:
     if kernels is None:
         interner = ValueInterner()
         kernels = build_generic_kernels(spec, interner)
-    expand, verdict_for, info = kernels
-    return CompiledSpec(spec, expand, verdict_for, info, interner=interner)
+    return CompiledSpec(spec, *kernels, interner=interner)

@@ -17,7 +17,9 @@ plus its 64-bit fingerprint:
   instance and downstream identity lookups keep hitting;
 * a **primitive memo** keyed by ``(type, value)`` -- *not* by the value
   alone, because ``True == 1 == 1.0`` would otherwise alias three different
-  fingerprints onto one entry.
+  fingerprints onto one entry.  The equality memo keeps them apart too: a
+  hit is checked for type agreement (``(False, True) == (0, 1)``), and the
+  later comer of such a pair is filed under a key that spells out its types.
 
 Fingerprints are computed by the same :func:`repro.tla.values._fp_of`
 walk the interpreter uses, so a compiled fingerprint is equal to the
@@ -35,43 +37,34 @@ from itertools import islice
 from typing import Any, Tuple
 
 from ..tla.values import (
-    _FP_PACK,
+    _PRIMITIVE_TYPES,
     _digest,
     _fp_of,
+    _same_types,
     FingerprintCache,
-    NULL,
+    Record,
     freeze,
+    packed_state_fingerprint,
+    state_fingerprint,
 )
 
 __all__ = ["ValueInterner", "packed_state_fingerprint", "state_fingerprint"]
 
-#: Types fingerprinted through the ``P`` (primitive) digest without any
-#: structural walk.  Exact-type membership, so ``bool`` (a subclass of
-#: ``int``) gets its own entry and subclasses fall through to the general
-#: path instead of being mistaken for their base type.
-_PRIMITIVE_TYPES = frozenset(
-    (str, int, float, bool, bytes, type(None), type(NULL))
-)
+#: Leads the equality-memo key of a value that is equal to, but typed
+#: differently from, a value already canonical; no spec value can equal it.
+_TYPED = object()
 
 
-def state_fingerprint(slot_fps) -> int:
-    """Fold per-slot fingerprints into a state fingerprint.
-
-    Byte-identical to
-    :meth:`~repro.tla.values.FingerprintCache.state_values_fingerprint`:
-    the ``T`` digest over the packed slot fingerprints.
-    """
-    return packed_state_fingerprint(map(_FP_PACK, slot_fps))
-
-
-def packed_state_fingerprint(packed_slot_fps) -> int:
-    """:func:`state_fingerprint` over already-packed slot fingerprints.
-
-    The generic kernel keeps slot fingerprints packed, in bound states and
-    in memoized updates alike, so a successor's fingerprint is one splice,
-    one join and one digest.
-    """
-    return _digest(b"T" + b"".join(packed_slot_fps))
+def _type_signature(value: Any) -> Any:
+    """The types of a frozen value, nested as it is: apart for ``True`` and ``1``."""
+    tp = type(value)
+    if tp is tuple:
+        return (tp, *map(_type_signature, value))
+    if tp is Record:
+        return (tp, *(_type_signature(item) for _name, item in value._items))
+    if tp is frozenset:
+        return (tp, frozenset((item, _type_signature(item)) for item in value))
+    return tp
 
 
 class ValueInterner:
@@ -106,12 +99,18 @@ class ValueInterner:
     def __len__(self) -> int:
         return len(self._canon)
 
-    def intern(self, value: Any) -> Tuple[Any, int]:
+    def intern(self, value: Any, *, frozen: bool = False) -> Tuple[Any, int]:
         """``(canonical value, fingerprint)`` for an arbitrary spec value.
 
-        The canonical value is frozen, equal to ``value``, and stable: two
-        equal inputs intern to the *same* object, so later lookups hit the
-        identity memo.  The fingerprint equals
+        ``frozen=True`` skips the defensive :func:`~repro.tla.values.freeze`
+        walk for a value that is frozen by construction (a slot of a
+        :class:`~repro.tla.state.State`), as ``fingerprint(..., frozen=True)``
+        does.
+
+        The canonical value is frozen, equal to ``value`` *with the same
+        types throughout* (never ``(0, 1)`` for ``(False, True)``), and
+        stable: two such inputs intern to the *same* object, so later lookups
+        hit the identity memo.  The fingerprint equals
         ``fingerprint(freeze(value))`` from :mod:`repro.tla.values`.
         """
         entry = self._by_id.get(id(value))
@@ -127,20 +126,25 @@ class ValueInterner:
                 prim = self._prim
                 if len(prim) >= self.max_entries:
                     for stale in list(islice(prim, len(prim) // 2)):
-                        del prim[stale]
+                        prim.pop(stale, None)
                     self.evictions += 1
                 prim[key] = fp
             return value, fp
         self.misses += 1
-        frozen = freeze(value)
-        entry = self._canon.get(frozen)
+        if not frozen:
+            value = freeze(value)
+        key = value
+        entry = self._canon.get(key)
+        if entry is not None and not _same_types(entry[0], value):
+            key = (_TYPED, _type_signature(value), value)
+            entry = self._canon.get(key)
         if entry is None:
-            fp = _fp_of(frozen, self.cache)
-            entry = (frozen, fp)
+            fp = _fp_of(value, self.cache)
+            entry = (value, fp)
             if len(self._canon) >= self.max_entries:
                 self._evict_oldest_half()
-            self._canon[frozen] = entry
-            self._by_id[id(frozen)] = entry
+            self._canon[key] = entry
+            self._by_id[id(value)] = entry
         else:
             # Map the canonical object's id too (idempotent); the caller's
             # fresh-but-equal object is NOT id-mapped -- it is about to be
@@ -158,8 +162,9 @@ class ValueInterner:
         canon = self._canon
         by_id = self._by_id
         for key in list(islice(canon, len(canon) // 2)):
-            entry = canon.pop(key)
-            by_id.pop(id(entry[0]), None)
+            entry = canon.pop(key, None)
+            if entry is not None:  # else a thread sharing the interner got there first
+                by_id.pop(id(entry[0]), None)
         self.evictions += 1
 
     def stats(self) -> dict:

@@ -1,11 +1,17 @@
 """CompiledSpec and the generic kernel: a read-set memo over the spec's closures.
 
-A :class:`CompiledSpec` is what the engines run instead of interpreting the
-spec per state.  Its core surface is two functions over *value tuples* (the
-fixed-slot, schema-indexed state representation):
+A :class:`CompiledSpec` is what the engines and the trace fold run instead
+of interpreting the spec per state.  Its core surface is three functions over
+*value tuples* (the fixed-slot, schema-indexed state representation):
+
+``transitions(values)``
+    A state's successors as :data:`~repro.engine.base.Transition` entries --
+    ``(action, values, fingerprint)`` -- in the spec's action order, every
+    duplicate kept, and no invariant or constraint looked at: what trace
+    checking (:class:`repro.tla.trace.SuccessorCache`) steps on.
 
 ``expand(values)``
-    One call yields the complete expansion of a state as
+    The same list with each successor's verdicts added, as
     :data:`~repro.engine.base.SuccessorInfo` entries -- ``(action, values,
     fingerprint, violated invariant, constraint verdict)`` -- the exact wire
     shape the interpreted :class:`~repro.engine.base.InterpretedExpander`
@@ -41,9 +47,10 @@ reads**, not once per state:
   exact for value-dependent read orders (``AdvanceCommitPoint`` reads only
   ``role`` when there is no leader and three more variables when there is
   one);
-* ``expand`` is then, per action, one dict lookup per slot read down to a
-  leaf, and per stored update a slot splice, one fingerprint join and a
-  verdict lookup -- no closure call, no ``freeze``, no ``intern``.
+* ``transitions`` is then, per action, one dict lookup per slot read down
+  to a leaf, and per stored update a slot splice and one fingerprint join
+  -- no closure call, no ``freeze``, no ``intern``; ``expand`` adds a
+  verdict lookup per successor.
 
 **The purity contract.**  Memoizing is sound when an effect, invariant or
 constraint is a function of what it reads through the ``State`` surface (and
@@ -90,7 +97,7 @@ from collections import deque
 from collections.abc import Mapping
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
-from ..engine.base import SuccessorInfo, memoized_verdict
+from ..engine.base import SuccessorInfo, Transition, memoized_verdict
 from ..tla.errors import EvaluationError
 from ..tla.spec import Action, Invariant, Specification
 from ..tla.state import State, VariableSchema
@@ -370,8 +377,8 @@ class _MemoizedPredicates:
 
 def build_generic_kernels(
     spec: Specification, interner: ValueInterner
-) -> Tuple[Callable, Callable, Dict[str, Any]]:
-    """``(expand, verdict_for, info)``: the read-set memo over ``spec``'s closures.
+) -> Tuple[Callable, Callable, Callable, Dict[str, Any]]:
+    """``(transitions, expand, verdict_for, info)``: the read-set memo over ``spec``'s closures.
 
     Works for any specification; see the module docstring for what is
     memoized and why that is exact.
@@ -396,11 +403,11 @@ def build_generic_kernels(
             cached = memoized_verdict(spec, state, fp, verdicts)
         return cached
 
-    def expand(values: Tuple[Any, ...]) -> List[SuccessorInfo]:
+    def transitions(values: Tuple[Any, ...]) -> List[Transition]:
         state = bind(values)
         vals, fps = state._vals, state._fps
-        entries: List[SuccessorInfo] = []
-        append = entries.append
+        found: List[Transition] = []
+        append = found.append
         for function in actions:
             name = function.name
             for update in recall(function, state):
@@ -409,12 +416,17 @@ def build_generic_kernels(
                 for slot, canonical, vfp in update:
                     new_values[slot] = canonical
                     new_fps[slot] = vfp
-                nvals = tuple(new_values)
-                nfp = packed_state_fingerprint(new_fps)
-                verdict = verdicts.get(nfp)
-                if verdict is None:
-                    verdict = memoized_verdict(predicates, bind(nvals), nfp, verdicts)
-                append((name, nvals, nfp, verdict[0], verdict[1]))
+                append((name, tuple(new_values), packed_state_fingerprint(new_fps)))
+        return found
+
+    def expand(values: Tuple[Any, ...]) -> List[SuccessorInfo]:
+        entries: List[SuccessorInfo] = []
+        append = entries.append
+        for name, nvals, nfp in transitions(values):
+            verdict = verdicts.get(nfp)
+            if verdict is None:
+                verdict = memoized_verdict(predicates, bind(nvals), nfp, verdicts)
+            append((name, nvals, nfp, verdict[0], verdict[1]))
         return entries
 
     info = {
@@ -422,13 +434,14 @@ def build_generic_kernels(
         "kernel": "generic",
         "memo": {function.name: function.stats for function in memo.functions},
     }
-    return expand, verdict_for, info
+    return transitions, expand, verdict_for, info
 
 
 class CompiledSpec:
     """A specification specialized into flat compiled form.
 
-    Engines use :attr:`expand` / :attr:`verdict_for` on value tuples; code
+    Engines use :attr:`expand` / :attr:`verdict_for` on value tuples and the
+    trace fold :attr:`transitions`; code
     written against the interpreted surface (replay, coverage, graph
     retention, tests) can use this object wherever a ``Specification`` goes
     -- the adapter methods convert at the boundary and every unlisted
@@ -438,6 +451,7 @@ class CompiledSpec:
     def __init__(
         self,
         spec: Specification,
+        transitions: Callable[[Tuple[Any, ...]], List[Transition]],
         expand: Callable[[Tuple[Any, ...]], List[SuccessorInfo]],
         verdict_for: Callable[[Tuple[Any, ...], int], Tuple[Optional[str], bool]],
         info: Dict[str, Any],
@@ -445,6 +459,7 @@ class CompiledSpec:
     ) -> None:
         self.spec = spec
         self.schema = spec.schema
+        self.transitions = transitions
         self.expand = expand
         self.verdict_for = verdict_for
         #: ``kernel`` / ``native``, and for the generic kernel ``memo``: per
@@ -472,7 +487,7 @@ class CompiledSpec:
         schema = self.schema
         return [
             (name, State.from_values(schema, values))
-            for name, values, _fp, _violated, _within in self.expand(state.values)
+            for name, values, _fp in self.transitions(state.values)
         ]
 
     def violated_invariant(self, state: State) -> Optional[Invariant]:

@@ -44,7 +44,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..engine.base import VERDICT_MEMO_MAX
+from ..engine.base import VERDICT_MEMO_MAX, InterpretedExpander
 from ..specs.locking import (
     COMPATIBILITY,
     LOCK_MODES,
@@ -67,13 +67,35 @@ _EXPECTED_INVARIANTS = (
 _CONFIG_KEYS = ("n_threads", "allow_exclusive", "mutation")
 
 
+class _Unfit(Exception):
+    """A state of a shape the generated kernels were not specialized for."""
+
+
 def _mode_pack(mode: str) -> bytes:
     return _FP_PACK(_digest(b"P" + repr(mode).encode("utf-8")))
 
 
-def _gen_expand_source(n: int) -> str:
-    """Source of ``expand(values)`` with the thread loop unrolled."""
-    lines = ["def expand(values):", "    held = values[0]"]
+def _gen_expand_source(n: int, verdicts: bool) -> str:
+    """Source of ``expand(values)`` with the thread loop unrolled.
+
+    With ``verdicts=False`` the same walk as ``transitions(values)``: the
+    verdict lookup is left out and the entries are ``(action, values, fp)``.
+    That one is stepped on by trace checking, where ``values`` comes out of
+    a log and can be anything, so it refuses a ``held`` of another shape
+    (``_rowpack`` refuses rows of another shape or vocabulary).
+    """
+    if verdicts:
+        emit = [
+            "v = VERDICTS.get(fp, _MISS)",
+            "if v is _MISS: v = _verdict(nheld, fp)",
+            'append(("{action}", (nheld,), fp, v, True))',
+        ]
+    else:
+        emit = ['append(("{action}", (nheld,), fp))']
+    name = "expand" if verdicts else "transitions"
+    lines = [f"def {name}(values):", "    held = values[0]"]
+    if not verdicts:
+        lines.append(f"    if type(held) is not tuple or len(held) != {n}: raise _Unfit")
     for t in range(n):
         lines.append(f"    row{t} = held[{t}]")
     for t in range(n):
@@ -96,9 +118,7 @@ def _gen_expand_source(n: int) -> str:
         lines.append(f"        nheld = ({nheld})")
         lines.append(f"        hfp = _digest(_T + {packs})")
         lines.append("        fp = _digest(_T + _PACK(hfp))")
-        lines.append("        v = VERDICTS.get(fp, _MISS)")
-        lines.append("        if v is _MISS: v = _verdict(nheld, fp)")
-        lines.append('        append(("Acquire", (nheld,), fp, v, True))')
+        lines += ["        " + line.format(action="Acquire") for line in emit]
     for t in range(n):
         others = [o for o in range(n) if o != t]
         nheld = ", ".join("new_row" if o == t else f"row{o}" for o in range(n))
@@ -112,9 +132,7 @@ def _gen_expand_source(n: int) -> str:
         lines.append(f"        nheld = ({nheld})")
         lines.append(f"        hfp = _digest(_T + {packs})")
         lines.append("        fp = _digest(_T + _PACK(hfp))")
-        lines.append("        v = VERDICTS.get(fp, _MISS)")
-        lines.append("        if v is _MISS: v = _verdict(nheld, fp)")
-        lines.append('        append(("Release", (nheld,), fp, v, True))')
+        lines += ["        " + line.format(action="Release") for line in emit]
     lines.append("    return entries")
     return "\n".join(lines)
 
@@ -158,8 +176,8 @@ def _gen_violated_source(n: int) -> str:
 
 def compile_locking(
     spec: Any,
-) -> Optional[Tuple[Callable, Callable, Dict[str, Any]]]:
-    """``(expand, verdict_for, info)`` for a registry-built locking spec.
+) -> Optional[Tuple[Callable, Callable, Callable, Dict[str, Any]]]:
+    """``(transitions, expand, verdict_for, info)`` for a registry-built locking spec.
 
     Returns ``None`` when the spec is not the locking spec this module was
     specialized against -- unexpected actions, invariants, constraint, a
@@ -210,6 +228,8 @@ def compile_locking(
     modepack = {mode: _mode_pack(mode) for mode in (*LOCK_MODES, NO_LOCK)}
 
     def _rowpack(row: Tuple[str, ...]) -> bytes:
+        if type(row) is not tuple or len(row) != n_resources:
+            raise _Unfit
         pack = _FP_PACK(_digest(b"T" + b"".join(modepack[m] for m in row)))
         rowpack[row] = pack
         return pack
@@ -268,6 +288,7 @@ def compile_locking(
         "_NOX": frozenset((NO_LOCK, "X")),
         "_IDXS": tuple(range(n_resources)),
         "_MISS": _MISS,
+        "_Unfit": _Unfit,
         "CONFL": confl,
         "ROWPACK": rowpack,
         "ACQ": acq,
@@ -292,9 +313,20 @@ def compile_locking(
         return name
 
     namespace["_verdict"] = _verdict
-    expand_source = _gen_expand_source(cfg.n_threads)
-    exec(compile(expand_source, "<locking-expand>", "exec"), namespace)
-    expand = namespace["expand"]
+    for with_verdicts in (True, False):
+        source = _gen_expand_source(cfg.n_threads, with_verdicts)
+        exec(compile(source, "<locking-expand>", "exec"), namespace)
+    expand, fitted_transitions = namespace["expand"], namespace["transitions"]
+    interpreted = InterpretedExpander(spec)
+
+    def transitions(values: Tuple[Any, ...]) -> list:
+        try:
+            return fitted_transitions(values)
+        except Exception:  # noqa: BLE001 - whatever an unfit state trips over
+            # Not a state this kernel was specialized for (a log can report
+            # anything): the spec's own closures answer, or raise what they
+            # always raised.
+            return interpreted.transitions(values)
 
     def verdict_for(values: Tuple[Any, ...], fp: int) -> Tuple[Optional[str], bool]:
         name = verdicts.get(fp, _MISS)
@@ -310,4 +342,4 @@ def compile_locking(
         "unrolled_threads": cfg.n_threads,
         "mutation": cfg.mutation,
     }
-    return expand, verdict_for, info
+    return transitions, expand, verdict_for, info

@@ -10,8 +10,10 @@ checkpointing, and counterexample replay from the fingerprint-keyed parent
 map.
 
 The expander is the one way any engine computes successors: an object with
-``expand(values)`` and ``verdict_for(values, fp)`` over value tuples.  There
-are exactly two -- :class:`InterpretedExpander` here and
+``transitions(values)``, ``expand(values)`` (the former plus verdicts) and
+``verdict_for(values, fp)`` over value tuples.  The trace fold
+(:class:`repro.tla.trace.SuccessorCache`) holds one too and calls only
+``transitions``.  There are exactly two -- :class:`InterpretedExpander` here and
 :class:`repro.compile.CompiledSpec` -- and :func:`make_expander` is the one
 place the ``on|off|auto`` policy picks between them, for the coordinator and
 for pool workers alike.
@@ -44,12 +46,17 @@ __all__ = [
     "Engine",
     "InterpretedExpander",
     "SuccessorInfo",
+    "Transition",
     "engine_names",
     "get_engine",
     "make_expander",
     "memoized_verdict",
     "register_engine",
 ]
+
+#: One successor without its verdicts: ``(action name, successor value tuple,
+#: successor fingerprint)``.  What trace checking steps on.
+Transition = Tuple[str, Tuple[Any, ...], int]
 
 #: One entry of an expansion result: ``(action name, successor value tuple,
 #: successor fingerprint, violated invariant name or None, constraint
@@ -95,12 +102,14 @@ def memoized_verdict(
 class InterpretedExpander:
     """The expander seam over the spec's own action closures.
 
-    ``expand(values)`` is a state's full expansion as :data:`SuccessorInfo`
-    entries and ``verdict_for(values, fp)`` one state's ``(violated invariant
-    name, constraint verdict)``.  :class:`repro.compile.CompiledSpec` is the
-    other implementation and emits the same entries in the same order
-    (``tests/test_compile.py`` compares them entry for entry); engines hold
-    one of the two and never ask which.  The fingerprint cache and the verdict memo live as long as the expander:
+    ``transitions(values)`` is a state's successors as :data:`Transition`
+    entries, ``expand(values)`` the same with verdicts, as
+    :data:`SuccessorInfo` entries, and ``verdict_for(values, fp)`` one
+    state's ``(violated invariant name, constraint verdict)``.
+    :class:`repro.compile.CompiledSpec` is the other implementation and emits
+    the same entries in the same order (``tests/test_compile.py`` compares
+    them entry for entry); engines hold one of the two and never ask which.
+    The fingerprint cache and the verdict memo live as long as the expander:
     one per run in the coordinator, one per process in a pool worker.
     """
 
@@ -109,12 +118,21 @@ class InterpretedExpander:
         self._cache = FingerprintCache()
         self._verdicts: Dict[int, Tuple[Optional[str], bool]] = {}
 
+    def _successors(self, values: Tuple[Any, ...]) -> List[Tuple[str, State, int]]:
+        cache = self._cache
+        state = State.from_values(self.spec.schema, values)
+        return [
+            (action_name, nxt, nxt.fingerprint(cache))
+            for action_name, nxt in self.spec.successors(state)
+        ]
+
+    def transitions(self, values: Tuple[Any, ...]) -> List[Transition]:
+        return [(name, nxt.values, nfp) for name, nxt, nfp in self._successors(values)]
+
     def expand(self, values: Tuple[Any, ...]) -> List[SuccessorInfo]:
-        spec, cache, verdicts = self.spec, self._cache, self._verdicts
-        state = State.from_values(spec.schema, values)
+        spec, verdicts = self.spec, self._verdicts
         entries: List[SuccessorInfo] = []
-        for action_name, nxt in spec.successors(state):
-            nfp = nxt.fingerprint(cache)
+        for action_name, nxt, nfp in self._successors(values):
             cached = memoized_verdict(spec, nxt, nfp, verdicts)
             entries.append((action_name, nxt.values, nfp, cached[0], cached[1]))
         return entries

@@ -265,6 +265,21 @@ def validate_status(doc: Dict[str, Any]) -> None:
                 isinstance(source.get(field), bool), swhere, f"{field!r} must be a bool"
             )
         _require(isinstance(source.get("status"), str), swhere, "'status' must be a string")
+    cache = doc.get("successor_cache")
+    if cache is not None:  # absent from documents written before the field existed
+        cwhere = "status successor_cache"
+        _require(isinstance(cache, dict), cwhere, "must be an object")
+        _require(isinstance(cache.get("kernel"), str), cwhere, "'kernel' must be a string")
+        for field in (
+            "hits", "misses", "cache_entries",
+            "interner_hits", "interner_misses", "interner_evictions", "interner_entries",
+            "memo_hits", "memo_misses", "memo_entries",
+        ):
+            _require(
+                isinstance(cache.get(field), int) and cache[field] >= 0,
+                cwhere,
+                f"{field!r} must be a non-negative integer",
+            )
 
 
 def validate_status_path(path: str) -> Dict[str, Any]:

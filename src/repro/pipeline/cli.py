@@ -41,10 +41,10 @@ from ..stream import WatchConfig, WatchService
 from ..tla.coverage import CoverageReport
 from ..tla.dot import to_dot
 from ..tla.errors import CheckInterrupted, ReproError
-from ..tla.trace import explain_failure
+from ..tla.trace import SuccessorCache, explain_failure
 from . import logs as log_module
 from .registry import build_spec_by_name, parse_params, SPECS
-from .runner import EXECUTORS, check_one, check_traces
+from .runner import EXECUTORS, cache_line, check_one, check_traces
 from .workload import generate_workload
 
 __all__ = ["build_parser", "main"]
@@ -881,15 +881,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     per_node = entry.per_node_variables(spec)
     trace = log_module.trace_from_logs(spec, args.logs, per_node=per_node)
     print(f"rebuilt trace of {len(trace)} state(s) from {len(args.logs)} log file(s)")
+    cache = SuccessorCache(spec)
     result, coverage = check_one(
         spec,
-        None,
+        cache,
         trace,
         allow_stuttering=not args.no_stuttering,
         require_initial=not args.no_require_initial,
         collect_coverage=bool(args.coverage_out),
     )
     print(result.summary())
+    print("  " + cache_line(cache.stats()))
     if not result.ok:
         print(explain_failure(result))
     if coverage is not None:

@@ -157,7 +157,11 @@ def decode_value(value: Any) -> Any:
     if isinstance(value, dict):
         if value.get("__null__") is True:
             return NULL
-        return Record({name: decode_value(item) for name, item in value.items()})
+        # Children come back frozen, so the record is built from them as they
+        # are: ``Record(...)`` would re-freeze each one, once per nesting level.
+        return Record._from_items(
+            tuple(sorted((name, decode_value(item)) for name, item in value.items()))
+        )
     if isinstance(value, list):
         return tuple(decode_value(item) for item in value)
     return value

@@ -5,15 +5,17 @@ traces, checked concurrently, with one combined coverage number at the end.
 This runner does that in-process, with two executors:
 
 * ``executor="thread"`` -- a thread pool sharing one
-  :class:`~repro.tla.trace.SuccessorCache` (different traces of one workload
-  revisit the same states, so successor computation amortizes across the
-  whole batch).  Trace checking is pure Python, so threads serialize on the
-  GIL; this mode wins only through the shared cache.
+  :class:`~repro.tla.trace.SuccessorCache`: one compiled expander, one value
+  interner and one successor memo for the whole batch (different traces of
+  one workload revisit the same states and, far more often, the same
+  variable bindings).  Trace checking is pure Python, so threads serialize
+  on the GIL; what this mode shares is the warm-up, not the cores, and
+  ``workers=1`` checks in the calling thread.
 * ``executor="process"`` -- a process pool for real multi-core throughput.
   Each worker rebuilds the spec from its registry name (specs are closures
   and do not pickle; see :mod:`repro.tla.registry`) and keeps a private
   ``SuccessorCache``; traces are shipped in chunks to amortize pickling, and
-  the per-process cache hit/miss counters are merged into the final report.
+  the per-process cache counters are summed into the final report.
 
 Per-trace coverage reports are absorbed into one accumulator either way, and
 the result prints as a TLC-style summary.
@@ -48,9 +50,11 @@ __all__ = [
     "BatchReport",
     "EXECUTORS",
     "TraceOutcome",
+    "cache_line",
     "check_one",
     "check_traces",
     "process_worker_init",
+    "record_cache_telemetry",
     "worker_runtime",
 ]
 
@@ -106,6 +110,10 @@ class BatchReport:
     executor: str = "thread"
     cache_hits: int = 0
     cache_misses: int = 0
+    #: :meth:`SuccessorCache.stats` of the batch: the kernel kind, and the
+    #: counters of the successor memo, the interner and the kernel's read-set
+    #: memo, summed over the worker processes under the process executor.
+    cache_stats: Dict[str, Any] = field(default_factory=dict)
     #: True when ``fail_fast`` stopped the batch before checking every trace.
     stopped_early: bool = False
     #: Supervised-pool statistics (process executor only; None otherwise).
@@ -147,12 +155,8 @@ class BatchReport:
             )
             if exercised:
                 lines.append("  actions exercised: " + ", ".join(exercised))
-        total_lookups = self.cache_hits + self.cache_misses
-        if total_lookups:
-            lines.append(
-                f"  successor cache: {self.cache_hits}/{total_lookups} hits "
-                f"({self.cache_hits / total_lookups:.0%})"
-            )
+        if self.cache_hits + self.cache_misses:
+            lines.append("  " + cache_line(self.cache_stats))
         sup = self.supervision
         if sup is not None and (sup.recoveries or sup.degraded):
             lines.append(
@@ -162,6 +166,46 @@ class BatchReport:
                 + ("; pool degraded to serial" if sup.degraded else "")
             )
         return "\n".join(lines)
+
+
+def cache_line(stats: Dict[str, Any]) -> str:
+    """The one-line successor-cache summary of ``simulate`` and ``trace``."""
+    lookups = stats["hits"] + stats["misses"]
+    return (
+        f"successor cache: {stats['hits']}/{lookups} hits "
+        f"({stats['hits'] / max(1, lookups):.0%}) [{stats['kernel']}]"
+    )
+
+
+def record_cache_telemetry(run: Any, stats: Dict[str, Any]) -> None:
+    """Fold :meth:`SuccessorCache.stats` into a telemetry run.
+
+    The kernel's read-set memo reports under the names ``check`` uses
+    (``compile.memo_*``), the interner beside it (``compile.interner_*``);
+    ``trace.cache_entries`` is the successor memo's size.  With these and
+    the driver's own hit/miss counters a slow batch is explainable from
+    ``--metrics-out`` alone: a cold cache, an interner that evicted, or a
+    memo that cannot hit.
+    """
+    run.labels["kernel"] = stats["kernel"]
+    reg = run.registry
+    for name, value in stats.items():
+        if name.startswith(("memo_", "interner_")) and value > 0:
+            reg.inc(f"compile.{name}", value)
+    if stats["cache_entries"] > 0:
+        reg.inc("trace.cache_entries", stats["cache_entries"])
+
+
+def _stats_delta(before: Dict[str, Any], after: Dict[str, Any]) -> Dict[str, Any]:
+    return {
+        name: value if name == "kernel" else value - before[name]
+        for name, value in after.items()
+    }
+
+
+def _add_stats(total: Dict[str, Any], delta: Dict[str, Any]) -> None:
+    for name, value in delta.items():
+        total[name] = value if name == "kernel" else total.get(name, 0) + value
 
 
 def _as_generated(item: TraceLike, index: int) -> tuple:
@@ -222,12 +266,12 @@ def _judge(check: Callable[[Sequence[Any]], tuple], item: Item) -> Checked:
 
 def _check_chunk(
     spec: Specification, cache: SuccessorCache, options: Dict[str, bool], chunk: List[Item]
-) -> Tuple[List[Checked], Tuple[int, int]]:
+) -> Tuple[List[Checked], Dict[str, Any]]:
     """Check a chunk against ``cache``; returns results + cache-stat deltas."""
     check = partial(check_one, spec, cache, **options)
-    hits_before, misses_before = cache.hits, cache.misses
+    before = cache.stats()
     results = [_judge(check, item) for item in chunk]
-    return results, (cache.hits - hits_before, cache.misses - misses_before)
+    return results, _stats_delta(before, cache.stats())
 
 
 # ---------------------------------------------------------------------------
@@ -349,19 +393,24 @@ def check_traces(
         if executor == "thread":
             self_cache = SuccessorCache(spec)
             judge = partial(_judge, partial(check_one, spec, self_cache, **options))
-            # Bounded submission window: Executor.map would eagerly turn the
-            # whole (possibly huge, generator-backed) workload into futures;
-            # this keeps at most a few batches of traces alive at once.
-            window: deque = deque()
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            if workers == 1:
+                # A pool of one thread buys nothing and costs a GIL handoff
+                # per trace: the caller's thread is the worker.
                 for item in items:
-                    window.append(pool.submit(judge, item))
-                    if len(window) >= workers * 4:
+                    consume(*judge(item))
+            else:
+                # Bounded submission window: Executor.map would eagerly turn
+                # the whole (possibly huge, generator-backed) workload into
+                # futures; this keeps at most a few batches of traces alive.
+                window: deque = deque()
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    for item in items:
+                        window.append(pool.submit(judge, item))
+                        if len(window) >= workers * 4:
+                            consume(*window.popleft().result())
+                    while window:
                         consume(*window.popleft().result())
-                while window:
-                    consume(*window.popleft().result())
-            report.cache_hits = self_cache.hits
-            report.cache_misses = self_cache.misses
+            report.cache_stats = self_cache.stats()
         else:
             _check_traces_process(
                 spec, items, workers, options, supervision, report, consume
@@ -372,6 +421,8 @@ def check_traces(
     if accumulator is not None:
         accumulator.trace_count = report.total
         report.coverage = accumulator
+    report.cache_hits = report.cache_stats.get("hits", 0)
+    report.cache_misses = report.cache_stats.get("misses", 0)
     report.duration_seconds = time.perf_counter() - started
     _record_batch_telemetry(report)
     return report
@@ -397,6 +448,8 @@ def _record_batch_telemetry(report: BatchReport) -> None:
         reg.inc("runner.cache_misses", report.cache_misses)
     if report.stopped_early:
         reg.inc("runner.stopped_early")
+    if report.cache_stats:
+        record_cache_telemetry(run, report.cache_stats)
     reg.set_gauge("runner.duration_seconds", report.duration_seconds)
     reg.set_gauge("runner.traces_per_second", report.traces_per_second)
 
@@ -434,13 +487,12 @@ def _check_traces_process(
     def consume_chunk(task_index: int, chunk: List[Item]) -> None:
         nonlocal fallback_cache
         try:
-            results, (hits, misses) = pool.result(task_index)
+            results, stats = pool.result(task_index)
         except TaskError:
             if fallback_cache is None:
                 fallback_cache = SuccessorCache(spec)
-            results, (hits, misses) = _check_chunk(spec, fallback_cache, options, chunk)
-        report.cache_hits += hits
-        report.cache_misses += misses
+            results, stats = _check_chunk(spec, fallback_cache, options, chunk)
+        _add_stats(report.cache_stats, stats)
         for outcome, coverage in results:
             consume(outcome, coverage)
 

@@ -82,7 +82,7 @@ def generate_trace(
 
 
 def _inject_teleport(
-    spec: Specification, trace: GeneratedTrace, rng: random.Random
+    spec: Specification, trace: GeneratedTrace, rng: random.Random, cache: SuccessorCache
 ) -> Optional[GeneratedTrace]:
     """Splice a non-successor state into the trace (an impossible transition)."""
     states = trace.states
@@ -90,7 +90,7 @@ def _inject_teleport(
         return None
     candidates = list(range(1, len(states)))
     rng.shuffle(candidates)
-    fold = TraceFold(spec)
+    fold = TraceFold(spec, cache)
     for index in candidates:
         previous = states[index - 1]
         foreign = [
@@ -111,7 +111,7 @@ def _inject_teleport(
 
 
 def _inject_drop_head(
-    spec: Specification, trace: GeneratedTrace, rng: random.Random
+    spec: Specification, trace: GeneratedTrace, rng: random.Random, cache: SuccessorCache
 ) -> Optional[GeneratedTrace]:
     """Drop leading states so the trace no longer starts in an initial state."""
     states = trace.states
@@ -165,7 +165,7 @@ def generate_workload(
         trace.seed = seed * _SEED_STRIDE + index
         if fault_rate and rng.random() < fault_rate:
             kind = rng.choice(FAULT_KINDS)
-            mutated = _INJECTORS[kind](spec, trace, rng)
+            mutated = _INJECTORS[kind](spec, trace, rng, cache)
             if mutated is not None:
                 mutated.seed = trace.seed
                 yield mutated

@@ -61,7 +61,7 @@ class IncrementalChecker(TraceFold):
 
     def _anchor(self, state: State) -> None:
         self.begin(state, require_initial=False)
-        self.visited = {state.fingerprint()}
+        self.visited = {self.fingerprint()}
 
     # -- feeding --------------------------------------------------------------
     def feed(self, event: LogEvent) -> Optional[str]:
@@ -101,7 +101,7 @@ class IncrementalChecker(TraceFold):
                     "detail": str(self.failure),
                 }
             elif matched != STUTTER:
-                self.visited.add(nxt.fingerprint())
+                self.visited.add(self.fingerprint())
         return None
 
     # -- pooled folding -------------------------------------------------------

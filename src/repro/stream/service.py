@@ -52,7 +52,7 @@ from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from ..obs import SCHEMA_VERSION as OBS_SCHEMA_VERSION, STATUS_KIND, current as obs_current
 from ..pipeline.logs import LogEvent, LogParseError, get_adapter, split_location
-from ..pipeline.runner import process_worker_init
+from ..pipeline.runner import process_worker_init, record_cache_telemetry
 from ..resilience import (
     SupervisedPool,
     SupervisionConfig,
@@ -348,6 +348,8 @@ class WatchService:
             "truncations": runtime["truncations"],
             "torn_lines": runtime["torn_lines"],
             "supervision": runtime["supervision"],
+            # What the inline fold's cache did (pool workers keep their own).
+            "successor_cache": self.cache.stats(),
         }
 
     def _write_status(self, now: Optional[float] = None) -> None:
@@ -651,6 +653,11 @@ class WatchService:
             if runtime.get(key):
                 reg.inc(f"watch.{key}", runtime[key])
         reg.set_gauge("watch.events_per_second", runtime["events_per_second"])
+        stats = self.cache.stats()
+        for key in ("hits", "misses"):
+            if stats[key]:
+                reg.inc(f"watch.cache_{key}", stats[key])
+        record_cache_telemetry(run, stats)
         if self.stop_signal is not None:
             reg.inc("watch.stopped_by_signal")
         run.emit(

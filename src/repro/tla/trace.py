@@ -21,6 +21,7 @@ Two checking modes are provided:
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import islice
@@ -30,6 +31,7 @@ from .coverage import CoverageReport
 from .errors import TraceInitialStateMismatch, TraceMismatch
 from .spec import Specification
 from .state import State
+from .values import _PRIMITIVE_TYPES, state_fingerprint
 
 __all__ = [
     "STUTTER",
@@ -44,44 +46,215 @@ __all__ = [
 #: What :meth:`TraceFold.step` reports for a step that changes nothing.
 STUTTER = "<stutter>"
 
+#: Stands in every slot of the state an unanchored binding starts from; no
+#: value is this object, so every slot gets bound.
+_UNBOUND = object()
+
+
+class _Expansion:
+    """One canonical state's memoized successor list (see :class:`SuccessorCache`)."""
+
+    __slots__ = ("values", "key", "fp", "transitions", "index", "enabled", "pairs")
+
+    def __init__(
+        self,
+        values: Tuple[Any, ...],
+        key: Tuple[Any, ...],
+        fp: int,
+        transitions: List[Tuple[str, Tuple[Any, ...], int]],
+        index: Dict[Tuple[Any, ...], int],
+    ) -> None:
+        #: The state's canonical value tuple, its memo key and fingerprint.
+        self.values = values
+        self.key = key
+        self.fp = fp
+        #: ``(action, canonical successor values, successor fingerprint)`` in
+        #: the expander's order, duplicates kept.
+        self.transitions = transitions
+        #: successor memo key -> position of the first transition leading
+        #: there: one probe matches an observed step.
+        self.index = index
+        #: Enabled action names, in order of first appearance.
+        self.enabled = tuple(dict.fromkeys(name for name, _values, _fp in transitions))
+        #: ``transitions`` as ``(action, State)``, built when first asked for.
+        self.pairs: Optional[List[Tuple[str, State]]] = None
+
 
 class SuccessorCache:
-    """Memoized successor lookup shared across many trace checks.
+    """Memoized successor lookup shared across many trace checks: the one
+    place trace checking meets the compiled substrate.
 
     Batch trace checking (paper Section 4.2.4: running MBTC over every CI
-    execution) evaluates ``spec.successors`` for the same states over and over
-    -- different traces of one workload wander through the same region of the
-    state space.  This cache memoizes the successor list per state so each
-    distinct state's actions are evaluated once per batch.  Reads and writes
-    are plain dict operations, so a single instance can be shared by the
-    thread pool of :mod:`repro.pipeline.runner`; the ``hits``/``misses``
-    counters are unsynchronized and therefore approximate under concurrency
-    (they inform a summary line, nothing more).
+    execution) asks for the successors of the same states over and over --
+    different traces of one workload wander through the same region of the
+    state space.  The cache owns the spec's *expander*
+    (:func:`repro.engine.base.make_expander` under ``auto``: the compiled
+    kernels, or the interpreted walk when the spec will not compile) and one
+    :class:`~repro.compile.ValueInterner` (the compiled spec's when it has
+    one), and memoizes each state's ``transitions`` -- no invariant, no
+    constraint -- as an :class:`_Expansion`.
+
+    **Keys are exact.**  A state is canonicalized slot by slot through the
+    interner and filed under the identities of its canonical objects (a
+    ``(type, value)`` pair for a primitive, as the read-set tries of
+    :mod:`repro.compile.kernels` do) -- never under a 64-bit fingerprint.  An
+    entry retains the objects its key names, and the memo is dropped when the
+    interner's eviction count moves.  A state derived from one already bound
+    (``with_updates``, ``apply_event``, a transition) re-binds only the slots
+    whose object changed.  Identity is the fast path only: see
+    :meth:`TraceFold.step` for what decides a violation.
+
+    A single instance can be shared by the thread pool of
+    :mod:`repro.pipeline.runner`: lookups are plain dict operations, a miss
+    runs the expander under a lock (its memos are not re-entrant), and two
+    threads racing to intern equal values can at worst cost an identity hit.
+    ``hits``/``misses`` count lookups per state asked about; they are
+    unsynchronized and therefore approximate under concurrency (they inform
+    a summary line, nothing more).
     """
 
-    __slots__ = ("spec", "max_entries", "_cache", "hits", "misses")
+    __slots__ = (
+        "spec", "max_entries", "expander", "fallback_reason", "interner",
+        "_cache", "_epoch", "_lock", "hits", "misses",
+    )
 
     def __init__(self, spec: Specification, *, max_entries: int = 250_000) -> None:
+        # Imported here, as the engines do: ``repro.tla`` must not need the
+        # compile and engine packages at import time.
+        from ..compile.interner import ValueInterner
+        from ..engine.base import make_expander
+
         self.spec = spec
         self.max_entries = max_entries
-        self._cache: Dict[State, List[Tuple[str, State]]] = {}
+        #: Why ``auto`` fell back to interpreting (None when the spec compiled).
+        self.expander, self.fallback_reason = make_expander(spec, "auto")
+        interner = getattr(self.expander, "interner", None)
+        self.interner = interner if interner is not None else ValueInterner()
+        self._cache: Dict[Tuple[Any, ...], _Expansion] = {}
+        self._epoch = self.interner.evictions
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def successors(self, state: State) -> List[Tuple[str, State]]:
-        found = self._cache.get(state)
+    def __len__(self) -> int:
+        return len(self._cache)
+
+    @property
+    def kernel(self) -> str:
+        """What computes successors: ``generic``, ``native`` or ``interpreted: <why>``."""
+        native = getattr(self.expander, "native", None)
+        if native is None:
+            return f"interpreted: {self.fallback_reason}"
+        return "native" if native else "generic"
+
+    def stats(self) -> Dict[str, Any]:
+        """The kernel kind and the counters of everything the cache runs on.
+
+        ``hits`` / ``misses`` / ``cache_entries``: the successor memo;
+        ``interner_*``: the value interner; ``memo_*``: the generic kernel's
+        read-set memo summed over its actions (zero for the other kernels).
+        """
+        interner = self.interner.stats()
+        memo = getattr(self.expander, "compile_info", {}).get("memo") or {}
+        stats = {
+            "kernel": self.kernel,
+            "hits": self.hits,
+            "misses": self.misses,
+            "cache_entries": len(self._cache),
+        }
+        for name in ("hits", "misses", "evictions", "entries"):
+            stats[f"interner_{name}"] = interner[name]
+        for name in ("hits", "misses", "entries"):
+            stats[f"memo_{name}"] = sum(function[name] for function in memo.values())
+        return stats
+
+    # -- binding: observed values -> canonical values + exact key --------------
+    def bind(
+        self,
+        values: Tuple[Any, ...],
+        near: Optional[Tuple[Tuple[Any, ...], Tuple[Any, ...], Tuple[Any, ...]]] = None,
+    ) -> Tuple[Tuple[Any, ...], Tuple[Any, ...]]:
+        """``(canonical values, key)`` of a state's value tuple.
+
+        ``near`` is ``(base values, their canonical values, their key)`` of a
+        bound state ``values`` was derived from (``with_updates``,
+        ``apply_event``, a transition): a slot still holding ``base``'s
+        object keeps that binding and is not looked at again.
+        """
+        intern = self.interner.intern
+        if near is None:
+            base = new_values = new_key = [_UNBOUND] * len(values)
+        else:
+            base, new_values, new_key = near
+        new_values, new_key = list(new_values), list(new_key)
+        for slot, value in enumerate(values):
+            if value is not base[slot]:
+                value = new_values[slot] = intern(value, frozen=True)[0]
+                tp = type(value)
+                new_key[slot] = (tp, value) if tp in _PRIMITIVE_TYPES else id(value)
+        return tuple(new_values), tuple(new_key)
+
+    def fingerprint(self, values: Tuple[Any, ...]) -> int:
+        """The state fingerprint of canonical ``values``: one join and digest."""
+        return state_fingerprint(self.interner.slot_fingerprints(values))
+
+    # -- lookup -----------------------------------------------------------------
+    def expansion(
+        self, values: Tuple[Any, ...], key: Tuple[Any, ...], fp: Optional[int] = None
+    ) -> _Expansion:
+        """The memoized expansion of the state bound as ``(values, key)``.
+
+        ``fp`` is its fingerprint where the caller has it (a matched
+        transition carries it); an anchor's is computed on a miss.
+        """
+        if self.interner.evictions != self._epoch:
+            # The interner let go of objects the entries are keyed on: equal
+            # values are canonical under new identities from here on.
+            self._cache = {}
+            self._epoch = self.interner.evictions
+        cache = self._cache
+        found = cache.get(key)
         if found is not None:
             self.hits += 1
             return found
         self.misses += 1
-        computed = self.spec.successors(state)
-        if len(self._cache) >= self.max_entries:
-            self._cache.clear()
-        self._cache[state] = computed
-        return computed
+        near = (values, values, key)
+        transitions = []
+        index: Dict[Tuple[Any, ...], int] = {}
+        with self._lock:
+            for name, successor, successor_fp in self.expander.transitions(values):
+                successor, successor_key = self.bind(successor, near)
+                index.setdefault(successor_key, len(transitions))
+                transitions.append((name, successor, successor_fp))
+        if fp is None:
+            fp = self.fingerprint(values)
+        found = _Expansion(values, key, fp, transitions, index)
+        if len(cache) >= self.max_entries:
+            # Oldest half, as FingerprintCache and the verdict memo do: a
+            # wholesale clear would drop every hot entry mid-batch.
+            for stale in list(islice(cache, len(cache) // 2)):
+                cache.pop(stale, None)
+        cache[key] = found
+        return found
 
-    def __len__(self) -> int:
-        return len(self._cache)
+    def pairs(self, expansion: _Expansion) -> List[Tuple[str, State]]:
+        """``expansion.transitions`` as the ``(action, State)`` list."""
+        pairs = expansion.pairs
+        if pairs is None:
+            schema = self.spec.schema
+            pairs = expansion.pairs = [
+                (name, State.from_values(schema, values))
+                for name, values, _fp in expansion.transitions
+            ]
+        return pairs
+
+    def successors(self, state: State) -> List[Tuple[str, State]]:
+        """All ``(action name, next state)`` pairs enabled in ``state``.
+
+        What ``spec.successors(state)`` returns, order and duplicates
+        included; the workload generator draws from it.
+        """
+        return self.pairs(self.expansion(*self.bind(state.values)))
 
 
 @dataclass
@@ -142,6 +315,13 @@ class TraceFold:
     exactly the states it validated (``action_counts`` then *is* the
     report's), so coverage takes no second walk.  :func:`check_trace`, the
     batch runner and the streaming ``IncrementalChecker`` are its drivers.
+
+    Beside ``state`` (the observed :class:`State`) the fold holds that
+    state's binding in the :class:`SuccessorCache` -- canonical values,
+    exact key, fingerprint -- so a step re-binds only the slots the
+    observation changed and matches with one dict probe, and the coverage
+    fingerprint is the one the expander spliced for the matched transition:
+    ``State.fingerprint()`` is not walked per validated state.
     """
 
     def __init__(
@@ -168,9 +348,12 @@ class TraceFold:
             self.coverage.action_counts if self.coverage is not None else {}
         )
         self.failure: Optional[Exception] = None
-        #: ``(state, its successor list)`` of the last lookup, so a state is
-        #: fetched once however many of step/coverage/failure ask for it.
-        self._fetched: Tuple[Optional[State], List[Tuple[str, State]]] = (None, [])
+        #: ``(state, canonical values, key)`` of the state last bound, its
+        #: fingerprint and its expansion once known: a state is bound and
+        #: looked up once however many of step/coverage/failure ask.
+        self._bound: Tuple[Optional[State], Tuple[Any, ...], Tuple[Any, ...]] = (None, (), ())
+        self._fp: Optional[int] = None
+        self._expansion: Optional[_Expansion] = None
 
     def begin(self, state: State, require_initial: bool = True) -> bool:
         """Start a trace at ``state``; False, with ``failure`` set, if it had to be initial."""
@@ -189,28 +372,55 @@ class TraceFold:
         """Judge ``current -> nxt``: the matched action's name, ``"<stutter>"``,
         or None for a violation (the fold then holds ``failure`` and stays put).
 
+        Identity of canonical values is the fast path: a stutter is the
+        current key again, an action is the key of one of the current state's
+        transitions.  What *defines* the verdict is ``State.__eq__``: when
+        the probe finds nothing -- a log that reports ``1`` where the spec
+        holds ``True``, values interned twice by racing threads -- the
+        observation is compared with the current state and every successor,
+        and only when that fails too is the step a violation.  (A spec whose
+        own successors are equal but differently typed is matched by the
+        first *identical* one.)
+
         ``what`` names the observation in the failure message (the streaming
         driver says which log event it was); the default is the step's index.
         """
-        if self.allow_stuttering and nxt == self.state:
+        cache = self.cache
+        here = self._successors()
+        values, key = cache.bind(nxt.values, (self.state.values, here.values, here.key))
+        fp = None
+        if self.allow_stuttering and key == here.key:
             matched = STUTTER
+        else:
+            found = here.index.get(key)
+            if found is not None:
+                matched, _values, fp = here.transitions[found]
+            elif self.allow_stuttering and nxt == self.state:
+                matched = STUTTER
+            else:
+                # A successor it equals without being it leaves ``nxt`` bound
+                # as observed, with its own fingerprint.
+                for matched, successor in cache.pairs(here):
+                    if successor == nxt:
+                        break
+                else:
+                    index = self.steps
+                    self.failure = TraceMismatch(
+                        f"{what or f'step {index} -> {index + 1} of the trace'} is not "
+                        f"permitted by any action of {self.spec.name!r} "
+                        f"(enabled: {self.enabled()})",
+                        step_index=index,
+                        observed=nxt.to_dict(),
+                    )
+                    return None
+        if matched is STUTTER:
             self.stutters += 1
         else:
-            for matched, successor in self._successors():
-                if successor == nxt:
-                    break
-            else:
-                index = self.steps
-                self.failure = TraceMismatch(
-                    f"{what or f'step {index} -> {index + 1} of the trace'} is not "
-                    f"permitted by any action of {self.spec.name!r} "
-                    f"(enabled: {self.enabled()})",
-                    step_index=index,
-                    observed=nxt.to_dict(),
-                )
-                return None
             self.action_counts[matched] = self.action_counts.get(matched, 0) + 1
             self.state = nxt
+            self._bound = (nxt, values, key)
+            self._fp = fp
+            self._expansion = None
         self.steps += 1
         if self.coverage is not None:
             self._cover()
@@ -240,18 +450,37 @@ class TraceFold:
 
     def enabled(self) -> List[str]:
         """Actions enabled in the current state, read off its successor list."""
-        return list(dict.fromkeys(name for name, _ in self._successors()))
+        return list(self._successors().enabled)
 
-    def _successors(self) -> List[Tuple[str, State]]:
-        if self._fetched[0] is not self.state:
-            self._fetched = (self.state, self.cache.successors(self.state))
-        return self._fetched[1]
+    def fingerprint(self) -> int:
+        """The current state's fingerprint: ``self.state.fingerprint()``, not re-walked."""
+        values = self._binding()[1]
+        if self._fp is None:
+            self._fp = self.cache.fingerprint(values)
+        return self._fp
+
+    def _binding(self) -> Tuple[Optional[State], Tuple[Any, ...], Tuple[Any, ...]]:
+        # ``begin`` and the streaming driver (absorb, restore) set ``state``.
+        if self._bound[0] is not self.state:
+            self._bound = (self.state, *self.cache.bind(self.state.values))
+            self._fp = self._expansion = None
+        return self._bound
+
+    def _successors(self) -> _Expansion:
+        """The current state's expansion, looked up once per state."""
+        _state, values, key = self._binding()
+        here = self._expansion
+        if here is None:
+            here = self._expansion = self.cache.expansion(values, key, self._fp)
+            self._fp = here.fp
+        return here
 
     def _cover(self) -> None:
         """Count the (just validated) current state into the coverage report."""
-        self.coverage.visited_fingerprints.add(self.state.fingerprint())
+        here = self._successors()
+        self.coverage.visited_fingerprints.add(here.fp)
         counts = self.coverage.enabled_action_counts
-        for name in self.enabled():
+        for name in here.enabled:
             counts[name] = counts.get(name, 0) + 1
 
 

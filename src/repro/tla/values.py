@@ -18,6 +18,7 @@ to compare.  This module provides:
 
 from __future__ import annotations
 
+import operator
 import struct
 import zlib
 from collections.abc import Mapping
@@ -67,6 +68,13 @@ class _Null:
 
 
 NULL = _Null()
+
+#: Types fingerprinted through the ``P`` (primitive) digest without any
+#: structural walk, and keyed as ``(type, value)`` wherever a memo is keyed on
+#: object identities.  Exact-type membership, so ``bool`` (a subclass of
+#: ``int``) gets its own entry and subclasses fall through to the general
+#: path instead of being mistaken for their base type.
+_PRIMITIVE_TYPES = frozenset((str, int, float, bool, bytes, type(None), _Null))
 
 
 class Record(Mapping[str, Any]):
@@ -221,6 +229,20 @@ def freeze(value: Any) -> Any:
     :class:`Record` when all keys are strings (and sorted key/value tuples
     otherwise).  Already-hashable values are returned unchanged.
     """
+    tp = type(value)
+    if tp in _PRIMITIVE_TYPES or tp is Record:
+        return value
+    if tp is tuple:
+        # The common case by far -- a value built from frozen parts -- is
+        # settled in one loop per tuple, without a call per leaf.
+        for item in value:
+            kind = type(item)
+            if kind in _PRIMITIVE_TYPES or kind is Record:
+                continue
+            if kind is not tuple or freeze(item) is not item:
+                break
+        else:
+            return value
     if isinstance(value, (str, int, float, bool, bytes, _Null)) or value is None:
         return value
     if isinstance(value, Record):
@@ -306,13 +328,71 @@ def _digest(data: bytes) -> int:
     return (zlib.adler32(data) << 32) | zlib.crc32(data)
 
 
+def state_fingerprint(slot_fps: Iterable[int]) -> int:
+    """Fold per-slot fingerprints into a state fingerprint.
+
+    Byte-identical to :meth:`FingerprintCache.state_values_fingerprint` and
+    ``fingerprint(values, frozen=True)``: the ``T`` digest over the packed
+    slot fingerprints.
+    """
+    return packed_state_fingerprint(map(_FP_PACK, slot_fps))
+
+
+def packed_state_fingerprint(packed_slot_fps: Iterable[bytes]) -> int:
+    """:func:`state_fingerprint` over already-packed slot fingerprints.
+
+    The generic kernel keeps slot fingerprints packed, in bound states and
+    in memoized updates alike, so a successor's fingerprint is one splice,
+    one join and one digest.
+    """
+    return _digest(b"T" + b"".join(packed_slot_fps))
+
+
+_ITEM_VALUE = operator.itemgetter(1)
+
+
+def _same_types(a: Any, b: Any) -> bool:
+    """True when the equal frozen values ``a == b`` also agree in every type.
+
+    ``True == 1 == 1.0`` and ``hash`` agrees, so an equality-keyed memo hands
+    ``(False, True)`` the entry of an earlier ``(0, 1)`` -- whose fingerprint
+    differs, because primitives are fingerprinted through their ``repr``.
+    Every such memo checks its hits through this.  Shared children (the
+    common case: values are built from parts of earlier ones) are settled by
+    identity, so the walk is usually one level deep.
+    """
+    if a is b:
+        return True
+    tp = type(a)
+    if tp is not type(b):
+        return False
+    if tp is tuple:
+        pairs = zip(a, b)
+    elif tp is Record:
+        pairs = zip(map(_ITEM_VALUE, a._items), map(_ITEM_VALUE, b._items))
+    elif tp is frozenset:
+        mine = {item: item for item in a}
+        pairs = ((mine[item], item) for item in b)
+    else:
+        return True
+    for x, y in pairs:
+        if x is not y:
+            kind = type(x)
+            if kind is not type(y) or (
+                kind not in _PRIMITIVE_TYPES and not _same_types(x, y)
+            ):
+                return False
+    return True
+
+
 def _fp_of(value: Any, cache: "FingerprintCache | None") -> int:
     """Structural fingerprint: combine child fingerprints, no string building.
 
     Records cache their fingerprint on the instance (they are immutable and
     shared across the BFS frontier); tuples and frozensets optionally go
     through the equality-keyed sub-value memo a :class:`FingerprintCache`
-    carries for the duration of one checker run.
+    carries for the duration of one checker run.  The result is the same
+    with or without a cache, whatever the memo saw before.
     """
     if isinstance(value, Record):
         cached = value._fp
@@ -325,30 +405,33 @@ def _fp_of(value: Any, cache: "FingerprintCache | None") -> int:
             object.__setattr__(value, "_fp", cached)
         return cached
     if isinstance(value, tuple):
-        if cache is not None:
-            cached = cache._memo.get(value)
-            if cached is not None:
-                cache.hits += 1
-                return cached
-            cache.misses += 1
-        result = _digest(b"T" + b"".join(_FP_PACK(_fp_of(item, cache)) for item in value))
+        tag = b"T"
     elif isinstance(value, frozenset):
-        if cache is not None:
-            cached = cache._memo.get(value)
-            if cached is not None:
-                cache.hits += 1
-                return cached
-            cache.misses += 1
-        result = _digest(b"S" + b"".join(sorted(_FP_PACK(_fp_of(item, cache)) for item in value)))
+        tag = b"S"
     else:
         # Primitives: repr disambiguates types (True vs 1 vs "1" vs 1.0 all
         # render differently) and is stable across processes.
         return _digest(b"P" + repr(value).encode("utf-8"))
-    if cache is not None:
+    memoize = cache is not None
+    if memoize:
+        found = cache._memo.get(value)
+        if found is not None:
+            if _same_types(found[0], value):
+                cache.hits += 1
+                return found[1]
+            # Equal to a memoized value of other types: the entry stays with
+            # the first comer, this one is walked each time it is asked for.
+            memoize = False
+        cache.misses += 1
+    packed = [_FP_PACK(_fp_of(item, cache)) for item in value]
+    if tag == b"S":
+        packed.sort()
+    result = _digest(tag + b"".join(packed))
+    if memoize:
         memo = cache._memo
         if len(memo) >= cache.max_entries:
             cache._evict_oldest_half()
-        memo[value] = result
+        memo[value] = (value, result)
     return result
 
 
@@ -396,7 +479,9 @@ class FingerprintCache:
     def __init__(self, *, max_entries: int = MAX_ENTRIES) -> None:
         if max_entries < 2:
             raise ValueError("max_entries must be at least 2")
-        self._memo: dict[Any, int] = {}
+        #: frozen value -> (that value, fingerprint); the stored object is
+        #: what a hit is type-checked against (see :func:`_same_types`).
+        self._memo: dict[Any, Tuple[Any, int]] = {}
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -408,7 +493,7 @@ class FingerprintCache:
     def _evict_oldest_half(self) -> None:
         memo = self._memo
         for key in list(islice(memo, len(memo) // 2)):
-            del memo[key]
+            memo.pop(key, None)  # a thread sharing the memo may have got there first
         self.evictions += 1
 
     def stats(self) -> dict[str, int]:
@@ -429,9 +514,7 @@ class FingerprintCache:
 
         Returns exactly what ``fingerprint(values, frozen=True)`` returns.
         """
-        return _digest(
-            b"T" + b"".join(_FP_PACK(_fp_of(item, self)) for item in values)
-        )
+        return state_fingerprint(_fp_of(item, self) for item in values)
 
 
 def make_iterable(value: Any) -> Iterable[Any]:

@@ -129,3 +129,51 @@ def test_cached_fingerprints_match_uncached():
 def test_cache_rejects_degenerate_capacity():
     with pytest.raises(ValueError):
         FingerprintCache(max_entries=1)
+
+
+# The trace fold's fast path, by counts ---------------------------------------
+
+
+def test_fold_runs_fewer_actions_than_interpreting_and_no_predicates(monkeypatch):
+    from repro.pipeline.runner import check_traces
+    from repro.pipeline.workload import generate_workload
+    from repro.tla.spec import Action, Invariant
+    from repro.tla.trace import SuccessorCache
+
+    spec = build_spec("raftmongo")
+    workload = list(generate_workload(spec, n_traces=200, seed=42, fault_rate=0.1))
+    calls = {"fingerprint": 0, "predicates": 0, "actions": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    caches = []
+    original_init = SuccessorCache.__init__
+
+    def remember(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        caches.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(State, "fingerprint", counted("fingerprint", State.fingerprint))
+        patch.setattr(Invariant, "holds", counted("predicates", Invariant.holds))
+        patch.setattr(spec, "constraint", counted("predicates", spec.constraint))
+        patch.setattr(SuccessorCache, "__init__", remember)
+        report = check_traces(spec, workload, workers=1, executor="thread")
+    assert report.ok and report.failed
+    assert calls == {"fingerprint": 0, "predicates": 0, "actions": 0}
+
+    # What interpreting the same batch costs: every action, once per state
+    # the cache had to expand.
+    (cache,) = caches
+    with monkeypatch.context() as patch:
+        patch.setattr(Action, "successors", counted("actions", Action.successors))
+        for expansion in list(cache._cache.values()):
+            spec.successors(State.from_values(spec.schema, expansion.values))
+    stats = report.cache_stats
+    assert calls["actions"] == stats["misses"] * len(spec.actions)
+    assert 0 < stats["memo_misses"] < calls["actions"]
+    assert stats["memo_hits"] > stats["memo_misses"]

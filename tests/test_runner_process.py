@@ -1,5 +1,7 @@
 """Process-based batch trace checking: parity with the thread executor."""
 
+import sys
+
 import pytest
 
 from repro.pipeline import check_traces, generate_workload
@@ -99,3 +101,40 @@ def test_cli_simulate_supports_process_executor(capsys):
     out = capsys.readouterr().out
     assert "2 process worker(s)" in out
     assert "PASS" in out
+
+
+def test_shared_and_per_process_caches_agree_on_a_faulted_batch():
+    """One interner shared by four threads, one alone, one per worker process."""
+    spec = build_spec("raftmongo")
+    workload = list(
+        generate_workload(spec, n_traces=300, seed=21, fault_rate=0.2, max_steps=16)
+    )
+
+    def digest(report):
+        return (
+            report.total, report.passed, report.failed,
+            [(o.index, o.fault, o.detail) for o in report.failures],
+            [o.index for o in report.surprises], report.errors,
+            report.coverage.to_json(),
+        )
+
+    alone = check_traces(spec, workload, workers=1, executor="thread")
+    # More threads than cores, switching every few bytecodes: whatever the
+    # threads do to the shared interner and memos may cost time, no verdict.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = check_traces(spec, workload, workers=4, executor="thread")
+    finally:
+        sys.setswitchinterval(interval)
+    processes = check_traces(spec, workload, workers=2, executor="process")
+    assert alone.failed and alone.ok
+    assert digest(threads) == digest(alone) == digest(processes)
+    # Summed over the workers, the counters still add up to one lookup per
+    # validated state, and name the kernel that did the work.
+    for report in (alone, threads, processes):
+        assert report.cache_hits + report.cache_misses == (
+            alone.cache_hits + alone.cache_misses
+        )
+        assert report.cache_stats["kernel"] == "generic"
+        assert "[generic]" in report.summary()

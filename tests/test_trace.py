@@ -93,3 +93,186 @@ def test_partial_trace_search_over_hidden_variables(raft_mbtc_2node_spec):
     impossible = observations + [{"role": ("Leader", "Leader"), "oplog": observations[-1]["oplog"]}]
     rejected = check_partial_trace(spec, impossible)
     assert not rejected.ok
+
+
+# The fold on the compiled substrate ------------------------------------------
+#
+# ``TraceFold`` steps on interned value tuples and takes its coverage
+# fingerprints from the expander.  The reference below is the definition it
+# must agree with: interpreted successors, ``State.__eq__``, and
+# ``coverage_of_trace`` over uncached ``State.fingerprint()``.
+
+_FOLD_SPECS = [
+    ("locking", {"n_threads": 2}),
+    ("raftmongo", {"n_nodes": 2}),
+    ("ot_array", {"init_length": 3}),
+]
+
+
+def _reference_check(spec, states):
+    """``(ok, failure_index, matched_actions, stutters, message)`` by the book."""
+    if states[0] not in spec.initial_states():
+        return False, 0, [], 0, f"trace state 0 is not an initial state of {spec.name!r}"
+    matched, stutters, current = [None], 0, states[0]
+    for index, nxt in enumerate(states[1:]):
+        successors = spec.successors(current)
+        if nxt == current:
+            matched.append("<stutter>")
+            stutters += 1
+            continue
+        for name, successor in successors:
+            if successor == nxt:
+                matched.append(name)
+                current = nxt
+                break
+        else:
+            enabled = list(dict.fromkeys(name for name, _ in successors))
+            return False, index, matched, stutters, (
+                f"step {index} -> {index + 1} of the trace is not permitted by any "
+                f"action of {spec.name!r} (enabled: {enabled})"
+            )
+    return True, None, matched, stutters, None
+
+
+def _through_logs(spec, name, trace):
+    """The trace as a checker meets it: every value freshly decoded from JSON."""
+    from repro.pipeline.logs import (
+        events_from_trace,
+        events_to_trace,
+        format_event,
+        parse_log_lines,
+    )
+    from repro.tla.registry import get_entry
+
+    per_node = get_entry(name).per_node_variables(spec)
+    events = events_from_trace(spec, trace.states, per_node=per_node, actions=trace.actions)
+    lines = [format_event(event) for event in events]
+    return events_to_trace(spec, parse_log_lines(lines), per_node=per_node)
+
+
+def _assert_fold_is_reference(spec, cache, states):
+    from repro.pipeline.runner import check_one
+    from repro.tla.coverage import coverage_of_trace
+
+    result, coverage = check_one(
+        spec, cache, states,
+        allow_stuttering=True, require_initial=True, collect_coverage=True,
+    )
+    ok, failure_index, matched, stutters, message = _reference_check(spec, states)
+    assert (result.ok, result.failure_index) == (ok, failure_index)
+    assert result.matched_actions == matched
+    assert result.stuttering_steps == stutters
+    assert (None if result.ok else str(result.failure)) == message
+    reference = coverage_of_trace(
+        spec, result.validated_prefix(states), matched_actions=result.matched_actions
+    )
+    assert coverage.to_json() == reference.to_json()
+    return result
+
+
+@pytest.mark.parametrize("name, params", _FOLD_SPECS)
+def test_fold_is_the_reference_on_conforming_and_faulted_traces(name, params):
+    from repro.pipeline.workload import generate_workload
+    from repro.tla.registry import build_spec
+
+    spec = build_spec(name, **params)
+    cache = SuccessorCache(spec)
+    faults = set()
+    for trace in generate_workload(
+        spec, n_traces=60, seed=3, fault_rate=0.5, min_steps=6, max_steps=14,
+        stutter_probability=0.15,
+    ):
+        faults.add(trace.fault)
+        # As generated (another cache's canonical objects) and as decoded.
+        direct = _assert_fold_is_reference(spec, cache, trace.states)
+        logged = _assert_fold_is_reference(spec, cache, _through_logs(spec, name, trace))
+        assert direct.ok == logged.ok == trace.expect_ok
+    assert faults == {None, "teleport", "drop-head"}
+
+
+def test_fold_verdicts_survive_evictions_in_the_cache_and_the_interner():
+    from repro.pipeline.runner import check_one
+    from repro.pipeline.workload import generate_workload
+    from repro.tla.registry import build_spec
+
+    spec = build_spec("raftmongo", n_nodes=2)
+    traces = [
+        trace.states
+        for trace in generate_workload(spec, n_traces=80, seed=5, fault_rate=0.3)
+    ]
+    options = dict(allow_stuttering=True, require_initial=True, collect_coverage=True)
+
+    def run(cache):
+        outcomes = []
+        for states in traces:
+            result, coverage = check_one(spec, cache, states, **options)
+            outcomes.append((result.ok, result.failure_index, result.matched_actions,
+                             str(result.failure), coverage.to_json()))
+        return outcomes
+
+    roomy = SuccessorCache(spec)
+    tiny = SuccessorCache(spec, max_entries=8)
+    tiny.interner.max_entries = tiny.interner.cache.max_entries = 24
+    assert run(tiny) == run(roomy)
+    assert len(tiny) <= 8 < len(roomy)
+    assert tiny.interner.evictions > 0 and roomy.interner.evictions == 0
+
+
+def test_a_log_reporting_1_for_true_keeps_the_verdict():
+    # ``1 == True``: the interner keeps them apart, so identity finds nothing
+    # and State.__eq__ decides, as it always did.
+    from repro.pipeline.workload import generate_workload
+    from repro.tla.registry import build_spec
+
+    spec = build_spec("ot_array", init_length=3)
+    cache = SuccessorCache(spec)
+    for trace in generate_workload(spec, n_traces=12, seed=9, min_steps=4, max_steps=8):
+        as_ints = [
+            state if index == 0 else state.with_updates(
+                synced=tuple(int(flag) for flag in state["synced"])
+            )
+            for index, state in enumerate(trace.states)
+        ]
+        assert as_ints[1:] == trace.states[1:]  # equal, not the same types
+        expected = _assert_fold_is_reference(spec, cache, trace.states)
+        observed = _assert_fold_is_reference(spec, cache, as_ints)
+        assert observed.ok and observed.matched_actions == expected.matched_actions
+
+
+def test_a_log_reporting_true_for_1_keeps_the_verdict(raft_mbtc_2node_spec):
+    from repro.pipeline.workload import generate_workload
+
+    spec = raft_mbtc_2node_spec
+    cache = SuccessorCache(spec)
+    checked = 0
+    for trace in generate_workload(spec, n_traces=20, seed=2, min_steps=6, max_steps=10):
+        as_bools = [
+            state if index == 0 else state.with_updates(
+                term=tuple(True if term == 1 else term for term in state["term"])
+            )
+            for index, state in enumerate(trace.states)
+        ]
+        checked += any(True in state["term"] for state in as_bools)
+        assert _assert_fold_is_reference(spec, cache, as_bools).ok
+    assert checked
+
+
+def test_an_uncompilable_spec_folds_through_the_interpreted_expander(monkeypatch):
+    import repro.compile
+    from repro.pipeline.workload import generate_workload
+    from repro.tla.registry import build_spec
+
+    spec = build_spec("raftmongo", n_nodes=2)
+    traces = list(generate_workload(spec, n_traces=30, seed=4, fault_rate=0.4))
+    assert SuccessorCache(spec).kernel == "generic"
+    assert SuccessorCache(build_spec("locking")).kernel == "native"
+
+    def refuse(spec):
+        raise repro.compile.CompileError("not today")
+
+    monkeypatch.setattr(repro.compile, "compile_spec", refuse)
+    cache = SuccessorCache(spec)
+    assert cache.kernel == "interpreted: CompileError: not today"
+    for trace in traces:
+        assert _assert_fold_is_reference(spec, cache, trace.states).ok == trace.expect_ok
+    assert cache.stats()["memo_misses"] == 0 and cache.stats()["interner_misses"] > 0

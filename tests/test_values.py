@@ -1,5 +1,6 @@
 """Unit tests for the TLA+ value universe (repro.tla.values)."""
 
+import pickle
 import subprocess
 import sys
 
@@ -144,3 +145,61 @@ class TestFingerprint:
         # uncached path, including for values that were evicted.
         for value in values:
             assert cache.value_fingerprint(value) == fingerprint(value, frozen=True)
+
+
+class TestEqualButDifferentlyTyped:
+    """``True == 1 == 1.0``: an equality-keyed memo must not let one stand in
+    for the other, whichever it saw first."""
+
+    PAIRS = [
+        ((0, 1), (False, True)),
+        (((0, 1), "a"), ((False, True), "a")),
+        ((1, 2.0), (1.0, 2)),
+        (frozenset({(0, 1)}), frozenset({(False, True)})),
+        ((Record(flag=1),), (Record(flag=True),)),
+    ]
+
+    @pytest.mark.parametrize("first, second", PAIRS + [(b, a) for a, b in PAIRS])
+    def test_cached_fingerprint_is_the_true_fingerprint(self, first, second):
+        from repro.tla.values import _fp_of
+
+        cache = FingerprintCache()
+        assert first == second and fingerprint(first) != fingerprint(second)
+        for value in (first, second, first):
+            assert _fp_of(value, cache) == _fp_of(value, None)
+
+    @pytest.mark.parametrize("first, second", PAIRS + [(b, a) for a, b in PAIRS])
+    def test_interned_value_keeps_its_types(self, first, second):
+        from repro.compile import ValueInterner
+
+        interner = ValueInterner()
+        for value in (first, second, first, second):
+            canonical, fp = interner.intern(value)
+            assert repr(canonical) == repr(value)
+            assert fp == fingerprint(value)
+        # Each of the two is canonical under its own identity from then on.
+        fresh = pickle.loads(pickle.dumps(first))
+        assert fresh is not first
+        assert interner.intern(fresh)[0] is interner.intern(first)[0]
+        assert interner.intern(first)[0] is not interner.intern(second)[0]
+
+    def test_ot_array_expansion_fingerprints_are_state_fingerprints(self):
+        # 110 of the first 440 reachable states used to get the fingerprint of
+        # an equal-but-int-typed ``synced``: (False, True) read as (0, 1).
+        from collections import deque
+
+        from repro.compile import compile_spec
+        from repro.tla import State
+        from repro.tla.registry import build_spec
+
+        spec = build_spec("ot_array", init_length=3)
+        compiled = compile_spec(spec)
+        frontier = deque(state.values for state in spec.initial_states())
+        seen = set(frontier)
+        while frontier and len(seen) < 440:
+            for _name, values, fp, _violated, _within in compiled.expand(frontier.popleft()):
+                if values not in seen:
+                    seen.add(values)
+                    frontier.append(values)
+                    assert State.from_values(spec.schema, values).fingerprint() == fp
+        assert len(seen) >= 440
