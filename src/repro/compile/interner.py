@@ -73,6 +73,11 @@ class ValueInterner:
     Bounded like :class:`~repro.tla.values.FingerprintCache`: when a memo
     fills up, its oldest half (dict insertion order) is discarded, so the
     interner never grows into a second copy of a paper-scale state space.
+
+    Not thread-safe: a miss walks and edits the memos over many bytecodes.
+    Threads sharing one interner serialize on the lock of whoever shares it
+    out (:class:`~repro.tla.trace.SuccessorCache` holds its own around every
+    call).
     """
 
     MAX_ENTRIES = 1_000_000
@@ -99,13 +104,8 @@ class ValueInterner:
     def __len__(self) -> int:
         return len(self._canon)
 
-    def intern(self, value: Any, *, frozen: bool = False) -> Tuple[Any, int]:
+    def intern(self, value: Any) -> Tuple[Any, int]:
         """``(canonical value, fingerprint)`` for an arbitrary spec value.
-
-        ``frozen=True`` skips the defensive :func:`~repro.tla.values.freeze`
-        walk for a value that is frozen by construction (a slot of a
-        :class:`~repro.tla.state.State`), as ``fingerprint(..., frozen=True)``
-        does.
 
         The canonical value is frozen, equal to ``value`` *with the same
         types throughout* (never ``(0, 1)`` for ``(False, True)``), and
@@ -126,14 +126,12 @@ class ValueInterner:
                 prim = self._prim
                 if len(prim) >= self.max_entries:
                     for stale in list(islice(prim, len(prim) // 2)):
-                        prim.pop(stale, None)
+                        del prim[stale]
                     self.evictions += 1
                 prim[key] = fp
             return value, fp
         self.misses += 1
-        if not frozen:
-            value = freeze(value)
-        key = value
+        key = value = freeze(value)
         entry = self._canon.get(key)
         if entry is not None and not _same_types(entry[0], value):
             key = (_TYPED, _type_signature(value), value)
@@ -162,9 +160,8 @@ class ValueInterner:
         canon = self._canon
         by_id = self._by_id
         for key in list(islice(canon, len(canon) // 2)):
-            entry = canon.pop(key, None)
-            if entry is not None:  # else a thread sharing the interner got there first
-                by_id.pop(id(entry[0]), None)
+            entry = canon.pop(key)
+            by_id.pop(id(entry[0]), None)
         self.evictions += 1
 
     def stats(self) -> dict:

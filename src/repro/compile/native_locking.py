@@ -230,7 +230,10 @@ def compile_locking(
     def _rowpack(row: Tuple[str, ...]) -> bytes:
         if type(row) is not tuple or len(row) != n_resources:
             raise _Unfit
-        pack = _FP_PACK(_digest(b"T" + b"".join(modepack[m] for m in row)))
+        try:
+            pack = _FP_PACK(_digest(b"T" + b"".join(modepack[m] for m in row)))
+        except KeyError:  # not a lock mode
+            raise _Unfit from None
         rowpack[row] = pack
         return pack
 
@@ -322,10 +325,10 @@ def compile_locking(
     def transitions(values: Tuple[Any, ...]) -> list:
         try:
             return fitted_transitions(values)
-        except Exception:  # noqa: BLE001 - whatever an unfit state trips over
+        except _Unfit:
             # Not a state this kernel was specialized for (a log can report
             # anything): the spec's own closures answer, or raise what they
-            # always raised.
+            # always raised.  Anything else is a bug here and surfaces.
             return interpreted.transitions(values)
 
     def verdict_for(values: Tuple[Any, ...], fp: int) -> Tuple[Optional[str], bool]:

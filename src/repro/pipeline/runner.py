@@ -9,8 +9,7 @@ This runner does that in-process, with two executors:
   interner and one successor memo for the whole batch (different traces of
   one workload revisit the same states and, far more often, the same
   variable bindings).  Trace checking is pure Python, so threads serialize
-  on the GIL; what this mode shares is the warm-up, not the cores, and
-  ``workers=1`` checks in the calling thread.
+  on the GIL; what this mode shares is the warm-up, not the cores.
 * ``executor="process"`` -- a process pool for real multi-core throughput.
   Each worker rebuilds the spec from its registry name (specs are closures
   and do not pickle; see :mod:`repro.tla.registry`) and keeps a private
@@ -393,23 +392,17 @@ def check_traces(
         if executor == "thread":
             self_cache = SuccessorCache(spec)
             judge = partial(_judge, partial(check_one, spec, self_cache, **options))
-            if workers == 1:
-                # A pool of one thread buys nothing and costs a GIL handoff
-                # per trace: the caller's thread is the worker.
+            # Bounded submission window: Executor.map would eagerly turn the
+            # whole (possibly huge, generator-backed) workload into futures;
+            # this keeps at most a few batches of traces alive at once.
+            window: deque = deque()
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 for item in items:
-                    consume(*judge(item))
-            else:
-                # Bounded submission window: Executor.map would eagerly turn
-                # the whole (possibly huge, generator-backed) workload into
-                # futures; this keeps at most a few batches of traces alive.
-                window: deque = deque()
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    for item in items:
-                        window.append(pool.submit(judge, item))
-                        if len(window) >= workers * 4:
-                            consume(*window.popleft().result())
-                    while window:
+                    window.append(pool.submit(judge, item))
+                    if len(window) >= workers * 4:
                         consume(*window.popleft().result())
+                while window:
+                    consume(*window.popleft().result())
             report.cache_stats = self_cache.stats()
         else:
             _check_traces_process(

@@ -105,12 +105,12 @@ class SuccessorCache:
     :meth:`TraceFold.step` for what decides a violation.
 
     A single instance can be shared by the thread pool of
-    :mod:`repro.pipeline.runner`: lookups are plain dict operations, a miss
-    runs the expander under a lock (its memos are not re-entrant), and two
-    threads racing to intern equal values can at worst cost an identity hit.
-    ``hits``/``misses`` count lookups per state asked about; they are
-    unsynchronized and therefore approximate under concurrency (they inform
-    a summary line, nothing more).
+    :mod:`repro.pipeline.runner`: a hit is one dict probe, and everything
+    that edits the interner, the expander's memos or the successor memo --
+    binding a state, a miss, an eviction -- runs under one lock, because
+    none of them is safe to enter twice.  ``hits``/``misses`` count lookups
+    per state asked about; they are unsynchronized and therefore approximate
+    under concurrency (they inform a summary line, nothing more).
     """
 
     __slots__ = (
@@ -132,7 +132,7 @@ class SuccessorCache:
         self.interner = interner if interner is not None else ValueInterner()
         self._cache: Dict[Tuple[Any, ...], _Expansion] = {}
         self._epoch = self.interner.evictions
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # a miss binds its successors
         self.hits = 0
         self.misses = 0
 
@@ -187,16 +187,18 @@ class SuccessorCache:
         else:
             base, new_values, new_key = near
         new_values, new_key = list(new_values), list(new_key)
-        for slot, value in enumerate(values):
-            if value is not base[slot]:
-                value = new_values[slot] = intern(value, frozen=True)[0]
-                tp = type(value)
-                new_key[slot] = (tp, value) if tp in _PRIMITIVE_TYPES else id(value)
+        with self._lock:
+            for slot, value in enumerate(values):
+                if value is not base[slot]:
+                    value = new_values[slot] = intern(value)[0]
+                    tp = type(value)
+                    new_key[slot] = (tp, value) if tp in _PRIMITIVE_TYPES else id(value)
         return tuple(new_values), tuple(new_key)
 
     def fingerprint(self, values: Tuple[Any, ...]) -> int:
         """The state fingerprint of canonical ``values``: one join and digest."""
-        return state_fingerprint(self.interner.slot_fingerprints(values))
+        with self._lock:
+            return state_fingerprint(self.interner.slot_fingerprints(values))
 
     # -- lookup -----------------------------------------------------------------
     def expansion(
@@ -207,16 +209,11 @@ class SuccessorCache:
         ``fp`` is its fingerprint where the caller has it (a matched
         transition carries it); an anchor's is computed on a miss.
         """
-        if self.interner.evictions != self._epoch:
-            # The interner let go of objects the entries are keyed on: equal
-            # values are canonical under new identities from here on.
-            self._cache = {}
-            self._epoch = self.interner.evictions
-        cache = self._cache
-        found = cache.get(key)
-        if found is not None:
-            self.hits += 1
-            return found
+        if self.interner.evictions == self._epoch:
+            found = self._cache.get(key)
+            if found is not None:
+                self.hits += 1
+                return found
         self.misses += 1
         near = (values, values, key)
         transitions = []
@@ -226,15 +223,21 @@ class SuccessorCache:
                 successor, successor_key = self.bind(successor, near)
                 index.setdefault(successor_key, len(transitions))
                 transitions.append((name, successor, successor_fp))
-        if fp is None:
-            fp = self.fingerprint(values)
-        found = _Expansion(values, key, fp, transitions, index)
-        if len(cache) >= self.max_entries:
-            # Oldest half, as FingerprintCache and the verdict memo do: a
-            # wholesale clear would drop every hot entry mid-batch.
-            for stale in list(islice(cache, len(cache) // 2)):
-                cache.pop(stale, None)
-        cache[key] = found
+            if fp is None:
+                fp = self.fingerprint(values)
+            found = _Expansion(values, key, fp, transitions, index)
+            if self.interner.evictions != self._epoch:
+                # The interner let go of objects the entries are keyed on:
+                # equal values are canonical under new identities from here on.
+                self._cache = {}
+                self._epoch = self.interner.evictions
+            cache = self._cache
+            if len(cache) >= self.max_entries:
+                # Oldest half, as FingerprintCache and the verdict memo do: a
+                # wholesale clear would drop every hot entry mid-batch.
+                for stale in list(islice(cache, len(cache) // 2)):
+                    del cache[stale]
+            cache[key] = found
         return found
 
     def pairs(self, expansion: _Expansion) -> List[Tuple[str, State]]:
@@ -374,29 +377,32 @@ class TraceFold:
 
         Identity of canonical values is the fast path: a stutter is the
         current key again, an action is the key of one of the current state's
-        transitions.  What *defines* the verdict is ``State.__eq__``: when
+        transitions.  What *defines* the verdict is ``State.__eq__``: a step
+        that equals the current state is a stutter whatever its key, and when
         the probe finds nothing -- a log that reports ``1`` where the spec
-        holds ``True``, values interned twice by racing threads -- the
-        observation is compared with the current state and every successor,
-        and only when that fails too is the step a violation.  (A spec whose
-        own successors are equal but differently typed is matched by the
-        first *identical* one.)
+        holds ``True``, values canonical under two identities after an
+        interner eviction -- the observation is compared with every
+        successor, and only when that fails too is the step a violation.  (A
+        spec whose own successors are equal but differently typed is matched
+        by the first *identical* one.)
 
         ``what`` names the observation in the failure message (the streaming
         driver says which log event it was); the default is the step's index.
         """
         cache = self.cache
-        here = self._successors()
-        values, key = cache.bind(nxt.values, (self.state.values, here.values, here.key))
+        state, here_values, here_key = self._binding()
+        values, key = cache.bind(nxt.values, (state.values, here_values, here_key))
         fp = None
-        if self.allow_stuttering and key == here.key:
+        if self.allow_stuttering and (key == here_key or nxt == state):
+            # Equality with the current state is asked before the successors
+            # are: a ``1`` logged for a ``True`` slot is a stutter even when
+            # the state has a self-loop that produces that very ``1``.
             matched = STUTTER
         else:
+            here = self._successors()
             found = here.index.get(key)
             if found is not None:
                 matched, _values, fp = here.transitions[found]
-            elif self.allow_stuttering and nxt == self.state:
-                matched = STUTTER
             else:
                 # A successor it equals without being it leaves ``nxt`` bound
                 # as observed, with its own fingerprint.

@@ -493,7 +493,7 @@ class FingerprintCache:
     def _evict_oldest_half(self) -> None:
         memo = self._memo
         for key in list(islice(memo, len(memo) // 2)):
-            memo.pop(key, None)  # a thread sharing the memo may have got there first
+            del memo[key]
         self.evictions += 1
 
     def stats(self) -> dict[str, int]:

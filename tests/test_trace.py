@@ -218,6 +218,108 @@ def test_fold_verdicts_survive_evictions_in_the_cache_and_the_interner():
     assert tiny.interner.evictions > 0 and roomy.interner.evictions == 0
 
 
+@pytest.mark.parametrize("name, params", _FOLD_SPECS)
+def test_threads_sharing_a_cache_survive_evictions_mid_batch(name, params):
+    # Every eviction walks a dict another thread may be inserting into; the
+    # cache's lock is what keeps that from surfacing as a per-trace error.
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.pipeline.runner import check_one
+    from repro.pipeline.workload import generate_workload
+    from repro.tla.registry import build_spec
+
+    spec = build_spec(name, **params)
+    traces = [
+        trace.states
+        for trace in generate_workload(spec, n_traces=60, seed=11, fault_rate=0.3)
+    ]
+    options = dict(allow_stuttering=True, require_initial=True, collect_coverage=True)
+
+    def outcome(cache, states):
+        result, coverage = check_one(spec, cache, states, **options)
+        return (result.ok, result.failure_index, result.matched_actions,
+                str(result.failure), coverage.to_json())
+
+    roomy = SuccessorCache(spec)
+    expected = [outcome(roomy, states) for states in traces]
+    tiny = SuccessorCache(spec, max_entries=8)
+    tiny.interner.max_entries = tiny.interner.cache.max_entries = 16
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _round in range(3):
+                assert list(pool.map(lambda states: outcome(tiny, states), traces)) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert tiny.interner.evictions > 0 and len(tiny) <= 8
+
+
+def test_a_1_logged_for_true_is_a_stutter_even_beside_a_self_loop_producing_1():
+    # The observation equals the current state and *is* a successor of it:
+    # equality with the current state is asked first.
+    from repro.pipeline.runner import check_one
+    from repro.tla import Action, Specification
+
+    def init():
+        yield {"flag": True, "n": 0}
+
+    def relabel(state):
+        yield {"flag": 1}
+
+    def count(state):
+        if state["n"] < 2:
+            yield {"n": state["n"] + 1}
+
+    spec = Specification(
+        "Relabel", variables=("flag", "n"), init=init,
+        actions=[Action("Relabel", relabel), Action("Count", count)],
+    )
+    start = spec.make_state(flag=True, n=0)
+    logged = spec.make_state(flag=1, n=0)
+    assert logged == start and type(logged["flag"]) is int
+    counted = spec.make_state(flag=1, n=1)
+    trace = [start, logged, counted, spec.make_state(flag=True, n=1)]
+    result, coverage = check_one(
+        spec, SuccessorCache(spec), trace,
+        allow_stuttering=True, require_initial=True, collect_coverage=True,
+    )
+    assert result.ok and result.stuttering_steps == 2
+    assert result.matched_actions == [None, "<stutter>", "Count", "<stutter>"]
+    # A stutter leaves the fold on the state it held, so that is what is covered.
+    assert coverage.visited_fingerprints == {start.fingerprint(), counted.fingerprint()}
+    assert coverage.action_counts == {"Count": 1}
+
+
+def test_a_stutter_on_a_state_no_action_can_evaluate_asks_for_no_successors():
+    # ... and a state the native kernel was not specialized for gets the
+    # spec's own closures: their verdict, or the error they always raised.
+    from repro.tla.errors import EvaluationError
+    from repro.tla.registry import build_spec
+    from repro.tla.state import State
+
+    spec = build_spec("locking")
+    start = next(iter(spec.initial_states()))
+    held = start["held"]
+    cache = SuccessorCache(spec)
+    assert cache.kernel == "native"
+    unknown_modes = tuple(("Q",) * len(row) for row in held)
+    for odd in (held[:-1], "nope", unknown_modes):
+        odd = State.from_values(spec.schema, (odd,))
+        assert check_trace(spec, [odd, odd], require_initial=False, successor_cache=cache).ok
+        rejected = check_trace(spec, [start, odd], successor_cache=cache)
+        assert not rejected.ok and "enabled: ['Acquire']" in str(rejected.failure)
+        if odd["held"] is unknown_modes:
+            rejected = check_trace(
+                spec, [odd, start], require_initial=False, successor_cache=cache
+            )
+            assert not rejected.ok and "enabled: ['Release']" in str(rejected.failure)
+        else:
+            with pytest.raises(EvaluationError):
+                check_trace(spec, [odd, start], require_initial=False, successor_cache=cache)
+
+
 def test_a_log_reporting_1_for_true_keeps_the_verdict():
     # ``1 == True``: the interner keeps them apart, so identity finds nothing
     # and State.__eq__ decides, as it always did.
