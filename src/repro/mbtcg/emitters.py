@@ -15,8 +15,10 @@ Three output formats, each closing the MBTCG -> MBTC loop a different way:
   full log-ingestion path (``python -m repro trace``), exercising the same
   pipeline real server logs take.
 
-All value encoding goes through :func:`repro.pipeline.logs.encode_value` /
-``decode_value``, the library's one JSON convention for TLA values.
+All value encoding goes through :func:`repro.tla.values.encode_value` /
+``decode_value``, the library's one JSON convention for TLA values, and
+every replay decodes through :func:`corpus_traces`: each state as the
+snapshot anchor of a log, on the decode plan log events go through.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..pipeline.logs import decode_value, encode_value, write_per_node_logs
+from ..pipeline.logs import SNAPSHOT_ACTION, LogEvent, anchor_binding, write_per_node_logs
 from ..pipeline.runner import BatchReport, check_traces
 from ..tla.registry import SpecEntry, build_spec, get_entry
 from ..tla.spec import Specification
-from ..tla.state import State
+from ..tla.trace import BoundTrace, SuccessorCache
+from ..tla.values import encode_value
 from .generator import GeneratedSuite, GenerationError
 
 __all__ = [
@@ -130,15 +133,16 @@ def read_corpus(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
 
 def corpus_traces(
     spec: Specification, cases: List[Dict[str, Any]]
-) -> Iterator[List[State]]:
-    """Rebuild each raw corpus case into the state list ``check_traces`` takes."""
+) -> Iterator[BoundTrace]:
+    """Rebuild each raw corpus case into the trace ``check_traces`` takes."""
+    cache = SuccessorCache.for_spec(spec)
     for case in cases:
-        yield [
-            spec.make_state(
-                **{name: decode_value(value) for name, value in raw.items()}
-            )
+        trace = BoundTrace(cache)
+        trace.bindings.extend(
+            anchor_binding(cache, LogEvent(0.0, None, SNAPSHOT_ACTION, raw, f"case {case['id']}"))
             for raw in case["states"]
-        ]
+        )
+        yield trace
 
 
 def replay_corpus(
@@ -180,7 +184,7 @@ import json
 
 import pytest
 
-from repro.pipeline.logs import decode_value
+from repro.mbtcg import corpus_traces
 from repro.tla.registry import build_spec
 from repro.tla.trace import check_trace
 
@@ -195,16 +199,10 @@ def spec():
     return build_spec(SPEC_NAME, **SPEC_PARAMS)
 
 
-def _states(spec, case):
-    return [
-        spec.make_state(**{{name: decode_value(value) for name, value in raw.items()}})
-        for raw in case["states"]
-    ]
-
-
 @pytest.mark.parametrize("case", _CASES, ids=[case["id"] for case in _CASES])
 def test_behaviour_replays_through_mbtc(spec, case):
-    result = check_trace(spec, _states(spec, case))
+    (trace,) = corpus_traces(spec, [case])
+    result = check_trace(spec, trace)
     assert result.ok, result.summary()
 '''
 

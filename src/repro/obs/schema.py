@@ -270,11 +270,14 @@ def validate_status(doc: Dict[str, Any]) -> None:
         cwhere = "status successor_cache"
         _require(isinstance(cache, dict), cwhere, "must be an object")
         _require(isinstance(cache.get("kernel"), str), cwhere, "'kernel' must be a string")
-        for field in (
+        fields = [
             "hits", "misses", "cache_entries",
             "interner_hits", "interner_misses", "interner_evictions", "interner_entries",
             "memo_hits", "memo_misses", "memo_entries",
-        ):
+        ]
+        # The decode plan's counters: absent from documents written before it.
+        fields += [name for name in cache if name.startswith(("decode_", "splice_"))]
+        for field in fields:
             _require(
                 isinstance(cache.get(field), int) and cache[field] >= 0,
                 cwhere,

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from ..engine import ENGINES, STORES, ModelChecker, check_spec
 from ..mbtcg import STRATEGIES, generate_suite, replay_corpus, write_corpus
-from ..obs import ENV_METRICS_OUT, run_profiled, span, start_run
+from ..obs import ENV_METRICS_OUT, current as obs_current, run_profiled, span, start_run
 from ..mbtcg.emitters import write_log_suite, write_pytest_module
 from ..resilience import (
     FAULT_KINDS,
@@ -44,7 +44,7 @@ from ..tla.errors import CheckInterrupted, ReproError
 from ..tla.trace import SuccessorCache, explain_failure
 from . import logs as log_module
 from .registry import build_spec_by_name, parse_params, SPECS
-from .runner import EXECUTORS, cache_line, check_one, check_traces
+from .runner import EXECUTORS, cache_line, check_one, check_traces, record_cache_telemetry
 from .workload import generate_workload
 
 __all__ = ["build_parser", "main"]
@@ -881,7 +881,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     per_node = entry.per_node_variables(spec)
     trace = log_module.trace_from_logs(spec, args.logs, per_node=per_node)
     print(f"rebuilt trace of {len(trace)} state(s) from {len(args.logs)} log file(s)")
-    cache = SuccessorCache(spec)
+    cache = SuccessorCache.for_spec(spec)  # the one the trace was decoded into
     result, coverage = check_one(
         spec,
         cache,
@@ -891,7 +891,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         collect_coverage=bool(args.coverage_out),
     )
     print(result.summary())
-    print("  " + cache_line(cache.stats()))
+    stats = cache.stats()
+    print("  " + cache_line(stats))
+    if obs_current() is not None:
+        record_cache_telemetry(obs_current(), stats)
     if not result.ok:
         print(explain_failure(result))
     if coverage is not None:

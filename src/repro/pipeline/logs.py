@@ -24,20 +24,30 @@ real server log lines like ``... TLA_PLUS_TRACE [repl] {...}`` parse as-is)::
   that node's slot of the variable; for a global event it is the whole value.
 
 ``NULL`` (the model constant) is encoded as ``{"__null__": true}`` because
-JSON ``null`` cannot be distinguished from Python ``None``.
+JSON ``null`` cannot be distinguished from Python ``None``
+(:func:`repro.tla.values.encode_value` / ``decode_value``).
+
+An event keeps its ``vars`` as parsed; they are decoded where the spec is
+known, in the fold (:func:`apply_event`), by the spec's
+:class:`~repro.tla.trace.SuccessorCache` -- which has decoded an equal
+payload before more often than not.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 import os
 import shlex
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..tla import NULL, Record, Specification, State
+from ..tla import Specification, State
 from ..tla.errors import ReproError
+from ..tla.trace import Binding, BoundTrace, SuccessorCache
+from ..tla.values import decode_value, encode_value
 
 __all__ = [
     "JsonLinesAdapter",
@@ -49,7 +59,7 @@ __all__ = [
     "LogParseError",
     "SNAPSHOT_ACTION",
     "adapter_names",
-    "anchor_state",
+    "anchor_binding",
     "decode_value",
     "encode_value",
     "apply_event",
@@ -60,6 +70,7 @@ __all__ = [
     "split_location",
     "merge_event_streams",
     "parse_log_lines",
+    "per_node_slots",
     "read_log_files",
     "register_adapter",
     "trace_from_logs",
@@ -101,6 +112,12 @@ class LogIngestError(ReproError):
     """A log file disappeared or turned unreadable while being ingested."""
 
 
+def _bad_event(event: "LogEvent", problem: str) -> LogParseError:
+    """The error for an event that parsed but cannot be used, at its source line."""
+    path, lineno = split_location(event.location)
+    return LogParseError(f"event at {event.location} {problem}", path=path, lineno=lineno)
+
+
 def split_location(location: str) -> Tuple[Optional[str], Optional[int]]:
     """Best-effort ``(path, lineno)`` from a ``"path:lineno"`` location string."""
     path, sep, tail = location.rpartition(":")
@@ -117,7 +134,11 @@ SNAPSHOT_ACTION = "<snapshot>"
 
 @dataclass(frozen=True)
 class LogEvent:
-    """One modelled step logged by one node of the system under test."""
+    """One modelled step logged by one node of the system under test.
+
+    ``vars`` holds the values as logged: JSON data, or the frozen values of
+    an event built from states (:func:`apply_event` decodes either).
+    """
 
     ts: float
     node: Optional[int]
@@ -132,39 +153,6 @@ class LogEvent:
             "action": self.action,
             "vars": {name: encode_value(value) for name, value in self.vars.items()},
         }
-
-
-# ---------------------------------------------------------------------------
-# Value encoding: frozen TLA values <-> JSON data
-# ---------------------------------------------------------------------------
-
-
-def encode_value(value: Any) -> Any:
-    """Render a frozen TLA value as JSON-serializable data."""
-    if value == NULL:
-        return {"__null__": True}
-    if isinstance(value, Record):
-        return {name: encode_value(item) for name, item in value.items()}
-    if isinstance(value, (tuple, list)):
-        return [encode_value(item) for item in value]
-    if isinstance(value, frozenset):
-        raise LogParseError("sets cannot be encoded as JSON log values")
-    return value
-
-
-def decode_value(value: Any) -> Any:
-    """Inverse of :func:`encode_value`; dicts become Records, lists tuples."""
-    if isinstance(value, dict):
-        if value.get("__null__") is True:
-            return NULL
-        # Children come back frozen, so the record is built from them as they
-        # are: ``Record(...)`` would re-freeze each one, once per nesting level.
-        return Record._from_items(
-            tuple(sorted((name, decode_value(item)) for name, item in value.items()))
-        )
-    if isinstance(value, list):
-        return tuple(decode_value(item) for item in value)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +182,16 @@ class LogAdapter:
         raise NotImplementedError
 
 
+def _checked_event(ts: Any, node: Any, action: Any, payload: Any, where: str) -> LogEvent:
+    """One parsed event; raises what the adapters report as a malformed line."""
+    ts = float(ts)
+    if not math.isfinite(ts):  # json reads NaN and Infinity, which order against nothing
+        raise ValueError(f"timestamp {ts!r} is not finite")
+    if type(payload) is not dict:
+        raise TypeError("'vars' must be an object of variable values")
+    return LogEvent(ts, None if node is None else int(node), str(action), payload, where)
+
+
 class JsonLinesAdapter(LogAdapter):
     """The native format: one JSON object per line, arbitrary prefix text.
 
@@ -206,6 +204,8 @@ class JsonLinesAdapter(LogAdapter):
     """
 
     name = "jsonl"
+    #: ``json.loads`` less a slice and two whitespace scans per line.
+    _scan = staticmethod(json.JSONDecoder().raw_decode)
 
     def parse_line(
         self, raw: str, *, path: str = "<memory>", lineno: int = 0
@@ -213,11 +213,12 @@ class JsonLinesAdapter(LogAdapter):
         brace = raw.find("{")
         if brace < 0:
             return None
-        snippet = raw[brace:]
         try:
-            payload = json.loads(snippet)
+            payload, end = self._scan(raw, brace)
+            if raw[end:].strip():
+                raise json.JSONDecodeError("Extra data", raw, end)
         except json.JSONDecodeError as exc:
-            if '"action"' in snippet:
+            if '"action"' in raw[brace:]:
                 raise LogParseError(
                     f"truncated trace event at {path}:{lineno}: {exc}",
                     path=path,
@@ -228,16 +229,9 @@ class JsonLinesAdapter(LogAdapter):
             return None
         where = f"{path}:{lineno}"
         try:
-            node = payload["node"]
-            return LogEvent(
-                ts=float(payload["ts"]),
-                node=None if node is None else int(node),
-                action=str(payload["action"]),
-                vars={
-                    name: decode_value(value)
-                    for name, value in dict(payload.get("vars", {})).items()
-                },
-                location=where,
+            return _checked_event(
+                payload["ts"], payload["node"], payload["action"],
+                payload.get("vars", {}), where,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise LogParseError(
@@ -277,16 +271,9 @@ class KeyValueAdapter(LogAdapter):
             return None
         try:
             node = fields.get("node", "")
-            raw_vars = json.loads(fields.get("vars", "{}"))
-            return LogEvent(
-                ts=float(fields["ts"]),
-                node=None if node in ("", "null") else int(node),
-                action=fields["action"],
-                vars={
-                    name: decode_value(value)
-                    for name, value in dict(raw_vars).items()
-                },
-                location=where,
+            return _checked_event(
+                fields["ts"], None if node in ("", "null") else node,
+                fields["action"], json.loads(fields.get("vars", "{}")), where,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise LogParseError(
@@ -346,14 +333,31 @@ def parse_log_lines(
             yield event
 
 
+def _ordered(stream: Iterable[LogEvent]) -> Iterator[LogEvent]:
+    """``stream``, stopped by a :class:`LogParseError` where its clock runs backwards."""
+    last = -math.inf
+    for event in stream:
+        if not event.ts >= last:  # written so that a hand-built NaN fails it too
+            raise _bad_event(
+                event,
+                f"has timestamp {event.ts!r}, before the {last!r} of the event it "
+                "follows; a stream must be ordered to be merged",
+            )
+        last = event.ts
+        yield event
+
+
 def merge_event_streams(streams: Iterable[Iterable[LogEvent]]) -> Iterator[LogEvent]:
     """Merge per-node event streams into one sequence ordered by timestamp.
 
     Each stream must already be internally ordered (a node's own log is);
     :func:`heapq.merge` then gives a total order without materializing the
     streams, exactly how the MongoDB tooling merged ``mongod.log`` files.
+    A stream that is not would merge into a different execution and a bogus
+    verdict, so it raises :class:`LogParseError` at the offending event.
+    Equal timestamps are legal and keep the order of ``streams``.
     """
-    return heapq.merge(*streams, key=lambda event: event.ts)
+    return heapq.merge(*map(_ordered, streams), key=attrgetter("ts"))
 
 
 def read_log_files(
@@ -389,7 +393,36 @@ def read_log_files(
 # ---------------------------------------------------------------------------
 
 
-def anchor_state(spec: Specification, event: LogEvent) -> Optional[State]:
+def per_node_slots(spec: Specification, per_node: Iterable[str]) -> FrozenSet[int]:
+    """The schema slots of the variables a node-scoped event reports one slot of."""
+    return frozenset(spec.schema.index_of(name) for name in per_node if name in spec.schema)
+
+
+def apply_event(
+    cache: SuccessorCache, current: Binding, event: LogEvent, slots: FrozenSet[int]
+) -> Binding:
+    """The state after ``event``, bound in ``cache``: one step of the log -> trace fold.
+
+    A node-scoped event replaces the node's slot of each reported per-node
+    variable (``slots``, see :func:`per_node_slots`), a global event replaces
+    whole variables.  The one place an event is decoded -- through the
+    cache's decode plan (:meth:`~repro.tla.trace.SuccessorCache.splice`) --
+    for the batch fold, the streaming checker and corpus replay alike.
+    """
+    try:
+        return cache.splice(current, event.node, event.vars, slots)
+    except KeyError as exc:
+        problem = f"reports unknown variable {exc.args[0]!r}"
+    except IndexError as exc:
+        slot, size = exc.args
+        problem = (
+            f"names node {event.node}, but variable "
+            f"{cache.spec.schema.names[slot]!r} has {size} slots"
+        )
+    raise _bad_event(event, problem)
+
+
+def anchor_binding(cache: SuccessorCache, event: LogEvent) -> Optional[Binding]:
     """The full state a trace's *first* event re-bases it on, if it is an anchor.
 
     The snapshot-anchor rule of the batch fold (:func:`events_to_trace`) and
@@ -399,55 +432,14 @@ def anchor_state(spec: Specification, event: LogEvent) -> Optional[State]:
     """
     if event.action != SNAPSHOT_ACTION:
         return None
-    missing = [name for name in spec.schema.names if name not in event.vars]
+    names = cache.spec.schema.names
+    missing = [name for name in names if name not in event.vars]
     if missing or event.node is not None:
-        path, lineno = split_location(event.location)
-        raise LogParseError(
-            f"snapshot event at {event.location} must be global and bind "
-            f"every variable (missing: {missing})",
-            path=path,
-            lineno=lineno,
+        raise _bad_event(
+            event, f"is a snapshot: it must be global and bind every variable (missing: {missing})"
         )
-    return spec.make_state(**event.vars)
-
-
-def apply_event(
-    spec: Specification,
-    current: State,
-    event: LogEvent,
-    per_node_set: frozenset,
-) -> State:
-    """The state after ``event``: one step of the log -> trace fold.
-
-    A node-scoped event replaces the node's slot of each reported per-node
-    variable, a global event replaces whole variables.  Shared by the batch
-    fold (:func:`events_to_trace`) and the streaming incremental checker, so
-    both interpret an event identically.
-    """
-    updates: Dict[str, Any] = {}
-    for name, value in event.vars.items():
-        if name not in spec.schema:
-            path, lineno = split_location(event.location)
-            raise LogParseError(
-                f"event at {event.location} reports unknown variable {name!r}",
-                path=path,
-                lineno=lineno,
-            )
-        if event.node is not None and name in per_node_set:
-            slots = list(current[name])
-            if not 0 <= event.node < len(slots):
-                path, lineno = split_location(event.location)
-                raise LogParseError(
-                    f"event at {event.location} names node {event.node}, but "
-                    f"variable {name!r} has {len(slots)} slots",
-                    path=path,
-                    lineno=lineno,
-                )
-            slots[event.node] = value
-            updates[name] = tuple(slots)
-        else:
-            updates[name] = value
-    return current.with_updates(**updates)
+    unbound = (None,) * len(names)
+    return apply_event(cache, (unbound, unbound, unbound), event, frozenset())
 
 
 def events_to_trace(
@@ -456,33 +448,41 @@ def events_to_trace(
     *,
     per_node: Sequence[str],
     initial: Optional[State] = None,
-) -> List[State]:
+) -> BoundTrace:
     """Fold ordered events into a sequence of full specification states.
 
     The trace starts from the spec's (single) initial state -- the same
     starting assumption the repl-trace-checker makes -- unless the first
     event is a :data:`SNAPSHOT_ACTION` anchor carrying a full variable
     assignment, which re-bases the trace on that state instead.  Each further
-    event yields the next state: see :func:`apply_event`.
+    event yields the next state: see :func:`apply_event`.  The result is
+    bound in ``SuccessorCache.for_spec(spec)``, where checking the trace
+    against the same ``spec`` object finds it.
     """
-    if initial is None:
-        initials = spec.initial_states()
+    cache = SuccessorCache.for_spec(spec)
+    if initial is not None:
+        start = cache.bind(initial.values)
+    else:
+        initials = cache.initial_bindings()
         if len(initials) != 1:
             raise LogParseError(
                 f"specification {spec.name!r} has {len(initials)} initial states; "
                 "pass initial= explicitly to build a trace"
             )
-        initial = initials[0]
-    per_node_set = frozenset(per_node)
-    trace: List[State] = []
+        start = initials[0]
+    slots = per_node_slots(spec, per_node)
+    trace = BoundTrace(cache)
+    bound = trace.bindings
     for event in events:
-        if not trace:
-            anchor = anchor_state(spec, event)
-            trace.append(initial if anchor is None else anchor)
+        if not bound:
+            anchor = anchor_binding(cache, event)
+            bound.append(start if anchor is None else anchor)
             if anchor is not None:
                 continue
-        trace.append(apply_event(spec, trace[-1], event, per_node_set))
-    return trace or [initial]
+        bound.append(apply_event(cache, bound[-1], event, slots))
+    if not bound:
+        bound.append(start)
+    return trace
 
 
 def trace_from_logs(
@@ -491,7 +491,7 @@ def trace_from_logs(
     *,
     per_node: Sequence[str],
     adapter: Optional[LogAdapter] = None,
-) -> List[State]:
+) -> BoundTrace:
     """Convenience: parse, merge and fold log files into a state trace."""
     return events_to_trace(
         spec, read_log_files(paths, adapter=adapter), per_node=per_node

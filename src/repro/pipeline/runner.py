@@ -4,12 +4,14 @@ Paper Section 4.2.4 wants MBTC "deployed to continuous integration": many
 traces, checked concurrently, with one combined coverage number at the end.
 This runner does that in-process, with two executors:
 
-* ``executor="thread"`` -- a thread pool sharing one
-  :class:`~repro.tla.trace.SuccessorCache`: one compiled expander, one value
-  interner and one successor memo for the whole batch (different traces of
-  one workload revisit the same states and, far more often, the same
-  variable bindings).  Trace checking is pure Python, so threads serialize
-  on the GIL; what this mode shares is the warm-up, not the cores.
+* ``executor="thread"`` -- a thread pool sharing the spec's own
+  :class:`~repro.tla.trace.SuccessorCache` (``SuccessorCache.for_spec``):
+  one compiled expander, one value interner, one decode plan and one
+  successor memo for the whole batch and for whatever decoded its traces
+  (different traces of one workload revisit the same states and, far more
+  often, the same variable bindings).  Trace checking is pure Python, so
+  threads serialize on the GIL; what this mode shares is the warm-up, not
+  the cores.
 * ``executor="process"`` -- a process pool for real multi-core throughput.
   Each worker rebuilds the spec from its registry name (specs are closures
   and do not pickle; see :mod:`repro.tla.registry`) and keeps a private
@@ -42,7 +44,7 @@ from ..obs import current as obs_current
 from ..resilience import SupervisedPool, SupervisionConfig, SupervisionStats, TaskError
 from ..tla import Specification, State
 from ..tla.coverage import CoverageReport
-from ..tla.trace import SuccessorCache, TraceCheckResult, TraceFold, explain_failure
+from ..tla.trace import BoundTrace, SuccessorCache, TraceCheckResult, TraceFold, explain_failure
 from .workload import GeneratedTrace
 
 __all__ = [
@@ -183,14 +185,17 @@ def record_cache_telemetry(run: Any, stats: Dict[str, Any]) -> None:
     (``compile.memo_*``), the interner beside it (``compile.interner_*``);
     ``trace.cache_entries`` is the successor memo's size.  With these and
     the driver's own hit/miss counters a slow batch is explainable from
-    ``--metrics-out`` alone: a cold cache, an interner that evicted, or a
-    memo that cannot hit.
+    ``--metrics-out`` alone: a cold cache, an interner that evicted, a memo
+    that cannot hit, or -- ``trace.decode_*`` / ``trace.splice_*``, the
+    decode plan -- a batch whose every payload is distinct.
     """
     run.labels["kernel"] = stats["kernel"]
     reg = run.registry
     for name, value in stats.items():
         if name.startswith(("memo_", "interner_")) and value > 0:
             reg.inc(f"compile.{name}", value)
+        elif name.startswith(("decode_", "splice_")) and value > 0:
+            reg.inc(f"trace.{name}", value)
     if stats["cache_entries"] > 0:
         reg.inc("trace.cache_entries", stats["cache_entries"])
 
@@ -211,7 +216,7 @@ def _as_generated(item: TraceLike, index: int) -> tuple:
     """Normalize to (GeneratedTrace, labelled): plain sequences carry no expectation."""
     if isinstance(item, GeneratedTrace):
         return item, True
-    states = list(item)
+    states = item if isinstance(item, BoundTrace) else list(item)
     return GeneratedTrace(states=states, actions=[None] * len(states), seed=index), False
 
 
@@ -278,7 +283,6 @@ def _check_chunk(
 # ---------------------------------------------------------------------------
 
 _RUNNER_SPEC: Optional[Specification] = None
-_RUNNER_CACHE: Optional[SuccessorCache] = None
 
 
 def process_worker_init(
@@ -291,22 +295,21 @@ def process_worker_init(
     service's fold tasks both pair this initializer with
     :func:`worker_runtime` on the task side.
     """
-    global _RUNNER_SPEC, _RUNNER_CACHE
+    global _RUNNER_SPEC
     from ..tla import registry
 
     registry.adopt_providers(provider_modules)
     _RUNNER_SPEC = registry.build_spec(registry_name, **params)
-    _RUNNER_CACHE = SuccessorCache(_RUNNER_SPEC)
 
 
 def worker_runtime() -> Tuple[Specification, SuccessorCache]:
     """The per-worker spec and successor cache set up by :func:`process_worker_init`."""
-    if _RUNNER_SPEC is None or _RUNNER_CACHE is None:
+    if _RUNNER_SPEC is None:
         raise RuntimeError(
             "worker_runtime() called outside an initialized worker process; "
             "pass process_worker_init as the pool initializer"
         )
-    return _RUNNER_SPEC, _RUNNER_CACHE
+    return _RUNNER_SPEC, SuccessorCache.for_spec(_RUNNER_SPEC)
 
 
 def _process_check_chunk(chunk: List[Item], options: Dict[str, bool]) -> tuple:
@@ -390,7 +393,8 @@ def check_traces(
     )
     try:
         if executor == "thread":
-            self_cache = SuccessorCache(spec)
+            self_cache = SuccessorCache.for_spec(spec)
+            before = self_cache.stats()
             judge = partial(_judge, partial(check_one, spec, self_cache, **options))
             # Bounded submission window: Executor.map would eagerly turn the
             # whole (possibly huge, generator-backed) workload into futures;
@@ -403,7 +407,7 @@ def check_traces(
                         consume(*window.popleft().result())
                 while window:
                     consume(*window.popleft().result())
-            report.cache_stats = self_cache.stats()
+            report.cache_stats = _stats_delta(before, self_cache.stats())
         else:
             _check_traces_process(
                 spec, items, workers, options, supervision, report, consume
@@ -459,15 +463,14 @@ def _check_traces_process(
     """The process-executor path: chunks through the supervised pool.
 
     A chunk whose task exhausts its retries (or hits a degraded pool) is
-    rechecked inline in the coordinator with a lazily built fallback cache --
-    trace checking is deterministic, so the verdicts are exactly what the
-    worker would have produced.  ``consume`` may raise to stop the batch
+    rechecked inline in the coordinator, on the spec's own cache -- trace
+    checking is deterministic, so the verdicts are exactly what the worker
+    would have produced.  ``consume`` may raise to stop the batch
     (fail-fast); supervision statistics are recorded either way.
     """
     from ..tla.registry import PROVIDER_MODULES
 
     registry_name, params = spec.registry_ref  # type: ignore[misc]
-    fallback_cache: Optional[SuccessorCache] = None
 
     pool = SupervisedPool(
         workers,
@@ -478,13 +481,10 @@ def _check_traces_process(
     )
 
     def consume_chunk(task_index: int, chunk: List[Item]) -> None:
-        nonlocal fallback_cache
         try:
             results, stats = pool.result(task_index)
         except TaskError:
-            if fallback_cache is None:
-                fallback_cache = SuccessorCache(spec)
-            results, stats = _check_chunk(spec, fallback_cache, options, chunk)
+            results, stats = _check_chunk(spec, SuccessorCache.for_spec(spec), options, chunk)
         _add_stats(report.cache_stats, stats)
         for outcome, coverage in results:
             consume(outcome, coverage)

@@ -64,6 +64,7 @@ def generate_trace(
         raise ValueError(f"bad step bounds: min={min_steps} max={max_steps}")
     cache = successor_cache if successor_cache is not None else SuccessorCache(spec)
     state = rng.choice(spec.initial_states())
+    binding = cache.bind(state.values)
     states = [state]
     actions: List[Optional[str]] = [None]
     target = rng.randint(min_steps, max_steps)
@@ -72,10 +73,13 @@ def generate_trace(
             states.append(state)
             actions.append("<stutter>")
             continue
-        successors = cache.successors(state)
-        if not successors:
+        # What ``spec.successors(state)`` returns, order and duplicates included.
+        transitions = cache.expansion(binding[1], binding[2]).transitions
+        if not transitions:
             break
-        action_name, state = rng.choice(successors)
+        action_name, values, _fp = rng.choice(transitions)
+        binding = cache.bind(values, binding)
+        state = State.from_values(spec.schema, values)
         states.append(state)
         actions.append(action_name)
     return GeneratedTrace(states=states, actions=actions)
@@ -98,8 +102,7 @@ def _inject_teleport(
         ]
         rng.shuffle(foreign)
         for replacement in foreign:
-            fold.begin(previous, require_initial=False)
-            if fold.step(replacement) is None:
+            if not fold.check([previous, replacement], require_initial=False).ok:
                 mutated = states[: index] + [replacement]
                 return GeneratedTrace(
                     states=mutated,

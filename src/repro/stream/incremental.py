@@ -4,7 +4,7 @@ The batch checker (:func:`repro.tla.trace.check_trace`) needs the whole
 trace up front; a streaming service has only a prefix that grows.  The
 :class:`IncrementalChecker` is the same :class:`~repro.tla.trace.TraceFold`
 fed by log events instead of a state list: each event becomes the next
-state (:func:`~repro.pipeline.logs.apply_event`) and one fold step, so
+binding (:func:`~repro.pipeline.logs.apply_event`) and one fold step, so
 verdicts arrive while the system under test is still running.
 
 The fold is deterministic, which the supervised-pool path and the service
@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..pipeline.logs import LogEvent, LogParseError, anchor_state, apply_event
+from ..pipeline.logs import LogEvent, LogParseError, anchor_binding, apply_event, per_node_slots
 from ..tla import EvaluationError, Specification, State
-from ..tla.trace import STUTTER, SuccessorCache, TraceFold
+from ..tla.trace import STUTTER, Binding, SuccessorCache, TraceFold
 
 __all__ = ["IncrementalChecker"]
 
@@ -40,7 +40,7 @@ class IncrementalChecker(TraceFold):
         successor_cache: Optional[SuccessorCache] = None,
     ) -> None:
         super().__init__(spec, successor_cache)
-        self.per_node_set = frozenset(per_node)
+        self.per_node_slots = per_node_slots(spec, per_node)
         self.source = source
         self.started = False
         self.events = 0
@@ -49,7 +49,7 @@ class IncrementalChecker(TraceFold):
         self.after_violation = 0
         self.violation: Optional[Dict[str, Any]] = None
         self.visited: set = set()
-        initials = spec.initial_states()
+        initials = self.cache.initial_bindings()
         # With several initial states ``self.state`` stays None until the
         # first event -- such a stream must open with a snapshot anchor.
         if len(initials) == 1:
@@ -59,8 +59,8 @@ class IncrementalChecker(TraceFold):
     def status(self) -> str:
         return "conforming" if self.violation is None else "violated"
 
-    def _anchor(self, state: State) -> None:
-        self.begin(state, require_initial=False)
+    def _anchor(self, binding: Binding) -> None:
+        self.begin(binding, require_initial=False)
         self.visited = {self.fingerprint()}
 
     # -- feeding --------------------------------------------------------------
@@ -75,8 +75,8 @@ class IncrementalChecker(TraceFold):
         anchor raises :class:`LogParseError` before anything is counted; the
         caller quarantines that line.
         """
-        anchor = None if self.started else anchor_state(self.spec, event)
-        if anchor is None and self.state is None:
+        anchor = None if self.started else anchor_binding(self.cache, event)
+        if anchor is None and self._binding is None:
             raise LogParseError(
                 f"specification {self.spec.name!r} has multiple initial "
                 "states; a streamed trace must begin with a snapshot event"
@@ -89,7 +89,7 @@ class IncrementalChecker(TraceFold):
             self.after_violation += 1
         else:
             try:
-                nxt = apply_event(self.spec, self.state, event, self.per_node_set)
+                nxt = apply_event(self.cache, self._binding, event, self.per_node_slots)
                 matched = self.step(nxt, f"event at {event.location} ({event.action!r})")
             except (LogParseError, EvaluationError) as exc:
                 self.quarantined_events += 1
@@ -121,7 +121,7 @@ class IncrementalChecker(TraceFold):
         event's :meth:`feed` result.
         """
         scratch = cls(spec, per_node=per_node, successor_cache=successor_cache)
-        scratch._anchor(state)
+        scratch._anchor(scratch.cache.bind(state.values))
         scratch.started = True
         reasons = [scratch.feed(event) for event in events]
         return scratch.snapshot(), reasons

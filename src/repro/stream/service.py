@@ -143,7 +143,7 @@ class WatchService:
             )
         self.adapter = get_adapter(self.config.adapter)
         self.quarantine = QuarantineLog(self.config.quarantine_path)
-        self.cache = SuccessorCache(spec)
+        self.cache = SuccessorCache.for_spec(spec)
         self.stop_signal: Optional[int] = None
         self._obs_run = obs_current()
         self._stop = threading.Event()

@@ -204,6 +204,9 @@ class Specification:
         #: pair that rebuilds this spec in another process.  ``None`` for specs
         #: constructed directly.
         self.registry_ref: Optional[Tuple[str, Dict[str, Any]]] = None
+        #: Built by :meth:`repro.tla.trace.SuccessorCache.for_spec` when first
+        #: asked for: the substrate every trace check of this spec shares.
+        self._successor_cache: Any = None
 
     def __repr__(self) -> str:
         return (

@@ -3,7 +3,8 @@
 A :class:`State` binds every specification variable to a frozen value.  The
 checker stores hundreds of thousands of states (371,368 for the paper's
 RaftMongo configuration), so states are stored compactly as a tuple of values
-aligned with a shared :class:`VariableSchema`, with the hash computed once.
+aligned with a shared :class:`VariableSchema`, with the hash computed once,
+when first asked for: the fingerprint engines and the trace fold never ask.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class State(Mapping[str, Any]):
             self, "values", tuple(freeze(values[name]) for name in schema.names)
         )
         object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "_hash", hash((schema.names, self.values)))
+        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_fp", None)
 
     # Mapping interface -------------------------------------------------------
@@ -93,7 +94,11 @@ class State(Mapping[str, Any]):
 
     # Value semantics ---------------------------------------------------------
     def __hash__(self) -> int:
-        return self._hash
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.schema.names, self.values))
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, State):
@@ -149,7 +154,7 @@ class State(Mapping[str, Any]):
         state = object.__new__(cls)
         object.__setattr__(state, "schema", schema)
         object.__setattr__(state, "values", values)
-        object.__setattr__(state, "_hash", hash((schema.names, values)))
+        object.__setattr__(state, "_hash", None)
         object.__setattr__(state, "_fp", None)
         return state
 

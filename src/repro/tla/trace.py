@@ -22,19 +22,20 @@ Two checking modes are provided:
 from __future__ import annotations
 
 import threading
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from .coverage import CoverageReport
 from .errors import TraceInitialStateMismatch, TraceMismatch
 from .spec import Specification
 from .state import State
-from .values import _PRIMITIVE_TYPES, state_fingerprint
+from .values import _PRIMITIVE_TYPES, decode_value, state_fingerprint
 
 __all__ = [
     "STUTTER",
+    "BoundTrace",
     "SuccessorCache",
     "TraceCheckResult",
     "TraceFold",
@@ -50,11 +51,17 @@ STUTTER = "<stutter>"
 #: value is this object, so every slot gets bound.
 _UNBOUND = object()
 
+#: A state bound in a :class:`SuccessorCache`: ``(values as observed, canonical
+#: values, exact key)``; a state the cache decoded itself has no other values.
+Binding = Tuple[Tuple[Any, ...], Tuple[Any, ...], Tuple[Any, ...]]
+
+_FOR_SPEC_LOCK = threading.Lock()
+
 
 class _Expansion:
     """One canonical state's memoized successor list (see :class:`SuccessorCache`)."""
 
-    __slots__ = ("values", "key", "fp", "transitions", "index", "enabled", "pairs")
+    __slots__ = ("values", "key", "fp", "transitions", "index", "enabled")
 
     def __init__(
         self,
@@ -76,8 +83,6 @@ class _Expansion:
         self.index = index
         #: Enabled action names, in order of first appearance.
         self.enabled = tuple(dict.fromkeys(name for name, _values, _fp in transitions))
-        #: ``transitions`` as ``(action, State)``, built when first asked for.
-        self.pairs: Optional[List[Tuple[str, State]]] = None
 
 
 class SuccessorCache:
@@ -92,30 +97,37 @@ class SuccessorCache:
     kernels, or the interpreted walk when the spec will not compile) and one
     :class:`~repro.compile.ValueInterner` (the compiled spec's when it has
     one), and memoizes each state's ``transitions`` -- no invariant, no
-    constraint -- as an :class:`_Expansion`.
+    constraint -- as an :class:`_Expansion`.  :meth:`for_spec` is the one
+    everything handed the same ``Specification`` object shares.
 
-    **Keys are exact.**  A state is canonicalized slot by slot through the
-    interner and filed under the identities of its canonical objects (a
-    ``(type, value)`` pair for a primitive, as the read-set tries of
-    :mod:`repro.compile.kernels` do) -- never under a 64-bit fingerprint.  An
-    entry retains the objects its key names, and the memo is dropped when the
-    interner's eviction count moves.  A state derived from one already bound
-    (``with_updates``, ``apply_event``, a transition) re-binds only the slots
-    whose object changed.  Identity is the fast path only: see
-    :meth:`TraceFold.step` for what decides a violation.
+    **Keys are exact.**  A state is bound slot by slot: each value canonical
+    in the interner and filed under its identity (a ``(type, value)`` pair
+    for a primitive, as the read-set tries of :mod:`repro.compile.kernels`
+    do) -- never under a 64-bit fingerprint.  An entry retains the objects
+    its key names, and every memo is dropped when the interner's eviction
+    count moves.  Identity is the fast path only: see :meth:`TraceFold.step`
+    for what decides a violation.
 
-    A single instance can be shared by the thread pool of
+    **The decode plan.**  Observations arrive as JSON and repeat massively,
+    so :meth:`splice` builds no value twice: a payload is found by its
+    ``repr`` (exact, types included) and decoded into canonical objects
+    once, a node's slot is spliced into a whole variable once per ``(whole,
+    node, part)``.  :meth:`bind`, by equality, remains the one way in for
+    anything else: hand-built states, chunks pickled to a worker process, a
+    trace bound in another cache.
+
+    One instance can be shared by the thread pool of
     :mod:`repro.pipeline.runner`: a hit is one dict probe, and everything
-    that edits the interner, the expander's memos or the successor memo --
-    binding a state, a miss, an eviction -- runs under one lock, because
-    none of them is safe to enter twice.  ``hits``/``misses`` count lookups
-    per state asked about; they are unsynchronized and therefore approximate
-    under concurrency (they inform a summary line, nothing more).
+    that edits the interner, the expander's memos or these memos -- binding
+    a state, a miss, an eviction -- runs under one lock, because none of them
+    is safe to enter twice.  The hit/miss counters are unsynchronized, so
+    approximate under concurrency (they inform a summary line, nothing more).
     """
 
     __slots__ = (
         "spec", "max_entries", "expander", "fallback_reason", "interner",
-        "_cache", "_epoch", "_lock", "hits", "misses",
+        "_cache", "_decoded", "_spliced", "_initials", "_epoch", "_lock",
+        "hits", "misses", "decode_hits", "decode_misses", "splice_hits", "splice_misses",
     )
 
     def __init__(self, spec: Specification, *, max_entries: int = 250_000) -> None:
@@ -131,10 +143,26 @@ class SuccessorCache:
         interner = getattr(self.expander, "interner", None)
         self.interner = interner if interner is not None else ValueInterner()
         self._cache: Dict[Tuple[Any, ...], _Expansion] = {}
+        #: repr(payload) -> ((slot, canonical value, key part), ...).
+        self._decoded: Dict[str, Tuple[Tuple[int, Any, Any], ...]] = {}
+        #: (id(whole), node, key part) -> (whole, spliced whole, its key part):
+        #: retaining ``whole`` is what keeps its id from being reused.
+        self._spliced: Dict[Tuple[Any, ...], Tuple[Any, Any, Any]] = {}
+        self._initials: Tuple[int, List[Binding]] = (-1, [])
         self._epoch = self.interner.evictions
         self._lock = threading.RLock()  # a miss binds its successors
-        self.hits = 0
-        self.misses = 0
+        self.hits = self.misses = 0
+        self.decode_hits = self.decode_misses = 0
+        self.splice_hits = self.splice_misses = 0
+
+    @classmethod
+    def for_spec(cls, spec: Specification) -> "SuccessorCache":
+        """The cache that lives on ``spec`` and goes with it, built when first
+        asked for; an explicit ``successor_cache=`` always wins over it."""
+        with _FOR_SPEC_LOCK:
+            if spec._successor_cache is None:
+                spec._successor_cache = cls(spec)
+            return spec._successor_cache
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -151,8 +179,9 @@ class SuccessorCache:
         """The kernel kind and the counters of everything the cache runs on.
 
         ``hits`` / ``misses`` / ``cache_entries``: the successor memo;
-        ``interner_*``: the value interner; ``memo_*``: the generic kernel's
-        read-set memo summed over its actions (zero for the other kernels).
+        ``decode_*`` / ``splice_*``: the decode plan (all misses when every
+        payload is distinct); ``interner_*``: the value interner; ``memo_*``:
+        the generic kernel's read-set memo summed over its actions.
         """
         interner = self.interner.stats()
         memo = getattr(self.expander, "compile_info", {}).get("memo") or {}
@@ -161,6 +190,12 @@ class SuccessorCache:
             "hits": self.hits,
             "misses": self.misses,
             "cache_entries": len(self._cache),
+            "decode_hits": self.decode_hits,
+            "decode_misses": self.decode_misses,
+            "decode_entries": len(self._decoded),
+            "splice_hits": self.splice_hits,
+            "splice_misses": self.splice_misses,
+            "splice_entries": len(self._spliced),
         }
         for name in ("hits", "misses", "evictions", "entries"):
             stats[f"interner_{name}"] = interner[name]
@@ -168,20 +203,36 @@ class SuccessorCache:
             stats[f"memo_{name}"] = sum(function[name] for function in memo.values())
         return stats
 
-    # -- binding: observed values -> canonical values + exact key --------------
-    def bind(
-        self,
-        values: Tuple[Any, ...],
-        near: Optional[Tuple[Tuple[Any, ...], Tuple[Any, ...], Tuple[Any, ...]]] = None,
-    ) -> Tuple[Tuple[Any, ...], Tuple[Any, ...]]:
-        """``(canonical values, key)`` of a state's value tuple.
+    def _canonical(self, value: Any) -> Tuple[Any, Any]:
+        """``(canonical object, key part)`` of one slot's value."""
+        value = self.interner.intern(value)[0]
+        tp = type(value)
+        return value, ((tp, value) if tp in _PRIMITIVE_TYPES else id(value))
 
-        ``near`` is ``(base values, their canonical values, their key)`` of a
-        bound state ``values`` was derived from (``with_updates``,
-        ``apply_event``, a transition): a slot still holding ``base``'s
-        object keeps that binding and is not looked at again.
+    def _file(self, memo: str, key: Any, entry: Any) -> None:
+        """Under the lock: keep a miss's ``entry`` in the memo named ``memo``."""
+        if self.interner.evictions != self._epoch:
+            # The interner let go of objects the memos are keyed on: equal
+            # values are canonical under new identities from here on.
+            self._cache, self._decoded, self._spliced = {}, {}, {}
+            self._epoch = self.interner.evictions
+        entries = getattr(self, memo)
+        if len(entries) >= self.max_entries:
+            # Oldest half, as FingerprintCache and the verdict memo do: a
+            # wholesale clear would drop every hot entry mid-batch.
+            for stale in list(islice(entries, len(entries) // 2)):
+                del entries[stale]
+        entries[key] = entry
+
+    # -- binding: observed values -> canonical values + exact key --------------
+    def bind(self, values: Tuple[Any, ...], near: Optional[Binding] = None) -> Binding:
+        """``(values, canonical values, key)``: a state's value tuple, bound.
+
+        ``near`` is the binding of a state ``values`` was derived from
+        (``with_updates``, a transition, the previous state of a trace): a
+        slot still holding that state's object keeps its binding and is not
+        looked at again.
         """
-        intern = self.interner.intern
         if near is None:
             base = new_values = new_key = [_UNBOUND] * len(values)
         else:
@@ -190,10 +241,76 @@ class SuccessorCache:
         with self._lock:
             for slot, value in enumerate(values):
                 if value is not base[slot]:
-                    value = new_values[slot] = intern(value)[0]
-                    tp = type(value)
-                    new_key[slot] = (tp, value) if tp in _PRIMITIVE_TYPES else id(value)
-        return tuple(new_values), tuple(new_key)
+                    new_values[slot], new_key[slot] = self._canonical(value)
+        return values, tuple(new_values), tuple(new_key)
+
+    def initial_bindings(self) -> List[Binding]:
+        """The spec's initial states, bound once per interner epoch."""
+        epoch, rows = self._initials
+        if epoch != self.interner.evictions:
+            epoch = self.interner.evictions
+            rows = [self.bind(state.values) for state in self.spec.initial_states()]
+            self._initials = epoch, rows
+        return rows
+
+    def splice(
+        self,
+        binding: Binding,
+        node: Optional[int],
+        payload: Mapping[str, Any],
+        per_node_slots: Any = (),
+    ) -> Binding:
+        """The state ``payload`` reports after ``binding``: variable names to
+        JSON-encoded values -- whole values, or with ``node``, for the
+        variables in ``per_node_slots``, that node's slot of each.  Raises
+        ``KeyError(name)`` for an undeclared variable, ``IndexError(slot,
+        size)`` for a node the variable has no slot for."""
+        text = repr(payload)
+        live = self.interner.evictions == self._epoch
+        parts = self._decoded.get(text) if live else None
+        if parts is None:
+            parts = self._decode(text, payload)
+        else:
+            self.decode_hits += 1
+        _seen, values, key = binding
+        new_values, new_key = list(values), list(key)
+        for slot, value, part in parts:
+            if node is not None and slot in per_node_slots:
+                whole = new_values[slot]
+                found = self._spliced.get((id(whole), node, part)) if live else None
+                if found is None:
+                    found = self._splice(slot, whole, node, value, part)
+                else:
+                    self.splice_hits += 1
+                _whole, value, part = found
+            new_values[slot] = value
+            new_key[slot] = part
+        values = tuple(new_values)
+        return values, values, tuple(new_key)
+
+    def _decode(self, text: str, payload: Mapping[str, Any]) -> Tuple[Tuple[int, Any, Any], ...]:
+        self.decode_misses += 1
+        schema = self.spec.schema
+        for name in payload:
+            if name not in schema:
+                raise KeyError(name)
+        with self._lock:
+            parts = tuple(
+                (schema.index_of(name), *self._canonical(decode_value(raw)))
+                for name, raw in payload.items()
+            )
+            self._file("_decoded", text, parts)
+        return parts
+
+    def _splice(self, slot: int, whole: Any, node: int, value: Any, part: Any) -> Tuple[Any, Any, Any]:
+        self.splice_misses += 1
+        size = len(whole) if type(whole) is tuple else 0
+        if not 0 <= node < size:
+            raise IndexError(slot, size)
+        with self._lock:
+            found = (whole, *self._canonical(whole[:node] + (value,) + whole[node + 1 :]))
+            self._file("_spliced", (id(whole), node, part), found)
+        return found
 
     def fingerprint(self, values: Tuple[Any, ...]) -> int:
         """The state fingerprint of canonical ``values``: one join and digest."""
@@ -220,44 +337,14 @@ class SuccessorCache:
         index: Dict[Tuple[Any, ...], int] = {}
         with self._lock:
             for name, successor, successor_fp in self.expander.transitions(values):
-                successor, successor_key = self.bind(successor, near)
+                _seen, successor, successor_key = self.bind(successor, near)
                 index.setdefault(successor_key, len(transitions))
                 transitions.append((name, successor, successor_fp))
             if fp is None:
                 fp = self.fingerprint(values)
             found = _Expansion(values, key, fp, transitions, index)
-            if self.interner.evictions != self._epoch:
-                # The interner let go of objects the entries are keyed on:
-                # equal values are canonical under new identities from here on.
-                self._cache = {}
-                self._epoch = self.interner.evictions
-            cache = self._cache
-            if len(cache) >= self.max_entries:
-                # Oldest half, as FingerprintCache and the verdict memo do: a
-                # wholesale clear would drop every hot entry mid-batch.
-                for stale in list(islice(cache, len(cache) // 2)):
-                    del cache[stale]
-            cache[key] = found
+            self._file("_cache", key, found)
         return found
-
-    def pairs(self, expansion: _Expansion) -> List[Tuple[str, State]]:
-        """``expansion.transitions`` as the ``(action, State)`` list."""
-        pairs = expansion.pairs
-        if pairs is None:
-            schema = self.spec.schema
-            pairs = expansion.pairs = [
-                (name, State.from_values(schema, values))
-                for name, values, _fp in expansion.transitions
-            ]
-        return pairs
-
-    def successors(self, state: State) -> List[Tuple[str, State]]:
-        """All ``(action name, next state)`` pairs enabled in ``state``.
-
-        What ``spec.successors(state)`` returns, order and duplicates
-        included; the workload generator draws from it.
-        """
-        return self.pairs(self.expansion(*self.bind(state.values)))
 
 
 @dataclass
@@ -307,6 +394,39 @@ def _as_state(spec: Specification, item: Any) -> State:
     raise TypeError(f"trace items must be State or mapping, got {type(item).__name__}")
 
 
+class BoundTrace(Sequence):
+    """What decoding logs or a corpus against a spec yields: to a fold on the
+    same cache and interner epoch, bindings it steps on as they are; to
+    everyone else a sequence of :class:`State` objects, built when indexed,
+    equal to a list of equal states and pickled as one."""
+
+    __slots__ = ("cache", "bindings", "epoch")
+
+    def __init__(self, cache: SuccessorCache) -> None:
+        self.cache = cache
+        self.bindings: List[Binding] = []  # appended to by whoever decodes the trace
+        self.epoch = cache.interner.evictions  # ... from this interner epoch on
+
+    def __len__(self) -> int:
+        return len(self.bindings)
+
+    def __getitem__(self, index: Any) -> Any:
+        schema = self.cache.spec.schema
+        if isinstance(index, slice):
+            return [State.from_values(schema, row[1]) for row in self.bindings[index]]
+        return State.from_values(schema, self.bindings[index][1])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):
+        return (list, (list(self),))
+
+
 class TraceFold:
     """The one trace-step core: is ``current -> next`` an action, a stutter
     or a violation?
@@ -319,12 +439,12 @@ class TraceFold:
     report's), so coverage takes no second walk.  :func:`check_trace`, the
     batch runner and the streaming ``IncrementalChecker`` are its drivers.
 
-    Beside ``state`` (the observed :class:`State`) the fold holds that
-    state's binding in the :class:`SuccessorCache` -- canonical values,
-    exact key, fingerprint -- so a step re-binds only the slots the
-    observation changed and matches with one dict probe, and the coverage
-    fingerprint is the one the expander spliced for the matched transition:
-    ``State.fingerprint()`` is not walked per validated state.
+    The fold's position is the current state's *binding* in the
+    :class:`SuccessorCache` -- canonical values, exact key, fingerprint -- so
+    a step matches with one dict probe, a :class:`BoundTrace` of the same
+    cache is stepped on as it is, and the coverage fingerprint is the one the
+    expander spliced for the matched transition.  ``state`` is built for
+    whoever asks: a checkpoint, a pool task.
     """
 
     def __init__(
@@ -337,50 +457,66 @@ class TraceFold:
     ) -> None:
         self.spec = spec
         self.cache = (
-            successor_cache if successor_cache is not None else SuccessorCache(spec)
+            successor_cache if successor_cache is not None else SuccessorCache.for_spec(spec)
         )
         self.allow_stuttering = allow_stuttering
         self.coverage = coverage
         self._reset()
 
     def _reset(self) -> None:
-        self.state: Optional[State] = None
         self.steps = 0
         self.stutters = 0
         self.action_counts: Dict[str, int] = (
             self.coverage.action_counts if self.coverage is not None else {}
         )
         self.failure: Optional[Exception] = None
-        #: ``(state, canonical values, key)`` of the state last bound, its
-        #: fingerprint and its expansion once known: a state is bound and
-        #: looked up once however many of step/coverage/failure ask.
-        self._bound: Tuple[Optional[State], Tuple[Any, ...], Tuple[Any, ...]] = (None, (), ())
-        self._fp: Optional[int] = None
+        self._place(None)
+
+    def _place(self, binding: Optional[Binding], fp: Optional[int] = None) -> None:
+        # The fingerprint and the expansion are looked up once per state,
+        # however many of step / coverage / failure ask.
+        self._binding, self._fp = binding, fp
         self._expansion: Optional[_Expansion] = None
 
-    def begin(self, state: State, require_initial: bool = True) -> bool:
-        """Start a trace at ``state``; False, with ``failure`` set, if it had to be initial."""
+    @property
+    def state(self) -> Optional[State]:
+        """The current state (None before :meth:`begin`)."""
+        if self._binding is None:
+            return None
+        return State.from_values(self.spec.schema, self._binding[1])
+
+    @state.setter
+    def state(self, state: Optional[State]) -> None:
+        # The streaming driver moves the fold: absorbing a pool task, restoring.
+        self._place(None if state is None else self.cache.bind(state.values))
+
+    def begin(self, binding: Binding, require_initial: bool = True) -> bool:
+        """Start a trace at the state bound as ``binding`` (``cache.bind``);
+        False, with ``failure`` set, if it had to be initial."""
         self._reset()
-        if require_initial and state not in self.spec.initial_states():
-            self.failure = TraceInitialStateMismatch(
-                f"trace state 0 is not an initial state of {self.spec.name!r}"
-            )
-            return False
-        self.state = state
+        if require_initial:
+            _seen, values, key = binding
+            # By key; equality is the fallback, as in ``step``.
+            if not any(key == k or values == v for _seen, v, k in self.cache.initial_bindings()):
+                self.failure = TraceInitialStateMismatch(
+                    f"trace state 0 is not an initial state of {self.spec.name!r}"
+                )
+                return False
+        self._place(binding)
         if self.coverage is not None:
             self._cover()
         return True
 
-    def step(self, nxt: State, what: Optional[str] = None) -> Optional[str]:
-        """Judge ``current -> nxt``: the matched action's name, ``"<stutter>"``,
+    def step(self, binding: Binding, what: Optional[str] = None) -> Optional[str]:
+        """Judge ``current -> binding``: the matched action's name, ``"<stutter>"``,
         or None for a violation (the fold then holds ``failure`` and stays put).
 
         Identity of canonical values is the fast path: a stutter is the
         current key again, an action is the key of one of the current state's
-        transitions.  What *defines* the verdict is ``State.__eq__``: a step
-        that equals the current state is a stutter whatever its key, and when
-        the probe finds nothing -- a log that reports ``1`` where the spec
-        holds ``True``, values canonical under two identities after an
+        transitions.  What *defines* the verdict is equality of the values: a
+        step that equals the current state is a stutter whatever its key, and
+        when the probe finds nothing -- a log that reports ``1`` where the
+        spec holds ``True``, values canonical under two identities after an
         interner eviction -- the observation is compared with every
         successor, and only when that fails too is the step a violation.  (A
         spec whose own successors are equal but differently typed is matched
@@ -389,11 +525,10 @@ class TraceFold:
         ``what`` names the observation in the failure message (the streaming
         driver says which log event it was); the default is the step's index.
         """
-        cache = self.cache
-        state, here_values, here_key = self._binding()
-        values, key = cache.bind(nxt.values, (state.values, here_values, here_key))
+        _seen, values, key = binding
+        _seen, here_values, here_key = self._binding
         fp = None
-        if self.allow_stuttering and (key == here_key or nxt == state):
+        if self.allow_stuttering and (key == here_key or values == here_values):
             # Equality with the current state is asked before the successors
             # are: a ``1`` logged for a ``True`` slot is a stutter even when
             # the state has a self-loop that produces that very ``1``.
@@ -404,10 +539,10 @@ class TraceFold:
             if found is not None:
                 matched, _values, fp = here.transitions[found]
             else:
-                # A successor it equals without being it leaves ``nxt`` bound
-                # as observed, with its own fingerprint.
-                for matched, successor in cache.pairs(here):
-                    if successor == nxt:
+                # A successor it equals without being it leaves the
+                # observation bound as observed, with its own fingerprint.
+                for matched, successor, _fp in here.transitions:
+                    if successor == values:
                         break
                 else:
                     index = self.steps
@@ -416,36 +551,52 @@ class TraceFold:
                         f"permitted by any action of {self.spec.name!r} "
                         f"(enabled: {self.enabled()})",
                         step_index=index,
-                        observed=nxt.to_dict(),
+                        observed=State.from_values(self.spec.schema, values).to_dict(),
                     )
                     return None
         if matched is STUTTER:
             self.stutters += 1
         else:
             self.action_counts[matched] = self.action_counts.get(matched, 0) + 1
-            self.state = nxt
-            self._bound = (nxt, values, key)
-            self._fp = fp
-            self._expansion = None
+            self._place(binding, fp)
         self.steps += 1
         if self.coverage is not None:
             self._cover()
         return matched
 
+    def _bound(self, trace: Sequence) -> Iterator[Binding]:
+        """Each state of ``trace``, bound: a :class:`BoundTrace` of this cache
+        and interner epoch as it is, anything else -- hand-built states,
+        mappings, a trace of another cache or from before an eviction -- slot
+        by slot."""
+        cache = self.cache
+        if isinstance(trace, BoundTrace):
+            if trace.cache is cache and trace.epoch == cache.interner.evictions:
+                yield from trace.bindings
+                return
+            observed = [row[1] for row in trace.bindings]
+        else:
+            observed = [_as_state(self.spec, item).values for item in trace]
+        binding = None
+        for values in observed:
+            binding = cache.bind(values, binding)
+            yield binding
+
     def check(self, trace: Sequence[Any], require_initial: bool = True) -> TraceCheckResult:
         """Fold a whole trace on a fresh fold: begin, then step to the first failure."""
-        states = [_as_state(self.spec, item) for item in trace]
+        bound = self._bound(trace)
         matched_actions: List[Optional[str]] = []
-        if states and self.begin(states[0], require_initial):
+        first = next(bound, None)
+        if first is not None and self.begin(first, require_initial):
             matched_actions.append(None)
-            for nxt in islice(states, 1, None):
-                matched = self.step(nxt)
+            for binding in bound:
+                matched = self.step(binding)
                 if matched is None:
                     break
                 matched_actions.append(matched)
         return TraceCheckResult(
             spec_name=self.spec.name,
-            trace_length=len(states),
+            trace_length=len(trace),
             ok=self.failure is None,
             checked_steps=self.steps,
             failure_index=None if self.failure is None else self.steps,
@@ -460,23 +611,15 @@ class TraceFold:
 
     def fingerprint(self) -> int:
         """The current state's fingerprint: ``self.state.fingerprint()``, not re-walked."""
-        values = self._binding()[1]
         if self._fp is None:
-            self._fp = self.cache.fingerprint(values)
+            self._fp = self.cache.fingerprint(self._binding[1])
         return self._fp
-
-    def _binding(self) -> Tuple[Optional[State], Tuple[Any, ...], Tuple[Any, ...]]:
-        # ``begin`` and the streaming driver (absorb, restore) set ``state``.
-        if self._bound[0] is not self.state:
-            self._bound = (self.state, *self.cache.bind(self.state.values))
-            self._fp = self._expansion = None
-        return self._bound
 
     def _successors(self) -> _Expansion:
         """The current state's expansion, looked up once per state."""
-        _state, values, key = self._binding()
         here = self._expansion
         if here is None:
+            _seen, values, key = self._binding
             here = self._expansion = self.cache.expansion(values, key, self._fp)
             self._fp = here.fp
         return here

@@ -11,6 +11,8 @@ to compare.  This module provides:
   ``EXCEPT``-style update helper (``rec.except_(ndx=3)``), mirroring TLA+
   records and the ``[op EXCEPT !.ndx = @ - 1]`` idiom used throughout the
   Realm Sync specification (paper Figure 7),
+* :func:`encode_value` / :func:`decode_value` -- the library's one JSON
+  convention for frozen values (logs, corpora, generated test modules),
 * sequence helpers (:func:`append`, :func:`sub_seq`, :func:`seq_index`)
   mirroring the ``Sequences`` standard module, and
 * :func:`fingerprint` -- a stable 64-bit fingerprint used by the checker.
@@ -25,11 +27,15 @@ from collections.abc import Mapping
 from itertools import islice
 from typing import Any, Iterable, Iterator, Tuple
 
+from .errors import SpecError
+
 __all__ = [
     "NULL",
     "FingerprintCache",
     "Record",
     "append",
+    "decode_value",
+    "encode_value",
     "fingerprint",
     "freeze",
     "is_sequence",
@@ -286,6 +292,38 @@ def thaw(value: Any) -> Any:
         return [thaw(item) for item in value]
     if isinstance(value, frozenset):
         return {thaw(item) for item in value}
+    return value
+
+
+def encode_value(value: Any) -> Any:
+    """Render a frozen value as JSON data; ``NULL`` becomes ``{"__null__": true}``
+    (JSON ``null`` is ``None``), data that is JSON already passes through."""
+    tp = type(value)
+    if tp in _PRIMITIVE_TYPES:  # exact types first: a corpus encodes every leaf of every state
+        return {"__null__": True} if tp is _Null else value
+    if tp is Record:
+        return {name: encode_value(item) for name, item in value._items}
+    if isinstance(value, (tuple, list)):
+        return [encode_value(item) for item in value]
+    if isinstance(value, Mapping):
+        return {name: encode_value(item) for name, item in value.items()}
+    if isinstance(value, (set, frozenset)):
+        raise SpecError("sets cannot be encoded as JSON values")
+    return value
+
+
+def decode_value(value: Any) -> Any:
+    """Inverse of :func:`encode_value`; dicts become Records, lists tuples."""
+    if isinstance(value, dict):
+        if value.get("__null__") is True:
+            return NULL
+        # Children come back frozen, so the record is built from them as they
+        # are: ``Record(...)`` would re-freeze each one, once per nesting level.
+        return Record._from_items(
+            tuple(sorted((name, decode_value(item)) for name, item in value.items()))
+        )
+    if isinstance(value, list):
+        return tuple(decode_value(item) for item in value)
     return value
 
 

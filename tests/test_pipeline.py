@@ -41,7 +41,8 @@ class TestLogLayer:
         assert len(events) == 1
         assert events[0].action == "Acquire"
         assert events[0].node == 0
-        assert events[0].vars == {"held": ("IS", "None", "None")}
+        # The payload as logged: decoding waits for the fold, where the spec is known.
+        assert events[0].vars == {"held": ["IS", "None", "None"]}
         assert events[0].location == "node0.log:2"
 
     def test_malformed_event_raises(self):

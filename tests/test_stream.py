@@ -204,7 +204,7 @@ def test_kv_adapter_parses_key_value_lines():
     assert event.action == "Acquire"
     assert event.node == 0
     assert event.ts == 1.5
-    assert event.vars == {"held": ("S",)}
+    assert event.vars == {"held": ["S"]}
     assert event.location == "srv.log:3"
     assert adapter.parse_line("plain noise without the magic token") is None
 
