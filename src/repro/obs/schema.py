@@ -237,7 +237,9 @@ def validate_status(doc: Dict[str, Any]) -> None:
     _require(doc.get("v") == SCHEMA_VERSION, where, f"unknown version {doc.get('v')!r}")
     for field in ("spec", "adapter"):
         _require(isinstance(doc.get(field), str), where, f"{field!r} must be a string")
-    for field in ("uptime_seconds", "events_per_second", "quarantine_rate"):
+    # The main loop's starvation counters: absent from documents written before them.
+    idle = [field for field in ("idle_waits", "idle_seconds") if field in doc]
+    for field in ("uptime_seconds", "events_per_second", "quarantine_rate", *idle):
         _require_number(doc, field, where)
         _require(doc[field] >= 0, where, f"{field!r} must be non-negative")
     totals = doc.get("totals")
@@ -253,7 +255,9 @@ def validate_status(doc: Dict[str, Any]) -> None:
     for name, source in sources.items():
         swhere = f"status source {name!r}"
         _require(isinstance(source, dict), swhere, "must be an object")
-        for field in ("queue_depth", "lineno", "events"):
+        # The tailer's ``bytes_read``: absent from documents written before it.
+        read = [field for field in ("bytes_read",) if field in source]
+        for field in ("queue_depth", "lineno", "events", *read):
             _require(
                 isinstance(source.get(field), int) and source[field] >= 0,
                 swhere,

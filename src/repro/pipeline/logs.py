@@ -439,7 +439,7 @@ def anchor_binding(cache: SuccessorCache, event: LogEvent) -> Optional[Binding]:
             event, f"is a snapshot: it must be global and bind every variable (missing: {missing})"
         )
     unbound = (None,) * len(names)
-    return apply_event(cache, (unbound, unbound, unbound), event, frozenset())
+    return apply_event(cache, (unbound,) * 4, event, frozenset())
 
 
 def events_to_trace(

@@ -74,12 +74,14 @@ def generate_trace(
             actions.append("<stutter>")
             continue
         # What ``spec.successors(state)`` returns, order and duplicates included.
-        transitions = cache.expansion(binding[1], binding[2]).transitions
+        transitions = cache.expansion(binding).transitions
         if not transitions:
             break
         action_name, values, _fp = rng.choice(transitions)
-        binding = cache.bind(values, binding)
-        state = State.from_values(spec.schema, values)
+        # Only the chosen successor is bound; the kernel derived it from the
+        # canonical values, so those are what its unchanged slots still hold.
+        binding = cache.bind(values, (binding[1], *binding[1:]))
+        state = State.from_values(spec.schema, binding[1])
         states.append(state)
         actions.append(action_name)
     return GeneratedTrace(states=states, actions=actions)

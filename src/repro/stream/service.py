@@ -10,7 +10,10 @@ Architecture (one :class:`WatchService` per ``repro watch`` invocation):
   does.
 * The **main loop** drains the queues round-robin (sorted source order, a
   bounded batch per source per round -- deterministic given the consumed
-  data), parses lines through the configured
+  data) and is event-driven: a round that found nothing waits for a tailer
+  thread to post a line or to finish, with a short timeout as the backstop
+  that keeps the watchdog, report and checkpoint cadence.  It parses lines
+  through the configured
   :class:`~repro.pipeline.logs.LogAdapter`, quarantines what will not
   parse, and advances each source's
   :class:`~repro.stream.incremental.IncrementalChecker`.  With
@@ -147,6 +150,14 @@ class WatchService:
         self.stop_signal: Optional[int] = None
         self._obs_run = obs_current()
         self._stop = threading.Event()
+        #: Set by a tailer thread that queued a line or finished; what the
+        #: main loop waits on when a round found nothing.  ``request_stop``
+        #: leaves it alone -- setting an Event takes a lock the main loop may
+        #: hold when a signal handler runs -- so a stop is seen at the timeout.
+        self._wake = threading.Event()
+        #: How often, and for how long, the main loop had nothing to check.
+        self.idle_waits = 0
+        self.idle_seconds = 0.0
         self._started_at: Optional[float] = None
         self._last_report_at = 0.0
         self._lines_since_checkpoint = 0
@@ -245,7 +256,7 @@ class WatchService:
                 ):
                     break
                 if consumed == 0:
-                    time.sleep(min(self.config.poll_interval, 0.05))
+                    self._wait_for_lines()
             # Drain: stop ingestion, then check everything already queued.
             self._stop.set()
             for thread in self._threads.values():
@@ -261,6 +272,16 @@ class WatchService:
             self.quarantine.close()
         self._final_flush()
         return self.exit_code()
+
+    def _wait_for_lines(self) -> None:
+        """Idle until a tailer thread posts a wake-up, or the backstop passes."""
+        started = time.monotonic()
+        self._wake.wait(min(self.config.poll_interval, 0.05))
+        # Cleared before the next round drains: a line queued from here on
+        # either is found by that round or sets the flag for the next wait.
+        self._wake.clear()
+        self.idle_waits += 1
+        self.idle_seconds += time.monotonic() - started
 
     def exit_code(self) -> int:
         if self.stop_signal is not None:
@@ -294,6 +315,10 @@ class WatchService:
             "rotations": sum(t.rotations for t in self._tailers.values()),
             "truncations": sum(t.truncations for t in self._tailers.values()),
             "torn_lines": sum(t.torn_lines for t in self._tailers.values()),
+            "bytes_read": sum(t.bytes_read for t in self._tailers.values()),
+            # Starved (waiting for lines) or busy (checking them)?
+            "idle_waits": self.idle_waits,
+            "idle_seconds": self.idle_seconds,
             "supervision": (
                 self._pool.stats.to_dict() if self._pool is not None else None
             ),
@@ -315,6 +340,7 @@ class WatchService:
                 "offset": self._consumed[source]["offset"],
                 "lineno": self._consumed[source]["lineno"],
                 "queue_depth": self._queues[source].qsize(),
+                "bytes_read": self._tailers[source].bytes_read,
                 "lag_seconds": round(
                     max(0.0, now - self._last_data.get(source, now)), 3
                 ),
@@ -347,6 +373,8 @@ class WatchService:
             "rotations": runtime["rotations"],
             "truncations": runtime["truncations"],
             "torn_lines": runtime["torn_lines"],
+            "idle_waits": runtime["idle_waits"],
+            "idle_seconds": round(runtime["idle_seconds"], 3),
             "supervision": runtime["supervision"],
             # What the inline fold's cache did (pool workers keep their own).
             "successor_cache": self.cache.stats(),
@@ -379,15 +407,18 @@ class WatchService:
         finally:
             tailer.close()
             self._source_done[source] = True
+            self._wake.set()
 
     def _enqueue(self, target: "queue.Queue[TailedLine]", line: TailedLine) -> bool:
         """Blocking put = backpressure; aborts only on a stop request."""
         while not self._stop.is_set():
             try:
                 target.put(line, timeout=0.1)
-                return True
             except queue.Full:
                 continue
+            if not self._wake.is_set():  # nearly always up already: skip set()'s lock
+                self._wake.set()
+            return True
         return False
 
     # -- main loop ------------------------------------------------------------
@@ -649,10 +680,11 @@ class WatchService:
                 reg.inc(f"watch.traces_{key}", value)
         reg.inc("watch.sources", len(self.sources))
         runtime = self.runtime_info()
-        for key in ("rotations", "truncations", "torn_lines"):
+        for key in ("rotations", "truncations", "torn_lines", "bytes_read", "idle_waits"):
             if runtime.get(key):
                 reg.inc(f"watch.{key}", runtime[key])
         reg.set_gauge("watch.events_per_second", runtime["events_per_second"])
+        reg.set_gauge("watch.idle_seconds", runtime["idle_seconds"])
         stats = self.cache.stats()
         for key in ("hits", "misses"):
             if stats[key]:

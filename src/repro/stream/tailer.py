@@ -20,6 +20,11 @@ thread calls :meth:`LogTailer.poll` in a loop.  ``offset``/``lineno`` always
 describe *emitted* lines only -- a held-back partial is not part of the
 offset, so a checkpoint taken between polls resumes by simply re-reading
 from ``offset``.
+
+Reading is bounded and linear: a poll reads at most :data:`READ_CHUNK` bytes
+and splits them once, so the tailer never holds more than one chunk plus one
+partial line, however large the backlog it is catching up on (only a
+rotation reads on, to the end of the file it is about to let go of).
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 __all__ = ["LogTailer", "TailBatch", "TailedLine"]
+
+#: Most bytes one ``read`` asks for, and so one :meth:`LogTailer.poll` holds.
+READ_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -59,7 +67,7 @@ class TailBatch:
     #: The path does not exist (yet, or between rotations).
     waiting: bool = False
     #: Read position caught up with the file size at poll time and no
-    #: complete line is pending -- the signal ``--once`` mode drains on.
+    #: partial line is held back -- the signal ``--once`` mode drains on.
     at_eof: bool = False
 
 
@@ -89,6 +97,7 @@ class LogTailer:
         self.rotations = 0
         self.truncations = 0
         self.torn_lines = 0
+        self.bytes_read = 0
         self._handle = None
         self._inode: Optional[int] = None
         self._partial = b""
@@ -113,15 +122,15 @@ class LogTailer:
             self._flush_torn(batch, reason_is_rotation=True)
             batch.waiting = True
             return batch
-        data = self._read_available()
-        if data:
-            self._partial += data
-        self._emit_complete_lines(batch)
-        if self._partial:
-            self._age_partial(batch, now)
-        else:
+        self._emit_complete_lines(batch, self._read_chunk())
+        more = self._more_available()
+        if not self._partial:
             self._partial_attempts = 0
-        batch.at_eof = not self._partial and not self._more_available()
+        elif not more:
+            # Only a file that *ends* without a newline may be torn; a chunk
+            # that ends mid-line is completed by the next poll.
+            self._age_partial(batch, now)
+        batch.at_eof = not self._partial and not more
         return batch
 
     def close(self) -> None:
@@ -135,7 +144,9 @@ class LogTailer:
     # -- file identity --------------------------------------------------------
     def _open(self, batch: TailBatch) -> bool:
         try:
-            handle = open(self.path, "rb")
+            # Unbuffered: a poll is one ``read`` of the file as it is now, and
+            # no read-ahead outlives a truncation.
+            handle = open(self.path, "rb", buffering=0)
             inode = os.fstat(handle.fileno()).st_ino
             size = os.fstat(handle.fileno()).st_size
         except OSError:
@@ -160,11 +171,13 @@ class LogTailer:
         here = os.fstat(self._handle.fileno())
         if stat is None or stat.st_ino != self._inode:
             # Rotated: drain the old file through the still-open handle
-            # first, then switch to the new one (or wait for it).
-            tail = self._read_available()
-            if tail:
-                self._partial += tail
-                self._emit_complete_lines(batch)
+            # first -- to its end, it will not be seen again -- then switch
+            # to the new one (or wait for it).
+            while True:
+                tail = self._read_chunk()
+                if not tail:
+                    break
+                self._emit_complete_lines(batch, tail)
             self._flush_torn(batch, reason_is_rotation=True)
             self.close()
             self.offset = 0
@@ -187,15 +200,17 @@ class LogTailer:
         batch.truncated = True
 
     # -- reading --------------------------------------------------------------
-    def _read_available(self) -> bytes:
+    def _read_chunk(self) -> bytes:
         assert self._handle is not None
         try:
-            return self._handle.read()
+            data = self._handle.read(READ_CHUNK)
         except OSError:
             # The handle went bad mid-read (forced unmount, revoked FD); the
             # next poll's identity check reopens or starts waiting.
             self.close()
             return b""
+        self.bytes_read += len(data)
+        return data
 
     def _more_available(self) -> bool:
         if self._handle is None:
@@ -207,23 +222,19 @@ class LogTailer:
         except OSError:
             return False
 
-    def _emit_complete_lines(self, batch: TailBatch) -> None:
-        while True:
-            newline = self._partial.find(b"\n")
-            if newline < 0:
-                return
-            raw = self._partial[:newline]
-            self._partial = self._partial[newline + 1 :]
-            self.offset += newline + 1
-            self.lineno += 1
-            self._partial_attempts = 0
-            batch.lines.append(
-                TailedLine(
-                    lineno=self.lineno,
-                    offset=self.offset,
-                    text=raw.decode("utf-8", errors="replace"),
-                )
-            )
+    def _emit_complete_lines(self, batch: TailBatch, data: bytes) -> None:
+        """Emit the lines ``data`` completes; hold back what follows the last newline."""
+        if b"\n" not in data:
+            self._partial += data
+            return
+        *complete, self._partial = (self._partial + data).split(b"\n")
+        self._partial_attempts = 0
+        offset, lineno = self.offset, self.lineno
+        for raw in complete:
+            offset += len(raw) + 1
+            lineno += 1
+            batch.lines.append(TailedLine(lineno, offset, raw.decode("utf-8", errors="replace")))
+        self.offset, self.lineno = offset, lineno
 
     # -- torn-line handling ---------------------------------------------------
     def _age_partial(self, batch: TailBatch, now: float) -> None:

@@ -15,13 +15,16 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from .errors import SpecError
 from .spec import TemporalProperty
 from .state import State
+
+if TYPE_CHECKING:  # imported where it is used: only the liveness queries need it
+    import networkx as nx
 
 __all__ = ["Edge", "StateGraph", "PropertyCheckOutcome"]
 
@@ -205,6 +208,8 @@ class StateGraph:
     # Liveness ------------------------------------------------------------------------
     def to_networkx(self) -> "nx.MultiDiGraph":
         """Export as a :class:`networkx.MultiDiGraph` (node attribute ``state``)."""
+        import networkx as nx
+
         graph = nx.MultiDiGraph()
         for node_id, state in enumerate(self._states):
             graph.add_node(node_id, state=state)
@@ -214,6 +219,8 @@ class StateGraph:
 
     def terminal_sccs(self) -> List[Set[int]]:
         """Strongly connected components with no edges leaving them."""
+        import networkx as nx
+
         digraph = nx.DiGraph()
         digraph.add_nodes_from(range(len(self._states)))
         digraph.add_edges_from((edge.source, edge.target) for edge in self._edges)

@@ -31,7 +31,7 @@ from .coverage import CoverageReport
 from .errors import TraceInitialStateMismatch, TraceMismatch
 from .spec import Specification
 from .state import State
-from .values import _PRIMITIVE_TYPES, decode_value, state_fingerprint
+from .values import _FP_PACK, _PRIMITIVE_TYPES, decode_value, packed_state_fingerprint
 
 __all__ = [
     "STUTTER",
@@ -52,8 +52,9 @@ STUTTER = "<stutter>"
 _UNBOUND = object()
 
 #: A state bound in a :class:`SuccessorCache`: ``(values as observed, canonical
-#: values, exact key)``; a state the cache decoded itself has no other values.
-Binding = Tuple[Tuple[Any, ...], Tuple[Any, ...], Tuple[Any, ...]]
+#: values, exact key, packed per-slot fingerprints)``; a state the cache decoded
+#: itself has no other values.  Its fingerprint is one join and digest of the last.
+Binding = Tuple[Tuple[Any, ...], Tuple[Any, ...], Tuple[Any, ...], Tuple[bytes, ...]]
 
 _FOR_SPEC_LOCK = threading.Lock()
 
@@ -61,7 +62,7 @@ _FOR_SPEC_LOCK = threading.Lock()
 class _Expansion:
     """One canonical state's memoized successor list (see :class:`SuccessorCache`)."""
 
-    __slots__ = ("values", "key", "fp", "transitions", "index", "enabled")
+    __slots__ = ("values", "key", "fp", "transitions", "index", "_enabled")
 
     def __init__(
         self,
@@ -69,20 +70,29 @@ class _Expansion:
         key: Tuple[Any, ...],
         fp: int,
         transitions: List[Tuple[str, Tuple[Any, ...], int]],
-        index: Dict[Tuple[Any, ...], int],
     ) -> None:
         #: The state's canonical value tuple, its memo key and fingerprint.
         self.values = values
         self.key = key
         self.fp = fp
-        #: ``(action, canonical successor values, successor fingerprint)`` in
-        #: the expander's order, duplicates kept.
+        #: ``(action, successor values, successor fingerprint)`` as the
+        #: expander handed them back: its order, duplicates kept, nothing bound.
         self.transitions = transitions
-        #: successor memo key -> position of the first transition leading
-        #: there: one probe matches an observed step.
-        self.index = index
-        #: Enabled action names, in order of first appearance.
-        self.enabled = tuple(dict.fromkeys(name for name, _values, _fp in transitions))
+        #: successor fingerprint -> the first transition carrying it.  The
+        #: probe *selects* a candidate; :meth:`TraceFold.step` compares the
+        #: candidate's values before it believes it.
+        self.index: Dict[int, Tuple[str, Tuple[Any, ...], int]] = {}
+        for transition in transitions:
+            self.index.setdefault(transition[2], transition)
+        self._enabled: Optional[Tuple[str, ...]] = None
+
+    @property
+    def enabled(self) -> Tuple[str, ...]:
+        """Enabled action names, in order of first appearance; worked out when
+        first read (coverage and a failure message ask, a bare step does not)."""
+        if self._enabled is None:
+            self._enabled = tuple(dict.fromkeys(name for name, _values, _fp in self.transitions))
+        return self._enabled
 
 
 class SuccessorCache:
@@ -100,13 +110,17 @@ class SuccessorCache:
     constraint -- as an :class:`_Expansion`.  :meth:`for_spec` is the one
     everything handed the same ``Specification`` object shares.
 
-    **Keys are exact.**  A state is bound slot by slot: each value canonical
-    in the interner and filed under its identity (a ``(type, value)`` pair
-    for a primitive, as the read-set tries of :mod:`repro.compile.kernels`
-    do) -- never under a 64-bit fingerprint.  An entry retains the objects
-    its key names, and every memo is dropped when the interner's eviction
-    count moves.  Identity is the fast path only: see :meth:`TraceFold.step`
-    for what decides a violation.
+    **Keys are exact; a fingerprint selects, equality decides.**  A state is
+    bound slot by slot: each value canonical in the interner and filed under
+    its identity (a ``(type, value)`` pair for a primitive, as the read-set
+    tries of :mod:`repro.compile.kernels` do), its packed fingerprint kept
+    beside it.  The memo is keyed on those identities -- never on a 64-bit
+    fingerprint -- an entry retains the objects its key names, and every memo
+    is dropped when the interner's eviction count moves.  A state's
+    *successors* are kept as the expander handed them back, none of them
+    bound, and found by the fingerprint each already carries: that probe only
+    picks a candidate, see :meth:`TraceFold.step` for what decides a match
+    and a violation.
 
     **The decode plan.**  Observations arrive as JSON and repeat massively,
     so :meth:`splice` builds no value twice: a payload is found by its
@@ -120,8 +134,9 @@ class SuccessorCache:
     :mod:`repro.pipeline.runner`: a hit is one dict probe, and everything
     that edits the interner, the expander's memos or these memos -- binding
     a state, a miss, an eviction -- runs under one lock, because none of them
-    is safe to enter twice.  The hit/miss counters are unsynchronized, so
-    approximate under concurrency (they inform a summary line, nothing more).
+    is safe to enter twice (and none re-enters: the lock is a plain one).  The
+    hit/miss counters are unsynchronized, so approximate under concurrency
+    (they inform a summary line, nothing more).
     """
 
     __slots__ = (
@@ -143,14 +158,14 @@ class SuccessorCache:
         interner = getattr(self.expander, "interner", None)
         self.interner = interner if interner is not None else ValueInterner()
         self._cache: Dict[Tuple[Any, ...], _Expansion] = {}
-        #: repr(payload) -> ((slot, canonical value, key part), ...).
-        self._decoded: Dict[str, Tuple[Tuple[int, Any, Any], ...]] = {}
-        #: (id(whole), node, key part) -> (whole, spliced whole, its key part):
-        #: retaining ``whole`` is what keeps its id from being reused.
-        self._spliced: Dict[Tuple[Any, ...], Tuple[Any, Any, Any]] = {}
+        #: repr(payload) -> ((slot, canonical value, key part, packed fp), ...).
+        self._decoded: Dict[str, Tuple[Tuple[int, Any, Any, bytes], ...]] = {}
+        #: (id(whole), node, key part) -> (whole, spliced whole, its key part
+        #: and packed fp): retaining ``whole`` keeps its id from being reused.
+        self._spliced: Dict[Tuple[Any, ...], Tuple[Any, Any, Any, bytes]] = {}
         self._initials: Tuple[int, List[Binding]] = (-1, [])
         self._epoch = self.interner.evictions
-        self._lock = threading.RLock()  # a miss binds its successors
+        self._lock = threading.Lock()
         self.hits = self.misses = 0
         self.decode_hits = self.decode_misses = 0
         self.splice_hits = self.splice_misses = 0
@@ -203,11 +218,11 @@ class SuccessorCache:
             stats[f"memo_{name}"] = sum(function[name] for function in memo.values())
         return stats
 
-    def _canonical(self, value: Any) -> Tuple[Any, Any]:
-        """``(canonical object, key part)`` of one slot's value."""
-        value = self.interner.intern(value)[0]
+    def _canonical(self, value: Any) -> Tuple[Any, Any, bytes]:
+        """``(canonical object, key part, packed fingerprint)`` of one slot's value."""
+        value, fp = self.interner.intern(value)
         tp = type(value)
-        return value, ((tp, value) if tp in _PRIMITIVE_TYPES else id(value))
+        return value, ((tp, value) if tp in _PRIMITIVE_TYPES else id(value)), _FP_PACK(fp)
 
     def _file(self, memo: str, key: Any, entry: Any) -> None:
         """Under the lock: keep a miss's ``entry`` in the memo named ``memo``."""
@@ -226,7 +241,8 @@ class SuccessorCache:
 
     # -- binding: observed values -> canonical values + exact key --------------
     def bind(self, values: Tuple[Any, ...], near: Optional[Binding] = None) -> Binding:
-        """``(values, canonical values, key)``: a state's value tuple, bound.
+        """``(values, canonical values, key, packed fingerprints)``: a state's
+        value tuple, bound.
 
         ``near`` is the binding of a state ``values`` was derived from
         (``with_updates``, a transition, the previous state of a trace): a
@@ -234,15 +250,15 @@ class SuccessorCache:
         looked at again.
         """
         if near is None:
-            base = new_values = new_key = [_UNBOUND] * len(values)
+            base = new_values = new_key = new_fps = [_UNBOUND] * len(values)
         else:
-            base, new_values, new_key = near
-        new_values, new_key = list(new_values), list(new_key)
+            base, new_values, new_key, new_fps = near
+        new_values, new_key, new_fps = list(new_values), list(new_key), list(new_fps)
         with self._lock:
             for slot, value in enumerate(values):
                 if value is not base[slot]:
-                    new_values[slot], new_key[slot] = self._canonical(value)
-        return values, tuple(new_values), tuple(new_key)
+                    new_values[slot], new_key[slot], new_fps[slot] = self._canonical(value)
+        return values, tuple(new_values), tuple(new_key), tuple(new_fps)
 
     def initial_bindings(self) -> List[Binding]:
         """The spec's initial states, bound once per interner epoch."""
@@ -272,9 +288,9 @@ class SuccessorCache:
             parts = self._decode(text, payload)
         else:
             self.decode_hits += 1
-        _seen, values, key = binding
-        new_values, new_key = list(values), list(key)
-        for slot, value, part in parts:
+        _seen, values, key, fps = binding
+        new_values, new_key, new_fps = list(values), list(key), list(fps)
+        for slot, value, part, packed in parts:
             if node is not None and slot in per_node_slots:
                 whole = new_values[slot]
                 found = self._spliced.get((id(whole), node, part)) if live else None
@@ -282,13 +298,16 @@ class SuccessorCache:
                     found = self._splice(slot, whole, node, value, part)
                 else:
                     self.splice_hits += 1
-                _whole, value, part = found
+                _whole, value, part, packed = found
             new_values[slot] = value
             new_key[slot] = part
+            new_fps[slot] = packed
         values = tuple(new_values)
-        return values, values, tuple(new_key)
+        return values, values, tuple(new_key), tuple(new_fps)
 
-    def _decode(self, text: str, payload: Mapping[str, Any]) -> Tuple[Tuple[int, Any, Any], ...]:
+    def _decode(
+        self, text: str, payload: Mapping[str, Any]
+    ) -> Tuple[Tuple[int, Any, Any, bytes], ...]:
         self.decode_misses += 1
         schema = self.spec.schema
         for name in payload:
@@ -302,7 +321,9 @@ class SuccessorCache:
             self._file("_decoded", text, parts)
         return parts
 
-    def _splice(self, slot: int, whole: Any, node: int, value: Any, part: Any) -> Tuple[Any, Any, Any]:
+    def _splice(
+        self, slot: int, whole: Any, node: int, value: Any, part: Any
+    ) -> Tuple[Any, Any, Any, bytes]:
         self.splice_misses += 1
         size = len(whole) if type(whole) is tuple else 0
         if not 0 <= node < size:
@@ -312,37 +333,23 @@ class SuccessorCache:
             self._file("_spliced", (id(whole), node, part), found)
         return found
 
-    def fingerprint(self, values: Tuple[Any, ...]) -> int:
-        """The state fingerprint of canonical ``values``: one join and digest."""
-        with self._lock:
-            return state_fingerprint(self.interner.slot_fingerprints(values))
-
     # -- lookup -----------------------------------------------------------------
-    def expansion(
-        self, values: Tuple[Any, ...], key: Tuple[Any, ...], fp: Optional[int] = None
-    ) -> _Expansion:
-        """The memoized expansion of the state bound as ``(values, key)``.
+    def expansion(self, binding: Binding) -> _Expansion:
+        """The memoized expansion of the state bound as ``binding``.
 
-        ``fp`` is its fingerprint where the caller has it (a matched
-        transition carries it); an anchor's is computed on a miss.
+        A miss runs the expander on the canonical values and keeps what it
+        hands back as it is -- no successor is bound to find one of them.
         """
+        _seen, values, key, fps = binding
         if self.interner.evictions == self._epoch:
             found = self._cache.get(key)
             if found is not None:
                 self.hits += 1
                 return found
         self.misses += 1
-        near = (values, values, key)
-        transitions = []
-        index: Dict[Tuple[Any, ...], int] = {}
         with self._lock:
-            for name, successor, successor_fp in self.expander.transitions(values):
-                _seen, successor, successor_key = self.bind(successor, near)
-                index.setdefault(successor_key, len(transitions))
-                transitions.append((name, successor, successor_fp))
-            if fp is None:
-                fp = self.fingerprint(values)
-            found = _Expansion(values, key, fp, transitions, index)
+            transitions = self.expander.transitions(values)
+            found = _Expansion(values, key, packed_state_fingerprint(fps), transitions)
             self._file("_cache", key, found)
         return found
 
@@ -440,11 +447,11 @@ class TraceFold:
     batch runner and the streaming ``IncrementalChecker`` are its drivers.
 
     The fold's position is the current state's *binding* in the
-    :class:`SuccessorCache` -- canonical values, exact key, fingerprint -- so
-    a step matches with one dict probe, a :class:`BoundTrace` of the same
-    cache is stepped on as it is, and the coverage fingerprint is the one the
-    expander spliced for the matched transition.  ``state`` is built for
-    whoever asks: a checkpoint, a pool task.
+    :class:`SuccessorCache` -- canonical values, exact key, packed slot
+    fingerprints -- so a step is one join, one digest, one dict probe and one
+    comparison, a :class:`BoundTrace` of the same cache is stepped on as it
+    is, and the coverage fingerprint is the one the step was found by.
+    ``state`` is built for whoever asks: a checkpoint, a pool task.
     """
 
     def __init__(
@@ -495,9 +502,11 @@ class TraceFold:
         False, with ``failure`` set, if it had to be initial."""
         self._reset()
         if require_initial:
-            _seen, values, key = binding
-            # By key; equality is the fallback, as in ``step``.
-            if not any(key == k or values == v for _seen, v, k in self.cache.initial_bindings()):
+            _seen, values, key, _fps = binding
+            # By key, else by equality: what defines a stutter in ``step``.
+            if not any(
+                key == k or values == v for _seen, v, k, _fps in self.cache.initial_bindings()
+            ):
                 self.failure = TraceInitialStateMismatch(
                     f"trace state 0 is not an initial state of {self.spec.name!r}"
                 )
@@ -511,23 +520,26 @@ class TraceFold:
         """Judge ``current -> binding``: the matched action's name, ``"<stutter>"``,
         or None for a violation (the fold then holds ``failure`` and stays put).
 
-        Identity of canonical values is the fast path: a stutter is the
-        current key again, an action is the key of one of the current state's
-        transitions.  What *defines* the verdict is equality of the values: a
-        step that equals the current state is a stutter whatever its key, and
-        when the probe finds nothing -- a log that reports ``1`` where the
-        spec holds ``True``, values canonical under two identities after an
-        interner eviction -- the observation is compared with every
-        successor, and only when that fails too is the step a violation.  (A
-        spec whose own successors are equal but differently typed is matched
-        by the first *identical* one.)
+        What *defines* the verdict is equality of the values.  A step that
+        is the current key again, or equals the current state whatever its
+        key, is a stutter.  Otherwise the observation's fingerprint -- one
+        join and digest of the slot fingerprints its binding carries --
+        *selects* the first transition with that fingerprint, and the step
+        matches it only if the transition's values equal the observed ones;
+        no match is ever reported on fingerprint equality alone.  When the
+        probe finds nothing or the candidate differs -- a log that reports
+        ``1`` where the spec holds ``True``, two successors sharing a
+        fingerprint -- the observation is compared with every successor, and
+        only when that fails too is the step a violation.  (A spec whose own
+        successors are equal but differently typed is matched by the
+        identically typed one: their fingerprints differ.)  The fold then
+        stands on the binding *as observed*, with its own fingerprint.
 
         ``what`` names the observation in the failure message (the streaming
         driver says which log event it was); the default is the step's index.
         """
-        _seen, values, key = binding
-        _seen, here_values, here_key = self._binding
-        fp = None
+        _seen, values, key, fps = binding
+        _seen, here_values, here_key, _fps = self._binding
         if self.allow_stuttering and (key == here_key or values == here_values):
             # Equality with the current state is asked before the successors
             # are: a ``1`` logged for a ``True`` slot is a stutter even when
@@ -535,12 +547,11 @@ class TraceFold:
             matched = STUTTER
         else:
             here = self._successors()
-            found = here.index.get(key)
-            if found is not None:
-                matched, _values, fp = here.transitions[found]
+            fp = packed_state_fingerprint(fps)
+            found = here.index.get(fp)
+            if found is not None and found[1] == values:
+                matched = found[0]
             else:
-                # A successor it equals without being it leaves the
-                # observation bound as observed, with its own fingerprint.
                 for matched, successor, _fp in here.transitions:
                     if successor == values:
                         break
@@ -612,15 +623,14 @@ class TraceFold:
     def fingerprint(self) -> int:
         """The current state's fingerprint: ``self.state.fingerprint()``, not re-walked."""
         if self._fp is None:
-            self._fp = self.cache.fingerprint(self._binding[1])
+            self._fp = packed_state_fingerprint(self._binding[3])
         return self._fp
 
     def _successors(self) -> _Expansion:
         """The current state's expansion, looked up once per state."""
         here = self._expansion
         if here is None:
-            _seen, values, key = self._binding
-            here = self._expansion = self.cache.expansion(values, key, self._fp)
+            here = self._expansion = self.cache.expansion(self._binding)
             self._fp = here.fp
         return here
 

@@ -200,3 +200,38 @@ def test_counter_spec_terminal_matches_behaviour_end():
     graph = check_spec(spec, collect_graph=True).graph
     (terminal,) = graph.terminal_ids()
     assert graph.state_of(terminal)["x"] == 3
+
+
+# ---------------------------------------------------------------------------
+# networkx: paid for by the liveness queries, not by every import
+# ---------------------------------------------------------------------------
+
+
+def test_networkx_is_imported_by_the_liveness_queries_only():
+    import os
+    import subprocess
+    import sys
+
+    code = """
+import sys
+import repro.engine, repro.pipeline.runner, repro.stream, repro.mbtcg
+assert "networkx" not in sys.modules, "imported with the packages"
+from repro.tla.graph import StateGraph
+from repro.tla.state import State, VariableSchema
+schema = VariableSchema(("x",))
+graph = StateGraph()
+for x in range(3):
+    graph.add_state(State(schema, {"x": x}), initial=x == 0)
+for source, target in ((0, 1), (1, 2), (2, 1)):
+    graph.add_edge(source, "step", target)
+assert list(graph.behaviours(max_length=3)) and "networkx" not in sys.modules
+assert graph.terminal_sccs() == [{1, 2}]
+assert "networkx" in sys.modules
+assert graph.to_networkx().number_of_edges() == 3
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": "src"},
+    )
+    assert done.returncode == 0, done.stderr

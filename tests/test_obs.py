@@ -322,6 +322,11 @@ def test_watch_once_writes_status_file_and_metrics(tmp_path, capsys):
     assert metrics["counters"]["watch.events"] == document["totals"]["events"]
     assert metrics["counters"]["watch.lines_consumed"] > 0
     assert document["run_id"] == metrics["run"]
+    # Starved or busy: what was read, how often and how long the loop idled.
+    assert metrics["counters"]["watch.bytes_read"] == log.stat().st_size
+    assert metrics["counters"].get("watch.idle_waits", 0) == document["idle_waits"]
+    assert metrics["gauges"]["watch.idle_seconds"] >= 0.0
+    assert document["sources"][str(log)]["bytes_read"] == log.stat().st_size
 
 
 def test_schema_rejects_malformed_streams():

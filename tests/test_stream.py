@@ -42,6 +42,8 @@ from repro.stream import (
     WatchConfig,
     WatchService,
 )
+from repro.stream import service as service_module
+from repro.stream import tailer as tailer_module
 from repro.tla.errors import ReproError
 from repro.tla.registry import build_spec, get_entry
 from repro.tla.trace import check_trace
@@ -189,6 +191,146 @@ def test_tailer_waits_for_a_source_that_does_not_exist_yet(tmp_path):
     path.write_text("here\n")
     batch = tailer.poll(now=1.0)
     assert [line.text for line in batch.lines] == ["here"]
+
+
+# Chunked reading: whatever the chunk size, the lines are those one split of
+# the whole file gives -- numbers, offsets and text -- in bounded memory.
+
+_CHUNKS = [1, 7, 64, None]  # None: the module's own constant
+
+
+def _chunked(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(tailer_module, "READ_CHUNK", chunk)
+    return tailer_module.READ_CHUNK
+
+
+def _reference_lines(data):
+    """``[(lineno, offset, text)]`` of the complete lines of ``data``, and its tail."""
+    *complete, tail = data.split(b"\n")
+    lines, offset = [], 0
+    for lineno, raw in enumerate(complete, start=1):
+        offset += len(raw) + 1
+        lines.append((lineno, offset, raw.decode("utf-8")))
+    return lines, tail
+
+
+def _emitted(lines):
+    return [(line.lineno, line.offset, line.text) for line in lines]
+
+
+_MESSY = (
+    "plain\n\n\n" + "x" * 200 + "\n" + "caf\u00e9 \u65e5\u672c\u8a9e \U0001f512 held\n"
+    + "\n".join(f"line {n} \u00fc" for n in range(40)) + "\n\nunfinished \u00e9"
+).encode("utf-8")
+
+
+@pytest.mark.parametrize("chunk", _CHUNKS)
+def test_chunked_polls_emit_exactly_the_lines_of_one_split(tmp_path, monkeypatch, chunk):
+    chunk = _chunked(monkeypatch, chunk)
+    path = tmp_path / "messy.log"
+    path.write_bytes(_MESSY)
+    expected, tail = _reference_lines(_MESSY)
+    longest = max(len(raw) for raw in _MESSY.split(b"\n")) + 1
+    tailer = LogTailer(str(path), partial_retries=2, partial_backoff=0.5)
+    lines = []
+    for _poll in range(len(_MESSY) // chunk + 2):  # the clock stands still: nothing ages
+        batch = tailer.poll(now=0.0)
+        assert not batch.at_eof and not any(line.torn for line in batch.lines)
+        assert sum(len(line.text.encode("utf-8")) + 1 for line in batch.lines) < chunk + longest
+        assert len(tailer._partial) < chunk + longest
+        lines.extend(batch.lines)
+    # A 200-byte line spanning several chunks, characters cut by a chunk
+    # boundary, empty lines: all as the reference has them.
+    assert _emitted(lines) == expected
+    assert tailer.partial == tail.decode("utf-8") and tailer.bytes_read == len(_MESSY)
+    # The newline-less tail is held back, then torn when its retries run out.
+    torn = []
+    for tick in range(1, 10):
+        batch = tailer.poll(now=float(tick))
+        torn.extend(batch.lines)
+        if batch.at_eof:
+            break
+    (line,) = torn
+    assert line.torn and _emitted(torn) == [(len(expected) + 1, len(_MESSY), tail.decode("utf-8"))]
+
+
+def _poll_to_eof(tailer, now):
+    """``(lines, rotations seen, truncations seen)`` of polling until ``at_eof``."""
+    lines, rotated, truncated = [], 0, 0
+    for _poll in range(100_000):
+        batch = tailer.poll(now=now)
+        lines.extend(batch.lines)
+        rotated += batch.rotated
+        truncated += batch.truncated
+        if batch.at_eof:
+            return lines, rotated, truncated
+    raise AssertionError("the tailer never reached EOF")
+
+
+@pytest.mark.parametrize("chunk", _CHUNKS)
+def test_chunked_tailer_rewinds_on_a_truncation_mid_file(tmp_path, monkeypatch, chunk):
+    _chunked(monkeypatch, chunk)
+    path = tmp_path / "a.log"
+    path.write_bytes(_MESSY)
+    tailer = LogTailer(str(path), partial_backoff=0.01)
+    while tailer.bytes_read < 300:  # mid-file (mid-line, at most chunk sizes)
+        tailer.poll(now=0.0)
+    shorter = b"\n".join(b"new %d" % n for n in range(30)) + b"\n"
+    assert 64 < len(shorter) < 300 <= tailer.bytes_read
+    path.write_bytes(shorter)  # copytruncate-style: shrinks below the read position
+    lines, _rotated, truncated = _poll_to_eof(tailer, now=1.0)
+    assert truncated == tailer.truncations == 1
+    # The held-back partial went with the old content: numbering and offsets restart.
+    assert _emitted(lines) == _reference_lines(shorter)[0]
+
+
+@pytest.mark.parametrize("chunk", _CHUNKS)
+def test_a_rotation_with_more_than_a_chunk_unread_loses_no_old_line(tmp_path, monkeypatch, chunk):
+    _chunked(monkeypatch, chunk)
+    path = tmp_path / "a.log"
+    old = b"\n".join(b"old line %d" % n for n in range(60)) + b"\n"
+    path.write_bytes(old)
+    tailer = LogTailer(str(path), partial_backoff=0.01)
+    lines = list(tailer.poll(now=0.0).lines)
+    os.rename(path, tmp_path / "a.log.1")
+    with open(tmp_path / "a.log.1", "ab") as handle:
+        handle.write(b"late\nlost tail")
+    fresh = b"\n".join(b"fresh %d" % n for n in range(20)) + b"\n"
+    path.write_bytes(fresh)
+    batch = tailer.poll(now=1.0)
+    assert batch.rotated and tailer.rotations == 1
+    rest, rotated, _truncated = _poll_to_eof(tailer, now=1.0)
+    assert not rotated
+    # Every old line -- the unread remainder however many chunks long, what
+    # was appended after the rename, the torn tail -- in the poll that saw
+    # the rotation, before the first new one.
+    old_lines, tail = _reference_lines(old + b"late\nlost tail")
+    old_lines.append((len(old_lines) + 1, len(old) + 14, tail.decode()))
+    assert _emitted(lines + batch.lines)[: len(old_lines)] == old_lines
+    assert _emitted(lines + batch.lines + rest) == old_lines + _reference_lines(fresh)[0]
+    torn = [line.torn for line in lines + batch.lines + rest]
+    assert torn == [False] * 61 + [True] + [False] * 20
+
+
+def test_a_48000_line_source_polls_to_eof_in_linear_time(tmp_path):
+    path = tmp_path / "big.log"
+    line = b'{"ts": 12345, "node": 1, "action": "Acquire", "vars": {"held": ["IS", "None", "X"]}}\n'
+    path.write_bytes(line * 48_000)  # > 4 MiB: several chunks
+    tailer = LogTailer(str(path))
+    started = time.perf_counter()
+    count = polls = 0
+    while True:
+        batch = tailer.poll()
+        count += len(batch.lines)
+        polls += 1
+        if batch.at_eof:
+            break
+    elapsed = time.perf_counter() - started
+    tailer.close()
+    assert count == 48_000 and tailer.offset == len(line) * 48_000 == tailer.bytes_read
+    assert polls >= len(line) * 48_000 // tailer_module.READ_CHUNK
+    assert elapsed < 2.0  # seconds at one re-slice of the backlog per line
 
 
 # -- the LogAdapter seam ------------------------------------------------------
@@ -408,6 +550,56 @@ def test_once_mode_detects_violation_and_quarantines_bad_lines(tmp_path):
     malformed = next(r for r in records if "truncated" in r["reason"])
     assert malformed["lineno"] == len(ok_events) + 1
     assert malformed["offset"] > 0
+
+
+def test_the_drain_loop_waits_on_the_tailers_and_never_sleeps(tmp_path, monkeypatch):
+    # The idle wait is a wake-up the tailer threads post (timeout as backstop),
+    # not a sleep: the same sources give the same report with ``sleep`` gone,
+    # and the run says how long it starved, how much it read.
+    from repro.obs.schema import validate_status_path
+    from repro.stream import report_to_json
+
+    spec, per_node = _locking()
+    _ok, ok_events = _trace_events(spec, per_node, seed=1)
+    _bad, bad_events = _trace_events(spec, per_node, seed=2, fault_rate=1.0)
+    paths = [_write_log(tmp_path / "good.log", ok_events),
+             _write_log(tmp_path / "bad.log", bad_events)]
+    with open(paths[0], "a") as handle:
+        handle.write('{"action": "Acq')  # torn: the run outlasts its retry schedule
+
+    def run(**config):
+        service = WatchService(
+            spec, paths, per_node=per_node, config=_fast_config(**config), out=io.StringIO()
+        )
+        assert service.run() == 1
+        return service
+
+    expected = report_to_json(run().report())
+
+    def no_sleep(_seconds):
+        raise AssertionError("the drain loop slept")
+
+    clock = service_module.time
+    monkeypatch.setattr(
+        service_module, "time", type("Clock", (), {
+            "monotonic": staticmethod(clock.monotonic), "sleep": staticmethod(no_sleep)})
+    )
+    status_path = tmp_path / "status.json"
+    service = run(status_path=str(status_path))
+    assert report_to_json(service.report()) == expected
+
+    runtime = service.runtime_info()
+    assert runtime["bytes_read"] == sum(os.path.getsize(path) for path in paths)
+    # It waited for the torn line's retries at least; every wait is bounded.
+    assert runtime["idle_waits"] >= 1
+    assert 0.0 < runtime["idle_seconds"] <= runtime["idle_waits"] * 0.05 + 0.5
+    document = validate_status_path(str(status_path))
+    assert document["idle_waits"] == runtime["idle_waits"]
+    assert document["idle_seconds"] == round(runtime["idle_seconds"], 3)
+    assert {s: d["bytes_read"] for s, d in document["sources"].items()} == {
+        path: os.path.getsize(path) for path in paths
+    }
+    assert "idle" not in expected and "bytes_read" not in expected
 
 
 def test_backpressure_bounded_queues_still_drain_everything(tmp_path):
