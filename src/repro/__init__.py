@@ -5,8 +5,8 @@ Layers, bottom to top:
 * :mod:`repro.tla` -- the TLA+/TLC substitute: value universe, states,
   specifications, trace checking, coverage, and DOT export.
 * :mod:`repro.engine` -- the pluggable exploration engines behind the model
-  checker (serial/fingerprint/parallel BFS plus random-walk simulation) and
-  the visited-state store seam (exact, state-retaining, bounded LRU).
+  checker (fingerprint and state-retaining BFS plus random-walk simulation)
+  and the visited-state store seam (in-memory, state-retaining, disk).
 * :mod:`repro.specs` -- concrete specifications: ``RaftMongo`` (two variants,
   as in the paper) and hierarchical ``Locking``.
 * :mod:`repro.pipeline` -- the scale layer: JSON-lines server-log ingestion,

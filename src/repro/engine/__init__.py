@@ -2,30 +2,28 @@
 
 One exploration strategy per module, all registered by name:
 
-* :mod:`repro.engine.fingerprint` -- ``"fingerprint"``: serial BFS over
-  interned 64-bit fingerprints (the default when no state graph is needed),
+* :mod:`repro.engine.fingerprint` -- ``"fingerprint"``: level-synchronous
+  BFS over interned 64-bit fingerprints (the default when no state graph is
+  needed; the one engine that checkpoints, resumes and spills),
 * :mod:`repro.engine.serial` -- ``"states"``: BFS retaining every distinct
-  ``State`` (required for temporal properties, DOT export and MBTCG),
-* :mod:`repro.engine.parallel` -- ``"parallel"``: level-synchronous BFS with
-  each frontier sharded across a process pool, bit-identical to
-  ``fingerprint``,
+  ``State`` (required for temporal properties, DOT export and MBTCG, and the
+  unhashed reference the fingerprint engine is compared against),
 * :mod:`repro.engine.simulate` -- ``"simulate"``: seeded random-walk
   simulation with walk/depth budgets, for state spaces too large to exhaust.
 
 Visited-state storage is a second, independent seam
 (:mod:`repro.engine.store`): engines accept any registered store they
-declare compatible, so memory behaviour (exact set, state-retaining,
-bounded LRU, exact disk-backed) is chosen per run without touching engine
-code.  Million-state runs pair the ``disk`` store
-(:mod:`repro.engine.diskstore`) with spill-to-disk frontiers
-(:mod:`repro.engine.frontier`) so peak RSS stays flat as distinct-state
-counts climb orders of magnitude.
+declare compatible.  Every store is exact; they differ in where the set
+lives -- an in-memory fingerprint set, retained ``State`` objects, or the
+``disk`` store (:mod:`repro.engine.diskstore`), which million-state runs
+pair with spill-to-disk frontiers (:mod:`repro.engine.frontier`) so peak RSS
+stays flat as distinct-state counts climb orders of magnitude.
 
-Execution robustness is a third seam (:mod:`repro.resilience`): the pooled
-engines dispatch through a supervised worker pool (crash/hang detection,
-bounded retry, degrade-to-serial), the level-synchronous BFS engines can
-checkpoint and resume through the store snapshot seam, and a seeded chaos
-layer injects worker faults deterministically for testing all of it.
+Execution robustness is a third seam (:mod:`repro.resilience`): the
+simulation engine's ``workers > 1`` walks dispatch through a supervised
+worker pool (crash/hang detection, bounded retry, degrade-to-serial) with a
+seeded chaos layer to test it, and the fingerprint engine can checkpoint and
+resume through the store snapshot seam.
 
 Spec execution is a fourth seam, the *expander*: an object with
 ``expand(values)`` -- a state's full expansion as ``(action, successor
@@ -37,10 +35,8 @@ fixed-slot value tuples) and
 closures), and one factory, :func:`~repro.engine.base.make_expander`, which
 applies ``compile_mode="on"|"off"|"auto"`` for the coordinator and for
 every pool worker.  Each engine is written once against
-``CheckContext.expander`` and never asks which implementation it holds;
-``fingerprint`` and ``parallel`` also share one level loop
-(:func:`~repro.engine.fingerprint.bfs_levels`).  Results are bit-identical
-under either expander.
+``CheckContext.expander`` and never asks which implementation it holds.
+Results are bit-identical under either expander.
 
 :class:`~repro.engine.core.ModelChecker` coordinates: it resolves
 ``engine="auto"``/``store="auto"`` eagerly, validates the combination,
@@ -62,7 +58,6 @@ from .base import (
 )
 from .frontier import SpillFrontier
 from .store import (
-    BoundedLRUStore,
     DiskFingerprintStore,
     FingerprintSetStore,
     StateRetainingStore,
@@ -73,15 +68,13 @@ from .store import (
 )
 
 # Importing the engine modules registers them; the order fixes the public
-# ENGINES tuple (and keeps its historical prefix).
+# ENGINES tuple.
 from .fingerprint import FingerprintEngine
 from .serial import SerialStatesEngine
-from .parallel import ParallelEngine, default_worker_count
 from .simulate import SimulationEngine
 from .core import ModelChecker, check_spec
 
 __all__ = [
-    "BoundedLRUStore",
     "CheckContext",
     "CheckResult",
     "DiskFingerprintStore",
@@ -90,7 +83,6 @@ __all__ = [
     "FingerprintEngine",
     "FingerprintSetStore",
     "ModelChecker",
-    "ParallelEngine",
     "STORES",
     "SerialStatesEngine",
     "SimulationEngine",
@@ -98,7 +90,6 @@ __all__ = [
     "StateRetainingStore",
     "StateStore",
     "check_spec",
-    "default_worker_count",
     "engine_names",
     "get_engine",
     "make_store",

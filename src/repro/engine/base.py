@@ -1,13 +1,12 @@
 """Engine seam: the protocol, shared check context, result type and registry.
 
 An *engine* is one exploration strategy over a specification's state space
-(exhaustive BFS, sharded BFS, random simulation, ...).  Every engine receives
+(exhaustive BFS, random simulation, ...).  Every engine receives
 a :class:`CheckContext` -- the spec, its *expander*, the run limits, the
 visited-state store and the shared bookkeeping helpers -- and fills in the
-context's :class:`CheckResult`.  The context owns everything the original
-monolithic checker duplicated across engines: initial-frontier seeding,
-checkpointing, and counterexample replay from the fingerprint-keyed parent
-map.
+context's :class:`CheckResult`.  The context owns what engines share:
+initial-frontier seeding, checkpointing, and counterexample replay from the
+fingerprint-keyed parent map.
 
 The expander is the one way any engine computes successors: an object with
 ``transitions(values)``, ``expand(values)`` (the former plus verdicts) and
@@ -60,8 +59,8 @@ Transition = Tuple[str, Tuple[Any, ...], int]
 
 #: One entry of an expansion result: ``(action name, successor value tuple,
 #: successor fingerprint, violated invariant name or None, constraint
-#: verdict)``.  Value tuples rather than ``State`` objects so the same shape
-#: crosses process boundaries with minimal pickling.
+#: verdict)``.  Value tuples rather than ``State`` objects: a ``State`` is
+#: built only for a successor that enters a frontier.
 SuccessorInfo = Tuple[str, Tuple[Any, ...], int, Optional[str], bool]
 
 #: Cap on an expander's invariant/constraint verdict memo (see
@@ -202,13 +201,6 @@ class CheckResult:
     #: True when the run was cut short by KeyboardInterrupt; the statistics
     #: cover only the explored prefix (like a truncated run).
     interrupted: bool = False
-    #: Fingerprints the visited store forgot (bounded stores only).  When
-    #: non-zero, ``distinct_states`` is an *upper bound*, not an exact count
-    #: -- the summary and CLI label it accordingly.
-    store_evictions: int = 0
-    #: False when the resolved store is inexact *and* actually evicted; an
-    #: lru run that never filled its capacity still reports exact counts.
-    store_exact: bool = True
     #: Wall-clock seconds the store spent on disk I/O (0 for in-memory
     #: stores): what tells a store-bound run from a CPU-bound one.
     store_io_seconds: float = 0.0
@@ -239,24 +231,13 @@ class CheckResult:
         """
         status = "OK" if self.ok else "VIOLATION"
         resolved = f"engine={self.engine}"
-        if self.engine == "parallel":
-            resolved += f"({self.workers} workers)"
         if self.engine == "simulate":
             resolved += f"({self.walks} walks)"
         resolved += f" store={self.store}"
         if self.compiled:
             resolved += " compiled"
-        if self.store_exact:
-            distinct = f"{self.distinct_states} distinct states"
-        else:
-            # A bounded store that evicted cannot count exactly: re-added
-            # evictees count again, so the total is only an upper bound.
-            distinct = (
-                f"<={self.distinct_states} distinct states (upper bound; "
-                f"{self.store_evictions} evicted)"
-            )
         return (
-            f"{self.spec_name}: {status}; {distinct}, "
+            f"{self.spec_name}: {status}; {self.distinct_states} distinct states, "
             f"{self.generated_states} states generated, depth {self.max_depth}, "
             f"{self.duration_seconds:.2f}s [{resolved}]"
         )
@@ -277,7 +258,7 @@ class CheckContext:
     #: at the boundaries (seeding, replay, checkpoints) stays on the spec's
     #: own interpreted surface, so the two expanders cannot drift there.
     expander: Any
-    #: The mode ``expander`` was made under; pooled engines hand it to their
+    #: The mode ``expander`` was made under; a pooled run hands it to its
     #: workers so each makes its own expander by the same policy.
     compile_mode: str = "off"
     collect_graph: bool = False
@@ -305,8 +286,8 @@ class CheckContext:
     #: ``checkpoint_every`` completed BFS levels (0 disables).
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 0
-    #: The store capacity of this run (recorded into checkpoints): the lru
-    #: store's bound, or the disk store's write-back cache size.
+    #: The store capacity of this run (recorded into checkpoints): the disk
+    #: store's write-back cache size.
     store_capacity: Optional[int] = None
     #: The disk store's database path (recorded for operator messages).
     store_path: Optional[str] = None
@@ -322,8 +303,8 @@ class CheckContext:
         """An empty next-level frontier: a plain list, or a spilling buffer.
 
         Both support ``append((state, fp))``, ``len``, truthiness and
-        in-order iteration -- the only operations the BFS engines perform --
-        so the engines stay oblivious to whether a level lives in memory or
+        in-order iteration -- the only operations the level loop performs --
+        so it stays oblivious to whether a level lives in memory or
         in compressed chunks on disk.
         """
         if self.spill_threshold is None:
@@ -411,7 +392,7 @@ class CheckContext:
     ) -> None:
         """Persist a resumable snapshot if this level is a checkpoint level.
 
-        Called by the BFS engines after each *completed* level, with
+        Called by the level loop after each *completed* level, with
         ``depth`` being the next level to expand.  Writes are atomic, so an
         interruption mid-checkpoint leaves the previous snapshot usable.
         """
@@ -502,31 +483,26 @@ class Engine:
     #: True when the engine can retain the state graph (temporal properties,
     #: DOT export, MBTCG enumeration all need it).
     supports_graph: bool = False
-    #: True when the engine dispatches work to pool processes that rebuild
-    #: the spec by registry name (requires ``spec.registry_ref``).
-    needs_registry: bool = False
     #: Store names the engine accepts; the first entry is the default that
     #: ``store="auto"`` resolves to.
     supported_stores: Tuple[str, ...] = ("fingerprint",)
-    #: True when the engine's exploration is inherently bounded (e.g. by
-    #: walk budgets).  Unbounded engines using a forgetful store (``lru``)
-    #: can re-expand evicted states forever, so the coordinator requires an
-    #: explicit ``max_states``/``max_depth`` from them.
+    #: True when the engine is bounded by its own budgets (walks/walk_depth)
+    #: and does not consume ``max_states``/``max_depth``.
     bounded_exploration: bool = False
     #: True when the engine honors ``checkpoint_path``/``resume`` on its
-    #: context (the level-synchronous BFS engines; exploration state of the
+    #: context (the level-synchronous BFS engine; exploration state of the
     #: graph-retaining and simulation engines is not snapshot-able yet).
     supports_checkpoint: bool = False
 
     @classmethod
     def requires_registry(cls, workers: Optional[int]) -> bool:
-        """Whether a run with ``workers`` needs ``spec.registry_ref``.
+        """Whether a run with ``workers`` starts pool processes.
 
-        The coordinator asks the engine rather than pattern-matching on
-        names, so an engine that only pools conditionally (e.g. simulation
-        pools only for ``workers > 1``) can say so itself.
+        Those rebuild the spec by registry name, so the run needs
+        ``spec.registry_ref``.  The coordinator asks the engine rather than
+        pattern-matching on names: simulation pools only for ``workers > 1``.
         """
-        return cls.needs_registry
+        return False
 
     def run(self, ctx: CheckContext) -> None:  # pragma: no cover - interface
         raise NotImplementedError

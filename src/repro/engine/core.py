@@ -161,10 +161,10 @@ class ModelChecker:
                 f"the {self.resolved_engine} engine supports stores "
                 f"{engine_cls.supported_stores}; got {store!r}"
             )
-        if store_capacity is not None and self.resolved_store not in ("lru", "disk"):
+        if store_capacity is not None and self.resolved_store != "disk":
             raise ValueError(
-                "store_capacity only applies to the bounded 'lru' store and "
-                "the 'disk' store's write-back cache"
+                "store_capacity only applies to the 'disk' store's write-back "
+                "cache; pass store='disk' with it"
             )
         if store_path is not None and self.resolved_store != "disk":
             raise ValueError(
@@ -177,7 +177,7 @@ class ModelChecker:
             raise ValueError(
                 f"the {self.resolved_engine} engine has no level-synchronous "
                 "BFS frontier to spill; spill_threshold applies to the "
-                "fingerprint and parallel engines"
+                "fingerprint engine"
             )
         if spill_threshold is not None:
             self.spill_threshold: Optional[int] = spill_threshold
@@ -188,17 +188,6 @@ class ModelChecker:
             self.spill_threshold = DEFAULT_SPILL_THRESHOLD
         else:
             self.spill_threshold = None
-        if (
-            self.resolved_store == "lru"
-            and not engine_cls.bounded_exploration
-            and max_states is None
-            and max_depth is None
-        ):
-            raise ValueError(
-                "the lru store forgets evicted states, so an unbounded BFS "
-                "may re-expand them forever; set max_states or max_depth "
-                "(the simulate engine is bounded by its walk budgets instead)"
-            )
 
         # Resilience knobs: validated eagerly so a misconfigured chaos or
         # checkpoint run fails before exploration, not silently no-ops.
@@ -206,18 +195,17 @@ class ModelChecker:
             raise ValueError(
                 "chaos fault injection targets worker pools, but "
                 f"engine={self.resolved_engine!r} with workers={workers!r} "
-                "runs no pool; use the parallel engine (or simulate with "
-                "workers > 1)"
+                "runs no pool; use engine='simulate' with workers > 1"
             )
         if (checkpoint_path or resume_path) and not engine_cls.supports_checkpoint:
             raise ValueError(
                 f"the {self.resolved_engine} engine does not support "
-                "checkpoint/resume; use the fingerprint or parallel engine"
+                "checkpoint/resume; use the fingerprint engine"
             )
         if checkpoint_path and self.resolved_store == "states":
             raise ValueError(
                 "the 'states' store cannot be snapshot into a checkpoint; "
-                "use the fingerprint or lru store"
+                "use the fingerprint or disk store"
             )
         if (
             (checkpoint_path or resume_path)
@@ -329,15 +317,10 @@ class ModelChecker:
         """Fold store statistics into the result and release the store.
 
         Runs on every exit path (success, interrupt, engine failure): the
-        eviction count decides whether ``distinct_states`` is exact, and the
         disk store must flush/close so a persistent database is complete on
         disk (and an ephemeral one is deleted).
         """
         store = ctx.store
-        result.store_evictions = getattr(store, "evictions", 0)
-        result.store_exact = (
-            bool(getattr(store, "exact", True)) or result.store_evictions == 0
-        )
         result.store_io_seconds = getattr(store, "io_seconds", 0.0)
         close = getattr(store, "close", None)
         if close is not None:
@@ -345,8 +328,6 @@ class ModelChecker:
         run = obs_current()
         if run is not None:
             reg = run.registry
-            if result.store_evictions:
-                reg.inc("store.evictions", result.store_evictions)
             # The gauge mirrors the reported figure (read before close, like
             # the summary line); the counters are folded after close so the
             # final flush the close performs is counted too.
@@ -437,22 +418,6 @@ class ModelChecker:
         checkpoint.validate_for(
             self.spec.name, self.spec.registry_ref, self.resolved_store
         )
-        if (
-            self.resolved_store == "lru"
-            and self.store_capacity is not None
-            and checkpoint.store_capacity is not None
-            and checkpoint.store_capacity != self.store_capacity
-        ):
-            # lru only: its capacity decides *which* states are forgotten, so
-            # changing it mid-run changes results.  The disk store's capacity
-            # is just a write-back cache size -- resuming under a different
-            # one is harmless.
-            raise CheckerError(
-                f"checkpoint was taken with store_capacity="
-                f"{checkpoint.store_capacity}, but this run requests "
-                f"{self.store_capacity}; resuming would change eviction "
-                "behaviour and break the golden-stats contract"
-            )
         ctx.store.restore(checkpoint.store_state)
         ctx.parents.update(checkpoint.parents)
         stats = checkpoint.stats

@@ -14,10 +14,9 @@ file while holding only three bounded structures in memory:
   all.  The filter has no false negatives, so it can prove absence; a
   positive falls through to an indexed ``SELECT``.
 
-The store is *exact* (unlike the bounded ``lru`` store): ``add`` returns
-True exactly once per fingerprint and ``distinct_count`` is the true
-distinct-state count, so the golden-stats parity with the in-memory
-``fingerprint`` store holds bit for bit.
+The store is *exact*: ``add`` returns True exactly once per fingerprint and
+``distinct_count`` is the true distinct-state count, so the golden-stats
+parity with the in-memory ``fingerprint`` store holds bit for bit.
 
 Because replay back-pointers are the other per-state memory consumer, the
 store also owns the run's **parent map** (``fp -> (parent fp, action)``)
@@ -170,11 +169,7 @@ class DiskFingerprintStore:
 
     name = "disk"
     retains_states = False
-    exact = True
     supports_snapshot = True
-    #: Eviction never happens (the set is exact); present for the
-    #: bounded-store reporting seam.
-    evictions = 0
 
     def __init__(
         self, capacity: Optional[int] = None, path: Optional[str] = None

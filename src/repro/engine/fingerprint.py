@@ -1,4 +1,4 @@
-"""The serial fingerprint-interned BFS engine (the default).
+"""The fingerprint-interned BFS engine (the default).
 
 The visited set holds only stable 64-bit state fingerprints (as TLC's own
 fingerprint set does), plus a fingerprint-keyed parent map used to rebuild
@@ -7,44 +7,29 @@ only on the current and next BFS frontier, so peak memory is bounded by the
 widest level rather than the whole reachable space.
 
 The visited set itself is pluggable: the default ``fingerprint`` store is an
-exact in-memory set, the bounded ``lru`` store caps memory at a fixed
-capacity (accepting possible re-expansion of evicted states), and the exact
-``disk`` store pushes the set into a SQLite file behind a write-back cache
-(see :mod:`repro.engine.store` and :mod:`repro.engine.diskstore`).  Frontier
-levels, the other per-scale memory consumer, can spill to compressed disk
-chunks past a threshold (:mod:`repro.engine.frontier`) -- together that
-keeps peak RSS flat into the millions of distinct states.
+in-memory set, and the ``disk`` store pushes the same exact set into a
+SQLite file behind a write-back cache (see :mod:`repro.engine.store` and
+:mod:`repro.engine.diskstore`).  Frontier levels, the other per-scale memory
+consumer, can spill to compressed disk chunks past a threshold
+(:mod:`repro.engine.frontier`) -- together that keeps peak RSS flat into the
+millions of distinct states.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
-
 from ..obs import COUNT_BUCKETS, current as obs_current, span
 from ..tla.state import State
-from .base import CheckContext, Engine, SuccessorInfo, register_engine
+from .base import CheckContext, Engine, register_engine
 
 __all__ = ["FingerprintEngine", "bfs_levels"]
 
-#: ``values -> entries``: what the level loop calls once per frontier state.
-Expand = Callable[[Tuple[Any, ...]], List[SuccessorInfo]]
 
-
-def bfs_levels(
-    ctx: CheckContext,
-    level_expand: Optional[Callable[[Any], Expand]] = None,
-) -> None:
+def bfs_levels(ctx: CheckContext) -> None:
     """The level-synchronous BFS loop, one depth level per batch.
 
-    The ``fingerprint`` and ``parallel`` engines both run exactly this:
-    seeding or resuming, limits, the merge into store, parent map and next
-    frontier, telemetry and checkpoints.  They differ only in where a
-    level's expansions come from.  By default every state goes through
-    ``ctx.expander.expand``; an engine that computes a level ahead of the
-    merge passes ``level_expand``, called with each level's frontier and
-    returning that level's ``expand``.  The loop calls it once per frontier
-    state, in frontier order, so it may hand back precomputed expansions in
-    that order instead of looking at its argument.
+    Seeding or resuming, limits, the merge into store, parent map and next
+    frontier, telemetry and checkpoints; every frontier state goes through
+    ``ctx.expander.expand``.
     """
     spec, result, store = ctx.spec, ctx.result, ctx.store
     schema = spec.schema
@@ -66,8 +51,6 @@ def bfs_levels(
         # A ``with`` block, so a level cut short by an interrupt or a raising
         # spec still lands in the ``span.engine.level.seconds`` time budget.
         with span("engine.level", emit=False):
-            if level_expand is not None:
-                expand = level_expand(frontier)
             next_frontier = ctx.new_frontier()
             append = next_frontier.append
             for state, fp in frontier:
@@ -97,14 +80,8 @@ def bfs_levels(
                     action_counts[action_name] += 1
                     if not add(nfp):
                         continue
-                    # setdefault, not assignment: a bounded store can hand an
-                    # *evicted* fingerprint back as "new" while a descendant
-                    # chain already runs through it; overwriting its parent
-                    # would put a cycle in the replay chain.  The
-                    # first-discovery entry is always acyclic (parents are
-                    # recorded before their children and never pruned), and
-                    # with an exact store add() returns True exactly once, so
-                    # this is the plain assignment it always was.
+                    # add() said new, so no entry exists: setdefault is the
+                    # disk parent map's insert that skips the existence probe.
                     set_parent(nfp, (fp, action_name))
                     result.max_depth = max(result.max_depth, depth + 1)
                     if violated_name is not None:
@@ -142,8 +119,7 @@ class FingerprintEngine(Engine):
 
     name = "fingerprint"
     supports_graph = False
-    needs_registry = False
-    supported_stores = ("fingerprint", "lru", "disk")
+    supported_stores = ("fingerprint", "disk")
     supports_checkpoint = True
 
     def run(self, ctx: CheckContext) -> None:

@@ -34,7 +34,6 @@ class SerialStatesEngine(Engine):
 
     name = "states"
     supports_graph = True
-    needs_registry = False
     supported_stores = ("states",)
 
     def run(self, ctx: CheckContext) -> None:

@@ -5,15 +5,15 @@ behaviours when the state space is too large to enumerate, and the paper's
 workflow relies on that reach.  This engine reproduces it: ``walks`` seeded
 random walks of at most ``walk_depth`` steps each, every *generated*
 successor checked against the invariants (as the BFS engines' expansion
-does), with the walk itself as the counterexample trace when one trips.  Every violation it reports is therefore a *real*
-reachable violation: the trace starts in an initial state and takes one
-enabled action per step.
+does), with the walk itself as the counterexample trace when one trips.
+Every violation it reports is therefore a *real* reachable violation: the
+trace starts in an initial state and takes one enabled action per step.
 
 Determinism: walk *i* is driven by ``random.Random(f"{seed}:{i}")``, so the
 behaviour of each walk is a pure function of ``(spec, seed, i, walk_depth)``
 -- independent of execution order.  With ``workers > 1`` the walk indices
-are sharded across a process pool (workers rebuild the spec from its
-registry name, exactly like the parallel BFS engine); the reported
+are sharded across a supervised process pool (each worker rebuilds the spec
+from its registry name and makes its own expander); the reported
 counterexample is the one from the *lowest-numbered* violating walk, so it
 is identical for every worker count.  Aggregate statistics can differ when
 ``stop_on_violation`` stops a serial run early while shards finish their
@@ -22,8 +22,7 @@ slices -- the counterexample never does.
 Statistics: ``generated_states`` counts every successor enumerated while
 walking (plus the initial-state set, once per walk), ``distinct_states``
 counts the distinct states visited across all walks (through the pluggable
-store, so the bounded ``lru`` store can cap memory on very long runs), and
-``max_depth`` is the longest walk in steps.
+store), and ``max_depth`` is the longest walk in steps.
 """
 
 from __future__ import annotations
@@ -32,12 +31,12 @@ import random
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs import current as obs_current
-from ..resilience import TaskError
+from ..resilience import SupervisedPool, TaskError
 from ..tla.errors import DeadlockError, InvariantViolation
+from ..tla.registry import build_worker_spec, worker_spec_args
 from ..tla.spec import Specification
 from ..tla.state import State
-from .base import CheckContext, Engine, register_engine
-from .parallel import spec_worker_pool
+from .base import CheckContext, Engine, make_expander, register_engine
 
 __all__ = ["SimulationEngine"]
 
@@ -127,9 +126,19 @@ def _run_walk(
 
 
 # ---------------------------------------------------------------------------
-# Pool worker side.  The initializer is shared with the parallel BFS engine:
-# rebuild the spec by registry name, make a private expander.
+# Pool worker side.  Each pool process rebuilds the spec by registry name and
+# makes its own expander (compiled kernels are closures and do not pickle)
+# once, in the initializer, and keeps both for the whole run.
 # ---------------------------------------------------------------------------
+
+_WORKER_SPEC: Optional[Specification] = None
+_WORKER_EXPANDER: Optional[Any] = None
+
+
+def _walk_worker_init(spec_args: Tuple[Any, ...], compile_mode: str) -> None:
+    global _WORKER_SPEC, _WORKER_EXPANDER
+    _WORKER_SPEC = build_worker_spec(*spec_args)
+    _WORKER_EXPANDER, _fallback = make_expander(_WORKER_SPEC, compile_mode)
 
 
 def _simulate_shard(
@@ -147,13 +156,10 @@ def _simulate_shard(
     what lets the coordinator's min-merge reproduce the serial engine's
     counterexample exactly.
     """
-    from . import parallel
-
-    spec, expander = parallel._WORKER_SPEC, parallel._WORKER_EXPANDER
-    assert spec is not None and expander is not None
+    assert _WORKER_SPEC is not None and _WORKER_EXPANDER is not None
     return _drive_walks(
-        spec,
-        expander,
+        _WORKER_SPEC,
+        _WORKER_EXPANDER,
         range(start, stop),
         seed,
         walk_depth,
@@ -239,10 +245,7 @@ class SimulationEngine(Engine):
 
     name = "simulate"
     supports_graph = False
-    needs_registry = False
-    supported_stores = ("fingerprint", "lru", "disk")
-    #: Walk x depth budgets bound exploration, so a forgetful (lru) store
-    #: needs no extra max_states/max_depth here.
+    supported_stores = ("fingerprint", "disk")
     bounded_exploration = True
 
     @classmethod
@@ -287,7 +290,14 @@ class SimulationEngine(Engine):
         # 9 walks / 4 workers -> 3 shards of 3); report what actually runs.
         ctx.result.workers = len(bounds)
         shards: List[Dict[str, Any]] = []
-        with spec_worker_pool(ctx, len(bounds), "simulate") as pool:
+        with SupervisedPool(
+            len(bounds),
+            initializer=_walk_worker_init,
+            initargs=(worker_spec_args(spec), ctx.compile_mode),
+            config=ctx.supervision,
+            chaos=ctx.chaos,
+            name="simulate",
+        ) as pool:
             tasks = [
                 pool.submit(
                     _simulate_shard,

@@ -3,48 +3,38 @@
 TLC scales past toy models because its fingerprint set is swappable (an
 in-memory set, a disk-backed set, ...).  This module is that seam for the
 reproduction: an exploration engine asks its store "have I seen this state?"
-and never cares how the answer is represented.  Three stores ship:
+and never cares how the answer is represented.  Every store is exact --
+``add`` returns True exactly once per state and ``distinct_count`` is the
+true distinct-state count.  Three ship:
 
 * ``"fingerprint"`` -- :class:`FingerprintSetStore`: an in-memory set of
   stable 64-bit state fingerprints, the default for the fingerprint-interned
-  engines.  Exact, unbounded.
+  engines.
 * ``"states"`` -- :class:`StateRetainingStore`: every distinct ``State``
   object is retained and assigned a dense integer id.  Required by the
   serial ``states`` engine, whose retained graph nodes must resolve back to
   states.
-* ``"lru"`` -- :class:`BoundedLRUStore`: a fingerprint set bounded to a
-  fixed capacity with least-recently-seen eviction, for explorations whose
-  visited set would not fit in memory.  An evicted state is no longer
-  recognised, so BFS engines may re-expand it; exploration must therefore be
-  bounded some other way (``max_states``/``max_depth``, or the walk budgets
-  of the ``simulate`` engine) and ``distinct_states`` becomes an upper
-  bound rather than an exact count.
 * ``"disk"`` -- :class:`repro.engine.diskstore.DiskFingerprintStore`: the
   full visited set lives in a SQLite file behind a write-back cache and a
-  Bloom filter, so million-state runs keep a flat memory profile while the
-  count stays *exact* (unlike ``lru``).  Takes a ``path`` (the CLI's
-  ``--store-path``); ``capacity`` sizes its write-back cache.
+  Bloom filter, so million-state runs keep a flat memory profile.  Takes a
+  ``path`` (the CLI's ``--store-path``); ``capacity`` sizes its write-back
+  cache.
 
 Stores are registered by name (:func:`register_store`) so a new backend --
-an mmap'd hash file, a Bloom filter -- is a one-file addition; engines
-declare which stores they accept
-(:attr:`repro.engine.base.Engine.supported_stores`) and
+an mmap'd hash file, say -- is a one-file addition; engines declare which
+stores they accept (:attr:`repro.engine.base.Engine.supported_stores`) and
 :func:`repro.engine.core.ModelChecker` resolves ``store="auto"`` to the
 engine's default.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
-from ..tla.errors import CheckerError
 from ..tla.state import State
 from .diskstore import DiskFingerprintStore
 
 __all__ = [
-    "BoundedLRUStore",
-    "DEFAULT_LRU_CAPACITY",
     "DiskFingerprintStore",
     "FingerprintSetStore",
     "StateRetainingStore",
@@ -54,22 +44,17 @@ __all__ = [
     "store_names",
 ]
 
-#: Default capacity of the bounded LRU store when none is given.
-DEFAULT_LRU_CAPACITY = 100_000
-
 
 class StateStore(Protocol):
     """What every visited-state store exposes to the engines.
 
     ``add`` returns True when the fingerprint was not present (the state is
     new and should be explored); ``distinct_count`` is the number of distinct
-    states the store believes it has seen -- exact for unbounded stores, an
-    upper bound for bounded ones (re-added evictees count again).
+    states the store has seen.
     """
 
     name: str
     retains_states: bool
-    exact: bool
 
     def add(self, fp: int) -> bool: ...
 
@@ -86,11 +71,10 @@ class StateStore(Protocol):
 
 
 class FingerprintSetStore:
-    """Unbounded in-memory set of 64-bit state fingerprints (the default)."""
+    """In-memory set of 64-bit state fingerprints (the default)."""
 
     name = "fingerprint"
     retains_states = False
-    exact = True
     supports_snapshot = True
 
     def __init__(self) -> None:
@@ -121,96 +105,6 @@ class FingerprintSetStore:
         self._seen = set(data["seen"])
 
 
-class BoundedLRUStore:
-    """Fingerprint set bounded to ``capacity`` entries, LRU-evicted.
-
-    The *visited set* holds at most ``capacity`` fingerprints regardless of
-    state-space size.  The price is exactness: once a fingerprint is evicted
-    the store forgets it, so a revisit reports "new" again.
-    ``distinct_count`` therefore counts every add ever accepted -- an upper
-    bound on the true distinct-state count, exact as long as nothing was
-    evicted (``evictions == 0``).
-
-    Note that the BFS engines' counterexample parent map lives *outside* the
-    store and grows one entry per accepted add (it must reach back to an
-    initial state to replay a trace, so it cannot be evicted); to bound a
-    run's total memory, combine ``lru`` with ``max_states``/``max_depth`` --
-    which the coordinator requires for BFS engines anyway.
-    """
-
-    name = "lru"
-    retains_states = False
-    exact = False
-    supports_snapshot = True
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("store capacity must be >= 1")
-        self.capacity = capacity or DEFAULT_LRU_CAPACITY
-        #: Whether the capacity was requested explicitly (vs the default);
-        #: restore() refuses to silently override an explicit request.
-        self.explicit_capacity = capacity is not None
-        self._seen: "OrderedDict[int, None]" = OrderedDict()
-        self._added = 0
-        self.evictions = 0
-
-    def add(self, fp: int) -> bool:
-        seen = self._seen
-        if fp in seen:
-            seen.move_to_end(fp)
-            return False
-        seen[fp] = None
-        self._added += 1
-        if len(seen) > self.capacity:
-            seen.popitem(last=False)
-            self.evictions += 1
-        return True
-
-    def __contains__(self, fp: int) -> bool:
-        return fp in self._seen
-
-    def __len__(self) -> int:
-        return len(self._seen)
-
-    @property
-    def distinct_count(self) -> int:
-        return self._added
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Entries in recency order plus the counters; picklable."""
-        return {
-            "seen": list(self._seen),
-            "added": self._added,
-            "evictions": self.evictions,
-            "capacity": self.capacity,
-        }
-
-    def restore(self, data: Dict[str, Any]) -> None:
-        """Rebuild set, recency order and counters from a snapshot.
-
-        A snapshot records the capacity it was taken with, and eviction
-        order depends on it, so resuming under a *different* capacity would
-        silently change which states the store forgets -- breaking the
-        golden-stats contract.  An explicitly requested capacity that
-        disagrees with the snapshot is therefore an error (the caller must
-        drop the flag or match the snapshot); a defaulted capacity simply
-        adopts the snapshot's.
-        """
-        snapshot_capacity = data["capacity"]
-        if self.explicit_capacity and snapshot_capacity != self.capacity:
-            raise CheckerError(
-                f"snapshot was taken with store capacity {snapshot_capacity}, "
-                f"but this run explicitly requests {self.capacity}; resuming "
-                "under a different capacity would change eviction behaviour "
-                "-- drop --store-capacity to adopt the snapshot's, or pass "
-                f"--store-capacity {snapshot_capacity}"
-            )
-        self.capacity = snapshot_capacity
-        self._seen = OrderedDict((fp, None) for fp in data["seen"])
-        self._added = data["added"]
-        self.evictions = data["evictions"]
-
-
 class StateRetainingStore:
     """Every distinct state retained, keyed by value and assigned a dense id.
 
@@ -222,7 +116,6 @@ class StateRetainingStore:
 
     name = "states"
     retains_states = True
-    exact = True
     #: Retained State objects and the graph referencing them make this store
     #: much heavier to snapshot than the fingerprint stores; the serial
     #: ``states`` engine is therefore outside the checkpoint seam for now.
@@ -297,5 +190,4 @@ def make_store(
 
 register_store("fingerprint", lambda capacity, path: FingerprintSetStore())
 register_store("states", lambda capacity, path: StateRetainingStore())
-register_store("lru", lambda capacity, path: BoundedLRUStore(capacity))
 register_store("disk", lambda capacity, path: DiskFingerprintStore(capacity, path))

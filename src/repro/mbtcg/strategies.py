@@ -98,25 +98,19 @@ def coverage_minimized(
     graph: StateGraph,
     *,
     max_length: int,
-    candidates: Sequence[Behaviour] = (),
 ) -> Tuple[List[Behaviour], int]:
     """Greedy minimum-ish suite covering every reachable coverage pair.
 
-    ``candidates`` lets the caller reuse an already-enumerated exhaustive
-    suite (the parallel generator does); otherwise the exhaustive suite at
-    the same ``max_length`` is enumerated here, which guarantees the chosen
-    suite's action coverage is identical to the exhaustive suite's -- the
-    goals are exactly the pairs the exhaustive behaviours witness.
+    The exhaustive suite at the same ``max_length`` is enumerated here,
+    which guarantees the chosen suite's action coverage is identical to the
+    exhaustive suite's -- the goals are exactly the pairs the exhaustive
+    behaviours witness.
 
     The pool is sorted canonically (length, then behaviour fingerprint)
     before the greedy pass, so tie-breaking -- and therefore the chosen
-    suite -- does not depend on enumeration order; serial and partitioned
-    parallel enumeration select the same cases.
+    suite -- does not depend on enumeration order.
     """
-    if candidates:
-        pool, enumerated = list(candidates), len(candidates)
-    else:
-        pool, enumerated = exhaustive_behaviours(graph, max_length=max_length)
+    pool, enumerated = exhaustive_behaviours(graph, max_length=max_length)
     pool.sort(key=lambda behaviour: (len(behaviour), behaviour_fingerprint(behaviour)))
     classes = state_classes(graph)
     per_behaviour: List[Set[CoveragePair]] = [

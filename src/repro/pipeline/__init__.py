@@ -10,8 +10,9 @@ pipeline:
   fault-injected) generated straight from a specification,
 * :mod:`~repro.pipeline.runner` -- concurrent batch checking (thread or
   process executors) with successor caching and merged coverage,
-* :mod:`~repro.pipeline.registry` -- the CLI-facing view of the spec registry
-  in :mod:`repro.tla.registry`.
+* :mod:`~repro.pipeline.cli` -- the ``python -m repro`` command line.
+
+Specifications are built by name through :mod:`repro.tla.registry`.
 """
 
 from .logs import (
@@ -25,7 +26,6 @@ from .logs import (
     trace_from_logs,
     write_log_file,
 )
-from .registry import SPECS, SpecEntry, build_spec_by_name
 from .runner import EXECUTORS, BatchReport, TraceOutcome, check_traces
 from .workload import GeneratedTrace, generate_trace, generate_workload
 
@@ -35,10 +35,7 @@ __all__ = [
     "GeneratedTrace",
     "LogEvent",
     "LogParseError",
-    "SPECS",
-    "SpecEntry",
     "TraceOutcome",
-    "build_spec_by_name",
     "check_traces",
     "events_from_trace",
     "events_to_trace",

@@ -25,7 +25,7 @@ import itertools
 import os
 import signal
 import sys
-from typing import Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from ..engine import ENGINES, STORES, ModelChecker, check_spec
 from ..mbtcg import STRATEGIES, generate_suite, replay_corpus, write_corpus
@@ -40,14 +40,37 @@ from ..resilience import (
 from ..stream import WatchConfig, WatchService
 from ..tla.coverage import CoverageReport
 from ..tla.dot import to_dot
-from ..tla.errors import CheckInterrupted, ReproError
+from ..tla.errors import CheckInterrupted, ReproError, SpecError
+from ..tla.registry import build_spec, get_entry, registered_names
 from ..tla.trace import SuccessorCache, explain_failure
 from . import logs as log_module
-from .registry import build_spec_by_name, parse_params, SPECS
 from .runner import EXECUTORS, cache_line, check_one, check_traces, record_cache_telemetry
 from .workload import generate_workload
 
-__all__ = ["build_parser", "main"]
+__all__ = ["build_parser", "main", "parse_params"]
+
+
+def parse_params(pairs: Sequence[str]) -> Dict[str, Any]:
+    """Parse ``key=value`` CLI parameters with int/float/bool coercion."""
+    params: Dict[str, Any] = {}
+    for pair in pairs:
+        key, sep, raw = pair.partition("=")
+        if not sep or not key:
+            raise SpecError(f"malformed --param {pair!r}; expected key=value")
+        value: Any
+        lowered = raw.lower()
+        if lowered in ("true", "false"):
+            value = lowered == "true"
+        else:
+            try:
+                value = int(raw)
+            except ValueError:
+                try:
+                    value = float(raw)
+                except ValueError:
+                    value = raw
+        params[key] = value
+    return params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_spec_arguments(p: argparse.ArgumentParser) -> None:
-        p.add_argument("spec", choices=sorted(SPECS), help="specification to use")
+        p.add_argument("spec", choices=registered_names(), help="specification to use")
         p.add_argument(
             "--param",
             action="append",
@@ -90,8 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=ENGINES,
         default="auto",
         help="exploration engine (default: fingerprint unless a graph is "
-        "needed; parallel shards each BFS level across worker processes; "
-        "simulate runs seeded random walks instead of exhaustive BFS)",
+        "needed; simulate runs seeded random walks instead of exhaustive BFS)",
     )
     check_p.add_argument(
         "--compile",
@@ -108,15 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=STORES,
         default="auto",
         help="visited-state store (default: the engine's native store; "
-        "lru bounds memory at --store-capacity fingerprints; disk keeps the "
-        "exact visited set in a SQLite file for million-state runs)",
+        "disk keeps the visited set in a SQLite file for million-state runs)",
     )
     check_p.add_argument(
         "--store-capacity",
         type=int,
         default=None,
-        help="capacity of the bounded lru store, or the disk store's "
-        "write-back cache size",
+        help="the disk store's write-back cache size",
     )
     check_p.add_argument(
         "--store-path",
@@ -138,8 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for --engine parallel/simulate "
-        "(default: one per CPU core for parallel; 1 for simulate)",
+        help="worker processes for --engine simulate (default: 1)",
     )
     check_p.add_argument(
         "--walks",
@@ -166,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=None,
         help="write a resumable snapshot of the BFS every --checkpoint-every "
-        "levels (fingerprint/parallel engines)",
+        "levels (fingerprint engine)",
     )
     check_p.add_argument(
         "--checkpoint-every",
@@ -187,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="P",
         help="inject worker faults (crash/hang/slow/corrupt) with probability "
-        "P per (worker, task); requires a pooled engine",
+        "P per (worker, task); requires --engine simulate --workers > 1",
     )
     check_p.add_argument(
         "--chaos-seed",
@@ -265,12 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="log line format (default: %(default)s)",
     )
     watch_p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="supervised checker worker processes; 0 checks inline (default)",
-    )
-    watch_p.add_argument(
         "--queue-size",
         type=int,
         default=1000,
@@ -344,12 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="drain to EOF and exit instead of following forever",
     )
     watch_p.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        help="per-batch wall-clock budget in the worker pool (needs --workers)",
-    )
-    watch_p.add_argument(
         "--status-file",
         metavar="FILE",
         help="atomically rewrite a live service-status JSON here (per-source "
@@ -403,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen_p.add_argument(
         "--spec",
-        choices=sorted(SPECS),
+        choices=registered_names(),
         default=None,
         help="specification to generate from (required unless --smoke)",
     )
@@ -433,12 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample size for --strategy random (default: %(default)s)",
     )
     gen_p.add_argument("--seed", type=int, default=0, help="random-strategy seed")
-    gen_p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="shard exhaustive/coverage enumeration over N worker processes",
-    )
     gen_p.add_argument(
         "--max-states",
         type=int,
@@ -502,9 +503,9 @@ def _validate_check_args(args: argparse.Namespace) -> Optional[str]:
             f"--dot requires the state graph; use --engine states (or auto), "
             f"not {args.engine!r}"
         )
-    if args.workers is not None and args.engine not in ("parallel", "simulate"):
+    if args.workers is not None and args.engine != "simulate":
         return (
-            f"--workers applies only to --engine parallel or simulate; "
+            f"--workers applies only to --engine simulate; "
             f"the {args.engine!r} engine is single-process"
         )
     if args.walks is not None and args.engine != "simulate":
@@ -520,34 +521,24 @@ def _validate_check_args(args: argparse.Namespace) -> Optional[str]:
             "--max-states/--max-depth apply only to the BFS engines; "
             "bound --engine simulate with --walks/--depth instead"
         )
-    if args.store_capacity is not None and args.store not in ("lru", "disk"):
-        return (
-            f"--store-capacity applies only to --store lru or disk, "
-            f"not {args.store!r}"
-        )
+    if args.store_capacity is not None and args.store != "disk":
+        return f"--store-capacity applies only to --store disk, not {args.store!r}"
     if args.store_path is not None and args.store != "disk":
         return f"--store-path applies only to --store disk, not {args.store!r}"
-    if args.spill_threshold is not None and args.engine not in (
-        "auto",
-        "fingerprint",
-        "parallel",
-    ):
+    if args.spill_threshold is not None and args.engine not in ("auto", "fingerprint"):
         return (
-            "--spill-threshold applies to the level-synchronous BFS engines; "
-            f"use --engine fingerprint or parallel, not {args.engine!r}"
+            "--spill-threshold applies to the level-synchronous BFS; "
+            f"use --engine fingerprint, not {args.engine!r}"
         )
     if args.spill_threshold is not None and args.spill_threshold < 1:
         return f"--spill-threshold must be >= 1; got {args.spill_threshold}"
-    # A run pools workers when the engine is parallel, or simulate with an
-    # explicit multi-worker request -- the same predicate the coordinator's
-    # requires_registry check uses.
-    pooled = args.engine == "parallel" or (
-        args.engine == "simulate" and (args.workers or 1) > 1
-    )
+    # A run pools workers on an explicit multi-worker simulate request --
+    # the same predicate the coordinator's requires_registry check uses.
+    pooled = args.engine == "simulate" and (args.workers or 1) > 1
     if args.chaos_rate is not None and not pooled:
         return (
             "--chaos-rate injects faults into worker pools; use --engine "
-            "parallel (or --engine simulate with --workers > 1)"
+            "simulate with --workers > 1"
         )
     if args.chaos_seed is not None and args.chaos_rate is None:
         return "--chaos-seed has no effect without --chaos-rate"
@@ -566,15 +557,15 @@ def _validate_check_args(args: argparse.Namespace) -> Optional[str]:
     if args.task_timeout is not None and not pooled:
         return (
             "--task-timeout tunes the supervised worker pool; use --engine "
-            "parallel (or --engine simulate with --workers > 1)"
+            "simulate with --workers > 1"
         )
     if args.task_timeout is not None and args.task_timeout <= 0:
         return f"--task-timeout must be positive; got {args.task_timeout}"
     checkpointing = args.checkpoint is not None or args.resume is not None
-    if checkpointing and args.engine not in ("auto", "fingerprint", "parallel"):
+    if checkpointing and args.engine not in ("auto", "fingerprint"):
         return (
-            "--checkpoint/--resume need a level-synchronous BFS engine; use "
-            f"--engine fingerprint or parallel, not {args.engine!r}"
+            "--checkpoint/--resume need the level-synchronous BFS; use "
+            f"--engine fingerprint, not {args.engine!r}"
         )
     if checkpointing and args.dot:
         return "--checkpoint/--resume cannot be combined with --dot (state graph)"
@@ -596,8 +587,6 @@ def _validate_check_args(args: argparse.Namespace) -> Optional[str]:
 def _validate_watch_args(args: argparse.Namespace) -> Optional[str]:
     """Single source of truth for `watch` flag consistency (same policy as
     `check`: inconsistent combinations are hard errors, never warnings)."""
-    if args.workers < 0:
-        return f"--workers must be >= 0; got {args.workers}"
     if args.queue_size < 1:
         return f"--queue-size must be >= 1; got {args.queue_size}"
     if args.poll_interval <= 0:
@@ -620,10 +609,6 @@ def _validate_watch_args(args: argparse.Namespace) -> Optional[str]:
         and args.resume is None
     ):
         return "--checkpoint-every has no effect without --checkpoint/--resume"
-    if args.task_timeout is not None and args.workers == 0:
-        return "--task-timeout tunes the worker pool; it needs --workers > 0"
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        return f"--task-timeout must be positive; got {args.task_timeout}"
     return None
 
 
@@ -655,22 +640,14 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    spec, entry = build_spec_by_name(args.spec, **parse_params(tuple(args.param)))
+    entry = get_entry(args.spec)
+    spec = build_spec(args.spec, **parse_params(args.param))
     if not _require_log_metadata(entry):
         return 2
     per_node = entry.per_node_variables(spec)
     resume_from = read_watch_checkpoint(args.resume) if args.resume else None
-    supervision = None
-    if args.workers > 0:
-        overrides = (
-            {"task_timeout": args.task_timeout}
-            if args.task_timeout is not None
-            else {}
-        )
-        supervision = SupervisionConfig.from_env(**overrides)
     config = WatchConfig(
         adapter=args.adapter,
-        workers=args.workers,
         queue_size=args.queue_size,
         poll_interval=args.poll_interval,
         stall_timeout=args.stall_timeout,
@@ -687,7 +664,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         # Resume-then-keep-checkpointing continues into the resume file
         # unless a separate --checkpoint destination is given.
         checkpoint_path=args.checkpoint or args.resume,
-        supervision=supervision,
         status_path=args.status_file,
     )
     service = WatchService(
@@ -702,7 +678,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    spec, _entry = build_spec_by_name(args.spec, **parse_params(tuple(args.param)))
+    spec = build_spec(args.spec, **parse_params(args.param))
     collect_graph = bool(args.dot)
     engine = args.engine
     check_properties = not args.no_properties
@@ -813,13 +789,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "WARNING: exploration truncated by --max-states/--max-depth; "
             "statistics cover only the explored prefix"
         )
-    if result.store_evictions:
-        print(
-            f"WARNING: the bounded store evicted {result.store_evictions} "
-            "fingerprint(s); the distinct-state count is an upper bound "
-            "(evicted states that reappear are counted again)"
-        )
-    workers_note = f" ({result.workers} workers)" if result.engine == "parallel" else ""
     walks_note = (
         f" ({result.walks} walks, longest {result.max_depth} step(s))"
         if result.engine == "simulate"
@@ -829,7 +798,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if result.store_io_seconds:
         store_note = f" (I/O {result.store_io_seconds:.2f}s)"
     print(
-        f"engine: {result.engine}{workers_note}{walks_note}; "
+        f"engine: {result.engine}{walks_note}; "
         f"store: {result.store}{store_note}; "
         f"peak frontier {result.peak_frontier} state(s)"
     )
@@ -859,8 +828,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _require_log_metadata(entry) -> bool:
     """True when the registry entry carries the log-pipeline hooks.
 
-    ``register_spec`` makes them optional (the parallel checker only needs a
-    factory), but ``trace`` and ``simulate --log-dir`` reconstruct per-node
+    ``register_spec`` makes them optional (``check`` only needs a factory),
+    but ``trace`` and ``simulate --log-dir`` reconstruct per-node
     logs and cannot work without them.
     """
     if entry.per_node_variables is None or entry.node_count is None:
@@ -875,7 +844,8 @@ def _require_log_metadata(entry) -> bool:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    spec, entry = build_spec_by_name(args.spec, **parse_params(tuple(args.param)))
+    entry = get_entry(args.spec)
+    spec = build_spec(args.spec, **parse_params(args.param))
     if not _require_log_metadata(entry):
         return 2
     per_node = entry.per_node_variables(spec)
@@ -904,7 +874,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    spec, entry = build_spec_by_name(args.spec, **parse_params(tuple(args.param)))
+    entry = get_entry(args.spec)
+    spec = build_spec(args.spec, **parse_params(args.param))
     reachable = None
     if args.with_reachable:
         full = check_spec(spec, check_properties=False, engine="fingerprint")
@@ -987,14 +958,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if spec_name is None:
         print("error: --spec is required (or use --smoke)", file=sys.stderr)
         return 2
-    spec, entry = build_spec_by_name(spec_name, **parse_params(tuple(args.param)))
+    entry = get_entry(spec_name)
+    spec = build_spec(spec_name, **parse_params(args.param))
     suite = generate_suite(
         spec,
         strategy=strategy,
         max_length=max_length,
         n_tests=args.tests,
         seed=args.seed,
-        workers=args.workers,
         max_states=args.max_states,
     )
     print(suite.summary())
@@ -1020,7 +991,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         print(f"wrote {len(paths)} log file(s) to {args.log_dir}")
 
     if replay:
-        _header, report = replay_corpus(args.out, workers=args.workers)
+        _header, report = replay_corpus(args.out, workers=1)
         print(
             f"replay through MBTC: PASS {report.passed}  FAIL {report.failed}  "
             f"({report.total} case(s) in {report.duration_seconds:.2f}s)"

@@ -44,6 +44,7 @@ from ..obs import current as obs_current
 from ..resilience import SupervisedPool, SupervisionConfig, SupervisionStats, TaskError
 from ..tla import Specification, State
 from ..tla.coverage import CoverageReport
+from ..tla.registry import build_worker_spec, worker_spec_args
 from ..tla.trace import BoundTrace, SuccessorCache, TraceCheckResult, TraceFold, explain_failure
 from .workload import GeneratedTrace
 
@@ -285,21 +286,14 @@ def _check_chunk(
 _RUNNER_SPEC: Optional[Specification] = None
 
 
-def process_worker_init(
-    registry_name: str, params: Dict[str, Any], provider_modules: List[str]
-) -> None:
+def process_worker_init(*spec_args: Any) -> None:
     """Worker-process initializer: rebuild the spec from its registry ref.
 
-    Shared by every :class:`SupervisedPool` whose tasks need the
-    specification -- the batch runner's chunk tasks and the streaming
-    service's fold tasks both pair this initializer with
-    :func:`worker_runtime` on the task side.
+    Takes :func:`~repro.tla.registry.worker_spec_args`; tasks reach the spec
+    through :func:`worker_runtime`.
     """
     global _RUNNER_SPEC
-    from ..tla import registry
-
-    registry.adopt_providers(provider_modules)
-    _RUNNER_SPEC = registry.build_spec(registry_name, **params)
+    _RUNNER_SPEC = build_worker_spec(*spec_args)
 
 
 def worker_runtime() -> Tuple[Specification, SuccessorCache]:
@@ -468,14 +462,10 @@ def _check_traces_process(
     would have produced.  ``consume`` may raise to stop the batch
     (fail-fast); supervision statistics are recorded either way.
     """
-    from ..tla.registry import PROVIDER_MODULES
-
-    registry_name, params = spec.registry_ref  # type: ignore[misc]
-
     pool = SupervisedPool(
         workers,
         initializer=process_worker_init,
-        initargs=(registry_name, params, list(PROVIDER_MODULES)),
+        initargs=worker_spec_args(spec),
         config=supervision,
         name="runner",
     )

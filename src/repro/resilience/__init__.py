@@ -7,8 +7,8 @@ Three pieces, each usable on its own:
   process pool with crash detection, per-task timeouts, heartbeat-based
   hang detection, checksummed result envelopes, bounded retry with
   exponential backoff and graceful degradation to the caller's serial path.
-  The parallel BFS engine, the sharded simulation engine and the batch
-  trace runner all dispatch through it.
+  The sharded simulation engine and the batch trace runner's process
+  executor dispatch through it.
 * :mod:`repro.resilience.checkpoint` -- periodic atomic snapshots of a BFS
   run (visited store, frontier, parent map, stats) and the resume path that
   continues an interrupted run to bit-identical final statistics; plus the

@@ -7,10 +7,10 @@ stopped: the visited-store contents (through the ``StateStore`` snapshot
 seam), the current frontier (as picklable value tuples), the fingerprint
 parent map (so counterexamples found *after* resume still replay back to an
 initial state explored *before* the interruption), and the accumulated
-statistics.  Because both BFS engines are deterministic and merge in
-frontier order, an interrupted-then-resumed run reports statistics and
-counterexamples bit-identical to an uninterrupted one -- the golden-stats
-contract the checkpoint test suite pins.
+statistics.  Because the BFS is deterministic and merges in frontier order,
+an interrupted-then-resumed run reports statistics and counterexamples
+bit-identical to an uninterrupted one -- the golden-stats contract the
+checkpoint test suite pins.
 
 Checkpoints are written atomically (temp file in the target directory, then
 ``os.replace``), so a crash *during* checkpointing leaves the previous

@@ -9,8 +9,8 @@
   executable OT test cases.
 
 Each module also exposes the pipeline hooks (``spec_factory``,
-``per_node_variables``, ``node_count``) that :mod:`repro.pipeline.registry`
-uses to build specs by name from the CLI.
+``per_node_variables``, ``node_count``) registered with :mod:`repro.tla.registry`
+so the CLI builds specs by name.
 """
 
 from . import locking, ot_array, raft_mongo

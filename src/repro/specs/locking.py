@@ -292,7 +292,7 @@ def build_spec(config: Optional[LockingConfig] = None) -> Specification:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline hooks (see repro.pipeline.registry)
+# Pipeline hooks (see repro.tla.registry)
 # ---------------------------------------------------------------------------
 
 

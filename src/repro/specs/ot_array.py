@@ -239,7 +239,7 @@ def build_spec(config: Optional[OTArrayConfig] = None) -> Specification:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline hooks (see repro.pipeline.registry)
+# Pipeline hooks (see repro.tla.registry)
 # ---------------------------------------------------------------------------
 
 

@@ -534,7 +534,7 @@ def build_spec(config: Optional[RaftMongoConfig] = None) -> Specification:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline hooks (see repro.pipeline.registry)
+# Pipeline hooks (see repro.tla.registry)
 # ---------------------------------------------------------------------------
 
 

@@ -9,14 +9,13 @@ logs as the system under test writes them.  This package is that service:
   (partially written) tail lines.
 * :mod:`repro.stream.incremental` -- :class:`IncrementalChecker`, a per-trace
   checker that advances state by state as events arrive: the batch
-  checker's ``TraceFold`` driven by log events, inline or through the
-  supervised worker pool.
+  checker's ``TraceFold`` driven by log events.
 * :mod:`repro.stream.report` -- the deterministic rolling coverage/violation
   report and the quarantine channel for undecodable lines.
 * :mod:`repro.stream.service` -- :class:`WatchService`, the loop behind
   ``python -m repro watch``: bounded ingestion queues with backpressure, a
-  stall watchdog, supervised-pool checking, SIGTERM/SIGINT graceful drain
-  and a resumable service checkpoint.
+  stall watchdog, SIGTERM/SIGINT graceful drain and a resumable service
+  checkpoint.
 """
 
 from .incremental import IncrementalChecker

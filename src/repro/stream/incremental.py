@@ -7,24 +7,22 @@ fed by log events instead of a state list: each event becomes the next
 binding (:func:`~repro.pipeline.logs.apply_event`) and one fold step, so
 verdicts arrive while the system under test is still running.
 
-The fold is deterministic, which the supervised-pool path and the service
-checkpoint rely on: a worker folds a batch from the checker's current state
-(:meth:`IncrementalChecker.fold_events`), the coordinator adds the returned
-books to its own (:meth:`IncrementalChecker.absorb`), and a retried or
-inline-recomputed batch yields bit-identical counters.
+The fold is deterministic, which the service checkpoint relies on: a checker
+restored from its :meth:`~IncrementalChecker.snapshot` and fed the rest of
+the log ends with the counters of an uninterrupted run.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 from ..pipeline.logs import LogEvent, LogParseError, anchor_binding, apply_event, per_node_slots
-from ..tla import EvaluationError, Specification, State
+from ..tla import EvaluationError, Specification
 from ..tla.trace import STUTTER, Binding, SuccessorCache, TraceFold
 
 __all__ = ["IncrementalChecker"]
 
-#: The additive books: what a pooled delta adds and a checkpoint carries.
+#: The counters a checkpoint carries and the report prints.
 _COUNTERS = ("events", "steps", "stutters", "quarantined_events", "after_violation")
 
 
@@ -103,41 +101,6 @@ class IncrementalChecker(TraceFold):
             elif matched != STUTTER:
                 self.visited.add(self.fingerprint())
         return None
-
-    # -- pooled folding -------------------------------------------------------
-    @classmethod
-    def fold_events(
-        cls,
-        spec: Specification,
-        per_node: Sequence[str],
-        state: State,
-        events: Sequence[LogEvent],
-        successor_cache: SuccessorCache,
-    ) -> Tuple[Dict[str, Any], List[Optional[str]]]:
-        """Fold ``events`` from ``state`` in a scratch checker (a pool task).
-
-        Returns the scratch checker's :meth:`snapshot` -- the delta
-        :meth:`absorb` adds to the checker that owns ``state`` -- plus each
-        event's :meth:`feed` result.
-        """
-        scratch = cls(spec, per_node=per_node, successor_cache=successor_cache)
-        scratch._anchor(scratch.cache.bind(state.values))
-        scratch.started = True
-        reasons = [scratch.feed(event) for event in events]
-        return scratch.snapshot(), reasons
-
-    def absorb(self, delta: Dict[str, Any]) -> None:
-        """Add the books of a :meth:`fold_events` run started at ``self.state``."""
-        if delta["violation"] is not None:
-            self.violation = dict(
-                delta["violation"], step=self.steps + delta["violation"]["step"]
-            )
-        self.state = delta["state"]
-        for name in _COUNTERS:
-            setattr(self, name, getattr(self, name) + delta[name])
-        for name, count in delta["action_counts"].items():
-            self.action_counts[name] = self.action_counts.get(name, 0) + count
-        self.visited |= delta["visited"]
 
     # -- checkpointing --------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:

@@ -189,12 +189,4 @@ def render_report(
                 f"truncations {runtime.get('truncations', 0)}  "
                 f"torn {runtime.get('torn_lines', 0)}"
             )
-        sup = runtime.get("supervision")
-        if sup is not None and (sup.get("retries") or sup.get("degraded")):
-            lines.append(
-                f"  supervision: {sup['retries']} retried attempt(s) "
-                f"({sup['crashes']} crashes, {sup['hangs']} hangs, "
-                f"{sup['corruptions']} corrupt results)"
-                + ("; pool degraded to serial" if sup["degraded"] else "")
-            )
     return "\n".join(lines)

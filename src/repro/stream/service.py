@@ -16,12 +16,7 @@ Architecture (one :class:`WatchService` per ``repro watch`` invocation):
   through the configured
   :class:`~repro.pipeline.logs.LogAdapter`, quarantines what will not
   parse, and advances each source's
-  :class:`~repro.stream.incremental.IncrementalChecker`.  With
-  ``workers > 0`` the per-round event batches are shipped through a
-  :class:`~repro.resilience.SupervisedPool` instead -- a crashed or hung
-  checker worker costs one retried batch, and a batch that exhausts its
-  retries is fed inline through the same deterministic fold, so the
-  verdicts are bit-identical either way.
+  :class:`~repro.stream.incremental.IncrementalChecker` inline.
 * A **watchdog** flags sources that have produced no data for
   ``stall_timeout`` seconds (runtime diagnostics only -- a stalled source
   is not an error).
@@ -55,15 +50,8 @@ from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from ..obs import SCHEMA_VERSION as OBS_SCHEMA_VERSION, STATUS_KIND, current as obs_current
 from ..pipeline.logs import LogEvent, LogParseError, get_adapter, split_location
-from ..pipeline.runner import process_worker_init, record_cache_telemetry
-from ..resilience import (
-    SupervisedPool,
-    SupervisionConfig,
-    TaskError,
-    WatchCheckpoint,
-    atomic_write_text,
-    write_watch_checkpoint,
-)
+from ..pipeline.runner import record_cache_telemetry
+from ..resilience import WatchCheckpoint, atomic_write_text, write_watch_checkpoint
 from ..tla import Specification
 from ..tla.trace import SuccessorCache
 from .incremental import IncrementalChecker
@@ -73,25 +61,12 @@ from .tailer import LogTailer, TailedLine
 __all__ = ["WatchConfig", "WatchService"]
 
 
-def _fold_task(
-    state: Any, events: List[LogEvent], per_node: List[str]
-) -> Tuple[Dict[str, Any], List[Optional[str]]]:
-    """Pool task: fold one source's batch from ``state`` in a supervised worker."""
-    from ..pipeline.runner import worker_runtime
-
-    spec, cache = worker_runtime()
-    return IncrementalChecker.fold_events(spec, per_node, state, events, cache)
-
-
 @dataclass
 class WatchConfig:
     """Tunable behaviour of one :class:`WatchService`."""
 
     #: Log-adapter name (see :func:`repro.pipeline.logs.adapter_names`).
     adapter: str = "jsonl"
-    #: 0 checks inline in the service process; > 0 dispatches per-round
-    #: batches through a SupervisedPool of worker processes.
-    workers: int = 0
     #: Bound of each per-source ingestion queue -- the backpressure limit.
     queue_size: int = 1000
     #: Tailer sleep between polls once a source is at EOF.
@@ -113,10 +88,9 @@ class WatchConfig:
     quarantine_path: Optional[str] = None
     checkpoint_path: Optional[str] = None
     #: Atomically rewritten JSON snapshot of live runtime state (per-source
-    #: lag / queue depth / stall flags, quarantine rate, supervision) on the
+    #: lag / queue depth / stall flags, quarantine rate) on the
     #: ``report_every`` cadence and at drain -- the operator polling seam.
     status_path: Optional[str] = None
-    supervision: Optional[SupervisionConfig] = None
 
 
 class WatchService:
@@ -139,11 +113,6 @@ class WatchService:
         self.per_node = tuple(per_node)
         self.out = out if out is not None else sys.stderr
         self.sources = sorted(dict.fromkeys(sources))
-        if self.config.workers > 0 and spec.registry_ref is None:
-            raise ValueError(
-                f"workers > 0 requires a registered specification, but "
-                f"{spec.name!r} has no registry_ref"
-            )
         self.adapter = get_adapter(self.config.adapter)
         self.quarantine = QuarantineLog(self.config.quarantine_path)
         self.cache = SuccessorCache.for_spec(spec)
@@ -161,7 +130,6 @@ class WatchService:
         self._started_at: Optional[float] = None
         self._last_report_at = 0.0
         self._lines_since_checkpoint = 0
-        self._pool: Optional[SupervisedPool] = None
         self._checkers: Dict[str, IncrementalChecker] = {}
         self._announced: set = set()
         self._stalled: set = set()
@@ -228,17 +196,6 @@ class WatchService:
             )
             self._threads[source] = thread
             thread.start()
-        if self.config.workers > 0:
-            from ..tla.registry import PROVIDER_MODULES
-
-            registry_name, params = self.spec.registry_ref  # type: ignore[misc]
-            self._pool = SupervisedPool(
-                self.config.workers,
-                initializer=process_worker_init,
-                initargs=(registry_name, params, list(PROVIDER_MODULES)),
-                config=self.config.supervision,
-                name="watch",
-            )
         try:
             while True:
                 consumed = self._drain_round()
@@ -267,8 +224,6 @@ class WatchService:
             self._stop.set()
             for thread in self._threads.values():
                 thread.join(timeout=10.0)
-            if self._pool is not None:
-                self._pool.shutdown()
             self.quarantine.close()
         self._final_flush()
         return self.exit_code()
@@ -319,9 +274,6 @@ class WatchService:
             # Starved (waiting for lines) or busy (checking them)?
             "idle_waits": self.idle_waits,
             "idle_seconds": self.idle_seconds,
-            "supervision": (
-                self._pool.stats.to_dict() if self._pool is not None else None
-            ),
         }
 
     def status(self, now: Optional[float] = None) -> Dict[str, Any]:
@@ -375,8 +327,6 @@ class WatchService:
             "torn_lines": runtime["torn_lines"],
             "idle_waits": runtime["idle_waits"],
             "idle_seconds": round(runtime["idle_seconds"], 3),
-            "supervision": runtime["supervision"],
-            # What the inline fold's cache did (pool workers keep their own).
             "successor_cache": self.cache.stats(),
         }
 
@@ -444,12 +394,10 @@ class WatchService:
                 parsed.append((source, lines, self._parse_lines(source, lines)))
         if not parsed:
             return 0
-        if self._pool is None:
-            for source, _lines, events in parsed:
-                self._feed_inline(source, events)
-        else:
-            self._feed_pooled(parsed)
-        for source, lines, _events in parsed:
+        for source, lines, events in parsed:
+            checker = self._checker(source)
+            for event in events:
+                self._feed_one(source, checker, event)
             last = lines[-1]
             self._consumed[source] = {
                 "offset": last.offset,
@@ -502,11 +450,6 @@ class WatchService:
                 events.append(event)
         return events
 
-    def _feed_inline(self, source: str, events: List[LogEvent]) -> None:
-        checker = self._checker(source)
-        for event in events:
-            self._feed_one(source, checker, event)
-
     def _feed_one(
         self, source: str, checker: IncrementalChecker, event: LogEvent
     ) -> None:
@@ -520,18 +463,11 @@ class WatchService:
                 reason=str(exc),
                 raw=repr(event),
             )
-        else:
-            self._note_quarantined_event(source, event, reason)
-
-    def _note_quarantined_event(
-        self, source: str, event: LogEvent, reason: Optional[str]
-    ) -> None:
-        """Leave the evidence for an event the checker quarantined (if it did).
-
-        Such events are counted by their checker (``quarantined_events``), so
-        the record is written without advancing the line counter.
-        """
+            return
         if reason is not None:
+            # The checker quarantined and counted the event itself
+            # (``quarantined_events``): leave the evidence without advancing
+            # the line counter.
             self.quarantine.write(
                 source=source,
                 lineno=split_location(event.location)[1],
@@ -539,42 +475,6 @@ class WatchService:
                 reason=reason,
                 raw=repr(event),
             )
-
-    def _feed_pooled(
-        self, parsed: List[Tuple[str, List[TailedLine], List[LogEvent]]]
-    ) -> None:
-        assert self._pool is not None
-        tasks: List[Tuple[str, IncrementalChecker, List[LogEvent], int]] = []
-        for source, _lines, events in parsed:
-            checker = self._checker(source)
-            # A stream's first events may re-anchor the checker and a violated
-            # checker only counts: feed those inline, ship the rest as one
-            # worker batch.
-            index = 0
-            while index < len(events) and (
-                not checker.started or checker.violation is not None
-            ):
-                self._feed_one(source, checker, events[index])
-                index += 1
-            rest = events[index:]
-            if rest:
-                task_index = self._pool.submit(
-                    _fold_task, (checker.state, rest, list(self.per_node))
-                )
-                tasks.append((source, checker, rest, task_index))
-        for source, checker, rest, task_index in tasks:
-            try:
-                delta, reasons = self._pool.result(task_index)
-            except TaskError:
-                # Exhausted retries (or degraded pool): the inline path.
-                for event in rest:
-                    self._feed_one(source, checker, event)
-                continue
-            # Absorbed (and its evidence written) once per task, however many
-            # attempts the pool needed.
-            checker.absorb(delta)
-            for event, reason in zip(rest, reasons):
-                self._note_quarantined_event(source, event, reason)
 
     def _announce_violation(self, source: str) -> None:
         checker = self._checkers.get(source)

@@ -124,7 +124,6 @@ class StateGraph:
         *,
         max_length: int,
         from_initial_only: bool = True,
-        first_edges: Optional[Sequence[Edge]] = None,
     ) -> Iterator[List[Tuple[Optional[str], State]]]:
         """Enumerate finite behaviours (paths) up to ``max_length`` states.
 
@@ -133,13 +132,6 @@ class StateGraph:
         enumeration primitive behind the exhaustive and coverage-minimized
         strategies of :mod:`repro.mbtcg.strategies` (the paper's MBTCG:
         complete runs of the array-OT specification become test cases).
-
-        ``first_edges`` restricts enumeration to behaviours whose first
-        transition is one of the given edges -- the partitioning hook the
-        parallel generator in :mod:`repro.mbtcg.generator` uses to shard
-        behaviour enumeration across worker processes.  With ``first_edges``
-        every behaviour has at least two states, so ``max_length < 2`` yields
-        nothing.
 
         Paths share a parent chain internally (``(action, node, parent)``
         links), so extending a path on each edge push is O(1); a behaviour is
@@ -151,16 +143,9 @@ class StateGraph:
         # (action, node id, parent link) shared by every extension of the
         # prefix, instead of copying the whole path per pushed edge.
         stack: List[Tuple[int, int, Tuple[Optional[str], int, Any]]] = []
-        if first_edges is None:
-            starts = self._initial if from_initial_only else range(len(self._states))
-            for start in starts:
-                stack.append((start, 1, (None, start, None)))
-        else:
-            if max_length < 2:
-                return
-            for edge in first_edges:
-                root = (None, edge.source, None)
-                stack.append((edge.target, 2, (edge.action, edge.target, root)))
+        starts = self._initial if from_initial_only else range(len(self._states))
+        for start in starts:
+            stack.append((start, 1, (None, start, None)))
         while stack:
             node, length, link = stack.pop()
             edges = self._outgoing.get(node, ())

@@ -5,10 +5,11 @@ The registry is the serialization layer of everything multi-process: a
 does not pickle, so worker processes receive the ``(name, params)`` pair that
 *rebuilds* it instead (TLC does the same thing -- every worker parses the
 ``.tla`` file rather than receiving a parsed module).  :func:`build_spec`
-stamps the pair onto the spec as ``spec.registry_ref`` so the parallel BFS
-engine (:mod:`repro.engine.parallel`), the random-walk simulation engine's
-sharded walks (:mod:`repro.engine.simulate`), the process-based batch
-runner and parallel MBTCG generation can all dispatch work by name.
+stamps the pair onto the spec as ``spec.registry_ref``; the two callers that
+run worker processes -- the simulation engine's sharded walks
+(:mod:`repro.engine.simulate`) and the process-based batch runner
+(:mod:`repro.pipeline.runner`) -- hand :func:`worker_spec_args` to their pool
+and call :func:`build_worker_spec` in each worker.
 
 Spec modules register themselves at import time via :func:`register_spec`;
 the built-in families under :mod:`repro.specs` are loaded lazily on first
@@ -26,11 +27,12 @@ from .spec import Specification
 
 __all__ = [
     "SpecEntry",
-    "adopt_providers",
     "build_spec",
+    "build_worker_spec",
     "get_entry",
     "register_spec",
     "registered_names",
+    "worker_spec_args",
 ]
 
 
@@ -68,20 +70,6 @@ def _ensure_providers() -> None:
             # surfacing its real error instead of "unknown specification".
             import_module(module_name)
             _loaded_providers.add(module_name)
-
-
-def adopt_providers(modules: Iterable[str]) -> None:
-    """Append unknown provider modules; worker-process bootstrap helper.
-
-    Pool workers of the parallel checker and the process-based batch runner
-    receive the coordinator's ``PROVIDER_MODULES`` and adopt it before their
-    first ``build_spec``, so specs whose factories live outside the default
-    providers stay buildable under the 'spawn' start method (under 'fork'
-    the registrations are inherited and this is a no-op).
-    """
-    for module_name in modules:
-        if module_name not in PROVIDER_MODULES:
-            PROVIDER_MODULES.append(module_name)
 
 
 def register_spec(
@@ -127,8 +115,8 @@ def build_spec(name: str, **params: Any) -> Specification:
     """Build a registered spec and stamp its ``registry_ref``.
 
     The stamped ``(name, params)`` pair must survive a round trip through
-    another process: the parallel checker's workers call ``build_spec(name,
-    **params)`` to obtain their own copy of the spec.
+    another process: pool workers call ``build_spec(name, **params)`` to
+    obtain their own copy of the spec.
     """
     entry = get_entry(name)
     try:
@@ -137,3 +125,30 @@ def build_spec(name: str, **params: Any) -> Specification:
         raise SpecError(f"bad parameters for {name!r}: {exc}") from exc
     spec.registry_ref = (name, dict(params))
     return spec
+
+
+def worker_spec_args(spec: Specification) -> Tuple[str, Dict[str, Any], List[str]]:
+    """The picklable arguments a worker passes to :func:`build_worker_spec`.
+
+    ``spec`` must come from :func:`build_spec`; callers that accept
+    hand-built specs check ``spec.registry_ref`` before starting a pool.
+    """
+    assert spec.registry_ref is not None
+    name, params = spec.registry_ref
+    return name, params, list(PROVIDER_MODULES)
+
+
+def build_worker_spec(
+    name: str, params: Dict[str, Any], provider_modules: Iterable[str]
+) -> Specification:
+    """Rebuild the coordinator's spec inside a worker process.
+
+    Under the 'spawn' start method a worker starts with a fresh registry;
+    adopting the coordinator's provider list first keeps specs whose
+    factories live outside the default providers buildable (under 'fork'
+    the registrations are inherited and adopting is a no-op).
+    """
+    for module_name in provider_modules:
+        if module_name not in PROVIDER_MODULES:
+            PROVIDER_MODULES.append(module_name)
+    return build_spec(name, **params)

@@ -3,9 +3,8 @@
 An interrupted-then-resumed BFS must report statistics bit-identical to an
 uninterrupted run.  Covered here: the atomic-write helpers, the checkpoint
 file format and its identity validation, truncation-based and genuine
-``KeyboardInterrupt``-based interruptions, cross-engine resume (a
-checkpoint written by the serial fingerprint engine resumed by the parallel
-engine), and the CLI's exit-130/resume-hint contract.
+``KeyboardInterrupt``-based interruptions, and the CLI's
+exit-130/resume-hint contract.
 """
 
 import os
@@ -107,7 +106,7 @@ def test_checkpoint_file_round_trips_and_validates(tmp_path):
     with pytest.raises(CheckpointError, match="refusing to resume"):
         checkpoint.validate_for("Other", None, "fingerprint")
     with pytest.raises(CheckpointError, match="store"):
-        checkpoint.validate_for(spec.name, spec.registry_ref, "lru")
+        checkpoint.validate_for(spec.name, spec.registry_ref, "disk")
     # Re-writing through the public helper preserves everything.
     write_checkpoint(str(path), checkpoint)
     assert read_checkpoint(str(path)).depth == checkpoint.depth
@@ -129,9 +128,10 @@ def test_read_checkpoint_rejects_garbage(tmp_path):
 # -- the golden-stats contract ------------------------------------------------
 
 
-@pytest.mark.parametrize("resume_engine,workers", [("fingerprint", None), ("parallel", 2)])
+# One row: the only engine with a checkpoint seam (the id names it).
+@pytest.mark.parametrize("resume_engine,workers", [("fingerprint", None)])
 def test_interrupted_run_resumes_to_golden_stats(tmp_path, resume_engine, workers):
-    """Truncate mid-exploration, resume (same or other engine) -> identical."""
+    """Truncate mid-exploration, resume -> identical."""
     golden = check_spec(
         build_spec("locking"), check_properties=False, engine="fingerprint"
     )
@@ -145,13 +145,12 @@ def test_interrupted_run_resumes_to_golden_stats(tmp_path, resume_engine, worker
         checkpoint_every=2,
     )
     assert truncated.truncated
-    kwargs = {"workers": workers} if workers else {}
     resumed = check_spec(
         build_spec("locking"),
         check_properties=False,
         engine=resume_engine,
+        workers=workers,
         resume_path=str(path),
-        **kwargs,
     )
     assert resumed.resumed_from == str(path)
     assert resumed.ok
@@ -191,7 +190,7 @@ def test_keyboard_interrupt_partial_result_then_resume(tmp_path):
     assert resumed.distinct_states == 61 and resumed.max_depth == 60
 
 
-@pytest.mark.parametrize("engine,workers", [("fingerprint", None), ("parallel", 2)])
+@pytest.mark.parametrize("engine,workers", [("fingerprint", None)])
 def test_interrupted_level_stays_in_the_time_budget(engine, workers):
     """The level an interrupt cuts short is timed like every other level."""
     run = start_run(command="test", sink=MemorySink(), run_id="interrupted")
@@ -212,29 +211,6 @@ def test_interrupted_level_stays_in_the_time_budget(engine, workers):
     # 45 levels were started, 44 of them completed.
     assert snapshot["histograms"]["span.engine.level.seconds"]["count"] == 45
     assert snapshot["counters"]["engine.levels"] == 44
-
-
-def test_resume_refuses_a_different_store_capacity(tmp_path):
-    path = tmp_path / "lru.ckpt"
-    check_spec(
-        build_spec("locking"),
-        check_properties=False,
-        engine="fingerprint",
-        store="lru",
-        store_capacity=4096,
-        max_depth=4,
-        checkpoint_path=str(path),
-    )
-    with pytest.raises(CheckerError, match="eviction"):
-        check_spec(
-            build_spec("locking"),
-            check_properties=False,
-            engine="fingerprint",
-            store="lru",
-            store_capacity=8192,
-            max_depth=9,
-            resume_path=str(path),
-        )
 
 
 def test_checkpoint_rejects_unsupported_engine_and_store(tmp_path):

@@ -1,22 +1,25 @@
-"""The unified `repro check` flag-validation helper: tested exit codes.
+"""Bad flags end in one line and exit code 2.
 
-Historically `--dot --engine fingerprint` errored while `--workers` without
-`--engine parallel` only *warned* and ran serially anyway; both now route
-through one validation helper and fail fast with exit code 2, so a CI
-invocation can never silently check something different from what its flags
-say.
+Inconsistent combinations go through one validation helper per command and
+unknown names or flags through argparse; either way a CI invocation can
+never silently check something different from what its flags say.  Rows are
+only ever replaced in place or appended: the test ids carry their position.
 """
 
 import pytest
 
 from repro.pipeline.cli import main
+from repro.tla.registry import build_spec
+
+#: A run that does start a pool, so only the flag under test is wrong.
+_POOLED = ["check", "locking", "--engine", "simulate", "--workers", "2"]
 
 
 @pytest.mark.parametrize(
     "argv,needle",
     [
         (["check", "locking", "--engine", "fingerprint", "--dot", "g.dot"], "--dot"),
-        (["check", "locking", "--engine", "parallel", "--dot", "g.dot"], "--dot"),
+        (["check", "locking", "--dot", "g.dot", "--resume", "x.ckpt"], "--dot"),
         (["check", "locking", "--engine", "simulate", "--dot", "g.dot"], "--dot"),
         (["check", "locking", "--workers", "2"], "--workers"),
         (
@@ -25,7 +28,7 @@ from repro.pipeline.cli import main
         ),
         (["check", "locking", "--engine", "states", "--workers", "2"], "--workers"),
         (["check", "locking", "--walks", "5"], "--walks"),
-        (["check", "locking", "--engine", "parallel", "--walks", "5"], "--walks"),
+        (["check", "locking", "--engine", "states", "--walks", "5"], "--walks"),
         (["check", "locking", "--depth", "5"], "--depth"),
         (["check", "locking", "--seed", "7"], "--seed"),
         (
@@ -52,40 +55,16 @@ from repro.pipeline.cli import main
             ["check", "locking", "--engine", "simulate", "--chaos-rate", "0.3"],
             "--chaos-rate",
         ),
+        (_POOLED + ["--chaos-seed", "7"], "--chaos-seed"),
+        (_POOLED + ["--chaos-kinds", "crash"], "--chaos-kinds"),
         (
-            ["check", "locking", "--engine", "parallel", "--chaos-seed", "7"],
-            "--chaos-seed",
-        ),
-        (
-            ["check", "locking", "--engine", "parallel", "--chaos-kinds", "crash"],
+            _POOLED + ["--chaos-rate", "0.3", "--chaos-kinds", "crash,meteor"],
             "--chaos-kinds",
         ),
-        (
-            [
-                "check",
-                "locking",
-                "--engine",
-                "parallel",
-                "--chaos-rate",
-                "0.3",
-                "--chaos-kinds",
-                "crash,meteor",
-            ],
-            "--chaos-kinds",
-        ),
-        (
-            ["check", "locking", "--engine", "parallel", "--chaos-rate", "1.5"],
-            "--chaos-rate",
-        ),
-        (
-            ["check", "locking", "--engine", "parallel", "--chaos-rate", "0"],
-            "--chaos-rate",
-        ),
+        (_POOLED + ["--chaos-rate", "1.5"], "--chaos-rate"),
+        (_POOLED + ["--chaos-rate", "0"], "--chaos-rate"),
         (["check", "locking", "--task-timeout", "5"], "--task-timeout"),
-        (
-            ["check", "locking", "--engine", "parallel", "--task-timeout", "-1"],
-            "--task-timeout",
-        ),
+        (_POOLED + ["--task-timeout", "-1"], "--task-timeout"),
         # Checkpointing needs a level-synchronous BFS engine and no --dot.
         (
             ["check", "locking", "--engine", "simulate", "--checkpoint", "x.ckpt"],
@@ -118,7 +97,7 @@ from repro.pipeline.cli import main
             "--store-path",
         ),
         (
-            ["check", "locking", "--store", "lru", "--store-path", "x.db"],
+            ["check", "locking", "--store", "states", "--store-path", "x.db"],
             "--store-path",
         ),
         (
@@ -156,7 +135,7 @@ from repro.pipeline.cli import main
         (["check", "locking", "--progress-every", "0"], "--progress-every"),
         (["check", "locking", "--progress-every", "-2"], "--progress-every"),
         # ISSUE 8: the watch service has the same hard-error flag policy.
-        (["watch", "locking", "a.log", "--workers", "-1"], "--workers"),
+        (["watch", "locking", "x.log", "--workers", "2"], "--workers"),
         (["watch", "locking", "a.log", "--queue-size", "0"], "--queue-size"),
         (["watch", "locking", "a.log", "--poll-interval", "0"], "--poll-interval"),
         (["watch", "locking", "a.log", "--stall-timeout", "-1"], "--stall-timeout"),
@@ -185,20 +164,44 @@ from repro.pipeline.cli import main
             ["watch", "locking", "a.log", "--workers", "2", "--task-timeout", "-1"],
             "--task-timeout",
         ),
+        # ISSUE 20: removed engines, stores and flags are refused, and the
+        # line names what there is to choose from.
+        (["check", "locking", "--engine", "parallel"], "'fingerprint', 'states', 'simulate'"),
+        (["check", "locking", "--store", "lru"], "'fingerprint', 'states', 'disk'"),
+        (["generate", "--spec", "ot_array", "--workers", "2"], "--workers"),
     ],
 )
 def test_inconsistent_flags_exit_2(capsys, argv, needle):
-    assert main(argv) == 2
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith(("error:", "usage:")) and "Traceback" not in err
+    assert err.count("error:") == 1
     assert needle in err
 
 
-def test_lru_store_without_bfs_bound_exits_2(capsys):
-    # Caught by ModelChecker validation rather than the flag helper, but the
-    # CLI contract is the same: error text on stderr, exit code 2.
-    assert main(["check", "locking", "--store", "lru"]) == 2
-    assert "lru store" in capsys.readouterr().err
+def test_resuming_a_checkpoint_of_a_removed_store_exits_2(tmp_path, capsys):
+    from repro.resilience import Checkpoint, write_checkpoint
+
+    path = str(tmp_path / "old.ckpt")
+    stale = Checkpoint(
+        spec_name=build_spec("locking").name,
+        registry_ref=("locking", {}),
+        store_name="lru",
+        store_capacity=4096,
+        depth=2,
+        frontier=[],
+        store_state={"seen": [], "added": 0, "evictions": 0, "capacity": 4096},
+        parents={},
+    )
+    write_checkpoint(path, stale)
+    assert main(["check", "locking", "--resume", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: checkpoint holds a 'lru' store snapshot")
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
 
 
 def test_consistent_flag_combinations_pass(tmp_path, capsys):
@@ -222,23 +225,6 @@ def test_consistent_flag_combinations_pass(tmp_path, capsys):
         )
         == 0
     )
-    assert (
-        main(
-            [
-                "check",
-                "locking",
-                "--store",
-                "lru",
-                "--store-capacity",
-                "50000",
-                "--max-states",
-                "100000",
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "store: lru" in out
     # Disk store: ephemeral, named-path, tuned write cache and spill threshold
     # are all consistent combinations.
     db = tmp_path / "visited.db"

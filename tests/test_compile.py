@@ -85,15 +85,6 @@ def test_serial_engines_bit_identical(spec_name, params, limits, engine):
         assert result.engine == engine
 
 
-@pytest.mark.parametrize("spec_name,params,limits", CASES)
-def test_parallel_engine_bit_identical(spec_name, params, limits):
-    compiled, interpreted = _run_pair(
-        spec_name, params, engine="parallel", workers=2, **limits
-    )
-    assert _stats(compiled) == _stats(interpreted)
-    assert _violation(compiled) == _violation(interpreted)
-
-
 @pytest.mark.parametrize(
     "spec_name,params",
     [
@@ -125,20 +116,16 @@ def test_mutated_locking_counterexample_found_compiled():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ["fingerprint", "parallel"])
+@pytest.mark.parametrize("engine", ["fingerprint"])
 def test_checkpoint_resume_compiled_matches_golden(tmp_path, engine):
-    workers = 2 if engine == "parallel" else None
     spec = build_spec("locking")
-    golden = check_spec(
-        spec, check_properties=False, engine=engine, workers=workers, compile_mode="on"
-    )
+    golden = check_spec(spec, check_properties=False, engine=engine, compile_mode="on")
 
     path = tmp_path / "ck.bin"
     truncated = check_spec(
         build_spec("locking"),
         check_properties=False,
         engine=engine,
-        workers=workers,
         compile_mode="on",
         max_depth=4,
         checkpoint_path=str(path),
@@ -150,7 +137,6 @@ def test_checkpoint_resume_compiled_matches_golden(tmp_path, engine):
         build_spec("locking"),
         check_properties=False,
         engine=engine,
-        workers=workers,
         compile_mode="on",
         resume_path=str(path),
     )
@@ -557,18 +543,17 @@ RAFTMONGO_SIMULATE_ACTION_COUNTS = {
 }
 
 
-def test_memo_golden_action_counts_parallel_and_simulate():
+def test_memo_golden_action_counts_bfs_and_simulate():
     """Counts taken from the interpreted walk before the memo existed."""
-    pooled = check_spec(
+    searched = check_spec(
         build_spec("raftmongo"),
         check_properties=False,
-        engine="parallel",
-        workers=2,
+        engine="fingerprint",
         max_depth=9,
         compile_mode="on",
     )
-    assert (pooled.distinct_states, pooled.generated_states) == (9792, 39130)
-    assert pooled.action_counts == RAFTMONGO_DEPTH9_ACTION_COUNTS
+    assert (searched.distinct_states, searched.generated_states) == (9792, 39130)
+    assert searched.action_counts == RAFTMONGO_DEPTH9_ACTION_COUNTS
     walked = check_spec(
         build_spec("raftmongo"),
         check_properties=False,
@@ -649,11 +634,12 @@ def test_auto_fallback_says_why(monkeypatch, tmp_path, capsys):
 
     # Pool workers apply the same policy with the same mode: they fall back
     # too, and the run still matches the interpreted one.
+    walks = dict(engine="simulate", walks=20, walk_depth=10, seed=1)
     golden = check_spec(
-        build_spec("locking"), check_properties=False, compile_mode="off"
+        build_spec("locking"), check_properties=False, compile_mode="off", **walks
     )
     pooled = check_spec(
-        build_spec("locking"), check_properties=False, engine="parallel", workers=2
+        build_spec("locking"), check_properties=False, workers=2, **walks
     )
     assert not pooled.compiled and pooled.compile_error == reason
     assert _stats(pooled) == _stats(golden)

@@ -92,23 +92,6 @@ def test_behaviours_from_all_states_when_not_initial_only():
     assert behaviours == {((None, 0), ("a", 1)), ((None, 1),)}
 
 
-def test_behaviours_first_edges_partition_is_exact():
-    graph = _graph(
-        [(0, "l", 1), (0, "r", 2), (1, "l", 3), (1, "r", 4)], initial=(0,)
-    )
-    out = graph.outgoing(0)
-    full = {_as_tuples(b) for b in graph.behaviours(max_length=5)}
-    parts = [
-        {_as_tuples(b) for b in graph.behaviours(max_length=5, first_edges=[edge])}
-        for edge in out
-    ]
-    merged = set().union(*parts)
-    assert merged == full
-    assert sum(len(part) for part in parts) == len(full)  # disjoint shards
-    # first_edges implies length >= 2, so max_length=1 yields nothing.
-    assert list(graph.behaviours(max_length=1, first_edges=list(out))) == []
-
-
 def test_behaviours_deep_chain_is_linear_not_quadratic():
     # A 2000-state chain: the shared parent chain makes this instant; the old
     # path-copying implementation did ~2M element copies here.

@@ -1,4 +1,4 @@
-"""MBTCG: strategies, dedup, parallel generation, emitters and the CLI loop."""
+"""MBTCG: strategies, dedup, emitters and the CLI loop."""
 
 import json
 import subprocess
@@ -123,22 +123,6 @@ def test_random_strategy_is_seeded_and_deduplicated(ot_spec, ot_graph):
         assert check_trace(ot_spec, case.trace()).ok
 
 
-def test_parallel_generation_matches_serial(ot_spec, exhaustive_suite):
-    parallel = generate_suite(ot_spec, strategy="exhaustive", max_length=6, workers=2)
-    assert [case.case_id for case in parallel.cases] == [
-        case.case_id for case in exhaustive_suite.cases
-    ]
-    assert parallel.stats.enumerated == exhaustive_suite.stats.enumerated
-
-
-def test_parallel_coverage_matches_serial(ot_spec, ot_graph):
-    serial = generate_suite(ot_spec, strategy="coverage", max_length=6, graph=ot_graph)
-    parallel = generate_suite(ot_spec, strategy="coverage", max_length=6, workers=2)
-    assert [case.case_id for case in parallel.cases] == [
-        case.case_id for case in serial.cases
-    ]
-
-
 def test_mbtcg_imports_cold():
     """`import repro.mbtcg` must work before repro.pipeline is initialized."""
     src_dir = Path(__file__).resolve().parent.parent / "src"
@@ -151,19 +135,11 @@ def test_mbtcg_imports_cold():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_parallel_generation_requires_registry_ref():
-    spec = make_counter_spec(limit=3)
-    with pytest.raises(GenerationError, match="registry_ref"):
-        generate_suite(spec, strategy="exhaustive", max_length=4, workers=2)
-
-
 def test_generate_suite_rejects_bad_inputs(ot_spec):
     with pytest.raises(GenerationError):
         generate_suite(ot_spec, strategy="nope")
     with pytest.raises(GenerationError):
         generate_suite(ot_spec, max_length=0)
-    with pytest.raises(GenerationError):
-        generate_suite(ot_spec, workers=0)
 
 
 def test_build_graph_refuses_violating_specs():

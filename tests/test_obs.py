@@ -217,7 +217,9 @@ def test_parallel_check_merges_worker_snapshots(tmp_path, capsys):
                 "check",
                 "locking",
                 "--engine",
-                "parallel",
+                "simulate",
+                "--walks",
+                "20",
                 "--workers",
                 "2",
                 "--metrics-out",
@@ -286,11 +288,11 @@ def test_simulate_folds_runner_counters(tmp_path, capsys):
 
 def test_watch_once_writes_status_file_and_metrics(tmp_path, capsys):
     from repro.pipeline import logs as log_module
-    from repro.pipeline.registry import build_spec_by_name
     from repro.pipeline.workload import generate_workload
+    from repro.tla.registry import build_spec, get_entry
 
-    spec, entry = build_spec_by_name("locking")
-    per_node = entry.per_node_variables(spec)
+    spec = build_spec("locking")
+    per_node = get_entry("locking").per_node_variables(spec)
     generated = next(iter(generate_workload(spec, n_traces=1, seed=3)))
     events = log_module.events_from_trace(
         spec, generated.states, per_node=per_node, actions=generated.actions

@@ -1,7 +1,7 @@
-"""Pickle round-trips: the serialization layer under the multi-core checker.
+"""Pickle round-trips: the serialization layer under the worker pools.
 
-Frontier states, records and the NULL constant cross process boundaries in
-the parallel engine and the process-based batch runner; each must round-trip
+States, records and the NULL constant cross process boundaries in the
+process-based batch runner and land in checkpoints; each must round-trip
 through pickle preserving equality, hashes and fingerprints (fingerprints are
 the cross-process currency, so they must be identical, not just consistent).
 """

@@ -15,13 +15,13 @@ from repro.pipeline import (
     merge_event_streams,
     parse_log_lines,
 )
-from repro.pipeline.cli import main
+from repro.pipeline.cli import main, parse_params
 from repro.pipeline.logs import LogEvent, LogParseError, decode_value, encode_value
-from repro.pipeline.registry import build_spec_by_name, parse_params
 from repro.specs import locking
 from repro.tla import NULL, Record, check_trace
 from repro.tla.coverage import CoverageReport
 from repro.tla.errors import SpecError
+from repro.tla.registry import build_spec, get_entry
 
 
 class TestLogLayer:
@@ -95,8 +95,8 @@ class TestLogLayer:
         [("locking", {}), ("raftmongo", {"n_nodes": 2}), ("raftmongo", {"variant": "original"})],
     )
     def test_trace_to_events_to_trace_round_trip(self, spec_name, params):
-        spec, entry = build_spec_by_name(spec_name, **params)
-        per_node = entry.per_node_variables(spec)
+        spec = build_spec(spec_name, **params)
+        per_node = get_entry(spec_name).per_node_variables(spec)
         generated = generate_trace(spec, random.Random(1), min_steps=8, max_steps=12)
         events = events_from_trace(
             spec, generated.states, per_node=per_node, actions=generated.actions
@@ -220,9 +220,9 @@ class TestRegistryAndCli:
 
     def test_build_spec_by_name_errors(self):
         with pytest.raises(SpecError):
-            build_spec_by_name("unknown")
+            build_spec("unknown")
         with pytest.raises(SpecError):
-            build_spec_by_name("locking", bogus_param=1)
+            build_spec("locking", bogus_param=1)
 
     def test_cli_check_prints_tlc_style_summary(self, capsys):
         assert main(["check", "locking", "--no-properties"]) == 0

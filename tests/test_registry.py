@@ -1,15 +1,17 @@
-"""The first-class spec registry: lookup, registry_ref stamping, CLI view."""
+"""The first-class spec registry: lookup, registry_ref stamping, CLI choices."""
 
 import pytest
 
-from repro.pipeline.registry import SPECS, build_spec_by_name
 from repro.tla import Specification
 from repro.tla.errors import SpecError
+from repro.tla import registry
 from repro.tla.registry import (
     build_spec,
+    build_worker_spec,
     get_entry,
     register_spec,
     registered_names,
+    worker_spec_args,
 )
 
 
@@ -23,12 +25,31 @@ def test_build_spec_stamps_registry_ref():
     spec = build_spec("raftmongo", n_nodes=2, variant="mbtc")
     assert isinstance(spec, Specification)
     assert spec.registry_ref == ("raftmongo", {"n_nodes": 2, "variant": "mbtc"})
-    # The ref rebuilds an equivalent spec -- the parallel workers' contract.
+    # The ref rebuilds an equivalent spec -- the pool workers' contract.
     name, params = spec.registry_ref
     rebuilt = build_spec(name, **params)
     assert rebuilt.name == spec.name
     assert rebuilt.schema.names == spec.schema.names
     assert rebuilt.initial_states() == spec.initial_states()
+
+
+def test_worker_bootstrap_adopts_the_coordinators_providers(monkeypatch):
+    import sys
+
+    import widecounter_spec  # noqa: F401 - appends itself to PROVIDER_MODULES
+
+    args = worker_spec_args(build_spec("_test_widecounter", limit=2))
+    assert args[:2] == ("_test_widecounter", {"limit": 2})
+    assert "widecounter_spec" in args[2]
+    # What a spawn-started worker begins with: nothing registered, the
+    # default providers only, the provider module not yet imported.
+    monkeypatch.setattr(registry, "PROVIDER_MODULES", ["repro.specs"])
+    monkeypatch.setattr(registry, "_REGISTRY", {})
+    monkeypatch.setattr(registry, "_loaded_providers", set())
+    monkeypatch.delitem(sys.modules, "widecounter_spec")
+    rebuilt = build_worker_spec(*args)
+    assert rebuilt.registry_ref == ("_test_widecounter", {"limit": 2})
+    assert rebuilt.initial_states()[0]["xs"] == (0,) * 6
 
 
 def test_unknown_name_and_bad_params_raise_spec_error():
@@ -45,16 +66,14 @@ def test_duplicate_registration_requires_replace():
     register_spec("_test_dup", lambda: None, replace=True)
 
 
-def test_pipeline_specs_view_is_live_and_read_only():
-    assert "locking" in SPECS
-    assert set(registered_names()) == set(SPECS)
-    entry = SPECS["locking"]
-    assert entry.name == "locking"
-    with pytest.raises(KeyError):
-        SPECS["no-such-spec"]
+def test_cli_spec_choices_follow_late_registrations(capsys):
+    from repro.pipeline.cli import build_parser
 
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["check", "_test_live"])
+    assert "locking" in capsys.readouterr().err  # the usage line names the choices
     register_spec("_test_live", lambda: None, replace=True)
-    assert "_test_live" in SPECS  # late registrations show through the view
+    assert build_parser().parse_args(["check", "_test_live"]).spec == "_test_live"
 
 
 def test_cli_rejects_spec_registered_without_log_metadata(capsys):
@@ -69,9 +88,8 @@ def test_cli_rejects_spec_registered_without_log_metadata(capsys):
 
 
 def test_build_spec_by_name_returns_entry_with_pipeline_hooks():
-    spec, entry = build_spec_by_name("locking", n_threads=3)
+    spec, entry = build_spec("locking", n_threads=3), get_entry("locking")
     assert spec.constants["n_threads"] == 3
     assert spec.registry_ref == ("locking", {"n_threads": 3})
     assert entry.per_node_variables(spec) == ("held",)
     assert entry.node_count(spec) == 3
-    assert get_entry("locking") is entry

@@ -184,10 +184,10 @@ def test_pool_degrades_after_consecutive_failures():
 # -- Engine integration: injected faults never change the answer --------------
 
 
-def test_parallel_engine_falls_back_inline_when_retries_exhaust():
+def test_degraded_pool_walks_fall_back_inline():
     """Retry exhaustion + degradation must still yield bit-identical stats."""
-    spec = build_spec("locking")
-    serial = check_spec(spec, check_properties=False, engine="fingerprint")
+    walks = dict(engine="simulate", walks=24, walk_depth=10, seed=5)
+    serial = check_spec(build_spec("locking"), check_properties=False, **walks)
     chaos = FaultPlan(seed=1, rate=1.0, kinds=("crash",))
     supervision = SupervisionConfig(
         task_timeout=5.0, backoff_base=0.01, max_attempts=2, degrade_after=2
@@ -195,10 +195,10 @@ def test_parallel_engine_falls_back_inline_when_retries_exhaust():
     result = check_spec(
         build_spec("locking"),
         check_properties=False,
-        engine="parallel",
         workers=2,
         chaos=chaos,
         supervision=supervision,
+        **walks,
     )
     assert result.ok
     assert (result.distinct_states, result.generated_states, result.max_depth) == (
@@ -318,15 +318,11 @@ def test_terminated_workers_die_silently_under_the_cli(monkeypatch, capfd):
 
     monkeypatch.setattr(SupervisedPool, "_recycle", recycle_and_look)
     counts = re.compile(r"(\d+) distinct states, (\d+) states generated, depth (\d+)")
-    assert main(["check", "locking"]) == 0
+    walks = ["check", "locking", "--engine", "simulate", "--walks", "24", "--depth", "10"]
+    assert main(walks) == 0
     clean = counts.search(capfd.readouterr().out).groups()
     monkeypatch.setenv("REPRO_TASK_TIMEOUT", "0.3")
-    code = main(
-        [
-            "check", "locking", "--engine", "parallel", "--workers", "2",
-            "--chaos-rate", "1", "--chaos-kinds", "hang",
-        ]
-    )  # fmt: skip
+    code = main(walks + ["--workers", "2", "--chaos-rate", "1", "--chaos-kinds", "hang"])
     captured = capfd.readouterr()
     assert code == 0
     assert "Traceback" not in captured.err

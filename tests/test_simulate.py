@@ -96,6 +96,30 @@ def test_parallel_walks_report_the_same_counterexample():
     ]
 
 
+def test_pooled_walks_under_chaos_keep_the_counterexample():
+    # The spec's factory lives in a provider module outside repro.specs, so
+    # the workers rebuild it through the provider list the coordinator ships.
+    import widecounter_spec  # noqa: F401 - registers _test_widecounter
+    from repro.resilience import FaultPlan, SupervisionConfig
+
+    walks = dict(engine="simulate", walks=12, walk_depth=20, seed=3)
+    spec = build_spec("_test_widecounter", invariant_bound=8)
+    serial = check_spec(spec, check_properties=False, **walks)
+    chaotic = check_spec(
+        build_spec("_test_widecounter", invariant_bound=8),
+        check_properties=False,
+        workers=2,
+        chaos=FaultPlan(seed=7, rate=0.3, kinds=("crash", "corrupt")),
+        supervision=SupervisionConfig.from_env(backoff_base=0.01),
+        **walks,
+    )
+    assert chaotic.supervision.recoveries > 0
+    assert serial.invariant_violation.property_name == "Bounded"
+    assert [s.values for s in chaotic.invariant_violation.trace] == [
+        s.values for s in serial.invariant_violation.trace
+    ]
+
+
 def test_simulate_checks_invariants_on_out_of_constraint_successors():
     # The widecounter constraint fences off every sum > ceiling state, so
     # with ceiling == 3 the only Bounded-violating states (sum >= 4) are
@@ -142,27 +166,6 @@ def test_simulate_respects_depth_budget(counter_spec):
     assert result.ok
     assert result.max_depth == 3  # the walk is cut at the budget
     assert result.distinct_states == 4  # x in 0..3
-
-
-def test_simulate_with_lru_store_bounds_memory():
-    spec = build_spec("locking")
-    exact = check_spec(
-        spec, check_properties=False, engine="simulate", walks=30, walk_depth=15, seed=2
-    )
-    bounded = check_spec(
-        spec,
-        check_properties=False,
-        engine="simulate",
-        walks=30,
-        walk_depth=15,
-        seed=2,
-        store="lru",
-        store_capacity=16,
-    )
-    assert bounded.ok and bounded.store == "lru"
-    # the bounded store re-counts evicted revisits: an upper bound on exact
-    assert bounded.distinct_states >= exact.distinct_states
-    assert bounded.generated_states == exact.generated_states
 
 
 def test_simulate_reports_both_event_kinds_without_stop_on_violation():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine.store import (
-    BoundedLRUStore,
     DiskFingerprintStore,
     FingerprintSetStore,
     StateRetainingStore,
@@ -21,66 +20,7 @@ def test_fingerprint_store_add_and_membership():
     assert 1 in store and 3 not in store
     assert len(store) == 2
     assert store.distinct_count == 2
-    assert store.exact and not store.retains_states
-
-
-def test_lru_store_evicts_least_recently_seen():
-    store = BoundedLRUStore(capacity=3)
-    for fp in (1, 2, 3):
-        assert store.add(fp)
-    assert not store.add(1)  # touch 1: now 2 is the least recently seen
-    assert store.add(4)  # evicts 2
-    assert 1 in store and 3 in store and 4 in store
-    assert 2 not in store
-    assert store.evictions == 1
-    assert len(store) == 3
-    # distinct_count keeps counting adds: an upper bound once eviction starts
-    assert store.distinct_count == 4
-    assert store.add(2)  # the evictee reads as new again
-    assert store.distinct_count == 5
-    assert not store.exact
-
-
-def test_lru_store_rejects_bad_capacity():
-    with pytest.raises(ValueError):
-        BoundedLRUStore(capacity=0)
-
-
-def test_lru_store_at_capacity_one():
-    # ISSUE 7 satellite: the degenerate bound must behave, not wedge -- each
-    # new fingerprint evicts the previous one, membership holds exactly one.
-    store = BoundedLRUStore(capacity=1)
-    assert store.add(10)
-    assert store.add(20)  # evicts 10
-    assert 20 in store and 10 not in store
-    assert len(store) == 1
-    assert store.evictions == 1
-    assert store.add(10)  # forgotten, reads as new again
-    assert store.distinct_count == 3
-
-
-def test_lru_restore_refuses_to_override_explicit_capacity():
-    # ISSUE 7 satellite fix: restore() used to silently overwrite a capacity
-    # the user asked for on the command line, changing eviction behaviour
-    # mid-resume.  Now an explicit mismatch is an error...
-    from repro.engine.base import CheckerError
-
-    donor = BoundedLRUStore(capacity=3)
-    for fp in (1, 2, 3):
-        donor.add(fp)
-    snapshot = donor.snapshot()
-    explicit = BoundedLRUStore(capacity=5)
-    with pytest.raises(CheckerError, match="capacity"):
-        explicit.restore(snapshot)
-    # ...an explicit capacity that matches the snapshot is fine...
-    matching = BoundedLRUStore(capacity=3)
-    matching.restore(snapshot)
-    assert matching.capacity == 3 and len(matching) == 3
-    # ...and a defaulted capacity adopts the snapshot's.
-    defaulted = BoundedLRUStore()
-    defaulted.restore(snapshot)
-    assert defaulted.capacity == 3
-    assert defaulted.distinct_count == donor.distinct_count
+    assert not store.retains_states
 
 
 def test_state_retaining_store_interns_by_value():
@@ -101,16 +41,14 @@ def test_state_retaining_store_interns_by_value():
 
 
 def test_make_store_and_registry():
-    assert set(store_names()) >= {"fingerprint", "states", "lru", "disk"}
+    assert set(store_names()) >= {"fingerprint", "states", "disk"}
     assert isinstance(make_store("fingerprint"), FingerprintSetStore)
     assert isinstance(make_store("states"), StateRetainingStore)
-    lru = make_store("lru", capacity=7)
-    assert isinstance(lru, BoundedLRUStore) and lru.capacity == 7
     disk = make_store("disk")
     assert isinstance(disk, DiskFingerprintStore)
     disk.close()
     with pytest.raises(ValueError, match="unknown store"):
-        make_store("mmap")
+        make_store("lru")
 
 
 def test_register_store_makes_new_backend_addressable():

@@ -414,13 +414,12 @@ def test_watch_cli_quarantines_an_event_whose_step_cannot_be_evaluated(tmp_path,
     assert "raised IndexError" in record["reason"]
 
 
-@pytest.mark.parametrize("workers", [0, 2])
-def test_watch_cli_writes_evidence_for_each_quarantined_event(tmp_path, capsys, workers):
+def test_watch_cli_writes_evidence_for_each_quarantined_event(tmp_path, capsys):
     # Events that parse but cannot be applied were only ever *counted*.
     source = os.path.join(_DATA, "unappliable_events.jsonl")
     quarantine = tmp_path / "q.jsonl"
     argv = ["watch", "locking", source, "--once", "--quarantine", str(quarantine)]
-    assert main(argv + ["--workers", str(workers)]) == 0
+    assert main(argv) == 0
     assert "quarantined: 0 line(s), 2 event(s)" in capsys.readouterr().err
     records = [json.loads(line) for line in quarantine.read_text().splitlines()]
     assert [(r["source"], r["lineno"]) for r in records] == [(source, 1), (source, 2)]
@@ -646,29 +645,6 @@ def test_watchdog_flags_a_stalled_source(tmp_path):
     thread.join(timeout=10.0)
     assert not thread.is_alive()
     assert "stalled" in sink.getvalue()
-
-
-def test_pool_mode_report_matches_inline_mode(tmp_path):
-    spec, per_node = _locking()
-    _ok, ok_events = _trace_events(spec, per_node, seed=3)
-    bad, bad_events = _trace_events(spec, per_node, seed=10, fault_rate=1.0)
-    assert bad.fault == "teleport"
-    paths = [
-        _write_log(tmp_path / "a.log", ok_events),
-        _write_log(tmp_path / "b.log", bad_events),
-    ]
-    reports = []
-    for workers in (0, 2):
-        service = WatchService(
-            spec,
-            paths,
-            per_node=per_node,
-            config=_fast_config(workers=workers),
-            out=io.StringIO(),
-        )
-        service.run()
-        reports.append(service.report())
-    assert reports[0] == reports[1]  # supervised pool changes nothing
 
 
 def test_resume_refuses_a_foreign_checkpoint(tmp_path):
