@@ -15,10 +15,10 @@ The subsystem layers on the model checker's retained state graph:
   paper's approach), a coverage-minimized greedy suite over
   ``(action, enabled-state-class)`` goals, and seeded random sampling for
   graphs too large to enumerate,
-* :mod:`~repro.mbtcg.generator` -- orchestration: model-check, enumerate
-  (optionally sharded over graph partitions via the spec registry), dedup,
-  and stamp statistics,
-* :mod:`~repro.mbtcg.emitters` -- JSON-lines corpora (replayable through
+* :mod:`~repro.mbtcg.generator` -- orchestration: model-check, enumerate,
+  dedup, and stamp statistics,
+* :mod:`~repro.mbtcg.emitters` -- JSON-lines corpora (a state table and the
+  cases that name its rows, replayable through
   :func:`repro.pipeline.runner.check_traces`), runnable pytest source, and
   per-node log files in the :mod:`repro.pipeline.logs` format -- so every
   generated test flows straight back into MBTC.

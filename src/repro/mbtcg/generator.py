@@ -160,20 +160,19 @@ def generate_suite(
         graph = build_graph(spec, max_states=max_states)
 
     if strategy == "random":
-        behaviours, enumerated = random_sampled(
+        cases, enumerated = random_sampled(
             graph, max_length=max_length, n_tests=n_tests, seed=seed
         )
     elif strategy == "coverage":
-        behaviours, enumerated = coverage_minimized(graph, max_length=max_length)
+        cases, enumerated = coverage_minimized(graph, max_length=max_length)
     else:
-        behaviours, enumerated = exhaustive_behaviours(graph, max_length=max_length)
+        cases, enumerated = exhaustive_behaviours(graph, max_length=max_length)
 
     classes = state_classes(graph)
     pairs = set()
-    for behaviour in behaviours:
-        pairs |= coverage_pairs(graph, behaviour, classes)
+    for case in cases:
+        pairs |= coverage_pairs(graph, case, classes)
 
-    cases = [TestCase.from_behaviour(behaviour) for behaviour in behaviours]
     cases.sort(key=lambda case: (len(case), case.case_id))
     stats = GenerationStats(
         enumerated=enumerated,

@@ -15,18 +15,22 @@ faced (4,913 exhaustive OT tests were practical; larger models need less):
 * :func:`random_sampled` -- seeded random walks for graphs too large to
   enumerate, deduplicated so the sample contains no repeated execution.
 
-Every strategy returns ``(behaviours, enumerated)`` where ``enumerated``
-counts behaviours *before* deduplication; the generator turns the ratio into
-the suite's dedup statistic.
+Every strategy returns ``(cases, enumerated)``: the surviving behaviours as
+:class:`~repro.mbtcg.testcase.TestCase` objects, whose ``case_id`` is the
+fingerprint they were deduplicated by -- computed once per behaviour, over one
+:class:`~repro.tla.values.FingerprintCache` per call -- and the count of
+behaviours *before* deduplication; the generator turns the ratio into the
+suite's dedup statistic.
 """
 
 from __future__ import annotations
 
 import random
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..tla.graph import StateGraph
-from .testcase import Behaviour, behaviour_fingerprint
+from ..tla.values import FingerprintCache
+from .testcase import Behaviour, TestCase
 
 __all__ = [
     "STRATEGIES",
@@ -48,25 +52,25 @@ CoveragePair = Tuple[str, FrozenSet[str]]
 
 
 def dedup_behaviours(
-    behaviours: Iterable[Behaviour],
-) -> Tuple[List[Behaviour], int]:
-    """Drop fingerprint-duplicate behaviours; returns (unique, total seen)."""
-    seen: Set[int] = set()
-    unique: List[Behaviour] = []
+    behaviours: Iterable[Behaviour], *, limit: Optional[int] = None
+) -> Tuple[List[TestCase], int]:
+    """Lift behaviours into cases, dropping fingerprint duplicates, until
+    ``limit`` distinct ones are kept; returns (unique cases, total seen)."""
+    cache = FingerprintCache()
+    unique: Dict[str, TestCase] = {}
     total = 0
     for behaviour in behaviours:
         total += 1
-        key = behaviour_fingerprint(behaviour)
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(behaviour)
-    return unique, total
+        case = TestCase.from_behaviour(behaviour, cache)
+        unique.setdefault(case.case_id, case)
+        if len(unique) == limit:
+            break
+    return list(unique.values()), total
 
 
 def exhaustive_behaviours(
     graph: StateGraph, *, max_length: int
-) -> Tuple[List[Behaviour], int]:
+) -> Tuple[List[TestCase], int]:
     """Every behaviour up to ``max_length`` states, deduplicated."""
     return dedup_behaviours(graph.behaviours(max_length=max_length))
 
@@ -81,24 +85,22 @@ def state_classes(graph: StateGraph) -> List[FrozenSet[str]]:
 
 def coverage_pairs(
     graph: StateGraph,
-    behaviour: Behaviour,
+    case: TestCase,
     classes: Sequence[FrozenSet[str]],
 ) -> Set[CoveragePair]:
-    """The ``(action, source-state class)`` goals one behaviour covers."""
-    pairs: Set[CoveragePair] = set()
-    for index in range(1, len(behaviour)):
-        action = behaviour[index][0]
-        assert action is not None  # only the first pair carries None
-        source = behaviour[index - 1][1]
-        pairs.add((action, classes[graph.id_of(source)]))
-    return pairs
+    """The ``(action, source-state class)`` goals one case covers."""
+    # Only the first action is None, and it has no source state.
+    return {
+        (action, classes[graph.id_of(source)])
+        for action, source in zip(case.actions[1:], case.states)
+    }
 
 
 def coverage_minimized(
     graph: StateGraph,
     *,
     max_length: int,
-) -> Tuple[List[Behaviour], int]:
+) -> Tuple[List[TestCase], int]:
     """Greedy minimum-ish suite covering every reachable coverage pair.
 
     The exhaustive suite at the same ``max_length`` is enumerated here,
@@ -106,15 +108,15 @@ def coverage_minimized(
     exhaustive suite's -- the goals are exactly the pairs the exhaustive
     behaviours witness.
 
-    The pool is sorted canonically (length, then behaviour fingerprint)
-    before the greedy pass, so tie-breaking -- and therefore the chosen
-    suite -- does not depend on enumeration order.
+    The pool is sorted canonically (length, then case id: the behaviour
+    fingerprint, zero-padded) before the greedy pass, so tie-breaking -- and
+    therefore the chosen suite -- does not depend on enumeration order.
     """
     pool, enumerated = exhaustive_behaviours(graph, max_length=max_length)
-    pool.sort(key=lambda behaviour: (len(behaviour), behaviour_fingerprint(behaviour)))
+    pool.sort(key=lambda case: (len(case), case.case_id))
     classes = state_classes(graph)
     per_behaviour: List[Set[CoveragePair]] = [
-        coverage_pairs(graph, behaviour, classes) for behaviour in pool
+        coverage_pairs(graph, case, classes) for case in pool
     ]
     uncovered: Set[CoveragePair] = set().union(*per_behaviour) if per_behaviour else set()
 
@@ -140,7 +142,7 @@ def random_sampled(
     max_length: int,
     n_tests: int,
     seed: int = 0,
-) -> Tuple[List[Behaviour], int]:
+) -> Tuple[List[TestCase], int]:
     """Sample up to ``n_tests`` distinct behaviours by seeded random walks.
 
     Sampling is with replacement, so attempts are capped (25 per requested
@@ -151,16 +153,8 @@ def random_sampled(
     if n_tests < 1:
         raise ValueError("n_tests must be >= 1")
     rng = random.Random(seed)
-    seen: Set[int] = set()
-    sample: List[Behaviour] = []
-    attempts = 0
-    max_attempts = max(n_tests * 25, 100)
-    while len(sample) < n_tests and attempts < max_attempts:
-        attempts += 1
-        behaviour = graph.random_walk(rng, max_length=max_length)
-        key = behaviour_fingerprint(behaviour)
-        if key in seen:
-            continue
-        seen.add(key)
-        sample.append(behaviour)
-    return sample, attempts
+    walks = (
+        graph.random_walk(rng, max_length=max_length)
+        for _attempt in range(max(n_tests * 25, 100))
+    )
+    return dedup_behaviours(walks, limit=n_tests)

@@ -994,6 +994,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         _header, report = replay_corpus(args.out, workers=1)
         print(
             f"replay through MBTC: PASS {report.passed}  FAIL {report.failed}  "
+            f"ERROR {len(report.errors)}  "
             f"({report.total} case(s) in {report.duration_seconds:.2f}s)"
         )
         if report.failed:
@@ -1002,6 +1003,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 "checking; the generator emitted an invalid behaviour",
                 file=sys.stderr,
             )
+        if report.errors:
+            # A check that raised gave no verdict: neither passed nor failed.
+            first = report.errors[0]
+            print(
+                f"error: checking {len(report.errors)} generated case(s) raised; "
+                f"first: case {suite.cases[first.index].case_id}: {first.error}",
+                file=sys.stderr,
+            )
+        if report.passed != report.total:
             return 1
         print("MBTCG -> MBTC loop closed: every generated case replays cleanly")
     return 0
