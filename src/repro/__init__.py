@@ -10,7 +10,7 @@ Layers, bottom to top:
 * :mod:`repro.specs` -- concrete specifications: ``RaftMongo`` (two variants,
   as in the paper) and hierarchical ``Locking``.
 * :mod:`repro.pipeline` -- the scale layer: JSON-lines server-log ingestion,
-  synthetic workload generation with fault injection, a concurrent batch
+  synthetic workload generation with fault injection, a batch
   trace-checking runner with merged coverage, and the ``python -m repro`` CLI.
 * :mod:`repro.mbtcg` -- model-based test-case generation: enumerates spec
   behaviours from the retained state graph into deduplicated corpora, pytest

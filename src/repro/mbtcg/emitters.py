@@ -242,7 +242,7 @@ def corpus_traces(
 def replay_corpus(
     path: str,
     *,
-    workers: int = 4,
+    workers: int = 1,
     executor: str = "thread",
 ) -> Tuple[Dict[str, Any], BatchReport]:
     """Replay a corpus file through ``check_traces`` (the MBTCG -> MBTC loop).

@@ -8,8 +8,8 @@ pipeline:
   stream merging and trace reconstruction,
 * :mod:`~repro.pipeline.workload` -- synthetic executions (valid or
   fault-injected) generated straight from a specification,
-* :mod:`~repro.pipeline.runner` -- concurrent batch checking (thread or
-  process executors) with successor caching and merged coverage,
+* :mod:`~repro.pipeline.runner` -- batch checking (in the calling thread,
+  or in worker processes) with successor caching and merged coverage,
 * :mod:`~repro.pipeline.cli` -- the ``python -m repro`` command line.
 
 Specifications are built by name through :mod:`repro.tla.registry`.

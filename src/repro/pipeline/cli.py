@@ -6,7 +6,8 @@ Subcommands mirror the paper's workflow:
 * ``trace``   -- MBTC proper: parse server logs, rebuild the execution trace,
   verify it against the spec, and optionally accumulate coverage,
 * ``simulate``-- the scale path: generate a synthetic workload (optionally
-  fault-injected), batch-check it concurrently, and report merged coverage,
+  fault-injected), batch-check it (``--workers N``: in N worker processes),
+  and report merged coverage,
 * ``generate``-- MBTCG (paper Section 5): enumerate the spec's behaviours
   into a deduplicated test corpus, optionally emit pytest source and
   per-node logs, and replay the corpus through the MBTC batch checker,
@@ -44,7 +45,7 @@ from ..tla.errors import CheckInterrupted, ReproError, SpecError
 from ..tla.registry import build_spec, get_entry, registered_names
 from ..tla.trace import SuccessorCache, explain_failure
 from . import logs as log_module
-from .runner import EXECUTORS, cache_line, check_one, check_traces, record_cache_telemetry
+from .runner import cache_line, check_one, check_traces, record_cache_telemetry
 from .workload import generate_workload
 
 __all__ = ["build_parser", "main", "parse_params"]
@@ -284,16 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="log line format (default: %(default)s)",
     )
     watch_p.add_argument(
-        "--queue-size",
-        type=int,
-        default=1000,
-        help="per-source ingestion queue bound (the backpressure limit)",
-    )
-    watch_p.add_argument(
         "--poll-interval",
         type=float,
-        default=0.25,
-        help="seconds between file polls at EOF (default: %(default)s)",
+        default=0.05,
+        help="seconds the service loop idles when no source has a line to "
+        "check: paces re-polls at EOF, torn-line retries, the watchdog and "
+        "the reaction to a stop signal (default: %(default)s)",
     )
     watch_p.add_argument(
         "--stall-timeout",
@@ -377,13 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--min-steps", type=int, default=4)
     sim_p.add_argument("--max-steps", type=int, default=24)
     sim_p.add_argument("--stutter-prob", type=float, default=0.0)
-    sim_p.add_argument("--workers", type=int, default=4)
     sim_p.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default="thread",
-        help="batch backend: thread (shared successor cache, GIL-bound) or "
-        "process (one spec + cache per worker process)",
+        "--workers",
+        type=int,
+        default=1,
+        help="1 checks in this process (default); N > 1 checks in N "
+        "supervised worker processes, each with its own spec and cache",
     )
     sim_p.add_argument(
         "--log-dir",
@@ -587,8 +583,6 @@ def _validate_check_args(args: argparse.Namespace) -> Optional[str]:
 def _validate_watch_args(args: argparse.Namespace) -> Optional[str]:
     """Single source of truth for `watch` flag consistency (same policy as
     `check`: inconsistent combinations are hard errors, never warnings)."""
-    if args.queue_size < 1:
-        return f"--queue-size must be >= 1; got {args.queue_size}"
     if args.poll_interval <= 0:
         return f"--poll-interval must be positive; got {args.poll_interval}"
     if args.stall_timeout < 0:
@@ -648,7 +642,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     resume_from = read_watch_checkpoint(args.resume) if args.resume else None
     config = WatchConfig(
         adapter=args.adapter,
-        queue_size=args.queue_size,
         poll_interval=args.poll_interval,
         stall_timeout=args.stall_timeout,
         partial_retries=args.partial_retries,
@@ -906,7 +899,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         spec,
         workload,
         workers=args.workers,
-        executor=args.executor,
+        executor="process" if args.workers > 1 else "thread",
         reachable_count=reachable,
         fail_fast=args.fail_fast,
     )

@@ -169,11 +169,11 @@ class LogAdapter:
     (``None`` for noise -- non-trace lines are the common case in a server
     log), raising :class:`LogParseError` for a line that claims to be a trace
     event but cannot be decoded.  Adapters must be stateless: the streaming
-    service calls one shared instance from many sources concurrently.
+    service parses the lines of all its sources, interleaved, through one
+    shared instance.
     """
 
-    #: Registry key; ``repro trace --adapter`` and ``repro watch --adapter``
-    #: select adapters by this name.
+    #: Registry key; ``repro watch --adapter`` selects adapters by this name.
     name: str = "?"
 
     def parse_line(

@@ -1,17 +1,17 @@
-"""Concurrent batch trace checking with merged coverage.
+"""Batch trace checking with merged coverage.
 
 Paper Section 4.2.4 wants MBTC "deployed to continuous integration": many
-traces, checked concurrently, with one combined coverage number at the end.
-This runner does that in-process, with two executors:
+traces checked in one run, with one combined coverage number at the end.
+This runner does that, with two executors:
 
-* ``executor="thread"`` -- a thread pool sharing the spec's own
-  :class:`~repro.tla.trace.SuccessorCache` (``SuccessorCache.for_spec``):
-  one compiled expander, one value interner, one decode plan and one
-  successor memo for the whole batch and for whatever decoded its traces
-  (different traces of one workload revisit the same states and, far more
-  often, the same variable bindings).  Trace checking is pure Python, so
-  threads serialize on the GIL; what this mode shares is the warm-up, not
-  the cores.
+* ``executor="thread"`` -- the calling thread, one trace after another on
+  the spec's own :class:`~repro.tla.trace.SuccessorCache`
+  (``SuccessorCache.for_spec``): one compiled expander, one value interner,
+  one decode plan and one successor memo for the whole batch and for
+  whatever decoded its traces (different traces of one workload revisit the
+  same states and, far more often, the same variable bindings).  Trace
+  checking is pure Python, so more threads would only take turns on the
+  GIL and that cache's lock: ``workers`` must be 1.
 * ``executor="process"`` -- a process pool for real multi-core throughput.
   Each worker rebuilds the spec from its registry name (specs are closures
   and do not pickle; see :mod:`repro.tla.registry`) and keeps a private
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -319,7 +318,7 @@ def check_traces(
     spec: Specification,
     traces: Iterable[TraceLike],
     *,
-    workers: int = 4,
+    workers: int = 1,
     executor: str = "thread",
     allow_stuttering: bool = True,
     require_initial: bool = True,
@@ -328,11 +327,11 @@ def check_traces(
     fail_fast: bool = False,
     supervision: Optional[SupervisionConfig] = None,
 ) -> BatchReport:
-    """Check every trace against ``spec`` concurrently; return a :class:`BatchReport`.
+    """Check every trace against ``spec``; return a :class:`BatchReport`.
 
-    ``executor`` selects the concurrency backend: ``"thread"`` (shared
-    successor cache, GIL-bound) or ``"process"`` (true multi-core; requires a
-    registry-built spec).  ``reachable_count`` (e.g.
+    ``executor`` selects where the checks run: ``"thread"`` (the calling
+    thread, ``workers=1``) or ``"process"`` (``workers`` supervised worker
+    processes; requires a registry-built spec).  ``reachable_count`` (e.g.
     ``CheckResult.distinct_states`` from a full model-checking run) turns
     merged coverage into a fraction of the reachable state space -- the number
     the paper says TLC cannot produce across runs.
@@ -348,6 +347,11 @@ def check_traces(
         raise ValueError("workers must be >= 1")
     if executor not in EXECUTORS:
         raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
+    if executor == "thread" and workers > 1:
+        raise ValueError(
+            f"executor='thread' checks in the calling thread and takes workers=1; "
+            f"got workers={workers} -- use executor='process' for worker processes"
+        )
     if executor == "process" and spec.registry_ref is None:
         raise ValueError(
             f"executor='process' requires a registered specification, but "
@@ -389,18 +393,9 @@ def check_traces(
         if executor == "thread":
             self_cache = SuccessorCache.for_spec(spec)
             before = self_cache.stats()
-            judge = partial(_judge, partial(check_one, spec, self_cache, **options))
-            # Bounded submission window: Executor.map would eagerly turn the
-            # whole (possibly huge, generator-backed) workload into futures;
-            # this keeps at most a few batches of traces alive at once.
-            window: deque = deque()
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for item in items:
-                    window.append(pool.submit(judge, item))
-                    if len(window) >= workers * 4:
-                        consume(*window.popleft().result())
-                while window:
-                    consume(*window.popleft().result())
+            check = partial(check_one, spec, self_cache, **options)
+            for item in items:
+                consume(*_judge(check, item))
             report.cache_stats = _stats_delta(before, self_cache.stats())
         else:
             _check_traces_process(

@@ -13,9 +13,9 @@ logs as the system under test writes them.  This package is that service:
 * :mod:`repro.stream.report` -- the deterministic rolling coverage/violation
   report and the quarantine channel for undecodable lines.
 * :mod:`repro.stream.service` -- :class:`WatchService`, the loop behind
-  ``python -m repro watch``: bounded ingestion queues with backpressure, a
-  stall watchdog, SIGTERM/SIGINT graceful drain and a resumable service
-  checkpoint.
+  ``python -m repro watch``: one thread that polls the tailers and checks
+  their lines in bounded rounds, a stall watchdog, SIGTERM/SIGINT graceful
+  drain and a resumable service checkpoint.
 """
 
 from .incremental import IncrementalChecker

@@ -92,7 +92,8 @@ def build_report(
     ``sources`` maps each source path to its consumed ``{"offset", "lineno"}``
     and ``checkers`` maps it to ``IncrementalChecker.to_report()``.  Sources
     are emitted in sorted path order and every aggregate is a commutative
-    fold, so the document is independent of thread interleaving.
+    fold, so the document does not depend on the order the service's rounds
+    consumed the sources in.
     """
     merged_actions: Dict[str, int] = {}
     violations: List[Dict[str, Any]] = []

@@ -1,38 +1,34 @@
 """The long-running ``repro watch`` service loop.
 
-Architecture (one :class:`WatchService` per ``repro watch`` invocation):
+Architecture (one :class:`WatchService` per ``repro watch`` invocation, one
+thread -- the caller's -- that reads, parses and checks):
 
-* One **tailer thread per source file**, each owning a
-  :class:`~repro.stream.tailer.LogTailer` and pushing its lines into a
-  bounded per-source queue.  ``queue.Queue(maxsize=...)`` with a blocking
-  put is the backpressure: when checking falls behind, the tailer thread
-  blocks on its queue and the file simply grows -- ingestion memory never
-  does.
-* The **main loop** drains the queues round-robin (sorted source order, a
-  bounded batch per source per round -- deterministic given the consumed
-  data) and is event-driven: a round that found nothing waits for a tailer
-  thread to post a line or to finish, with a short timeout as the backstop
-  that keeps the watchdog, report and checkpoint cadence.  It parses lines
-  through the configured
-  :class:`~repro.pipeline.logs.LogAdapter`, quarantines what will not
-  parse, and advances each source's
-  :class:`~repro.stream.incremental.IncrementalChecker` inline.
+* The **main loop** makes rounds over the sources in sorted order: one
+  non-blocking :meth:`~repro.stream.tailer.LogTailer.poll` (at most one
+  chunk) of a source with no line pending, then a bounded batch of its
+  pending lines -- deterministic given the consumed data.  Nothing is read
+  while lines are pending, so when checking falls behind the file simply
+  grows and ingestion memory stays one chunk per source.  Lines are parsed
+  through the configured :class:`~repro.pipeline.logs.LogAdapter`, what
+  will not parse is quarantined, and each source's
+  :class:`~repro.stream.incremental.IncrementalChecker` advances inline.
+  A round that consumed nothing -- every source at EOF, waiting for its
+  file or holding back a partial tail -- idles for ``poll_interval``.
 * A **watchdog** flags sources that have produced no data for
   ``stall_timeout`` seconds (runtime diagnostics only -- a stalled source
   is not an error).
 * **Graceful drain**: :meth:`WatchService.request_stop` (wired to
-  SIGTERM/SIGINT by the CLI) stops ingestion, joins the tailer threads,
-  checks everything already queued, then writes the final checkpoint and
-  report.  The exit code is ``128 + signum`` (143 for SIGTERM, 130 for
-  SIGINT); a clean ``--once`` completion exits 1 if any trace violated its
-  specification, else 0.
+  SIGTERM/SIGINT by the CLI) stops reading, checks everything already
+  pending, then writes the final checkpoint and report.  The exit code is
+  ``128 + signum`` (143 for SIGTERM, 130 for SIGINT); a clean ``--once``
+  completion exits 1 if any trace violated its specification, else 0.
 
 One source file is one trace: the service does not merge events across
 files, because live per-node logs cannot be totally ordered without the
 offline merge the batch pipeline performs.
 
-Checkpointed positions are *consumed* positions -- lines still sitting in a
-queue at checkpoint time are re-read on resume.  Note the one caveat: a
+Checkpointed positions are *consumed* positions -- lines read but still
+pending at checkpoint time are re-read on resume.  Note the one caveat: a
 periodic (non-drain) checkpoint races with a rotation that happens after it;
 the drain checkpoint written on shutdown is always consistent.
 """
@@ -41,12 +37,11 @@ from __future__ import annotations
 
 import json
 import os
-import queue
 import sys
-import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from ..obs import SCHEMA_VERSION as OBS_SCHEMA_VERSION, STATUS_KIND, current as obs_current
 from ..pipeline.logs import LogEvent, LogParseError, get_adapter, split_location
@@ -67,10 +62,9 @@ class WatchConfig:
 
     #: Log-adapter name (see :func:`repro.pipeline.logs.adapter_names`).
     adapter: str = "jsonl"
-    #: Bound of each per-source ingestion queue -- the backpressure limit.
-    queue_size: int = 1000
-    #: Tailer sleep between polls once a source is at EOF.
-    poll_interval: float = 0.25
+    #: Idle time after a round that found nothing to check: what paces the
+    #: polls, torn-line retries, watchdog and stop checks of quiet sources.
+    poll_interval: float = 0.05
     #: Seconds without new data before the watchdog flags a source; <= 0
     #: disables the watchdog (it is always off in ``once`` mode).
     stall_timeout: float = 30.0
@@ -118,12 +112,8 @@ class WatchService:
         self.cache = SuccessorCache.for_spec(spec)
         self.stop_signal: Optional[int] = None
         self._obs_run = obs_current()
-        self._stop = threading.Event()
-        #: Set by a tailer thread that queued a line or finished; what the
-        #: main loop waits on when a round found nothing.  ``request_stop``
-        #: leaves it alone -- setting an Event takes a lock the main loop may
-        #: hold when a signal handler runs -- so a stop is seen at the timeout.
-        self._wake = threading.Event()
+        #: A plain attribute (a signal handler sets it); read once per round.
+        self._stop = False
         #: How often, and for how long, the main loop had nothing to check.
         self.idle_waits = 0
         self.idle_seconds = 0.0
@@ -133,9 +123,11 @@ class WatchService:
         self._checkers: Dict[str, IncrementalChecker] = {}
         self._announced: set = set()
         self._stalled: set = set()
-        self._threads: Dict[str, threading.Thread] = {}
-        self._queues: Dict[str, "queue.Queue[TailedLine]"] = {}
         self._tailers: Dict[str, LogTailer] = {}
+        #: Per source: lines read and not yet checked.  A source is polled
+        #: only when this is empty, which bounds it to one poll's lines.
+        self._pending: Dict[str, Deque[TailedLine]] = {}
+        #: Per source: it will not be read again in this run.
         self._source_done: Dict[str, bool] = {}
         self._last_data: Dict[str, float] = {}
         #: Per source: offset/lineno of the last line fully *consumed*
@@ -172,7 +164,7 @@ class WatchService:
                 partial_retries=self.config.partial_retries,
                 partial_backoff=self.config.partial_backoff,
             )
-            self._queues[source] = queue.Queue(maxsize=self.config.queue_size)
+            self._pending[source] = deque()
             self._source_done[source] = False
 
     # -- control --------------------------------------------------------------
@@ -180,7 +172,7 @@ class WatchService:
         """Begin a graceful drain; safe to call from a signal handler."""
         if signum is not None and self.stop_signal is None:
             self.stop_signal = signum
-        self._stop.set()
+        self._stop = True
 
     def run(self) -> int:
         """Tail, check and report until stopped (or drained in once mode)."""
@@ -188,55 +180,29 @@ class WatchService:
         self._last_report_at = self._started_at
         for source in self.sources:
             self._last_data[source] = self._started_at
-            thread = threading.Thread(
-                target=self._tail_source,
-                args=(source,),
-                name=f"repro-tail:{source}",
-                daemon=True,
-            )
-            self._threads[source] = thread
-            thread.start()
         try:
             while True:
-                consumed = self._drain_round()
+                consumed = self._round()
                 now = time.monotonic()
                 self._watchdog(now)
                 self._maybe_emit_report(now)
                 self._maybe_checkpoint()
-                if self._stop.is_set():
+                if consumed:
+                    continue
+                # Nothing is pending: a stopped or finished run is drained.
+                if self._stop or all(self._source_done.values()):
                     break
-                if (
-                    self.config.once
-                    and consumed == 0
-                    and all(self._source_done.values())
-                    and all(q.empty() for q in self._queues.values())
-                ):
-                    break
-                if consumed == 0:
-                    self._wait_for_lines()
-            # Drain: stop ingestion, then check everything already queued.
-            self._stop.set()
-            for thread in self._threads.values():
-                thread.join(timeout=10.0)
-            while self._drain_round():
-                pass
+                started = time.monotonic()
+                time.sleep(self.config.poll_interval)
+                self.idle_waits += 1
+                self.idle_seconds += time.monotonic() - started
         finally:
-            self._stop.set()
-            for thread in self._threads.values():
-                thread.join(timeout=10.0)
+            for source, tailer in self._tailers.items():
+                tailer.close()
+                self._source_done[source] = True
             self.quarantine.close()
         self._final_flush()
         return self.exit_code()
-
-    def _wait_for_lines(self) -> None:
-        """Idle until a tailer thread posts a wake-up, or the backstop passes."""
-        started = time.monotonic()
-        self._wake.wait(min(self.config.poll_interval, 0.05))
-        # Cleared before the next round drains: a line queued from here on
-        # either is found by that round or sets the flag for the next wait.
-        self._wake.clear()
-        self.idle_waits += 1
-        self.idle_seconds += time.monotonic() - started
 
     def exit_code(self) -> int:
         if self.stop_signal is not None:
@@ -291,7 +257,7 @@ class WatchService:
             sources[source] = {
                 "offset": self._consumed[source]["offset"],
                 "lineno": self._consumed[source]["lineno"],
-                "queue_depth": self._queues[source].qsize(),
+                "queue_depth": len(self._pending[source]),
                 "bytes_read": self._tailers[source].bytes_read,
                 "lag_seconds": round(
                     max(0.0, now - self._last_data.get(source, now)), 3
@@ -338,39 +304,6 @@ class WatchService:
             json.dumps(self.status(now), indent=2, sort_keys=True) + "\n",
         )
 
-    # -- tailer threads -------------------------------------------------------
-    def _tail_source(self, source: str) -> None:
-        tailer = self._tailers[source]
-        target = self._queues[source]
-        try:
-            while not self._stop.is_set():
-                batch = tailer.poll()
-                if batch.lines:
-                    self._last_data[source] = time.monotonic()
-                for line in batch.lines:
-                    if not self._enqueue(target, line):
-                        return
-                if self.config.once and (batch.at_eof or batch.waiting):
-                    return
-                if batch.at_eof or batch.waiting:
-                    self._stop.wait(self.config.poll_interval)
-        finally:
-            tailer.close()
-            self._source_done[source] = True
-            self._wake.set()
-
-    def _enqueue(self, target: "queue.Queue[TailedLine]", line: TailedLine) -> bool:
-        """Blocking put = backpressure; aborts only on a stop request."""
-        while not self._stop.is_set():
-            try:
-                target.put(line, timeout=0.1)
-            except queue.Full:
-                continue
-            if not self._wake.is_set():  # nearly always up already: skip set()'s lock
-                self._wake.set()
-            return True
-        return False
-
     # -- main loop ------------------------------------------------------------
     def _checker(self, source: str) -> IncrementalChecker:
         checker = self._checkers.get(source)
@@ -384,13 +317,18 @@ class WatchService:
             self._checkers[source] = checker
         return checker
 
-    def _drain_round(self) -> int:
+    def _round(self) -> int:
+        """Read each source with nothing pending, then check a batch of each."""
         consumed = 0
         parsed: List[Tuple[str, List[TailedLine], List[LogEvent]]] = []
         for source in self.sources:
-            lines = self._pop_lines(source)
-            if lines:
-                consumed += len(lines)
+            pending = self._pending[source]
+            if not pending and not self._stop and not self._source_done[source]:
+                self._poll(source)
+            if pending:
+                count = min(len(pending), self.config.batch_limit)
+                lines = [pending.popleft() for _ in range(count)]
+                consumed += count
                 parsed.append((source, lines, self._parse_lines(source, lines)))
         if not parsed:
             return 0
@@ -409,15 +347,15 @@ class WatchService:
             self._obs_run.registry.inc("watch.lines_consumed", consumed)
         return consumed
 
-    def _pop_lines(self, source: str) -> List[TailedLine]:
-        source_queue = self._queues[source]
-        lines: List[TailedLine] = []
-        while len(lines) < self.config.batch_limit:
-            try:
-                lines.append(source_queue.get_nowait())
-            except queue.Empty:
-                break
-        return lines
+    def _poll(self, source: str) -> None:
+        tailer = self._tailers[source]
+        batch = tailer.poll()
+        if batch.lines:
+            self._last_data[source] = time.monotonic()
+            self._pending[source].extend(batch.lines)
+        if self.config.once and (batch.at_eof or batch.waiting):
+            tailer.close()
+            self._source_done[source] = True
 
     def _parse_lines(
         self, source: str, lines: List[TailedLine]

@@ -15,8 +15,9 @@ Real server logs are messy in exactly three ways a batch reader never sees:
   quarantines it), so a slow writer is never misread but a dead one cannot
   stall the stream forever.
 
-The tailer is pull-based and single-owner: the service's per-source tailer
-thread calls :meth:`LogTailer.poll` in a loop.  ``offset``/``lineno`` always
+The tailer is pull-based and single-owner: the service's one loop calls
+:meth:`LogTailer.poll` whenever it has checked every line the last poll
+returned.  ``offset``/``lineno`` always
 describe *emitted* lines only -- a held-back partial is not part of the
 offset, so a checkpoint taken between polls resumes by simply re-reading
 from ``offset``.

@@ -49,10 +49,6 @@ class CoverageReport:
             return None
         return self.visited_count / self.reachable_count
 
-    def action_coverage(self, all_actions: Sequence[str]) -> Dict[str, bool]:
-        """Which actions were exercised at least once by the covered traces."""
-        return {name: self.action_counts.get(name, 0) > 0 for name in all_actions}
-
     # Combination ------------------------------------------------------------------
     def merge(self, other: "CoverageReport") -> "CoverageReport":
         """Combine two reports for the same specification (set union)."""

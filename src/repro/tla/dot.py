@@ -81,9 +81,6 @@ class ParsedStateGraph:
     def outgoing(self, node_id: int) -> List[ParsedEdge]:
         return [edge for edge in self.edges if edge.source == node_id]
 
-    def successors_of(self, node_id: int) -> List[int]:
-        return [edge.target for edge in self.outgoing(node_id)]
-
     def terminal_ids(self) -> List[int]:
         sources = {edge.source for edge in self.edges}
         return [node_id for node_id in self.nodes if node_id not in sources]

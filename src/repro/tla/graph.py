@@ -16,7 +16,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
 )
 
 from .errors import SpecError
@@ -103,9 +103,6 @@ class StateGraph:
 
     def outgoing(self, node_id: int) -> Sequence[Edge]:
         return tuple(self._outgoing.get(node_id, ()))
-
-    def successors_of(self, node_id: int) -> List[int]:
-        return [edge.target for edge in self._outgoing.get(node_id, ())]
 
     def action_counts(self) -> Dict[str, int]:
         """How many transitions each action contributed."""
@@ -250,15 +247,7 @@ class StateGraph:
                     )
         return PropertyCheckOutcome(prop.name, True)
 
-    def reachable_fingerprints(self) -> Set[int]:
-        """Fingerprints of every state in the graph (for coverage reports)."""
-        return {state.fingerprint() for state in self._states}
-
     # Queries used by repro.mbtcg ---------------------------------------------------
-    def find_states(self, predicate: Callable[[State], bool]) -> List[int]:
-        """Node ids of all states satisfying ``predicate``."""
-        return [node for node, state in enumerate(self._states) if predicate(state)]
-
     def paths_to(
         self, targets: Iterable[int], *, max_length: int = 64
     ) -> Iterator[List[Tuple[Optional[str], State]]]:

@@ -130,8 +130,8 @@ class SuccessorCache:
     anything else: hand-built states, chunks pickled to a worker process, a
     trace bound in another cache.
 
-    One instance can be shared by the thread pool of
-    :mod:`repro.pipeline.runner`: a hit is one dict probe, and everything
+    The library folds from one thread, but a caller may share one instance
+    between threads of its own: a hit is one dict probe, and everything
     that edits the interner, the expander's memos or these memos -- binding
     a state, a miss, an eviction -- runs under one lock, because none of them
     is safe to enter twice (and none re-enters: the lock is a plain one).  The

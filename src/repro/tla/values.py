@@ -38,7 +38,6 @@ __all__ = [
     "encode_value",
     "fingerprint",
     "freeze",
-    "is_sequence",
     "last",
     "seq_index",
     "sub_seq",
@@ -327,11 +326,6 @@ def decode_value(value: Any) -> Any:
     return value
 
 
-def is_sequence(value: Any) -> bool:
-    """True when ``value`` is a TLA+-style sequence (a Python tuple)."""
-    return isinstance(value, tuple)
-
-
 def append(sequence: Tuple[Any, ...], item: Any) -> Tuple[Any, ...]:
     """``Append(seq, item)`` from the TLA+ ``Sequences`` module."""
     return tuple(sequence) + (freeze(item),)
@@ -553,10 +547,3 @@ class FingerprintCache:
         Returns exactly what ``fingerprint(values, frozen=True)`` returns.
         """
         return state_fingerprint(_fp_of(item, self) for item in values)
-
-
-def make_iterable(value: Any) -> Iterable[Any]:
-    """Wrap scalars into a one-element tuple; pass iterables through."""
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return value
-    return (value,)

@@ -1,5 +1,7 @@
 """Shared fixtures: the specs every test layer checks against."""
 
+import threading
+
 import pytest
 
 from repro.specs import locking, raft_mongo
@@ -51,3 +53,17 @@ def make_counter_spec(limit=5, invariant_bound=None):
 @pytest.fixture()
 def counter_spec():
     return make_counter_spec()
+
+
+@pytest.fixture()
+def started_threads(monkeypatch):
+    """The names of the threads started while the test runs."""
+    names = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return names

@@ -169,6 +169,11 @@ _POOLED = ["check", "locking", "--engine", "simulate", "--workers", "2"]
         (["check", "locking", "--engine", "parallel"], "'fingerprint', 'states', 'simulate'"),
         (["check", "locking", "--store", "lru"], "'fingerprint', 'states', 'disk'"),
         (["generate", "--spec", "ot_array", "--workers", "2"], "--workers"),
+        # ISSUE 22: one thread checks traces; the flags that sized the queues
+        # and chose the thread pool are gone, not ignored.
+        (["simulate", "locking", "--executor", "thread"], "--executor"),
+        (["watch", "locking", "a.log", "--queue-size", "5"], "--queue-size"),
+        (["simulate", "locking", "--workers", "0"], "error: workers must be >= 1"),
     ],
 )
 def test_inconsistent_flags_exit_2(capsys, argv, needle):

@@ -191,11 +191,11 @@ def test_a_trace_decoded_for_one_spec_checks_anywhere(tmp_path):
     other = build_spec("raftmongo", n_nodes=2)
     assert [outcome(other, None, t.states) for t in traces] == expected
 
-    threads = check_traces(spec, traces, workers=4, executor="thread")
+    inline = check_traces(spec, traces, workers=1)
     processes = check_traces(spec, traces, workers=2, executor="process")
-    assert threads.ok and threads.failed
-    assert batch_digest(processes)[:3] == batch_digest(threads)[:3]
-    assert batch_digest(processes)[5:] == batch_digest(threads)[5:]
+    assert inline.ok and inline.failed
+    assert batch_digest(processes)[:3] == batch_digest(inline)[:3]
+    assert batch_digest(processes)[5:] == batch_digest(inline)[5:]
 
 
 def test_an_eviction_mid_batch_sheds_the_decode_plan_and_no_verdict():
@@ -234,11 +234,13 @@ def test_an_eviction_mid_batch_sheds_the_decode_plan_and_no_verdict():
     assert max(len(tiny), len(tiny._decoded), len(tiny._spliced)) <= 8
     assert tiny.decode_misses > roomy.decode_misses
 
-    # The runner's four threads, on traces decoded before the evictions.
+    # The runner, inline and in two worker processes, on traces decoded
+    # before the evictions.
     traces = [events_to_trace(tiny_spec, events, per_node=per_node) for events in logged]
-    report = check_traces(tiny_spec, traces, workers=4, executor="thread")
-    assert not report.errors
-    assert [o.detail for o in report.failures] == [e[2] for e in expected if not e[0]]
+    for workers, executor in ((1, "thread"), (2, "process")):
+        report = check_traces(tiny_spec, traces, workers=workers, executor=executor)
+        assert not report.errors
+        assert [o.detail for o in report.failures] == [e[2] for e in expected if not e[0]]
 
 
 def _relabel_spec():

@@ -316,10 +316,10 @@ def test_an_eviction_mid_batch_and_a_process_pool_keep_the_oracles_verdicts():
     tiny = SuccessorCache.for_spec(tiny_spec)
     tiny.max_entries = 8
     tiny.interner.max_entries = tiny.interner.cache.max_entries = 16
-    threads = check_traces(tiny_spec, labelled(), workers=4, executor="thread")
+    inline = check_traces(tiny_spec, labelled(), workers=1)
     assert tiny.interner.evictions > 0 and len(tiny) <= 8
     processes = check_traces(build_spec(name, **params), labelled(), workers=2, executor="process")
-    for report in (threads, processes):
+    for report in (inline, processes):
         assert report.ok and not report.errors
         assert [o.detail for o in report.failures] == failures
-    assert batch_digest(threads)[5:] == batch_digest(processes)[5:]
+    assert batch_digest(inline)[5:] == batch_digest(processes)[5:]

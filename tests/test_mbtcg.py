@@ -77,9 +77,12 @@ def test_exhaustive_suite_is_deduplicated(exhaustive_suite):
 def test_every_exhaustive_case_replays_through_check_traces(
     ot_spec, exhaustive_suite
 ):
-    report = check_traces(ot_spec, exhaustive_suite.traces(), workers=2)
-    assert report.failed == 0
-    assert report.passed == len(exhaustive_suite)
+    for workers, executor in ((1, "thread"), (2, "process")):
+        report = check_traces(
+            ot_spec, exhaustive_suite.traces(), workers=workers, executor=executor
+        )
+        assert report.failed == 0
+        assert report.passed == len(exhaustive_suite)
 
 
 def test_exhaustive_covers_every_action(exhaustive_suite):
@@ -245,9 +248,10 @@ def test_corpus_round_trip_and_replay(tmp_path, exhaustive_suite):
     assert [case["id"] for case in cases] == [
         case.case_id for case in exhaustive_suite.cases
     ]
-    replay_header, report = replay_corpus(str(path), workers=2)
-    assert replay_header == header
-    assert report.failed == 0 and report.passed == count
+    for pool in ({}, {"workers": 2, "executor": "process"}):
+        replay_header, report = replay_corpus(str(path), **pool)
+        assert replay_header == header
+        assert report.failed == 0 and report.passed == count
 
 
 def test_corpus_traces_decodes_and_binds_each_state_row_once(tmp_path, exhaustive_suite):

@@ -141,7 +141,8 @@ class TestBatchRunner:
             generate_workload(locking_spec, n_traces=60, seed=11, fault_rate=0.25)
         )
         expected_failures = sum(1 for t in workload if not t.expect_ok)
-        report = check_traces(locking_spec, workload, workers=4, reachable_count=544)
+        report = check_traces(locking_spec, workload, reachable_count=544)
+        assert (report.workers, report.executor) == (1, "thread")
         assert report.ok
         assert report.total == 60
         assert report.failed == expected_failures
@@ -153,6 +154,24 @@ class TestBatchRunner:
         assert coverage.state_fraction() == coverage.visited_count / 544
         assert report.cache_hits > 0
         assert "PASS" in report.summary()
+        pooled = check_traces(
+            build_spec("locking"), workload, workers=2, executor="process", reachable_count=544
+        )
+        assert pooled.ok
+        assert (pooled.passed, pooled.failed) == (report.passed, report.failed)
+        assert pooled.coverage.to_json() == coverage.to_json()
+
+    def test_inline_checking_starts_no_thread(self, locking_spec, started_threads):
+        workload = list(generate_workload(locking_spec, n_traces=5, seed=11))
+        assert check_traces(locking_spec, workload, workers=1).passed == 5
+        assert started_threads == []
+
+    def test_threads_are_refused_not_ignored(self, locking_spec):
+        with pytest.raises(ValueError, match="executor='process'"):
+            check_traces(locking_spec, [], workers=4, executor="thread")
+        # ... and the pool it names still needs a spec its workers can rebuild.
+        with pytest.raises(ValueError, match="registry_ref"):
+            check_traces(locking_spec, [], workers=2, executor="process")
 
     def test_plain_state_sequences_are_accepted(self, locking_spec):
         generated = generate_trace(locking_spec, random.Random(0), min_steps=5, max_steps=8)

@@ -20,6 +20,7 @@ import io
 import json
 import os
 import pickle
+import random
 import signal
 import threading
 import time
@@ -42,7 +43,6 @@ from repro.stream import (
     WatchConfig,
     WatchService,
 )
-from repro.stream import service as service_module
 from repro.stream import tailer as tailer_module
 from repro.tla.errors import ReproError
 from repro.tla.registry import build_spec, get_entry
@@ -551,10 +551,10 @@ def test_once_mode_detects_violation_and_quarantines_bad_lines(tmp_path):
     assert malformed["offset"] > 0
 
 
-def test_the_drain_loop_waits_on_the_tailers_and_never_sleeps(tmp_path, monkeypatch):
-    # The idle wait is a wake-up the tailer threads post (timeout as backstop),
-    # not a sleep: the same sources give the same report with ``sleep`` gone,
-    # and the run says how long it starved, how much it read.
+def test_a_torn_tail_changes_no_report_and_the_run_says_how_long_it_starved(tmp_path):
+    # The run outlasts the torn line's retry schedule by idling: the same
+    # sources give the same report, and the run says how long it starved and
+    # how much it read.
     from repro.obs.schema import validate_status_path
     from repro.stream import report_to_json
 
@@ -574,15 +574,6 @@ def test_the_drain_loop_waits_on_the_tailers_and_never_sleeps(tmp_path, monkeypa
         return service
 
     expected = report_to_json(run().report())
-
-    def no_sleep(_seconds):
-        raise AssertionError("the drain loop slept")
-
-    clock = service_module.time
-    monkeypatch.setattr(
-        service_module, "time", type("Clock", (), {
-            "monotonic": staticmethod(clock.monotonic), "sleep": staticmethod(no_sleep)})
-    )
     status_path = tmp_path / "status.json"
     service = run(status_path=str(status_path))
     assert report_to_json(service.report()) == expected
@@ -591,7 +582,7 @@ def test_the_drain_loop_waits_on_the_tailers_and_never_sleeps(tmp_path, monkeypa
     assert runtime["bytes_read"] == sum(os.path.getsize(path) for path in paths)
     # It waited for the torn line's retries at least; every wait is bounded.
     assert runtime["idle_waits"] >= 1
-    assert 0.0 < runtime["idle_seconds"] <= runtime["idle_waits"] * 0.05 + 0.5
+    assert 0.0 < runtime["idle_seconds"] <= runtime["idle_waits"] * 0.01 + 0.5
     document = validate_status_path(str(status_path))
     assert document["idle_waits"] == runtime["idle_waits"]
     assert document["idle_seconds"] == round(runtime["idle_seconds"], 3)
@@ -601,9 +592,9 @@ def test_the_drain_loop_waits_on_the_tailers_and_never_sleeps(tmp_path, monkeypa
     assert "idle" not in expected and "bytes_read" not in expected
 
 
-def test_backpressure_bounded_queues_still_drain_everything(tmp_path):
-    # queue_size=1 + batch_limit=1 forces the tailer thread to block on
-    # every line (the backpressure path); the verdict must be unaffected.
+def test_batch_limit_1_still_drains_everything(tmp_path):
+    # One line per round, the rest of the poll held pending: the verdict
+    # must be unaffected.
     spec, per_node = _locking()
     _generated, events = _trace_events(spec, per_node, seed=9)
     path = _write_log(tmp_path / "slow.log", events)
@@ -611,11 +602,191 @@ def test_backpressure_bounded_queues_still_drain_everything(tmp_path):
         spec,
         [path],
         per_node=per_node,
-        config=_fast_config(queue_size=1, batch_limit=1),
+        config=_fast_config(batch_limit=1),
         out=io.StringIO(),
     )
     assert service.run() == 0
     assert service.report()["totals"]["events"] == len(events)
+
+
+def _counted_polls(monkeypatch):
+    polls = []
+    poll = LogTailer.poll
+
+    def counted(self, now=None):
+        polls.append(self.path)
+        return poll(self, now)
+
+    monkeypatch.setattr(LogTailer, "poll", counted)
+    return polls
+
+
+#: ``partial_retries=5, partial_backoff=0.05``: 0.05 + 0.1 + 0.2 + 0.4 + 0.8 s.
+_TORN_SCHEDULE = 1.55
+
+
+def test_a_torn_tail_is_waited_out_by_idling_not_by_polling(tmp_path, monkeypatch):
+    spec, per_node = _locking()
+    _generated, events = _trace_events(spec, per_node, seed=9)
+    path = _write_log(tmp_path / "torn.log", events)
+    with open(path, "a") as handle:
+        handle.write('{"action": "Acq')  # the writer died mid-line
+    polls = _counted_polls(monkeypatch)
+    service = WatchService(
+        spec,
+        [path],
+        per_node=per_node,
+        config=WatchConfig(
+            once=True, report_every=0, stall_timeout=0,
+            partial_retries=5, partial_backoff=0.05,
+        ),
+        out=io.StringIO(),
+    )
+    started = time.monotonic()
+    assert service.run() == 0
+    elapsed = time.monotonic() - started
+    # Each of the five attempts is noticed at most one idle interval late
+    # (the second is slack for a loaded box).
+    assert _TORN_SCHEDULE <= elapsed <= _TORN_SCHEDULE + 5 * service.config.poll_interval + 1.0
+    assert service.runtime_info()["torn_lines"] == 1
+    assert service.quarantine.count == 1
+    assert service.report()["totals"]["events"] == len(events)
+    assert service.idle_waits >= 1  # starved, and says so
+    assert len(polls) <= 10 * service.idle_waits + 10
+
+
+def test_a_line_completed_inside_the_retry_schedule_is_checked_not_quarantined(
+    tmp_path, monkeypatch
+):
+    spec, per_node = _locking()
+    _generated, events = _trace_events(spec, per_node, seed=9)
+    lines = [log_module.format_event(event) for event in events]
+    cut = len(lines[-1]) // 2
+    path = tmp_path / "slow.log"
+    path.write_text("".join(line + "\n" for line in lines[:-1]) + lines[-1][:cut])
+    polls = _counted_polls(monkeypatch)
+    service = WatchService(
+        spec,
+        [str(path)],
+        per_node=per_node,
+        config=WatchConfig(
+            once=False, report_every=0, stall_timeout=0,
+            partial_retries=5, partial_backoff=0.05,
+        ),
+        out=io.StringIO(),
+    )
+    exit_codes = []
+    thread = threading.Thread(
+        target=lambda: exit_codes.append(service.run()), daemon=True
+    )
+    thread.start()
+    deadline = time.monotonic() + 10.0
+    while _events_consumed(service) < len(lines) - 1:
+        assert time.monotonic() < deadline, "the complete lines were never consumed"
+        time.sleep(0.005)
+    time.sleep(0.3)  # the writer stalls mid-line, well inside the schedule
+    with open(path, "a") as handle:
+        handle.write(lines[-1][cut:] + "\n")
+    while _events_consumed(service) < len(lines):
+        assert time.monotonic() < deadline, "the completed line was never checked"
+        time.sleep(0.005)
+    service.request_stop(signal.SIGTERM)
+    thread.join(timeout=15.0)
+    assert not thread.is_alive()
+    assert exit_codes == [143]
+    assert service.quarantine.count == 0
+    assert service.runtime_info()["torn_lines"] == 0
+    assert service.report()["traces"] == {"total": 1, "conforming": 1, "violated": 0}
+    assert len(polls) <= 10 * service.idle_waits + 10
+
+
+@pytest.mark.parametrize("once", [True, False])
+def test_the_service_starts_no_thread(tmp_path, monkeypatch, started_threads, once):
+    spec, per_node = _locking()
+    _generated, events = _trace_events(spec, per_node, seed=9)
+    path = _write_log(tmp_path / "t.log", events)
+    service = WatchService(
+        spec, [path], per_node=per_node, config=_fast_config(once=once), out=io.StringIO()
+    )
+    if not once:
+        # Follow mode runs until stopped: by the third poll the file has been
+        # read, checked and found at EOF once.
+        poll, polls = LogTailer.poll, []
+
+        def stopping_poll(self, now=None):
+            polls.append(self.path)
+            if len(polls) == 3:
+                service.request_stop(signal.SIGTERM)
+            return poll(self, now)
+
+        monkeypatch.setattr(LogTailer, "poll", stopping_poll)
+    assert service.run() == (0 if once else 143)
+    assert service.report()["totals"]["events"] == len(events)
+    assert started_threads == []
+
+
+def test_the_report_and_checkpoint_do_not_depend_on_the_batch_limit(tmp_path):
+    # The shape of the benchmark's watch_locking: two long conforming sources
+    # and a short one with a planted violation.
+    from repro.pipeline.workload import generate_trace
+    from repro.stream import report_to_json
+
+    spec, per_node = _locking()
+    traces = [
+        generate_trace(spec, random.Random(seed), min_steps=400, max_steps=400)
+        for seed in (1, 2)
+    ]
+    planted, planted_events = _trace_events(spec, per_node, seed=2, fault_rate=1.0)
+    assert planted.fault == "teleport"
+    paths = [
+        _write_log(
+            tmp_path / f"long{index}.log",
+            log_module.events_from_trace(
+                spec, trace.states, per_node=per_node, actions=trace.actions
+            ),
+        )
+        for index, trace in enumerate(traces)
+    ] + [_write_log(tmp_path / "planted.log", planted_events)]
+
+    def drained(batch_limit):
+        service = WatchService(
+            spec,
+            paths,
+            per_node=per_node,
+            config=_fast_config(batch_limit=batch_limit),
+            out=io.StringIO(),
+        )
+        assert service.run() == 1
+        checkpoint = service.checkpoint()
+        return report_to_json(service.report()), checkpoint.sources, checkpoint.checkers
+
+    one, many = drained(1), drained(256)
+    assert one == many
+    assert json.loads(one[0])["totals"]["events"] > 800
+
+
+def test_queue_depth_counts_the_lines_read_and_not_yet_checked(tmp_path):
+    from repro.obs.schema import validate_status
+
+    spec, per_node = _locking()
+    _generated, events = _trace_events(spec, per_node, seed=9)
+    path = _write_log(tmp_path / "t.log", events)
+    service = WatchService(
+        spec, [path], per_node=per_node, config=_fast_config(batch_limit=1), out=io.StringIO()
+    )
+    assert service._round() == 1  # one poll read the file, one line was checked
+    status = service.status()
+    validate_status(status)
+    source = status["sources"][path]
+    assert source["queue_depth"] == len(events) - 1 and source["lineno"] == 1
+    assert source["done"]  # read to EOF in once mode: never read again, not yet drained
+    assert service.run() == 0
+    status = service.status()
+    validate_status(status)
+    assert status["sources"][path]["queue_depth"] == 0
+    assert status["totals"]["events"] == len(events)
+    # Busy, not starved: no idle wait while a source had unread bytes or lines.
+    assert status["idle_waits"] == 0
 
 
 def test_watchdog_flags_a_stalled_source(tmp_path):
@@ -719,7 +890,6 @@ def test_interrupted_resume_report_is_bit_identical_to_uninterrupted(tmp_path):
             partial_backoff=0.01,
             stall_timeout=0,
             batch_limit=1,
-            queue_size=2,
             checkpoint_path=checkpoint_path,
             checkpoint_every=1,
         ),
