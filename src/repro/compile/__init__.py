@@ -26,8 +26,10 @@ description once per run, then execute the specialized form per state:
   code, 313 hand-specialized lines that the generic kernel cannot replace
   yet: locking has one variable, so every read is the whole state and the
   memo cannot hit (README "Spec compilation" has the numbers);
-* **fingerprint-memoized invariant/constraint verdicts** -- with the
-  interpreted path's exact cap and eviction policy.
+* **invariant/constraint verdicts on demand** -- ``verdict_for`` once per
+  new BFS state, with no per-fingerprint memo; ``expand`` memoizes them
+  for the simulation engine's walks with the interpreted path's exact cap
+  and eviction policy.
 
 Entry point: :func:`compile_spec`, called by
 :func:`repro.engine.base.make_expander` per the ``--compile on|off|auto``

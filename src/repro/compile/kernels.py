@@ -7,20 +7,25 @@ of interpreting the spec per state.  Its core surface is three functions over
 ``transitions(values)``
     A state's successors as :data:`~repro.engine.base.Transition` entries --
     ``(action, values, fingerprint)`` -- in the spec's action order, every
-    duplicate kept, and no invariant or constraint looked at: what trace
-    checking (:class:`repro.tla.trace.SuccessorCache`) steps on.
-
-``expand(values)``
-    The same list with each successor's verdicts added, as
-    :data:`~repro.engine.base.SuccessorInfo` entries -- ``(action, values,
-    fingerprint, violated invariant, constraint verdict)`` -- the exact wire
-    shape the interpreted :class:`~repro.engine.base.InterpretedExpander`
-    produces, so every engine consumes either interchangeably.
+    duplicate kept, and no invariant or constraint looked at: what the BFS
+    engines and trace checking (:class:`repro.tla.trace.SuccessorCache`)
+    step on.
 
 ``verdict_for(values, fp)``
-    The invariant/constraint evaluator, memoized per fingerprint through
-    the same :func:`~repro.engine.base.memoized_verdict` (cap and eviction
-    policy included) the interpreted expander uses.
+    One state's ``(violated invariant, constraint verdict)``, computed on
+    every call: the BFS engines ask it once per *new* state, so there is
+    nothing to keep per fingerprint.  The native kernel runs its generated
+    evaluator; the generic one answers from the read-set tries below.
+
+``expand(values)``
+    The transitions with each successor's verdicts added, as
+    :data:`~repro.engine.base.SuccessorInfo` entries -- ``(action, values,
+    fingerprint, violated invariant, constraint verdict)`` -- the exact
+    shape the interpreted :class:`~repro.engine.base.InterpretedExpander`
+    produces.  The simulation engine's walks revisit states, so here the
+    verdicts go through the capped per-fingerprint memo
+    :func:`~repro.engine.base.memoized_verdict` (the interpreted expander's
+    cap and eviction policy).
 
 Two kernel generators exist: the *native* backend
 (:mod:`repro.compile.native_locking`, exec-generated straight-line code for
@@ -49,8 +54,8 @@ reads**, not once per state:
   one);
 * ``transitions`` is then, per action, one dict lookup per slot read down
   to a leaf, and per stored update a slot splice and one fingerprint join
-  -- no closure call, no ``freeze``, no ``intern``; ``expand`` adds a
-  verdict lookup per successor.
+  -- no closure call, no ``freeze``, no ``intern``; ``verdict_for`` is the
+  same walk down each invariant's and the constraint's trie.
 
 **The purity contract.**  Memoizing is sound when an effect, invariant or
 constraint is a function of what it reads through the ``State`` surface (and
@@ -60,7 +65,7 @@ single slots it treats as *reading every slot*: ``.values``, iteration,
 ``hash``/``==``, ``with_updates``, ``fingerprint`` -- anything but
 ``__getitem__`` -- and yielding a ready-made ``State``.  A result that read
 every slot is never stored (it could only hit on the very same state, which
-the engines never expand twice).
+the BFS engines never expand or judge twice).
 
 **Exactness.**  Trie keys are the interner's canonical objects (``id``; a
 ``(type, value)`` pair for primitives, so ``True``/``1``/``1.0`` stay
@@ -97,7 +102,7 @@ from collections import deque
 from collections.abc import Mapping
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
-from ..engine.base import SuccessorInfo, Transition, memoized_verdict
+from ..engine.base import SuccessorInfo, Transition, Verdict, memoized_verdict
 from ..tla.errors import EvaluationError
 from ..tla.spec import Action, Invariant, Specification
 from ..tla.state import State, VariableSchema
@@ -348,8 +353,7 @@ def _action_evaluator(
 class _MemoizedPredicates:
     """``violated_invariant`` / ``within_constraint`` over bound states.
 
-    The two calls :func:`~repro.engine.base.memoized_verdict` makes on a
-    spec, answered from the tries.
+    The spec's two predicates, answered from the tries.
     """
 
     def __init__(self, spec: Specification, memo: _ReadSetMemo) -> None:
@@ -391,17 +395,17 @@ def build_generic_kernels(
         for act in spec.actions
     ]
     predicates = _MemoizedPredicates(spec, memo)
-    verdicts: Dict[int, Tuple[Optional[str], bool]] = {}
+    violated_invariant = predicates.violated_invariant
+    within_constraint = predicates.within_constraint
+    verdicts: Dict[int, Verdict] = {}  # expand's memo; see memoized_verdict
 
-    def verdict_for(values: Tuple[Any, ...], fp: int) -> Tuple[Optional[str], bool]:
-        cached = verdicts.get(fp)  # a hit must not pay for building a State
-        if cached is None:
-            # Asked from outside ``expand`` (a walk's start, the adapter
-            # below): values the interner may never have seen, asked about
-            # once.  The spec's own predicates answer, so it does not grow.
-            state = State.from_values(schema, values)
-            cached = memoized_verdict(spec, state, fp, verdicts)
-        return cached
+    def verdict_for(values: Tuple[Any, ...], fp: int) -> Verdict:
+        state = bind(values)
+        violated = violated_invariant(state)
+        return (
+            None if violated is None else violated.name,
+            within_constraint(state),
+        )
 
     def transitions(values: Tuple[Any, ...]) -> List[Transition]:
         state = bind(values)
@@ -423,9 +427,7 @@ def build_generic_kernels(
         entries: List[SuccessorInfo] = []
         append = entries.append
         for name, nvals, nfp in transitions(values):
-            verdict = verdicts.get(nfp)
-            if verdict is None:
-                verdict = memoized_verdict(predicates, bind(nvals), nfp, verdicts)
+            verdict = memoized_verdict(verdict_for, nvals, nfp, verdicts)
             append((name, nvals, nfp, verdict[0], verdict[1]))
         return entries
 
@@ -440,8 +442,9 @@ def build_generic_kernels(
 class CompiledSpec:
     """A specification specialized into flat compiled form.
 
-    Engines use :attr:`expand` / :attr:`verdict_for` on value tuples and the
-    trace fold :attr:`transitions`; code
+    Engines use :attr:`transitions` / :attr:`verdict_for` (``simulate``:
+    :attr:`expand`) on value tuples and the trace fold :attr:`transitions`;
+    code
     written against the interpreted surface (replay, coverage, graph
     retention, tests) can use this object wherever a ``Specification`` goes
     -- the adapter methods convert at the boundary and every unlisted

@@ -7,7 +7,11 @@ spec is small and regular enough to compile *past* the closures: this module
 emits Python source for a fused ``expand(values)`` kernel -- guards, row
 updates, fingerprints and invariant verdicts in one function -- specialized
 to the run's :class:`~repro.specs.locking.LockingConfig`, and ``exec``\\ s it
-with the thread loop unrolled (``n_threads`` is a model constant).
+with the thread loop unrolled (``n_threads`` is a model constant).  The BFS
+engines step on its verdict-free twin, ``transitions(values)``, and call
+``verdict_for`` -- the generated ``violated`` evaluator, unmemoized -- once
+per new state; ``expand``'s per-fingerprint verdict memo serves the
+simulation engine's walks.
 
 What gets precomputed, all derived from the same tables the interpreted spec
 uses so the two cannot drift:
@@ -332,12 +336,9 @@ def compile_locking(
             return interpreted.transitions(values)
 
     def verdict_for(values: Tuple[Any, ...], fp: int) -> Tuple[Optional[str], bool]:
-        name = verdicts.get(fp, _MISS)
-        if name is _MISS:
-            name = _verdict(values[0], fp)
         # The locking spec declares no state constraint (guarded above), so
         # every state is within bounds.
-        return name, True
+        return violated(values[0]), True
 
     info = {
         "native": True,

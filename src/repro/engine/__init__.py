@@ -14,10 +14,11 @@ One exploration strategy per module, all registered by name:
 Visited-state storage is a second, independent seam
 (:mod:`repro.engine.store`): engines accept any registered store they
 declare compatible.  Every store is exact; they differ in where the set
-lives -- an in-memory fingerprint set, retained ``State`` objects, or the
-``disk`` store (:mod:`repro.engine.diskstore`), which million-state runs
-pair with spill-to-disk frontiers (:mod:`repro.engine.frontier`) so peak RSS
-stays flat as distinct-state counts climb orders of magnitude.
+lives -- an in-memory dict of fingerprints (each mapped to its parent's,
+the replay pointer), retained ``State`` objects, or the ``disk`` store
+(:mod:`repro.engine.diskstore`), which million-state runs pair with
+spill-to-disk frontiers (:mod:`repro.engine.frontier`) so peak RSS stays
+flat as distinct-state counts climb orders of magnitude.
 
 Execution robustness is a third seam (:mod:`repro.resilience`): the
 simulation engine's ``workers > 1`` walks dispatch through a supervised
@@ -25,10 +26,15 @@ worker pool (crash/hang detection, bounded retry, degrade-to-serial) with a
 seeded chaos layer to test it, and the fingerprint engine can checkpoint and
 resume through the store snapshot seam.
 
-Spec execution is a fourth seam, the *expander*: an object with
-``expand(values)`` -- a state's full expansion as ``(action, successor
-values, fingerprint, violated invariant, constraint verdict)`` entries --
-and ``verdict_for(values, fp)``.  It has two implementations,
+Spec execution is a fourth seam, the *expander*: an object with three
+calls over value tuples.  ``transitions(values)`` is a state's successors
+as ``(action, successor values, fingerprint)`` entries -- what both BFS
+engines and the trace fold step on; ``verdict_for(values, fp)`` is one
+state's ``(violated invariant, constraint verdict)``, which the BFS engines
+ask once per *new* state and which keeps no memo; ``expand(values)`` is the
+transitions with verdicts attached through a capped per-fingerprint memo,
+for the simulation engine, whose walks revisit states.  It has two
+implementations,
 :class:`repro.compile.CompiledSpec` (fused successor kernels over
 fixed-slot value tuples) and
 :class:`~repro.engine.base.InterpretedExpander` (the spec's own action

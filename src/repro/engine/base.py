@@ -6,11 +6,13 @@ a :class:`CheckContext` -- the spec, its *expander*, the run limits, the
 visited-state store and the shared bookkeeping helpers -- and fills in the
 context's :class:`CheckResult`.  The context owns what engines share:
 initial-frontier seeding, checkpointing, and counterexample replay from the
-fingerprint-keyed parent map.
+parent fingerprints the store keeps.
 
 The expander is the one way any engine computes successors: an object with
-``transitions(values)``, ``expand(values)`` (the former plus verdicts) and
-``verdict_for(values, fp)`` over value tuples.  The trace fold
+``transitions(values)``, ``verdict_for(values, fp)`` and ``expand(values)``
+(the first plus a memoized second) over value tuples.  The BFS engines call
+``transitions`` and take one verdict per *new* state; ``simulate``, whose
+walks revisit states, calls ``expand``.  The trace fold
 (:class:`repro.tla.trace.SuccessorCache`) holds one too and calls only
 ``transitions``.  There are exactly two -- :class:`InterpretedExpander` here and
 :class:`repro.compile.CompiledSpec` -- and :func:`make_expander` is the one
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from ..resilience.checkpoint import Checkpoint, write_checkpoint
 from ..resilience.faults import FaultPlan
@@ -46,6 +48,7 @@ __all__ = [
     "InterpretedExpander",
     "SuccessorInfo",
     "Transition",
+    "Verdict",
     "engine_names",
     "get_engine",
     "make_expander",
@@ -54,14 +57,19 @@ __all__ = [
 ]
 
 #: One successor without its verdicts: ``(action name, successor value tuple,
-#: successor fingerprint)``.  What trace checking steps on.
+#: successor fingerprint)``.  What the BFS engines and trace checking step on.
 Transition = Tuple[str, Tuple[Any, ...], int]
 
 #: One entry of an expansion result: ``(action name, successor value tuple,
 #: successor fingerprint, violated invariant name or None, constraint
-#: verdict)``.  Value tuples rather than ``State`` objects: a ``State`` is
-#: built only for a successor that enters a frontier.
+#: verdict)``.  What the simulation engine's walks step on.
 SuccessorInfo = Tuple[str, Tuple[Any, ...], int, Optional[str], bool]
+
+#: ``(violated invariant name or None, constraint verdict)`` of one state.
+Verdict = Tuple[Optional[str], bool]
+
+#: One BFS frontier entry: ``(state value tuple, fingerprint)``.
+FrontierEntry = Tuple[Tuple[Any, ...], int]
 
 #: Cap on an expander's invariant/constraint verdict memo (see
 #: :func:`memoized_verdict`); bounds per-process memory on paper-scale runs.
@@ -69,28 +77,25 @@ VERDICT_MEMO_MAX = 500_000
 
 
 def memoized_verdict(
-    spec: Specification,
-    state: State,
+    verdict_for: Callable[[Tuple[Any, ...], int], Verdict],
+    values: Tuple[Any, ...],
     fp: int,
-    verdicts: Dict[int, Tuple[Optional[str], bool]],
-) -> Tuple[Optional[str], bool]:
-    """``(violated invariant name, constraint verdict)``, memoized per fingerprint.
+    verdicts: Dict[int, Verdict],
+) -> Verdict:
+    """``verdict_for(values, fp)``, memoized per fingerprint: ``expand``'s verdicts.
 
-    Both expanders go through it.  Without this memo, BFS expansion and the
-    simulation engine's walks evaluate invariants once per *generated* state
-    instead of once per *distinct* state -- a 3-15x multiplier on the
-    benchmarked specs.  Verdicts are deterministic per state, so memoization
-    cannot change results; the memo is capped (oldest half discarded, like
-    ``FingerprintCache``) so it never grows into a second per-process copy
-    of a paper-scale visited set.
+    Only ``expand`` -- the simulation engine's walks -- goes through it:
+    walks revisit states, and without the memo they would evaluate
+    invariants once per *generated* state instead of once per *distinct*
+    one.  The BFS engines never do: they ask ``verdict_for`` once per new
+    state, which no memo can improve on.  Verdicts are deterministic per
+    state, so memoization cannot change results; the memo is capped (oldest
+    half discarded, like ``FingerprintCache``) so it never grows into a
+    second per-process copy of a paper-scale visited set.
     """
     cached = verdicts.get(fp)
     if cached is None:
-        violated = spec.violated_invariant(state)
-        cached = (
-            None if violated is None else violated.name,
-            spec.within_constraint(state),
-        )
+        cached = verdict_for(values, fp)
         if len(verdicts) >= VERDICT_MEMO_MAX:
             for key in list(islice(verdicts, len(verdicts) // 2)):
                 del verdicts[key]
@@ -102,45 +107,47 @@ class InterpretedExpander:
     """The expander seam over the spec's own action closures.
 
     ``transitions(values)`` is a state's successors as :data:`Transition`
-    entries, ``expand(values)`` the same with verdicts, as
-    :data:`SuccessorInfo` entries, and ``verdict_for(values, fp)`` one
-    state's ``(violated invariant name, constraint verdict)``.
+    entries, ``verdict_for(values, fp)`` one state's ``(violated invariant
+    name, constraint verdict)`` from the spec's own predicates, and
+    ``expand(values)`` the successors with memoized verdicts, as
+    :data:`SuccessorInfo` entries.
     :class:`repro.compile.CompiledSpec` is the other implementation and emits
     the same entries in the same order (``tests/test_compile.py`` compares
     them entry for entry); engines hold one of the two and never ask which.
-    The fingerprint cache and the verdict memo live as long as the expander:
-    one per run in the coordinator, one per process in a pool worker.
+    The fingerprint cache and ``expand``'s verdict memo live as long as the
+    expander: one per run in the coordinator, one per process in a pool
+    worker.
     """
 
     def __init__(self, spec: Specification) -> None:
         self.spec = spec
         self._cache = FingerprintCache()
-        self._verdicts: Dict[int, Tuple[Optional[str], bool]] = {}
+        self._verdicts: Dict[int, Verdict] = {}
 
-    def _successors(self, values: Tuple[Any, ...]) -> List[Tuple[str, State, int]]:
+    def transitions(self, values: Tuple[Any, ...]) -> List[Transition]:
         cache = self._cache
         state = State.from_values(self.spec.schema, values)
         return [
-            (action_name, nxt, nxt.fingerprint(cache))
+            (action_name, nxt.values, nxt.fingerprint(cache))
             for action_name, nxt in self.spec.successors(state)
         ]
 
-    def transitions(self, values: Tuple[Any, ...]) -> List[Transition]:
-        return [(name, nxt.values, nfp) for name, nxt, nfp in self._successors(values)]
-
     def expand(self, values: Tuple[Any, ...]) -> List[SuccessorInfo]:
-        spec, verdicts = self.spec, self._verdicts
+        verdict_for, verdicts = self.verdict_for, self._verdicts
         entries: List[SuccessorInfo] = []
-        for action_name, nxt, nfp in self._successors(values):
-            cached = memoized_verdict(spec, nxt, nfp, verdicts)
-            entries.append((action_name, nxt.values, nfp, cached[0], cached[1]))
+        for action_name, nvalues, nfp in self.transitions(values):
+            cached = memoized_verdict(verdict_for, nvalues, nfp, verdicts)
+            entries.append((action_name, nvalues, nfp, cached[0], cached[1]))
         return entries
 
-    def verdict_for(
-        self, values: Tuple[Any, ...], fp: int
-    ) -> Tuple[Optional[str], bool]:
-        state = State.from_values(self.spec.schema, values)
-        return memoized_verdict(self.spec, state, fp, self._verdicts)
+    def verdict_for(self, values: Tuple[Any, ...], fp: int) -> Verdict:
+        spec = self.spec
+        state = State.from_values(spec.schema, values)
+        violated = spec.violated_invariant(state)
+        return (
+            None if violated is None else violated.name,
+            spec.within_constraint(state),
+        )
 
 
 def make_expander(spec: Specification, mode: str) -> Tuple[Any, Optional[str]]:
@@ -223,6 +230,20 @@ class CheckResult:
             return False
         return all(outcome.holds for outcome in self.property_outcomes)
 
+    @property
+    def fingerprint_collision_probability(self) -> Optional[float]:
+        """TLC's "calculated (optimistic)" chance that two states shared a fingerprint.
+
+        ``distinct * (generated - distinct) / 2**64``: every duplicate
+        successor was told apart from the distinct states by its 64-bit
+        fingerprint alone, and so is every replayed counterexample step.
+        None when the store retained whole states (``states``).
+        """
+        if self.store == "states":
+            return None
+        distinct = self.distinct_states
+        return distinct * (self.generated_states - distinct) / 2.0**64
+
     def summary(self) -> str:
         """One-line human-readable summary, similar to TLC's final output.
 
@@ -271,10 +292,6 @@ class CheckContext:
     walks: int = 100
     walk_depth: int = 50
     seed: int = 0
-    #: Fingerprint-keyed parent map: ``fp -> (parent fp or None, action)``.
-    parents: Dict[int, Tuple[Optional[int], Optional[str]]] = field(
-        default_factory=dict
-    )
     #: Supervision knobs for engines that dispatch to worker pools; None
     #: means :meth:`SupervisionConfig.from_env` defaults.
     supervision: Optional[SupervisionConfig] = None
@@ -294,22 +311,22 @@ class CheckContext:
     #: Frontier entries kept in memory before a BFS level spills to
     #: compressed disk chunks; None disables spilling (plain lists).
     spill_threshold: Optional[int] = None
-    #: Set by the coordinator when resuming: ``(depth, wire frontier)`` --
-    #: the next level to expand and its pending frontier as value tuples.
-    resume: Optional[Tuple[int, List[Tuple[Tuple[Any, ...], int]]]] = None
+    #: Set by the coordinator when resuming: ``(depth, frontier)`` -- the
+    #: next level to expand and its pending ``(values, fp)`` entries.
+    resume: Optional[Tuple[int, List[FrontierEntry]]] = None
 
     # Shared fingerprint-BFS helpers -----------------------------------------
     def new_frontier(self):
         """An empty next-level frontier: a plain list, or a spilling buffer.
 
-        Both support ``append((state, fp))``, ``len``, truthiness and
+        Both support ``append((values, fp))``, ``len``, truthiness and
         in-order iteration -- the only operations the level loop performs --
         so it stays oblivious to whether a level lives in memory or
         in compressed chunks on disk.
         """
         if self.spill_threshold is None:
             return []
-        return SpillFrontier(self.spec.schema, threshold=self.spill_threshold)
+        return SpillFrontier(threshold=self.spill_threshold)
 
     def note_frontier(self, frontier: Any) -> None:
         """Fold one consumed level's spill statistics into the result."""
@@ -332,21 +349,20 @@ class CheckContext:
             trace=self.replay(fp),
         )
 
-    def seed_frontier(self) -> Tuple[List[Tuple[State, int]], bool]:
+    def seed_frontier(self) -> Tuple[List[FrontierEntry], bool]:
         """Enumerate initial states into the depth-0 frontier.
 
         Always in the coordinator: initial sets are tiny, and forking for
         them would be pure cost.
         """
         spec, result = self.spec, self.result
-        frontier: List[Tuple[State, int]] = []
+        frontier: List[FrontierEntry] = []
         stop = False
         for state in spec.initial_states():
             result.generated_states += 1
             fp = state.fingerprint()
             if not self.store.add(fp):
                 continue
-            self.parents[fp] = (None, None)
             violated = spec.violated_invariant(state)
             if violated is not None:
                 result.invariant_violation = self.fp_violation(fp, violated.name)
@@ -354,32 +370,26 @@ class CheckContext:
                     stop = True
                     break
             if spec.within_constraint(state):
-                frontier.append((state, fp))
+                frontier.append((state.values, fp))
         result.peak_frontier = len(frontier)
         return frontier, stop
 
     def start_frontier(
         self,
-    ) -> Tuple[List[Tuple[State, int]], bool, int, Dict[str, int]]:
+    ) -> Tuple[List[FrontierEntry], bool, int, Dict[str, int]]:
         """``(frontier, stop, depth, action_counts)`` for fresh *or* resumed runs.
 
         A fresh run seeds the depth-0 frontier from the initial states; a
-        resumed run rebuilds the checkpointed frontier (value tuples back to
-        ``State`` objects) and continues at the checkpointed depth with the
-        checkpointed action counters -- the store, parent map and result
+        resumed run continues at the checkpointed depth with the
+        checkpointed frontier and action counters -- the store and result
         statistics were already restored by the coordinator.  Engines using
         this single entry point cannot diverge in how the two cases start,
         which is what makes resumed statistics bit-identical.
         """
         action_counts: Dict[str, int] = {act.name: 0 for act in self.spec.actions}
         if self.resume is not None:
-            depth, wire_frontier = self.resume
+            depth, frontier = self.resume
             action_counts.update(self.result.action_counts)
-            schema = self.spec.schema
-            frontier = [
-                (State.from_values(schema, values), fp)
-                for values, fp in wire_frontier
-            ]
             return frontier, False, depth, action_counts
         frontier, stop = self.seed_frontier()
         return frontier, stop, 0, action_counts
@@ -387,7 +397,7 @@ class CheckContext:
     def maybe_checkpoint(
         self,
         depth: int,
-        frontier: List[Tuple[State, int]],
+        frontier: Iterable[FrontierEntry],
         action_counts: Dict[str, int],
     ) -> None:
         """Persist a resumable snapshot if this level is a checkpoint level.
@@ -395,28 +405,22 @@ class CheckContext:
         Called by the level loop after each *completed* level, with
         ``depth`` being the next level to expand.  Writes are atomic, so an
         interruption mid-checkpoint leaves the previous snapshot usable.
+        The store's snapshot carries the parent pointers (the disk store's
+        as a rewind point into its own file).
         """
         if not self.checkpoint_path or self.checkpoint_every <= 0:
             return
         if depth % self.checkpoint_every != 0:
             return
         result = self.result
-        # A store that owns its parent map on disk (the disk store) snapshots
-        # it by sequence number instead of copying millions of entries into
-        # the checkpoint pickle.
-        if hasattr(self.parents, "checkpoint_payload"):
-            parents_payload = self.parents.checkpoint_payload()
-        else:
-            parents_payload = dict(self.parents)
         checkpoint = Checkpoint(
             spec_name=self.spec.name,
             registry_ref=self.spec.registry_ref,
             store_name=getattr(self.store, "name", "?"),
             store_capacity=self.store_capacity,
             depth=depth,
-            frontier=[(state.values, fp) for state, fp in frontier],
+            frontier=list(frontier),
             store_state=self.store.snapshot(),
-            parents=parents_payload,
             stats={
                 "generated_states": result.generated_states,
                 "max_depth": result.max_depth,
@@ -431,43 +435,36 @@ class CheckContext:
 
         The fingerprint-interned engines do not retain visited states, so
         the counterexample is reconstructed the way TLC does it: walk the
-        parent fingerprints back to an initial state, then re-execute the
-        recorded action names forward, selecting at each step the successor
-        whose fingerprint matches the recorded one.
+        store's parent fingerprints back to an initial state, then step
+        forward, taking at each step the first of ``spec.successors(state)``
+        whose fingerprint is the next one in the chain.  Spec action order
+        is the order in which the BFS first reached it, and a fingerprint
+        names one state, so the trace is the one the BFS found.
         """
-        chain: List[Tuple[int, Optional[str]]] = []
+        parent_of = self.store.parent_of
+        chain: List[int] = []
         cursor: Optional[int] = target_fp
         while cursor is not None:
-            parent, action_name = self.parents[cursor]
-            chain.append((cursor, action_name))
-            cursor = parent
+            chain.append(cursor)
+            cursor = parent_of(cursor)
         chain.reverse()
 
-        first_fp = chain[0][0]
-        state: Optional[State] = None
-        for candidate in self.spec.initial_states():
-            if candidate.fingerprint() == first_fp:
-                state = candidate
-                break
-        if state is None:  # pragma: no cover - only reachable via fp collision
-            raise CheckerError(
-                f"counterexample replay failed: no initial state of "
-                f"{self.spec.name!r} has fingerprint {first_fp}"
-            )
-        trace = [state]
-        for next_fp, action_name in chain[1:]:
-            assert action_name is not None
-            action = self.spec.action_named(action_name)
-            for successor in action.successors(state):
-                if successor.fingerprint() == next_fp:
-                    state = successor
+        spec = self.spec
+        trace: List[State] = []
+        for fp in chain:
+            if trace:
+                candidates = [nxt for _name, nxt in spec.successors(trace[-1])]
+            else:
+                candidates = spec.initial_states()
+            for candidate in candidates:
+                if candidate.fingerprint() == fp:
+                    trace.append(candidate)
                     break
             else:  # pragma: no cover - only reachable via fp collision
                 raise CheckerError(
-                    f"counterexample replay failed at action {action_name!r}: "
-                    f"no successor has fingerprint {next_fp}"
+                    f"counterexample replay of {spec.name!r} failed at step "
+                    f"{len(trace)}: no candidate state has fingerprint {fp}"
                 )
-            trace.append(state)
         return trace
 
 

@@ -273,11 +273,6 @@ class ModelChecker:
             store_path=self.store_path,
             spill_threshold=self.spill_threshold,
         )
-        if hasattr(store, "parent_map"):
-            # The disk store owns the counterexample parent map too: the
-            # parent map is the *other* per-distinct-state memory consumer,
-            # so leaving it in a dict would defeat the store's flat RSS.
-            ctx.parents = store.parent_map()
         if self.resume_path is not None:
             self._restore(ctx, result)
         timer = span("check.run")
@@ -407,7 +402,7 @@ class ModelChecker:
                 reg.inc(metric)
 
     def _restore(self, ctx: CheckContext, result: CheckResult) -> None:
-        """Load ``resume_path`` into the context: store, parents, statistics.
+        """Load ``resume_path`` into the context: store and statistics.
 
         The engine picks the restored frontier and depth up through
         :meth:`CheckContext.start_frontier`; everything below that depth is
@@ -419,7 +414,6 @@ class ModelChecker:
             self.spec.name, self.spec.registry_ref, self.resolved_store
         )
         ctx.store.restore(checkpoint.store_state)
-        ctx.parents.update(checkpoint.parents)
         stats = checkpoint.stats
         result.generated_states = stats.get("generated_states", 0)
         result.max_depth = stats.get("max_depth", 0)

@@ -18,12 +18,13 @@ The store is *exact*: ``add`` returns True exactly once per fingerprint and
 ``distinct_count`` is the true distinct-state count, so the golden-stats
 parity with the in-memory ``fingerprint`` store holds bit for bit.
 
-Because replay back-pointers are the other per-state memory consumer, the
-store also owns the run's **parent map** (``fp -> (parent fp, action)``)
-in a second table of the same database, exposed through
-:meth:`DiskFingerprintStore.parent_map`; the coordinator wires it into
-:attr:`repro.engine.base.CheckContext.parents` so peak RSS stays flat no
-matter how many distinct states the run accumulates.
+Replay back-pointers live in the same rows: ``fps(fp, parent, seq)`` holds
+each fingerprint with the fingerprint it was first reached from, so
+``add(fp, parent)`` buffers one pending ``fp -> parent`` entry, a flush
+writes one batch, and :meth:`DiskFingerprintStore.parent_of` (counterexample
+replay only, a handful of lookups per trace) reads the buffer or one indexed
+row.  Peak RSS stays flat no matter how many distinct states the run
+accumulates.  A file of an older layout is refused, never adopted or wiped.
 
 Checkpointing does not serialize the visited set at all.  Every row
 carries a monotonically increasing sequence number; ``snapshot()`` flushes
@@ -41,7 +42,7 @@ import os
 import sqlite3
 import tempfile
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional
 
 from ..obs import span
 from ..tla.errors import CheckerError
@@ -62,8 +63,10 @@ BLOOM_BITS = 1 << 25
 
 _IDENTITY_BYTES = 8
 
-#: ``meta`` marker distinguishing our databases from arbitrary SQLite files.
-_MAGIC = "repro-disk-store-v1"
+#: ``meta`` marker distinguishing our databases from arbitrary SQLite files;
+#: the suffix is the table layout's version.
+_MAGIC_PREFIX = "repro-disk-store-"
+_MAGIC = _MAGIC_PREFIX + "v2"
 
 
 class DiskStoreError(CheckerError):
@@ -100,59 +103,6 @@ class _Bloom:
             return False
         pos = (fp >> 29) & mask
         return bool(bits[pos >> 3] & (1 << (pos & 7)))
-
-
-class _DiskParentMap:
-    """Dict-shaped facade over the store's ``parents`` table.
-
-    Only the operations the engines and the checkpoint seam actually use are
-    provided (``[]=``, ``setdefault``, ``[]``, ``update``).  Writes go to the
-    store's write-back buffer and flush with it; reads hit the buffer first
-    and fall back to an indexed ``SELECT`` (the read path only runs during
-    counterexample replay, a handful of lookups per trace).
-
-    ``setdefault`` trusts its caller the way the engines use it: entries are
-    only ever inserted for fingerprints the (exact) disk store just reported
-    as new, so no existence probe is issued on the write path.
-    """
-
-    __slots__ = ("_store",)
-
-    def __init__(self, store: "DiskFingerprintStore") -> None:
-        self._store = store
-
-    def __setitem__(
-        self, fp: int, pair: Tuple[Optional[int], Optional[str]]
-    ) -> None:
-        self._store._parent_put(fp, pair)
-
-    def setdefault(
-        self, fp: int, pair: Tuple[Optional[int], Optional[str]]
-    ) -> Tuple[Optional[int], Optional[str]]:
-        return self._store._parent_setdefault(fp, pair)
-
-    def __getitem__(self, fp: int) -> Tuple[Optional[int], Optional[str]]:
-        return self._store._parent_get(fp)
-
-    def __len__(self) -> int:
-        return self._store._parent_count()
-
-    def update(
-        self, entries: Dict[int, Tuple[Optional[int], Optional[str]]]
-    ) -> None:
-        for fp, pair in entries.items():
-            self._store._parent_put(fp, pair)
-
-    def checkpoint_payload(self) -> Dict[int, Tuple[Optional[int], Optional[str]]]:
-        """What goes into ``Checkpoint.parents``: nothing.
-
-        The parent map already lives in the store's database file and is
-        rewound by sequence number on restore, exactly like the fingerprint
-        table; duplicating millions of entries into the checkpoint pickle
-        would defeat the point of a disk-backed run.
-        """
-        self._store.flush()
-        return {}
 
 
 class DiskFingerprintStore:
@@ -197,15 +147,13 @@ class DiskFingerprintStore:
         self._conn.execute("PRAGMA synchronous=OFF")
         self._conn.execute("PRAGMA cache_size=-16384")  # 16 MiB page cache
 
-        self._pending: Dict[int, int] = {}  # fp -> seq, not yet flushed
-        self._parent_pending: Dict[
-            int, Tuple[Optional[int], Optional[str], int]
-        ] = {}
+        #: fp -> parent fp, not yet flushed, in add order: the entry ``i``
+        #: places from the end carries sequence number ``_seq - i``.
+        self._pending: Dict[int, Optional[int]] = {}
         self._hot: "OrderedDict[int, None]" = OrderedDict()
         self._bloom = _Bloom()
         self._seq = 0
         self._added = 0
-        self._parents_added = 0
         #: Wall-clock seconds spent inside SQLite (lookups, flushes, restore
         #: scans): what tells a store-bound run from a CPU-bound one.
         self.io_seconds = 0.0
@@ -219,7 +167,12 @@ class DiskFingerprintStore:
         self.hot_hits = 0
         self.pending_hits = 0
 
-        existing = self._load_header()
+        try:
+            existing = self._load_header()
+        except DiskStoreError:
+            self._conn.close()
+            self._conn = None  # type: ignore[assignment]
+            raise
         if existing is None:
             self._reset()
             self._stale = False
@@ -250,7 +203,14 @@ class DiskFingerprintStore:
                     "disk fingerprint store"
                 ) from None
             return None
-        if rows.get("magic") != _MAGIC:
+        magic = rows.get("magic")
+        if magic != _MAGIC:
+            if isinstance(magic, str) and magic.startswith(_MAGIC_PREFIX):
+                raise DiskStoreError(
+                    f"{self.path!r} is a repro disk store in an older format "
+                    f"({magic}, this version reads {_MAGIC}); it was left "
+                    "untouched -- delete it or point --store-path elsewhere"
+                )
             raise DiskStoreError(
                 f"{self.path!r} is a SQLite database but not a repro disk "
                 "fingerprint store"
@@ -263,11 +223,9 @@ class DiskFingerprintStore:
         conn.executescript(
             """
             CREATE TABLE IF NOT EXISTS meta(key TEXT PRIMARY KEY, value TEXT);
-            CREATE TABLE IF NOT EXISTS fps(fp INTEGER PRIMARY KEY, seq INTEGER NOT NULL);
-            CREATE TABLE IF NOT EXISTS parents(
-                fp INTEGER PRIMARY KEY, parent INTEGER, action TEXT,
-                seq INTEGER NOT NULL);
-            DELETE FROM fps; DELETE FROM parents; DELETE FROM meta;
+            CREATE TABLE IF NOT EXISTS fps(
+                fp INTEGER PRIMARY KEY, parent INTEGER, seq INTEGER NOT NULL);
+            DELETE FROM fps; DELETE FROM meta;
             """
         )
         self.identity = os.urandom(_IDENTITY_BYTES).hex()
@@ -281,11 +239,11 @@ class DiskFingerprintStore:
         """First mutation of a run that did not restore(): wipe stale rows."""
         if self._stale:
             self._reset()
-            self._seq = self._added = self._parents_added = 0
+            self._seq = self._added = 0
             self._stale = False
 
     # -- the StateStore contract ---------------------------------------------
-    def add(self, fp: int) -> bool:
+    def add(self, fp: int, parent: Optional[int] = None) -> bool:
         self._ensure_fresh()
         pending = self._pending
         if fp in pending:
@@ -304,11 +262,25 @@ class DiskFingerprintStore:
             self.bloom_negatives += 1
         self._bloom.add(fp)
         self._seq += 1
-        pending[fp] = self._seq
+        pending[fp] = parent
         self._added += 1
         if len(pending) >= self.cache_size:
             self.flush()
         return True
+
+    def parent_of(self, fp: int) -> Optional[int]:
+        """The fingerprint ``fp`` was first reached from (None: an initial state)."""
+        pending = self._pending
+        if fp in pending:
+            return pending[fp]
+        with span("store.parent_lookup", emit=False) as sp:
+            row = self._conn.execute(
+                "SELECT parent FROM fps WHERE fp = ?", (_to_signed(fp),)
+            ).fetchone()
+        self.io_seconds += sp.elapsed
+        if row is None:
+            raise KeyError(fp)
+        return None if row[0] is None else _to_unsigned(row[0])
 
     def __contains__(self, fp: int) -> bool:
         if fp in self._pending or fp in self._hot:
@@ -340,96 +312,38 @@ class DiskFingerprintStore:
             hot.popitem(last=False)
 
     def flush(self) -> None:
-        """Write both pending buffers to the database in one batch."""
-        if not self._pending and not self._parent_pending:
+        """Write the pending ``fp -> parent`` entries to the database in one batch."""
+        pending = self._pending
+        if not pending:
             return
         with span("store.flush", emit=False) as sp:
-            conn = self._conn
-            if self._pending:
-                conn.executemany(
-                    "INSERT OR IGNORE INTO fps(fp, seq) VALUES(?, ?)",
-                    [(_to_signed(fp), seq) for fp, seq in self._pending.items()],
-                )
-                for fp in self._pending:
-                    self._hot_put(fp)
-                self._pending.clear()
-            if self._parent_pending:
-                conn.executemany(
-                    "INSERT OR REPLACE INTO parents(fp, parent, action, seq) "
-                    "VALUES(?, ?, ?, ?)",
-                    [
-                        (
-                            _to_signed(fp),
-                            None if parent is None else _to_signed(parent),
-                            action,
-                            seq,
-                        )
-                        for fp, (parent, action, seq) in self._parent_pending.items()
-                    ],
-                )
-                self._parent_pending.clear()
-            conn.commit()
+            first_seq = self._seq - len(pending) + 1
+            self._conn.executemany(
+                "INSERT OR IGNORE INTO fps(fp, parent, seq) VALUES(?, ?, ?)",
+                [
+                    (
+                        _to_signed(fp),
+                        None if parent is None else _to_signed(parent),
+                        seq,
+                    )
+                    for seq, (fp, parent) in enumerate(pending.items(), first_seq)
+                ],
+            )
+            self._conn.commit()
+            for fp in pending:
+                self._hot_put(fp)
+            pending.clear()
             self.flushes += 1
         self.io_seconds += sp.elapsed
-
-    # -- the parent-map seam -------------------------------------------------
-    def parent_map(self) -> _DiskParentMap:
-        """The run's replay parent map, living in this database."""
-        return _DiskParentMap(self)
-
-    def _parent_put(
-        self, fp: int, pair: Tuple[Optional[int], Optional[str]]
-    ) -> None:
-        self._ensure_fresh()
-        self._seq += 1
-        if fp not in self._parent_pending and not self._parent_on_disk_raw(fp):
-            self._parents_added += 1
-        self._parent_pending[fp] = (pair[0], pair[1], self._seq)
-
-    def _parent_setdefault(
-        self, fp: int, pair: Tuple[Optional[int], Optional[str]]
-    ) -> Tuple[Optional[int], Optional[str]]:
-        self._ensure_fresh()
-        existing = self._parent_pending.get(fp)
-        if existing is not None:
-            return existing[0], existing[1]
-        # No disk probe: see _DiskParentMap -- the engines only insert for
-        # fingerprints the exact store just accepted, so fp cannot be on disk.
-        self._seq += 1
-        self._parent_pending[fp] = (pair[0], pair[1], self._seq)
-        self._parents_added += 1
-        return pair
-
-    def _parent_get(self, fp: int) -> Tuple[Optional[int], Optional[str]]:
-        entry = self._parent_pending.get(fp)
-        if entry is not None:
-            return entry[0], entry[1]
-        with span("store.parent_lookup", emit=False) as sp:
-            row = self._conn.execute(
-                "SELECT parent, action FROM parents WHERE fp = ?", (_to_signed(fp),)
-            ).fetchone()
-        self.io_seconds += sp.elapsed
-        if row is None:
-            raise KeyError(fp)
-        parent = None if row[0] is None else _to_unsigned(row[0])
-        return parent, row[1]
-
-    def _parent_on_disk_raw(self, fp: int) -> bool:
-        row = self._conn.execute(
-            "SELECT 1 FROM parents WHERE fp = ?", (_to_signed(fp),)
-        ).fetchone()
-        return row is not None
-
-    def _parent_count(self) -> int:
-        return self._parents_added
 
     # -- checkpoint seam -----------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """Tiny identity header instead of the (huge) set contents.
 
-        The fingerprints and parents stay where they already are -- in the
-        database file -- and the header pins which file, which incarnation of
-        it, and how far (sequence high-water mark) the snapshot reaches.
+        The fingerprints and their parents stay where they already are -- in
+        the database file -- and the header pins which file, which
+        incarnation of it, and how far (sequence high-water mark) the
+        snapshot reaches.
         """
         if self._stale:
             # Snapshotting a store nothing was added to yet: start it fresh
@@ -442,7 +356,6 @@ class DiskFingerprintStore:
             "identity": self.identity,
             "seq": self._seq,
             "added": self._added,
-            "parents_added": self._parents_added,
         }
 
     def restore(self, data: Dict[str, Any]) -> None:
@@ -475,13 +388,10 @@ class DiskFingerprintStore:
         with span("store.restore", emit=False) as sp:
             conn = self._conn
             conn.execute("DELETE FROM fps WHERE seq > ?", (data["seq"],))
-            conn.execute("DELETE FROM parents WHERE seq > ?", (data["seq"],))
             conn.commit()
             self._seq = data["seq"]
             self._added = data["added"]
-            self._parents_added = data.get("parents_added", 0)
             self._pending.clear()
-            self._parent_pending.clear()
             self._hot.clear()
             self._bloom = _Bloom()
             for (signed,) in conn.execute("SELECT fp FROM fps"):

@@ -1,18 +1,18 @@
-"""Chunked, compressed spill-to-disk frontiers for the BFS engines.
+"""Chunked, compressed spill-to-disk frontiers for the BFS engine.
 
-The fingerprint-interned engines keep full ``State`` objects only on the
-current and next BFS level -- but at paper scale a single level can be wider
-than the whole visited set of a toy model, so "only the frontier" still
-means hundreds of megabytes of live ``State`` objects.  A
+The fingerprint-interned BFS keeps only the current and next level in
+memory, as ``(value tuple, fingerprint)`` pairs -- but at paper scale a
+single level can be wider than the whole visited set of a toy model, so
+"only the frontier" still means hundreds of megabytes of live tuples.  A
 :class:`SpillFrontier` caps that: the first ``threshold`` entries stay in
-memory as ordinary ``(State, fingerprint)`` pairs, and everything past the
-threshold is converted to wire form (value tuples), batched into chunks,
+memory as given, and everything past the threshold is batched into chunks,
 pickled, zlib-compressed and appended to an anonymous temp file.  Iteration
-streams the spilled chunks back in append order, rebuilding ``State``
-objects one chunk at a time -- so peak RSS is bounded by
-``threshold + chunk`` states regardless of how wide the level grows.
+streams the spilled chunks back in append order, one chunk at a time -- so
+peak RSS is bounded by ``threshold + chunk`` entries regardless of how wide
+the level grows.  Entries come back exactly as they were appended; nothing
+is rebuilt.
 
-The frontier is re-iterable (checkpointing iterates it once for the wire
+The frontier is re-iterable (checkpointing iterates it once for the
 snapshot, the engine iterates it again to expand) and append order is
 preserved exactly, which is all the bit-identical-statistics contract
 requires: the engines never index into a frontier, they only append and
@@ -28,14 +28,12 @@ import tempfile
 import zlib
 from typing import Any, Iterator, List, Tuple
 
-from ..tla.state import State, VariableSchema
-
 __all__ = ["DEFAULT_SPILL_THRESHOLD", "SPILL_CHUNK_STATES", "SpillFrontier"]
 
-#: In-memory states kept before spilling starts (per frontier instance).
+#: In-memory entries kept before spilling starts (per frontier instance).
 DEFAULT_SPILL_THRESHOLD = 100_000
 
-#: States per compressed chunk once spilling has started.
+#: Entries per compressed chunk once spilling has started.
 SPILL_CHUNK_STATES = 10_000
 
 #: zlib level 1: the payloads are highly repetitive value tuples, so even the
@@ -44,10 +42,12 @@ _ZLIB_LEVEL = 1
 
 
 class SpillFrontier:
-    """Append-ordered ``(State, fp)`` buffer that spills past a threshold."""
+    """Append-ordered ``(values, fp)`` buffer that spills past a threshold.
+
+    ``schema`` is accepted and unused: entries are stored as given.
+    """
 
     __slots__ = (
-        "_schema",
         "_threshold",
         "_chunk_states",
         "_head",
@@ -61,7 +61,7 @@ class SpillFrontier:
 
     def __init__(
         self,
-        schema: VariableSchema,
+        schema: Any = None,
         *,
         threshold: int = DEFAULT_SPILL_THRESHOLD,
         chunk_states: int = SPILL_CHUNK_STATES,
@@ -70,30 +70,28 @@ class SpillFrontier:
             raise ValueError("spill threshold must be >= 1")
         if chunk_states < 1:
             raise ValueError("chunk size must be >= 1")
-        self._schema = schema
         self._threshold = threshold
         # Chunks never exceed the threshold: a small threshold is a request
         # for a small memory footprint, and a tail chunk is resident until it
-        # flushes -- a 10k-state chunk behind a 64-state threshold would
+        # flushes -- a 10k-entry chunk behind a 64-entry threshold would
         # quietly hold 150x the requested memory (and never actually spill
         # levels narrower than the chunk).
         self._chunk_states = min(chunk_states, threshold)
-        self._head: List[Tuple[State, int]] = []
-        self._tail: List[Tuple[Tuple[Any, ...], int]] = []  # current wire chunk
+        self._head: List[Tuple[Any, int]] = []
+        self._tail: List[Tuple[Any, int]] = []  # current chunk
         self._spool = None  # created lazily on first chunk flush
         self._chunks: List[Tuple[int, int]] = []  # (offset, compressed size)
         self._len = 0
         self.spilled_states = 0
         self.compressed_bytes = 0
 
-    def append(self, item: Tuple[State, int]) -> None:
-        """Add one ``(State, fingerprint)`` pair (list-compatible signature)."""
+    def append(self, item: Tuple[Any, int]) -> None:
+        """Add one ``(values, fingerprint)`` pair (list-compatible signature)."""
         self._len += 1
         if not self._tail and len(self._head) < self._threshold:
             self._head.append(item)
             return
-        state, fp = item
-        self._tail.append((state.values, fp))
+        self._tail.append(item)
         if len(self._tail) >= self._chunk_states:
             self._flush_chunk()
 
@@ -120,17 +118,13 @@ class SpillFrontier:
     def __bool__(self) -> bool:
         return self._len > 0
 
-    def __iter__(self) -> Iterator[Tuple[State, int]]:
+    def __iter__(self) -> Iterator[Tuple[Any, int]]:
         """Yield every pair in append order; safe to run more than once."""
         yield from self._head
-        schema = self._schema
         for offset, size in self._chunks:
             self._spool.seek(offset)
-            blob = self._spool.read(size)
-            for values, fp in pickle.loads(zlib.decompress(blob)):
-                yield State.from_values(schema, values), fp
-        for values, fp in self._tail:
-            yield State.from_values(schema, values), fp
+            yield from pickle.loads(zlib.decompress(self._spool.read(size)))
+        yield from self._tail
 
     def close(self) -> None:
         """Drop the spool file early (GC would get it eventually anyway)."""

@@ -11,7 +11,8 @@ It deliberately does not share the level loop of
 to 64 bits is the independent reference the parity suites and the
 benchmark's known answers were confirmed against, and its ``peak_frontier``
 is a queue length, not a level width.  It does take its successors from the
-same expander as every other engine.
+same expander as every other engine, and like the fingerprint engine asks
+``expander.verdict_for`` once per new state only.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ class SerialStatesEngine(Engine):
 
     def run(self, ctx: CheckContext) -> None:
         spec, result, store = ctx.spec, ctx.result, ctx.store
-        schema, expand = spec.schema, ctx.expander.expand
+        schema = spec.schema
+        transitions = ctx.expander.transitions
+        verdict_for = ctx.expander.verdict_for
         graph = StateGraph() if ctx.collect_graph else None
         parents: Dict[int, Tuple[Optional[int], Optional[str]]] = {}
         depths: Dict[int, int] = {}
@@ -101,15 +104,15 @@ class SerialStatesEngine(Engine):
             # State objects are rebuilt for interning, so the retained store
             # and graph hold the same states under either expander and DOT
             # export / properties / MBTCG see no difference.
-            entries = expand(state.values)
-            if not entries and ctx.check_deadlock:
+            successors = transitions(state.values)
+            if not successors and ctx.check_deadlock:
                 trace = self._reconstruct_trace(store, state_id, parents)
                 result.deadlock = DeadlockError(
                     f"deadlock reached in specification {spec.name!r}", trace=trace
                 )
                 if ctx.stop_on_violation:
                     break
-            for action_name, nvalues, _nfp, violated_name, within in entries:
+            for action_name, nvalues, nfp in successors:
                 result.generated_states += 1
                 action_counts[action_name] += 1
                 nxt = State.from_values(schema, nvalues)
@@ -121,6 +124,7 @@ class SerialStatesEngine(Engine):
                 parents[next_id] = (state_id, action_name)
                 depths[next_id] = depth + 1
                 result.max_depth = max(result.max_depth, depth + 1)
+                violated_name, within = verdict_for(nvalues, nfp)
                 if violated_name is not None:
                     result.invariant_violation = record_violation(
                         next_id, violated_name

@@ -4,8 +4,10 @@ TLC is not only an exhaustive checker -- its *simulation* mode samples random
 behaviours when the state space is too large to enumerate, and the paper's
 workflow relies on that reach.  This engine reproduces it: ``walks`` seeded
 random walks of at most ``walk_depth`` steps each, every *generated*
-successor checked against the invariants (as the BFS engines' expansion
-does), with the walk itself as the counterexample trace when one trips.
+successor checked against the invariants (the BFS engines judge each state
+when they first reach it; a walk keeps no visited set, so it judges what it
+generates, through ``expander.expand``'s verdict memo), with the walk itself
+as the counterexample trace when one trips.
 Every violation it reports is therefore a *real* reachable violation: the
 trace starts in an initial state and takes one enabled action per step.
 
@@ -61,7 +63,7 @@ def _run_walk(
     The walk starts in a uniformly chosen initial state and repeatedly takes
     a uniformly chosen enabled action whose successor satisfies the state
     constraint.  Invariants are evaluated on *every generated* successor, in
-    generation order, exactly as the BFS engines' expansion does -- so a
+    generation order, as a BFS judges each state it first reaches -- so a
     violating state one step off the walk (even one outside the constraint,
     which is generated but never entered) still surfaces as a violation,
     with the walk prefix plus that successor as the counterexample.  The

@@ -5,18 +5,21 @@ in-memory set, a disk-backed set, ...).  This module is that seam for the
 reproduction: an exploration engine asks its store "have I seen this state?"
 and never cares how the answer is represented.  Every store is exact --
 ``add`` returns True exactly once per state and ``distinct_count`` is the
-true distinct-state count.  Three ship:
+true distinct-state count.  The fingerprint stores also keep, per state, the
+one thing counterexample replay needs, as TLC's fingerprint set does: the
+fingerprint of the state it was first reached from (``add(fp, parent)``,
+read back with ``parent_of(fp)``).  Three ship:
 
-* ``"fingerprint"`` -- :class:`FingerprintSetStore`: an in-memory set of
-  stable 64-bit state fingerprints, the default for the fingerprint-interned
-  engines.
+* ``"fingerprint"`` -- :class:`FingerprintSetStore`: one in-memory dict
+  ``fp -> parent fp``, whose keys are the visited set; the default for the
+  fingerprint-interned engines.
 * ``"states"`` -- :class:`StateRetainingStore`: every distinct ``State``
   object is retained and assigned a dense integer id.  Required by the
   serial ``states`` engine, whose retained graph nodes must resolve back to
   states.
 * ``"disk"`` -- :class:`repro.engine.diskstore.DiskFingerprintStore`: the
-  full visited set lives in a SQLite file behind a write-back cache and a
-  Bloom filter, so million-state runs keep a flat memory profile.  Takes a
+  same ``fp -> parent fp`` pairs in a SQLite file behind a write-back cache
+  and a Bloom filter, so million-state runs keep a flat memory profile.  Takes a
   ``path`` (the CLI's ``--store-path``); ``capacity`` sizes its write-back
   cache.
 
@@ -49,14 +52,18 @@ class StateStore(Protocol):
     """What every visited-state store exposes to the engines.
 
     ``add`` returns True when the fingerprint was not present (the state is
-    new and should be explored); ``distinct_count`` is the number of distinct
+    new and should be explored) and then records ``parent`` -- the
+    fingerprint of the state it was reached from, None for an initial state
+    -- for :meth:`parent_of`; ``distinct_count`` is the number of distinct
     states the store has seen.
     """
 
     name: str
     retains_states: bool
 
-    def add(self, fp: int) -> bool: ...
+    def add(self, fp: int, parent: Optional[int] = None) -> bool: ...
+
+    def parent_of(self, fp: int) -> Optional[int]: ...
 
     def __contains__(self, fp: int) -> bool: ...
 
@@ -71,38 +78,48 @@ class StateStore(Protocol):
 
 
 class FingerprintSetStore:
-    """In-memory set of 64-bit state fingerprints (the default)."""
+    """In-memory 64-bit state fingerprints, each mapped to its parent's (the default).
+
+    One dict entry per distinct state: the keys are the visited set, the
+    values the replay pointers.  A parent's fingerprint is the very int
+    object that keys the parent's own entry, so a pointer costs no
+    allocation.
+    """
 
     name = "fingerprint"
     retains_states = False
     supports_snapshot = True
 
     def __init__(self) -> None:
-        self._seen: set = set()
+        self._parents: Dict[int, Optional[int]] = {}
 
-    def add(self, fp: int) -> bool:
-        if fp in self._seen:
+    def add(self, fp: int, parent: Optional[int] = None) -> bool:
+        parents = self._parents
+        if fp in parents:
             return False
-        self._seen.add(fp)
+        parents[fp] = parent
         return True
 
+    def parent_of(self, fp: int) -> Optional[int]:
+        return self._parents[fp]
+
     def __contains__(self, fp: int) -> bool:
-        return fp in self._seen
+        return fp in self._parents
 
     def __len__(self) -> int:
-        return len(self._seen)
+        return len(self._parents)
 
     @property
     def distinct_count(self) -> int:
-        return len(self._seen)
+        return len(self._parents)
 
     def snapshot(self) -> Dict[str, Any]:
-        """Picklable visited-set contents for checkpointing."""
-        return {"seen": list(self._seen)}
+        """Picklable ``(fp, parent fp)`` pairs for checkpointing."""
+        return {"pairs": list(self._parents.items())}
 
     def restore(self, data: Dict[str, Any]) -> None:
-        """Rebuild the visited set from a :meth:`snapshot` payload."""
-        self._seen = set(data["seen"])
+        """Rebuild the store from a :meth:`snapshot` payload."""
+        self._parents = dict(data["pairs"])
 
 
 class StateRetainingStore:
@@ -141,7 +158,7 @@ class StateRetainingStore:
     def state_of(self, state_id: int) -> State:
         return self._by_id[state_id]
 
-    def add(self, fp: int) -> bool:  # pragma: no cover - protocol completeness
+    def add(self, fp: int, parent: Optional[int] = None) -> bool:
         raise TypeError(
             "StateRetainingStore interns State objects; use intern(state)"
         )

@@ -39,6 +39,7 @@ from .runtime import (
     ObsRun,
     ProgressTicker,
     current,
+    peak_rss_mb,
     reset_for_child_process,
     span,
     start_run,
@@ -78,6 +79,7 @@ __all__ = [
     "Sink",
     "current",
     "normalized",
+    "peak_rss_mb",
     "reset_for_child_process",
     "run_profiled",
     "span",

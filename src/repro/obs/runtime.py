@@ -33,6 +33,7 @@ __all__ = [
     "ObsRun",
     "ProgressTicker",
     "current",
+    "peak_rss_mb",
     "reset_for_child_process",
     "span",
     "start_run",
@@ -54,6 +55,25 @@ _CURRENT: Optional["ObsRun"] = None
 def current() -> Optional["ObsRun"]:
     """The process's active telemetry run, or ``None`` (the fast path)."""
     return _CURRENT
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set so far, in MiB.
+
+    ``VmHWM`` from ``/proc/self/status`` where the kernel offers it (it
+    belongs to the address space ``exec`` made), else ``ru_maxrss`` (which a
+    child inherits from its parent's peak).
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 class ProgressTicker:
@@ -192,11 +212,16 @@ class ObsRun:
         self.sink.emit(record)
 
     def close(self, *, exit_code: Optional[int] = None, status: str = "ok") -> None:
-        """Emit the merged metrics + ``run_end`` records and deactivate."""
+        """Emit the merged metrics + ``run_end`` records and deactivate.
+
+        The metrics record carries the process's peak resident set as the
+        ``process.peak_rss_mb`` gauge.
+        """
         global _CURRENT
         if self._closed:
             return
         self._closed = True
+        self.registry.set_gauge("process.peak_rss_mb", peak_rss_mb())
         self.emit("metrics", labels=dict(self.labels), **self.registry.snapshot())
         self.emit("run_end", status=status, exit_code=exit_code)
         self.sink.close()

@@ -209,9 +209,10 @@ def normalized(record: Dict[str, Any]) -> Dict[str, Any]:
 
     Drops the top-level volatile fields (``ts``, ``seconds``, ``pid``,
     ``exit_code``) and, on ``metrics`` records, every gauge or histogram
-    whose name marks it as a duration or rate (``*_seconds``, ``*.seconds``,
-    ``*_per_second``).  Counters and structural gauges (depths, sizes)
-    survive, which is exactly the deterministic part of the stream.
+    whose name marks it as a duration, rate or resident-set reading
+    (``*_seconds``, ``*.seconds``, ``*_per_second``, ``*_rss_mb``).
+    Counters and structural gauges (depths, sizes) survive, which is
+    exactly the deterministic part of the stream.
     """
     out = {k: v for k, v in record.items() if k not in _VOLATILE_FIELDS}
     if record.get("kind") == "metrics":
@@ -226,7 +227,7 @@ def normalized(record: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _volatile_metric_name(name: str) -> bool:
-    return name.endswith("seconds") or name.endswith("_per_second")
+    return name.endswith(("seconds", "_per_second", "_rss_mb"))
 
 
 def validate_status(doc: Dict[str, Any]) -> None:

@@ -30,7 +30,14 @@ from typing import Any, Dict, Optional, Sequence
 
 from ..engine import ENGINES, STORES, ModelChecker, check_spec
 from ..mbtcg import STRATEGIES, generate_suite, replay_corpus, write_corpus
-from ..obs import ENV_METRICS_OUT, current as obs_current, run_profiled, span, start_run
+from ..obs import (
+    ENV_METRICS_OUT,
+    current as obs_current,
+    peak_rss_mb,
+    run_profiled,
+    span,
+    start_run,
+)
 from ..mbtcg.emitters import write_log_suite, write_pytest_module
 from ..resilience import (
     FAULT_KINDS,
@@ -232,11 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--deadlock", action="store_true", help="detect deadlocks")
     check_p.add_argument(
         "--no-properties", action="store_true", help="skip temporal properties"
-    )
-    check_p.add_argument(
-        "--memory-stats",
-        action="store_true",
-        help="report tracemalloc peak memory of the run",
     )
     check_p.add_argument("--dot", metavar="FILE", help="export the state graph as DOT")
     check_p.add_argument(
@@ -732,16 +734,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     try:
         with _drain_signals(_convert_to_interrupt):
-            if args.memory_stats:
-                import tracemalloc
-
-                tracemalloc.start()
-                result = run()
-                _current, peak = tracemalloc.get_traced_memory()
-                tracemalloc.stop()
-            else:
-                result = run()
-                peak = None
+            result = run()
     except CheckInterrupted as exc:
         # Partial results are still results: report what the run managed and
         # where it can be resumed from, then exit with 128 + signum.
@@ -762,6 +755,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 143 if received["signum"] == signal.SIGTERM else 130
 
     print(result.summary())
+    collision = result.fingerprint_collision_probability
+    if collision is not None:
+        print(f"fingerprint collision probability: calculated (optimistic) {collision:.1e}")
     if result.resumed_from:
         print(f"resumed from checkpoint {result.resumed_from}")
     sup = result.supervision
@@ -795,6 +791,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         f"store: {result.store}{store_note}; "
         f"peak frontier {result.peak_frontier} state(s)"
     )
+    print(f"peak RSS: {peak_rss_mb():.1f} MB")
     if result.frontier_spilled_states:
         print(
             f"frontier spilling: {result.frontier_spilled_states} state(s) "
@@ -809,8 +806,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"counterexample ({len(result.invariant_violation.trace)} states):")
         for index, state in enumerate(result.invariant_violation.trace):
             print(f"  {index}: {state.to_dict()}")
-    if peak is not None:
-        print(f"peak memory: {peak / 1e6:.1f} MB")
     if args.dot and result.graph is not None:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(to_dot(result.graph, name=spec.name.replace("[", "_").replace("]", "")))

@@ -4,10 +4,11 @@ A million-state BFS that dies at 95% -- a worker OOM, a preempted VM, a
 ctrl-C -- should not cost the whole run.  A :class:`Checkpoint` freezes
 everything a level-synchronous BFS needs to continue *exactly* where it
 stopped: the visited-store contents (through the ``StateStore`` snapshot
-seam), the current frontier (as picklable value tuples), the fingerprint
-parent map (so counterexamples found *after* resume still replay back to an
-initial state explored *before* the interruption), and the accumulated
-statistics.  Because the BFS is deterministic and merges in frontier order,
+seam: each fingerprint with its parent's, so counterexamples found *after*
+resume still replay back to an initial state explored *before* the
+interruption), the current frontier (its ``(value tuple, fingerprint)``
+entries, as the engine holds them), and the accumulated statistics.
+Because the BFS is deterministic and merges in frontier order,
 an interrupted-then-resumed run reports statistics and counterexamples
 bit-identical to an uninterrupted one -- the golden-stats contract the
 checkpoint test suite pins.
@@ -18,6 +19,8 @@ checkpoint intact rather than a truncated file; the same helpers back the
 watch service's report and status files.  The format is a pickle with a version
 header and the spec's registry identity, validated on load: resuming a
 ``locking`` checkpoint into a ``raftmongo`` run is an error, not garbage.
+A checkpoint of another format version (version 1 kept a separate parent
+map) is refused by its version number, never read.
 
 Stores that live on disk already (the ``disk`` SQLite store) snapshot as a
 tiny identity header instead of their contents: the checkpoint records the
@@ -51,7 +54,7 @@ __all__ = [
     "write_watch_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 WATCH_CHECKPOINT_VERSION = 1
 
@@ -109,10 +112,8 @@ class Checkpoint:
     depth: int
     #: The pending frontier as ``(state value tuple, fingerprint)`` pairs.
     frontier: List[Tuple[Tuple[Any, ...], int]]
-    #: ``StateStore.snapshot()`` of the visited set.
+    #: ``StateStore.snapshot()`` of the visited set and its parent pointers.
     store_state: Any
-    #: Fingerprint parent map for counterexample replay across the resume.
-    parents: Dict[int, Tuple[Optional[int], Optional[str]]]
     #: Accumulated CheckResult statistics at the snapshot point.
     stats: Dict[str, Any] = field(default_factory=dict)
     version: int = CHECKPOINT_VERSION
@@ -127,7 +128,8 @@ class Checkpoint:
         if self.version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"checkpoint version {self.version} is not supported "
-                f"(expected {CHECKPOINT_VERSION})"
+                f"(expected {CHECKPOINT_VERSION}); restart the run without "
+                "--resume"
             )
         if self.spec_name != spec_name or (
             self.registry_ref is not None

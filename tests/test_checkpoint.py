@@ -97,7 +97,7 @@ def test_checkpoint_file_round_trips_and_validates(tmp_path):
     )
     assert result.truncated and result.checkpoint_path == str(path)
     checkpoint = read_checkpoint(str(path))
-    assert checkpoint.version == 1
+    assert checkpoint.version == 2
     assert checkpoint.spec_name == spec.name
     assert checkpoint.store_name == "fingerprint"
     assert checkpoint.depth % 2 == 0 and checkpoint.depth > 0
@@ -295,3 +295,22 @@ def test_cli_resume_of_garbage_file_exits_2(tmp_path, capsys):
     junk.write_text("nope")
     assert main(["check", "locking", "--resume", str(junk)]) == 2
     assert "not a repro checkpoint" in capsys.readouterr().err
+
+
+def test_cli_resume_of_a_version_1_checkpoint_exits_2(tmp_path, capsys):
+    """Version 1 carried a separate parent map; it is refused, not misread."""
+    path = tmp_path / "v1.ckpt"
+    check_spec(
+        build_spec("locking"),
+        check_properties=False,
+        max_depth=2,
+        checkpoint_path=str(path),
+    )
+    old = read_checkpoint(str(path))
+    old.version = 1
+    old.parents = {}
+    write_checkpoint(str(path), old)
+    assert main(["check", "locking", "--resume", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint version 1 is not supported")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -174,6 +174,8 @@ _POOLED = ["check", "locking", "--engine", "simulate", "--workers", "2"]
         (["simulate", "locking", "--executor", "thread"], "--executor"),
         (["watch", "locking", "a.log", "--queue-size", "5"], "--queue-size"),
         (["simulate", "locking", "--workers", "0"], "error: workers must be >= 1"),
+        # Peak RSS is printed on every check run; the tracemalloc flag is gone.
+        (["check", "locking", "--memory-stats"], "--memory-stats"),
     ],
 )
 def test_inconsistent_flags_exit_2(capsys, argv, needle):
@@ -199,8 +201,7 @@ def test_resuming_a_checkpoint_of_a_removed_store_exits_2(tmp_path, capsys):
         store_capacity=4096,
         depth=2,
         frontier=[],
-        store_state={"seen": [], "added": 0, "evictions": 0, "capacity": 4096},
-        parents={},
+        store_state={"pairs": []},
     )
     write_checkpoint(path, stale)
     assert main(["check", "locking", "--resume", path]) == 2

@@ -2,8 +2,9 @@
 
 Covers the store's exactness and 64-bit signed/unsigned round-trip, the
 write-back flush path, the stale-file wipe-vs-restore protocol, identity
-validation and sequence-number rewind, the on-disk parent map, the
-SpillFrontier's order-preserving re-iterable contract, engine-level parity
+validation and sequence-number rewind, the parent pointers kept in the
+same rows, the refusal of older file layouts, the SpillFrontier's
+order-preserving re-iterable contract, engine-level parity
 with the in-memory stores (the golden-stats contract), and disk-store
 checkpoint/resume -- including under deterministic chaos fault injection.
 """
@@ -98,26 +99,23 @@ def test_disk_store_stale_file_is_wiped_unless_restored(tmp_path):
 def test_disk_store_snapshot_restore_rewinds_by_sequence(tmp_path):
     path = str(tmp_path / "s.db")
     store = DiskFingerprintStore(capacity=2, path=path)
-    parents = store.parent_map()
     for fp in (10, 20, 30):
-        store.add(fp)
-        parents.setdefault(fp, (None if fp == 10 else 10, f"a{fp}"))
+        store.add(fp, None if fp == 10 else 10)
     header = store.snapshot()
     assert header["kind"] == "disk" and header["added"] == 3
     # Post-snapshot work that an interrupted run would have done:
-    store.add(40)
-    parents[40] = (30, "a40")
+    store.add(40, 30)
     store.close()
 
     resumed = DiskFingerprintStore(capacity=2, path=path)
     resumed.restore(header)
     assert resumed.distinct_count == 3
     assert sorted(resumed.iter_fingerprints()) == [10, 20, 30]
-    assert resumed.add(40)  # the rewound fingerprint reads as new again
-    rparents = resumed.parent_map()
-    assert rparents[20] == (10, "a20")
+    assert resumed.parent_of(20) == 10
     with pytest.raises(KeyError):
-        rparents[40]
+        resumed.parent_of(40)
+    assert resumed.add(40, 20)  # the rewound fingerprint reads as new again
+    assert resumed.parent_of(40) == 20
     resumed.close()
 
 
@@ -149,16 +147,48 @@ def test_disk_store_restore_validates_identity(tmp_path):
 
 def test_disk_parent_map_survives_flush_and_reports_length(tmp_path):
     store = DiskFingerprintStore(capacity=2, path=str(tmp_path / "s.db"))
-    parents = store.parent_map()
     big = 2**64 - 5
-    parents[big] = (None, None)
-    parents.setdefault(7, (big, "Step"))
-    assert parents.setdefault(7, (0, "Ignored")) == (big, "Step")
+    assert store.add(big)
+    assert store.add(7, big)
+    assert store.parent_of(7) == big  # from the write-back buffer
+    assert not store.add(7, 0)  # a re-add keeps the first parent
     store.flush()
-    assert parents[7] == (big, "Step")  # read back through SQLite
-    assert parents[big] == (None, None)
-    assert len(parents) == 2
+    assert store.parent_of(7) == big  # read back through SQLite
+    assert store.parent_of(big) is None
+    assert len(store) == 2
     store.close()
+
+
+def test_disk_store_refuses_an_older_layout_and_leaves_it_alone(tmp_path, capsys):
+    """A store file of the separate-parents layout: one line, exit 2, kept."""
+    import sqlite3
+
+    from repro.pipeline.cli import main
+
+    path = tmp_path / "old.db"
+    conn = sqlite3.connect(str(path))
+    conn.executescript(
+        """
+        CREATE TABLE meta(key TEXT PRIMARY KEY, value TEXT);
+        CREATE TABLE fps(fp INTEGER PRIMARY KEY, seq INTEGER NOT NULL);
+        CREATE TABLE parents(
+            fp INTEGER PRIMARY KEY, parent INTEGER, action TEXT,
+            seq INTEGER NOT NULL);
+        INSERT INTO meta VALUES ('magic', 'repro-disk-store-v1'),
+                                ('identity', '00112233');
+        INSERT INTO fps VALUES (42, 1);
+        INSERT INTO parents VALUES (42, NULL, NULL, 2);
+        """
+    )
+    conn.commit()
+    conn.close()
+    before = path.read_bytes()
+    argv = ["check", "locking", "--store", "disk", "--store-path", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "older format" in err
+    assert path.read_bytes() == before
 
 
 # -- the spill frontier -------------------------------------------------------

@@ -1,0 +1,208 @@
+"""What the fingerprint BFS keeps per state, and what it no longer computes.
+
+The BFS engines step on ``expander.transitions`` and ask
+``expander.verdict_for`` once per *new* state; ``expand`` (with its verdict
+memo) is the simulation engine's.  The fingerprint store is one entry per
+distinct state -- the state's fingerprint mapped to its parent's -- and
+counterexamples are replayed from those pointers by fingerprint.  Each test
+here fails on a version that breaks one of those contracts.
+"""
+
+import tracemalloc
+
+import pytest
+
+import widecounter_spec  # noqa: F401 - registers _test_widecounter
+from repro.engine import check_spec, core
+from repro.pipeline.cli import main
+from repro.tla import Action, Invariant, Specification
+from repro.tla.registry import build_spec, register_spec
+
+
+def _answers(result):
+    violation, deadlock = result.invariant_violation, result.deadlock
+    return (
+        result.distinct_states,
+        result.generated_states,
+        result.max_depth,
+        result.action_counts,
+        result.truncated,
+        None if violation is None else [s.values for s in violation.trace],
+        None if deadlock is None else [s.values for s in deadlock.trace],
+    )
+
+
+def _instrument(monkeypatch, *, refuse_expand):
+    """Count every ``verdict_for`` / ``expand`` call of the run's expander."""
+    calls = {"verdict_for": [], "expand": 0}
+    make_expander = core.make_expander
+
+    def instrumented(spec, mode):
+        expander, why = make_expander(spec, mode)
+        verdict_for, expand = expander.verdict_for, expander.expand
+
+        def counted_verdict_for(values, fp):
+            calls["verdict_for"].append(fp)
+            return verdict_for(values, fp)
+
+        def counted_expand(values):
+            if refuse_expand:
+                raise AssertionError("expand called by a BFS engine")
+            calls["expand"] += 1
+            return expand(values)
+
+        expander.verdict_for = counted_verdict_for
+        expander.expand = counted_expand
+        return expander, why
+
+    monkeypatch.setattr(core, "make_expander", instrumented)
+    return calls
+
+
+#: The registered families, plus the parity table's fenced widecounter row.
+SPECS = [
+    ("locking", {}),
+    ("raftmongo", {"variant": "mbtc", "n_nodes": 2}),
+    ("ot_array", {}),
+    ("_test_widecounter", {"ceiling": 5}),
+]
+
+
+@pytest.mark.parametrize("mode", ["on", "off"])
+@pytest.mark.parametrize("engine", ["fingerprint", "states"])
+@pytest.mark.parametrize("name,params", SPECS)
+def test_bfs_takes_one_verdict_per_new_state_and_never_expands(
+    monkeypatch, name, params, engine, mode
+):
+    reference = check_spec(
+        build_spec(name, **params),
+        check_properties=False,
+        engine="states",
+        compile_mode=mode,
+    )
+    calls = _instrument(monkeypatch, refuse_expand=True)
+    spec = build_spec(name, **params)
+    initial = len({state.fingerprint() for state in spec.initial_states()})
+    result = check_spec(
+        spec, check_properties=False, engine=engine, compile_mode=mode
+    )
+    verdicts = calls["verdict_for"]
+    assert len(verdicts) == result.distinct_states - initial
+    assert len(set(verdicts)) == len(verdicts)
+    assert _answers(result) == _answers(reference)
+
+
+def test_simulate_still_walks_on_expand(monkeypatch):
+    calls = _instrument(monkeypatch, refuse_expand=False)
+    result = check_spec(
+        build_spec("locking"), check_properties=False, engine="simulate",
+        walks=5, walk_depth=10,
+    )
+    assert result.walks == 5 and calls["expand"] > 0
+
+
+def test_the_fingerprint_bfs_keeps_at_most_260_bytes_per_distinct_state():
+    """The store, frontier and bookkeeping of a run, per distinct state.
+
+    A set slot plus a parent-map tuple plus a verdict memo entry per state,
+    and a ``State`` per frontier entry, come to 384 bytes on this run; one
+    dict entry per state and value tuples on the frontier to about 205.
+    """
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing this process")
+    spec = build_spec("locking", n_threads=4)
+    tracemalloc.start()
+    try:
+        result = check_spec(spec, max_depth=8)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.engine, result.store) == ("fingerprint", "fingerprint")
+    assert (result.distinct_states, result.generated_states) == (41_871, 215_049)
+    assert peak / result.distinct_states <= 260
+
+
+# -- replay by fingerprint ----------------------------------------------------
+
+
+def _two_roads_factory(violate=False):
+    """Left and Right lead from every state with ``x < 3`` to one successor.
+
+    With ``violate`` the invariant fails at ``(3, 2)``; without it the
+    run deadlocks at ``(3, 3)``.  Either way every path there crosses states
+    both actions reach.
+    """
+
+    def init():
+        yield {"x": 0, "y": 0}
+
+    def step_x(state):
+        if state["x"] < 3:
+            yield {"x": state["x"] + 1}
+
+    def step_y(state):
+        if state["y"] < 3:
+            yield {"y": state["y"] + 1}
+
+    invariants = []
+    if violate:
+        invariants.append(Invariant("Apart", lambda s: (s["x"], s["y"]) != (3, 2)))
+    return Specification(
+        "TwoRoads",
+        variables=("x", "y"),
+        init=init,
+        actions=[Action("Up", step_y), Action("Left", step_x), Action("Right", step_x)],
+        invariants=invariants,
+    )
+
+
+register_spec("_test_two_roads", _two_roads_factory, replace=True)
+
+
+@pytest.mark.parametrize("store", ["fingerprint", "disk"])
+@pytest.mark.parametrize("violate", [True, False], ids=["violation", "deadlock"])
+def test_replayed_counterexamples_equal_the_retained_ones(tmp_path, violate, store):
+    def check(engine, **kwargs):
+        return check_spec(
+            build_spec("_test_two_roads", violate=violate),
+            check_properties=False,
+            check_deadlock=True,
+            engine=engine,
+            **kwargs,
+        )
+
+    reference = _answers(check("states"))
+    assert reference[5 if violate else 6] is not None
+    kwargs = {"store": store}
+    if store == "disk":
+        kwargs["store_path"] = str(tmp_path / "visited.db")
+    assert _answers(check("fingerprint", **kwargs)) == reference
+    checkpoint = str(tmp_path / "run.ckpt")
+    cut = check("fingerprint", max_depth=2, checkpoint_path=checkpoint, **kwargs)
+    assert cut.truncated
+    resumed = check("fingerprint", resume_path=checkpoint, **kwargs)
+    assert resumed.resumed_from == checkpoint
+    assert _answers(resumed) == reference
+
+
+# -- the soundness edge: 64-bit fingerprints ------------------------------------
+
+
+def test_collision_probability_is_tlc_optimistic_estimate():
+    result = check_spec(build_spec("locking"), check_properties=False)
+    assert (result.distinct_states, result.generated_states) == (544, 1981)
+    assert result.fingerprint_collision_probability == 544 * (1981 - 544) / 2**64
+    states = check_spec(build_spec("locking"), check_properties=False, engine="states")
+    assert states.fingerprint_collision_probability is None
+
+
+def test_cli_prints_the_collision_line_after_an_unchanged_summary(capsys):
+    assert main(["check", "locking"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(
+        "Locking: OK; 544 distinct states, 1981 states generated, depth 6, "
+    )
+    assert lines[0].endswith(" [engine=fingerprint store=fingerprint compiled]")
+    assert lines[1] == "fingerprint collision probability: calculated (optimistic) 4.2e-14"
+    assert main(["check", "locking", "--engine", "states"]) == 0
+    assert "collision" not in capsys.readouterr().out

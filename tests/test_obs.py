@@ -4,6 +4,7 @@ CLI wiring, and the byte-identity / determinism contracts of ISSUE 9."""
 import json
 import os
 import pickle
+import re
 
 import pytest
 
@@ -182,6 +183,17 @@ def test_check_metrics_out_round_trips_and_matches_summary(tmp_path, capsys):
     kinds = [r["kind"] for r in records]
     assert kinds[0] == "run_start" and kinds[-1] == "run_end"
     assert records[-1]["status"] == "ok" and records[-1]["exit_code"] == 0
+
+
+def test_check_reports_peak_rss_in_its_output_and_its_metrics(tmp_path, capsys):
+    path = str(tmp_path / "m.jsonl")
+    assert main(["check", "locking", "--metrics-out", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    engine_line = next(i for i, line in enumerate(out) if line.startswith("engine: "))
+    assert re.fullmatch(r"peak RSS: \d+\.\d MB", out[engine_line + 1])
+    validate_metrics_path(path)
+    _records, metrics = _metrics_record(path)
+    assert metrics["gauges"]["process.peak_rss_mb"] > 0
 
 
 def test_metrics_env_channel_is_a_flag_substitute(tmp_path, monkeypatch, capsys):
