@@ -16,9 +16,10 @@ Visited-state storage is a second, independent seam
 declare compatible.  Every store is exact; they differ in where the set
 lives -- an in-memory dict of fingerprints (each mapped to its parent's,
 the replay pointer), retained ``State`` objects, or the ``disk`` store
-(:mod:`repro.engine.diskstore`), which million-state runs pair with
-spill-to-disk frontiers (:mod:`repro.engine.frontier`) so peak RSS stays
-flat as distinct-state counts climb orders of magnitude.
+(:mod:`repro.engine.diskstore`, imported when one is first made or
+``repro.engine.DiskFingerprintStore`` is first read), which million-state
+runs pair with spill-to-disk frontiers (:mod:`repro.engine.frontier`) so
+peak RSS stays flat as distinct-state counts climb orders of magnitude.
 
 Execution robustness is a third seam (:mod:`repro.resilience`): the
 simulation engine's ``workers > 1`` walks dispatch through a supervised
@@ -64,7 +65,6 @@ from .base import (
 )
 from .frontier import SpillFrontier
 from .store import (
-    DiskFingerprintStore,
     FingerprintSetStore,
     StateRetainingStore,
     StateStore,
@@ -109,3 +109,12 @@ ENGINES = ("auto",) + engine_names()
 
 #: Store names accepted by ``ModelChecker(store=...)`` and the CLI.
 STORES = ("auto",) + store_names()
+
+
+def __getattr__(name: str):
+    # The disk store (and ``sqlite3`` under it) loads when first asked for.
+    if name == "DiskFingerprintStore":
+        from .diskstore import DiskFingerprintStore
+
+        return DiskFingerprintStore
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

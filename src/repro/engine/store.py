@@ -8,7 +8,8 @@ and never cares how the answer is represented.  Every store is exact --
 true distinct-state count.  The fingerprint stores also keep, per state, the
 one thing counterexample replay needs, as TLC's fingerprint set does: the
 fingerprint of the state it was first reached from (``add(fp, parent)``,
-read back with ``parent_of(fp)``).  Three ship:
+read back with ``parent_of(fp)``).  Three ship, the third loaded only when
+one is made (it brings ``sqlite3`` with it):
 
 * ``"fingerprint"`` -- :class:`FingerprintSetStore`: one in-memory dict
   ``fp -> parent fp``, whose keys are the visited set; the default for the
@@ -35,10 +36,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
 from ..tla.state import State
-from .diskstore import DiskFingerprintStore
 
 __all__ = [
-    "DiskFingerprintStore",
     "FingerprintSetStore",
     "StateRetainingStore",
     "StateStore",
@@ -205,6 +204,12 @@ def make_store(
     return factory(capacity, path)
 
 
+def _disk_store(capacity: Optional[int], path: Optional[str]):
+    from .diskstore import DiskFingerprintStore
+
+    return DiskFingerprintStore(capacity, path)
+
+
 register_store("fingerprint", lambda capacity, path: FingerprintSetStore())
 register_store("states", lambda capacity, path: StateRetainingStore())
-register_store("disk", lambda capacity, path: DiskFingerprintStore(capacity, path))
+register_store("disk", _disk_store)

@@ -3,12 +3,12 @@
 Prints a deterministic-format table of the top ``top`` functions by
 cumulative time to stderr after the command finishes (whether it returned
 or raised), leaving stdout untouched so piped command output stays clean.
+``cProfile`` and ``pstats`` are imported by :func:`run_profiled` itself, so
+a process that never profiles never loads them.
 """
 
 from __future__ import annotations
 
-import cProfile
-import pstats
 import sys
 from typing import Any, Callable, Optional, TextIO
 
@@ -24,6 +24,9 @@ def run_profiled(
     stream: Optional[TextIO] = None,
 ) -> Any:
     """Run ``fn`` under cProfile; return its result, stats go to stderr."""
+    import cProfile
+    import pstats
+
     out = sys.stderr if stream is None else stream
     profiler = cProfile.Profile()
     try:

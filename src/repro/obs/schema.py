@@ -280,8 +280,12 @@ def validate_status(doc: Dict[str, Any]) -> None:
             "interner_hits", "interner_misses", "interner_evictions", "interner_entries",
             "memo_hits", "memo_misses", "memo_entries",
         ]
-        # The decode plan's counters: absent from documents written before it.
-        fields += [name for name in cache if name.startswith(("decode_", "splice_"))]
+        # The decode plan's counters and the memo sizes: absent from documents
+        # written before them.
+        fields += [
+            name for name in cache
+            if name.startswith(("decode_", "splice_")) or name in ("successors", "binding_entries")
+        ]
         for field in fields:
             _require(
                 isinstance(cache.get(field), int) and cache[field] >= 0,

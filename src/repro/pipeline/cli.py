@@ -851,6 +851,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(result.summary())
     stats = cache.stats()
     print("  " + cache_line(stats))
+    print(f"peak RSS: {peak_rss_mb():.1f} MB")
     if obs_current() is not None:
         record_cache_telemetry(obs_current(), stats)
     if not result.ok:
@@ -899,6 +900,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         fail_fast=args.fail_fast,
     )
     print(report.summary())
+    print(f"peak RSS: {peak_rss_mb():.1f} MB")
     for outcome in report.surprises[:10]:
         expectation = "pass" if outcome.expected_ok else f"fail ({outcome.fault})"
         print(

@@ -183,11 +183,13 @@ def record_cache_telemetry(run: Any, stats: Dict[str, Any]) -> None:
 
     The kernel's read-set memo reports under the names ``check`` uses
     (``compile.memo_*``), the interner beside it (``compile.interner_*``);
-    ``trace.cache_entries`` is the successor memo's size.  With these and
-    the driver's own hit/miss counters a slow batch is explainable from
-    ``--metrics-out`` alone: a cold cache, an interner that evicted, a memo
-    that cannot hit, or -- ``trace.decode_*`` / ``trace.splice_*``, the
-    decode plan -- a batch whose every payload is distinct.
+    ``trace.cache_entries`` is the successor memo's size, ``trace.successors``
+    the successors it holds and ``trace.binding_entries`` the distinct
+    states the decode plan has bound.  With these and the driver's own
+    hit/miss counters a slow batch is explainable from ``--metrics-out``
+    alone: a cold cache, an interner that evicted, a memo that cannot hit,
+    or -- ``trace.decode_*`` / ``trace.splice_*``, the decode plan -- a batch
+    whose every payload is distinct.
     """
     run.labels["kernel"] = stats["kernel"]
     reg = run.registry
@@ -196,8 +198,9 @@ def record_cache_telemetry(run: Any, stats: Dict[str, Any]) -> None:
             reg.inc(f"compile.{name}", value)
         elif name.startswith(("decode_", "splice_")) and value > 0:
             reg.inc(f"trace.{name}", value)
-    if stats["cache_entries"] > 0:
-        reg.inc("trace.cache_entries", stats["cache_entries"])
+    for name in ("cache_entries", "successors", "binding_entries"):
+        if stats[name] > 0:
+            reg.inc(f"trace.{name}", stats[name])
 
 
 def _stats_delta(before: Dict[str, Any], after: Dict[str, Any]) -> Dict[str, Any]:

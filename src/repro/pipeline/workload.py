@@ -74,10 +74,10 @@ def generate_trace(
             actions.append("<stutter>")
             continue
         # What ``spec.successors(state)`` returns, order and duplicates included.
-        transitions = cache.expansion(binding).transitions
-        if not transitions:
+        expansion = cache.expansion(binding)
+        if not expansion:
             break
-        action_name, values, _fp = rng.choice(transitions)
+        action_name, values, _fp = rng.choice(expansion)
         # Only the chosen successor is bound; the kernel derived it from the
         # canonical values, so those are what its unchanged slots still hold.
         binding = cache.bind(values, (binding[1], *binding[1:]))

@@ -17,6 +17,12 @@ Three pieces, each usable on its own:
   seeded chaos layer that injects worker crashes, hangs, slowdowns and
   corrupt results keyed on ``(worker_id, task_index)``, so every recovery
   path above is exercised reproducibly in tests and in CI.
+
+Importing the package loads neither ``multiprocessing`` nor ``logging``:
+the pool imports the first when it starts a worker and the second when it
+logs its first warning, so the engines and the CLI name
+:class:`SupervisionConfig`, :class:`SupervisionStats` and
+:class:`TaskError` for free.
 """
 
 from .checkpoint import (

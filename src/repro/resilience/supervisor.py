@@ -32,11 +32,14 @@ parity suite pins, now also under chaos (:mod:`repro.resilience.faults`).
 The pool is single-threaded on the supervisor side: the event loop (drain
 pipes, detect failures, dispatch, back off) runs inside :meth:`submit` /
 :meth:`result` calls, so there is no supervisor thread to synchronize with.
+
+``multiprocessing`` is imported when the pool starts its first worker and
+``logging`` with its first warning: a process that never pools -- and one
+that reads :class:`SupervisionConfig` to pass it on -- loads neither.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import pickle
 import signal
@@ -44,9 +47,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from multiprocessing import Pipe, Process
-from multiprocessing.connection import Connection, wait as connection_wait
-from typing import Any, Callable, Deque, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Mapping, Optional, Tuple
 
 from collections import deque
 
@@ -57,6 +58,10 @@ from ..obs import (
 )
 from .faults import CHAOS_EXIT_CODE, FaultPlan
 
+if TYPE_CHECKING:
+    from multiprocessing import Process
+    from multiprocessing.connection import Connection
+
 __all__ = [
     "ENV_TASK_TIMEOUT",
     "SupervisedPool",
@@ -64,8 +69,6 @@ __all__ = [
     "SupervisionStats",
     "TaskError",
 ]
-
-logger = logging.getLogger("repro.resilience")
 
 ENV_TASK_TIMEOUT = "REPRO_TASK_TIMEOUT"
 
@@ -75,6 +78,13 @@ _POLL_SECONDS = 0.02
 
 #: How long shutdown waits for a worker to exit voluntarily before SIGTERM.
 _SHUTDOWN_GRACE = 0.5
+
+
+def _warn(message: str, *args: Any) -> None:
+    """Log a supervision warning on the ``repro.resilience`` logger."""
+    import logging
+
+    logging.getLogger("repro.resilience").warning(message, *args)
 
 
 class TaskError(RuntimeError):
@@ -464,7 +474,9 @@ class SupervisedPool:
                 if slot.up is not None and slot.process is not None
             ]
             if readers:
-                connection_wait(readers, timeout=_POLL_SECONDS)
+                from multiprocessing.connection import wait
+
+                wait(readers, timeout=_POLL_SECONDS)
             else:
                 time.sleep(_POLL_SECONDS)
 
@@ -613,7 +625,7 @@ class SupervisedPool:
         if recycle:
             self._recycle(slot)
         self._consecutive_failures += 1
-        logger.warning(
+        _warn(
             "%s: attempt %d/%d of task %d failed: %s",
             self.name,
             task.attempts,
@@ -645,7 +657,7 @@ class SupervisedPool:
         """Give up on worker processes; fail-fast everything still pending."""
         self._degraded = True
         self.stats.degraded = True
-        logger.warning(
+        _warn(
             "%s: %d consecutive worker failures; degrading to serial "
             "execution (remaining tasks will run inline in the coordinator)",
             self.name,
@@ -671,6 +683,8 @@ class SupervisedPool:
 
     def _respawn(self, slot: _Slot) -> None:
         """Start a fresh worker (fresh id, fresh pipes) in ``slot``."""
+        from multiprocessing import Pipe, Process
+
         self._recycle(slot)
         worker_id = self._next_worker_id
         self._next_worker_id += 1

@@ -12,7 +12,7 @@ test-case generation (MBTCG).
 """
 
 from . import registry
-from .coverage import CoverageReport, coverage_of_trace, merge_reports
+from .coverage import CoverageReport, merge_reports
 from .dot import ParsedStateGraph, parse_dot, to_dot
 from .errors import (
     CheckerError,
@@ -90,7 +90,6 @@ __all__ = [
     "build_spec",
     "check_partial_trace",
     "check_trace",
-    "coverage_of_trace",
     "explain_failure",
     "fingerprint",
     "freeze",

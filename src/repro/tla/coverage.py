@@ -13,13 +13,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Set
+from typing import Any, Dict, Iterable, Optional, Set
 
-from .graph import StateGraph
-from .spec import Specification
-from .state import State
-
-__all__ = ["CoverageReport", "coverage_of_trace", "merge_reports"]
+__all__ = ["CoverageReport", "merge_reports"]
 
 
 @dataclass
@@ -124,40 +120,6 @@ class CoverageReport:
             f"{self.spec_name}: {self.visited_count} states covered by "
             f"{self.trace_count} trace(s) ({fraction_text} of reachable space)"
         )
-
-
-def coverage_of_trace(
-    spec: Specification,
-    trace_states: Sequence[State | Mapping[str, Any]],
-    *,
-    matched_actions: Sequence[Optional[str]] = (),
-    graph: Optional[StateGraph] = None,
-) -> CoverageReport:
-    """Build a coverage report from one checked trace.
-
-    ``matched_actions`` is the per-step action attribution that
-    :func:`repro.tla.trace.check_trace` returns; it lets the report count how
-    often each specification action was witnessed by the implementation.
-    """
-    fingerprints: Set[int] = set()
-    enabled_counts: Dict[str, int] = {}
-    for item in trace_states:
-        state = item if isinstance(item, State) else spec.make_state(**item)
-        fingerprints.add(state.fingerprint())
-        for name in spec.enabled_actions(state):
-            enabled_counts[name] = enabled_counts.get(name, 0) + 1
-    action_counts: Dict[str, int] = {}
-    for name in matched_actions:
-        if name and name != "<stutter>":
-            action_counts[name] = action_counts.get(name, 0) + 1
-    return CoverageReport(
-        spec_name=spec.name,
-        visited_fingerprints=fingerprints,
-        action_counts=action_counts,
-        reachable_count=len(graph) if graph is not None else None,
-        trace_count=1,
-        enabled_action_counts=enabled_counts,
-    )
 
 
 def merge_reports(reports: Iterable[CoverageReport]) -> CoverageReport:

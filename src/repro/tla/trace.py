@@ -22,6 +22,7 @@ Two checking modes are provided:
 from __future__ import annotations
 
 import threading
+from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import islice
@@ -60,38 +61,54 @@ _FOR_SPEC_LOCK = threading.Lock()
 
 
 class _Expansion:
-    """One canonical state's memoized successor list (see :class:`SuccessorCache`)."""
+    """One canonical state's memoized successors, kept as three columns.
 
-    __slots__ = ("values", "key", "fp", "transitions", "index", "_enabled")
+    What the expander handed back -- its order, duplicates kept, nothing
+    bound -- split into ``actions`` (a tuple of names), ``successors`` (the
+    value tuples exactly as returned) and ``fps`` (their fingerprints, an
+    ``array('Q')``); no per-successor tuple, int or index survives the miss.
+    It reads as the sequence of ``(action, values, fp)`` triples the
+    expander returned, each built when it is read.
+    """
+
+    __slots__ = ("values", "fp", "actions", "successors", "fps", "_enabled")
 
     def __init__(
         self,
         values: Tuple[Any, ...],
-        key: Tuple[Any, ...],
         fp: int,
-        transitions: List[Tuple[str, Tuple[Any, ...], int]],
+        transitions: Sequence[Tuple[str, Tuple[Any, ...], int]],
     ) -> None:
-        #: The state's canonical value tuple, its memo key and fingerprint.
+        #: The state's canonical value tuple -- which keeps alive the objects
+        #: its memo key names by identity -- and its fingerprint.
         self.values = values
-        self.key = key
         self.fp = fp
-        #: ``(action, successor values, successor fingerprint)`` as the
-        #: expander handed them back: its order, duplicates kept, nothing bound.
-        self.transitions = transitions
-        #: successor fingerprint -> the first transition carrying it.  The
-        #: probe *selects* a candidate; :meth:`TraceFold.step` compares the
-        #: candidate's values before it believes it.
-        self.index: Dict[int, Tuple[str, Tuple[Any, ...], int]] = {}
-        for transition in transitions:
-            self.index.setdefault(transition[2], transition)
+        self.actions, self.successors, fps = tuple(zip(*transitions)) or ((), (), ())
+        self.fps = array("Q", fps)
         self._enabled: Optional[Tuple[str, ...]] = None
+
+    def __len__(self) -> int:
+        return len(self.actions)
+
+    def __getitem__(self, index: int) -> Tuple[str, Tuple[Any, ...], int]:
+        return self.actions[index], self.successors[index], self.fps[index]
+
+    def find(self, fp: int) -> Optional[int]:
+        """The position of the first successor with fingerprint ``fp``, if any.
+
+        The probe *selects* a candidate; :meth:`TraceFold.step` compares the
+        candidate's values before it believes it."""
+        try:
+            return self.fps.index(fp)
+        except ValueError:
+            return None
 
     @property
     def enabled(self) -> Tuple[str, ...]:
         """Enabled action names, in order of first appearance; worked out when
         first read (coverage and a failure message ask, a bare step does not)."""
         if self._enabled is None:
-            self._enabled = tuple(dict.fromkeys(name for name, _values, _fp in self.transitions))
+            self._enabled = tuple(dict.fromkeys(self.actions))
         return self._enabled
 
 
@@ -107,8 +124,9 @@ class SuccessorCache:
     kernels, or the interpreted walk when the spec will not compile) and one
     :class:`~repro.compile.ValueInterner` (the compiled spec's when it has
     one), and memoizes each state's ``transitions`` -- no invariant, no
-    constraint -- as an :class:`_Expansion`.  :meth:`for_spec` is the one
-    everything handed the same ``Specification`` object shares.
+    constraint -- as an :class:`_Expansion`: three columns, one copy of each
+    successor.  :meth:`for_spec` is the one everything handed the same
+    ``Specification`` object shares.
 
     **Keys are exact; a fingerprint selects, equality decides.**  A state is
     bound slot by slot: each value canonical in the interner and filed under
@@ -118,17 +136,18 @@ class SuccessorCache:
     fingerprint -- an entry retains the objects its key names, and every memo
     is dropped when the interner's eviction count moves.  A state's
     *successors* are kept as the expander handed them back, none of them
-    bound, and found by the fingerprint each already carries: that probe only
-    picks a candidate, see :meth:`TraceFold.step` for what decides a match
-    and a violation.
+    bound, and found in the fingerprint column: that probe only picks a
+    candidate, see :meth:`TraceFold.step` for what decides a match and a
+    violation.
 
     **The decode plan.**  Observations arrive as JSON and repeat massively,
     so :meth:`splice` builds no value twice: a payload is found by its
     ``repr`` (exact, types included) and decoded into canonical objects
     once, a node's slot is spliced into a whole variable once per ``(whole,
-    node, part)``.  :meth:`bind`, by equality, remains the one way in for
-    anything else: hand-built states, chunks pickled to a worker process, a
-    trace bound in another cache.
+    node, part)``, and the binding of each distinct state is built once and
+    handed to every trace that passes through it.  :meth:`bind`, by
+    equality, remains the one way in for anything else: hand-built states,
+    chunks pickled to a worker process, a trace bound in another cache.
 
     The library folds from one thread, but a caller may share one instance
     between threads of its own: a hit is one dict probe, and everything
@@ -141,7 +160,8 @@ class SuccessorCache:
 
     __slots__ = (
         "spec", "max_entries", "expander", "fallback_reason", "interner",
-        "_cache", "_decoded", "_spliced", "_initials", "_epoch", "_lock",
+        "_cache", "_decoded", "_spliced", "_bindings", "_successors", "_initials",
+        "_epoch", "_lock",
         "hits", "misses", "decode_hits", "decode_misses", "splice_hits", "splice_misses",
     )
 
@@ -163,6 +183,10 @@ class SuccessorCache:
         #: (id(whole), node, key part) -> (whole, spliced whole, its key part
         #: and packed fp): retaining ``whole`` keeps its id from being reused.
         self._spliced: Dict[Tuple[Any, ...], Tuple[Any, Any, Any, bytes]] = {}
+        #: key -> the one binding :meth:`splice` hands out for that state.
+        self._bindings: Dict[Tuple[Any, ...], Binding] = {}
+        #: Successors held in the columns of ``_cache``'s expansions.
+        self._successors = 0
         self._initials: Tuple[int, List[Binding]] = (-1, [])
         self._epoch = self.interner.evictions
         self._lock = threading.Lock()
@@ -193,10 +217,12 @@ class SuccessorCache:
     def stats(self) -> Dict[str, Any]:
         """The kernel kind and the counters of everything the cache runs on.
 
-        ``hits`` / ``misses`` / ``cache_entries``: the successor memo;
-        ``decode_*`` / ``splice_*``: the decode plan (all misses when every
-        payload is distinct); ``interner_*``: the value interner; ``memo_*``:
-        the generic kernel's read-set memo summed over its actions.
+        ``hits`` / ``misses`` / ``cache_entries``: the successor memo, and
+        ``successors`` the successors its columns hold; ``decode_*`` /
+        ``splice_*``: the decode plan (all misses when every payload is
+        distinct), and ``binding_entries`` the distinct states it has bound;
+        ``interner_*``: the value interner; ``memo_*``: the generic kernel's
+        read-set memo summed over its actions.
         """
         interner = self.interner.stats()
         memo = getattr(self.expander, "compile_info", {}).get("memo") or {}
@@ -205,6 +231,8 @@ class SuccessorCache:
             "hits": self.hits,
             "misses": self.misses,
             "cache_entries": len(self._cache),
+            "successors": self._successors,
+            "binding_entries": len(self._bindings),
             "decode_hits": self.decode_hits,
             "decode_misses": self.decode_misses,
             "decode_entries": len(self._decoded),
@@ -229,14 +257,17 @@ class SuccessorCache:
         if self.interner.evictions != self._epoch:
             # The interner let go of objects the memos are keyed on: equal
             # values are canonical under new identities from here on.
-            self._cache, self._decoded, self._spliced = {}, {}, {}
+            self._cache, self._decoded, self._spliced, self._bindings = {}, {}, {}, {}
+            self._successors = 0
             self._epoch = self.interner.evictions
         entries = getattr(self, memo)
         if len(entries) >= self.max_entries:
             # Oldest half, as FingerprintCache and the verdict memo do: a
             # wholesale clear would drop every hot entry mid-batch.
             for stale in list(islice(entries, len(entries) // 2)):
-                del entries[stale]
+                dropped = entries.pop(stale)
+                if memo == "_cache":
+                    self._successors -= len(dropped)
         entries[key] = entry
 
     # -- binding: observed values -> canonical values + exact key --------------
@@ -278,9 +309,10 @@ class SuccessorCache:
     ) -> Binding:
         """The state ``payload`` reports after ``binding``: variable names to
         JSON-encoded values -- whole values, or with ``node``, for the
-        variables in ``per_node_slots``, that node's slot of each.  Raises
-        ``KeyError(name)`` for an undeclared variable, ``IndexError(slot,
-        size)`` for a node the variable has no slot for."""
+        variables in ``per_node_slots``, that node's slot of each.  A state
+        spliced before in this interner epoch gets the binding it got then.
+        Raises ``KeyError(name)`` for an undeclared variable,
+        ``IndexError(slot, size)`` for a node the variable has no slot for."""
         text = repr(payload)
         live = self.interner.evictions == self._epoch
         parts = self._decoded.get(text) if live else None
@@ -302,8 +334,14 @@ class SuccessorCache:
             new_values[slot] = value
             new_key[slot] = part
             new_fps[slot] = packed
-        values = tuple(new_values)
-        return values, values, tuple(new_key), tuple(new_fps)
+        key = tuple(new_key)
+        found = self._bindings.get(key) if live else None
+        if found is None:
+            values = tuple(new_values)
+            found = values, values, key, tuple(new_fps)
+            with self._lock:
+                self._file("_bindings", key, found)
+        return found
 
     def _decode(
         self, text: str, payload: Mapping[str, Any]
@@ -338,7 +376,7 @@ class SuccessorCache:
         """The memoized expansion of the state bound as ``binding``.
 
         A miss runs the expander on the canonical values and keeps what it
-        hands back as it is -- no successor is bound to find one of them.
+        hands back in columns -- no successor is bound to find one of them.
         """
         _seen, values, key, fps = binding
         if self.interner.evictions == self._epoch:
@@ -349,8 +387,9 @@ class SuccessorCache:
         self.misses += 1
         with self._lock:
             transitions = self.expander.transitions(values)
-            found = _Expansion(values, key, packed_state_fingerprint(fps), transitions)
+            found = _Expansion(values, packed_state_fingerprint(fps), transitions)
             self._file("_cache", key, found)
+            self._successors += len(found)
         return found
 
 
@@ -405,7 +444,8 @@ class BoundTrace(Sequence):
     """What decoding logs or a corpus against a spec yields: to a fold on the
     same cache and interner epoch, bindings it steps on as they are; to
     everyone else a sequence of :class:`State` objects, built when indexed,
-    equal to a list of equal states and pickled as one."""
+    equal to a list of equal states and pickled as one.  Traces decoded into
+    one cache share the binding of every state they have in common."""
 
     __slots__ = ("cache", "bindings", "epoch")
 
@@ -448,9 +488,10 @@ class TraceFold:
 
     The fold's position is the current state's *binding* in the
     :class:`SuccessorCache` -- canonical values, exact key, packed slot
-    fingerprints -- so a step is one join, one digest, one dict probe and one
-    comparison, a :class:`BoundTrace` of the same cache is stepped on as it
-    is, and the coverage fingerprint is the one the step was found by.
+    fingerprints -- so a step is one join, one digest, one probe of a
+    fingerprint column and one comparison, a :class:`BoundTrace` of the same
+    cache is stepped on as it is, and the coverage fingerprint is the one the
+    step was found by.
     ``state`` is built for whoever asks: a checkpoint, a pool task.
     """
 
@@ -524,16 +565,17 @@ class TraceFold:
         is the current key again, or equals the current state whatever its
         key, is a stutter.  Otherwise the observation's fingerprint -- one
         join and digest of the slot fingerprints its binding carries --
-        *selects* the first transition with that fingerprint, and the step
-        matches it only if the transition's values equal the observed ones;
-        no match is ever reported on fingerprint equality alone.  When the
-        probe finds nothing or the candidate differs -- a log that reports
-        ``1`` where the spec holds ``True``, two successors sharing a
-        fingerprint -- the observation is compared with every successor, and
-        only when that fails too is the step a violation.  (A spec whose own
-        successors are equal but differently typed is matched by the
-        identically typed one: their fingerprints differ.)  The fold then
-        stands on the binding *as observed*, with its own fingerprint.
+        *selects* the first successor with that fingerprint in the
+        expansion's fingerprint column, and the step matches it only if its
+        values equal the observed ones; no match is ever reported on
+        fingerprint equality alone.  When the probe finds nothing or the
+        candidate differs -- a log that reports ``1`` where the spec holds
+        ``True``, two successors sharing a fingerprint -- the observation is
+        compared with every successor, and only when that fails too is the
+        step a violation.  (A spec whose own successors are equal but
+        differently typed is matched by the identically typed one: their
+        fingerprints differ.)  The fold then stands on the binding *as
+        observed*, with its own fingerprint.
 
         ``what`` names the observation in the failure message (the streaming
         driver says which log event it was); the default is the step's index.
@@ -548,11 +590,9 @@ class TraceFold:
         else:
             here = self._successors()
             fp = packed_state_fingerprint(fps)
-            found = here.index.get(fp)
-            if found is not None and found[1] == values:
-                matched = found[0]
-            else:
-                for matched, successor, _fp in here.transitions:
+            at = here.find(fp)
+            if at is None or here.successors[at] != values:
+                for at, successor in enumerate(here.successors):
                     if successor == values:
                         break
                 else:
@@ -565,6 +605,7 @@ class TraceFold:
                         observed=State.from_values(self.spec.schema, values).to_dict(),
                     )
                     return None
+            matched = here.actions[at]
         if matched is STUTTER:
             self.stutters += 1
         else:

@@ -780,7 +780,9 @@ def test_with_frozen_fields_and_updates_fast_paths():
 
 
 def test_coverage_counts_enabled_actions():
-    from repro.tla.coverage import CoverageReport, coverage_of_trace
+    from coverage_reference import coverage_of_trace
+
+    from repro.tla.coverage import CoverageReport
 
     spec = build_spec("locking")
     trace = [state for state in spec.initial_states()]

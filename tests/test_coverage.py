@@ -3,12 +3,13 @@
 import random
 
 import pytest
+from coverage_reference import coverage_of_trace
 
 from repro.engine import check_spec
 from repro.tla import check_trace
 from repro.pipeline.runner import check_one
 from repro.pipeline.workload import generate_workload
-from repro.tla.coverage import CoverageReport, coverage_of_trace, merge_reports
+from repro.tla.coverage import CoverageReport, merge_reports
 from repro.tla.errors import TraceInitialStateMismatch
 from repro.tla.registry import build_spec
 

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.engine import DiskFingerprintStore
 from repro.engine.store import (
-    DiskFingerprintStore,
     FingerprintSetStore,
     StateRetainingStore,
     make_store,

@@ -151,8 +151,9 @@ def _through_logs(spec, name, trace):
 
 
 def _assert_fold_is_reference(spec, cache, states):
+    from coverage_reference import coverage_of_trace
+
     from repro.pipeline.runner import check_one
-    from repro.tla.coverage import coverage_of_trace
 
     result, coverage = check_one(
         spec, cache, states,
