@@ -4,31 +4,42 @@ The interpreted hot path pays three separate walks per successor value: a
 defensive :func:`~repro.tla.values.freeze`, a structural hash for the
 ``State`` object, and a fingerprint walk through the
 :class:`~repro.tla.values.FingerprintCache`.  The compiled path collapses
-them into one :class:`ValueInterner` pass that returns a *canonical* object
-plus its 64-bit fingerprint:
+them into one :class:`ValueInterner` pass that returns an *entry*: everything
+a caller binding a state slot needs, worked out once per canonical value.
 
-* an **identity memo** answers repeat lookups in O(1) -- successor states
-  share almost all of their slots with their parents, and because the
-  frontier is built from the canonical objects the interner handed out, the
-  ``id()`` of an unchanged slot hits the memo on the very next expansion;
+``(canonical, fp, key, packed)``
+    the canonical object, its 64-bit fingerprint, its exact memo key, and the
+    fingerprint packed to the 8 bytes a state fingerprint joins.
+
+The key rule lives here and nowhere else: a container's key is
+``id(canonical)``, a primitive's is ``(type, value)`` -- *not* the value
+alone, because ``True == 1 == 1.0`` would otherwise alias three different
+fingerprints onto one key.  Keys are exact, never a fingerprint, so whatever
+is keyed on them (the read-set tries of :mod:`repro.compile.kernels`, the
+trace cache of :mod:`repro.tla.trace`) adds no collision surface.
+
+* an **identity memo** ``id(canonical) -> entry`` answers repeat lookups in
+  one dict probe -- successor states share almost all of their slots with
+  their parents, and because the frontier is built from the canonical
+  objects the interner handed out, the ``id()`` of an unchanged slot hits on
+  the very next expansion;
 * an **equality memo** canonicalizes newly built but structurally known
   values (the ``held[:t] + (row,) + held[t+1:]`` idiom produces a fresh
   tuple every time), so distinct-but-equal objects collapse to one retained
-  instance and downstream identity lookups keep hitting;
-* a **primitive memo** keyed by ``(type, value)`` -- *not* by the value
-  alone, because ``True == 1 == 1.0`` would otherwise alias three different
-  fingerprints onto one entry.  The equality memo keeps them apart too: a
-  hit is checked for type agreement (``(False, True) == (0, 1)``), and the
-  later comer of such a pair is filed under a key that spells out its types.
+  instance and downstream identity lookups keep hitting.  A hit is checked
+  for type agreement (``(False, True) == (0, 1)``), and the later comer of
+  such a pair is filed under a key that spells out its types;
+* a **primitive memo** keyed by ``(type, value)``, whose first comer is the
+  canonical object of every equal primitive of its type.
 
 Fingerprints are computed by the same :func:`repro.tla.values._fp_of`
 walk the interpreter uses, so a compiled fingerprint is equal to the
 interpreted one *by construction*, not by parallel reimplementation.
 
-Identity-memo safety: only canonical objects (retained by the equality
-memo's entry tuples) are keyed by ``id()``.  A retained object's address
-cannot be reused while its entry lives, and eviction purges both memos
-together, so a stale-id hit is impossible.
+Identity-memo safety: only canonical objects (retained by the entry tuples of
+the equality and primitive memos) are keyed by ``id()``.  A retained
+object's address cannot be reused while its entry lives, and eviction purges
+the identity memo with the other two, so a stale-id hit is impossible.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ from itertools import islice
 from typing import Any, Tuple
 
 from ..tla.values import (
+    _FP_PACK,
     _PRIMITIVE_TYPES,
     _digest,
     _fp_of,
@@ -48,7 +60,10 @@ from ..tla.values import (
     state_fingerprint,
 )
 
-__all__ = ["ValueInterner", "packed_state_fingerprint", "state_fingerprint"]
+__all__ = ["Entry", "ValueInterner", "packed_state_fingerprint", "state_fingerprint"]
+
+#: What :meth:`ValueInterner.intern` returns: ``(canonical, fp, key, packed fp)``.
+Entry = Tuple[Any, int, Any, bytes]
 
 #: Leads the equality-memo key of a value that is equal to, but typed
 #: differently from, a value already canonical; no spec value can equal it.
@@ -87,13 +102,14 @@ class ValueInterner:
     def __init__(self, *, max_entries: int = MAX_ENTRIES) -> None:
         if max_entries < 2:
             raise ValueError("max_entries must be at least 2")
-        #: id(canonical) -> (canonical, fp).  The entry tuple retains the
-        #: canonical object, which is what makes keying by id safe.
-        self._by_id: dict[int, Tuple[Any, int]] = {}
-        #: frozen value -> (canonical, fp), keyed by equality.
-        self._canon: dict[Any, Tuple[Any, int]] = {}
-        #: (type, value) -> fp for primitives.
-        self._prim: dict[Tuple[type, Any], int] = {}
+        #: id(canonical) -> entry, for every canonical object.  The entry
+        #: tuple retains the object, which is what makes keying by id safe;
+        #: binding a slot that already holds a canonical object is one probe.
+        self._by_id: dict[int, Entry] = {}
+        #: frozen container -> entry, keyed by equality.
+        self._canon: dict[Any, Entry] = {}
+        #: (type, value) -> entry for primitives.
+        self._prim: dict[Tuple[type, Any], Entry] = {}
         self.max_entries = max_entries
         #: Sub-value memo for the structural fingerprint walk on misses.
         self.cache = FingerprintCache(max_entries=max_entries)
@@ -104,14 +120,15 @@ class ValueInterner:
     def __len__(self) -> int:
         return len(self._canon)
 
-    def intern(self, value: Any) -> Tuple[Any, int]:
-        """``(canonical value, fingerprint)`` for an arbitrary spec value.
+    def intern(self, value: Any) -> Entry:
+        """``(canonical, fp, key, packed fp)`` for an arbitrary spec value.
 
         The canonical value is frozen, equal to ``value`` *with the same
         types throughout* (never ``(0, 1)`` for ``(False, True)``), and
         stable: two such inputs intern to the *same* object, so later lookups
         hit the identity memo.  The fingerprint equals
-        ``fingerprint(freeze(value))`` from :mod:`repro.tla.values`.
+        ``fingerprint(freeze(value))`` from :mod:`repro.tla.values`; the key
+        and the packed fingerprint are the module docstring's.
         """
         entry = self._by_id.get(id(value))
         if entry is not None:
@@ -120,16 +137,12 @@ class ValueInterner:
         tp = type(value)
         if tp in _PRIMITIVE_TYPES:
             key = (tp, value)
-            fp = self._prim.get(key)
-            if fp is None:
+            entry = self._prim.get(key)
+            if entry is None:
                 fp = _digest(b"P" + repr(value).encode("utf-8"))
-                prim = self._prim
-                if len(prim) >= self.max_entries:
-                    for stale in list(islice(prim, len(prim) // 2)):
-                        del prim[stale]
-                    self.evictions += 1
-                prim[key] = fp
-            return value, fp
+                entry = (value, fp, key, _FP_PACK(fp))
+                self._file(self._prim, key, entry)
+            return entry
         self.misses += 1
         key = value = freeze(value)
         entry = self._canon.get(key)
@@ -138,17 +151,11 @@ class ValueInterner:
             entry = self._canon.get(key)
         if entry is None:
             fp = _fp_of(value, self.cache)
-            entry = (value, fp)
-            if len(self._canon) >= self.max_entries:
-                self._evict_oldest_half()
-            self._canon[key] = entry
-            self._by_id[id(value)] = entry
-        else:
-            # Map the canonical object's id too (idempotent); the caller's
-            # fresh-but-equal object is NOT id-mapped -- it is about to be
-            # dropped in favour of the canonical one, and memoizing a dead
-            # object's address would invite id-reuse aliasing.
-            self._by_id[id(entry[0])] = entry
+            entry = (value, fp, id(value), _FP_PACK(fp))
+            self._file(self._canon, key, entry)
+        # The caller's fresh-but-equal object is NOT id-mapped: it is about
+        # to be dropped in favour of the canonical one, and memoizing a dead
+        # object's address would invite id-reuse aliasing.
         return entry
 
     def slot_fingerprints(self, values: Tuple[Any, ...]) -> list:
@@ -156,13 +163,16 @@ class ValueInterner:
         intern = self.intern
         return [intern(value)[1] for value in values]
 
-    def _evict_oldest_half(self) -> None:
-        canon = self._canon
+    def _file(self, memo: dict, key: Any, entry: Entry) -> None:
+        """Keep a new canonical ``entry`` in ``memo`` and the identity memo,
+        first discarding the oldest half of ``memo`` if it is full."""
         by_id = self._by_id
-        for key in list(islice(canon, len(canon) // 2)):
-            entry = canon.pop(key)
-            by_id.pop(id(entry[0]), None)
-        self.evictions += 1
+        if len(memo) >= self.max_entries:
+            for stale in list(islice(memo, len(memo) // 2)):
+                by_id.pop(id(memo.pop(stale)[0]), None)
+            self.evictions += 1
+        memo[key] = entry
+        by_id[id(entry[0])] = entry
 
     def stats(self) -> dict:
         """Hit/miss/eviction counters and the current entry counts."""

@@ -52,10 +52,14 @@ reads**, not once per state:
   exact for value-dependent read orders (``AdvanceCommitPoint`` reads only
   ``role`` when there is no leader and three more variables when there is
   one);
+* binding a state is one identity probe per slot: the interner's entry for
+  a canonical object already carries its trie key and packed fingerprint;
 * ``transitions`` is then, per action, one dict lookup per slot read down
-  to a leaf, and per stored update a slot splice and one fingerprint join
-  -- no closure call, no ``freeze``, no ``intern``; ``verdict_for`` is the
-  same walk down each invariant's and the constraint's trie.
+  to a leaf, walked inline, and per stored update a slot splice and one
+  fingerprint join and digest -- no closure call, no ``freeze``, no
+  ``intern``, no bound state; ``verdict_for`` is the same walk down each
+  invariant's and the constraint's trie.  A :class:`_BoundState` is built
+  only for a function the walk found no leaf for.
 
 **The purity contract.**  Memoizing is sound when an effect, invariant or
 constraint is a function of what it reads through the ``State`` surface (and
@@ -71,8 +75,9 @@ the BFS engines never expand or judge twice).
 ``(type, value)`` pair for primitives, so ``True``/``1``/``1.0`` stay
 apart), never 64-bit fingerprints, so the memo adds no collision surface.
 An id is only meaningful while the interner retains the object: every bound
-state remembers the interner's eviction count, the tries are dropped when it
-moves, and nothing is stored under keys bound before an eviction.
+state remembers the interner's eviction count from before its first slot,
+the tries are dropped when it moves -- including in the middle of a bind --
+and nothing is stored for a state bound before or across an eviction.
 Exceptions are never cached and surface with the wrapping they always had.
 
 **When an action goes opaque.**  It is called directly from then on, with
@@ -101,13 +106,13 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from zlib import adler32, crc32
 
 from ..engine.base import SuccessorInfo, Transition, Verdict, memoized_verdict
 from ..tla.errors import EvaluationError
 from ..tla.spec import Action, Invariant, Specification
 from ..tla.state import State, VariableSchema
-from ..tla.values import _FP_PACK
-from .interner import _PRIMITIVE_TYPES, ValueInterner, packed_state_fingerprint
+from .interner import Entry, ValueInterner
 
 __all__ = ["CompiledSpec", "build_generic_kernels"]
 
@@ -123,36 +128,33 @@ OPAQUE_AFTER = 32
 class _BoundState(State):
     """One state as the generic kernel sees it, and as an effect reads it.
 
-    Holds the canonical value tuple with its per-slot memo keys and
-    fingerprints, and records which slots are read through ``state[...]``.
-    Every other way at the values goes through :attr:`values` (the base
-    class's own methods included) and counts as reading all of them.
+    Built only when a function has to be evaluated -- a trie miss, an opaque
+    function -- from the slots' interner entries (:meth:`_ReadSetMemo.bind`):
+    the canonical values and their memo keys, kept as columns.  Records which
+    slots are read through ``state[...]``, looked up in the schema's name ->
+    slot dict.  Every other way at the values goes through :attr:`values`
+    (the base class's own methods included) and counts as reading all of
+    them.
     """
 
-    __slots__ = ("_vals", "_keys", "_fps", "_epoch", "_reads", "_all")
+    __slots__ = ("_vals", "_keys", "_epoch", "_reads", "_all")
 
     __setattr__ = object.__setattr__
 
-    def __init__(
-        self,
-        schema: VariableSchema,
-        vals: Tuple[Any, ...],
-        keys: List[Any],
-        fps: List[bytes],
-        epoch: int,
-    ) -> None:
+    def __init__(self, schema: VariableSchema, entries: List[Entry], epoch: int) -> None:
         self.schema = schema
-        self._vals = vals
-        self._keys = keys
-        self._fps = fps
-        #: The interner's eviction count when the keys were taken.
+        self._vals, _fps, self._keys, _packed = zip(*entries)
+        #: The interner's eviction count before the first slot was bound.
         self._epoch = epoch
         self._fp = None
         self._reads: Dict[int, None] = {}
         self._all = False
 
     def __getitem__(self, name: str) -> Any:
-        slot = self.schema.index_of(name)
+        try:
+            slot = self.schema._index[name]
+        except KeyError:
+            slot = self.schema.index_of(name)  # raises the schema's SpecError
         self._reads[slot] = None
         return self._vals[slot]
 
@@ -194,7 +196,8 @@ class _Memoized:
 
 
 class _ReadSetMemo:
-    """The tries of one compiled spec: lookup, store, shared cap, eviction."""
+    """The tries of one compiled spec: binding, the miss path, shared cap,
+    eviction.  The kernels walk the tries themselves."""
 
     def __init__(self, schema: VariableSchema, interner: ValueInterner) -> None:
         self.schema = schema
@@ -215,38 +218,38 @@ class _ReadSetMemo:
         self.functions.append(function)
         return function
 
-    def bind(self, values: Tuple[Any, ...]) -> _BoundState:
-        """Canonicalize ``values`` and take their memo keys and fingerprints."""
+    def bind(self, values: Tuple[Any, ...]) -> Tuple[List[Entry], int]:
+        """``(entries, epoch)``: each slot's interner entry -- one identity
+        probe for a slot already canonical, ``intern`` else -- and the
+        interner's eviction count from *before* the first slot.
+
+        A state bound across an eviction may hold objects the interner has
+        just let go of, so its :class:`_BoundState` carries that earlier
+        count and nothing is stored for it; the tries are dropped here.
+        """
         interner = self.interner
-        intern = interner.intern
-        vals, keys, fps = [], [], []
-        for value in values:
-            canonical, fp = intern(value)
-            tp = type(canonical)
-            vals.append(canonical)
-            keys.append((tp, canonical) if tp in _PRIMITIVE_TYPES else id(canonical))
-            fps.append(_FP_PACK(fp))
         epoch = interner.evictions
-        if epoch != self.epoch:
+        get, intern = interner._by_id.get, interner.intern
+        entries = [get(id(value)) or intern(value) for value in values]
+        if interner.evictions != self.epoch:
             # The interner let go of objects the tries are keyed on.
             for function in self.functions:
                 function.top.clear()
                 function.stats["entries"] = 0
             self.log.clear()
-            self.epoch = epoch
-        return _BoundState(self.schema, tuple(vals), keys, fps, epoch)
+            self.epoch = interner.evictions
+        return entries, epoch
 
     def recall(self, function: _Memoized, state: _BoundState) -> Any:
-        """``function.evaluate(state)``, from the trie when its reads are known."""
-        stats, keys = function.stats, state._keys
+        """``function.evaluate(state)`` where its trie has no leaf for ``state``.
+
+        The kernels walk the tries themselves and come here on a miss -- the
+        result is stored if its reads allow -- or for an opaque function,
+        which is called directly.
+        """
+        stats = function.stats
         if stats["opaque"]:
             return function.evaluate(state)
-        node = function.top.get(None)
-        while type(node) is _Branch:
-            node = node.children.get(keys[node.slot])
-        if node is not None:
-            stats["hits"] += 1
-            return node
         stats["misses"] += 1
         state._reads = {}
         state._all = False
@@ -330,14 +333,14 @@ def _action_evaluator(
             ):
                 update = []
                 for var, val in item.items():
-                    canonical, vfp = intern(val)
-                    update.append((index_of(var), canonical, _FP_PACK(vfp)))
+                    canonical, _fp, _key, packed = intern(val)
+                    update.append((index_of(var), canonical, packed))
             elif isinstance(item, State):
                 state._all = True  # a ready-made State stands for every slot
                 update = []
                 for slot, val in enumerate(item.values):
-                    canonical, vfp = intern(val)
-                    update.append((slot, canonical, _FP_PACK(vfp)))
+                    canonical, _fp, _key, packed = intern(val)
+                    update.append((slot, canonical, packed))
             else:
                 raise EvaluationError(
                     f"action {name!r} produced {tp.__name__}; "
@@ -348,35 +351,6 @@ def _action_evaluator(
         return tuple(updates)
 
     return evaluate
-
-
-class _MemoizedPredicates:
-    """``violated_invariant`` / ``within_constraint`` over bound states.
-
-    The spec's two predicates, answered from the tries.
-    """
-
-    def __init__(self, spec: Specification, memo: _ReadSetMemo) -> None:
-        self._recall = memo.recall
-        self._invariants = [
-            (inv, memo.memoize(inv.name, inv.holds)) for inv in spec.invariants
-        ]
-        constraint = spec.constraint
-        self._constraint = (
-            None
-            if constraint is None
-            else memo.memoize("constraint", lambda state: bool(constraint(state)))
-        )
-
-    def violated_invariant(self, state: _BoundState) -> Optional[Invariant]:
-        recall = self._recall
-        for inv, function in self._invariants:
-            if not recall(function, state):
-                return inv
-        return None
-
-    def within_constraint(self, state: _BoundState) -> bool:
-        return self._constraint is None or self._recall(self._constraint, state)
 
 
 def build_generic_kernels(
@@ -394,33 +368,71 @@ def build_generic_kernels(
         memo.memoize(act.name, _action_evaluator(act, schema, interner))
         for act in spec.actions
     ]
-    predicates = _MemoizedPredicates(spec, memo)
-    violated_invariant = predicates.violated_invariant
-    within_constraint = predicates.within_constraint
+    # ``(function, invariant name)`` per invariant, then the constraint's
+    # with None for a name.
+    predicates = [(memo.memoize(inv.name, inv.holds), inv.name) for inv in spec.invariants]
+    constraint = spec.constraint
+    if constraint is not None:
+        predicates.append(
+            (memo.memoize("constraint", lambda state: bool(constraint(state))), None)
+        )
     verdicts: Dict[int, Verdict] = {}  # expand's memo; see memoized_verdict
 
     def verdict_for(values: Tuple[Any, ...], fp: int) -> Verdict:
-        state = bind(values)
-        violated = violated_invariant(state)
-        return (
-            None if violated is None else violated.name,
-            within_constraint(state),
-        )
+        """The first violated invariant, then the constraint: each walked
+        down its trie, and :meth:`_ReadSetMemo.recall` only without a leaf."""
+        entries, epoch = bind(values)
+        state = None  # built for the first function without a leaf
+        violated, within = None, True
+        for function, invariant in predicates:
+            if invariant is not None and violated is not None:
+                continue  # one violated invariant is the answer
+            stats = function.stats
+            node = None if stats["opaque"] else function.top.get(None)
+            while type(node) is _Branch:
+                node = node.children.get(entries[node.slot][2])
+            if node is None:
+                if state is None:
+                    state = _BoundState(schema, entries, epoch)
+                node = recall(function, state)
+            else:
+                stats["hits"] += 1
+            if invariant is None:
+                within = node
+            elif not node:
+                violated = invariant
+        return violated, within
 
     def transitions(values: Tuple[Any, ...]) -> List[Transition]:
-        state = bind(values)
-        vals, fps = state._vals, state._fps
+        """Per action, a walk down its trie -- one dict probe per slot read,
+        :meth:`_ReadSetMemo.recall` only without a leaf -- then per stored
+        update a splice and the state fingerprint's join and digest."""
+        entries, epoch = bind(values)
+        vals, _fps, keys, fps = zip(*entries)
+        state = None  # built for the first action without a leaf
         found: List[Transition] = []
         append = found.append
         for function in actions:
+            stats = function.stats
+            node = None if stats["opaque"] else function.top.get(None)
+            while type(node) is _Branch:
+                node = node.children.get(keys[node.slot])
+            if node is None:
+                if state is None:
+                    state = _BoundState(schema, entries, epoch)
+                node = recall(function, state)
+            else:
+                stats["hits"] += 1
             name = function.name
-            for update in recall(function, state):
+            for update in node:
                 new_values = list(vals)
                 new_fps = list(fps)
                 for slot, canonical, vfp in update:
                     new_values[slot] = canonical
                     new_fps[slot] = vfp
-                append((name, tuple(new_values), packed_state_fingerprint(new_fps)))
+                # packed_state_fingerprint(new_fps), without its two frames.
+                data = b"T" + b"".join(new_fps)
+                append((name, tuple(new_values), (adler32(data) << 32) | crc32(data)))
         return found
 
     def expand(values: Tuple[Any, ...]) -> List[SuccessorInfo]:

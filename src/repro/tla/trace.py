@@ -32,7 +32,7 @@ from .coverage import CoverageReport
 from .errors import TraceInitialStateMismatch, TraceMismatch
 from .spec import Specification
 from .state import State
-from .values import _FP_PACK, _PRIMITIVE_TYPES, decode_value, packed_state_fingerprint
+from .values import decode_value, packed_state_fingerprint
 
 __all__ = [
     "STUTTER",
@@ -129,10 +129,11 @@ class SuccessorCache:
     ``Specification`` object shares.
 
     **Keys are exact; a fingerprint selects, equality decides.**  A state is
-    bound slot by slot: each value canonical in the interner and filed under
-    its identity (a ``(type, value)`` pair for a primitive, as the read-set
-    tries of :mod:`repro.compile.kernels` do), its packed fingerprint kept
-    beside it.  The memo is keyed on those identities -- never on a 64-bit
+    bound slot by slot to the value's interner entry: the canonical object,
+    its key (its identity; a ``(type, value)`` pair for a primitive -- the
+    interner's one rule, which the read-set tries of
+    :mod:`repro.compile.kernels` key on too) and its packed fingerprint, none
+    of them worked out here.  The memo is keyed on those keys -- never on a 64-bit
     fingerprint -- an entry retains the objects its key names, and every memo
     is dropped when the interner's eviction count moves.  A state's
     *successors* are kept as the expander handed them back, none of them
@@ -247,10 +248,10 @@ class SuccessorCache:
         return stats
 
     def _canonical(self, value: Any) -> Tuple[Any, Any, bytes]:
-        """``(canonical object, key part, packed fingerprint)`` of one slot's value."""
-        value, fp = self.interner.intern(value)
-        tp = type(value)
-        return value, ((tp, value) if tp in _PRIMITIVE_TYPES else id(value)), _FP_PACK(fp)
+        """``(canonical object, key part, packed fingerprint)`` of one slot's
+        value: its interner entry, less the fingerprint as an int."""
+        canonical, _fp, key, packed = self.interner.intern(value)
+        return canonical, key, packed
 
     def _file(self, memo: str, key: Any, entry: Any) -> None:
         """Under the lock: keep a miss's ``entry`` in the memo named ``memo``."""

@@ -720,7 +720,7 @@ def test_interner_fingerprints_match_interpreted():
         [{"a": 1}, {"a": 2}],
     ]
     for value in samples:
-        _, fp = interner.intern(value)
+        _, fp, _, _ = interner.intern(value)
         assert fp == fingerprint(freeze(value), frozen=True)
 
 
@@ -733,8 +733,8 @@ def test_interner_distinguishes_equal_primitives_of_different_type():
 
 def test_interner_canonicalizes_equal_values():
     interner = ValueInterner()
-    a, fp_a = interner.intern(("x", ("y", 1)))
-    b, fp_b = interner.intern(("x", ("y", 1)))
+    a, fp_a, _, _ = interner.intern(("x", ("y", 1)))
+    b, fp_b, _, _ = interner.intern(("x", ("y", 1)))
     assert a is b and fp_a == fp_b
     assert interner.stats()["hits"] >= 1
 

@@ -174,7 +174,7 @@ class TestEqualButDifferentlyTyped:
 
         interner = ValueInterner()
         for value in (first, second, first, second):
-            canonical, fp = interner.intern(value)
+            canonical, fp, _key, _packed = interner.intern(value)
             assert repr(canonical) == repr(value)
             assert fp == fingerprint(value)
         # Each of the two is canonical under its own identity from then on.
