@@ -300,9 +300,9 @@ class CheckContext:
     #: switch it on -- see :meth:`repro.resilience.faults.FaultPlan.from_env`).
     chaos: Optional[FaultPlan] = None
     #: Periodic checkpointing: write a resumable snapshot to this path every
-    #: ``checkpoint_every`` completed BFS levels (0 disables).
+    #: ``checkpoint_every`` completed BFS levels.
     checkpoint_path: Optional[str] = None
-    checkpoint_every: int = 0
+    checkpoint_every: int = 1
     #: The store capacity of this run (recorded into checkpoints): the disk
     #: store's write-back cache size.
     store_capacity: Optional[int] = None
@@ -408,9 +408,7 @@ class CheckContext:
         The store's snapshot carries the parent pointers (the disk store's
         as a rewind point into its own file).
         """
-        if not self.checkpoint_path or self.checkpoint_every <= 0:
-            return
-        if depth % self.checkpoint_every != 0:
+        if not self.checkpoint_path or depth % self.checkpoint_every:
             return
         result = self.result
         checkpoint = Checkpoint(
@@ -483,8 +481,10 @@ class Engine:
     #: Store names the engine accepts; the first entry is the default that
     #: ``store="auto"`` resolves to.
     supported_stores: Tuple[str, ...] = ("fingerprint",)
-    #: True when the engine is bounded by its own budgets (walks/walk_depth)
-    #: and does not consume ``max_states``/``max_depth``.
+    #: True when the engine is bounded by its own budgets (``walks`` of
+    #: ``walk_depth`` from ``seed``, over ``workers``) instead of
+    #: ``max_states``/``max_depth``; each side's options are refused by the
+    #: other.
     bounded_exploration: bool = False
     #: True when the engine honors ``checkpoint_path``/``resume`` on its
     #: context (the level-synchronous BFS engine; exploration state of the

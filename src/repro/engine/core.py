@@ -1,12 +1,14 @@
 """The coordinator: resolve engine + store, build the context, run, report.
 
 :class:`ModelChecker` is the public face of the engine package.  It
-contains no exploration logic: it validates the requested
-configuration, resolves ``engine="auto"`` / ``store="auto"`` to concrete
-registered names *eagerly* (``checker.resolved_engine`` and
-``checker.resolved_store`` are set before ``run()`` -- nothing resolves
-silently mid-run), builds the :class:`~repro.engine.base.CheckContext`, and
+contains no exploration logic: it is the one validator of the ``check``
+options (every bad value or combination is a ``ValueError`` naming the
+parameter, raised before anything runs), resolves ``engine="auto"`` /
+``store="auto"`` to concrete registered names *eagerly*
+(``checker.resolved_engine`` and ``checker.resolved_store`` are set before
+``run()`` -- nothing resolves silently mid-run), builds the :class:`~repro.engine.base.CheckContext`, and
 hands it to the selected :class:`~repro.engine.base.Engine`.
+:func:`check_spec` forwards its options to it unchanged.
 """
 
 from __future__ import annotations
@@ -39,7 +41,13 @@ __all__ = ["ModelChecker", "check_spec"]
 
 
 class ModelChecker:
-    """Explicit-state model checker dispatching to a pluggable engine."""
+    """Explicit-state model checker dispatching to a pluggable engine.
+
+    The constructor is the one validator of the ``check`` options: a value
+    out of range, or one the resolved engine or store would silently
+    ignore, raises ``ValueError`` naming the parameter before anything runs
+    (the CLI prints it as its one ``error:`` line).
+    """
 
     def __init__(
         self,
@@ -57,13 +65,13 @@ class ModelChecker:
         store_capacity: Optional[int] = None,
         store_path: Optional[str] = None,
         spill_threshold: Optional[int] = None,
-        walks: int = 100,
-        walk_depth: int = 50,
-        seed: int = 0,
+        walks: Optional[int] = None,
+        walk_depth: Optional[int] = None,
+        seed: Optional[int] = None,
         supervision: Optional[SupervisionConfig] = None,
         chaos: Optional[FaultPlan] = None,
         checkpoint_path: Optional[str] = None,
-        checkpoint_every: int = 0,
+        checkpoint_every: Optional[int] = None,
         resume_path: Optional[str] = None,
         compile_mode: str = "auto",
     ) -> None:
@@ -74,21 +82,22 @@ class ModelChecker:
             )
         if compile_mode not in ("on", "off", "auto"):
             raise ValueError(
-                f"unknown compile mode {compile_mode!r}; expected 'on', 'off' "
-                "or 'auto'"
+                f"unknown compile mode {compile_mode!r}; compile_mode must be "
+                "'on', 'off' or 'auto'"
             )
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
-        if max_states is not None and max_states < 1:
-            raise ValueError(f"max_states must be >= 1; got {max_states}")
+        for name, value in (
+            ("max_states", max_states),
+            ("workers", workers),
+            ("walks", walks),
+            ("walk_depth", walk_depth),
+            ("store_capacity", store_capacity),
+            ("spill_threshold", spill_threshold),
+            ("checkpoint_every", checkpoint_every),
+        ):
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1; got {value}")
         if max_depth is not None and max_depth < 0:
             raise ValueError(f"max_depth must be >= 0; got {max_depth}")
-        if walks < 1:
-            raise ValueError("walks must be >= 1")
-        if walk_depth < 1:
-            raise ValueError("walk_depth must be >= 1")
-        if checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
         self.spec = spec
         self.compile_mode = compile_mode
         self.check_properties = check_properties
@@ -102,18 +111,13 @@ class ModelChecker:
         self.stop_on_violation = stop_on_violation
         self.engine = engine
         self.workers = workers
-        self.walks = walks
-        self.walk_depth = walk_depth
-        self.seed = seed
         self.store_capacity = store_capacity
         self.store_path = store_path
         self.supervision = supervision
         self.chaos = chaos
         self.checkpoint_path = checkpoint_path
-        # A checkpoint path with no interval means "every level".
-        self.checkpoint_every = (
-            checkpoint_every if checkpoint_every else (1 if checkpoint_path else 0)
-        )
+        # None means "every level"; without a path nothing is written.
+        self.checkpoint_every = checkpoint_every or 1
         self.resume_path = resume_path
 
         # Resolve ``auto`` eagerly: the resolved names are attributes (and
@@ -124,21 +128,37 @@ class ModelChecker:
             self.resolved_engine = engine
         engine_cls = get_engine(self.resolved_engine)
 
-        if engine_cls.bounded_exploration and (
-            max_states is not None or max_depth is not None
-        ):
-            raise ValueError(
-                f"the {self.resolved_engine} engine is bounded by its own "
-                "budgets (walks/walk_depth) and does not consume "
-                "max_states/max_depth; passing them would be silently ignored"
-            )
+        if engine_cls.bounded_exploration:
+            if max_states is not None or max_depth is not None:
+                raise ValueError(
+                    f"the {self.resolved_engine} engine is bounded by its own "
+                    "budgets (walks/walk_depth) and does not consume "
+                    "max_states/max_depth; passing them would be silently ignored"
+                )
+        else:
+            for option, value in (
+                ("workers", workers),
+                ("walks", walks),
+                ("walk_depth", walk_depth),
+                ("seed", seed),
+            ):
+                if value is not None:
+                    raise ValueError(
+                        f"{option} applies only to engine='simulate'; the "
+                        f"{self.resolved_engine} engine would silently ignore it"
+                    )
+        # The simulate engine's budgets when left unset.
+        self.walks = 100 if walks is None else walks
+        self.walk_depth = 50 if walk_depth is None else walk_depth
+        self.seed = 0 if seed is None else seed
         if self.collect_graph and not engine_cls.supports_graph:
             raise ValueError(
                 f"the {self.resolved_engine} engine cannot collect a state graph; "
                 "use engine='states' (or 'auto') when collect_graph or "
                 "temporal-property checking is requested"
             )
-        if engine_cls.requires_registry(workers) and spec.registry_ref is None:
+        pooled = engine_cls.requires_registry(workers)
+        if pooled and spec.registry_ref is None:
             raise CheckerError(
                 f"engine={self.resolved_engine!r} with worker processes requires "
                 f"a registered specification, but {spec.name!r} has no "
@@ -146,6 +166,13 @@ class ModelChecker:
                 "register its factory with register_spec) so worker processes "
                 "can rebuild it by name"
             )
+        for option, value in (("chaos", chaos), ("supervision", supervision)):
+            if value is not None and not pooled:
+                raise ValueError(
+                    f"{option} applies to worker pools, but "
+                    f"engine={self.resolved_engine!r} with workers={workers!r} "
+                    "runs no pool; use engine='simulate' with workers > 1"
+                )
 
         known_stores = ("auto",) + store_names()
         if store not in known_stores:
@@ -171,8 +198,6 @@ class ModelChecker:
                 "store_path only applies to the file-backed 'disk' store; "
                 "pass store='disk' with it"
             )
-        if spill_threshold is not None and spill_threshold < 1:
-            raise ValueError("spill_threshold must be >= 1")
         if spill_threshold is not None and not engine_cls.supports_checkpoint:
             raise ValueError(
                 f"the {self.resolved_engine} engine has no level-synchronous "
@@ -189,23 +214,13 @@ class ModelChecker:
         else:
             self.spill_threshold = None
 
-        # Resilience knobs: validated eagerly so a misconfigured chaos or
-        # checkpoint run fails before exploration, not silently no-ops.
-        if chaos is not None and not engine_cls.requires_registry(workers):
-            raise ValueError(
-                "chaos fault injection targets worker pools, but "
-                f"engine={self.resolved_engine!r} with workers={workers!r} "
-                "runs no pool; use engine='simulate' with workers > 1"
-            )
+        if checkpoint_every is not None and not checkpoint_path:
+            raise ValueError("checkpoint_every has no effect without checkpoint_path")
         if (checkpoint_path or resume_path) and not engine_cls.supports_checkpoint:
             raise ValueError(
-                f"the {self.resolved_engine} engine does not support "
-                "checkpoint/resume; use the fingerprint engine"
-            )
-        if checkpoint_path and self.resolved_store == "states":
-            raise ValueError(
-                "the 'states' store cannot be snapshot into a checkpoint; "
-                "use the fingerprint or disk store"
+                "checkpoint_path/resume_path need the level-synchronous BFS "
+                f"of the fingerprint engine; the {self.resolved_engine} engine "
+                "cannot snapshot its exploration"
             )
         if (
             (checkpoint_path or resume_path)
@@ -424,59 +439,17 @@ class ModelChecker:
 
 
 def check_spec(
-    spec: Specification,
-    *,
-    collect_graph: bool = False,
-    check_deadlock: bool = False,
-    check_properties: bool = True,
-    max_states: Optional[int] = None,
-    max_depth: Optional[int] = None,
-    raise_on_violation: bool = False,
-    engine: str = "auto",
-    workers: Optional[int] = None,
-    store: str = "auto",
-    store_capacity: Optional[int] = None,
-    store_path: Optional[str] = None,
-    spill_threshold: Optional[int] = None,
-    walks: int = 100,
-    walk_depth: int = 50,
-    seed: int = 0,
-    supervision: Optional[SupervisionConfig] = None,
-    chaos: Optional[FaultPlan] = None,
-    checkpoint_path: Optional[str] = None,
-    checkpoint_every: int = 0,
-    resume_path: Optional[str] = None,
-    compile_mode: str = "auto",
+    spec: Specification, *, raise_on_violation: bool = False, **options: Any
 ) -> CheckResult:
     """Convenience wrapper: build a checker, run it, optionally raise.
 
-    With ``raise_on_violation=True`` the helper raises the recorded
-    :class:`InvariantViolation`, :class:`DeadlockError` or
-    :class:`LivenessViolation`, mimicking how TLC aborts with an error trace.
+    ``options`` are :class:`ModelChecker`'s keyword parameters, forwarded
+    as given; the checker validates them.  With ``raise_on_violation=True``
+    the helper raises the recorded :class:`InvariantViolation`,
+    :class:`DeadlockError` or :class:`LivenessViolation`, mimicking how TLC
+    aborts with an error trace.
     """
-    checker = ModelChecker(
-        spec,
-        collect_graph=collect_graph,
-        check_deadlock=check_deadlock,
-        check_properties=check_properties,
-        max_states=max_states,
-        max_depth=max_depth,
-        engine=engine,
-        workers=workers,
-        store=store,
-        store_capacity=store_capacity,
-        store_path=store_path,
-        spill_threshold=spill_threshold,
-        walks=walks,
-        walk_depth=walk_depth,
-        seed=seed,
-        supervision=supervision,
-        chaos=chaos,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        resume_path=resume_path,
-        compile_mode=compile_mode,
-    )
+    checker = ModelChecker(spec, **options)
     result = checker.run()
     if raise_on_violation:
         if result.invariant_violation is not None:
@@ -490,7 +463,7 @@ def check_spec(
                     f"{outcome.explanation}",
                     property_name=outcome.property_name,
                 )
-        if result.truncated and max_states is not None:
+        if result.truncated and checker.max_states is not None:
             raise StateSpaceLimitExceeded(
                 f"exploration of {spec.name!r} was truncated at {result.distinct_states} states"
             )

@@ -263,7 +263,7 @@ class SimulationEngine(Engine):
             # workers > 1 only ever happens by explicit request (the default
             # is serial), so it is honored even for walk budgets too small
             # to amortize pool startup -- silently downgrading an explicit
-            # flag is the failure mode the CLI validation exists to prevent.
+            # flag is the failure mode ModelChecker's validation prevents.
             shards = self._run_pooled(ctx, workers)  # sets result.workers
         else:
             result.workers = 1

@@ -15,6 +15,13 @@ Subcommands mirror the paper's workflow:
   service, checking each trace incrementally with backpressure, a quarantine
   channel for undecodable lines and SIGTERM/SIGINT graceful drain.
 
+A command refuses bad options through the object it builds:
+:class:`~repro.engine.ModelChecker` for ``check`` (``check`` flags pass
+through under its parameter names) and
+:class:`~repro.stream.WatchConfig` for ``watch``.  Their ``ValueError``
+becomes one ``error:`` line and exit code 2; this module checks only the
+flags no such object has, and argparse refuses unknown names.
+
 Performance is measured from outside, by ``benchmarks/run.py``.
 """
 
@@ -22,10 +29,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import itertools
 import os
 import signal
 import sys
+from dataclasses import fields
 from typing import Any, Dict, Optional, Sequence
 
 from ..engine import ENGINES, STORES, ModelChecker, check_spec
@@ -178,6 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--depth",
         type=int,
         default=None,
+        dest="walk_depth",
+        metavar="DEPTH",
         help="max steps per random walk for --engine simulate (default: 50)",
     )
     check_p.add_argument(
@@ -192,6 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         metavar="FILE",
         default=None,
+        dest="checkpoint_path",
         help="write a resumable snapshot of the BFS every --checkpoint-every "
         "levels (fingerprint engine)",
     )
@@ -206,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         metavar="FILE",
         default=None,
+        dest="resume_path",
         help="resume an interrupted run from a --checkpoint snapshot",
     )
     check_p.add_argument(
@@ -236,9 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="per-task wall-clock budget of the supervised worker pool",
     )
-    check_p.add_argument("--deadlock", action="store_true", help="detect deadlocks")
     check_p.add_argument(
-        "--no-properties", action="store_true", help="skip temporal properties"
+        "--deadlock", action="store_true", dest="check_deadlock", help="detect deadlocks"
+    )
+    check_p.add_argument(
+        "--no-properties",
+        action="store_false",
+        dest="check_properties",
+        help="skip temporal properties",
     )
     check_p.add_argument("--dot", metavar="FILE", help="export the state graph as DOT")
     check_p.add_argument(
@@ -321,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch_p.add_argument(
         "--report",
         metavar="FILE",
+        dest="report_path",
         help="rolling report JSON, atomically rewritten while the service runs",
     )
     watch_p.add_argument(
@@ -332,11 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     watch_p.add_argument(
         "--quarantine",
         metavar="FILE",
+        dest="quarantine_path",
         help="append undecodable lines here as JSONL (with file/offset context)",
     )
     watch_p.add_argument(
         "--checkpoint",
         metavar="FILE",
+        dest="checkpoint_path",
         help="write a resumable service checkpoint here (periodic + on drain)",
     )
     watch_p.add_argument(
@@ -358,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch_p.add_argument(
         "--status-file",
         metavar="FILE",
+        dest="status_path",
         help="atomically rewrite a live service-status JSON here (per-source "
         "lag, queue depths, quarantine rate) on the --report-every cadence",
     )
@@ -488,124 +510,40 @@ def _merge_coverage_file(path: str, report: CoverageReport) -> CoverageReport:
     return report
 
 
-def _validate_check_args(args: argparse.Namespace) -> Optional[str]:
-    """Single source of truth for `check` flag consistency.
+#: :class:`ModelChecker`'s keyword parameters (all but ``spec``): a ``check``
+#: flag whose dest is one of these passes through to the checker unchanged.
+_CHECKER_PARAMETERS = tuple(inspect.signature(ModelChecker).parameters)[1:]
 
-    Every inconsistent flag combination is a hard error (exit code 2): a
-    flag silently ignored -- or "warned about" while the run proceeds with
-    different semantics than asked for -- is how a CI invocation checks the
-    wrong thing without anyone noticing.
+
+def _checker_options(args: argparse.Namespace) -> Dict[str, Any]:
+    """``check``'s flags as :class:`ModelChecker` keyword arguments.
+
+    The checker validates them; what is checked here is only what it has
+    no parameter for: ``--chaos-*`` assembled into a :class:`FaultPlan`,
+    ``--task-timeout`` into a :class:`SupervisionConfig` (each refuses its
+    own bad values), and ``--progress-every``.
     """
-    if args.dot and args.engine not in ("auto", "states"):
-        return (
-            f"--dot requires the state graph; use --engine states (or auto), "
-            f"not {args.engine!r}"
-        )
-    if args.workers is not None and args.engine != "simulate":
-        return (
-            f"--workers applies only to --engine simulate; "
-            f"the {args.engine!r} engine is single-process"
-        )
-    if args.walks is not None and args.engine != "simulate":
-        return f"--walks applies only to --engine simulate, not {args.engine!r}"
-    if args.depth is not None and args.engine != "simulate":
-        return f"--depth applies only to --engine simulate, not {args.engine!r}"
-    if args.seed is not None and args.engine != "simulate":
-        return f"--seed applies only to --engine simulate, not {args.engine!r}"
-    if args.engine == "simulate" and (
-        args.max_states is not None or args.max_depth is not None
-    ):
-        return (
-            "--max-states/--max-depth apply only to the BFS engines; "
-            "bound --engine simulate with --walks/--depth instead"
-        )
-    if args.store_capacity is not None and args.store != "disk":
-        return f"--store-capacity applies only to --store disk, not {args.store!r}"
-    if args.store_path is not None and args.store != "disk":
-        return f"--store-path applies only to --store disk, not {args.store!r}"
-    if args.spill_threshold is not None and args.engine not in ("auto", "fingerprint"):
-        return (
-            "--spill-threshold applies to the level-synchronous BFS; "
-            f"use --engine fingerprint, not {args.engine!r}"
-        )
-    if args.spill_threshold is not None and args.spill_threshold < 1:
-        return f"--spill-threshold must be >= 1; got {args.spill_threshold}"
-    # A run pools workers on an explicit multi-worker simulate request --
-    # the same predicate the coordinator's requires_registry check uses.
-    pooled = args.engine == "simulate" and (args.workers or 1) > 1
-    if args.chaos_rate is not None and not pooled:
-        return (
-            "--chaos-rate injects faults into worker pools; use --engine "
-            "simulate with --workers > 1"
-        )
-    if args.chaos_seed is not None and args.chaos_rate is None:
-        return "--chaos-seed has no effect without --chaos-rate"
-    if args.chaos_kinds is not None and args.chaos_rate is None:
-        return "--chaos-kinds has no effect without --chaos-rate"
-    if args.chaos_kinds is not None:
-        kinds = [part.strip() for part in args.chaos_kinds.split(",") if part.strip()]
-        bad = [kind for kind in kinds if kind not in FAULT_KINDS]
-        if bad or not kinds:
-            return (
-                f"--chaos-kinds must be a non-empty subset of "
-                f"{','.join(FAULT_KINDS)}; got {args.chaos_kinds!r}"
-            )
-    if args.chaos_rate is not None and not 0.0 < args.chaos_rate <= 1.0:
-        return f"--chaos-rate must be in (0, 1]; got {args.chaos_rate}"
-    if args.task_timeout is not None and not pooled:
-        return (
-            "--task-timeout tunes the supervised worker pool; use --engine "
-            "simulate with --workers > 1"
-        )
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        return f"--task-timeout must be positive; got {args.task_timeout}"
-    checkpointing = args.checkpoint is not None or args.resume is not None
-    if checkpointing and args.engine not in ("auto", "fingerprint"):
-        return (
-            "--checkpoint/--resume need the level-synchronous BFS; use "
-            f"--engine fingerprint, not {args.engine!r}"
-        )
-    if checkpointing and args.dot:
-        return "--checkpoint/--resume cannot be combined with --dot (state graph)"
-    if args.checkpoint_every is not None and args.checkpoint is None:
-        return "--checkpoint-every has no effect without --checkpoint"
-    if args.checkpoint_every is not None and args.checkpoint_every < 1:
-        return f"--checkpoint-every must be >= 1; got {args.checkpoint_every}"
-    if checkpointing and args.store == "disk" and args.store_path is None:
-        return (
-            "--checkpoint/--resume with --store disk requires --store-path: "
-            "the checkpoint references the database file, and an ephemeral "
-            "temp database disappears with the process"
-        )
     if args.progress_every is not None and args.progress_every <= 0:
-        return f"--progress-every must be positive; got {args.progress_every}"
-    return None
-
-
-def _validate_watch_args(args: argparse.Namespace) -> Optional[str]:
-    """Single source of truth for `watch` flag consistency (same policy as
-    `check`: inconsistent combinations are hard errors, never warnings)."""
-    if args.poll_interval <= 0:
-        return f"--poll-interval must be positive; got {args.poll_interval}"
-    if args.stall_timeout < 0:
-        return f"--stall-timeout must be >= 0; got {args.stall_timeout}"
-    if args.partial_retries < 1:
-        return f"--partial-retries must be >= 1; got {args.partial_retries}"
-    if args.partial_backoff <= 0:
-        return f"--partial-backoff must be positive; got {args.partial_backoff}"
-    if args.batch_limit < 1:
-        return f"--batch-limit must be >= 1; got {args.batch_limit}"
-    if args.report_every < 0:
-        return f"--report-every must be >= 0; got {args.report_every}"
-    if args.checkpoint_every is not None and args.checkpoint_every < 1:
-        return f"--checkpoint-every must be >= 1; got {args.checkpoint_every}"
-    if (
-        args.checkpoint_every is not None
-        and args.checkpoint is None
-        and args.resume is None
-    ):
-        return "--checkpoint-every has no effect without --checkpoint/--resume"
-    return None
+        raise ValueError(f"--progress-every must be positive; got {args.progress_every}")
+    options = {name: getattr(args, name) for name in _CHECKER_PARAMETERS if name in args}
+    options["collect_graph"] = bool(args.dot)
+    if args.chaos_rate is None:
+        for flag, value in (
+            ("--chaos-seed", args.chaos_seed),
+            ("--chaos-kinds", args.chaos_kinds),
+        ):
+            if value is not None:
+                raise ValueError(f"{flag} has no effect without --chaos-rate")
+    elif args.chaos_rate == 0:
+        raise ValueError("--chaos-rate 0 injects no faults; give a rate in (0, 1]")
+    else:
+        kinds = FAULT_KINDS
+        if args.chaos_kinds is not None:
+            kinds = tuple(part.strip() for part in args.chaos_kinds.split(",") if part.strip())
+        options["chaos"] = FaultPlan(seed=args.chaos_seed or 0, rate=args.chaos_rate, kinds=kinds)
+    if args.task_timeout is not None:
+        options["supervision"] = SupervisionConfig.from_env(task_timeout=args.task_timeout)
+    return options
 
 
 @contextlib.contextmanager
@@ -632,35 +570,17 @@ def _drain_signals(callback):
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    error = _validate_watch_args(args)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    options = {field.name: getattr(args, field.name) for field in fields(WatchConfig)}
+    # Resume-then-keep-checkpointing continues into the resume file
+    # unless a separate --checkpoint destination is given.
+    options["checkpoint_path"] = args.checkpoint_path or args.resume
+    config = WatchConfig(**options)
     entry = get_entry(args.spec)
     spec = build_spec(args.spec, **parse_params(args.param))
     if not _require_log_metadata(entry):
         return 2
     per_node = entry.per_node_variables(spec)
     resume_from = read_watch_checkpoint(args.resume) if args.resume else None
-    config = WatchConfig(
-        adapter=args.adapter,
-        poll_interval=args.poll_interval,
-        stall_timeout=args.stall_timeout,
-        partial_retries=args.partial_retries,
-        partial_backoff=args.partial_backoff,
-        checkpoint_every=(
-            args.checkpoint_every if args.checkpoint_every is not None else 500
-        ),
-        report_every=args.report_every,
-        batch_limit=args.batch_limit,
-        once=args.once,
-        report_path=args.report,
-        quarantine_path=args.quarantine,
-        # Resume-then-keep-checkpointing continues into the resume file
-        # unless a separate --checkpoint destination is given.
-        checkpoint_path=args.checkpoint or args.resume,
-        status_path=args.status_file,
-    )
     service = WatchService(
         spec, args.logs, per_node=per_node, config=config, resume_from=resume_from
     )
@@ -669,59 +589,18 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    error = _validate_check_args(args)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    options = _checker_options(args)
     spec = build_spec(args.spec, **parse_params(args.param))
-    collect_graph = bool(args.dot)
-    engine = args.engine
-    check_properties = not args.no_properties
-    if engine not in ("auto", "states") and check_properties and spec.properties:
-        print(f"note: {engine} engine skips temporal properties (needs the state graph)")
-        check_properties = False
-
-    chaos = None
-    if args.chaos_rate is not None:
-        kinds = FAULT_KINDS
-        if args.chaos_kinds is not None:
-            kinds = tuple(
-                part.strip() for part in args.chaos_kinds.split(",") if part.strip()
-            )
-        chaos = FaultPlan(
-            seed=args.chaos_seed if args.chaos_seed is not None else 0,
-            rate=args.chaos_rate,
-            kinds=kinds,
-        )
-    supervision = None
-    if args.task_timeout is not None:
-        supervision = SupervisionConfig.from_env(task_timeout=args.task_timeout)
-
-    def run():
-        checker = ModelChecker(
-            spec,
-            collect_graph=collect_graph,
-            check_deadlock=args.deadlock,
-            check_properties=check_properties,
-            max_states=args.max_states,
-            max_depth=args.max_depth,
-            engine=engine,
-            workers=args.workers,
-            store=args.store,
-            store_capacity=args.store_capacity,
-            store_path=args.store_path,
-            spill_threshold=args.spill_threshold,
-            walks=args.walks if args.walks is not None else 100,
-            walk_depth=args.depth if args.depth is not None else 50,
-            seed=args.seed if args.seed is not None else 0,
-            supervision=supervision,
-            chaos=chaos,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every or 0,
-            resume_path=args.resume,
-            compile_mode=args.compile_mode,
-        )
-        return checker.run()
+    skips_properties = (
+        args.engine not in ("auto", "states")
+        and options["check_properties"]
+        and bool(spec.properties)
+    )
+    if skips_properties:
+        options["check_properties"] = False
+    checker = ModelChecker(spec, **options)
+    if skips_properties:
+        print(f"note: {args.engine} engine skips temporal properties (needs the state graph)")
 
     # A service manager stops a long check with SIGTERM, not ctrl-C; route
     # it through the same checkpoint-and-report path KeyboardInterrupt takes
@@ -734,7 +613,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     try:
         with _drain_signals(_convert_to_interrupt):
-            result = run()
+            result = checker.run()
     except CheckInterrupted as exc:
         # Partial results are still results: report what the run managed and
         # where it can be resumed from, then exit with 128 + signum.

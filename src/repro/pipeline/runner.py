@@ -342,7 +342,8 @@ def check_traces(
     ``fail_fast=True`` stops the batch at the first failed, errored or
     surprising trace (``report.stopped_early`` records that the totals cover
     a prefix of the workload).  ``supervision`` tunes the supervised worker
-    pool behind the process executor; chaos fault injection reaches that
+    pool behind the process executor (the thread executor refuses it);
+    chaos fault injection reaches that
     pool through the ``REPRO_CHAOS_*`` environment (see
     :meth:`repro.resilience.faults.FaultPlan.from_env`).
     """
@@ -354,6 +355,11 @@ def check_traces(
         raise ValueError(
             f"executor='thread' checks in the calling thread and takes workers=1; "
             f"got workers={workers} -- use executor='process' for worker processes"
+        )
+    if executor == "thread" and supervision is not None:
+        raise ValueError(
+            "supervision applies to the process executor's worker pool; "
+            "executor='thread' checks in the calling thread and runs no pool"
         )
     if executor == "process" and spec.registry_ref is None:
         raise ValueError(

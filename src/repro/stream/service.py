@@ -58,20 +58,27 @@ __all__ = ["WatchConfig", "WatchService"]
 
 @dataclass
 class WatchConfig:
-    """Tunable behaviour of one :class:`WatchService`."""
+    """Tunable behaviour of one :class:`WatchService`.
+
+    The one validator of the ``watch`` options: construction refuses a value
+    out of range, or ``checkpoint_every`` without ``checkpoint_path``, with
+    a ``ValueError`` naming the field (the CLI prints it as its one
+    ``error:`` line).
+    """
 
     #: Log-adapter name (see :func:`repro.pipeline.logs.adapter_names`).
     adapter: str = "jsonl"
     #: Idle time after a round that found nothing to check: what paces the
     #: polls, torn-line retries, watchdog and stop checks of quiet sources.
     poll_interval: float = 0.05
-    #: Seconds without new data before the watchdog flags a source; <= 0
+    #: Seconds without new data before the watchdog flags a source; 0
     #: disables the watchdog (it is always off in ``once`` mode).
     stall_timeout: float = 30.0
     partial_retries: int = 5
     partial_backoff: float = 0.05
-    #: Consumed lines between periodic checkpoints (0 = only on drain).
-    checkpoint_every: int = 500
+    #: Consumed lines between periodic checkpoints (None: 500); a checkpoint
+    #: is also written on drain.
+    checkpoint_every: Optional[int] = None
     #: Seconds between rolling report refreshes (0 = only on drain).
     report_every: float = 5.0
     #: Max lines consumed per source per main-loop round.
@@ -85,6 +92,22 @@ class WatchConfig:
     #: lag / queue depth / stall flags, quarantine rate) on the
     #: ``report_every`` cadence and at drain -- the operator polling seam.
     status_path: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        every = self.checkpoint_every
+        for name, valid, rule in (
+            ("poll_interval", self.poll_interval > 0, "positive"),
+            ("stall_timeout", self.stall_timeout >= 0, ">= 0"),
+            ("partial_retries", self.partial_retries >= 1, ">= 1"),
+            ("partial_backoff", self.partial_backoff > 0, "positive"),
+            ("batch_limit", self.batch_limit >= 1, ">= 1"),
+            ("report_every", self.report_every >= 0, ">= 0"),
+            ("checkpoint_every", every is None or every >= 1, ">= 1"),
+        ):
+            if not valid:
+                raise ValueError(f"{name} must be {rule}; got {getattr(self, name)}")
+        if every is not None and not self.checkpoint_path:
+            raise ValueError("checkpoint_every has no effect without checkpoint_path")
 
 
 class WatchService:
@@ -463,11 +486,8 @@ class WatchService:
         print(render_report(report, self.runtime_info(now)), file=self.out, flush=True)
 
     def _maybe_checkpoint(self) -> None:
-        if (
-            not self.config.checkpoint_path
-            or self.config.checkpoint_every <= 0
-            or self._lines_since_checkpoint < self.config.checkpoint_every
-        ):
+        every = self.config.checkpoint_every or 500
+        if not self.config.checkpoint_path or self._lines_since_checkpoint < every:
             return
         self._lines_since_checkpoint = 0
         write_watch_checkpoint(self.config.checkpoint_path, self.checkpoint())

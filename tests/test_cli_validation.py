@@ -1,14 +1,22 @@
 """Bad flags end in one line and exit code 2.
 
-Inconsistent combinations go through one validation helper per command and
-unknown names or flags through argparse; either way a CI invocation can
-never silently check something different from what its flags say.  Rows are
-only ever replaced in place or appended: the test ids carry their position.
+A bad value or combination is refused by the object the command builds --
+``ModelChecker`` for ``check``, ``WatchConfig`` for ``watch``, ``FaultPlan``
+and ``SupervisionConfig`` for the flags assembled into them -- as a
+``ValueError`` naming the parameter; the few flags no such object has are
+checked by the CLI, and unknown names or flags by argparse.  Either way a CI
+invocation can never silently check something different from what its flags
+say.  Rows are only ever replaced in place or appended: the test ids carry
+their position.
 """
 
 import pytest
 
+from repro.engine import check_spec
 from repro.pipeline.cli import main
+from repro.pipeline.runner import check_traces
+from repro.resilience import FaultPlan, SupervisionConfig
+from repro.stream import WatchConfig
 from repro.tla.registry import build_spec
 
 #: A run that does start a pool, so only the flag under test is wrong.
@@ -18,67 +26,67 @@ _POOLED = ["check", "locking", "--engine", "simulate", "--workers", "2"]
 @pytest.mark.parametrize(
     "argv,needle",
     [
-        (["check", "locking", "--engine", "fingerprint", "--dot", "g.dot"], "--dot"),
-        (["check", "locking", "--dot", "g.dot", "--resume", "x.ckpt"], "--dot"),
-        (["check", "locking", "--engine", "simulate", "--dot", "g.dot"], "--dot"),
-        (["check", "locking", "--workers", "2"], "--workers"),
+        (["check", "locking", "--engine", "fingerprint", "--dot", "g.dot"], "collect_graph"),
+        (["check", "locking", "--dot", "g.dot", "--resume", "x.ckpt"], "resume_path"),
+        (["check", "locking", "--engine", "simulate", "--dot", "g.dot"], "collect_graph"),
+        (["check", "locking", "--workers", "2"], "workers"),
         (
             ["check", "locking", "--engine", "fingerprint", "--workers", "2"],
-            "--workers",
+            "workers",
         ),
-        (["check", "locking", "--engine", "states", "--workers", "2"], "--workers"),
-        (["check", "locking", "--walks", "5"], "--walks"),
-        (["check", "locking", "--engine", "states", "--walks", "5"], "--walks"),
-        (["check", "locking", "--depth", "5"], "--depth"),
-        (["check", "locking", "--seed", "7"], "--seed"),
+        (["check", "locking", "--engine", "states", "--workers", "2"], "workers"),
+        (["check", "locking", "--walks", "5"], "walks"),
+        (["check", "locking", "--engine", "states", "--walks", "5"], "walks"),
+        (["check", "locking", "--depth", "5"], "walk_depth"),
+        (["check", "locking", "--seed", "7"], "seed"),
         (
             ["check", "locking", "--engine", "simulate", "--max-states", "5"],
-            "--max-states",
+            "max_states",
         ),
         (
             ["check", "locking", "--engine", "simulate", "--max-depth", "5"],
-            "--max-depth",
+            "max_depth",
         ),
-        (["check", "locking", "--engine", "fingerprint", "--seed", "7"], "--seed"),
-        (["check", "locking", "--store-capacity", "100"], "--store-capacity"),
+        (["check", "locking", "--engine", "fingerprint", "--seed", "7"], "seed"),
+        (["check", "locking", "--store-capacity", "100"], "store_capacity"),
         (
             ["check", "locking", "--store", "fingerprint", "--store-capacity", "9"],
-            "--store-capacity",
+            "store_capacity",
         ),
         # ISSUE 6: chaos flags need a worker pool to inject faults into.
-        (["check", "locking", "--chaos-rate", "0.3"], "--chaos-rate"),
+        (["check", "locking", "--chaos-rate", "0.3"], "chaos"),
         (
             ["check", "locking", "--engine", "fingerprint", "--chaos-rate", "0.3"],
-            "--chaos-rate",
+            "chaos",
         ),
         (
             ["check", "locking", "--engine", "simulate", "--chaos-rate", "0.3"],
-            "--chaos-rate",
+            "chaos",
         ),
         (_POOLED + ["--chaos-seed", "7"], "--chaos-seed"),
         (_POOLED + ["--chaos-kinds", "crash"], "--chaos-kinds"),
         (
             _POOLED + ["--chaos-rate", "0.3", "--chaos-kinds", "crash,meteor"],
-            "--chaos-kinds",
+            "chaos kinds",
         ),
-        (_POOLED + ["--chaos-rate", "1.5"], "--chaos-rate"),
+        (_POOLED + ["--chaos-rate", "1.5"], "chaos rate"),
         (_POOLED + ["--chaos-rate", "0"], "--chaos-rate"),
-        (["check", "locking", "--task-timeout", "5"], "--task-timeout"),
-        (_POOLED + ["--task-timeout", "-1"], "--task-timeout"),
+        (["check", "locking", "--task-timeout", "5"], "supervision"),
+        (_POOLED + ["--task-timeout", "-1"], "task_timeout"),
         # Checkpointing needs a level-synchronous BFS engine and no --dot.
         (
             ["check", "locking", "--engine", "simulate", "--checkpoint", "x.ckpt"],
-            "--checkpoint",
+            "checkpoint_path",
         ),
         (
             ["check", "locking", "--engine", "states", "--resume", "x.ckpt"],
-            "--resume",
+            "resume_path",
         ),
         (
             ["check", "locking", "--dot", "g.dot", "--checkpoint", "x.ckpt"],
-            "--checkpoint",
+            "checkpoint_path",
         ),
-        (["check", "locking", "--checkpoint-every", "2"], "--checkpoint-every"),
+        (["check", "locking", "--checkpoint-every", "2"], "checkpoint_every"),
         (
             [
                 "check",
@@ -88,25 +96,25 @@ _POOLED = ["check", "locking", "--engine", "simulate", "--workers", "2"]
                 "--checkpoint-every",
                 "0",
             ],
-            "--checkpoint-every",
+            "checkpoint_every",
         ),
         # ISSUE 7: disk-store flag consistency.
-        (["check", "locking", "--store-path", "x.db"], "--store-path"),
+        (["check", "locking", "--store-path", "x.db"], "store_path"),
         (
             ["check", "locking", "--store", "fingerprint", "--store-path", "x.db"],
-            "--store-path",
+            "store_path",
         ),
         (
             ["check", "locking", "--store", "states", "--store-path", "x.db"],
-            "--store-path",
+            "supports stores",
         ),
         (
             ["check", "locking", "--engine", "simulate", "--spill-threshold", "10"],
-            "--spill-threshold",
+            "spill_threshold",
         ),
         (
             ["check", "locking", "--engine", "states", "--spill-threshold", "10"],
-            "--spill-threshold",
+            "spill_threshold",
         ),
         (
             [
@@ -117,15 +125,15 @@ _POOLED = ["check", "locking", "--engine", "simulate", "--workers", "2"]
                 "--spill-threshold",
                 "0",
             ],
-            "--spill-threshold",
+            "spill_threshold",
         ),
         (
             ["check", "locking", "--store", "disk", "--checkpoint", "x.ckpt"],
-            "--store-path",
+            "store_path",
         ),
         (
             ["check", "locking", "--store", "disk", "--resume", "x.ckpt"],
-            "--store-path",
+            "store_path",
         ),
         # ISSUE 12: nonsensical BFS bounds used to run and report OK.
         (["check", "locking", "--max-states", "-1"], "max_states"),
@@ -137,15 +145,15 @@ _POOLED = ["check", "locking", "--engine", "simulate", "--workers", "2"]
         # ISSUE 8: the watch service has the same hard-error flag policy.
         (["watch", "locking", "x.log", "--workers", "2"], "--workers"),
         (["watch", "locking", "a.log", "--queue-size", "0"], "--queue-size"),
-        (["watch", "locking", "a.log", "--poll-interval", "0"], "--poll-interval"),
-        (["watch", "locking", "a.log", "--stall-timeout", "-1"], "--stall-timeout"),
-        (["watch", "locking", "a.log", "--partial-retries", "0"], "--partial-retries"),
-        (["watch", "locking", "a.log", "--partial-backoff", "0"], "--partial-backoff"),
-        (["watch", "locking", "a.log", "--batch-limit", "0"], "--batch-limit"),
-        (["watch", "locking", "a.log", "--report-every", "-1"], "--report-every"),
+        (["watch", "locking", "a.log", "--poll-interval", "0"], "poll_interval"),
+        (["watch", "locking", "a.log", "--stall-timeout", "-1"], "stall_timeout"),
+        (["watch", "locking", "a.log", "--partial-retries", "0"], "partial_retries"),
+        (["watch", "locking", "a.log", "--partial-backoff", "0"], "partial_backoff"),
+        (["watch", "locking", "a.log", "--batch-limit", "0"], "batch_limit"),
+        (["watch", "locking", "a.log", "--report-every", "-1"], "report_every"),
         (
             ["watch", "locking", "a.log", "--checkpoint-every", "5"],
-            "--checkpoint-every",
+            "checkpoint_every",
         ),
         (
             [
@@ -157,7 +165,7 @@ _POOLED = ["check", "locking", "--engine", "simulate", "--workers", "2"]
                 "--checkpoint-every",
                 "0",
             ],
-            "--checkpoint-every",
+            "checkpoint_every",
         ),
         (["watch", "locking", "a.log", "--task-timeout", "5"], "--task-timeout"),
         (
@@ -176,6 +184,8 @@ _POOLED = ["check", "locking", "--engine", "simulate", "--workers", "2"]
         (["simulate", "locking", "--workers", "0"], "error: workers must be >= 1"),
         # Peak RSS is printed on every check run; the tracemalloc flag is gone.
         (["check", "locking", "--memory-stats"], "--memory-stats"),
+        # A simulate run with no --workers starts no pool to supervise.
+        (["check", "locking", "--engine", "simulate", "--task-timeout", "5"], "supervision"),
     ],
 )
 def test_inconsistent_flags_exit_2(capsys, argv, needle):
@@ -188,6 +198,81 @@ def test_inconsistent_flags_exit_2(capsys, argv, needle):
     assert err.startswith(("error:", "usage:")) and "Traceback" not in err
     assert err.count("error:") == 1
     assert needle in err
+
+
+def _check(**kwargs):
+    return check_spec(build_spec("locking"), check_properties=False, **kwargs)
+
+
+def _batch(**kwargs):
+    return check_traces(build_spec("locking"), [], **kwargs)
+
+
+_SUPERVISION = SupervisionConfig(task_timeout=1.0)
+
+
+@pytest.mark.parametrize(
+    "call,kwargs,needle",
+    [
+        # Accepted and ignored before the checker became the one validator.
+        (_check, dict(engine="fingerprint", workers=4), "workers"),
+        (_check, dict(engine="states", workers=4), "workers"),
+        (_check, dict(engine="fingerprint", walks=5, seed=9), "walks"),
+        (_check, dict(engine="fingerprint", checkpoint_every=3), "checkpoint_every"),
+        (_check, dict(engine="fingerprint", supervision=_SUPERVISION), "supervision"),
+        (_check, dict(engine="simulate", supervision=_SUPERVISION), "supervision"),
+        (_batch, dict(executor="thread", supervision=_SUPERVISION), "supervision"),
+        # One row per rule the checker already had.  (A pooled run of an
+        # unregistered spec is a CheckerError: test_simulate.py pins it.)
+        (_check, dict(engine="warp"), "engine"),
+        (_check, dict(compile_mode="sometimes"), "compile_mode"),
+        (_check, dict(engine="simulate", workers=0), "workers"),
+        (_check, dict(max_states=0), "max_states"),
+        (_check, dict(max_depth=-1), "max_depth"),
+        (_check, dict(engine="simulate", walks=0), "walks"),
+        (_check, dict(engine="simulate", walk_depth=0), "walk_depth"),
+        (_check, dict(checkpoint_path="x.ckpt", checkpoint_every=0), "checkpoint_every"),
+        (_check, dict(engine="simulate", max_states=5), "max_states"),
+        (_check, dict(engine="fingerprint", collect_graph=True), "collect_graph"),
+        (_check, dict(store="mmap"), "store"),
+        (_check, dict(engine="states", store="disk"), "supports stores"),
+        (_check, dict(store_capacity=10), "store_capacity"),
+        (_check, dict(store_path="x.db"), "store_path"),
+        (_check, dict(spill_threshold=0), "spill_threshold"),
+        (_check, dict(engine="simulate", spill_threshold=10), "spill_threshold"),
+        (_check, dict(chaos=FaultPlan(rate=0.5)), "chaos"),
+        (_check, dict(engine="simulate", checkpoint_path="x.ckpt"), "checkpoint_path"),
+        (_check, dict(store="disk", checkpoint_path="x.ckpt"), "store_path"),
+    ],
+)
+def test_the_library_refuses_what_it_would_ignore(call, kwargs, needle):
+    with pytest.raises(ValueError) as excinfo:
+        call(**kwargs)
+    assert needle in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("batch_limit", 0),
+        ("poll_interval", 0),
+        ("stall_timeout", -1),
+        ("partial_retries", 0),
+        ("partial_backoff", 0),
+        ("report_every", -1),
+        ("checkpoint_every", 0),
+    ],
+)
+def test_watch_config_refuses_out_of_range_values(field, value):
+    # batch_limit=0 used to reach the service loop and die on an empty batch.
+    with pytest.raises(ValueError, match=field):
+        WatchConfig(once=True, checkpoint_path="w.ckpt", **{field: value})
+
+
+def test_watch_config_refuses_checkpoint_every_without_a_path():
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        WatchConfig(once=True, checkpoint_every=5)
+    assert WatchConfig(checkpoint_path="w.ckpt", checkpoint_every=5).checkpoint_every == 5
 
 
 def test_resuming_a_checkpoint_of_a_removed_store_exits_2(tmp_path, capsys):
