@@ -22,8 +22,9 @@ runs pair with spill-to-disk frontiers (:mod:`repro.engine.frontier`) so
 peak RSS stays flat as distinct-state counts climb orders of magnitude.
 
 Execution robustness is a third seam (:mod:`repro.resilience`): the
-simulation engine's ``workers > 1`` walks dispatch through a supervised
-worker pool (crash/hang detection, bounded retry, degrade-to-serial) with a
+simulation engine's ``workers > 1`` walks dispatch, in short slices, through
+a supervised worker pool (crash detection, a per-task timeout, bounded
+retry, inline recomputation once a task exhausts its attempts) with a
 seeded chaos layer to test it, and the fingerprint engine can checkpoint and
 resume through the store snapshot seam.
 

@@ -199,7 +199,7 @@ class CheckResult:
     #: Random walks completed (``simulate`` engine only; 0 otherwise).
     walks: int = 0
     #: What the supervised worker pool survived (None when no pool ran):
-    #: crashes, hangs, corrupt results, retries, degradation.
+    #: crashes, hangs, corrupt results, retries, and whether it gave up.
     supervision: Optional[SupervisionStats] = None
     #: Where periodic checkpoints were written (None when disabled).
     checkpoint_path: Optional[str] = None
@@ -292,8 +292,8 @@ class CheckContext:
     walks: int = 100
     walk_depth: int = 50
     seed: int = 0
-    #: Supervision knobs for engines that dispatch to worker pools; None
-    #: means :meth:`SupervisionConfig.from_env` defaults.
+    #: The per-task timeout of engines that dispatch to worker pools; None
+    #: means :meth:`SupervisionConfig.from_env` (``REPRO_TASK_TIMEOUT``).
     supervision: Optional[SupervisionConfig] = None
     #: Deterministic fault-injection plan for the supervised pools (chaos
     #: testing); None disables explicit injection (the environment may still

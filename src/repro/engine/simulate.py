@@ -14,12 +14,16 @@ trace starts in an initial state and takes one enabled action per step.
 Determinism: walk *i* is driven by ``random.Random(f"{seed}:{i}")``, so the
 behaviour of each walk is a pure function of ``(spec, seed, i, walk_depth)``
 -- independent of execution order.  With ``workers > 1`` the walk indices
-are sharded across a supervised process pool (each worker rebuilds the spec
-from its registry name and makes its own expander); the reported
-counterexample is the one from the *lowest-numbered* violating walk, so it
-is identical for every worker count.  Aggregate statistics can differ when
-``stop_on_violation`` stops a serial run early while shards finish their
-slices -- the counterexample never does.
+are cut into consecutive slices of at most ``_WALKS_PER_TASK`` walks (and
+never fewer slices than workers), which a supervised process pool runs as
+tasks (each worker rebuilds the spec from its registry name and makes its
+own expander) and the coordinator merges in slice order as they arrive.
+Short tasks keep the pool's per-task timer a bound on one task, not on a
+worker's whole share of the run.  The reported counterexample is the one
+from the *lowest-numbered* violating walk, so it is identical for every
+worker count.  Aggregate statistics can differ when ``stop_on_violation``
+stops a serial run early while other slices run to their end -- the
+counterexample never does.
 
 Statistics: ``generated_states`` counts every successor enumerated while
 walking (plus the initial-state set, once per walk), ``distinct_states``
@@ -30,10 +34,11 @@ store), and ``max_depth`` is the longest walk in steps.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..obs import current as obs_current
-from ..resilience import SupervisedPool, TaskError
+from ..resilience import SupervisedPool
 from ..tla.errors import DeadlockError, InvariantViolation
 from ..tla.registry import build_worker_spec, worker_spec_args
 from ..tla.spec import Specification
@@ -41,6 +46,11 @@ from ..tla.state import State
 from .base import CheckContext, Engine, make_expander, register_engine
 
 __all__ = ["SimulationEngine"]
+
+#: Walks per pool task.  The supervisor's per-task timer bounds one task, so
+#: a task must stay far below it: 256 raftmongo walks of depth 50 take about
+#: 45 ms, against the 60 s default timeout.
+_WALKS_PER_TASK = 256
 
 #: A walk's value-tuple trace, picklable for the pool.
 _WireTrace = Tuple[Tuple[Any, ...], ...]
@@ -130,48 +140,46 @@ def _run_walk(
 # ---------------------------------------------------------------------------
 # Pool worker side.  Each pool process rebuilds the spec by registry name and
 # makes its own expander (compiled kernels are closures and do not pickle)
-# once, in the initializer, and keeps both for the whole run.
+# and initial states once, in the initializer, and keeps them for the whole
+# run.
 # ---------------------------------------------------------------------------
 
-_WORKER_SPEC: Optional[Specification] = None
+_WORKER_INITIAL: Optional[List[State]] = None
 _WORKER_EXPANDER: Optional[Any] = None
 
 
 def _walk_worker_init(spec_args: Tuple[Any, ...], compile_mode: str) -> None:
-    global _WORKER_SPEC, _WORKER_EXPANDER
-    _WORKER_SPEC = build_worker_spec(*spec_args)
-    _WORKER_EXPANDER, _fallback = make_expander(_WORKER_SPEC, compile_mode)
+    global _WORKER_INITIAL, _WORKER_EXPANDER
+    spec = build_worker_spec(*spec_args)
+    _WORKER_EXPANDER, _fallback = make_expander(spec, compile_mode)
+    _WORKER_INITIAL = spec.initial_states()
 
 
-def _simulate_shard(
-    start: int,
-    stop: int,
-    seed: int,
-    walk_depth: int,
-    check_deadlock: bool,
-    stop_on_violation: bool,
-) -> Dict[str, Any]:
-    """Run walks ``start..stop-1``; stop the slice at its first event.
+def _simulate_shard(indices: range, *options: Any) -> Dict[str, Any]:
+    """Pool task: :func:`_drive_walks` on this worker's expander.
 
-    Within a shard, walks run in increasing index order, so the shard's
+    Within a slice, walks run in increasing index order, so the slice's
     first reported event is the minimal-index event of its slice -- which is
     what lets the coordinator's min-merge reproduce the serial engine's
     counterexample exactly.
     """
-    assert _WORKER_SPEC is not None and _WORKER_EXPANDER is not None
-    return _drive_walks(
-        _WORKER_SPEC,
-        _WORKER_EXPANDER,
-        range(start, stop),
-        seed,
-        walk_depth,
-        check_deadlock,
-        stop_on_violation,
-    )
+    assert _WORKER_INITIAL is not None and _WORKER_EXPANDER is not None
+    return _drive_walks(_WORKER_INITIAL, _WORKER_EXPANDER, indices, *options)
+
+
+def _task_slices(walks: int, workers: int) -> List[range]:
+    """Walk indices ``0..walks-1`` cut into consecutive pool tasks.
+
+    At least ``workers`` slices (fewer only when there are fewer walks), none
+    longer than :data:`_WALKS_PER_TASK`, their lengths differing by at most
+    one.
+    """
+    count = min(walks, max(workers, -(-walks // _WALKS_PER_TASK)))
+    return [range(i * walks // count, (i + 1) * walks // count) for i in range(count)]
 
 
 def _drive_walks(
-    spec: Specification,
+    initial: List[State],
     expander: Any,
     indices: range,
     seed: int,
@@ -188,6 +196,11 @@ def _drive_walks(
     coordinator's store) they are deduplicated into first-visit order before
     being pickled back -- so shard payloads are bounded by the *distinct*
     states a slice saw, not by ``walks x depth``.
+
+    ``initial`` is the spec's initial states, made once per run and shared
+    by every slice: the expander's interner keeps the first copy of each
+    value it sees as canonical, and binds that copy with one identity probe
+    where an equal fresh one is re-interned on every walk.
     """
     generated = 0
     walks_run = 0
@@ -200,7 +213,6 @@ def _drive_walks(
     action_counts: Dict[str, int] = {}
     violation: Optional[Tuple[int, str, _WireTrace]] = None
     deadlock: Optional[Tuple[int, _WireTrace]] = None
-    initial = spec.initial_states()  # once per slice, not once per walk
     for walk_index in indices:
         steps, walk_generated, walk_fps, inv_name, deadlocked, trace, actions = (
             _run_walk(expander, initial, walk_index, seed, walk_depth)
@@ -257,85 +269,55 @@ class SimulationEngine(Engine):
         return (workers or 1) > 1
 
     def run(self, ctx: CheckContext) -> None:
-        spec, result = ctx.spec, ctx.result
         workers = ctx.workers or 1
         if workers > 1:
             # workers > 1 only ever happens by explicit request (the default
             # is serial), so it is honored even for walk budgets too small
             # to amortize pool startup -- silently downgrading an explicit
             # flag is the failure mode ModelChecker's validation prevents.
-            shards = self._run_pooled(ctx, workers)  # sets result.workers
-        else:
-            result.workers = 1
-            shards = [
-                _drive_walks(
-                    spec,
-                    ctx.expander,
-                    range(ctx.walks),
-                    ctx.seed,
-                    ctx.walk_depth,
-                    ctx.check_deadlock,
-                    ctx.stop_on_violation,
-                    store=ctx.store,
-                )
-            ]
-        self._merge(ctx, shards)
+            self._run_pooled(ctx, workers)
+            return
+        ctx.result.workers = 1
+        shard = _drive_walks(
+            ctx.spec.initial_states(),
+            ctx.expander,
+            range(ctx.walks),
+            ctx.seed,
+            ctx.walk_depth,
+            ctx.check_deadlock,
+            ctx.stop_on_violation,
+            store=ctx.store,
+        )
+        self._merge(ctx, [shard])
 
-    def _run_pooled(self, ctx: CheckContext, workers: int) -> List[Dict[str, Any]]:
-        spec = ctx.spec
-        shard_size = -(-ctx.walks // workers)  # ceil division
-        bounds = [
-            (start, min(start + shard_size, ctx.walks))
-            for start in range(0, ctx.walks, shard_size)
-        ]
-        # Ceil division can yield fewer shards than requested workers (e.g.
-        # 9 walks / 4 workers -> 3 shards of 3); report what actually runs.
-        ctx.result.workers = len(bounds)
-        shards: List[Dict[str, Any]] = []
+    def _run_pooled(self, ctx: CheckContext, workers: int) -> None:
+        slices = _task_slices(ctx.walks, workers)
+        # Fewer walks than workers start fewer processes (3 walks on 4
+        # requested workers run 3); report what actually runs.
+        ctx.result.workers = min(workers, len(slices))
+        options = (ctx.seed, ctx.walk_depth, ctx.check_deadlock, ctx.stop_on_violation)
         with SupervisedPool(
-            len(bounds),
+            ctx.result.workers,
             initializer=_walk_worker_init,
-            initargs=(worker_spec_args(spec), ctx.compile_mode),
+            initargs=(worker_spec_args(ctx.spec), ctx.compile_mode),
             config=ctx.supervision,
             chaos=ctx.chaos,
             name="simulate",
         ) as pool:
-            tasks = [
-                pool.submit(
-                    _simulate_shard,
-                    (
-                        start,
-                        stop,
-                        ctx.seed,
-                        ctx.walk_depth,
-                        ctx.check_deadlock,
-                        ctx.stop_on_violation,
-                    ),
-                )
-                for start, stop in bounds
-            ]
-            for (start, stop), task_index in zip(bounds, tasks):
-                try:
-                    shards.append(pool.result(task_index))
-                except TaskError:
-                    # A walk is a pure function of (spec, seed, index), so
-                    # recomputing an exhausted shard inline yields exactly
-                    # what its worker would have returned.
-                    shards.append(
-                        _drive_walks(
-                            spec,
-                            ctx.expander,
-                            range(start, stop),
-                            ctx.seed,
-                            ctx.walk_depth,
-                            ctx.check_deadlock,
-                            ctx.stop_on_violation,
-                        )
-                    )
             ctx.result.supervision = pool.stats
-        return shards
+            # A walk is a pure function of (spec, seed, index), so a slice
+            # recomputed inline after its task failed is exactly what its
+            # worker would have returned.  Slices merge as they arrive.
+            self._merge(
+                ctx,
+                pool.map(
+                    _simulate_shard,
+                    ((indices, *options) for indices in slices),
+                    partial(_drive_walks, ctx.spec.initial_states(), ctx.expander),
+                ),
+            )
 
-    def _merge(self, ctx: CheckContext, shards: List[Dict[str, Any]]) -> None:
+    def _merge(self, ctx: CheckContext, shards: Iterable[Dict[str, Any]]) -> None:
         spec, result, store = ctx.spec, ctx.result, ctx.store
         action_counts: Dict[str, int] = {act.name: 0 for act in spec.actions}
         violation: Optional[Tuple[int, str, _WireTrace]] = None

@@ -542,7 +542,7 @@ def _checker_options(args: argparse.Namespace) -> Dict[str, Any]:
             kinds = tuple(part.strip() for part in args.chaos_kinds.split(",") if part.strip())
         options["chaos"] = FaultPlan(seed=args.chaos_seed or 0, rate=args.chaos_rate, kinds=kinds)
     if args.task_timeout is not None:
-        options["supervision"] = SupervisionConfig.from_env(task_timeout=args.task_timeout)
+        options["supervision"] = SupervisionConfig(task_timeout=args.task_timeout)
     return options
 
 
@@ -639,14 +639,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"fingerprint collision probability: calculated (optimistic) {collision:.1e}")
     if result.resumed_from:
         print(f"resumed from checkpoint {result.resumed_from}")
-    sup = result.supervision
-    if sup is not None and (sup.recoveries or sup.degraded):
-        print(
-            f"supervision: {sup.retries} retried attempt(s) "
-            f"({sup.crashes} crashes, {sup.hangs} hangs, "
-            f"{sup.corruptions} corrupt results, {sup.task_errors} task errors)"
-            + ("; pool degraded to serial" if sup.degraded else "")
-        )
+    supervision = result.supervision and result.supervision.summary()
+    if supervision:
+        print(supervision)
     if result.compile_error is not None:
         print(
             f"WARNING: spec compilation failed ({result.compile_error}); "

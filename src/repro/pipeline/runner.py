@@ -27,20 +27,20 @@ instead of killing the batch -- CI wants the other 9,999 verdicts plus one
 error entry, not a traceback -- unless ``fail_fast=True`` stops the batch at
 the first failed or errored trace.  The process executor dispatches through
 the supervised pool (:mod:`repro.resilience.supervisor`), so a crashed or
-hung worker costs one retried chunk, with an in-coordinator fallback when a
-chunk exhausts its retries.
+hung worker costs one retried chunk; once a chunk exhausts its retries, it
+and every chunk after it are checked in the coordinator instead.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..obs import current as obs_current
-from ..resilience import SupervisedPool, SupervisionConfig, SupervisionStats, TaskError
+from ..resilience import SupervisedPool, SupervisionConfig, SupervisionStats
 from ..tla import Specification, State
 from ..tla.coverage import CoverageReport
 from ..tla.registry import build_worker_spec, worker_spec_args
@@ -158,14 +158,9 @@ class BatchReport:
                 lines.append("  actions exercised: " + ", ".join(exercised))
         if self.cache_hits + self.cache_misses:
             lines.append("  " + cache_line(self.cache_stats))
-        sup = self.supervision
-        if sup is not None and (sup.recoveries or sup.degraded):
-            lines.append(
-                f"  supervision: {sup.retries} retried attempt(s) "
-                f"({sup.crashes} crashes, {sup.hangs} hangs, "
-                f"{sup.corruptions} corrupt results)"
-                + ("; pool degraded to serial" if sup.degraded else "")
-            )
+        supervision = self.supervision and self.supervision.summary()
+        if supervision:
+            lines.append("  " + supervision)
         return "\n".join(lines)
 
 
@@ -341,10 +336,10 @@ def check_traces(
 
     ``fail_fast=True`` stops the batch at the first failed, errored or
     surprising trace (``report.stopped_early`` records that the totals cover
-    a prefix of the workload).  ``supervision`` tunes the supervised worker
-    pool behind the process executor (the thread executor refuses it);
-    chaos fault injection reaches that
-    pool through the ``REPRO_CHAOS_*`` environment (see
+    a prefix of the workload).  ``supervision`` sets the task timeout of the
+    supervised worker pool behind the process executor (the thread executor
+    refuses it); chaos fault injection reaches that pool through the
+    ``REPRO_CHAOS_*`` environment (see
     :meth:`repro.resilience.faults.FaultPlan.from_env`).
     """
     if workers < 1:
@@ -460,46 +455,28 @@ def _check_traces_process(
 ) -> None:
     """The process-executor path: chunks through the supervised pool.
 
-    A chunk whose task exhausts its retries (or hits a degraded pool) is
-    rechecked inline in the coordinator, on the spec's own cache -- trace
-    checking is deterministic, so the verdicts are exactly what the worker
-    would have produced.  ``consume`` may raise to stop the batch
+    A chunk whose task exhausts its retries (or comes after the pool gave
+    up) is rechecked inline in the coordinator, on the spec's own cache --
+    trace checking is deterministic, so the verdicts are exactly what the
+    worker would have produced.  ``consume`` may raise to stop the batch
     (fail-fast); supervision statistics are recorded either way.
     """
-    pool = SupervisedPool(
+
+    def inline(chunk: List[Item], options: Dict[str, bool]) -> tuple:
+        return _check_chunk(spec, SuccessorCache.for_spec(spec), options, chunk)
+
+    pending = iter(items)
+    chunks = iter(lambda: list(islice(pending, _PROCESS_CHUNK)), [])
+    with SupervisedPool(
         workers,
         initializer=process_worker_init,
         initargs=worker_spec_args(spec),
         config=supervision,
         name="runner",
-    )
-
-    def consume_chunk(task_index: int, chunk: List[Item]) -> None:
-        try:
-            results, stats = pool.result(task_index)
-        except TaskError:
-            results, stats = _check_chunk(spec, SuccessorCache.for_spec(spec), options, chunk)
-        _add_stats(report.cache_stats, stats)
-        for outcome, coverage in results:
-            consume(outcome, coverage)
-
-    def submit(chunk: List[Item]) -> int:
-        return pool.submit(_process_check_chunk, (chunk, options))
-
-    window: deque = deque()  # of (task_index, chunk)
-    try:
-        chunk: List[Item] = []
-        for item in items:
-            chunk.append(item)
-            if len(chunk) >= _PROCESS_CHUNK:
-                window.append((submit(chunk), chunk))
-                chunk = []
-                if len(window) >= workers * 4:
-                    consume_chunk(*window.popleft())
-        if chunk:
-            window.append((submit(chunk), chunk))
-        while window:
-            consume_chunk(*window.popleft())
-    finally:
+    ) as pool:
         report.supervision = pool.stats
-        pool.shutdown()
+        tasks = ((chunk, options) for chunk in chunks)
+        for results, stats in pool.map(_process_check_chunk, tasks, inline):
+            _add_stats(report.cache_stats, stats)
+            for outcome, coverage in results:
+                consume(outcome, coverage)

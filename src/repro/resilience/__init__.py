@@ -4,11 +4,12 @@ The runtime robustness layer under the execution paths of the reproduction.
 Three pieces, each usable on its own:
 
 * :mod:`repro.resilience.supervisor` -- :class:`SupervisedPool`, a worker
-  process pool with crash detection, per-task timeouts, heartbeat-based
-  hang detection, checksummed result envelopes, bounded retry with
-  exponential backoff and graceful degradation to the caller's serial path.
-  The sharded simulation engine and the batch trace runner's process
-  executor dispatch through it.
+  process pool with crash detection, a per-task timeout as its hang
+  detector, checksummed result envelopes, bounded retry with exponential
+  backoff, and -- once a task exhausts its attempts -- the caller's inline
+  path for everything unfinished (:meth:`SupervisedPool.map`).  The sharded
+  simulation engine and the batch trace runner's process executor dispatch
+  through it.
 * :mod:`repro.resilience.checkpoint` -- periodic atomic snapshots of a BFS
   run (visited store, frontier, parent map, stats) and the resume path that
   continues an interrupted run to bit-identical final statistics; plus the
@@ -21,8 +22,7 @@ Three pieces, each usable on its own:
 Importing the package loads neither ``multiprocessing`` nor ``logging``:
 the pool imports the first when it starts a worker and the second when it
 logs its first warning, so the engines and the CLI name
-:class:`SupervisionConfig`, :class:`SupervisionStats` and
-:class:`TaskError` for free.
+:class:`SupervisionConfig` and :class:`SupervisionStats` for free.
 """
 
 from .checkpoint import (

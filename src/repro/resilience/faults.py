@@ -15,10 +15,10 @@ task_index)``, whether a worker executing a task should
 Because the decision is keyed on the *worker id* and worker ids are never
 reused (every respawn gets a fresh one), a retried task rolls a fresh
 decision on its fresh worker -- a run with ``rate < 1`` always makes
-progress, while ``rate = 1`` deterministically exhausts retries and forces
-the degrade-to-serial path.  The same seed always yields the same fault
-table (:meth:`FaultPlan.table`), which is what the chaos-determinism tests
-pin.
+progress, while ``rate = 1`` deterministically exhausts the first task's
+retries, after which the pool gives up and its callers compute inline.  The
+same seed always yields the same fault table (:meth:`FaultPlan.table`),
+which is what the chaos-determinism tests pin.
 
 Plans reach worker pools two ways: explicitly (the ``chaos`` argument of
 ``SupervisedPool``, wired from ``repro check --chaos-seed/--chaos-rate``) or
@@ -43,6 +43,8 @@ __all__ = [
     "ENV_CHAOS_SEED",
     "FAULT_KINDS",
     "FaultPlan",
+    "HANG_SECONDS",
+    "SLOW_SECONDS",
 ]
 
 #: Sentinel exit code a chaos-crashed worker dies with, so supervisor logs
@@ -51,6 +53,13 @@ CHAOS_EXIT_CODE = 87
 
 #: Every fault kind the chaos layer can inject, in the order they are drawn.
 FAULT_KINDS: Tuple[str, ...] = ("crash", "hang", "slow", "corrupt")
+
+#: How long a ``slow`` fault stalls before the task proceeds normally.
+SLOW_SECONDS = 0.05
+
+#: How long a ``hang`` fault sleeps: past any sensible task timeout, so the
+#: supervisor's timer, not the sleep, ends it.
+HANG_SECONDS = 3600.0
 
 ENV_CHAOS_SEED = "REPRO_CHAOS_SEED"
 ENV_CHAOS_RATE = "REPRO_CHAOS_RATE"
@@ -69,11 +78,6 @@ class FaultPlan:
     seed: int = 0
     rate: float = 0.0
     kinds: Tuple[str, ...] = FAULT_KINDS
-    #: How long a ``slow`` fault stalls before the task proceeds normally.
-    slow_seconds: float = 0.05
-    #: How long a ``hang`` fault sleeps; must exceed the supervisor's task
-    #: timeout or the "hang" quietly becomes a "slow".
-    hang_seconds: float = 3600.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
@@ -116,13 +120,7 @@ class FaultPlan:
     # -- wire formats --------------------------------------------------------
     def to_params(self) -> Dict[str, object]:
         """A picklable/keyword dict that rebuilds this plan in a worker."""
-        return {
-            "seed": self.seed,
-            "rate": self.rate,
-            "kinds": tuple(self.kinds),
-            "slow_seconds": self.slow_seconds,
-            "hang_seconds": self.hang_seconds,
-        }
+        return {"seed": self.seed, "rate": self.rate, "kinds": tuple(self.kinds)}
 
     @classmethod
     def from_env(

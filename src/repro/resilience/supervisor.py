@@ -1,37 +1,32 @@
-"""A supervised worker-process pool: timeouts, heartbeats, retries, degrade.
+"""A supervised worker-process pool: crash and hang detection, bounded retry.
 
 ``concurrent.futures.ProcessPoolExecutor`` treats a dead worker as a dead
-pool: one crashed or hung process turns a multi-hour checking run into a
-``BrokenProcessPool`` traceback.  :class:`SupervisedPool` replaces it under
-the engines with a pool that treats worker failure as a scheduling event:
+pool.  Under its two callers -- ``check --engine simulate --workers N`` and
+``check_traces(executor="process")`` -- :class:`SupervisedPool` treats
+worker failure as a scheduling event instead:
 
-* **Crash detection** -- every worker process is polled for an exit code
-  while it holds a task; a nonzero (or chaos-sentinel) exit re-dispatches
-  the task.
-* **Hang detection** -- per-task wall-clock timeouts, plus heartbeats: each
-  worker runs a daemon thread that beats over its result pipe every
-  ``heartbeat_interval``; a busy worker whose beats stop (a frozen or
-  stopped process) is declared unresponsive even before its task timeout.
-* **Result validation** -- results travel in a checksum envelope
-  (``crc32`` over the pickled payload); a corrupted payload is rejected and
-  the task retried rather than silently merged.
+* **Crash detection** -- a busy worker's exit code is polled; a nonzero (or
+  chaos-sentinel) exit re-dispatches its task.
+* **Hang detection** -- one per-task wall-clock timer,
+  :attr:`SupervisionConfig.task_timeout`.  It bounds one task, so callers
+  keep tasks short: the simulate engine slices its walks, the runner chunks
+  its traces.
+* **Result validation** -- results travel in a ``crc32``-checksummed
+  envelope; a corrupted payload is rejected and the task retried.
 * **Bounded retry with backoff** -- a failed attempt recycles its worker
   (terminate + respawn under a fresh worker id) and re-dispatches the task
-  after ``backoff_base * 2**(attempt-1)`` seconds, up to ``max_attempts``.
-* **Graceful degradation** -- after ``degrade_after`` consecutive failures
-  the pool stops pretending: every unfinished task fails fast with
-  :class:`TaskError` so the caller can fall back to its serial path (all
-  engine call sites do), instead of the run dying.
+  after ``_BACKOFF_BASE * 2**(attempt-1)`` seconds, up to ``_MAX_ATTEMPTS``.
+* **Giving up** -- once one task exhausts its attempts, it and every
+  unfinished task fail fast with :class:`TaskError`, which
+  :meth:`SupervisedPool.map` answers with the caller's inline function.  A
+  persistent fault costs one task's attempts, not every task's: 40
+  always-crashing tasks on 2 workers spawn 6 workers, not 120.
 
-Determinism: tasks are routed statically (``task_index % workers``) to a
-fixed slot and callers consume results in task-index order, so the merged
-output of a run is bit-identical to the serial path no matter which attempt
-on which worker produced each result -- the contract the cross-engine
-parity suite pins, now also under chaos (:mod:`repro.resilience.faults`).
-
-The pool is single-threaded on the supervisor side: the event loop (drain
-pipes, detect failures, dispatch, back off) runs inside :meth:`submit` /
-:meth:`result` calls, so there is no supervisor thread to synchronize with.
+Tasks are routed statically (``task_index % workers``, which keeps a seeded
+chaos run's fault schedule reproducible) and :meth:`SupervisedPool.map`
+yields in task order, so the merged output is bit-identical to the serial
+path whichever attempt produced each result.  Both sides are single-threaded:
+the supervisor's event loop runs inside ``submit`` / ``result`` calls.
 
 ``multiprocessing`` is imported when the pool starts its first worker and
 ``logging`` with its first warning: a process that never pools -- and one
@@ -43,20 +38,16 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-import threading
 import time
 import zlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Mapping, Optional, Tuple
-
 from collections import deque
-
-from ..obs import (
-    current as obs_current,
-    reset_for_child_process,
-    worker_telemetry_from_env,
+from dataclasses import asdict, dataclass, field
+from typing import (
+    TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, Iterator, Mapping, Optional, Tuple,
 )
-from .faults import CHAOS_EXIT_CODE, FaultPlan
+
+from ..obs import current as obs_current, reset_for_child_process, worker_telemetry_from_env
+from .faults import CHAOS_EXIT_CODE, HANG_SECONDS, SLOW_SECONDS, FaultPlan
 
 if TYPE_CHECKING:
     from multiprocessing import Process
@@ -71,6 +62,16 @@ __all__ = [
 ]
 
 ENV_TASK_TIMEOUT = "REPRO_TASK_TIMEOUT"
+
+#: Total attempts per task (first dispatch included).
+_MAX_ATTEMPTS = 3
+
+#: First retry delay; doubles per subsequent attempt of the same task.
+_BACKOFF_BASE = 0.05
+
+#: :meth:`SupervisedPool.map` keeps at most this many tasks per worker in
+#: flight: enough to keep every worker fed, without queueing a whole run.
+_IN_FLIGHT_PER_WORKER = 4
 
 #: Supervisor poll granularity: the upper bound on failure-detection latency,
 #: not on throughput (results wake the supervisor immediately via the pipes).
@@ -88,54 +89,37 @@ def _warn(message: str, *args: Any) -> None:
 
 
 class TaskError(RuntimeError):
-    """A task exhausted its retry budget (or the pool degraded under it).
+    """A task exhausted its retry budget (or the pool gave up under it).
 
-    Carries the task index and the last failure description; callers catch
-    it per task and recompute the task inline on their serial path.
+    Carries the task index and the last failure description;
+    :meth:`SupervisedPool.map` catches it per task and recomputes the task
+    inline.
     """
 
     def __init__(self, task_index: int, message: str) -> None:
         super().__init__(f"task {task_index}: {message}")
         self.task_index = task_index
-        self.reason = message
 
 
 @dataclass(frozen=True)
 class SupervisionConfig:
-    """Tunable supervision behaviour, shared by every supervised call site."""
+    """The pool's one tunable: ``--task-timeout`` / ``REPRO_TASK_TIMEOUT``."""
 
-    #: Wall-clock budget per task attempt; None disables the per-task timer
-    #: (heartbeat monitoring still runs).
-    task_timeout: Optional[float] = 60.0
-    heartbeat_interval: float = 0.25
-    #: A busy worker silent for this long is declared unresponsive.
-    heartbeat_timeout: float = 15.0
-    #: Total attempts per task (first dispatch included).
-    max_attempts: int = 3
-    #: First retry delay; doubles per subsequent attempt of the same task.
-    backoff_base: float = 0.05
-    #: Consecutive failed attempts (across tasks) before the pool degrades.
-    degrade_after: int = 6
+    #: Wall-clock budget per task attempt: the pool's only hang detector.
+    task_timeout: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.degrade_after < 1:
-            raise ValueError("degrade_after must be >= 1")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError("task_timeout must be positive (or None)")
+        if self.task_timeout is None or not self.task_timeout > 0:
+            raise ValueError(
+                "task_timeout (--task-timeout, REPRO_TASK_TIMEOUT) must be a "
+                f"positive number of seconds; got {self.task_timeout!r}"
+            )
 
     @classmethod
-    def from_env(
-        cls, environ: Optional[Mapping[str, str]] = None, **overrides: Any
-    ) -> "SupervisionConfig":
-        """Defaults, with ``REPRO_TASK_TIMEOUT`` honored and kwargs applied."""
-        env = os.environ if environ is None else environ
-        raw = env.get(ENV_TASK_TIMEOUT)
-        if raw is not None and "task_timeout" not in overrides:
-            value = float(raw)
-            overrides["task_timeout"] = value if value > 0 else None
-        return cls(**overrides)
+    def from_env(cls, environ: Optional[Mapping[str, str]] = None) -> "SupervisionConfig":
+        """The default, or ``REPRO_TASK_TIMEOUT`` when it is set."""
+        raw = (os.environ if environ is None else environ).get(ENV_TASK_TIMEOUT)
+        return cls() if raw is None else cls(task_timeout=float(raw))
 
 
 @dataclass
@@ -152,26 +136,22 @@ class SupervisionStats:
     #: Tasks that exhausted retries (their results came from a caller fallback).
     failed_tasks: int = 0
     workers_spawned: int = 0
+    #: True once a task exhausted its attempts and the pool gave up.
     degraded: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "tasks": self.tasks,
-            "completed": self.completed,
-            "retries": self.retries,
-            "crashes": self.crashes,
-            "hangs": self.hangs,
-            "corruptions": self.corruptions,
-            "task_errors": self.task_errors,
-            "failed_tasks": self.failed_tasks,
-            "workers_spawned": self.workers_spawned,
-            "degraded": self.degraded,
-        }
+        return asdict(self)
 
-    @property
-    def recoveries(self) -> int:
-        """Failure events survived (every retry is a recovered failure)."""
-        return self.retries
+    def summary(self) -> Optional[str]:
+        """The ``supervision:`` report line; None when nothing went wrong."""
+        if not (self.retries or self.degraded):
+            return None
+        return (
+            f"supervision: {self.retries} retried attempt(s) "
+            f"({self.crashes} crashes, {self.hangs} hangs, "
+            f"{self.corruptions} corrupt results, {self.task_errors} task errors)"
+            + ("; pool degraded to serial" if self.degraded else "")
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +166,15 @@ def _worker_main(
     initializer: Optional[Callable[..., None]],
     initargs: Tuple[Any, ...],
     plan_params: Optional[Dict[str, Any]],
-    heartbeat_interval: float,
 ) -> None:
-    """One supervised worker: beat, init, then execute tasks until sentinel.
+    """One supervised worker: init, then execute tasks until sentinel.
 
-    All results go back in a ``("ok", worker_id, task_index, attempt,
-    checksum, payload)`` envelope where ``checksum = crc32(payload)`` and
-    ``payload = pickle(value)`` -- the supervisor rejects any envelope whose
-    checksum does not match.  Exceptions raised by the task function are
-    reported (``"error"``), not fatal: a worker survives its tasks' bugs.
-
-    Telemetry rides the same pipe: when the coordinator exported
-    ``REPRO_METRICS_OUT`` (see :mod:`repro.obs`), the worker accumulates
-    task counts/timings in a private registry and ships one final
-    ``("metrics", worker_id, run_id, snapshot)`` envelope at graceful
-    shutdown; the supervisor merges it into the active run by run id.  A
-    worker killed by recycle/terminate loses its snapshot -- telemetry is
+    Results go back in ``("ok", worker_id, task_index, attempt, crc32(payload),
+    payload)`` envelopes; an exception raised by the task is reported
+    (``"error"``), not fatal.  With ``REPRO_METRICS_OUT`` exported (see
+    :mod:`repro.obs`), the worker also counts and times its tasks and ships
+    one ``("metrics", worker_id, run_id, snapshot)`` envelope at graceful
+    shutdown; a worker killed by recycle/terminate loses it -- telemetry is
     best-effort, results are not.
     """
     # A fork-started worker also inherits the coordinator's signal handlers
@@ -217,22 +190,6 @@ def _worker_main(
     reset_for_child_process()
     telemetry = worker_telemetry_from_env()
     plan = FaultPlan(**plan_params) if plan_params else None
-    send_lock = threading.Lock()
-    stop_beating = threading.Event()
-
-    def send(message: Tuple[Any, ...]) -> None:
-        with send_lock:
-            up.send(message)
-
-    def beat() -> None:
-        while not stop_beating.is_set():
-            try:
-                send(("beat", worker_id))
-            except Exception:
-                return
-            stop_beating.wait(heartbeat_interval)
-
-    threading.Thread(target=beat, daemon=True, name="heartbeat").start()
     if initializer is not None:
         initializer(*initargs)
     while True:
@@ -248,9 +205,9 @@ def _worker_main(
             if fault == "crash":
                 os._exit(CHAOS_EXIT_CODE)
             if fault == "hang":
-                time.sleep(plan.hang_seconds)  # type: ignore[union-attr]
+                time.sleep(HANG_SECONDS)
             elif fault == "slow":
-                time.sleep(plan.slow_seconds)  # type: ignore[union-attr]
+                time.sleep(SLOW_SECONDS)
             if telemetry is None:
                 value = fn(*args)
             else:
@@ -264,7 +221,7 @@ def _worker_main(
             checksum = zlib.crc32(payload)
             if fault == "corrupt":
                 checksum ^= 0xDEADBEEF
-            send(("ok", worker_id, task_index, attempt, checksum, payload))
+            up.send(("ok", worker_id, task_index, attempt, checksum, payload))
         except BaseException as exc:  # noqa: BLE001 - reported, not fatal
             if telemetry is not None:
                 telemetry[1].inc("worker.task_errors")
@@ -272,14 +229,13 @@ def _worker_main(
                 detail = f"{type(exc).__name__}: {exc}"
             except Exception:
                 detail = type(exc).__name__
-            send(("error", worker_id, task_index, attempt, detail))
+            up.send(("error", worker_id, task_index, attempt, detail))
     if telemetry is not None:
         run_id, registry = telemetry
         try:
-            send(("metrics", worker_id, run_id, registry.snapshot()))
+            up.send(("metrics", worker_id, run_id, registry.snapshot()))
         except Exception:
             pass
-    stop_beating.set()
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +260,12 @@ class _Task:
 class _Slot:
     """One worker position; its process is recycled across failures."""
 
-    position: int
     worker_id: int = -1
     process: Optional[Process] = None
     down: Optional[Connection] = None
     up: Optional[Connection] = None
     busy: Optional[Tuple[int, int]] = None  # (task_index, attempt)
     dispatched_at: float = 0.0
-    last_beat: float = 0.0
     ready: Deque[int] = field(default_factory=deque)
 
 
@@ -321,17 +275,8 @@ class SupervisedPool:
     Usage::
 
         with SupervisedPool(workers, initializer=init, initargs=(...)) as pool:
-            indices = [pool.submit(fn, args) for args in shards]
-            for index in indices:
-                try:
-                    merge(pool.result(index))
-                except TaskError:
-                    merge(compute_inline(...))   # serial fallback
-
-    ``submit`` routes the task to slot ``task_index % workers`` (static
-    routing keeps the fault schedule of a seeded chaos run reproducible);
-    ``result`` drives the supervision event loop until that task either
-    completes or definitively fails.
+            for value in pool.map(fn, args_iterable, inline):
+                merge(value)
     """
 
     def __init__(
@@ -356,19 +301,41 @@ class SupervisedPool:
         # Bound at construction: worker snapshots and pool stats fold into
         # the telemetry run that was active when this pool was created.
         self._obs_run = obs_current()
-        self._slots = [_Slot(position=index) for index in range(workers)]
+        self._slots = [_Slot() for _ in range(workers)]
         self._tasks: Dict[int, _Task] = {}
         self._next_index = 0
         self._next_worker_id = 0
-        self._consecutive_failures = 0
-        self._degraded = False
         self._closed = False
 
     # -- public API ----------------------------------------------------------
-    @property
-    def degraded(self) -> bool:
-        """True once the pool has given up on its workers."""
-        return self._degraded
+    def map(
+        self,
+        fn: Callable[..., Any],
+        args_iterable: Iterable[Tuple[Any, ...]],
+        inline: Callable[..., Any],
+    ) -> Iterator[Any]:
+        """Yield ``fn(*args)`` for each ``args``, in order.
+
+        A task that ends in :class:`TaskError` yields ``inline(*args)``,
+        computed in the calling process: callers pass the serial path of
+        ``fn``, so the values are the same either way.  At most ``4 x
+        workers`` tasks are in flight.
+        """
+        window: Deque[Tuple[int, Tuple[Any, ...]]] = deque()
+        for args in args_iterable:
+            window.append((self.submit(fn, args), args))
+            if len(window) >= _IN_FLIGHT_PER_WORKER * self.workers:
+                yield self._result_or_inline(*window.popleft(), inline)
+        while window:
+            yield self._result_or_inline(*window.popleft(), inline)
+
+    def _result_or_inline(
+        self, index: int, args: Tuple[Any, ...], inline: Callable[..., Any]
+    ) -> Any:
+        try:
+            return self.result(index)
+        except TaskError:
+            return inline(*args)
 
     def submit(self, fn: Callable[..., Any], args: Tuple[Any, ...]) -> int:
         """Register a task; returns its index (also its chaos/routing key)."""
@@ -379,7 +346,7 @@ class SupervisedPool:
         task = _Task(index=index, fn=fn, args=args)
         self._tasks[index] = task
         self.stats.tasks += 1
-        if self._degraded:
+        if self.stats.degraded:
             self._fail_task(task, "pool degraded to serial execution")
         else:
             self._slots[index % self.workers].ready.append(index)
@@ -387,10 +354,14 @@ class SupervisedPool:
         return index
 
     def result(self, index: int) -> Any:
-        """Block until task ``index`` resolves; its value or :class:`TaskError`."""
+        """Block until task ``index`` resolves; its value or :class:`TaskError`.
+
+        Each task's result is collected once: the pool lets go of it here.
+        """
         task = self._tasks[index]
         while task.state not in ("done", "failed"):
             self._pump(block=True)
+        del self._tasks[index]
         if task.state == "failed":
             raise TaskError(index, task.error)
         return task.value
@@ -421,11 +392,7 @@ class SupervisedPool:
                             self._merge_worker_metrics(message)
                 except (EOFError, OSError):
                     pass
-            if slot.process.is_alive():
-                slot.process.terminate()
-                slot.process.join(timeout=_SHUTDOWN_GRACE)
-            self._close_slot_pipes(slot)
-            slot.process = None
+            self._recycle(slot)
         self._fold_stats()
 
     def _merge_worker_metrics(self, message: Tuple[Any, ...]) -> None:
@@ -444,16 +411,11 @@ class SupervisedPool:
 
     def _fold_stats(self) -> None:
         """Fold this pool's supervision stats into the run's counters."""
-        run = self._obs_run
-        if run is None:
+        if self._obs_run is None:
             return
-        reg = run.registry
         for key, value in self.stats.to_dict().items():
-            if key == "degraded":
-                if value:
-                    reg.inc("supervisor.degraded")
-            elif value:
-                reg.inc(f"supervisor.{key}", value)
+            if value:
+                self._obs_run.registry.inc(f"supervisor.{key}", int(value))
 
     def __enter__(self) -> "SupervisedPool":
         return self
@@ -468,11 +430,7 @@ class SupervisedPool:
         progressed |= self._detect_failures()
         progressed |= self._dispatch()
         if block and not progressed:
-            readers = [
-                slot.up
-                for slot in self._slots
-                if slot.up is not None and slot.process is not None
-            ]
+            readers = [slot.up for slot in self._slots if slot.up is not None]
             if readers:
                 from multiprocessing.connection import wait
 
@@ -502,15 +460,6 @@ class SupervisedPool:
 
     def _handle_message(self, slot: _Slot, message: Tuple[Any, ...]) -> None:
         tag = message[0]
-        if tag == "beat":
-            if message[1] == slot.worker_id:
-                now = time.monotonic()
-                if self._obs_run is not None:
-                    self._obs_run.registry.observe(
-                        "supervisor.heartbeat_latency_seconds", now - slot.last_beat
-                    )
-                slot.last_beat = now
-            return
         if tag == "metrics":
             self._merge_worker_metrics(message)
             return
@@ -521,7 +470,7 @@ class SupervisedPool:
         slot.busy = None
         if tag == "error":
             self.stats.task_errors += 1
-            self._attempt_failed(task, slot, str(rest[0]), recycle=True)
+            self._attempt_failed(task, slot, str(rest[0]))
             return
         checksum, payload = rest
         if zlib.crc32(payload) != checksum:
@@ -531,19 +480,17 @@ class SupervisedPool:
                 slot,
                 f"corrupt result envelope from worker {worker_id} "
                 f"(checksum mismatch)",
-                recycle=True,
             )
             return
         task.value = pickle.loads(payload)
         task.state = "done"
         self.stats.completed += 1
-        self._consecutive_failures = 0
 
     def _detect_failures(self) -> bool:
-        """Crash / task-timeout / heartbeat checks over every busy slot."""
+        """Crash and task-timeout checks over every busy slot."""
         progressed = False
         now = time.monotonic()
-        cfg = self.config
+        timeout = self.config.task_timeout
         for slot in self._slots:
             process = slot.process
             if process is None or slot.busy is None:
@@ -556,30 +503,16 @@ class SupervisedPool:
                     if process.exitcode == CHAOS_EXIT_CODE
                     else f"worker exited with code {process.exitcode}"
                 )
-                slot.busy = None
                 self._attempt_failed(
-                    task, slot, f"worker {slot.worker_id} crashed ({detail})", recycle=True
+                    task, slot, f"worker {slot.worker_id} crashed ({detail})"
                 )
                 progressed = True
-                continue
-            timed_out = (
-                cfg.task_timeout is not None
-                and now - slot.dispatched_at > cfg.task_timeout
-            )
-            silent = now - slot.last_beat > cfg.heartbeat_timeout
-            if (timed_out or silent) and not slot.up.poll():  # type: ignore[union-attr]
+            elif now - slot.dispatched_at > timeout and not slot.up.poll():  # type: ignore[union-attr]
                 self.stats.hangs += 1
-                reason = (
-                    f"task exceeded {cfg.task_timeout}s timeout"
-                    if timed_out
-                    else f"no heartbeat for {cfg.heartbeat_timeout}s"
-                )
-                slot.busy = None
                 self._attempt_failed(
                     task,
                     slot,
-                    f"worker {slot.worker_id} hung ({reason})",
-                    recycle=True,
+                    f"worker {slot.worker_id} hung (task exceeded {timeout}s timeout)",
                 )
                 progressed = True
         return progressed
@@ -591,11 +524,8 @@ class SupervisedPool:
         for slot in self._slots:
             if slot.busy is not None or not slot.ready:
                 continue
-            index = slot.ready[0]
-            task = self._tasks[index]
-            if task.state != "ready" or task.not_before > now:
-                if task.state != "ready":
-                    slot.ready.popleft()  # degraded-failed leftovers
+            task = self._tasks[slot.ready[0]]
+            if task.not_before > now:
                 continue
             if slot.process is None or not slot.process.is_alive():
                 self._respawn(slot)
@@ -608,64 +538,46 @@ class SupervisedPool:
                 slot.down.send((task.index, task.attempts, task.fn, task.args))  # type: ignore[union-attr]
                 progressed = True
             except (OSError, ValueError, BrokenPipeError):
-                slot.busy = None
                 self._attempt_failed(
                     task,
                     slot,
                     f"could not dispatch to worker {slot.worker_id} (broken pipe)",
-                    recycle=True,
                 )
         return progressed
 
     # -- failure handling ----------------------------------------------------
-    def _attempt_failed(
-        self, task: _Task, slot: _Slot, reason: str, *, recycle: bool
-    ) -> None:
-        """One attempt of ``task`` failed on ``slot``: retry, fail, or degrade."""
-        if recycle:
-            self._recycle(slot)
-        self._consecutive_failures += 1
+    def _attempt_failed(self, task: _Task, slot: _Slot, reason: str) -> None:
+        """One attempt of ``task`` failed on ``slot``: retry it, or give up."""
+        self._recycle(slot)
         _warn(
             "%s: attempt %d/%d of task %d failed: %s",
-            self.name,
-            task.attempts,
-            self.config.max_attempts,
-            task.index,
-            reason,
+            self.name, task.attempts, _MAX_ATTEMPTS, task.index, reason,
         )
-        if task.attempts >= self.config.max_attempts:
-            self._fail_task(task, f"{reason} (after {task.attempts} attempts)")
-        else:
+        if task.attempts < _MAX_ATTEMPTS:
             self.stats.retries += 1
             task.state = "ready"
-            task.not_before = time.monotonic() + self.config.backoff_base * (
-                2 ** (task.attempts - 1)
-            )
+            task.not_before = time.monotonic() + _BACKOFF_BASE * 2 ** (task.attempts - 1)
             slot.ready.appendleft(task.index)
-        if (
-            not self._degraded
-            and self._consecutive_failures >= self.config.degrade_after
-        ):
-            self._degrade()
+        else:
+            self._give_up(task, f"{reason} (after {task.attempts} attempts)")
 
     def _fail_task(self, task: _Task, reason: str) -> None:
         task.state = "failed"
         task.error = reason
         self.stats.failed_tasks += 1
 
-    def _degrade(self) -> None:
-        """Give up on worker processes; fail-fast everything still pending."""
-        self._degraded = True
+    def _give_up(self, task: _Task, reason: str) -> None:
+        """``task`` exhausted its attempts: fail it and everything unfinished."""
         self.stats.degraded = True
         _warn(
-            "%s: %d consecutive worker failures; degrading to serial "
-            "execution (remaining tasks will run inline in the coordinator)",
-            self.name,
-            self._consecutive_failures,
+            "%s: task %d failed %d attempts; degrading to serial execution "
+            "(remaining tasks will run inline in the coordinator)",
+            self.name, task.index, task.attempts,
         )
-        for task in self._tasks.values():
-            if task.state in ("ready", "running"):
-                self._fail_task(task, "pool degraded to serial execution")
+        self._fail_task(task, reason)
+        for other in self._tasks.values():
+            if other.state in ("ready", "running"):
+                self._fail_task(other, "pool degraded to serial execution")
         for slot in self._slots:
             slot.busy = None
             slot.ready.clear()
@@ -677,8 +589,12 @@ class SupervisedPool:
             if slot.process.is_alive():
                 slot.process.terminate()
                 slot.process.join(timeout=_SHUTDOWN_GRACE)
-            self._close_slot_pipes(slot)
-            slot.process = None
+            for conn in (slot.down, slot.up):
+                try:
+                    conn.close()  # type: ignore[union-attr]
+                except OSError:
+                    pass
+            slot.process = slot.down = slot.up = None
         slot.busy = None
 
     def _respawn(self, slot: _Slot) -> None:
@@ -699,7 +615,6 @@ class SupervisedPool:
                 self._initializer,
                 self._initargs,
                 self.chaos.to_params() if self.chaos is not None else None,
-                self.config.heartbeat_interval,
             ),
             daemon=True,
             name=f"{self.name}-worker-{worker_id}",
@@ -711,16 +626,4 @@ class SupervisedPool:
         slot.process = process
         slot.down = task_writer
         slot.up = result_reader
-        slot.last_beat = time.monotonic()
         self.stats.workers_spawned += 1
-
-    @staticmethod
-    def _close_slot_pipes(slot: _Slot) -> None:
-        for conn in (slot.down, slot.up):
-            if conn is not None:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-        slot.down = None
-        slot.up = None

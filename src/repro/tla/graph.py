@@ -15,16 +15,11 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
-)
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import SpecError
 from .spec import TemporalProperty
 from .state import State
-
-if TYPE_CHECKING:  # imported where it is used: only the liveness queries need it
-    import networkx as nx
 
 __all__ = ["Edge", "StateGraph", "PropertyCheckOutcome"]
 
@@ -188,29 +183,60 @@ class StateGraph:
         return path
 
     # Liveness ------------------------------------------------------------------------
-    def to_networkx(self) -> "nx.MultiDiGraph":
-        """Export as a :class:`networkx.MultiDiGraph` (node attribute ``state``)."""
-        import networkx as nx
-
-        graph = nx.MultiDiGraph()
-        for node_id, state in enumerate(self._states):
-            graph.add_node(node_id, state=state)
-        for edge in self._edges:
-            graph.add_edge(edge.source, edge.target, action=edge.action)
-        return graph
-
     def terminal_sccs(self) -> List[Set[int]]:
-        """Strongly connected components with no edges leaving them."""
-        import networkx as nx
+        """Strongly connected components with no edges leaving them.
 
-        digraph = nx.DiGraph()
-        digraph.add_nodes_from(range(len(self._states)))
-        digraph.add_edges_from((edge.source, edge.target) for edge in self._edges)
-        condensation = nx.condensation(digraph)
+        An iterative Tarjan over the adjacency lists, so no recursion limit
+        bounds the graph.  A component completes only after every component
+        it reaches, so it is terminal exactly when each of its edges stays
+        inside it.  Components come in completion order.
+        """
+        outgoing = self._outgoing
+        index = [-1] * len(self._states)
+        low = [0] * len(self._states)
+        on_stack = [False] * len(self._states)
+        stack: List[int] = []
         terminal: List[Set[int]] = []
-        for component_id in condensation.nodes:
-            if condensation.out_degree(component_id) == 0:
-                terminal.append(set(condensation.nodes[component_id]["members"]))
+        counter = 0
+        for root in range(len(self._states)):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack[root] = True
+            work = [(root, iter(outgoing.get(root, ())))]
+            while work:
+                node, edges = work[-1]
+                for edge in edges:
+                    target = edge.target
+                    if index[target] < 0:
+                        index[target] = low[target] = counter
+                        counter += 1
+                        stack.append(target)
+                        on_stack[target] = True
+                        work.append((target, iter(outgoing.get(target, ()))))
+                        break
+                    if on_stack[target] and index[target] < low[node]:
+                        low[node] = index[target]
+                else:
+                    work.pop()
+                    if work and low[node] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[node]
+                    if low[node] == index[node]:
+                        members: Set[int] = set()
+                        while True:
+                            member = stack.pop()
+                            on_stack[member] = False
+                            members.add(member)
+                            if member == node:
+                                break
+                        if all(
+                            edge.target in members
+                            for member in members
+                            for edge in outgoing.get(member, ())
+                        ):
+                            terminal.append(members)
         return terminal
 
     def check_property(self, prop: TemporalProperty) -> PropertyCheckOutcome:

@@ -186,9 +186,15 @@ _POOLED = ["check", "locking", "--engine", "simulate", "--workers", "2"]
         (["check", "locking", "--memory-stats"], "--memory-stats"),
         # A simulate run with no --workers starts no pool to supervise.
         (["check", "locking", "--engine", "simulate", "--task-timeout", "5"], "supervision"),
+        # The task timer is the pool's only hang detector: it cannot be off.
+        (["REPRO_TASK_TIMEOUT=0"] + _POOLED, "task_timeout"),
     ],
 )
-def test_inconsistent_flags_exit_2(capsys, argv, needle):
+def test_inconsistent_flags_exit_2(capsys, monkeypatch, argv, needle):
+    while "=" in argv[0]:  # leading NAME=value words set the environment
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's own usage errors
@@ -243,6 +249,8 @@ _SUPERVISION = SupervisionConfig(task_timeout=1.0)
         (_check, dict(chaos=FaultPlan(rate=0.5)), "chaos"),
         (_check, dict(engine="simulate", checkpoint_path="x.ckpt"), "checkpoint_path"),
         (_check, dict(store="disk", checkpoint_path="x.ckpt"), "store_path"),
+        (SupervisionConfig, dict(task_timeout=None), "task_timeout"),
+        (SupervisionConfig.from_env, dict(environ={"REPRO_TASK_TIMEOUT": "0"}), "task_timeout"),
     ],
 )
 def test_the_library_refuses_what_it_would_ignore(call, kwargs, needle):

@@ -346,7 +346,7 @@ def test_disk_store_under_chaos_matches_fault_free_walks():
         check_properties=False,
         workers=2,
         chaos=FaultPlan(seed=7, rate=0.3, kinds=("crash", "corrupt")),
-        supervision=SupervisionConfig.from_env(backoff_base=0.01),
+        supervision=SupervisionConfig.from_env(),
         store="disk",
         store_capacity=16,  # force flushes between shard merges
         **walks,

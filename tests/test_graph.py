@@ -186,20 +186,59 @@ def test_counter_spec_terminal_matches_behaviour_end():
 
 
 # ---------------------------------------------------------------------------
-# networkx: paid for by the liveness queries, not by every import
+# terminal_sccs: an iterative Tarjan, no networkx
 # ---------------------------------------------------------------------------
 
 
-def test_networkx_is_imported_by_the_liveness_queries_only():
+def _reference_terminal_sccs(graph):
+    """Brute force: components by mutual reachability, kept when closed."""
+    n = len(graph)
+    reach = []
+    for source in range(n):
+        seen, todo = {source}, [source]
+        while todo:
+            for edge in graph.outgoing(todo.pop()):
+                if edge.target not in seen:
+                    seen.add(edge.target)
+                    todo.append(edge.target)
+        reach.append(seen)
+    components = {frozenset(t for t in reach[s] if s in reach[t]) for s in range(n)}
+    return {c for c in components if all(reach[node] <= c for node in c)}
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_terminal_sccs_match_mutual_reachability(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    edges = [
+        (rng.randrange(n), "a", rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))
+    ]
+    graph = _graph(edges, n_nodes=n)
+    got = graph.terminal_sccs()
+    assert len(got) == len({frozenset(c) for c in got})
+    assert {frozenset(c) for c in got} == _reference_terminal_sccs(graph)
+
+
+def test_terminal_sccs_of_a_long_chain_need_no_recursion():
+    # 200,000 states ending in a 10-state cycle: a recursive Tarjan would
+    # blow Python's recursion limit long before the end of the chain.
+    n = 200_000
+    graph = _graph(
+        [(i, "step", i + 1) for i in range(n - 1)] + [(n - 1, "back", n - 10)]
+    )
+    assert graph.terminal_sccs() == [set(range(n - 10, n))]
+
+
+def test_property_checks_run_without_networkx():
     import os
     import subprocess
     import sys
 
     code = """
 import sys
-import repro.engine, repro.pipeline.runner, repro.stream, repro.mbtcg
-assert "networkx" not in sys.modules, "imported with the packages"
+sys.modules["networkx"] = None  # any import of it now raises ImportError
 from repro.tla.graph import StateGraph
+from repro.tla.spec import TemporalProperty
 from repro.tla.state import State, VariableSchema
 schema = VariableSchema(("x",))
 graph = StateGraph()
@@ -207,10 +246,15 @@ for x in range(3):
     graph.add_state(State(schema, {"x": x}), initial=x == 0)
 for source, target in ((0, 1), (1, 2), (2, 1)):
     graph.add_edge(source, "step", target)
-assert list(graph.behaviours(max_length=3)) and "networkx" not in sys.modules
 assert graph.terminal_sccs() == [{1, 2}]
-assert "networkx" in sys.modules
-assert graph.to_networkx().number_of_edges() == 3
+reaches = TemporalProperty("ReachesTwo", lambda s: s["x"] == 2, kind="eventually")
+never = TemporalProperty("NeverThree", lambda s: s["x"] == 3, kind="eventually")
+assert graph.check_property(reaches).holds
+assert not graph.check_property(never).holds
+from repro.engine import check_spec
+from repro.tla.registry import build_spec
+(outcome,) = check_spec(build_spec("raftmongo", n_nodes=2)).property_outcomes
+assert outcome.property_name == "CommitPointEventuallyPropagated" and outcome.holds
 """
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     done = subprocess.run(

@@ -24,15 +24,8 @@ from repro.resilience import (
 )
 from repro.tla.registry import build_spec
 
-#: Snappy supervision for tests: fast backoff, sub-second hang detection.
-FAST = SupervisionConfig(
-    task_timeout=2.0,
-    heartbeat_interval=0.05,
-    heartbeat_timeout=5.0,
-    max_attempts=3,
-    backoff_base=0.01,
-    degrade_after=10,
-)
+#: Snappy supervision for tests: a hang costs two seconds, not a minute.
+FAST = SupervisionConfig(task_timeout=2.0)
 
 
 def _square(x):
@@ -87,11 +80,9 @@ def test_fault_plan_round_trips_through_params_and_env():
 def test_supervision_config_from_env_reads_task_timeout():
     cfg = SupervisionConfig.from_env({"REPRO_TASK_TIMEOUT": "7.5"})
     assert cfg.task_timeout == 7.5
-    # Explicit overrides win over the environment.
-    cfg = SupervisionConfig.from_env({"REPRO_TASK_TIMEOUT": "7.5"}, task_timeout=1.0)
-    assert cfg.task_timeout == 1.0
+    assert SupervisionConfig.from_env({}).task_timeout == 60.0
     with pytest.raises(ValueError):
-        SupervisionConfig(max_attempts=0)
+        SupervisionConfig(task_timeout=0)
 
 
 # -- SupervisedPool: the recovery paths ---------------------------------------
@@ -103,7 +94,7 @@ def test_pool_runs_tasks_and_preserves_submission_order():
         assert [pool.result(i) for i in indices] == [n * n for n in range(12)]
     assert pool.stats.completed == 12
     assert pool.stats.retries == 0
-    assert not pool.degraded
+    assert not pool.stats.degraded
 
 
 @pytest.mark.parametrize("kind", ["crash", "corrupt"])
@@ -120,9 +111,8 @@ def test_pool_recovers_from_injected_faults(kind):
     assert counter == 4
     assert pool.stats.retries == 4
     assert pool.stats.completed == 8
-    assert pool.stats.recoveries >= 4
     assert pool.stats.workers_spawned == 5  # initial worker + one per fault
-    assert not pool.degraded
+    assert not pool.stats.degraded
 
 
 def test_pool_chaos_runs_are_reproducible():
@@ -137,48 +127,48 @@ def test_pool_chaos_runs_are_reproducible():
 
 
 def test_pool_detects_hangs_and_exhausts_retries():
-    chaos = FaultPlan(seed=3, rate=1.0, kinds=("hang",), hang_seconds=60.0)
-    config = SupervisionConfig(
-        task_timeout=0.5, backoff_base=0.01, max_attempts=2, degrade_after=10
-    )
+    chaos = FaultPlan(seed=3, rate=1.0, kinds=("hang",))
+    config = SupervisionConfig(task_timeout=0.5)
     with SupervisedPool(1, config=config, chaos=chaos, name="test-hang") as pool:
         index = pool.submit(_square, (3,))
         with pytest.raises(TaskError) as excinfo:
             pool.result(index)
     assert excinfo.value.task_index == index
     assert "hung" in str(excinfo.value)
-    assert pool.stats.hangs == 2
+    assert pool.stats.hangs == 3
     assert pool.stats.failed_tasks == 1
 
 
 def test_pool_retries_application_errors_then_raises():
     with SupervisedPool(1, config=FAST, name="test-error") as pool:
+        ok = pool.submit(_square, (6,))
         index = pool.submit(_boom, (5,))
+        assert pool.result(ok) == 36  # an earlier task is unaffected
         with pytest.raises(TaskError, match="boom 5"):
             pool.result(index)
-        ok = pool.submit(_square, (6,))
-        assert pool.result(ok) == 36  # the pool survives a failed task
-    assert pool.stats.task_errors == FAST.max_attempts
+    assert pool.stats.task_errors == 3
     assert pool.stats.failed_tasks == 1
     assert pool.stats.completed == 1
 
 
 def test_pool_degrades_after_consecutive_failures():
+    # One task exhausting its three attempts is enough: every unfinished
+    # task then fails fast to its caller's inline path, instead of each
+    # spending its own three crashes first.
     chaos = FaultPlan(seed=1, rate=1.0, kinds=("crash",))
-    config = SupervisionConfig(
-        task_timeout=2.0, backoff_base=0.01, max_attempts=2, degrade_after=3
-    )
-    with SupervisedPool(2, config=config, chaos=chaos, name="test-degrade") as pool:
-        indices = [pool.submit(_square, (n,)) for n in range(6)]
+    with SupervisedPool(1, config=FAST, chaos=chaos, name="test-degrade") as pool:
+        indices = [pool.submit(_square, (n,)) for n in range(5)]
         for index in indices:
             with pytest.raises(TaskError):
                 pool.result(index)
-        assert pool.degraded
         assert pool.stats.degraded
         # Post-degradation submissions fail fast instead of spawning workers.
         late = pool.submit(_square, (99,))
         with pytest.raises(TaskError, match="degraded"):
             pool.result(late)
+    assert pool.stats.crashes == 3
+    assert pool.stats.workers_spawned == 3
+    assert pool.stats.failed_tasks == 6
 
 
 # -- Engine integration: injected faults never change the answer --------------
@@ -189,9 +179,7 @@ def test_degraded_pool_walks_fall_back_inline():
     walks = dict(engine="simulate", walks=24, walk_depth=10, seed=5)
     serial = check_spec(build_spec("locking"), check_properties=False, **walks)
     chaos = FaultPlan(seed=1, rate=1.0, kinds=("crash",))
-    supervision = SupervisionConfig(
-        task_timeout=5.0, backoff_base=0.01, max_attempts=2, degrade_after=2
-    )
+    supervision = SupervisionConfig(task_timeout=5.0)
     result = check_spec(
         build_spec("locking"),
         check_properties=False,
@@ -232,9 +220,7 @@ def test_simulate_engine_falls_back_inline_when_retries_exhaust():
         seed=5,
         workers=2,
         chaos=FaultPlan(seed=1, rate=1.0, kinds=("crash",)),
-        supervision=SupervisionConfig(
-            task_timeout=5.0, backoff_base=0.01, max_attempts=2, degrade_after=10
-        ),
+        supervision=SupervisionConfig(task_timeout=5.0),
     )
     assert chaotic.supervision is not None
     assert chaotic.supervision.failed_tasks > 0
@@ -327,5 +313,5 @@ def test_terminated_workers_die_silently_under_the_cli(monkeypatch, capfd):
     assert code == 0
     assert "Traceback" not in captured.err
     assert survivors == []  # SIGTERM killed them; none caught it and lived on
-    assert "6 hangs" in captured.out  # the faults were injected and detected
+    assert re.search(r"[1-9]\d* hangs", captured.out)  # injected and detected
     assert counts.search(captured.out).groups() == clean

@@ -54,7 +54,7 @@ def test_process_executor_recovers_from_env_chaos(monkeypatch):
         workload,
         workers=2,
         executor="process",
-        supervision=SupervisionConfig(backoff_base=0.01),
+        supervision=SupervisionConfig(),
     )
     assert (chaotic.total, chaotic.passed, chaotic.failed) == (
         baseline.total,
@@ -63,6 +63,28 @@ def test_process_executor_recovers_from_env_chaos(monkeypatch):
     )
     assert [o.index for o in chaotic.failures] == [o.index for o in baseline.failures]
     assert chaotic.supervision is not None and chaotic.supervision.tasks > 0
+
+
+def test_process_executor_falls_back_inline_when_every_worker_crashes(monkeypatch):
+    """The first task to exhaust its attempts ends the pool's tries: every
+    chunk is then checked inline, and the verdicts are the fault-free ones."""
+    spec = build_spec("locking")
+    workload = _workload(spec, n=80)
+    baseline = check_traces(spec, workload, workers=2, executor="process")
+    monkeypatch.setenv("REPRO_CHAOS_RATE", "1")
+    monkeypatch.setenv("REPRO_CHAOS_KINDS", "crash")
+    chaotic = check_traces(spec, workload, workers=2, executor="process")
+    assert (chaotic.total, chaotic.passed, chaotic.failed) == (
+        baseline.total,
+        baseline.passed,
+        baseline.failed,
+    )
+    assert [o.index for o in chaotic.failures] == [o.index for o in baseline.failures]
+    assert chaotic.coverage.to_json() == baseline.coverage.to_json()
+    assert chaotic.supervision.degraded
+    assert 3 <= chaotic.supervision.crashes <= 6
+    assert chaotic.supervision.failed_tasks == chaotic.supervision.tasks == 5
+    assert "pool degraded to serial" in chaotic.summary()
 
 
 def test_process_executor_requires_registry_ref(locking_spec):

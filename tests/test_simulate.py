@@ -110,10 +110,10 @@ def test_pooled_walks_under_chaos_keep_the_counterexample():
         check_properties=False,
         workers=2,
         chaos=FaultPlan(seed=7, rate=0.3, kinds=("crash", "corrupt")),
-        supervision=SupervisionConfig.from_env(backoff_base=0.01),
+        supervision=SupervisionConfig.from_env(),
         **walks,
     )
-    assert chaotic.supervision.recoveries > 0
+    assert chaotic.supervision.retries > 0
     assert serial.invariant_violation.property_name == "Bounded"
     assert [s.values for s in chaotic.invariant_violation.trace] == [
         s.values for s in serial.invariant_violation.trace
@@ -210,14 +210,14 @@ def test_simulate_reports_both_event_kinds_without_stop_on_violation():
 
 
 def test_simulate_pooled_reports_actual_shard_count():
-    # 9 walks across 4 requested workers shard into ceil(9/4)=3 slices of 3;
-    # the result must report the 3 processes that ran, not the 4 requested.
+    # 9 walks across 4 requested workers cut into 4 slices (3, 2, 2, 2), so
+    # all 4 processes run; fewer walks than workers is the next test.
     spec = build_spec("locking")
     result = check_spec(
         spec, check_properties=False, engine="simulate", walks=9, walk_depth=5, workers=4
     )
     assert result.ok
-    assert result.workers == 3
+    assert result.workers == 4
 
 
 def test_simulate_honors_explicit_workers_even_for_tiny_budgets():
@@ -230,6 +230,75 @@ def test_simulate_honors_explicit_workers_even_for_tiny_budgets():
     )
     assert result.ok
     assert result.workers == 3
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4, 8])
+@pytest.mark.parametrize("walks", [1, 3, 9, 255, 256, 257, 1000, 40000, 100003])
+def test_walk_slices_cover_every_walk_in_short_tasks(walks, workers):
+    from repro.engine.simulate import _WALKS_PER_TASK, _task_slices
+
+    slices = _task_slices(walks, workers)
+    assert [i for piece in slices for i in piece] == list(range(walks))
+    assert max(map(len, slices)) <= _WALKS_PER_TASK
+    assert max(map(len, slices)) - min(map(len, slices)) <= 1
+    assert len(slices) >= min(walks, workers)
+
+
+def test_no_pool_task_carries_more_than_the_slice_size(monkeypatch):
+    import repro.engine.simulate as simulate
+    from repro.resilience import SupervisedPool
+
+    seen = []  # the walk slice of every task the engine submits
+    real_map = SupervisedPool.map
+
+    def spying_map(pool, fn, args_iterable, inline):
+        def recorded():
+            for args in args_iterable:
+                seen.append(args[0])
+                yield args
+
+        return real_map(pool, fn, recorded(), inline)
+
+    monkeypatch.setattr(SupervisedPool, "map", spying_map)
+    monkeypatch.setattr(simulate, "_WALKS_PER_TASK", 16)
+    walks = dict(engine="simulate", walks=100, walk_depth=10, seed=4)
+    serial = check_spec(build_spec("locking"), check_properties=False, **walks)
+    pooled = check_spec(build_spec("locking"), check_properties=False, workers=2, **walks)
+    assert len(seen) == 7 and max(map(len, seen)) <= 16
+    assert [i for piece in seen for i in piece] == list(range(100))
+    assert pooled.supervision.tasks == 7 and pooled.workers == 2
+    assert (pooled.distinct_states, pooled.generated_states, pooled.max_depth) == (
+        serial.distinct_states,
+        serial.generated_states,
+        serial.max_depth,
+    )
+
+
+def test_a_healthy_pooled_run_longer_than_the_task_timeout_reports_no_hang(monkeypatch):
+    # Scaled-down: each worker's share of the walks takes about twice the
+    # task timeout, so one task per worker would be declared hung; one
+    # 16-walk task takes about a ninetieth of it, so no task is.
+    import repro.engine.simulate as simulate
+    from repro.resilience import SupervisionConfig
+
+    monkeypatch.setattr(simulate, "_WALKS_PER_TASK", 16)
+    walks = dict(engine="simulate", walks=6000, walk_depth=20, seed=42)
+    serial = check_spec(build_spec("locking"), check_properties=False, **walks)
+    timeout = serial.duration_seconds / 4
+    pooled = check_spec(
+        build_spec("locking"),
+        check_properties=False,
+        workers=2,
+        supervision=SupervisionConfig(task_timeout=timeout),
+        **walks,
+    )
+    assert pooled.supervision.hangs == 0 and pooled.supervision.summary() is None
+    assert (pooled.distinct_states, pooled.generated_states, pooled.max_depth) == (
+        serial.distinct_states,
+        serial.generated_states,
+        serial.max_depth,
+    )
+    assert pooled.action_counts == serial.action_counts
 
 
 def test_simulate_rejects_bfs_bounds():
