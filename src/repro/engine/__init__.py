@@ -5,9 +5,11 @@ One exploration strategy per module, all registered by name:
 * :mod:`repro.engine.fingerprint` -- ``"fingerprint"``: level-synchronous
   BFS over interned 64-bit fingerprints (the default when no state graph is
   needed; the one engine that checkpoints, resumes and spills),
-* :mod:`repro.engine.serial` -- ``"states"``: BFS retaining every distinct
-  ``State`` (required for temporal properties, DOT export and MBTCG, and the
-  unhashed reference the fingerprint engine is compared against),
+* :mod:`repro.engine.serial` -- ``"states"``: BFS interning every distinct
+  ``State`` once into a :class:`~repro.tla.graph.StateGraph`, its store and
+  the collected graph (required for temporal properties, DOT export and
+  MBTCG, and the unhashed reference the fingerprint engine is compared
+  against),
 * :mod:`repro.engine.simulate` -- ``"simulate"``: seeded random-walk
   simulation with walk/depth budgets, for state spaces too large to exhaust.
 
@@ -15,8 +17,8 @@ Visited-state storage is a second, independent seam
 (:mod:`repro.engine.store`): engines accept any registered store they
 declare compatible.  Every store is exact; they differ in where the set
 lives -- an in-memory dict of fingerprints (each mapped to its parent's,
-the replay pointer), retained ``State`` objects, or the ``disk`` store
-(:mod:`repro.engine.diskstore`, imported when one is first made or
+the replay pointer), the ``states`` engine's state graph, or the ``disk``
+store (:mod:`repro.engine.diskstore`, imported when one is first made or
 ``repro.engine.DiskFingerprintStore`` is first read), which million-state
 runs pair with spill-to-disk frontiers (:mod:`repro.engine.frontier`) so
 peak RSS stays flat as distinct-state counts climb orders of magnitude.
@@ -67,7 +69,6 @@ from .base import (
 from .frontier import SpillFrontier
 from .store import (
     FingerprintSetStore,
-    StateRetainingStore,
     StateStore,
     make_store,
     register_store,
@@ -94,7 +95,6 @@ __all__ = [
     "SerialStatesEngine",
     "SimulationEngine",
     "SpillFrontier",
-    "StateRetainingStore",
     "StateStore",
     "check_spec",
     "engine_names",

@@ -118,8 +118,6 @@ class DiskFingerprintStore:
     """
 
     name = "disk"
-    retains_states = False
-    supports_snapshot = True
 
     def __init__(
         self, capacity: Optional[int] = None, path: Optional[str] = None

@@ -3,9 +3,9 @@
 TLC scales past toy models because its fingerprint set is swappable (an
 in-memory set, a disk-backed set, ...).  This module is that seam for the
 reproduction: an exploration engine asks its store "have I seen this state?"
-and never cares how the answer is represented.  Every store is exact --
-``add`` returns True exactly once per state and ``distinct_count`` is the
-true distinct-state count.  The fingerprint stores also keep, per state, the
+and never cares how the answer is represented.  Every store is exact -- it
+reports a state new exactly once and ``distinct_count`` is the true
+distinct-state count.  The fingerprint stores also keep, per state, the
 one thing counterexample replay needs, as TLC's fingerprint set does: the
 fingerprint of the state it was first reached from (``add(fp, parent)``,
 read back with ``parent_of(fp)``).  Three ship, the third loaded only when
@@ -14,10 +14,11 @@ one is made (it brings ``sqlite3`` with it):
 * ``"fingerprint"`` -- :class:`FingerprintSetStore`: one in-memory dict
   ``fp -> parent fp``, whose keys are the visited set; the default for the
   fingerprint-interned engines.
-* ``"states"`` -- :class:`StateRetainingStore`: every distinct ``State``
-  object is retained and assigned a dense integer id.  Required by the
-  serial ``states`` engine, whose retained graph nodes must resolve back to
-  states.
+* ``"states"`` -- :class:`~repro.tla.graph.StateGraph`: every distinct
+  ``State`` interned once, by value, as a dense node id
+  (``add_state(state) -> (id, is_new)`` in place of ``add``).  The serial
+  ``states`` engine's store, and, when the graph is collected, its
+  ``result.graph``.
 * ``"disk"`` -- :class:`repro.engine.diskstore.DiskFingerprintStore`: the
   same ``fp -> parent fp`` pairs in a SQLite file behind a write-back cache
   and a Bloom filter, so million-state runs keep a flat memory profile.  Takes a
@@ -33,13 +34,12 @@ engine's default.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Any, Callable, Dict, Optional, Protocol, Tuple
 
-from ..tla.state import State
+from ..tla.graph import StateGraph
 
 __all__ = [
     "FingerprintSetStore",
-    "StateRetainingStore",
     "StateStore",
     "make_store",
     "register_store",
@@ -48,17 +48,18 @@ __all__ = [
 
 
 class StateStore(Protocol):
-    """What every visited-state store exposes to the engines.
+    """What the fingerprint stores expose to the engines.
 
     ``add`` returns True when the fingerprint was not present (the state is
     new and should be explored) and then records ``parent`` -- the
     fingerprint of the state it was reached from, None for an initial state
     -- for :meth:`parent_of`; ``distinct_count`` is the number of distinct
-    states the store has seen.
+    states the store has seen.  The ``states`` store, a
+    :class:`~repro.tla.graph.StateGraph`, shares ``name``, ``__len__`` and
+    ``distinct_count`` and interns whole states in place of ``add``.
     """
 
     name: str
-    retains_states: bool
 
     def add(self, fp: int, parent: Optional[int] = None) -> bool: ...
 
@@ -71,10 +72,6 @@ class StateStore(Protocol):
     @property
     def distinct_count(self) -> int: ...
 
-    #: Whether the store can round-trip through ``snapshot``/``restore``
-    #: (the checkpoint/resume seam; see :mod:`repro.resilience.checkpoint`).
-    supports_snapshot: bool
-
 
 class FingerprintSetStore:
     """In-memory 64-bit state fingerprints, each mapped to its parent's (the default).
@@ -86,8 +83,6 @@ class FingerprintSetStore:
     """
 
     name = "fingerprint"
-    retains_states = False
-    supports_snapshot = True
 
     def __init__(self) -> None:
         self._parents: Dict[int, Optional[int]] = {}
@@ -119,58 +114,6 @@ class FingerprintSetStore:
     def restore(self, data: Dict[str, Any]) -> None:
         """Rebuild the store from a :meth:`snapshot` payload."""
         self._parents = dict(data["pairs"])
-
-
-class StateRetainingStore:
-    """Every distinct state retained, keyed by value and assigned a dense id.
-
-    The serial ``states`` engine needs states back (graph nodes, trace
-    reconstruction), so this store interns whole ``State`` objects rather
-    than fingerprints.  ``intern`` is its primary interface; the
-    fingerprint-flavoured ``add`` is not supported.
-    """
-
-    name = "states"
-    retains_states = True
-    #: Retained State objects and the graph referencing them make this store
-    #: much heavier to snapshot than the fingerprint stores; the serial
-    #: ``states`` engine is therefore outside the checkpoint seam for now.
-    supports_snapshot = False
-
-    def __init__(self) -> None:
-        self._ids: Dict[State, int] = {}
-        self._by_id: List[State] = []
-
-    def intern(self, state: State) -> Tuple[int, bool]:
-        """Register a state; return ``(dense id, is_new)``."""
-        existing = self._ids.get(state)
-        if existing is not None:
-            return existing, False
-        new_id = len(self._by_id)
-        self._ids[state] = new_id
-        self._by_id.append(state)
-        return new_id, True
-
-    def id_of(self, state: State) -> int:
-        return self._ids[state]
-
-    def state_of(self, state_id: int) -> State:
-        return self._by_id[state_id]
-
-    def add(self, fp: int, parent: Optional[int] = None) -> bool:
-        raise TypeError(
-            "StateRetainingStore interns State objects; use intern(state)"
-        )
-
-    def __contains__(self, state: object) -> bool:
-        return state in self._ids
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    @property
-    def distinct_count(self) -> int:
-        return len(self._by_id)
 
 
 _STORES: Dict[str, Callable[[Optional[int], Optional[str]], object]] = {}
@@ -211,5 +154,5 @@ def _disk_store(capacity: Optional[int], path: Optional[str]):
 
 
 register_store("fingerprint", lambda capacity, path: FingerprintSetStore())
-register_store("states", lambda capacity, path: StateRetainingStore())
+register_store("states", lambda capacity, path: StateGraph())
 register_store("disk", _disk_store)

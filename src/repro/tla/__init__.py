@@ -13,7 +13,7 @@ test-case generation (MBTCG).
 
 from . import registry
 from .coverage import CoverageReport, merge_reports
-from .dot import ParsedStateGraph, parse_dot, to_dot
+from .dot import to_dot
 from .errors import (
     CheckerError,
     DeadlockError,
@@ -66,7 +66,6 @@ __all__ = [
     "InvariantViolation",
     "LivenessViolation",
     "NonTerminationError",
-    "ParsedStateGraph",
     "PropertyCheckOutcome",
     "PropertyViolation",
     "Record",
@@ -96,7 +95,6 @@ __all__ = [
     "invariant",
     "last",
     "merge_reports",
-    "parse_dot",
     "register_spec",
     "registered_names",
     "registry",

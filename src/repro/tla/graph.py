@@ -2,20 +2,24 @@
 
 TLC can export the graph of all reachable states to a GraphViz DOT file; the
 Realm Sync case study parses that file to generate test cases (paper Section
-5.2).  :class:`StateGraph` is the in-memory representation of that graph: the
-model checker retains it when ``collect_graph`` is requested, and the
-:mod:`repro.mbtcg` test-case generation subsystem enumerates its behaviours
-(see :mod:`repro.mbtcg.strategies`) to produce executable test suites.  It
-also supports the condensation-based "eventually" checks used to validate
-RaftMongo's temporal property ("the commit point is eventually propagated").
+5.2).  :class:`StateGraph` is the in-memory representation of that graph and
+also the ``states`` engine's visited-state store (``make_store("states")``):
+each distinct state is interned once, by value, into a dense node id, and
+each transition is stored once, in its source node's outgoing list.  The
+model checker hands it out as ``result.graph`` when ``collect_graph`` is
+requested, and the :mod:`repro.mbtcg` test-case generation subsystem
+enumerates its behaviours (see :mod:`repro.mbtcg.strategies`) to produce
+executable test suites.  It also supports the condensation-based
+"eventually" checks used to validate RaftMongo's temporal property ("the
+commit point is eventually propagated").
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import SpecError
 from .spec import TemporalProperty
@@ -24,7 +28,7 @@ from .state import State
 __all__ = ["Edge", "StateGraph", "PropertyCheckOutcome"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """A labelled transition between two states (by node id)."""
 
@@ -43,31 +47,38 @@ class PropertyCheckOutcome:
 
 
 class StateGraph:
-    """The graph of reachable states discovered by the model checker."""
+    """The graph of reachable states discovered by the model checker.
+
+    Node ids are dense and follow interning order; ``_outgoing[id]`` is the
+    node's edge list, so :attr:`edges` is those lists concatenated in id
+    order.
+    """
+
+    #: The store name this graph is registered under (see
+    #: :mod:`repro.engine.store`).
+    name = "states"
 
     def __init__(self) -> None:
         self._states: List[State] = []
         self._ids: Dict[State, int] = {}
-        self._edges: List[Edge] = []
-        self._outgoing: Dict[int, List[Edge]] = defaultdict(list)
+        self._outgoing: List[List[Edge]] = []
         self._initial: List[int] = []
 
     # Construction -------------------------------------------------------------
-    def add_state(self, state: State, *, initial: bool = False) -> int:
-        """Intern ``state`` and return its node id."""
-        node_id = self._ids.get(state)
-        if node_id is None:
-            node_id = len(self._states)
+    def add_state(self, state: State, *, initial: bool = False) -> Tuple[int, bool]:
+        """Intern ``state`` by value; return ``(node id, is_new)``."""
+        fresh = len(self._states)
+        node_id = self._ids.setdefault(state, fresh)
+        is_new = node_id == fresh
+        if is_new:
             self._states.append(state)
-            self._ids[state] = node_id
+            self._outgoing.append([])
         if initial and node_id not in self._initial:
             self._initial.append(node_id)
-        return node_id
+        return node_id, is_new
 
     def add_edge(self, source: int, action: str, target: int) -> None:
-        edge = Edge(source, action, target)
-        self._edges.append(edge)
-        self._outgoing[source].append(edge)
+        self._outgoing[source].append(Edge(source, action, target))
 
     # Accessors ------------------------------------------------------------------
     @property
@@ -90,25 +101,22 @@ class StateGraph:
         return len(self._states)
 
     @property
+    def distinct_count(self) -> int:
+        return len(self._states)
+
+    @property
     def edges(self) -> Tuple[Edge, ...]:
-        return tuple(self._edges)
+        return tuple(chain.from_iterable(self._outgoing))
 
     def states(self) -> Iterator[State]:
         return iter(self._states)
 
     def outgoing(self, node_id: int) -> Sequence[Edge]:
-        return tuple(self._outgoing.get(node_id, ()))
-
-    def action_counts(self) -> Dict[str, int]:
-        """How many transitions each action contributed."""
-        counts: Dict[str, int] = defaultdict(int)
-        for edge in self._edges:
-            counts[edge.action] += 1
-        return dict(counts)
+        return tuple(self._outgoing[node_id])
 
     def terminal_ids(self) -> List[int]:
         """Nodes with no outgoing edges (deadlocks or intended final states)."""
-        return [node for node in range(len(self._states)) if not self._outgoing.get(node)]
+        return [node for node, edges in enumerate(self._outgoing) if not edges]
 
     # Behaviours -------------------------------------------------------------------
     def behaviours(
@@ -140,7 +148,7 @@ class StateGraph:
             stack.append((start, 1, (None, start, None)))
         while stack:
             node, length, link = stack.pop()
-            edges = self._outgoing.get(node, ())
+            edges = self._outgoing[node]
             if not edges or length >= max_length:
                 behaviour: List[Tuple[Optional[str], State]] = []
                 cursor: Optional[Tuple[Optional[str], int, Any]] = link
@@ -174,7 +182,7 @@ class StateGraph:
         node = rng.choice(self._initial)
         path: List[Tuple[Optional[str], State]] = [(None, self._states[node])]
         while len(path) < max_length:
-            edges = self._outgoing.get(node)
+            edges = self._outgoing[node]
             if not edges:
                 break
             edge = rng.choice(edges)
@@ -205,7 +213,7 @@ class StateGraph:
             counter += 1
             stack.append(root)
             on_stack[root] = True
-            work = [(root, iter(outgoing.get(root, ())))]
+            work = [(root, iter(outgoing[root]))]
             while work:
                 node, edges = work[-1]
                 for edge in edges:
@@ -215,7 +223,7 @@ class StateGraph:
                         counter += 1
                         stack.append(target)
                         on_stack[target] = True
-                        work.append((target, iter(outgoing.get(target, ()))))
+                        work.append((target, iter(outgoing[target])))
                         break
                     if on_stack[target] and index[target] < low[node]:
                         low[node] = index[target]
@@ -234,7 +242,7 @@ class StateGraph:
                         if all(
                             edge.target in members
                             for member in members
-                            for edge in outgoing.get(member, ())
+                            for edge in outgoing[member]
                         ):
                             terminal.append(members)
         return terminal
@@ -265,38 +273,10 @@ class StateGraph:
                 )
             if len(component) == 1:
                 node = next(iter(component))
-                if not self._outgoing.get(node) and not prop.predicate(self._states[node]):
+                if not self._outgoing[node] and not prop.predicate(self._states[node]):
                     return PropertyCheckOutcome(
                         prop.name,
                         False,
                         f"deadlocked node {node} does not satisfy the predicate",
                     )
         return PropertyCheckOutcome(prop.name, True)
-
-    # Queries used by repro.mbtcg ---------------------------------------------------
-    def paths_to(
-        self, targets: Iterable[int], *, max_length: int = 64
-    ) -> Iterator[List[Tuple[Optional[str], State]]]:
-        """Behaviours from an initial state to any of ``targets`` (shortest first)."""
-        target_set = set(targets)
-        # Breadth-first search keeps generated test cases short, mirroring the
-        # observation in the paper's related work that Dick & Faivre ordered
-        # operations to find the shortest covering tests.
-        frontier: List[List[Tuple[Optional[str], int]]] = [
-            [(None, node)] for node in self._initial
-        ]
-        seen: Set[int] = set(self._initial)
-        while frontier:
-            next_frontier: List[List[Tuple[Optional[str], int]]] = []
-            for path in frontier:
-                node = path[-1][1]
-                if node in target_set:
-                    yield [(act, self._states[nid]) for act, nid in path]
-                    continue
-                if len(path) >= max_length:
-                    continue
-                for edge in self._outgoing.get(node, ()):
-                    if edge.target not in seen:
-                        seen.add(edge.target)
-                        next_frontier.append(path + [(edge.action, edge.target)])
-            frontier = next_frontier

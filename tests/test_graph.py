@@ -1,4 +1,4 @@
-"""The StateGraph query layer: behaviours, paths_to, random_walk, terminal_ids."""
+"""The StateGraph query layer: behaviours, random_walk, terminal_ids."""
 
 import random
 
@@ -100,35 +100,6 @@ def test_behaviours_deep_chain_is_linear_not_quadratic():
     (behaviour,) = list(graph.behaviours(max_length=n))
     assert len(behaviour) == n
     assert behaviour[0][0] is None and behaviour[-1][1]["x"] == n - 1
-
-
-# ---------------------------------------------------------------------------
-# paths_to
-# ---------------------------------------------------------------------------
-
-
-def test_paths_to_yields_shortest_first():
-    graph = _graph(
-        [(0, "slow", 1), (1, "slow", 2), (0, "fast", 2)], initial=(0,)
-    )
-    paths = [_as_tuples(p) for p in graph.paths_to([2])]
-    assert paths[0] == ((None, 0), ("fast", 2))
-
-
-def test_paths_to_unreachable_target_yields_nothing():
-    graph = _graph([(0, "a", 1)], initial=(0,), n_nodes=3)
-    assert list(graph.paths_to([2])) == []
-
-
-def test_paths_to_respects_max_length():
-    graph = _graph([(0, "a", 1), (1, "a", 2)], initial=(0,))
-    assert list(graph.paths_to([2], max_length=2)) == []
-    assert len(list(graph.paths_to([2], max_length=3))) == 1
-
-
-def test_paths_to_with_no_initial_states_is_empty():
-    graph = _graph([(0, "a", 1)], initial=())
-    assert list(graph.paths_to([1])) == []
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,43 @@ def test_the_fingerprint_bfs_keeps_at_most_260_bytes_per_distinct_state():
     assert peak / result.distinct_states <= 260
 
 
+# -- the states engine: its store is the graph ----------------------------------
+
+
+def test_the_states_bfs_keeps_at_most_1100_bytes_per_distinct_state_with_its_graph():
+    """Each state interned once, into the graph, and each edge stored once.
+
+    A separate ``State -> id`` store beside the graph's own, and every
+    ``Edge`` (with a ``__dict__``) in two lists, came to about 1,350 bytes
+    per state on this run; the graph as the store to about 960.
+    """
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing this process")
+    spec = build_spec("raftmongo", variant="mbtc", n_nodes=3, max_term=2, max_log_len=1)
+    tracemalloc.start()
+    try:
+        result = check_spec(spec, collect_graph=True)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.engine, result.store) == ("states", "states")
+    assert (result.distinct_states, result.generated_states) == (2529, 13438)
+    assert peak / result.distinct_states <= 1100
+
+
+def test_the_states_graph_stores_each_edge_once_in_id_order():
+    spec = build_spec("raftmongo", variant="mbtc", n_nodes=2)
+    result = check_spec(spec, collect_graph=True, check_properties=False)
+    graph = result.graph
+    assert not hasattr(graph.edges[0], "__dict__")
+    assert graph.edges == tuple(
+        edge for node in range(len(graph)) for edge in graph.outgoing(node)
+    )
+    initial = len(graph.initial_ids)
+    assert len(graph.edges) == result.generated_states - initial
+    assert check_spec(spec, engine="states", check_properties=False).graph is None
+
+
 # -- replay by fingerprint ----------------------------------------------------
 
 

@@ -5,12 +5,11 @@ import pytest
 from repro.engine import DiskFingerprintStore
 from repro.engine.store import (
     FingerprintSetStore,
-    StateRetainingStore,
     make_store,
     register_store,
     store_names,
 )
-from repro.tla import State, VariableSchema
+from repro.tla import State, StateGraph, VariableSchema
 
 
 def test_fingerprint_store_add_and_membership():
@@ -20,30 +19,28 @@ def test_fingerprint_store_add_and_membership():
     assert 1 in store and 3 not in store
     assert len(store) == 2
     assert store.distinct_count == 2
-    assert not store.retains_states
 
 
-def test_state_retaining_store_interns_by_value():
+def test_state_graph_store_interns_by_value():
     schema = VariableSchema(("x",))
-    store = StateRetainingStore()
-    a0, new0 = store.intern(State(schema, {"x": 0}))
-    a1, new1 = store.intern(State(schema, {"x": 1}))
-    dup, new_dup = store.intern(State(schema, {"x": 0}))
+    store = StateGraph()
+    a0, new0 = store.add_state(State(schema, {"x": 0}), initial=True)
+    a1, new1 = store.add_state(State(schema, {"x": 1}))
+    dup, new_dup = store.add_state(State(schema, {"x": 0}))
     assert (a0, new0) == (0, True)
     assert (a1, new1) == (1, True)
     assert (dup, new_dup) == (0, False)
     assert store.state_of(1)["x"] == 1
     assert store.id_of(State(schema, {"x": 1})) == 1
     assert len(store) == store.distinct_count == 2
-    assert store.retains_states
-    with pytest.raises(TypeError):
-        store.add(123)  # fingerprint interface is not this store's contract
+    assert store.initial_ids == (0,)
+    assert store.name == "states"
 
 
 def test_make_store_and_registry():
     assert set(store_names()) >= {"fingerprint", "states", "disk"}
     assert isinstance(make_store("fingerprint"), FingerprintSetStore)
-    assert isinstance(make_store("states"), StateRetainingStore)
+    assert isinstance(make_store("states"), StateGraph)
     disk = make_store("disk")
     assert isinstance(disk, DiskFingerprintStore)
     disk.close()
