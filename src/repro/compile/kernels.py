@@ -91,14 +91,6 @@ The tries share one entry cap (:data:`MEMO_MAX` leaves, oldest half
 discarded, like ``VERDICT_MEMO_MAX``).  Per action/invariant ``hits``,
 ``misses``, ``entries`` and ``opaque`` are live in
 ``compile_info["memo"]``.
-
-Boundary fidelity: the adapter also satisfies the interpreted
-``initial_states`` / ``successors`` / ``violated_invariant`` /
-``within_constraint`` surface, converting losslessly to real
-:class:`~repro.tla.state.State` objects, and delegates every other
-attribute to the wrapped spec -- counterexample replay, StateGraph
-retention, checkpoints and store snapshots flow through unchanged code and
-stay bit-identical.
 """
 
 from __future__ import annotations
@@ -110,7 +102,7 @@ from zlib import adler32, crc32
 
 from ..engine.base import SuccessorInfo, Transition, Verdict, memoized_verdict
 from ..tla.errors import EvaluationError
-from ..tla.spec import Action, Invariant, Specification
+from ..tla.spec import Action, Specification
 from ..tla.state import State, VariableSchema
 from .interner import Entry, ValueInterner
 
@@ -455,12 +447,9 @@ class CompiledSpec:
     """A specification specialized into flat compiled form.
 
     Engines use :attr:`transitions` / :attr:`verdict_for` (``simulate``:
-    :attr:`expand`) on value tuples and the trace fold :attr:`transitions`;
-    code
-    written against the interpreted surface (replay, coverage, graph
-    retention, tests) can use this object wherever a ``Specification`` goes
-    -- the adapter methods convert at the boundary and every unlisted
-    attribute delegates to the wrapped spec.
+    :attr:`expand`) on value tuples and the trace fold :attr:`transitions`.
+    It is an expander, not a spec: seeding, replay and everything else on
+    ``State`` objects goes to the wrapped :attr:`spec` itself.
     """
 
     def __init__(
@@ -473,7 +462,6 @@ class CompiledSpec:
         interner: Optional[ValueInterner] = None,
     ) -> None:
         self.spec = spec
-        self.schema = spec.schema
         self.transitions = transitions
         self.expand = expand
         self.verdict_for = verdict_for
@@ -482,7 +470,6 @@ class CompiledSpec:
         #: ``entries`` / ``opaque`` of its read-set memo.
         self.compile_info = dict(info)
         self.interner = interner
-        self._invariants_by_name = {inv.name: inv for inv in spec.invariants}
 
     def __repr__(self) -> str:
         kernel = self.compile_info.get("kernel", "?")
@@ -492,28 +479,3 @@ class CompiledSpec:
     def native(self) -> bool:
         """True when the spec compiled to exec-generated native kernels."""
         return bool(self.compile_info.get("native"))
-
-    # Interpreted-surface adapter --------------------------------------------
-    def initial_states(self) -> List[State]:
-        return self.spec.initial_states()
-
-    def successors(self, state: State) -> List[Tuple[str, State]]:
-        """``Specification.successors`` computed through the compiled kernel."""
-        schema = self.schema
-        return [
-            (name, State.from_values(schema, values))
-            for name, values, _fp in self.transitions(state.values)
-        ]
-
-    def violated_invariant(self, state: State) -> Optional[Invariant]:
-        name, _within = self.verdict_for(state.values, state.fingerprint())
-        if name is None:
-            return None
-        return self._invariants_by_name[name]
-
-    def within_constraint(self, state: State) -> bool:
-        _name, within = self.verdict_for(state.values, state.fingerprint())
-        return within
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.spec, name)

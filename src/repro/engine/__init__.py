@@ -1,6 +1,6 @@
-"""Pluggable exploration engines for the model checker (the TLC substitute).
+"""The exploration engines of the model checker (the TLC substitute).
 
-One exploration strategy per module, all registered by name:
+One exploration strategy per module, each one function:
 
 * :mod:`repro.engine.fingerprint` -- ``"fingerprint"``: level-synchronous
   BFS over interned 64-bit fingerprints (the default when no state graph is
@@ -14,8 +14,9 @@ One exploration strategy per module, all registered by name:
   simulation with walk/depth budgets, for state spaces too large to exhaust.
 
 Visited-state storage is a second, independent seam
-(:mod:`repro.engine.store`): engines accept any registered store they
-declare compatible.  Every store is exact; they differ in where the set
+(:mod:`repro.engine.store`): the fingerprint and simulation engines take
+the ``fingerprint`` or ``disk`` store, the states engine its own
+``states`` store.  Every store is exact; they differ in where the set
 lives -- an in-memory dict of fingerprints (each mapped to its parent's,
 the replay pointer), the ``states`` engine's state graph, or the ``disk``
 store (:mod:`repro.engine.diskstore`, imported when one is first made or
@@ -49,67 +50,30 @@ every pool worker.  Each engine is written once against
 Results are bit-identical under either expander.
 
 :class:`~repro.engine.core.ModelChecker` coordinates: it resolves
-``engine="auto"``/``store="auto"`` eagerly, validates the combination,
-builds the shared :class:`~repro.engine.base.CheckContext` and runs the
-selected engine.
-
-Adding an engine or store is one file: subclass
-:class:`~repro.engine.base.Engine` (or register a store factory) and
-register it -- the coordinator, CLI and registry pick it up by name.
+``engine="auto"``/``store="auto"`` eagerly, validates the combination --
+it is the one place that knows which engine accepts which store and
+option -- builds the shared :class:`~repro.engine.base.CheckContext` and
+calls the selected engine's function.
 """
 
-from .base import (
-    CheckContext,
-    CheckResult,
-    Engine,
-    engine_names,
-    get_engine,
-    register_engine,
-)
+from .base import CheckContext, CheckResult
+from .core import ENGINES, STORES, ModelChecker, check_spec
 from .frontier import SpillFrontier
-from .store import (
-    FingerprintSetStore,
-    StateStore,
-    make_store,
-    register_store,
-    store_names,
-)
-
-# Importing the engine modules registers them; the order fixes the public
-# ENGINES tuple.
-from .fingerprint import FingerprintEngine
-from .serial import SerialStatesEngine
-from .simulate import SimulationEngine
-from .core import ModelChecker, check_spec
+from .store import FingerprintSetStore, StateStore, make_store
 
 __all__ = [
     "CheckContext",
     "CheckResult",
     "DiskFingerprintStore",
     "ENGINES",
-    "Engine",
-    "FingerprintEngine",
     "FingerprintSetStore",
     "ModelChecker",
     "STORES",
-    "SerialStatesEngine",
-    "SimulationEngine",
     "SpillFrontier",
     "StateStore",
     "check_spec",
-    "engine_names",
-    "get_engine",
     "make_store",
-    "register_engine",
-    "register_store",
-    "store_names",
 ]
-
-#: Engine names accepted by ``ModelChecker(engine=...)`` and the CLI.
-ENGINES = ("auto",) + engine_names()
-
-#: Store names accepted by ``ModelChecker(store=...)`` and the CLI.
-STORES = ("auto",) + store_names()
 
 
 def __getattr__(name: str):

@@ -1,7 +1,8 @@
-"""Engine seam: the protocol, shared check context, result type and registry.
+"""What every engine shares: the check context, the result type and the expanders.
 
 An *engine* is one exploration strategy over a specification's state space
-(exhaustive BFS, random simulation, ...).  Every engine receives
+-- a function of one argument that :class:`repro.engine.core.ModelChecker`
+dispatches to by name.  Every engine receives
 a :class:`CheckContext` -- the spec, its *expander*, the run limits, the
 visited-state store and the shared bookkeeping helpers -- and fills in the
 context's :class:`CheckResult`.  The context owns what engines share:
@@ -18,18 +19,13 @@ walks revisit states, calls ``expand``.  The trace fold
 :class:`repro.compile.CompiledSpec` -- and :func:`make_expander` is the one
 place the ``on|off|auto`` policy picks between them, for the coordinator and
 for pool workers alike.
-
-Engines are classes registered by name (:func:`register_engine`); adding an
-exploration strategy is one module that defines an ``Engine`` subclass and
-registers it -- the coordinator (:class:`repro.engine.core.ModelChecker`)
-and the CLI pick it up from the registry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..resilience.checkpoint import Checkpoint, write_checkpoint
 from ..resilience.faults import FaultPlan
@@ -44,16 +40,12 @@ from .frontier import SpillFrontier
 __all__ = [
     "CheckContext",
     "CheckResult",
-    "Engine",
     "InterpretedExpander",
     "SuccessorInfo",
     "Transition",
     "Verdict",
-    "engine_names",
-    "get_engine",
     "make_expander",
     "memoized_verdict",
-    "register_engine",
 ]
 
 #: One successor without its verdicts: ``(action name, successor value tuple,
@@ -268,8 +260,9 @@ class CheckResult:
 class CheckContext:
     """Everything one engine run needs: spec, limits, store and bookkeeping.
 
-    The context is built per run by :class:`repro.engine.core.ModelChecker`
-    and handed to the selected engine's :meth:`Engine.run`.
+    :class:`repro.engine.core.ModelChecker` builds the options once and
+    adds ``result``, ``store`` and ``expander`` per run, then hands the
+    context to the selected engine function.
     """
 
     spec: Specification
@@ -464,69 +457,3 @@ class CheckContext:
                     f"{len(trace)}: no candidate state has fingerprint {fp}"
                 )
         return trace
-
-
-class Engine:
-    """Base class every exploration engine derives from.
-
-    Subclasses set the class attributes and implement :meth:`run`.  They are
-    instantiated fresh per run (engines may keep per-run state on ``self``).
-    """
-
-    #: Registry name; also what ``CheckResult.engine`` reports.
-    name: str = ""
-    #: True when the engine can retain the state graph (temporal properties,
-    #: DOT export, MBTCG enumeration all need it).
-    supports_graph: bool = False
-    #: Store names the engine accepts; the first entry is the default that
-    #: ``store="auto"`` resolves to.
-    supported_stores: Tuple[str, ...] = ("fingerprint",)
-    #: True when the engine is bounded by its own budgets (``walks`` of
-    #: ``walk_depth`` from ``seed``, over ``workers``) instead of
-    #: ``max_states``/``max_depth``; each side's options are refused by the
-    #: other.
-    bounded_exploration: bool = False
-    #: True when the engine honors ``checkpoint_path``/``resume`` on its
-    #: context (the level-synchronous BFS engine; exploration state of the
-    #: graph-retaining and simulation engines is not snapshot-able yet).
-    supports_checkpoint: bool = False
-
-    @classmethod
-    def requires_registry(cls, workers: Optional[int]) -> bool:
-        """Whether a run with ``workers`` starts pool processes.
-
-        Those rebuild the spec by registry name, so the run needs
-        ``spec.registry_ref``.  The coordinator asks the engine rather than
-        pattern-matching on names: simulation pools only for ``workers > 1``.
-        """
-        return False
-
-    def run(self, ctx: CheckContext) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-_ENGINES: Dict[str, Type[Engine]] = {}
-
-
-def register_engine(engine_cls: Type[Engine]) -> Type[Engine]:
-    """Register an engine class under its ``name``; usable as a decorator."""
-    if not engine_cls.name:
-        raise ValueError(f"engine class {engine_cls.__name__} declares no name")
-    _ENGINES[engine_cls.name] = engine_cls
-    return engine_cls
-
-
-def engine_names() -> Tuple[str, ...]:
-    """Registered engine names, in registration order."""
-    return tuple(_ENGINES)
-
-
-def get_engine(name: str) -> Type[Engine]:
-    """Look up an engine class by name."""
-    try:
-        return _ENGINES[name]
-    except KeyError:
-        known = ", ".join(engine_names())
-        raise ValueError(
-            f"unknown engine {name!r}; expected one of: auto, {known}"
-        ) from None

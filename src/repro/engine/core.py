@@ -3,16 +3,22 @@
 :class:`ModelChecker` is the public face of the engine package.  It
 contains no exploration logic: it is the one validator of the ``check``
 options (every bad value or combination is a ``ValueError`` naming the
-parameter, raised before anything runs), resolves ``engine="auto"`` /
-``store="auto"`` to concrete registered names *eagerly*
+parameter, raised before anything runs) and the one place that knows
+which engine accepts what.  It resolves ``engine="auto"`` /
+``store="auto"`` to concrete names *eagerly*
 (``checker.resolved_engine`` and ``checker.resolved_store`` are set before
-``run()`` -- nothing resolves silently mid-run), builds the :class:`~repro.engine.base.CheckContext`, and
-hands it to the selected :class:`~repro.engine.base.Engine`.
+``run()`` -- nothing resolves silently mid-run), holds the validated
+options in one :class:`~repro.engine.base.CheckContext`, and per run adds
+the result, store and expander and calls the engine's function:
+:func:`~repro.engine.fingerprint.bfs_levels`,
+:func:`~repro.engine.serial.explore_states` or
+:func:`~repro.engine.simulate.run_walks`.
 :func:`check_spec` forwards its options to it unchanged.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Optional
 
 from ..obs import current as obs_current, span
@@ -26,22 +32,34 @@ from ..tla.errors import (
     StateSpaceLimitExceeded,
 )
 from ..tla.spec import Specification
-from .base import (
-    CheckContext,
-    CheckResult,
-    InterpretedExpander,
-    engine_names,
-    get_engine,
-    make_expander,
-)
+from .base import CheckContext, CheckResult, InterpretedExpander, make_expander
+from .fingerprint import bfs_levels
 from .frontier import DEFAULT_SPILL_THRESHOLD
-from .store import make_store, store_names
+from .serial import explore_states
+from .simulate import run_walks
+from .store import make_store
 
-__all__ = ["ModelChecker", "check_spec"]
+__all__ = ["ENGINES", "STORES", "ModelChecker", "check_spec"]
+
+#: Engine names accepted by ``ModelChecker(engine=...)`` and the CLI.
+ENGINES = ("auto", "fingerprint", "states", "simulate")
+
+#: Store names accepted by ``ModelChecker(store=...)`` and the CLI.
+STORES = ("auto", "fingerprint", "states", "disk")
+
+#: The function that runs each engine.
+_RUN = {"fingerprint": bfs_levels, "states": explore_states, "simulate": run_walks}
+
+#: The stores each engine accepts; the first is what ``store="auto"`` picks.
+_ENGINE_STORES = {
+    "fingerprint": ("fingerprint", "disk"),
+    "states": ("states",),
+    "simulate": ("fingerprint", "disk"),
+}
 
 
 class ModelChecker:
-    """Explicit-state model checker dispatching to a pluggable engine.
+    """Explicit-state model checker dispatching to one of three engines.
 
     The constructor is the one validator of the ``check`` options: a value
     out of range, or one the resolved engine or store would silently
@@ -75,11 +93,8 @@ class ModelChecker:
         resume_path: Optional[str] = None,
         compile_mode: str = "auto",
     ) -> None:
-        known_engines = ("auto",) + engine_names()
-        if engine not in known_engines:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {known_engines}"
-            )
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         if compile_mode not in ("on", "off", "auto"):
             raise ValueError(
                 f"unknown compile mode {compile_mode!r}; compile_mode must be "
@@ -98,40 +113,30 @@ class ModelChecker:
                 raise ValueError(f"{name} must be >= 1; got {value}")
         if max_depth is not None and max_depth < 0:
             raise ValueError(f"max_depth must be >= 0; got {max_depth}")
-        self.spec = spec
-        self.compile_mode = compile_mode
-        self.check_properties = check_properties
         # Temporal properties are checked on the state graph, so requesting
         # them implies collecting it.  Large runs (the paper-scale RaftMongo
         # configuration) can disable property checking to save memory.
-        self.collect_graph = collect_graph or (check_properties and bool(spec.properties))
-        self.check_deadlock = check_deadlock
-        self.max_states = max_states
-        self.max_depth = max_depth
-        self.stop_on_violation = stop_on_violation
+        wants_properties = check_properties and bool(spec.properties)
+        graph = collect_graph or wants_properties
         self.engine = engine
-        self.workers = workers
-        self.store_capacity = store_capacity
-        self.store_path = store_path
-        self.supervision = supervision
-        self.chaos = chaos
-        self.checkpoint_path = checkpoint_path
-        # None means "every level"; without a path nothing is written.
-        self.checkpoint_every = checkpoint_every or 1
+        self.check_properties = check_properties
         self.resume_path = resume_path
 
         # Resolve ``auto`` eagerly: the resolved names are attributes (and
         # later CheckResult fields), never a silent mid-run decision.
         if engine == "auto":
-            self.resolved_engine = "states" if self.collect_graph else "fingerprint"
+            resolved = "states" if graph else "fingerprint"
         else:
-            self.resolved_engine = engine
-        engine_cls = get_engine(self.resolved_engine)
+            resolved = engine
+        self.resolved_engine = resolved
 
-        if engine_cls.bounded_exploration:
+        # Only simulate is bounded by its own budgets (walks of walk_depth
+        # from seed, over workers) instead of max_states/max_depth; each
+        # side's options are refused by the other.
+        if resolved == "simulate":
             if max_states is not None or max_depth is not None:
                 raise ValueError(
-                    f"the {self.resolved_engine} engine is bounded by its own "
+                    f"the {resolved} engine is bounded by its own "
                     "budgets (walks/walk_depth) and does not consume "
                     "max_states/max_depth; passing them would be silently ignored"
                 )
@@ -145,22 +150,20 @@ class ModelChecker:
                 if value is not None:
                     raise ValueError(
                         f"{option} applies only to engine='simulate'; the "
-                        f"{self.resolved_engine} engine would silently ignore it"
+                        f"{resolved} engine would silently ignore it"
                     )
-        # The simulate engine's budgets when left unset.
-        self.walks = 100 if walks is None else walks
-        self.walk_depth = 50 if walk_depth is None else walk_depth
-        self.seed = 0 if seed is None else seed
-        if self.collect_graph and not engine_cls.supports_graph:
+        if graph and resolved != "states":
             raise ValueError(
-                f"the {self.resolved_engine} engine cannot collect a state graph; "
+                f"the {resolved} engine cannot collect a state graph; "
                 "use engine='states' (or 'auto') when collect_graph or "
                 "temporal-property checking is requested"
             )
-        pooled = engine_cls.requires_registry(workers)
+        # Simulate starts pool processes only on an explicit multi-worker
+        # request; they rebuild the spec by registry name.
+        pooled = resolved == "simulate" and (workers or 1) > 1
         if pooled and spec.registry_ref is None:
             raise CheckerError(
-                f"engine={self.resolved_engine!r} with worker processes requires "
+                f"engine={resolved!r} with worker processes requires "
                 f"a registered specification, but {spec.name!r} has no "
                 "registry_ref; build it via repro.tla.registry.build_spec (or "
                 "register its factory with register_spec) so worker processes "
@@ -170,24 +173,31 @@ class ModelChecker:
             if value is not None and not pooled:
                 raise ValueError(
                     f"{option} applies to worker pools, but "
-                    f"engine={self.resolved_engine!r} with workers={workers!r} "
+                    f"engine={resolved!r} with workers={workers!r} "
                     "runs no pool; use engine='simulate' with workers > 1"
                 )
 
-        known_stores = ("auto",) + store_names()
-        if store not in known_stores:
-            raise ValueError(
-                f"unknown store {store!r}; expected one of {known_stores}"
-            )
+        if store not in STORES:
+            raise ValueError(f"unknown store {store!r}; expected one of {STORES}")
+        stores = _ENGINE_STORES[resolved]
         if store == "auto":
-            self.resolved_store = engine_cls.supported_stores[0]
-        elif store in engine_cls.supported_stores:
+            self.resolved_store = stores[0]
+        elif store in stores:
             self.resolved_store = store
         else:
-            raise ValueError(
-                f"the {self.resolved_engine} engine supports stores "
-                f"{engine_cls.supported_stores}; got {store!r}"
-            )
+            refusal = f"the {resolved} engine supports stores {stores}; got {store!r}"
+            if engine == "auto":
+                if collect_graph:
+                    why = "collect_graph needs the state graph"
+                elif wants_properties:
+                    why = (
+                        "check_properties needs the state graph to check "
+                        "the spec's temporal properties"
+                    )
+                else:
+                    why = "no state graph was requested"
+                refusal = f"engine='auto' resolved to {resolved!r} because {why}; {refusal}"
+            raise ValueError(refusal)
         if store_capacity is not None and self.resolved_store != "disk":
             raise ValueError(
                 "store_capacity only applies to the 'disk' store's write-back "
@@ -198,28 +208,26 @@ class ModelChecker:
                 "store_path only applies to the file-backed 'disk' store; "
                 "pass store='disk' with it"
             )
-        if spill_threshold is not None and not engine_cls.supports_checkpoint:
+        # The fingerprint engine alone has a level-synchronous BFS: the one
+        # frontier that spills and the one exploration a checkpoint captures.
+        if spill_threshold is not None and resolved != "fingerprint":
             raise ValueError(
-                f"the {self.resolved_engine} engine has no level-synchronous "
+                f"the {resolved} engine has no level-synchronous "
                 "BFS frontier to spill; spill_threshold applies to the "
                 "fingerprint engine"
             )
-        if spill_threshold is not None:
-            self.spill_threshold: Optional[int] = spill_threshold
-        elif self.resolved_store == "disk" and engine_cls.supports_checkpoint:
+        if spill_threshold is None and self.resolved_store == "disk" and resolved == "fingerprint":
             # A disk-store run is by definition the "state space will not fit
             # in memory" regime, and there the frontier is the next-largest
             # resident consumer -- so spilling defaults on with the store.
-            self.spill_threshold = DEFAULT_SPILL_THRESHOLD
-        else:
-            self.spill_threshold = None
+            spill_threshold = DEFAULT_SPILL_THRESHOLD
 
         if checkpoint_every is not None and not checkpoint_path:
             raise ValueError("checkpoint_every has no effect without checkpoint_path")
-        if (checkpoint_path or resume_path) and not engine_cls.supports_checkpoint:
+        if (checkpoint_path or resume_path) and resolved != "fingerprint":
             raise ValueError(
                 "checkpoint_path/resume_path need the level-synchronous BFS "
-                f"of the fingerprint engine; the {self.resolved_engine} engine "
+                f"of the fingerprint engine; the {resolved} engine "
                 "cannot snapshot its exploration"
             )
         if (
@@ -234,6 +242,34 @@ class ModelChecker:
                 "with the process"
             )
 
+        # The validated options, held once; run() adds each run's result,
+        # store and expander.
+        self._context = CheckContext(
+            spec=spec,
+            result=None,
+            store=None,
+            expander=None,
+            compile_mode=compile_mode,
+            collect_graph=graph,
+            check_deadlock=check_deadlock,
+            max_states=max_states,
+            max_depth=max_depth,
+            stop_on_violation=stop_on_violation,
+            workers=workers,
+            # The simulate engine's budgets when left unset.
+            walks=100 if walks is None else walks,
+            walk_depth=50 if walk_depth is None else walk_depth,
+            seed=0 if seed is None else seed,
+            supervision=supervision,
+            chaos=chaos,
+            checkpoint_path=checkpoint_path,
+            # None means "every level"; without a path nothing is written.
+            checkpoint_every=checkpoint_every or 1,
+            store_capacity=store_capacity,
+            store_path=store_path,
+            spill_threshold=spill_threshold,
+        )
+
     # ------------------------------------------------------------------------
     def run(self) -> CheckResult:
         """Explore the state space and return a :class:`CheckResult`.
@@ -244,11 +280,13 @@ class ModelChecker:
         path when the run was checkpointing), so an interrupted run reports
         what it managed instead of vanishing into a traceback.
         """
+        options = self._context
+        spec = options.spec
         result = CheckResult(
-            spec_name=self.spec.name,
+            spec_name=spec.name,
             engine=self.resolved_engine,
             store=self.resolved_store,
-            checkpoint_path=self.checkpoint_path,
+            checkpoint_path=options.checkpoint_path,
         )
         # emit=False: making the expander (compiling the spec, unless the
         # mode is off) is recorded as a metrics gauge and a run label, not a
@@ -256,44 +294,20 @@ class ModelChecker:
         # per-run event sequence.
         compile_timer = span("check.compile", emit=False)
         with compile_timer:
-            expander, result.compile_error = make_expander(
-                self.spec, self.compile_mode
-            )
+            expander, result.compile_error = make_expander(spec, options.compile_mode)
         if not isinstance(expander, InterpretedExpander):
             result.compiled = True
             result.compile_seconds = compile_timer.elapsed
         store = make_store(
-            self.resolved_store, capacity=self.store_capacity, path=self.store_path
+            self.resolved_store, capacity=options.store_capacity, path=options.store_path
         )
-        ctx = CheckContext(
-            spec=self.spec,
-            result=result,
-            store=store,
-            expander=expander,
-            compile_mode=self.compile_mode,
-            collect_graph=self.collect_graph,
-            check_deadlock=self.check_deadlock,
-            max_states=self.max_states,
-            max_depth=self.max_depth,
-            stop_on_violation=self.stop_on_violation,
-            workers=self.workers,
-            walks=self.walks,
-            walk_depth=self.walk_depth,
-            seed=self.seed,
-            supervision=self.supervision,
-            chaos=self.chaos,
-            checkpoint_path=self.checkpoint_path,
-            checkpoint_every=self.checkpoint_every,
-            store_capacity=self.store_capacity,
-            store_path=self.store_path,
-            spill_threshold=self.spill_threshold,
-        )
+        ctx = replace(options, result=result, store=store, expander=expander)
         if self.resume_path is not None:
             self._restore(ctx, result)
         timer = span("check.run")
         try:
             with timer:
-                get_engine(self.resolved_engine)().run(ctx)
+                _RUN[self.resolved_engine](ctx)
         except KeyboardInterrupt:
             result.duration_seconds = timer.elapsed
             result.interrupted = True
@@ -301,7 +315,7 @@ class ModelChecker:
             result.distinct_states = ctx.store.distinct_count
             self._record_telemetry(result, expander)
             raise CheckInterrupted(
-                f"check of {self.spec.name!r} interrupted after "
+                f"check of {spec.name!r} interrupted after "
                 f"{result.distinct_states} distinct states",
                 result=result,
             ) from None
@@ -314,11 +328,11 @@ class ModelChecker:
         if (
             result.graph is not None
             and self.check_properties
-            and self.spec.properties
+            and spec.properties
             and result.invariant_violation is None
             and not result.truncated
         ):
-            for prop in self.spec.properties:
+            for prop in spec.properties:
                 result.property_outcomes.append(result.graph.check_property(prop))
         return result
 
@@ -425,9 +439,7 @@ class ModelChecker:
         """
         assert self.resume_path is not None
         checkpoint: Checkpoint = read_checkpoint(self.resume_path)
-        checkpoint.validate_for(
-            self.spec.name, self.spec.registry_ref, self.resolved_store
-        )
+        checkpoint.validate_for(ctx.spec.name, ctx.spec.registry_ref, self.resolved_store)
         ctx.store.restore(checkpoint.store_state)
         stats = checkpoint.stats
         result.generated_states = stats.get("generated_states", 0)
@@ -463,7 +475,7 @@ def check_spec(
                     f"{outcome.explanation}",
                     property_name=outcome.property_name,
                 )
-        if result.truncated and checker.max_states is not None:
+        if result.truncated and options.get("max_states") is not None:
             raise StateSpaceLimitExceeded(
                 f"exploration of {spec.name!r} was truncated at {result.distinct_states} states"
             )

@@ -1,4 +1,4 @@
-"""The fingerprint-interned BFS engine (the default).
+"""The fingerprint-interned BFS engine (the default): :func:`bfs_levels`.
 
 The store holds one entry per distinct state, as TLC's fingerprint set
 does: the state's stable 64-bit fingerprint, mapped to the fingerprint of
@@ -9,7 +9,7 @@ constraint are evaluated once per *new* state (``expander.verdict_for``),
 never for a duplicate successor, so nothing is memoized per fingerprint
 beside the store.
 
-The store itself is pluggable: the default ``fingerprint`` store is an
+It runs on either of two stores: the default ``fingerprint`` store is an
 in-memory dict, and the ``disk`` store pushes the same exact pairs into a
 SQLite file behind a write-back cache (see :mod:`repro.engine.store` and
 :mod:`repro.engine.diskstore`).  Frontier levels, the other per-scale memory
@@ -21,9 +21,9 @@ millions of distinct states.
 from __future__ import annotations
 
 from ..obs import COUNT_BUCKETS, current as obs_current, span
-from .base import CheckContext, Engine, register_engine
+from .base import CheckContext
 
-__all__ = ["FingerprintEngine", "bfs_levels"]
+__all__ = ["bfs_levels"]
 
 
 def bfs_levels(ctx: CheckContext) -> None:
@@ -114,16 +114,3 @@ def bfs_levels(ctx: CheckContext) -> None:
 
     result.distinct_states = store.distinct_count
     result.action_counts = action_counts
-
-
-@register_engine
-class FingerprintEngine(Engine):
-    """Level-batched BFS over interned 64-bit state fingerprints."""
-
-    name = "fingerprint"
-    supports_graph = False
-    supported_stores = ("fingerprint", "disk")
-    supports_checkpoint = True
-
-    def run(self, ctx: CheckContext) -> None:
-        bfs_levels(ctx)

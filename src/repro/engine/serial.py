@@ -1,4 +1,4 @@
-"""The state-retaining serial BFS engine (``engine="states"``).
+"""The state-retaining serial BFS engine (``engine="states"``): :func:`explore_states`.
 
 The original engine: its store is a :class:`~repro.tla.graph.StateGraph`
 (``make_store("states")``), into which every distinct ``State`` is interned
@@ -26,129 +26,121 @@ from ..obs import current as obs_current
 from ..tla.errors import DeadlockError, InvariantViolation
 from ..tla.graph import StateGraph
 from ..tla.state import State
-from .base import CheckContext, Engine, register_engine
+from .base import CheckContext
 
-__all__ = ["SerialStatesEngine"]
+__all__ = ["explore_states"]
 
 
-@register_engine
-class SerialStatesEngine(Engine):
+def explore_states(ctx: CheckContext) -> None:
     """Breadth-first exploration retaining every distinct state."""
+    spec, result, graph = ctx.spec, ctx.result, ctx.store
+    schema = spec.schema
+    transitions = ctx.expander.transitions
+    verdict_for = ctx.expander.verdict_for
+    add_state, state_of = graph.add_state, graph.state_of
+    add_edge = graph.add_edge if ctx.collect_graph else None
+    # Both indexed by node id: the id a state was first reached from
+    # (None for an initial state) and its BFS depth.
+    parents: List[Optional[int]] = []
+    depths: List[int] = []
+    queue: deque[int] = deque()
+    action_counts: Dict[str, int] = {act.name: 0 for act in spec.actions}
 
-    name = "states"
-    supports_graph = True
-    supported_stores = ("states",)
+    def record_violation(state_id: int, inv_name: str) -> InvariantViolation:
+        trace = _reconstruct_trace(graph, state_id, parents)
+        return InvariantViolation(
+            f"invariant {inv_name!r} violated by specification {spec.name!r}",
+            property_name=inv_name,
+            trace=trace,
+        )
 
-    def run(self, ctx: CheckContext) -> None:
-        spec, result, graph = ctx.spec, ctx.result, ctx.store
-        schema = spec.schema
-        transitions = ctx.expander.transitions
-        verdict_for = ctx.expander.verdict_for
-        add_state, state_of = graph.add_state, graph.state_of
-        add_edge = graph.add_edge if ctx.collect_graph else None
-        # Both indexed by node id: the id a state was first reached from
-        # (None for an initial state) and its BFS depth.
-        parents: List[Optional[int]] = []
-        depths: List[int] = []
-        queue: deque[int] = deque()
-        action_counts: Dict[str, int] = {act.name: 0 for act in spec.actions}
+    # Initial states --------------------------------------------------------
+    for state in spec.initial_states():
+        result.generated_states += 1
+        state_id, is_new = add_state(state, initial=True)
+        if not is_new:
+            continue
+        parents.append(None)
+        depths.append(0)
+        violated = spec.violated_invariant(state)
+        if violated is not None:
+            result.invariant_violation = record_violation(state_id, violated.name)
+            if ctx.stop_on_violation:
+                queue.clear()  # nothing to explore: straight to the epilogue
+                break
+        if spec.within_constraint(state):
+            queue.append(state_id)
+    result.peak_frontier = len(queue)
 
-        def record_violation(state_id: int, inv_name: str) -> InvariantViolation:
-            trace = self._reconstruct_trace(graph, state_id, parents)
-            return InvariantViolation(
-                f"invariant {inv_name!r} violated by specification {spec.name!r}",
-                property_name=inv_name,
-                trace=trace,
+    obs_run = obs_current()
+    ticker = obs_run.progress if obs_run is not None else None
+
+    # Breadth-first exploration ---------------------------------------------
+    # Ids are handed out in discovery order and popped in that order, so
+    # each node's edges are added contiguously and in id order.
+    while queue:
+        if ctx.max_states is not None and graph.distinct_count >= ctx.max_states:
+            result.truncated = True
+            break
+        state_id = queue.popleft()
+        if ticker is not None and ticker.due():
+            ticker.emit(
+                queued=len(queue),
+                distinct=graph.distinct_count,
+                generated=result.generated_states,
             )
-
-        # Initial states ----------------------------------------------------
-        for state in spec.initial_states():
+        depth = depths[state_id]
+        if ctx.max_depth is not None and depth >= ctx.max_depth:
+            result.truncated = True
+            continue
+        # Successors come from the run's expander as value tuples; real
+        # State objects are rebuilt for interning, so the graph holds
+        # the same states under either expander and DOT export /
+        # properties / MBTCG see no difference.
+        successors = transitions(state_of(state_id).values)
+        if not successors and ctx.check_deadlock:
+            trace = _reconstruct_trace(graph, state_id, parents)
+            result.deadlock = DeadlockError(
+                f"deadlock reached in specification {spec.name!r}", trace=trace
+            )
+            if ctx.stop_on_violation:
+                break
+        for action_name, nvalues, nfp in successors:
             result.generated_states += 1
-            state_id, is_new = add_state(state, initial=True)
+            action_counts[action_name] += 1
+            next_id, is_new = add_state(State.from_values(schema, nvalues))
+            if add_edge is not None:
+                add_edge(state_id, action_name, next_id)
             if not is_new:
                 continue
-            parents.append(None)
-            depths.append(0)
-            violated = spec.violated_invariant(state)
-            if violated is not None:
-                result.invariant_violation = record_violation(state_id, violated.name)
-                if ctx.stop_on_violation:
-                    queue.clear()  # nothing to explore: straight to the epilogue
-                    break
-            if spec.within_constraint(state):
-                queue.append(state_id)
-        result.peak_frontier = len(queue)
-
-        obs_run = obs_current()
-        ticker = obs_run.progress if obs_run is not None else None
-
-        # Breadth-first exploration -----------------------------------------
-        # Ids are handed out in discovery order and popped in that order, so
-        # each node's edges are added contiguously and in id order.
-        while queue:
-            if ctx.max_states is not None and graph.distinct_count >= ctx.max_states:
-                result.truncated = True
-                break
-            state_id = queue.popleft()
-            if ticker is not None and ticker.due():
-                ticker.emit(
-                    queued=len(queue),
-                    distinct=graph.distinct_count,
-                    generated=result.generated_states,
-                )
-            depth = depths[state_id]
-            if ctx.max_depth is not None and depth >= ctx.max_depth:
-                result.truncated = True
-                continue
-            # Successors come from the run's expander as value tuples; real
-            # State objects are rebuilt for interning, so the graph holds
-            # the same states under either expander and DOT export /
-            # properties / MBTCG see no difference.
-            successors = transitions(state_of(state_id).values)
-            if not successors and ctx.check_deadlock:
-                trace = self._reconstruct_trace(graph, state_id, parents)
-                result.deadlock = DeadlockError(
-                    f"deadlock reached in specification {spec.name!r}", trace=trace
+            parents.append(state_id)
+            depths.append(depth + 1)
+            result.max_depth = max(result.max_depth, depth + 1)
+            violated_name, within = verdict_for(nvalues, nfp)
+            if violated_name is not None:
+                result.invariant_violation = record_violation(
+                    next_id, violated_name
                 )
                 if ctx.stop_on_violation:
+                    queue.clear()
                     break
-            for action_name, nvalues, nfp in successors:
-                result.generated_states += 1
-                action_counts[action_name] += 1
-                next_id, is_new = add_state(State.from_values(schema, nvalues))
-                if add_edge is not None:
-                    add_edge(state_id, action_name, next_id)
-                if not is_new:
-                    continue
-                parents.append(state_id)
-                depths.append(depth + 1)
-                result.max_depth = max(result.max_depth, depth + 1)
-                violated_name, within = verdict_for(nvalues, nfp)
-                if violated_name is not None:
-                    result.invariant_violation = record_violation(
-                        next_id, violated_name
-                    )
-                    if ctx.stop_on_violation:
-                        queue.clear()
-                        break
-                if within:
-                    queue.append(next_id)
-            result.peak_frontier = max(result.peak_frontier, len(queue))
+            if within:
+                queue.append(next_id)
+        result.peak_frontier = max(result.peak_frontier, len(queue))
 
-        result.distinct_states = graph.distinct_count
-        result.action_counts = action_counts
-        result.graph = graph if ctx.collect_graph else None
+    result.distinct_states = graph.distinct_count
+    result.action_counts = action_counts
+    result.graph = graph if ctx.collect_graph else None
 
-    # ------------------------------------------------------------------------
-    @staticmethod
-    def _reconstruct_trace(
-        graph: StateGraph, state_id: int, parents: List[Optional[int]]
-    ) -> List[State]:
-        """Walk parent pointers back to an initial state to build a behaviour."""
-        trace: List[State] = []
-        current: Optional[int] = state_id
-        while current is not None:
-            trace.append(graph.state_of(current))
-            current = parents[current]
-        trace.reverse()
-        return trace
+
+def _reconstruct_trace(
+    graph: StateGraph, state_id: int, parents: List[Optional[int]]
+) -> List[State]:
+    """Walk parent pointers back to an initial state to build a behaviour."""
+    trace: List[State] = []
+    current: Optional[int] = state_id
+    while current is not None:
+        trace.append(graph.state_of(current))
+        current = parents[current]
+    trace.reverse()
+    return trace

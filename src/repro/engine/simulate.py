@@ -1,4 +1,4 @@
-"""Random-walk simulation engine (``engine="simulate"``): TLC's second mode.
+"""Random-walk simulation engine (``engine="simulate"``), :func:`run_walks`: TLC's second mode.
 
 TLC is not only an exhaustive checker -- its *simulation* mode samples random
 behaviours when the state space is too large to enumerate, and the paper's
@@ -27,8 +27,9 @@ counterexample never does.
 
 Statistics: ``generated_states`` counts every successor enumerated while
 walking (plus the initial-state set, once per walk), ``distinct_states``
-counts the distinct states visited across all walks (through the pluggable
-store), and ``max_depth`` is the longest walk in steps.
+counts the distinct states visited across all walks (through the run's
+``fingerprint`` or ``disk`` store), and ``max_depth`` is the longest walk
+in steps.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from ..tla.errors import DeadlockError, InvariantViolation
 from ..tla.registry import build_worker_spec, worker_spec_args
 from ..tla.spec import Specification
 from ..tla.state import State
-from .base import CheckContext, Engine, make_expander, register_engine
+from .base import CheckContext, make_expander
 
-__all__ = ["SimulationEngine"]
+__all__ = ["run_walks"]
 
 #: Walks per pool task.  The supervisor's per-task timer bounds one task, so
 #: a task must stay far below it: 256 raftmongo walks of depth 50 take about
@@ -253,119 +254,107 @@ def _drive_walks(
     }
 
 
-@register_engine
-class SimulationEngine(Engine):
+def run_walks(ctx: CheckContext) -> None:
     """Seeded random-walk exploration with walk and depth budgets."""
+    workers = ctx.workers or 1
+    if workers > 1:
+        # workers > 1 only ever happens by explicit request (the default
+        # is serial), so it is honored even for walk budgets too small
+        # to amortize pool startup -- silently downgrading an explicit
+        # flag is the failure mode ModelChecker's validation prevents.
+        _run_pooled(ctx, workers)
+        return
+    ctx.result.workers = 1
+    shard = _drive_walks(
+        ctx.spec.initial_states(),
+        ctx.expander,
+        range(ctx.walks),
+        ctx.seed,
+        ctx.walk_depth,
+        ctx.check_deadlock,
+        ctx.stop_on_violation,
+        store=ctx.store,
+    )
+    _merge(ctx, [shard])
 
-    name = "simulate"
-    supports_graph = False
-    supported_stores = ("fingerprint", "disk")
-    bounded_exploration = True
 
-    @classmethod
-    def requires_registry(cls, workers) -> bool:
-        # Walks are sharded to pool processes only on explicit multi-worker
-        # requests; the default runs serially and needs no registry.
-        return (workers or 1) > 1
-
-    def run(self, ctx: CheckContext) -> None:
-        workers = ctx.workers or 1
-        if workers > 1:
-            # workers > 1 only ever happens by explicit request (the default
-            # is serial), so it is honored even for walk budgets too small
-            # to amortize pool startup -- silently downgrading an explicit
-            # flag is the failure mode ModelChecker's validation prevents.
-            self._run_pooled(ctx, workers)
-            return
-        ctx.result.workers = 1
-        shard = _drive_walks(
-            ctx.spec.initial_states(),
-            ctx.expander,
-            range(ctx.walks),
-            ctx.seed,
-            ctx.walk_depth,
-            ctx.check_deadlock,
-            ctx.stop_on_violation,
-            store=ctx.store,
+def _run_pooled(ctx: CheckContext, workers: int) -> None:
+    slices = _task_slices(ctx.walks, workers)
+    # Fewer walks than workers start fewer processes (3 walks on 4
+    # requested workers run 3); report what actually runs.
+    ctx.result.workers = min(workers, len(slices))
+    options = (ctx.seed, ctx.walk_depth, ctx.check_deadlock, ctx.stop_on_violation)
+    with SupervisedPool(
+        ctx.result.workers,
+        initializer=_walk_worker_init,
+        initargs=(worker_spec_args(ctx.spec), ctx.compile_mode),
+        config=ctx.supervision,
+        chaos=ctx.chaos,
+        name="simulate",
+    ) as pool:
+        ctx.result.supervision = pool.stats
+        # A walk is a pure function of (spec, seed, index), so a slice
+        # recomputed inline after its task failed is exactly what its
+        # worker would have returned.  Slices merge as they arrive.
+        _merge(
+            ctx,
+            pool.map(
+                _simulate_shard,
+                ((indices, *options) for indices in slices),
+                partial(_drive_walks, ctx.spec.initial_states(), ctx.expander),
+            ),
         )
-        self._merge(ctx, [shard])
 
-    def _run_pooled(self, ctx: CheckContext, workers: int) -> None:
-        slices = _task_slices(ctx.walks, workers)
-        # Fewer walks than workers start fewer processes (3 walks on 4
-        # requested workers run 3); report what actually runs.
-        ctx.result.workers = min(workers, len(slices))
-        options = (ctx.seed, ctx.walk_depth, ctx.check_deadlock, ctx.stop_on_violation)
-        with SupervisedPool(
-            ctx.result.workers,
-            initializer=_walk_worker_init,
-            initargs=(worker_spec_args(ctx.spec), ctx.compile_mode),
-            config=ctx.supervision,
-            chaos=ctx.chaos,
-            name="simulate",
-        ) as pool:
-            ctx.result.supervision = pool.stats
-            # A walk is a pure function of (spec, seed, index), so a slice
-            # recomputed inline after its task failed is exactly what its
-            # worker would have returned.  Slices merge as they arrive.
-            self._merge(
-                ctx,
-                pool.map(
-                    _simulate_shard,
-                    ((indices, *options) for indices in slices),
-                    partial(_drive_walks, ctx.spec.initial_states(), ctx.expander),
-                ),
-            )
 
-    def _merge(self, ctx: CheckContext, shards: Iterable[Dict[str, Any]]) -> None:
-        spec, result, store = ctx.spec, ctx.result, ctx.store
-        action_counts: Dict[str, int] = {act.name: 0 for act in spec.actions}
-        violation: Optional[Tuple[int, str, _WireTrace]] = None
-        deadlock: Optional[Tuple[int, _WireTrace]] = None
-        for shard in shards:
-            result.walks += shard["walks"]
-            result.generated_states += shard["generated"]
-            result.max_depth = max(result.max_depth, shard["max_steps"])
-            for fp in shard["fps"] or ():  # None when streamed into the store
-                store.add(fp)
-            for name, count in shard["action_counts"].items():
-                action_counts[name] += count
-            if shard["violation"] is not None and (
-                violation is None or shard["violation"][0] < violation[0]
-            ):
-                violation = shard["violation"]
-            if shard["deadlock"] is not None and (
-                deadlock is None or shard["deadlock"][0] < deadlock[0]
-            ):
-                deadlock = shard["deadlock"]
-        # A single walk ends at its first event, but *different* walks can
-        # surface both kinds.  Under stop_on_violation only the earliest one
-        # is reported -- the event a serial run would have stopped at (a
-        # later-walk event may not even have run serially).  Without
-        # stop_on_violation every walk ran everywhere, so both events are
-        # real and both are reported, as the BFS engines do.
-        if ctx.stop_on_violation and violation is not None and deadlock is not None:
-            if violation[0] <= deadlock[0]:
-                deadlock = None
-            else:
-                violation = None
-        if violation is not None:
-            _walk, inv_name, wire_trace = violation
-            result.invariant_violation = InvariantViolation(
-                f"invariant {inv_name!r} violated by specification {spec.name!r}",
-                property_name=inv_name,
-                trace=self._rebuild_trace(spec, wire_trace),
-            )
-        if deadlock is not None:
-            _walk, wire_trace = deadlock
-            result.deadlock = DeadlockError(
-                f"deadlock reached in specification {spec.name!r}",
-                trace=self._rebuild_trace(spec, wire_trace),
-            )
-        result.distinct_states = store.distinct_count
-        result.peak_frontier = 1  # a walk holds exactly one live state
-        result.action_counts = action_counts
+def _merge(ctx: CheckContext, shards: Iterable[Dict[str, Any]]) -> None:
+    spec, result, store = ctx.spec, ctx.result, ctx.store
+    action_counts: Dict[str, int] = {act.name: 0 for act in spec.actions}
+    violation: Optional[Tuple[int, str, _WireTrace]] = None
+    deadlock: Optional[Tuple[int, _WireTrace]] = None
+    for shard in shards:
+        result.walks += shard["walks"]
+        result.generated_states += shard["generated"]
+        result.max_depth = max(result.max_depth, shard["max_steps"])
+        for fp in shard["fps"] or ():  # None when streamed into the store
+            store.add(fp)
+        for name, count in shard["action_counts"].items():
+            action_counts[name] += count
+        if shard["violation"] is not None and (
+            violation is None or shard["violation"][0] < violation[0]
+        ):
+            violation = shard["violation"]
+        if shard["deadlock"] is not None and (
+            deadlock is None or shard["deadlock"][0] < deadlock[0]
+        ):
+            deadlock = shard["deadlock"]
+    # A single walk ends at its first event, but *different* walks can
+    # surface both kinds.  Under stop_on_violation only the earliest one
+    # is reported -- the event a serial run would have stopped at (a
+    # later-walk event may not even have run serially).  Without
+    # stop_on_violation every walk ran everywhere, so both events are
+    # real and both are reported, as the BFS engines do.
+    if ctx.stop_on_violation and violation is not None and deadlock is not None:
+        if violation[0] <= deadlock[0]:
+            deadlock = None
+        else:
+            violation = None
+    if violation is not None:
+        _walk, inv_name, wire_trace = violation
+        result.invariant_violation = InvariantViolation(
+            f"invariant {inv_name!r} violated by specification {spec.name!r}",
+            property_name=inv_name,
+            trace=_rebuild_trace(spec, wire_trace),
+        )
+    if deadlock is not None:
+        _walk, wire_trace = deadlock
+        result.deadlock = DeadlockError(
+            f"deadlock reached in specification {spec.name!r}",
+            trace=_rebuild_trace(spec, wire_trace),
+        )
+    result.distinct_states = store.distinct_count
+    result.peak_frontier = 1  # a walk holds exactly one live state
+    result.action_counts = action_counts
 
-    @staticmethod
-    def _rebuild_trace(spec: Specification, wire: _WireTrace) -> List[State]:
-        return [State.from_values(spec.schema, values) for values in wire]
+
+def _rebuild_trace(spec: Specification, wire: _WireTrace) -> List[State]:
+    return [State.from_values(spec.schema, values) for values in wire]

@@ -1,7 +1,7 @@
-"""Pluggable visited-state stores for the exploration engines.
+"""Visited-state stores for the exploration engines.
 
-TLC scales past toy models because its fingerprint set is swappable (an
-in-memory set, a disk-backed set, ...).  This module is that seam for the
+TLC scales past toy models because its fingerprint set can live in memory
+or on disk.  This module is that seam for the
 reproduction: an exploration engine asks its store "have I seen this state?"
 and never cares how the answer is represented.  Every store is exact -- it
 reports a state new exactly once and ``distinct_count`` is the true
@@ -25,26 +25,18 @@ one is made (it brings ``sqlite3`` with it):
   ``path`` (the CLI's ``--store-path``); ``capacity`` sizes its write-back
   cache.
 
-Stores are registered by name (:func:`register_store`) so a new backend --
-an mmap'd hash file, say -- is a one-file addition; engines declare which
-stores they accept (:attr:`repro.engine.base.Engine.supported_stores`) and
-:func:`repro.engine.core.ModelChecker` resolves ``store="auto"`` to the
-engine's default.
+:func:`make_store` builds one by name;
+:class:`repro.engine.core.ModelChecker` knows which stores each engine
+accepts and resolves ``store="auto"`` to the engine's default.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Protocol, Tuple
+from typing import Any, Dict, Optional, Protocol
 
 from ..tla.graph import StateGraph
 
-__all__ = [
-    "FingerprintSetStore",
-    "StateStore",
-    "make_store",
-    "register_store",
-    "store_names",
-]
+__all__ = ["FingerprintSetStore", "StateStore", "make_store"]
 
 
 class StateStore(Protocol):
@@ -116,43 +108,23 @@ class FingerprintSetStore:
         self._parents = dict(data["pairs"])
 
 
-_STORES: Dict[str, Callable[[Optional[int], Optional[str]], object]] = {}
-
-
-def register_store(
-    name: str, factory: Callable[[Optional[int], Optional[str]], object]
-) -> None:
-    """Register a store backend; ``factory(capacity, path)`` builds one.
-
-    ``path`` is the on-disk location for file-backed stores (the CLI's
-    ``--store-path``); purely in-memory backends ignore it.
-    """
-    _STORES[name] = factory
-
-
-def store_names() -> Tuple[str, ...]:
-    """Registered store names, in registration order."""
-    return tuple(_STORES)
-
-
 def make_store(
     name: str, *, capacity: Optional[int] = None, path: Optional[str] = None
 ):
-    """Instantiate a registered store by name."""
-    try:
-        factory = _STORES[name]
-    except KeyError:
-        known = ", ".join(store_names())
-        raise ValueError(f"unknown store {name!r}; expected one of: {known}") from None
-    return factory(capacity, path)
+    """Build the store called ``name``.
 
+    ``capacity`` and ``path`` are the ``disk`` store's write-back cache size
+    and database file (the CLI's ``--store-capacity`` / ``--store-path``);
+    the in-memory stores take neither.
+    """
+    if name == "fingerprint":
+        return FingerprintSetStore()
+    if name == "states":
+        return StateGraph()
+    if name == "disk":
+        from .diskstore import DiskFingerprintStore
 
-def _disk_store(capacity: Optional[int], path: Optional[str]):
-    from .diskstore import DiskFingerprintStore
-
-    return DiskFingerprintStore(capacity, path)
-
-
-register_store("fingerprint", lambda capacity, path: FingerprintSetStore())
-register_store("states", lambda capacity, path: StateGraph())
-register_store("disk", _disk_store)
+        return DiskFingerprintStore(capacity, path)
+    raise ValueError(
+        f"unknown store {name!r}; expected one of: fingerprint, states, disk"
+    )

@@ -1,14 +1,15 @@
 """Cross-engine parity across the repro.engine seam.
 
-The engine and store registries, store validation, and the contract that all
-engines -- including ``simulate`` -- agree about what is reachable and what
-violates.
+The engine and store names, how ``ModelChecker`` resolves and refuses each
+engine x store pair, and the contract that all engines -- including
+``simulate`` -- agree about what is reachable and what violates.
 """
 
 import pytest
 
 import repro.engine
-from repro.engine import ENGINES, STORES, engine_names, get_engine, store_names
+from repro.engine import ENGINES, STORES, ModelChecker
+from repro.pipeline.cli import main
 from repro.tla.registry import build_spec
 
 
@@ -22,15 +23,72 @@ def _stats(result):
     )
 
 
-class TestRegistries:
-    def test_registries_expose_all_engines_and_stores(self):
-        assert ENGINES == ("auto",) + engine_names()
-        assert engine_names() == ("fingerprint", "states", "simulate")
-        assert STORES[0] == "auto"
-        assert store_names() == ("fingerprint", "states", "disk")
-        assert get_engine("simulate").name == "simulate"
-        with pytest.raises(ValueError, match="unknown engine"):
-            get_engine("warp")
+_GRAPH = "collect_graph"
+_STORE = "supports stores"
+
+#: ``(engine, store) -> (answer without collect_graph, answer with it)`` on
+#: locking without properties: a ``(resolved_engine, resolved_store)`` pair,
+#: or the phrase of the refused parameter.  Recorded from the engine classes
+#: and their capability flags, before they became rules in ModelChecker.
+RESOLUTION = {
+    ("auto", "auto"): (("fingerprint", "fingerprint"), ("states", "states")),
+    ("auto", "fingerprint"): (("fingerprint", "fingerprint"), _STORE),
+    ("auto", "states"): (_STORE, ("states", "states")),
+    ("auto", "disk"): (("fingerprint", "disk"), _STORE),
+    ("fingerprint", "auto"): (("fingerprint", "fingerprint"), _GRAPH),
+    ("fingerprint", "fingerprint"): (("fingerprint", "fingerprint"), _GRAPH),
+    ("fingerprint", "states"): (_STORE, _GRAPH),
+    ("fingerprint", "disk"): (("fingerprint", "disk"), _GRAPH),
+    ("states", "auto"): (("states", "states"), ("states", "states")),
+    ("states", "fingerprint"): (_STORE, _STORE),
+    ("states", "states"): (("states", "states"), ("states", "states")),
+    ("states", "disk"): (_STORE, _STORE),
+    ("simulate", "auto"): (("simulate", "fingerprint"), _GRAPH),
+    ("simulate", "fingerprint"): (("simulate", "fingerprint"), _GRAPH),
+    ("simulate", "states"): (_STORE, _GRAPH),
+    ("simulate", "disk"): (("simulate", "disk"), _GRAPH),
+}
+
+
+class TestResolution:
+    def test_engine_and_store_names(self):
+        assert ENGINES == ("auto", "fingerprint", "states", "simulate")
+        assert STORES == ("auto", "fingerprint", "states", "disk")
+
+    @pytest.mark.parametrize("collect_graph", [False, True])
+    @pytest.mark.parametrize("store", STORES)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_engine_store_pair_resolves_or_is_refused(
+        self, locking_spec, engine, store, collect_graph
+    ):
+        expected = RESOLUTION[engine, store][collect_graph]
+        options = dict(engine=engine, store=store, collect_graph=collect_graph)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                ModelChecker(locking_spec, check_properties=False, **options)
+        else:
+            checker = ModelChecker(locking_spec, check_properties=False, **options)
+            assert (checker.resolved_engine, checker.resolved_store) == expected
+
+    @pytest.mark.parametrize(
+        "argv,resolved,why",
+        [
+            (
+                ["check", "raftmongo", "--param", "n_nodes=2", "--store", "disk"],
+                "'states'",
+                "check_properties",
+            ),
+            (["check", "locking", "--store", "states"], "'fingerprint'", "no state graph"),
+        ],
+    )
+    def test_an_auto_refusal_says_what_auto_chose_and_why(
+        self, capsys, argv, resolved, why
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.count("\n") == 1
+        assert "engine='auto'" in err and f"resolved to {resolved}" in err
+        assert why in err and "supports stores" in err
 
     @pytest.mark.parametrize(
         "removed,listed",

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.engine import DiskFingerprintStore
-from repro.engine.store import (
-    FingerprintSetStore,
-    make_store,
-    register_store,
-    store_names,
-)
+from repro.engine.store import FingerprintSetStore, make_store
 from repro.tla import State, StateGraph, VariableSchema
 
 
@@ -37,21 +32,11 @@ def test_state_graph_store_interns_by_value():
     assert store.name == "states"
 
 
-def test_make_store_and_registry():
-    assert set(store_names()) >= {"fingerprint", "states", "disk"}
+def test_make_store_builds_each_store_by_name():
     assert isinstance(make_store("fingerprint"), FingerprintSetStore)
     assert isinstance(make_store("states"), StateGraph)
     disk = make_store("disk")
     assert isinstance(disk, DiskFingerprintStore)
     disk.close()
-    with pytest.raises(ValueError, match="unknown store"):
+    with pytest.raises(ValueError, match="unknown store 'lru'; expected one of: "):
         make_store("lru")
-
-
-def test_register_store_makes_new_backend_addressable():
-    class CountingStore(FingerprintSetStore):
-        name = "_test_counting"
-
-    register_store("_test_counting", lambda capacity, path: CountingStore())
-    assert "_test_counting" in store_names()
-    assert isinstance(make_store("_test_counting"), CountingStore)
