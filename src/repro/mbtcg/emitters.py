@@ -239,25 +239,18 @@ def corpus_traces(
         yield trace
 
 
-def replay_corpus(
-    path: str,
-    *,
-    workers: int = 1,
-    executor: str = "thread",
-) -> Tuple[Dict[str, Any], BatchReport]:
+def replay_corpus(path: str, *, workers: int = 1) -> Tuple[Dict[str, Any], BatchReport]:
     """Replay a corpus file through ``check_traces`` (the MBTCG -> MBTC loop).
 
     The spec is rebuilt from the header's registry reference, so the file is
     self-contained: any machine with the library replays it.  Returns the
     corpus header and the batch report; a correct generator yields a report
-    with zero failures.
+    with zero failures.  ``workers`` must be 1 (see :func:`check_traces`);
+    it is kept only because ``benchmarks/`` still passes it.
     """
     header, cases = read_corpus(path)
     spec = build_spec(header["spec"], **header.get("params", {}))
-    report = check_traces(
-        spec, corpus_traces(spec, cases), workers=workers, executor=executor
-    )
-    return header, report
+    return header, check_traces(spec, corpus_traces(spec, cases), workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +362,8 @@ def write_log_suite(
         )
     per_node = entry.per_node_variables(spec)
     nodes = entry.node_count(spec)
+    if limit is not None and limit < 0:
+        raise GenerationError(f"limit must be >= 0, got {limit}")
     paths: List[str] = []
     selected = suite.cases if limit is None else suite.cases[:limit]
     for case in selected:

@@ -8,8 +8,8 @@ pipeline:
   stream merging and trace reconstruction,
 * :mod:`~repro.pipeline.workload` -- synthetic executions (valid or
   fault-injected) generated straight from a specification,
-* :mod:`~repro.pipeline.runner` -- batch checking (in the calling thread,
-  or in worker processes) with successor caching and merged coverage,
+* :mod:`~repro.pipeline.runner` -- batch checking in the calling thread,
+  with successor caching and merged coverage,
 * :mod:`~repro.pipeline.cli` -- the ``python -m repro`` command line.
 
 Specifications are built by name through :mod:`repro.tla.registry`.
@@ -26,12 +26,11 @@ from .logs import (
     trace_from_logs,
     write_log_file,
 )
-from .runner import EXECUTORS, BatchReport, TraceOutcome, check_traces
+from .runner import BatchReport, TraceOutcome, check_traces
 from .workload import GeneratedTrace, generate_trace, generate_workload
 
 __all__ = [
     "BatchReport",
-    "EXECUTORS",
     "GeneratedTrace",
     "LogEvent",
     "LogParseError",

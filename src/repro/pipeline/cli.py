@@ -6,8 +6,7 @@ Subcommands mirror the paper's workflow:
 * ``trace``   -- MBTC proper: parse server logs, rebuild the execution trace,
   verify it against the spec, and optionally accumulate coverage,
 * ``simulate``-- the scale path: generate a synthetic workload (optionally
-  fault-injected), batch-check it (``--workers N``: in N worker processes),
-  and report merged coverage,
+  fault-injected), batch-check it and report merged coverage,
 * ``generate``-- MBTCG (paper Section 5): enumerate the spec's behaviours
   into a deduplicated test corpus, optionally emit pytest source and
   per-node logs, and replay the corpus through the MBTC batch checker,
@@ -399,13 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--max-steps", type=int, default=24)
     sim_p.add_argument("--stutter-prob", type=float, default=0.0)
     sim_p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="1 checks in this process (default); N > 1 checks in N "
-        "supervised worker processes, each with its own spec and cache",
-    )
-    sim_p.add_argument(
         "--log-dir",
         metavar="DIR",
         help="also write the first --log-limit traces as per-node JSON-lines logs",
@@ -737,6 +729,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.log_limit < 0:
+        raise ValueError(f"--log-limit must be >= 0; got {args.log_limit}")
     entry = get_entry(args.spec)
     spec = build_spec(args.spec, **parse_params(args.param))
     reachable = None
@@ -766,12 +760,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         workload = itertools.chain(head, workload)
 
     report = check_traces(
-        spec,
-        workload,
-        workers=args.workers,
-        executor="process" if args.workers > 1 else "thread",
-        reachable_count=reachable,
-        fail_fast=args.fail_fast,
+        spec, workload, reachable_count=reachable, fail_fast=args.fail_fast
     )
     print(report.summary())
     print(f"peak RSS: {peak_rss_mb():.1f} MB")
@@ -855,7 +844,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         print(f"wrote {len(paths)} log file(s) to {args.log_dir}")
 
     if replay:
-        _header, report = replay_corpus(args.out, workers=1)
+        _header, report = replay_corpus(args.out)
         print(
             f"replay through MBTC: PASS {report.passed}  FAIL {report.failed}  "
             f"ERROR {len(report.errors)}  "

@@ -2,33 +2,23 @@
 
 Paper Section 4.2.4 wants MBTC "deployed to continuous integration": many
 traces checked in one run, with one combined coverage number at the end.
-This runner does that, with two executors:
+This runner does that in the calling thread, one trace after another on
+the spec's own :class:`~repro.tla.trace.SuccessorCache`
+(``SuccessorCache.for_spec``): one compiled expander, one value interner,
+one decode plan and one successor memo for the whole batch and for whatever
+decoded its traces (different traces of one workload revisit the same
+states and, far more often, the same variable bindings).  Trace checking is
+pure Python, so more threads would only take turns on the GIL, and two
+worker processes never beat this fold by 1.3x on a shipped workload.
 
-* ``executor="thread"`` -- the calling thread, one trace after another on
-  the spec's own :class:`~repro.tla.trace.SuccessorCache`
-  (``SuccessorCache.for_spec``): one compiled expander, one value interner,
-  one decode plan and one successor memo for the whole batch and for
-  whatever decoded its traces (different traces of one workload revisit the
-  same states and, far more often, the same variable bindings).  Trace
-  checking is pure Python, so more threads would only take turns on the
-  GIL and that cache's lock: ``workers`` must be 1.
-* ``executor="process"`` -- a process pool for real multi-core throughput.
-  Each worker rebuilds the spec from its registry name (specs are closures
-  and do not pickle; see :mod:`repro.tla.registry`) and keeps a private
-  ``SuccessorCache``; traces are shipped in chunks to amortize pickling, and
-  the per-process cache counters are summed into the final report.
-
-Per-trace coverage reports are absorbed into one accumulator either way, and
-the result prints as a TLC-style summary.
+Per-trace coverage reports are absorbed into one accumulator, and the result
+prints as a TLC-style summary.
 
 Robustness: a trace whose *check* raises (malformed input, a spec operator
 blowing up on an unreachable state) is recorded as an *error* outcome
 instead of killing the batch -- CI wants the other 9,999 verdicts plus one
 error entry, not a traceback -- unless ``fail_fast=True`` stops the batch at
-the first failed or errored trace.  The process executor dispatches through
-the supervised pool (:mod:`repro.resilience.supervisor`), so a crashed or
-hung worker costs one retried chunk; once a chunk exhausts its retries, it
-and every chunk after it are checked in the coordinator instead.
+the first failed or errored trace.
 """
 
 from __future__ import annotations
@@ -36,40 +26,27 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..obs import current as obs_current
-from ..resilience import SupervisedPool, SupervisionConfig, SupervisionStats
 from ..tla import Specification, State
 from ..tla.coverage import CoverageReport
-from ..tla.registry import build_worker_spec, worker_spec_args
 from ..tla.trace import BoundTrace, SuccessorCache, TraceCheckResult, TraceFold, explain_failure
 from .workload import GeneratedTrace
 
 __all__ = [
     "BatchReport",
-    "EXECUTORS",
     "TraceOutcome",
     "cache_line",
     "check_one",
     "check_traces",
-    "process_worker_init",
     "record_cache_telemetry",
-    "worker_runtime",
 ]
 
 TraceLike = Union[GeneratedTrace, Sequence[State]]
 #: One unit of batch work: ``(index, trace, labelled)``.
 Item = Tuple[int, GeneratedTrace, bool]
 Checked = Tuple["TraceOutcome", Optional[CoverageReport]]
-
-EXECUTORS = ("thread", "process")
-
-#: Traces shipped per process-pool task: big enough that pickling a chunk is
-#: cheap next to checking it, small enough that a 4-worker pool stays busy on
-#: batches of a few dozen traces.
-_PROCESS_CHUNK = 16
 
 
 @dataclass
@@ -107,18 +84,14 @@ class BatchReport:
     errors: List[TraceOutcome] = field(default_factory=list)
     coverage: Optional[CoverageReport] = None
     duration_seconds: float = 0.0
-    workers: int = 1
-    executor: str = "thread"
     cache_hits: int = 0
     cache_misses: int = 0
     #: :meth:`SuccessorCache.stats` of the batch: the kernel kind, and the
     #: counters of the successor memo, the interner and the kernel's read-set
-    #: memo, summed over the worker processes under the process executor.
+    #: memo.
     cache_stats: Dict[str, Any] = field(default_factory=dict)
     #: True when ``fail_fast`` stopped the batch before checking every trace.
     stopped_early: bool = False
-    #: Supervised-pool statistics (process executor only; None otherwise).
-    supervision: Optional[SupervisionStats] = None
 
     @property
     def ok(self) -> bool:
@@ -142,8 +115,7 @@ class BatchReport:
     def summary(self) -> str:
         """Multi-line TLC-style batch summary."""
         lines = [
-            f"{self.spec_name}: checked {self.total} trace(s) with {self.workers} "
-            f"{self.executor} worker(s) in {self.duration_seconds:.2f}s"
+            f"{self.spec_name}: checked {self.total} trace(s) in {self.duration_seconds:.2f}s"
             + ("  [stopped early: fail-fast]" if self.stopped_early else ""),
             f"  PASS {self.passed}  FAIL {self.failed}  "
             f"ERROR {len(self.errors)}  "
@@ -158,9 +130,6 @@ class BatchReport:
                 lines.append("  actions exercised: " + ", ".join(exercised))
         if self.cache_hits + self.cache_misses:
             lines.append("  " + cache_line(self.cache_stats))
-        supervision = self.supervision and self.supervision.summary()
-        if supervision:
-            lines.append("  " + supervision)
         return "\n".join(lines)
 
 
@@ -203,11 +172,6 @@ def _stats_delta(before: Dict[str, Any], after: Dict[str, Any]) -> Dict[str, Any
         name: value if name == "kernel" else value - before[name]
         for name, value in after.items()
     }
-
-
-def _add_stats(total: Dict[str, Any], delta: Dict[str, Any]) -> None:
-    for name, value in delta.items():
-        total[name] = value if name == "kernel" else total.get(name, 0) + value
 
 
 def _as_generated(item: TraceLike, index: int) -> tuple:
@@ -266,52 +230,6 @@ def _judge(check: Callable[[Sequence[Any]], tuple], item: Item) -> Checked:
     return outcome, coverage
 
 
-def _check_chunk(
-    spec: Specification, cache: SuccessorCache, options: Dict[str, bool], chunk: List[Item]
-) -> Tuple[List[Checked], Dict[str, Any]]:
-    """Check a chunk against ``cache``; returns results + cache-stat deltas."""
-    check = partial(check_one, spec, cache, **options)
-    before = cache.stats()
-    results = [_judge(check, item) for item in chunk]
-    return results, _stats_delta(before, cache.stats())
-
-
-# ---------------------------------------------------------------------------
-# Process-executor worker side: one spec + SuccessorCache per worker process.
-# ---------------------------------------------------------------------------
-
-_RUNNER_SPEC: Optional[Specification] = None
-
-
-def process_worker_init(*spec_args: Any) -> None:
-    """Worker-process initializer: rebuild the spec from its registry ref.
-
-    Takes :func:`~repro.tla.registry.worker_spec_args`; tasks reach the spec
-    through :func:`worker_runtime`.
-    """
-    global _RUNNER_SPEC
-    _RUNNER_SPEC = build_worker_spec(*spec_args)
-
-
-def worker_runtime() -> Tuple[Specification, SuccessorCache]:
-    """The per-worker spec and successor cache set up by :func:`process_worker_init`."""
-    if _RUNNER_SPEC is None:
-        raise RuntimeError(
-            "worker_runtime() called outside an initialized worker process; "
-            "pass process_worker_init as the pool initializer"
-        )
-    return _RUNNER_SPEC, SuccessorCache.for_spec(_RUNNER_SPEC)
-
-
-def _process_check_chunk(chunk: List[Item], options: Dict[str, bool]) -> tuple:
-    """Pool task: :func:`_check_chunk` on this worker's spec and cache."""
-    return _check_chunk(*worker_runtime(), options, chunk)
-
-
-class _FailFastStop(Exception):
-    """Internal: raised by the consumer to stop a ``fail_fast`` batch."""
-
-
 def check_traces(
     spec: Specification,
     traces: Iterable[TraceLike],
@@ -323,54 +241,49 @@ def check_traces(
     reachable_count: Optional[int] = None,
     collect_coverage: bool = True,
     fail_fast: bool = False,
-    supervision: Optional[SupervisionConfig] = None,
 ) -> BatchReport:
     """Check every trace against ``spec``; return a :class:`BatchReport`.
 
-    ``executor`` selects where the checks run: ``"thread"`` (the calling
-    thread, ``workers=1``) or ``"process"`` (``workers`` supervised worker
-    processes; requires a registry-built spec).  ``reachable_count`` (e.g.
-    ``CheckResult.distinct_states`` from a full model-checking run) turns
-    merged coverage into a fraction of the reachable state space -- the number
-    the paper says TLC cannot produce across runs.
+    ``reachable_count`` (e.g. ``CheckResult.distinct_states`` from a full
+    model-checking run) turns merged coverage into a fraction of the
+    reachable state space -- the number the paper says TLC cannot produce
+    across runs.
 
     ``fail_fast=True`` stops the batch at the first failed, errored or
     surprising trace (``report.stopped_early`` records that the totals cover
-    a prefix of the workload).  ``supervision`` sets the task timeout of the
-    supervised worker pool behind the process executor (the thread executor
-    refuses it); chaos fault injection reaches that pool through the
-    ``REPRO_CHAOS_*`` environment (see
-    :meth:`repro.resilience.faults.FaultPlan.from_env`).
+    a prefix of the workload).
+
+    ``workers`` must be 1 and ``executor`` ``"thread"``: both are kept only
+    because ``benchmarks/`` still passes them, and go once it stops.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
-    if executor == "thread" and workers > 1:
+    if workers != 1:
         raise ValueError(
-            f"executor='thread' checks in the calling thread and takes workers=1; "
-            f"got workers={workers} -- use executor='process' for worker processes"
+            f"workers must be 1: batch checking runs in the calling thread; got {workers!r}"
         )
-    if executor == "thread" and supervision is not None:
+    if executor != "thread":
         raise ValueError(
-            "supervision applies to the process executor's worker pool; "
-            "executor='thread' checks in the calling thread and runs no pool"
-        )
-    if executor == "process" and spec.registry_ref is None:
-        raise ValueError(
-            f"executor='process' requires a registered specification, but "
-            f"{spec.name!r} has no registry_ref; build it via "
-            "repro.tla.registry.build_spec so worker processes can rebuild it"
+            "executor must be 'thread': batch checking runs in the calling thread; "
+            f"got {executor!r}"
         )
     started = time.perf_counter()
-    report = BatchReport(spec_name=spec.name, workers=workers, executor=executor)
+    report = BatchReport(spec_name=spec.name)
     accumulator = (
         CoverageReport(spec_name=spec.name, reachable_count=reachable_count)
         if collect_coverage
         else None
     )
-
-    def consume(outcome: TraceOutcome, coverage: Optional[CoverageReport]) -> None:
+    cache = SuccessorCache.for_spec(spec)
+    before = cache.stats()
+    check = partial(
+        check_one,
+        spec,
+        cache,
+        allow_stuttering=allow_stuttering,
+        require_initial=require_initial,
+        collect_coverage=collect_coverage,
+    )
+    for index, trace in enumerate(traces):
+        outcome, coverage = _judge(check, (index, *_as_generated(trace, index)))
         report.total += 1
         if outcome.error is not None:
             report.errors.append(outcome)
@@ -385,34 +298,15 @@ def check_traces(
             accumulator.absorb(coverage)
         if fail_fast and (outcome.error is not None or outcome.surprising or
                           (not outcome.ok and outcome.expected_ok is None)):
-            raise _FailFastStop
-
-    items = ((i, *_as_generated(t, i)) for i, t in enumerate(traces))
-    options = dict(
-        allow_stuttering=allow_stuttering,
-        require_initial=require_initial,
-        collect_coverage=collect_coverage,
-    )
-    try:
-        if executor == "thread":
-            self_cache = SuccessorCache.for_spec(spec)
-            before = self_cache.stats()
-            check = partial(check_one, spec, self_cache, **options)
-            for item in items:
-                consume(*_judge(check, item))
-            report.cache_stats = _stats_delta(before, self_cache.stats())
-        else:
-            _check_traces_process(
-                spec, items, workers, options, supervision, report, consume
-            )
-    except _FailFastStop:
-        report.stopped_early = True
+            report.stopped_early = True
+            break
+    report.cache_stats = _stats_delta(before, cache.stats())
 
     if accumulator is not None:
         accumulator.trace_count = report.total
         report.coverage = accumulator
-    report.cache_hits = report.cache_stats.get("hits", 0)
-    report.cache_misses = report.cache_stats.get("misses", 0)
+    report.cache_hits = report.cache_stats["hits"]
+    report.cache_misses = report.cache_stats["misses"]
     report.duration_seconds = time.perf_counter() - started
     _record_batch_telemetry(report)
     return report
@@ -443,40 +337,3 @@ def _record_batch_telemetry(report: BatchReport) -> None:
     reg.set_gauge("runner.duration_seconds", report.duration_seconds)
     reg.set_gauge("runner.traces_per_second", report.traces_per_second)
 
-
-def _check_traces_process(
-    spec: Specification,
-    items: Iterable[Item],
-    workers: int,
-    options: Dict[str, bool],
-    supervision: Optional[SupervisionConfig],
-    report: BatchReport,
-    consume,
-) -> None:
-    """The process-executor path: chunks through the supervised pool.
-
-    A chunk whose task exhausts its retries (or comes after the pool gave
-    up) is rechecked inline in the coordinator, on the spec's own cache --
-    trace checking is deterministic, so the verdicts are exactly what the
-    worker would have produced.  ``consume`` may raise to stop the batch
-    (fail-fast); supervision statistics are recorded either way.
-    """
-
-    def inline(chunk: List[Item], options: Dict[str, bool]) -> tuple:
-        return _check_chunk(spec, SuccessorCache.for_spec(spec), options, chunk)
-
-    pending = iter(items)
-    chunks = iter(lambda: list(islice(pending, _PROCESS_CHUNK)), [])
-    with SupervisedPool(
-        workers,
-        initializer=process_worker_init,
-        initargs=worker_spec_args(spec),
-        config=supervision,
-        name="runner",
-    ) as pool:
-        report.supervision = pool.stats
-        tasks = ((chunk, options) for chunk in chunks)
-        for results, stats in pool.map(_process_check_chunk, tasks, inline):
-            _add_stats(report.cache_stats, stats)
-            for outcome, coverage in results:
-                consume(outcome, coverage)

@@ -154,8 +154,12 @@ def generate_workload(
     valid (labelled ``expect_ok=True``) if no guaranteed-invalid mutation
     exists for it, so every label is trustworthy.
     """
+    if n_traces < 1:
+        raise ValueError(f"n_traces must be >= 1, got {n_traces}")
     if not 0.0 <= fault_rate <= 1.0:
         raise ValueError(f"fault_rate must be in [0, 1], got {fault_rate}")
+    if not 0.0 <= stutter_probability <= 1.0:
+        raise ValueError(f"stutter_probability must be in [0, 1], got {stutter_probability}")
     cache = SuccessorCache(spec)
     for index in range(n_traces):
         rng = random.Random(seed * _SEED_STRIDE + index)

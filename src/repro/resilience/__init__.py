@@ -8,8 +8,7 @@ Three pieces, each usable on its own:
   detector, checksummed result envelopes, bounded retry with exponential
   backoff, and -- once a task exhausts its attempts -- the caller's inline
   path for everything unfinished (:meth:`SupervisedPool.map`).  The sharded
-  simulation engine and the batch trace runner's process executor dispatch
-  through it.
+  simulation engine is its one caller.
 * :mod:`repro.resilience.checkpoint` -- periodic atomic snapshots of a BFS
   run (visited store, frontier, parent map, stats) and the resume path that
   continues an interrupted run to bit-identical final statistics; plus the

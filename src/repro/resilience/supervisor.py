@@ -1,16 +1,14 @@
 """A supervised worker-process pool: crash and hang detection, bounded retry.
 
 ``concurrent.futures.ProcessPoolExecutor`` treats a dead worker as a dead
-pool.  Under its two callers -- ``check --engine simulate --workers N`` and
-``check_traces(executor="process")`` -- :class:`SupervisedPool` treats
-worker failure as a scheduling event instead:
+pool.  Under its one caller, ``check --engine simulate --workers N``,
+:class:`SupervisedPool` treats worker failure as a scheduling event instead:
 
 * **Crash detection** -- a busy worker's exit code is polled; a nonzero (or
   chaos-sentinel) exit re-dispatches its task.
 * **Hang detection** -- one per-task wall-clock timer,
-  :attr:`SupervisionConfig.task_timeout`.  It bounds one task, so callers
-  keep tasks short: the simulate engine slices its walks, the runner chunks
-  its traces.
+  :attr:`SupervisionConfig.task_timeout`.  It bounds one task, so the
+  caller keeps tasks short: the simulate engine slices its walks.
 * **Result validation** -- results travel in a ``crc32``-checksummed
   envelope; a corrupted payload is rejected and the task retried.
 * **Bounded retry with backoff** -- a failed attempt recycles its worker

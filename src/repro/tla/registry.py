@@ -5,11 +5,10 @@ The registry is the serialization layer of everything multi-process: a
 does not pickle, so worker processes receive the ``(name, params)`` pair that
 *rebuilds* it instead (TLC does the same thing -- every worker parses the
 ``.tla`` file rather than receiving a parsed module).  :func:`build_spec`
-stamps the pair onto the spec as ``spec.registry_ref``; the two callers that
-run worker processes -- the simulation engine's sharded walks
-(:mod:`repro.engine.simulate`) and the process-based batch runner
-(:mod:`repro.pipeline.runner`) -- hand :func:`worker_spec_args` to their pool
-and call :func:`build_worker_spec` in each worker.
+stamps the pair onto the spec as ``spec.registry_ref``; the one caller that
+runs worker processes, the simulation engine's sharded walks
+(:mod:`repro.engine.simulate`), hands :func:`worker_spec_args` to its pool
+and calls :func:`build_worker_spec` in each worker.
 
 Spec modules register themselves at import time via :func:`register_spec`;
 the built-in families under :mod:`repro.specs` are loaded lazily on first

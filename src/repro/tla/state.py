@@ -115,8 +115,8 @@ class State(Mapping[str, Any]):
         return f"State({inner})"
 
     def __reduce__(self):
-        # The process executor ships traces to its workers; rebuilding
-        # through from_values skips the per-variable freeze() and
+        # A pickled state (a watch checkpoint holds one per source) rebuilds
+        # through from_values, skipping the per-variable freeze() and
         # validation of __init__ (the values are frozen by construction).
         return (State.from_values, (self.schema, self.values))
 

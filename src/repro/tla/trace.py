@@ -148,7 +148,7 @@ class SuccessorCache:
     node, part)``, and the binding of each distinct state is built once and
     handed to every trace that passes through it.  :meth:`bind`, by
     equality, remains the one way in for anything else: hand-built states,
-    chunks pickled to a worker process, a trace bound in another cache.
+    unpickled states, a trace bound in another cache.
 
     The library folds from one thread, but a caller may share one instance
     between threads of its own: a hit is one dict probe, and everything

@@ -14,7 +14,7 @@ import pytest
 
 from repro.engine import check_spec
 from repro.pipeline.cli import main
-from repro.pipeline.runner import check_traces
+from repro.pipeline.workload import generate_workload
 from repro.resilience import FaultPlan, SupervisionConfig
 from repro.stream import WatchConfig
 from repro.tla.registry import build_spec
@@ -181,16 +181,29 @@ _POOLED = ["check", "locking", "--engine", "simulate", "--workers", "2"]
         # and chose the thread pool are gone, not ignored.
         (["simulate", "locking", "--executor", "thread"], "--executor"),
         (["watch", "locking", "a.log", "--queue-size", "5"], "--queue-size"),
-        (["simulate", "locking", "--workers", "0"], "error: workers must be >= 1"),
+        # Batch checking runs in the calling thread: simulate has no --workers.
+        (["simulate", "locking", "--workers", "2"], "--workers"),
         # Peak RSS is printed on every check run; the tracemalloc flag is gone.
         (["check", "locking", "--memory-stats"], "--memory-stats"),
         # A simulate run with no --workers starts no pool to supervise.
         (["check", "locking", "--engine", "simulate", "--task-timeout", "5"], "supervision"),
         # The task timer is the pool's only hang detector: it cannot be off.
         (["REPRO_TASK_TIMEOUT=0"] + _POOLED, "task_timeout"),
+        # A workload of no traces, or a probability outside [0, 1], used to
+        # check nothing and pass; generate_workload refuses both.
+        (["simulate", "locking", "--traces", "-5"], "n_traces must be >= 1"),
+        (["simulate", "locking", "--traces", "0"], "n_traces must be >= 1"),
+        (["simulate", "locking", "--stutter-prob", "1.5"], "stutter_probability"),
+        # A negative log limit used to slice off the last cases, or crash.
+        (["simulate", "locking", "--log-dir", "d", "--log-limit", "-1"], "--log-limit"),
+        (
+            ["generate", "--spec", "ot_array", "--log-dir", "d", "--log-limit", "-2"],
+            "limit must be >= 0",
+        ),
     ],
 )
-def test_inconsistent_flags_exit_2(capsys, monkeypatch, argv, needle):
+def test_inconsistent_flags_exit_2(capsys, monkeypatch, tmp_path, argv, needle):
+    monkeypatch.chdir(tmp_path)  # a row that gets far enough writes here
     while "=" in argv[0]:  # leading NAME=value words set the environment
         name, value = argv[0].split("=", 1)
         monkeypatch.setenv(name, value)
@@ -210,8 +223,8 @@ def _check(**kwargs):
     return check_spec(build_spec("locking"), check_properties=False, **kwargs)
 
 
-def _batch(**kwargs):
-    return check_traces(build_spec("locking"), [], **kwargs)
+def _workload(**kwargs):
+    return list(generate_workload(build_spec("locking"), **{"n_traces": 1, **kwargs}))
 
 
 _SUPERVISION = SupervisionConfig(task_timeout=1.0)
@@ -227,7 +240,7 @@ _SUPERVISION = SupervisionConfig(task_timeout=1.0)
         (_check, dict(engine="fingerprint", checkpoint_every=3), "checkpoint_every"),
         (_check, dict(engine="fingerprint", supervision=_SUPERVISION), "supervision"),
         (_check, dict(engine="simulate", supervision=_SUPERVISION), "supervision"),
-        (_batch, dict(executor="thread", supervision=_SUPERVISION), "supervision"),
+        (_workload, dict(stutter_probability=-0.1), "stutter_probability"),
         # One row per rule the checker already had.  (A pooled run of an
         # unregistered spec is a CheckerError: test_simulate.py pins it.)
         (_check, dict(engine="warp"), "engine"),

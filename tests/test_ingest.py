@@ -156,11 +156,10 @@ def test_decoded_traces_check_as_the_replaced_fold_did(name, params, workload):
     # The batch runner, each side on a spec (and so a cache) of its own.
     old_spec, new_spec = build_spec(name, **params), build_spec(name, **params)
     expected = check_traces(
-        old_spec, labelled(oracle_trace(old_spec, e, per_node) for e in logged), workers=1
+        old_spec, labelled(oracle_trace(old_spec, e, per_node) for e in logged)
     )
     observed = check_traces(
-        new_spec, labelled(events_to_trace(new_spec, e, per_node=per_node) for e in logged),
-        workers=1,
+        new_spec, labelled(events_to_trace(new_spec, e, per_node=per_node) for e in logged)
     )
     assert observed.ok and batch_digest(observed) == batch_digest(expected)
     if (name, params, workload) == BENCH:
@@ -169,8 +168,8 @@ def test_decoded_traces_check_as_the_replaced_fold_did(name, params, workload):
 
 def test_a_trace_decoded_for_one_spec_checks_anywhere(tmp_path):
     # Rows are native to the cache of the spec they were decoded against;
-    # everywhere else -- a fresh cache, another spec object's, a worker
-    # process that got them pickled -- they are bound by equality.
+    # everywhere else -- a fresh cache, another spec object's -- they are
+    # bound by equality.
     spec = build_spec("raftmongo", n_nodes=2)
     entry = get_entry("raftmongo")
     per_node = entry.per_node_variables(spec)
@@ -191,11 +190,8 @@ def test_a_trace_decoded_for_one_spec_checks_anywhere(tmp_path):
     other = build_spec("raftmongo", n_nodes=2)
     assert [outcome(other, None, t.states) for t in traces] == expected
 
-    inline = check_traces(spec, traces, workers=1)
-    processes = check_traces(spec, traces, workers=2, executor="process")
+    inline = check_traces(spec, traces)
     assert inline.ok and inline.failed
-    assert batch_digest(processes)[:3] == batch_digest(inline)[:3]
-    assert batch_digest(processes)[5:] == batch_digest(inline)[5:]
 
 
 def test_an_eviction_mid_batch_sheds_the_decode_plan_and_no_verdict():
@@ -234,13 +230,11 @@ def test_an_eviction_mid_batch_sheds_the_decode_plan_and_no_verdict():
     assert max(len(tiny), len(tiny._decoded), len(tiny._spliced)) <= 8
     assert tiny.decode_misses > roomy.decode_misses
 
-    # The runner, inline and in two worker processes, on traces decoded
-    # before the evictions.
+    # The runner, on traces decoded before the evictions.
     traces = [events_to_trace(tiny_spec, events, per_node=per_node) for events in logged]
-    for workers, executor in ((1, "thread"), (2, "process")):
-        report = check_traces(tiny_spec, traces, workers=workers, executor=executor)
-        assert not report.errors
-        assert [o.detail for o in report.failures] == [e[2] for e in expected if not e[0]]
+    report = check_traces(tiny_spec, traces)
+    assert not report.errors
+    assert [o.detail for o in report.failures] == [e[2] for e in expected if not e[0]]
 
 
 def _relabel_spec():

@@ -262,9 +262,6 @@ def test_each_heavy_module_loads_on_the_path_that_uses_it(tmp_path):
         + """
 import sys
 from repro.pipeline.cli import main
-from repro.pipeline.runner import check_traces
-from repro.pipeline.workload import generate_workload
-from repro.tla.registry import build_spec
 
 def loaded():
     return {name for name in HEAVY if name in sys.modules}
@@ -272,9 +269,9 @@ def loaded():
 assert not loaded(), loaded()
 assert main(["check", "locking", "--store", "disk", "--store-path", "visited.db"]) == 0
 assert loaded() == {"sqlite3"}, loaded()
-spec = build_spec("locking")
-report = check_traces(spec, generate_workload(spec, n_traces=4), workers=2, executor="process")
-assert report.total == 4 and "multiprocessing" in loaded(), loaded()
+walks = ["--walks", "8", "--depth", "6"]
+assert main(["check", "locking", "--engine", "simulate", "--workers", "2"] + walks) == 0
+assert "multiprocessing" in loaded(), loaded()
 assert main(["check", "locking", "--profile"]) == 0
 assert {"cProfile", "pstats"} <= loaded(), loaded()
 """,

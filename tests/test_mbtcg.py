@@ -77,12 +77,9 @@ def test_exhaustive_suite_is_deduplicated(exhaustive_suite):
 def test_every_exhaustive_case_replays_through_check_traces(
     ot_spec, exhaustive_suite
 ):
-    for workers, executor in ((1, "thread"), (2, "process")):
-        report = check_traces(
-            ot_spec, exhaustive_suite.traces(), workers=workers, executor=executor
-        )
-        assert report.failed == 0
-        assert report.passed == len(exhaustive_suite)
+    report = check_traces(ot_spec, exhaustive_suite.traces())
+    assert report.failed == 0
+    assert report.passed == len(exhaustive_suite)
 
 
 def test_exhaustive_covers_every_action(exhaustive_suite):
@@ -248,10 +245,9 @@ def test_corpus_round_trip_and_replay(tmp_path, exhaustive_suite):
     assert [case["id"] for case in cases] == [
         case.case_id for case in exhaustive_suite.cases
     ]
-    for pool in ({}, {"workers": 2, "executor": "process"}):
-        replay_header, report = replay_corpus(str(path), **pool)
-        assert replay_header == header
-        assert report.failed == 0 and report.passed == count
+    replay_header, report = replay_corpus(str(path))
+    assert replay_header == header
+    assert report.failed == 0 and report.passed == count
 
 
 def test_corpus_traces_decodes_and_binds_each_state_row_once(tmp_path, exhaustive_suite):
@@ -312,7 +308,7 @@ def test_a_tampered_state_row_fails_exactly_the_cases_that_name_it(
     entered_at = _tampered_corpus(path, exhaustive_suite)
     assert 1 < len(entered_at) < len(exhaustive_suite)
     assert min(entered_at.values()) >= 1  # not the initial state
-    header, report = replay_corpus(str(path), workers=1)
+    header, report = replay_corpus(str(path))
     assert report.total == header["case_count"] == len(exhaustive_suite)
     assert not report.errors
     assert {outcome.index for outcome in report.failures} == set(entered_at)
@@ -331,13 +327,13 @@ def _verdicts(report):
     )
 
 
-def test_process_replay_agrees_with_inline_verdict_for_verdict(tmp_path, exhaustive_suite):
+def test_replays_on_fresh_specs_agree_verdict_for_verdict(tmp_path, exhaustive_suite):
     path = tmp_path / "corpus.jsonl"
     _tampered_corpus(path, exhaustive_suite)
-    _header, inline = replay_corpus(str(path), workers=1)
-    _header, pooled = replay_corpus(str(path), workers=2, executor="process")
-    assert inline.failed and inline.passed
-    assert _verdicts(pooled) == _verdicts(inline)
+    _header, first = replay_corpus(str(path))
+    _header, second = replay_corpus(str(path))
+    assert first.failed and first.passed
+    assert _verdicts(second) == _verdicts(first)
 
 
 def test_an_interner_eviction_sheds_the_shared_bindings_and_no_verdict(
@@ -352,7 +348,7 @@ def test_an_interner_eviction_sheds_the_shared_bindings_and_no_verdict(
         cache = SuccessorCache.for_spec(spec)
         if interner_entries:
             cache.interner.max_entries = cache.interner.cache.max_entries = interner_entries
-        return cache, check_traces(spec, corpus_traces(spec, cases), workers=1)
+        return cache, check_traces(spec, corpus_traces(spec, cases))
 
     roomy_cache, roomy = replay(None)
     tiny_cache, tiny = replay(16)
@@ -434,7 +430,7 @@ def test_read_corpus_rejects_truncation_and_bad_format(tmp_path, coverage_suite,
         lineno = len(lines) if lineno == "last" else lineno
         message = f"{re.escape(str(bad))}:{lineno}: .*{message}"
     with pytest.raises(GenerationError, match=message):
-        replay_corpus(str(bad), workers=1)
+        replay_corpus(str(bad))
 
 
 def test_pytest_emitter_produces_a_passing_suite(tmp_path, ot_spec, ot_graph):
@@ -513,7 +509,7 @@ def test_cli_generate_replay_with_an_errored_case_exits_1(tmp_path, capsys, monk
     """A case whose check raised is neither passed nor failed -- and not clean."""
     out = tmp_path / "corpus.jsonl"
 
-    def errored_replay(path, *, workers):
+    def errored_replay(path):
         header, cases = read_corpus(path)
         report = BatchReport(
             spec_name=header["spec_name"], total=len(cases), passed=len(cases) - 1

@@ -162,7 +162,7 @@ def test_fold_runs_fewer_actions_than_interpreting_and_no_predicates(monkeypatch
         patch.setattr(Invariant, "holds", counted("predicates", Invariant.holds))
         patch.setattr(spec, "constraint", counted("predicates", spec.constraint))
         patch.setattr(SuccessorCache, "__init__", remember)
-        report = check_traces(spec, workload, workers=1, executor="thread")
+        report = check_traces(spec, workload)
     assert report.ok and report.failed
     assert calls == {"fingerprint": 0, "predicates": 0, "actions": 0}
 

@@ -1,7 +1,7 @@
 """Pickle round-trips: the serialization layer under the worker pools.
 
 States, records and the NULL constant cross process boundaries in the
-process-based batch runner and land in checkpoints; each must round-trip
+walk engine's worker pool and land in checkpoints; each must round-trip
 through pickle preserving equality, hashes and fingerprints (fingerprints are
 the cross-process currency, so they must be identical, not just consistent).
 """
@@ -70,6 +70,31 @@ def test_real_spec_states_roundtrip(name, params):
         assert [a for a, _ in spec.successors(clone)] == [
             a for a, _ in spec.successors(state)
         ]
+
+
+def test_a_decoded_trace_pickles_as_the_list_of_its_states():
+    """A :class:`BoundTrace` leaves its cache behind: it pickles as a plain
+    list of states, which a fresh spec checks to the same verdict."""
+    import random
+
+    from repro.pipeline import events_from_trace, events_to_trace, generate_trace
+    from repro.tla import check_trace
+    from repro.tla.registry import get_entry
+    from repro.tla.trace import BoundTrace
+
+    spec = build_spec("raftmongo", n_nodes=2)
+    per_node = get_entry("raftmongo").per_node_variables(spec)
+    generated = generate_trace(spec, random.Random(4), min_steps=8, max_steps=12)
+    events = events_from_trace(
+        spec, generated.states, per_node=per_node, actions=generated.actions
+    )
+    trace = events_to_trace(spec, events, per_node=per_node)
+    assert isinstance(trace, BoundTrace)
+    clone = _roundtrip(trace)
+    assert type(clone) is list and clone == list(trace) == generated.states
+    assert [s.fingerprint() for s in clone] == [s.fingerprint() for s in trace]
+    fresh = build_spec("raftmongo", n_nodes=2)
+    assert check_trace(fresh, clone).ok and check_trace(spec, trace).ok
 
 
 def test_exceptions_with_required_kwargs_roundtrip():

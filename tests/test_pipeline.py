@@ -15,6 +15,7 @@ from repro.pipeline import (
     merge_event_streams,
     parse_log_lines,
 )
+from repro.mbtcg import generate_suite, replay_corpus, write_corpus
 from repro.pipeline.cli import main, parse_params
 from repro.pipeline.logs import LogEvent, LogParseError, decode_value, encode_value
 from repro.specs import locking
@@ -142,7 +143,6 @@ class TestBatchRunner:
         )
         expected_failures = sum(1 for t in workload if not t.expect_ok)
         report = check_traces(locking_spec, workload, reachable_count=544)
-        assert (report.workers, report.executor) == (1, "thread")
         assert report.ok
         assert report.total == 60
         assert report.failed == expected_failures
@@ -154,28 +154,57 @@ class TestBatchRunner:
         assert coverage.state_fraction() == coverage.visited_count / 544
         assert report.cache_hits > 0
         assert "PASS" in report.summary()
-        pooled = check_traces(
-            build_spec("locking"), workload, workers=2, executor="process", reachable_count=544
+
+    def test_a_faulted_batch_checks_the_same_on_a_cold_and_a_warm_cache(self):
+        spec = build_spec("raftmongo")
+        workload = list(
+            generate_workload(spec, n_traces=300, seed=21, fault_rate=0.2, max_steps=16)
         )
-        assert pooled.ok
-        assert (pooled.passed, pooled.failed) == (report.passed, report.failed)
-        assert pooled.coverage.to_json() == coverage.to_json()
+
+        def digest(report):
+            return (
+                report.total, report.passed, report.failed,
+                [(o.index, o.fault, o.detail) for o in report.failures],
+                [o.index for o in report.surprises], report.errors,
+                report.coverage.to_json(),
+            )
+
+        cold = check_traces(spec, workload)
+        warm = check_traces(spec, workload)
+        assert cold.failed and cold.ok
+        assert digest(warm) == digest(cold)
+        # One cache lookup per validated state, named by the kernel that did
+        # the work; the second batch finds every one of them.
+        oracle = build_spec("raftmongo")
+        validated = sum(
+            len(check_trace(oracle, t.states).validated_prefix(t.states)) for t in workload
+        )
+        assert cold.cache_hits + cold.cache_misses == validated
+        assert (warm.cache_hits, warm.cache_misses) == (validated, 0)
+        for report in (cold, warm):
+            assert report.cache_stats["kernel"] == "generic"
+            assert "[generic]" in report.summary()
 
     def test_inline_checking_starts_no_thread(self, locking_spec, started_threads):
         workload = list(generate_workload(locking_spec, n_traces=5, seed=11))
-        assert check_traces(locking_spec, workload, workers=1).passed == 5
+        assert check_traces(locking_spec, workload).passed == 5
         assert started_threads == []
 
-    def test_threads_are_refused_not_ignored(self, locking_spec):
-        with pytest.raises(ValueError, match="executor='process'"):
-            check_traces(locking_spec, [], workers=4, executor="thread")
-        # ... and the pool it names still needs a spec its workers can rebuild.
-        with pytest.raises(ValueError, match="registry_ref"):
-            check_traces(locking_spec, [], workers=2, executor="process")
+    def test_workers_and_executors_other_than_the_calling_thread_are_refused(
+        self, locking_spec, tmp_path
+    ):
+        with pytest.raises(ValueError, match="^workers must be 1: .*calling thread"):
+            check_traces(locking_spec, [], workers=2)
+        with pytest.raises(ValueError, match="^executor must be 'thread': .*calling thread"):
+            check_traces(build_spec("locking"), [], executor="process")
+        path = str(tmp_path / "corpus.jsonl")
+        write_corpus(generate_suite(build_spec("locking"), max_length=2), path)
+        with pytest.raises(ValueError, match="^workers must be 1: .*calling thread"):
+            replay_corpus(path, workers=2)
 
     def test_plain_state_sequences_are_accepted(self, locking_spec):
         generated = generate_trace(locking_spec, random.Random(0), min_steps=5, max_steps=8)
-        report = check_traces(locking_spec, [generated.states], workers=1)
+        report = check_traces(locking_spec, [generated.states])
         assert report.ok and report.total == 1 and report.passed == 1
 
     def test_unlabelled_failure_fails_the_batch(self, locking_spec):
@@ -183,7 +212,7 @@ class TestBatchRunner:
             held=(("X", "X", "X"), ("X", "X", "X"))
         )
         initial = locking_spec.initial_states()[0]
-        report = check_traces(locking_spec, [[initial, bad_state]], workers=1)
+        report = check_traces(locking_spec, [[initial, bad_state]])
         assert not report.ok
         assert report.failed == 1
         assert report.failures[0].detail
@@ -193,11 +222,11 @@ class TestBatchRunner:
     ):
         bad_state = locking_spec.make_state(held=(("X", "X", "X"), ("X", "X", "X")))
         initial = locking_spec.initial_states()[0]
-        report = check_traces(locking_spec, [[initial, bad_state]], workers=1)
+        report = check_traces(locking_spec, [[initial, bad_state]])
         # Only the witnessed prefix (the initial state) is covered; the
         # unreachable garbage state must not inflate the coverage fraction.
         assert report.coverage.visited_fingerprints == {initial.fingerprint()}
-        rejected = check_traces(locking_spec, [[bad_state]], workers=1)
+        rejected = check_traces(locking_spec, [[bad_state]])
         assert rejected.coverage.visited_count == 0
 
     def test_checker_exception_becomes_error_outcome(self, locking_spec):
@@ -206,7 +235,7 @@ class TestBatchRunner:
         # instead of killing the whole batch (ISSUE 6 satellite).
         good = generate_trace(locking_spec, random.Random(1), min_steps=4, max_steps=6)
         initial = locking_spec.initial_states()[0]
-        report = check_traces(locking_spec, [good.states, [initial, 42]], workers=1)
+        report = check_traces(locking_spec, [good.states, [initial, 42]])
         assert report.total == 2
         assert report.passed == 1 and report.failed == 0
         assert len(report.errors) == 1
@@ -220,13 +249,13 @@ class TestBatchRunner:
         initial = locking_spec.initial_states()[0]
         good = generate_trace(locking_spec, random.Random(2), min_steps=4, max_steps=6)
         traces = [[initial, 42]] + [good.states] * 5
-        report = check_traces(locking_spec, traces, workers=1, fail_fast=True)
+        report = check_traces(locking_spec, traces, fail_fast=True)
         assert report.stopped_early
         assert len(report.errors) == 1
         assert report.total < 6
         assert "fail-fast" in report.summary()
         # Without the flag the whole batch still runs.
-        full = check_traces(locking_spec, traces, workers=1)
+        full = check_traces(locking_spec, traces)
         assert full.total == 6 and not full.stopped_early
 
 

@@ -84,7 +84,7 @@ def test_cli_rejects_spec_registered_without_log_metadata(capsys):
     assert main(["trace", "_test_nometa", "whatever.jsonl"]) == 2
     assert "per_node_variables" in capsys.readouterr().err
     # Without --log-dir, simulate works fine (metadata only gates log writing).
-    assert main(["simulate", "_test_nometa", "--traces", "5", "--workers", "1"]) == 0
+    assert main(["simulate", "_test_nometa", "--traces", "5"]) == 0
 
 
 def test_build_spec_by_name_returns_entry_with_pipeline_hooks():

@@ -230,6 +230,55 @@ def test_simulate_engine_falls_back_inline_when_retries_exhaust():
     )
 
 
+def test_env_chaos_reaches_the_walk_pool_and_leaves_the_answer_unchanged(monkeypatch):
+    """``REPRO_CHAOS_*`` alone switches chaos on in the walk engine's pool;
+    the recovered run's stats are the fault-free ones."""
+    walks = dict(engine="simulate", walks=24, walk_depth=10, seed=5, workers=2)
+    clean = check_spec(build_spec("locking"), check_properties=False, **walks)
+    monkeypatch.setenv("REPRO_CHAOS_RATE", "0.3")
+    monkeypatch.setenv("REPRO_CHAOS_SEED", "7")
+    monkeypatch.setenv("REPRO_CHAOS_KINDS", "crash,corrupt")
+    chaotic = check_spec(
+        build_spec("locking"), check_properties=False, supervision=FAST, **walks
+    )
+    assert (chaotic.distinct_states, chaotic.generated_states, chaotic.max_depth) == (
+        clean.distinct_states,
+        clean.generated_states,
+        clean.max_depth,
+    )
+    assert chaotic.action_counts == clean.action_counts
+    # Seed 7 corrupts one attempt and crashes one worker, then recovers.
+    assert (chaotic.supervision.crashes, chaotic.supervision.corruptions) == (1, 1)
+    assert not chaotic.supervision.degraded
+
+
+def test_every_walk_worker_crashing_prints_the_fault_free_summary(monkeypatch, capsys):
+    """The CLI under ``REPRO_CHAOS_RATE=1 REPRO_CHAOS_KINDS=crash``: the pool
+    degrades to serial and the report matches the fault-free one apart from
+    the duration, the peak RSS and the supervision line."""
+    from repro.pipeline.cli import main
+
+    argv = ["check", "locking", "--engine", "simulate", "--workers", "2",
+            "--walks", "24", "--depth", "10", "--seed", "5"]
+
+    def report():
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        kept = [
+            re.sub(r"\d+\.\d+s \[", "[", line)
+            for line in lines
+            if not line.startswith(("supervision:", "peak RSS:"))
+        ]
+        return kept, lines
+
+    clean, _ = report()
+    monkeypatch.setenv("REPRO_CHAOS_RATE", "1")
+    monkeypatch.setenv("REPRO_CHAOS_KINDS", "crash")
+    crashed, lines = report()
+    assert crashed == clean
+    assert any(line.endswith("pool degraded to serial") for line in lines)
+
+
 def test_chaos_requires_a_pooled_engine():
     chaos = FaultPlan(seed=0, rate=0.5)
     with pytest.raises(ValueError, match="worker pools"):
