@@ -356,16 +356,10 @@ class ModelChecker:
             # the summary line); the counters are folded after close so the
             # final flush the close performs is counted too.
             reg.set_gauge("store.io_seconds", result.store_io_seconds)
-            for attr, metric in (
-                ("flushes", "store.flushes"),
-                ("bloom_negatives", "store.bloom_negatives"),
-                ("disk_probes", "store.disk_probes"),
-                ("hot_hits", "store.hot_hits"),
-                ("pending_hits", "store.pending_hits"),
-            ):
+            for attr in ("flushes", "bloom_negatives", "disk_probes"):
                 value = getattr(store, attr, 0)
                 if value:
-                    reg.inc(metric, value)
+                    reg.inc("store." + attr, value)
             negatives = getattr(store, "bloom_negatives", 0)
             probes = getattr(store, "disk_probes", 0)
             if negatives or probes:

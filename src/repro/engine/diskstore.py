@@ -2,17 +2,22 @@
 
 TLC escapes toy scale by swapping its in-memory fingerprint set for a
 disk-backed one; this module is that store for the reproduction.  A
-:class:`DiskFingerprintStore` keeps the full visited set in a single SQLite
-file while holding only three bounded structures in memory:
+:class:`DiskFingerprintStore` writes the visited set to one SQLite file
+and answers membership from memory for as long as it can:
 
-* a **write-back cache** of pending adds, flushed to the database in
-  batches (one multi-row ``INSERT`` per flush instead of one per state),
-* a **hot read cache** (bounded LRU) of fingerprints known to be on disk,
-  which absorbs the BFS locality of duplicate successors, and
-* a **Bloom filter** over everything ever added, so the overwhelmingly
-  common case -- a genuinely new fingerprint -- never touches the disk at
-  all.  The filter has no false negatives, so it can prove absence; a
-  positive falls through to an indexed ``SELECT``.
+* a **write-back buffer** of pending adds, flushed in batches (one
+  ``executemany`` per flush instead of one ``INSERT`` per state);
+* a **resident dict** of flushed fingerprints, oldest first.  Up to
+  :data:`HOT_CACHE_ENTRIES` it is the whole flushed set, so a run that fits
+  does the in-memory store's work plus batched writes; past it, the oldest
+  half is dropped into
+* a **Bloom filter** over the dropped fingerprints only, created by the
+  first drop or by ``restore()`` (which fills it from the table).  A
+  positive falls through to an indexed ``SELECT``; a fingerprint SQLite
+  confirms is re-admitted to the resident dict.
+
+Invariant: every row in the table is resident or in the filter, so a miss
+in buffer and dict is a new state unless the filter says "maybe".
 
 The store is *exact*: ``add`` returns True exactly once per fingerprint and
 ``distinct_count`` is the true distinct-state count, so the golden-stats
@@ -23,12 +28,12 @@ each fingerprint with the fingerprint it was first reached from, so
 ``add(fp, parent)`` buffers one pending ``fp -> parent`` entry, a flush
 writes one batch, and :meth:`DiskFingerprintStore.parent_of` (counterexample
 replay only, a handful of lookups per trace) reads the buffer or one indexed
-row.  Peak RSS stays flat no matter how many distinct states the run
-accumulates.  A file of an older layout is refused, never adopted or wiped.
+row.  Memory is bounded by the buffer, the resident cap and the filter.
+A file of an older layout is refused, never adopted or wiped.
 
 Checkpointing does not serialize the visited set at all.  Every row
 carries a monotonically increasing sequence number; ``snapshot()`` flushes
-the caches and returns a tiny identity header ``(path, identity token,
+the buffer and returns a tiny identity header ``(path, identity token,
 sequence high-water mark, counters)``.  ``restore()`` validates the token
 against the database the resuming run opened (resuming against the wrong
 file is an error, not garbage) and deletes every row newer than the
@@ -41,7 +46,7 @@ from __future__ import annotations
 import os
 import sqlite3
 import tempfile
-from collections import OrderedDict
+from itertools import islice
 from typing import Any, Dict, Iterable, Optional
 
 from ..obs import span
@@ -52,13 +57,13 @@ __all__ = ["DEFAULT_WRITE_CACHE", "DiskFingerprintStore", "DiskStoreError"]
 #: Pending adds buffered in memory before a batched flush to SQLite.
 DEFAULT_WRITE_CACHE = 50_000
 
-#: Bounded LRU of fingerprints known present on disk (absorbs the BFS
-#: locality of duplicate successors without re-querying SQLite).
+#: Flushed fingerprints kept resident before the oldest half is dropped
+#: into the Bloom filter (and answered by SQLite from then on).
 HOT_CACHE_ENTRIES = 500_000
 
 #: Bloom filter size in bits (a power of two; 1 << 25 bits = 4 MiB).  At two
 #: probes per key the false-positive rate stays ~1.5% out to two million
-#: fingerprints -- i.e. ~98.5% of genuinely-new adds never touch the disk.
+#: fingerprints -- ~98.5% of new adds that reach it never touch the disk.
 BLOOM_BITS = 1 << 25
 
 _IDENTITY_BYTES = 8
@@ -131,7 +136,10 @@ class DiskFingerprintStore:
             os.close(fd)
             os.unlink(path)  # let SQLite create it from scratch
         self.path = os.path.abspath(path)
-        self._conn = sqlite3.connect(self.path)
+        try:
+            self._conn = sqlite3.connect(self.path)
+        except sqlite3.Error as exc:  # a missing directory, or a directory
+            raise DiskStoreError(f"cannot open disk store {self.path!r}: {exc}") from exc
         try:
             # The first PRAGMA reads the file header, so a non-SQLite file
             # fails here -- before any schema work touches it.
@@ -148,22 +156,21 @@ class DiskFingerprintStore:
         #: fp -> parent fp, not yet flushed, in add order: the entry ``i``
         #: places from the end carries sequence number ``_seq - i``.
         self._pending: Dict[int, Optional[int]] = {}
-        self._hot: "OrderedDict[int, None]" = OrderedDict()
-        self._bloom = _Bloom()
-        self._seq = 0
-        self._added = 0
+        #: Resident flushed fingerprints, oldest first (values unused).
+        self._hot: Dict[int, None] = {}
+        #: Over the fingerprints dropped from ``_hot``; None until a drop.
+        self._bloom: Optional[_Bloom] = None
+        self._seq = self._added = 0
         #: Wall-clock seconds spent inside SQLite (lookups, flushes, restore
         #: scans): what tells a store-bound run from a CPU-bound one.
         self.io_seconds = 0.0
         self.flushes = 0
-        #: Telemetry counters: cold membership checks the Bloom filter
-        #: answered without SQLite, actual indexed SELECT probes, and hits
-        #: absorbed by the two in-memory caches.  Folded into the metrics
+        #: Telemetry counters: membership checks the Bloom filter answered
+        #: without SQLite, and actual indexed SELECT probes -- both zero
+        #: until something is dropped from memory.  Folded into the metrics
         #: registry (as ``store.*``) when an observability run is active.
         self.bloom_negatives = 0
         self.disk_probes = 0
-        self.hot_hits = 0
-        self.pending_hits = 0
 
         try:
             existing = self._load_header()
@@ -235,30 +242,21 @@ class DiskFingerprintStore:
 
     def _ensure_fresh(self) -> None:
         """First mutation of a run that did not restore(): wipe stale rows."""
-        if self._stale:
-            self._reset()
-            self._seq = self._added = 0
-            self._stale = False
+        self._reset()
+        self._seq = self._added = 0
+        self._stale = False
 
     # -- the StateStore contract ---------------------------------------------
     def add(self, fp: int, parent: Optional[int] = None) -> bool:
-        self._ensure_fresh()
+        if self._stale:
+            self._ensure_fresh()
         pending = self._pending
-        if fp in pending:
-            self.pending_hits += 1
+        if fp in pending or fp in self._hot:
             return False
-        hot = self._hot
-        if fp in hot:
-            hot.move_to_end(fp)
-            self.hot_hits += 1
+        if self._on_disk(fp):
+            self._hot[fp] = None  # re-admitted: its next duplicate costs no query
+            self._trim()
             return False
-        if self._bloom.might_contain(fp):
-            if self._on_disk(fp):
-                self._hot_put(fp)
-                return False
-        else:
-            self.bloom_negatives += 1
-        self._bloom.add(fp)
         self._seq += 1
         pending[fp] = parent
         self._added += 1
@@ -281,11 +279,7 @@ class DiskFingerprintStore:
         return None if row[0] is None else _to_unsigned(row[0])
 
     def __contains__(self, fp: int) -> bool:
-        if fp in self._pending or fp in self._hot:
-            return True
-        if not self._bloom.might_contain(fp):
-            return False
-        return self._on_disk(fp)
+        return fp in self._pending or fp in self._hot or self._on_disk(fp)
 
     def __len__(self) -> int:
         return self._added
@@ -295,6 +289,12 @@ class DiskFingerprintStore:
         return self._added
 
     def _on_disk(self, fp: int) -> bool:
+        """Whether a non-resident ``fp`` is in the table; False while nothing was dropped."""
+        if self._bloom is None:
+            return False
+        if not self._bloom.might_contain(fp):
+            self.bloom_negatives += 1
+            return False
         self.disk_probes += 1
         with span("store.lookup", emit=False) as sp:
             row = self._conn.execute(
@@ -303,11 +303,14 @@ class DiskFingerprintStore:
         self.io_seconds += sp.elapsed
         return row is not None
 
-    def _hot_put(self, fp: int) -> None:
+    def _trim(self) -> None:
+        """Past the resident cap, drop the oldest half into the Bloom filter."""
         hot = self._hot
-        hot[fp] = None
         if len(hot) > HOT_CACHE_ENTRIES:
-            hot.popitem(last=False)
+            bloom = self._bloom = self._bloom or _Bloom()
+            for stale in list(islice(hot, len(hot) // 2)):
+                bloom.add(stale)
+                del hot[stale]
 
     def flush(self) -> None:
         """Write the pending ``fp -> parent`` entries to the database in one batch."""
@@ -316,20 +319,22 @@ class DiskFingerprintStore:
             return
         with span("store.flush", emit=False) as sp:
             first_seq = self._seq - len(pending) + 1
+            # Streamed rows; the signed mapping is _to_signed's, inlined.
+            sign, wrap = 1 << 63, 1 << 64
             self._conn.executemany(
                 "INSERT OR IGNORE INTO fps(fp, parent, seq) VALUES(?, ?, ?)",
-                [
+                (
                     (
-                        _to_signed(fp),
-                        None if parent is None else _to_signed(parent),
+                        fp - wrap if fp >= sign else fp,
+                        parent - wrap if parent is not None and parent >= sign else parent,
                         seq,
                     )
                     for seq, (fp, parent) in enumerate(pending.items(), first_seq)
-                ],
+                ),
             )
             self._conn.commit()
-            for fp in pending:
-                self._hot_put(fp)
+            self._hot.update(dict.fromkeys(pending))  # keys only: parents stay on disk
+            self._trim()
             pending.clear()
             self.flushes += 1
         self.io_seconds += sp.elapsed
@@ -391,9 +396,10 @@ class DiskFingerprintStore:
             self._added = data["added"]
             self._pending.clear()
             self._hot.clear()
-            self._bloom = _Bloom()
+            # Every row starts out dropped, which keeps the invariant.
+            self._bloom = bloom = _Bloom()
             for (signed,) in conn.execute("SELECT fp FROM fps"):
-                self._bloom.add(_to_unsigned(signed))
+                bloom.add(_to_unsigned(signed))
         self.io_seconds += sp.elapsed
         self._stale = False
 

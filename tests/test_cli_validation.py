@@ -200,6 +200,13 @@ _POOLED = ["check", "locking", "--engine", "simulate", "--workers", "2"]
             ["generate", "--spec", "ot_array", "--log-dir", "d", "--log-limit", "-2"],
             "limit must be >= 0",
         ),
+        # A store path SQLite cannot open (a missing directory, a directory)
+        # used to end in a traceback.
+        (
+            ["check", "locking", "--store", "disk", "--store-path", "no/such/dir/x.db"],
+            "cannot open disk store",
+        ),
+        (["check", "locking", "--store", "disk", "--store-path", "."], "cannot open disk store"),
     ],
 )
 def test_inconsistent_flags_exit_2(capsys, monkeypatch, tmp_path, argv, needle):

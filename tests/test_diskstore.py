@@ -7,13 +7,16 @@ same rows, the refusal of older file layouts, the SpillFrontier's
 order-preserving re-iterable contract, engine-level parity
 with the in-memory stores (the golden-stats contract), and disk-store
 checkpoint/resume -- including under deterministic chaos fault injection.
+The last section lowers ``HOT_CACHE_ENTRIES`` so fingerprints are dropped
+from memory and the Bloom filter and SQLite lookups are actually reached.
 """
 
+import json
 import os
 
 import pytest
 
-from repro.engine import check_spec
+from repro.engine import check_spec, diskstore
 from repro.engine.diskstore import DiskFingerprintStore, DiskStoreError
 from repro.engine.frontier import SpillFrontier
 from repro.resilience import FaultPlan, SupervisionConfig
@@ -427,3 +430,117 @@ def test_cli_disk_store_checkpoint_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"resumed from checkpoint {ckpt}" in out
     assert "store: disk" in out
+
+
+# -- past the resident cap: the Bloom filter and SQLite lookups ---------------
+
+
+def _store_counters(path):
+    """The ``store.*`` counters and gauges of a ``--metrics-out`` file."""
+    with open(path, encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle if line.strip()]
+    metrics = [r for r in records if r["kind"] == "metrics"][0]
+    found = {**metrics["counters"], **metrics["gauges"]}
+    return {k: v for k, v in found.items() if k.startswith("store.")}
+
+
+def test_a_run_that_fits_in_memory_never_consults_the_filter_or_sqlite(
+    tmp_path, capsys
+):
+    from repro.pipeline.cli import main
+
+    metrics = str(tmp_path / "m.jsonl")
+    argv = ["check", "locking", "--param", "n_threads=3", "--store", "disk"]
+    assert main(argv + ["--metrics-out", metrics]) == 0
+    capsys.readouterr()
+    found = _store_counters(metrics)
+    assert found["store.flushes"] >= 1
+    for absent in ("store.bloom_negatives", "store.disk_probes", "store.bloom_hit_rate"):
+        assert absent not in found
+
+
+def test_a_dropped_fingerprint_is_queried_once_then_resident(tmp_path, monkeypatch):
+    monkeypatch.setattr(diskstore, "HOT_CACHE_ENTRIES", 4)
+    store = DiskFingerprintStore(capacity=2, path=str(tmp_path / "s.db"))
+    for fp in range(1, 11):
+        assert store.add(fp, fp - 1 or None)
+    store.flush()
+    assert store.disk_probes == 0  # every add so far proved new in memory
+    # Flushes of two against a cap of four dropped the oldest fingerprints.
+    assert not store.add(1)
+    assert not store.add(1)  # re-admitted by the first: no second query
+    assert store.disk_probes == 1
+    assert 2 in store and store.parent_of(2) == 1
+    assert store.distinct_count == 10
+    assert sorted(store.iter_fingerprints()) == list(range(1, 11))
+    store.close()
+
+
+def test_past_the_resident_cap_stats_match_in_memory(tmp_path, capsys, monkeypatch):
+    from repro.pipeline.cli import main
+
+    monkeypatch.setattr(diskstore, "HOT_CACHE_ENTRIES", 200)
+    spec = build_spec("locking", n_threads=3)
+    golden = check_spec(spec, check_properties=False, engine="fingerprint")
+    via_disk = check_spec(
+        spec,
+        check_properties=False,
+        engine="fingerprint",
+        store="disk",
+        store_capacity=100,
+    )
+    assert _stats(golden) == _stats(via_disk)
+
+    metrics = str(tmp_path / "m.jsonl")
+    argv = ["check", "locking", "--param", "n_threads=3", "--no-properties"]
+    argv += ["--store", "disk", "--store-capacity", "100", "--metrics-out", metrics]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert (
+        f"{golden.distinct_states} distinct states, "
+        f"{golden.generated_states} states generated, depth {golden.max_depth}"
+    ) in out
+    found = _store_counters(metrics)
+    assert found["store.disk_probes"] > 0
+    assert found["store.bloom_negatives"] > 0
+    assert 0 < found["store.bloom_hit_rate"] < 1
+
+
+def test_counterexample_replays_through_dropped_parents(monkeypatch):
+    # 40 distinct states reach the violation, so the cap is lowered further.
+    monkeypatch.setattr(diskstore, "HOT_CACHE_ENTRIES", 8)
+    spec = build_spec("locking", n_threads=3, mutation="xx_compatible")
+    golden = check_spec(spec, check_properties=False, engine="fingerprint")
+    via_disk = check_spec(
+        spec,
+        check_properties=False,
+        engine="fingerprint",
+        store="disk",
+        store_capacity=4,
+    )
+    assert via_disk.invariant_violation is not None
+    assert [s.values for s in golden.invariant_violation.trace] == [
+        s.values for s in via_disk.invariant_violation.trace
+    ]
+
+
+def test_checkpoint_resume_across_a_drop_is_bit_identical(tmp_path, monkeypatch):
+    monkeypatch.setattr(diskstore, "HOT_CACHE_ENTRIES", 200)
+    spec = build_spec("locking", n_threads=3)
+    golden = check_spec(spec, check_properties=False, engine="fingerprint")
+    db = str(tmp_path / "visited.db")
+    ckpt = str(tmp_path / "run.ckpt")
+    common = dict(
+        check_properties=False,
+        engine="fingerprint",
+        store="disk",
+        store_path=db,
+        store_capacity=100,
+        checkpoint_path=ckpt,
+    )
+    # 766 distinct states to depth 4: flushes of 100 pass the cap of 200.
+    truncated = check_spec(spec, max_depth=4, checkpoint_every=1, **common)
+    assert truncated.truncated and truncated.distinct_states > 200
+    resumed = check_spec(spec, resume_path=ckpt, **common)
+    assert resumed.resumed_from == ckpt
+    assert _stats(golden) == _stats(resumed)
