@@ -11,7 +11,8 @@ One exploration strategy per module, each one function:
   MBTCG, and the unhashed reference the fingerprint engine is compared
   against),
 * :mod:`repro.engine.simulate` -- ``"simulate"``: seeded random-walk
-  simulation with walk/depth budgets, for state spaces too large to exhaust.
+  simulation with walk/depth budgets, for state spaces too large to exhaust,
+  in one process that expands each walked state once per run.
 
 Visited-state storage is a second, independent seam
 (:mod:`repro.engine.store`): the fingerprint and simulation engines take
@@ -24,28 +25,24 @@ store (:mod:`repro.engine.diskstore`, imported when one is first made or
 runs pair with spill-to-disk frontiers (:mod:`repro.engine.frontier`) so
 peak RSS stays flat as distinct-state counts climb orders of magnitude.
 
-Execution robustness is a third seam (:mod:`repro.resilience`): the
-simulation engine's ``workers > 1`` walks dispatch, in short slices, through
-a supervised worker pool (crash detection, a per-task timeout, bounded
-retry, inline recomputation once a task exhausts its attempts) with a
-seeded chaos layer to test it, and the fingerprint engine can checkpoint and
-resume through the store snapshot seam.
+The fingerprint engine can checkpoint and resume through the store snapshot
+seam (:mod:`repro.resilience`).
 
-Spec execution is a fourth seam, the *expander*: an object with three
+Spec execution is a third seam, the *expander*: an object with three
 calls over value tuples.  ``transitions(values)`` is a state's successors
 as ``(action, successor values, fingerprint)`` entries -- what both BFS
 engines and the trace fold step on; ``verdict_for(values, fp)`` is one
 state's ``(violated invariant, constraint verdict)``, which the BFS engines
 ask once per *new* state and which keeps no memo; ``expand(values)`` is the
 transitions with verdicts attached through a capped per-fingerprint memo,
-for the simulation engine, whose walks revisit states.  It has two
+for the simulation engine, whose walks revisit states and which memoizes
+each walked state's expansion for the run.  It has two
 implementations,
 :class:`repro.compile.CompiledSpec` (fused successor kernels over
 fixed-slot value tuples) and
 :class:`~repro.engine.base.InterpretedExpander` (the spec's own action
 closures), and one factory, :func:`~repro.engine.base.make_expander`, which
-applies ``compile_mode="on"|"off"|"auto"`` for the coordinator and for
-every pool worker.  Each engine is written once against
+applies ``compile_mode="on"|"off"|"auto"``.  Each engine is written once against
 ``CheckContext.expander`` and never asks which implementation it holds.
 Results are bit-identical under either expander.
 

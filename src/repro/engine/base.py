@@ -13,12 +13,12 @@ The expander is the one way any engine computes successors: an object with
 ``transitions(values)``, ``verdict_for(values, fp)`` and ``expand(values)``
 (the first plus a memoized second) over value tuples.  The BFS engines call
 ``transitions`` and take one verdict per *new* state; ``simulate``, whose
-walks revisit states, calls ``expand``.  The trace fold
+walks revisit states, calls ``expand`` once per state it walks and keeps the
+result for the run.  The trace fold
 (:class:`repro.tla.trace.SuccessorCache`) holds one too and calls only
 ``transitions``.  There are exactly two -- :class:`InterpretedExpander` here and
 :class:`repro.compile.CompiledSpec` -- and :func:`make_expander` is the one
-place the ``on|off|auto`` policy picks between them, for the coordinator and
-for pool workers alike.
+place the ``on|off|auto`` policy picks between them.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from itertools import islice
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..resilience.checkpoint import Checkpoint, write_checkpoint
-from ..resilience.faults import FaultPlan
-from ..resilience.supervisor import SupervisionConfig, SupervisionStats
 from ..tla.errors import CheckerError, DeadlockError, InvariantViolation
 from ..tla.graph import PropertyCheckOutcome, StateGraph
 from ..tla.spec import Specification
@@ -64,7 +62,8 @@ Verdict = Tuple[Optional[str], bool]
 FrontierEntry = Tuple[Tuple[Any, ...], int]
 
 #: Cap on an expander's invariant/constraint verdict memo (see
-#: :func:`memoized_verdict`); bounds per-process memory on paper-scale runs.
+#: :func:`memoized_verdict`) and on the walk engine's expansion memo; bounds
+#: memory on paper-scale runs.
 VERDICT_MEMO_MAX = 500_000
 
 
@@ -83,7 +82,7 @@ def memoized_verdict(
     state, which no memo can improve on.  Verdicts are deterministic per
     state, so memoization cannot change results; the memo is capped (oldest
     half discarded, like ``FingerprintCache``) so it never grows into a
-    second per-process copy of a paper-scale visited set.
+    second copy of a paper-scale visited set.
     """
     cached = verdicts.get(fp)
     if cached is None:
@@ -107,8 +106,7 @@ class InterpretedExpander:
     the same entries in the same order (``tests/test_compile.py`` compares
     them entry for entry); engines hold one of the two and never ask which.
     The fingerprint cache and ``expand``'s verdict memo live as long as the
-    expander: one per run in the coordinator, one per process in a pool
-    worker.
+    expander: one per run.
     """
 
     def __init__(self, spec: Specification) -> None:
@@ -149,9 +147,7 @@ def make_expander(spec: Specification, mode: str) -> Tuple[Any, Optional[str]]:
     (:func:`repro.compile.compile_spec`, imported lazily so the engine
     package carries no load-time dependency on it).  A compile failure is a
     :class:`CheckerError` under ``on``; under ``auto`` it falls back to
-    interpretation and the second item says why (``None`` otherwise).  The
-    coordinator and every pool worker call this with the same mode, so both
-    sides of a pool decide the same way.
+    interpretation and the second item says why (``None`` otherwise).
     """
     if mode != "off":
         from ..compile import compile_spec
@@ -187,12 +183,8 @@ class CheckResult:
     #: The resolved visited-store name (``store="auto"`` never appears here).
     store: str = "states"
     peak_frontier: int = 0
-    workers: int = 1
     #: Random walks completed (``simulate`` engine only; 0 otherwise).
     walks: int = 0
-    #: What the supervised worker pool survived (None when no pool ran):
-    #: crashes, hangs, corrupt results, retries, and whether it gave up.
-    supervision: Optional[SupervisionStats] = None
     #: Where periodic checkpoints were written (None when disabled).
     checkpoint_path: Optional[str] = None
     #: The checkpoint file this run resumed from (None for fresh runs).
@@ -272,26 +264,15 @@ class CheckContext:
     #: at the boundaries (seeding, replay, checkpoints) stays on the spec's
     #: own interpreted surface, so the two expanders cannot drift there.
     expander: Any
-    #: The mode ``expander`` was made under; a pooled run hands it to its
-    #: workers so each makes its own expander by the same policy.
-    compile_mode: str = "off"
     collect_graph: bool = False
     check_deadlock: bool = False
     max_states: Optional[int] = None
     max_depth: Optional[int] = None
     stop_on_violation: bool = True
-    workers: Optional[int] = None
     #: Simulation budgets (``simulate`` engine only).
     walks: int = 100
     walk_depth: int = 50
     seed: int = 0
-    #: The per-task timeout of engines that dispatch to worker pools; None
-    #: means :meth:`SupervisionConfig.from_env` (``REPRO_TASK_TIMEOUT``).
-    supervision: Optional[SupervisionConfig] = None
-    #: Deterministic fault-injection plan for the supervised pools (chaos
-    #: testing); None disables explicit injection (the environment may still
-    #: switch it on -- see :meth:`repro.resilience.faults.FaultPlan.from_env`).
-    chaos: Optional[FaultPlan] = None
     #: Periodic checkpointing: write a resumable snapshot to this path every
     #: ``checkpoint_every`` completed BFS levels.
     checkpoint_path: Optional[str] = None
@@ -343,11 +324,7 @@ class CheckContext:
         )
 
     def seed_frontier(self) -> Tuple[List[FrontierEntry], bool]:
-        """Enumerate initial states into the depth-0 frontier.
-
-        Always in the coordinator: initial sets are tiny, and forking for
-        them would be pure cost.
-        """
+        """Enumerate initial states into the depth-0 frontier."""
         spec, result = self.spec, self.result
         frontier: List[FrontierEntry] = []
         stop = False

@@ -23,10 +23,7 @@ from typing import Any, Optional
 
 from ..obs import current as obs_current, span
 from ..resilience.checkpoint import Checkpoint, read_checkpoint
-from ..resilience.faults import FaultPlan
-from ..resilience.supervisor import SupervisionConfig
 from ..tla.errors import (
-    CheckerError,
     CheckInterrupted,
     LivenessViolation,
     StateSpaceLimitExceeded,
@@ -78,7 +75,6 @@ class ModelChecker:
         max_depth: Optional[int] = None,
         stop_on_violation: bool = True,
         engine: str = "auto",
-        workers: Optional[int] = None,
         store: str = "auto",
         store_capacity: Optional[int] = None,
         store_path: Optional[str] = None,
@@ -86,8 +82,6 @@ class ModelChecker:
         walks: Optional[int] = None,
         walk_depth: Optional[int] = None,
         seed: Optional[int] = None,
-        supervision: Optional[SupervisionConfig] = None,
-        chaos: Optional[FaultPlan] = None,
         checkpoint_path: Optional[str] = None,
         checkpoint_every: Optional[int] = None,
         resume_path: Optional[str] = None,
@@ -102,7 +96,6 @@ class ModelChecker:
             )
         for name, value in (
             ("max_states", max_states),
-            ("workers", workers),
             ("walks", walks),
             ("walk_depth", walk_depth),
             ("store_capacity", store_capacity),
@@ -119,6 +112,7 @@ class ModelChecker:
         wants_properties = check_properties and bool(spec.properties)
         graph = collect_graph or wants_properties
         self.engine = engine
+        self.compile_mode = compile_mode
         self.check_properties = check_properties
         self.resume_path = resume_path
 
@@ -131,8 +125,8 @@ class ModelChecker:
         self.resolved_engine = resolved
 
         # Only simulate is bounded by its own budgets (walks of walk_depth
-        # from seed, over workers) instead of max_states/max_depth; each
-        # side's options are refused by the other.
+        # from seed) instead of max_states/max_depth; each side's options
+        # are refused by the other.
         if resolved == "simulate":
             if max_states is not None or max_depth is not None:
                 raise ValueError(
@@ -142,7 +136,6 @@ class ModelChecker:
                 )
         else:
             for option, value in (
-                ("workers", workers),
                 ("walks", walks),
                 ("walk_depth", walk_depth),
                 ("seed", seed),
@@ -158,25 +151,6 @@ class ModelChecker:
                 "use engine='states' (or 'auto') when collect_graph or "
                 "temporal-property checking is requested"
             )
-        # Simulate starts pool processes only on an explicit multi-worker
-        # request; they rebuild the spec by registry name.
-        pooled = resolved == "simulate" and (workers or 1) > 1
-        if pooled and spec.registry_ref is None:
-            raise CheckerError(
-                f"engine={resolved!r} with worker processes requires "
-                f"a registered specification, but {spec.name!r} has no "
-                "registry_ref; build it via repro.tla.registry.build_spec (or "
-                "register its factory with register_spec) so worker processes "
-                "can rebuild it by name"
-            )
-        for option, value in (("chaos", chaos), ("supervision", supervision)):
-            if value is not None and not pooled:
-                raise ValueError(
-                    f"{option} applies to worker pools, but "
-                    f"engine={resolved!r} with workers={workers!r} "
-                    "runs no pool; use engine='simulate' with workers > 1"
-                )
-
         if store not in STORES:
             raise ValueError(f"unknown store {store!r}; expected one of {STORES}")
         stores = _ENGINE_STORES[resolved]
@@ -249,19 +223,15 @@ class ModelChecker:
             result=None,
             store=None,
             expander=None,
-            compile_mode=compile_mode,
             collect_graph=graph,
             check_deadlock=check_deadlock,
             max_states=max_states,
             max_depth=max_depth,
             stop_on_violation=stop_on_violation,
-            workers=workers,
             # The simulate engine's budgets when left unset.
             walks=100 if walks is None else walks,
             walk_depth=50 if walk_depth is None else walk_depth,
             seed=0 if seed is None else seed,
-            supervision=supervision,
-            chaos=chaos,
             checkpoint_path=checkpoint_path,
             # None means "every level"; without a path nothing is written.
             checkpoint_every=checkpoint_every or 1,
@@ -294,7 +264,7 @@ class ModelChecker:
         # per-run event sequence.
         compile_timer = span("check.compile", emit=False)
         with compile_timer:
-            expander, result.compile_error = make_expander(spec, options.compile_mode)
+            expander, result.compile_error = make_expander(spec, self.compile_mode)
         if not isinstance(expander, InterpretedExpander):
             result.compiled = True
             result.compile_seconds = compile_timer.elapsed
@@ -392,8 +362,7 @@ class ModelChecker:
             reg.inc("check.compiled_runs")
             reg.set_gauge("check.compile_seconds", result.compile_seconds)
             # The generic kernel's read-set memo, summed over its actions
-            # and invariants (this process's expander; pool workers keep
-            # their own).  The native kernel has none.
+            # and invariants.  The native kernel has none.
             memo = expander.compile_info.get("memo")
             if memo:
                 for field in ("hits", "misses", "entries"):

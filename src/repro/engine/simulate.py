@@ -6,24 +6,22 @@ workflow relies on that reach.  This engine reproduces it: ``walks`` seeded
 random walks of at most ``walk_depth`` steps each, every *generated*
 successor checked against the invariants (the BFS engines judge each state
 when they first reach it; a walk keeps no visited set, so it judges what it
-generates, through ``expander.expand``'s verdict memo), with the walk itself
-as the counterexample trace when one trips.
+generates), with the walk itself as the counterexample trace when one trips.
 Every violation it reports is therefore a *real* reachable violation: the
 trace starts in an initial state and takes one enabled action per step.
 
+Walks run one after another in this process.  Walks revisit the same few
+states over and over (20,000 raftmongo walks generate 907,137 states from
+6,455 distinct ones), so each walked state's expansion -- ``expander.expand``
+digested into what a step needs -- is memoized for the run, keyed by the
+state's exact value tuple and capped like every memo here
+(:data:`~repro.engine.base.VERDICT_MEMO_MAX`, oldest half dropped).  A state
+is expanded once per run unless the cap dropped it.
+
 Determinism: walk *i* is driven by ``random.Random(f"{seed}:{i}")``, so the
-behaviour of each walk is a pure function of ``(spec, seed, i, walk_depth)``
--- independent of execution order.  With ``workers > 1`` the walk indices
-are cut into consecutive slices of at most ``_WALKS_PER_TASK`` walks (and
-never fewer slices than workers), which a supervised process pool runs as
-tasks (each worker rebuilds the spec from its registry name and makes its
-own expander) and the coordinator merges in slice order as they arrive.
-Short tasks keep the pool's per-task timer a bound on one task, not on a
-worker's whole share of the run.  The reported counterexample is the one
-from the *lowest-numbered* violating walk, so it is identical for every
-worker count.  Aggregate statistics can differ when ``stop_on_violation``
-stops a serial run early while other slices run to their end -- the
-counterexample never does.
+behaviour of each walk is a pure function of ``(spec, seed, i, walk_depth)``.
+The reported counterexample is the one from the lowest-numbered walk that
+found one.
 
 Statistics: ``generated_states`` counts every successor enumerated while
 walking (plus the initial-state set, once per walk), ``distinct_states``
@@ -35,41 +33,54 @@ in steps.
 from __future__ import annotations
 
 import random
-from functools import partial
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from itertools import islice
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs import current as obs_current
-from ..resilience import SupervisedPool
 from ..tla.errors import DeadlockError, InvariantViolation
-from ..tla.registry import build_worker_spec, worker_spec_args
 from ..tla.spec import Specification
 from ..tla.state import State
-from .base import CheckContext, make_expander
+from .base import VERDICT_MEMO_MAX, CheckContext, SuccessorInfo
 
 __all__ = ["run_walks"]
 
-#: Walks per pool task.  The supervisor's per-task timer bounds one task, so
-#: a task must stay far below it: 256 raftmongo walks of depth 50 take about
-#: 45 ms, against the 60 s default timeout.
-_WALKS_PER_TASK = 256
+#: One enabled step a walk may take: (action name, successor values,
+#: successor fingerprint).
+_Step = Tuple[str, Tuple[Any, ...], int]
 
-#: A walk's value-tuple trace, picklable for the pool.
-_WireTrace = Tuple[Tuple[Any, ...], ...]
+#: What a walk needs from one state's expansion: (successors generated, the
+#: first successor violating an invariant as (step, invariant name) or None,
+#: the successors within the state constraint).
+_Digest = Tuple[int, Optional[Tuple[_Step, str]], List[_Step]]
 
 #: One finished walk: (steps taken, states generated, visited fingerprints in
-#: order, violated invariant name or None, deadlocked flag, trace, chosen
-#: action names).
-_WalkOutcome = Tuple[int, int, List[int], Optional[str], bool, _WireTrace, Tuple[str, ...]]
+#: order, violated invariant name or None, deadlocked flag, trace of value
+#: tuples, chosen action names).
+_WalkOutcome = Tuple[
+    int, int, List[int], Optional[str], bool, List[Tuple[Any, ...]], List[str]
+]
+
+
+def _digest(entries: List[SuccessorInfo]) -> _Digest:
+    """One state's ``expand`` entries, reduced to what a walk step reads."""
+    candidates: List[_Step] = []
+    for action_name, nvalues, nfp, inv_name, within in entries:
+        if inv_name is not None:
+            return len(entries), ((action_name, nvalues, nfp), inv_name), candidates
+        if within:
+            candidates.append((action_name, nvalues, nfp))
+    return len(entries), None, candidates
 
 
 def _run_walk(
     expander: Any,
+    memo: Dict[Tuple[Any, ...], _Digest],
     initial: List[State],
     walk_index: int,
     seed: int,
     walk_depth: int,
 ) -> _WalkOutcome:
-    """Run one seeded random walk; pure function of its arguments.
+    """Run one seeded random walk; pure function of its arguments but ``memo``.
 
     The walk starts in a uniformly chosen initial state and repeatedly takes
     a uniformly chosen enabled action whose successor satisfies the state
@@ -81,11 +92,13 @@ def _run_walk(
     walk ends at the depth budget, at an invariant violation, at a deadlock,
     or when the constraint fences every successor off.
 
-    The walk carries value tuples, not ``State`` objects.  Walk *i* is the
-    same under either expander because ``random.Random.choice`` depends only
-    on the sequence *length* and both enumerate successors in the same
-    order -- so it draws the same initial state and the same successor
-    indices either way.
+    ``memo`` maps a walked state's value tuple to its :func:`_digest`; it
+    only saves work, because a state's expansion is deterministic.  The walk
+    carries value tuples, not ``State`` objects.  Walk *i* is the same under
+    either expander because ``random.Random.choice`` depends only on the
+    sequence *length* and both enumerate successors in the same order -- so
+    it draws the same initial state and the same successor indices either
+    way.
     """
     rng = random.Random(f"{seed}:{walk_index}")
     generated = len(initial)
@@ -100,261 +113,90 @@ def _run_walk(
     steps = 0
     if violated_name is None and within:
         while steps < walk_depth:
-            entries = expander.expand(values)
-            generated += len(entries)
-            if not entries:
+            digest = memo.get(values)
+            if digest is None:
+                if len(memo) >= VERDICT_MEMO_MAX:
+                    for key in list(islice(memo, len(memo) // 2)):
+                        del memo[key]
+                digest = memo[values] = _digest(expander.expand(values))
+            count, hit, candidates = digest
+            generated += count
+            if not count:
                 deadlocked = True
                 break
-            hit: Optional[Tuple[str, Tuple[Any, ...], int, str]] = None
-            candidates: List[Tuple[str, Tuple[Any, ...], int]] = []
-            for action_name, nvalues, nfp, inv_name, nxt_within in entries:
-                if inv_name is not None:
-                    hit = (action_name, nvalues, nfp, inv_name)
-                    break
-                if nxt_within:
-                    candidates.append((action_name, nvalues, nfp))
             if hit is not None:
-                action_name, values, fp, violated_name = hit
-                steps += 1
-                fps.append(fp)
-                trace.append(values)
-                actions.append(action_name)
+                (action_name, values, fp), violated_name = hit
+            elif candidates:
+                action_name, values, fp = rng.choice(candidates)
+            else:
                 break
-            if not candidates:
-                break
-            action_name, values, fp = rng.choice(candidates)
             steps += 1
             fps.append(fp)
             trace.append(values)
             actions.append(action_name)
-    return (
-        steps,
-        generated,
-        fps,
-        violated_name,
-        deadlocked,
-        tuple(trace),
-        tuple(actions),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Pool worker side.  Each pool process rebuilds the spec by registry name and
-# makes its own expander (compiled kernels are closures and do not pickle)
-# and initial states once, in the initializer, and keeps them for the whole
-# run.
-# ---------------------------------------------------------------------------
-
-_WORKER_INITIAL: Optional[List[State]] = None
-_WORKER_EXPANDER: Optional[Any] = None
-
-
-def _walk_worker_init(spec_args: Tuple[Any, ...], compile_mode: str) -> None:
-    global _WORKER_INITIAL, _WORKER_EXPANDER
-    spec = build_worker_spec(*spec_args)
-    _WORKER_EXPANDER, _fallback = make_expander(spec, compile_mode)
-    _WORKER_INITIAL = spec.initial_states()
-
-
-def _simulate_shard(indices: range, *options: Any) -> Dict[str, Any]:
-    """Pool task: :func:`_drive_walks` on this worker's expander.
-
-    Within a slice, walks run in increasing index order, so the slice's
-    first reported event is the minimal-index event of its slice -- which is
-    what lets the coordinator's min-merge reproduce the serial engine's
-    counterexample exactly.
-    """
-    assert _WORKER_INITIAL is not None and _WORKER_EXPANDER is not None
-    return _drive_walks(_WORKER_INITIAL, _WORKER_EXPANDER, indices, *options)
-
-
-def _task_slices(walks: int, workers: int) -> List[range]:
-    """Walk indices ``0..walks-1`` cut into consecutive pool tasks.
-
-    At least ``workers`` slices (fewer only when there are fewer walks), none
-    longer than :data:`_WALKS_PER_TASK`, their lengths differing by at most
-    one.
-    """
-    count = min(walks, max(workers, -(-walks // _WALKS_PER_TASK)))
-    return [range(i * walks // count, (i + 1) * walks // count) for i in range(count)]
-
-
-def _drive_walks(
-    initial: List[State],
-    expander: Any,
-    indices: range,
-    seed: int,
-    walk_depth: int,
-    check_deadlock: bool,
-    stop_on_violation: bool,
-    store: Any = None,
-) -> Dict[str, Any]:
-    """Run a slice of walks and aggregate their outcomes (wire-friendly).
-
-    Visited fingerprints never accumulate per generated state: with a
-    ``store`` (the coordinator's inline path) they stream straight into it
-    in visit order, and without one (pool shards, which cannot share the
-    coordinator's store) they are deduplicated into first-visit order before
-    being pickled back -- so shard payloads are bounded by the *distinct*
-    states a slice saw, not by ``walks x depth``.
-
-    ``initial`` is the spec's initial states, made once per run and shared
-    by every slice: the expander's interner keeps the first copy of each
-    value it sees as canonical, and binds that copy with one identity probe
-    where an equal fresh one is re-interned on every walk.
-    """
-    generated = 0
-    walks_run = 0
-    max_steps = 0
-    # Progress heartbeats only on the coordinator's inline path: pool shards
-    # run in child processes, where no telemetry run is ever active.
-    obs_run = obs_current() if store is not None else None
-    ticker = obs_run.progress if obs_run is not None else None
-    unique_fps: Dict[int, None] = {}
-    action_counts: Dict[str, int] = {}
-    violation: Optional[Tuple[int, str, _WireTrace]] = None
-    deadlock: Optional[Tuple[int, _WireTrace]] = None
-    for walk_index in indices:
-        steps, walk_generated, walk_fps, inv_name, deadlocked, trace, actions = (
-            _run_walk(expander, initial, walk_index, seed, walk_depth)
-        )
-        walks_run += 1
-        generated += walk_generated
-        max_steps = max(max_steps, steps)
-        if ticker is not None and ticker.due():
-            ticker.emit(
-                walks=walks_run,
-                distinct=store.distinct_count,
-                generated=generated,
-            )
-        if store is not None:
-            for fp in walk_fps:
-                store.add(fp)
-        else:
-            for fp in walk_fps:
-                unique_fps.setdefault(fp)
-        for name in actions:
-            action_counts[name] = action_counts.get(name, 0) + 1
-        if inv_name is not None and violation is None:
-            violation = (walk_index, inv_name, trace)
-            if stop_on_violation:
+            if hit is not None:
                 break
-        if deadlocked and check_deadlock and deadlock is None:
-            deadlock = (walk_index, trace)
-            if stop_on_violation:
-                break
-    return {
-        "walks": walks_run,
-        "generated": generated,
-        "max_steps": max_steps,
-        "fps": None if store is not None else list(unique_fps),
-        "action_counts": action_counts,
-        "violation": violation,
-        "deadlock": deadlock,
-    }
+    return steps, generated, fps, violated_name, deadlocked, trace, actions
 
 
 def run_walks(ctx: CheckContext) -> None:
     """Seeded random-walk exploration with walk and depth budgets."""
-    workers = ctx.workers or 1
-    if workers > 1:
-        # workers > 1 only ever happens by explicit request (the default
-        # is serial), so it is honored even for walk budgets too small
-        # to amortize pool startup -- silently downgrading an explicit
-        # flag is the failure mode ModelChecker's validation prevents.
-        _run_pooled(ctx, workers)
-        return
-    ctx.result.workers = 1
-    shard = _drive_walks(
-        ctx.spec.initial_states(),
-        ctx.expander,
-        range(ctx.walks),
-        ctx.seed,
-        ctx.walk_depth,
-        ctx.check_deadlock,
-        ctx.stop_on_violation,
-        store=ctx.store,
-    )
-    _merge(ctx, [shard])
-
-
-def _run_pooled(ctx: CheckContext, workers: int) -> None:
-    slices = _task_slices(ctx.walks, workers)
-    # Fewer walks than workers start fewer processes (3 walks on 4
-    # requested workers run 3); report what actually runs.
-    ctx.result.workers = min(workers, len(slices))
-    options = (ctx.seed, ctx.walk_depth, ctx.check_deadlock, ctx.stop_on_violation)
-    with SupervisedPool(
-        ctx.result.workers,
-        initializer=_walk_worker_init,
-        initargs=(worker_spec_args(ctx.spec), ctx.compile_mode),
-        config=ctx.supervision,
-        chaos=ctx.chaos,
-        name="simulate",
-    ) as pool:
-        ctx.result.supervision = pool.stats
-        # A walk is a pure function of (spec, seed, index), so a slice
-        # recomputed inline after its task failed is exactly what its
-        # worker would have returned.  Slices merge as they arrive.
-        _merge(
-            ctx,
-            pool.map(
-                _simulate_shard,
-                ((indices, *options) for indices in slices),
-                partial(_drive_walks, ctx.spec.initial_states(), ctx.expander),
-            ),
-        )
-
-
-def _merge(ctx: CheckContext, shards: Iterable[Dict[str, Any]]) -> None:
     spec, result, store = ctx.spec, ctx.result, ctx.store
+    # The initial states are made once per run and shared by every walk: the
+    # expander's interner keeps the first copy of each value it sees as
+    # canonical and binds that copy with one identity probe, where an equal
+    # fresh one would be re-interned on every walk.
+    initial = spec.initial_states()
+    memo: Dict[Tuple[Any, ...], _Digest] = {}
+    obs_run = obs_current()
+    ticker = obs_run.progress if obs_run is not None else None
     action_counts: Dict[str, int] = {act.name: 0 for act in spec.actions}
-    violation: Optional[Tuple[int, str, _WireTrace]] = None
-    deadlock: Optional[Tuple[int, _WireTrace]] = None
-    for shard in shards:
-        result.walks += shard["walks"]
-        result.generated_states += shard["generated"]
-        result.max_depth = max(result.max_depth, shard["max_steps"])
-        for fp in shard["fps"] or ():  # None when streamed into the store
+    violation: Optional[Tuple[str, List[Tuple[Any, ...]]]] = None
+    deadlock: Optional[List[Tuple[Any, ...]]] = None
+    for walk_index in range(ctx.walks):
+        steps, generated, fps, inv_name, deadlocked, trace, actions = _run_walk(
+            ctx.expander, memo, initial, walk_index, ctx.seed, ctx.walk_depth
+        )
+        result.walks += 1
+        result.generated_states += generated
+        result.max_depth = max(result.max_depth, steps)
+        for fp in fps:
             store.add(fp)
-        for name, count in shard["action_counts"].items():
-            action_counts[name] += count
-        if shard["violation"] is not None and (
-            violation is None or shard["violation"][0] < violation[0]
-        ):
-            violation = shard["violation"]
-        if shard["deadlock"] is not None and (
-            deadlock is None or shard["deadlock"][0] < deadlock[0]
-        ):
-            deadlock = shard["deadlock"]
-    # A single walk ends at its first event, but *different* walks can
-    # surface both kinds.  Under stop_on_violation only the earliest one
-    # is reported -- the event a serial run would have stopped at (a
-    # later-walk event may not even have run serially).  Without
-    # stop_on_violation every walk ran everywhere, so both events are
-    # real and both are reported, as the BFS engines do.
-    if ctx.stop_on_violation and violation is not None and deadlock is not None:
-        if violation[0] <= deadlock[0]:
-            deadlock = None
-        else:
-            violation = None
+        if ticker is not None and ticker.due():
+            ticker.emit(
+                walks=result.walks,
+                distinct=store.distinct_count,
+                generated=result.generated_states,
+            )
+        for name in actions:
+            action_counts[name] += 1
+        # A walk ends at its first event, but different walks can surface
+        # both kinds.  Without stop_on_violation every walk runs and the
+        # first walk of each kind is reported, as the BFS engines record both.
+        if inv_name is not None and violation is None:
+            violation = (inv_name, trace)
+            if ctx.stop_on_violation:
+                break
+        if deadlocked and ctx.check_deadlock and deadlock is None:
+            deadlock = trace
+            if ctx.stop_on_violation:
+                break
     if violation is not None:
-        _walk, inv_name, wire_trace = violation
+        inv_name, trace = violation
         result.invariant_violation = InvariantViolation(
             f"invariant {inv_name!r} violated by specification {spec.name!r}",
             property_name=inv_name,
-            trace=_rebuild_trace(spec, wire_trace),
+            trace=_states(spec, trace),
         )
     if deadlock is not None:
-        _walk, wire_trace = deadlock
         result.deadlock = DeadlockError(
             f"deadlock reached in specification {spec.name!r}",
-            trace=_rebuild_trace(spec, wire_trace),
+            trace=_states(spec, deadlock),
         )
     result.distinct_states = store.distinct_count
     result.peak_frontier = 1  # a walk holds exactly one live state
     result.action_counts = action_counts
 
 
-def _rebuild_trace(spec: Specification, wire: _WireTrace) -> List[State]:
-    return [State.from_values(spec.schema, values) for values in wire]
+def _states(spec: Specification, trace: List[Tuple[Any, ...]]) -> List[State]:
+    return [State.from_values(spec.schema, values) for values in trace]

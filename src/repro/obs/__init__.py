@@ -1,8 +1,8 @@
 """Unified telemetry layer: metrics, spans, progress, profiling.
 
-The observability substrate shared by every execution path -- the BFS
-engines, the disk-backed store, the supervised worker pool, the stream
-service, the batch runner and the CLI.  One activated :class:`ObsRun` per
+The observability substrate shared by every execution path -- the
+engines, the disk-backed store, the stream service, the batch runner and
+the CLI.  One activated :class:`ObsRun` per
 process owns a run id, a :class:`MetricsRegistry` and a sink emitting
 schema-versioned JSONL; instrumented call sites ask :func:`current` and
 no-op when observability is off, so with no flags set every existing
@@ -11,11 +11,10 @@ output stays byte-identical.
 Pieces:
 
 * :mod:`repro.obs.metrics` -- counters, gauges, fixed-bucket histograms,
-  and the mergeable registry worker processes snapshot across pickling.
+  and the registry whose snapshot is the run's ``metrics`` record.
 * :mod:`repro.obs.runtime` -- the active run, nesting :class:`span` phase
-  timers, the stderr :class:`ProgressTicker`, and the
-  ``REPRO_METRICS_OUT`` / ``REPRO_RUN_ID`` environment channel that lets
-  supervised children report back by run id.
+  timers, the stderr :class:`ProgressTicker`, and the ``REPRO_METRICS_OUT``
+  / ``REPRO_RUN_ID`` variables the CLI and tests read.
 * :mod:`repro.obs.sink` -- the pluggable sink seam (JSONL file, memory,
   null).
 * :mod:`repro.obs.schema` -- validators for the JSONL stream and the watch
@@ -40,10 +39,8 @@ from .runtime import (
     ProgressTicker,
     current,
     peak_rss_mb,
-    reset_for_child_process,
     span,
     start_run,
-    worker_telemetry_from_env,
 )
 from .schema import (
     METRIC_KINDS,
@@ -80,7 +77,6 @@ __all__ = [
     "current",
     "normalized",
     "peak_rss_mb",
-    "reset_for_child_process",
     "run_profiled",
     "span",
     "start_run",
@@ -88,5 +84,4 @@ __all__ = [
     "validate_metrics_path",
     "validate_status",
     "validate_status_path",
-    "worker_telemetry_from_env",
 ]

@@ -3,28 +3,22 @@
 The registry is the *aggregated* half of the telemetry layer (spans and the
 JSONL sink in :mod:`repro.obs.runtime` / :mod:`repro.obs.sink` are the event
 half).  Every execution path folds its statistics into one
-:class:`MetricsRegistry` per run -- the engine BFS loops, the disk store,
-the supervised worker pool, the stream service and the batch runner all
-write the same metric namespace instead of bespoke ad-hoc fields, and the
-run's final ``metrics`` record is a single merged snapshot of it.
+:class:`MetricsRegistry` per run -- the engines, the disk store, the stream
+service and the batch runner all write the same metric namespace instead of
+bespoke ad-hoc fields, and the run's final ``metrics`` record is a snapshot
+of it.
 
 Design constraints, in order:
 
 * **Cheap.**  A counter increment is one integer add; a histogram
   observation is one ``bisect`` into a fixed bucket layout.  The hot loops
-  only touch the registry at coarse granularity (per BFS level, per pool
-  event), so instrumentation overhead on a checking run stays well under
-  3% (``obs.overhead_share`` in ``benchmarks/`` measures it).
-* **Mergeable.**  :meth:`MetricsRegistry.snapshot` returns a plain
-  picklable/JSON-able dict and :meth:`MetricsRegistry.merge` folds such a
-  snapshot back in -- this is how supervised worker processes ship their
-  telemetry to the coordinator (over the existing result pipes) and how the
-  coordinator reconciles it by run id.
+  only touch the registry at coarse granularity (per BFS level, per run),
+  so instrumentation overhead on a checking run stays well under 3%
+  (``obs.overhead_share`` in ``benchmarks/`` measures it).
 * **Fixed bucket layouts.**  A histogram's bucket edges are fixed at
   creation (:data:`SECONDS_BUCKETS` for durations, :data:`COUNT_BUCKETS`
-  for sizes), so snapshots from different processes merge by plain
-  element-wise addition; mismatched layouts are an error, never a silent
-  re-bucketing.
+  for sizes); asking for a histogram again with other edges is an error,
+  never a silent re-bucketing.
 """
 
 from __future__ import annotations
@@ -56,7 +50,7 @@ COUNT_BUCKETS: Tuple[float, ...] = (
 
 
 class Counter:
-    """A monotonically increasing integer; merges by addition."""
+    """A monotonically increasing integer."""
 
     __slots__ = ("value",)
 
@@ -68,12 +62,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time numeric value; merges by taking the maximum.
-
-    The max-merge rule is what makes cross-process reconciliation
-    deterministic without timestamps: a gauge from a child snapshot can
-    only raise the coordinator's view, never regress it.
-    """
+    """A point-in-time numeric value."""
 
     __slots__ = ("value",)
 
@@ -124,29 +113,12 @@ class Histogram:
             "max": self.max,
         }
 
-    def merge_dict(self, data: Dict[str, Any]) -> None:
-        if tuple(data["edges"]) != self.edges:
-            raise ValueError(
-                f"cannot merge histograms with different bucket layouts: "
-                f"{tuple(data['edges'])} vs {self.edges}"
-            )
-        for index, count in enumerate(data["counts"]):
-            self.counts[index] += count
-        self.sum += data["sum"]
-        self.count += data["count"]
-        for bound, pick in (("min", min), ("max", max)):
-            other = data.get(bound)
-            if other is None:
-                continue
-            ours = getattr(self, bound)
-            setattr(self, bound, other if ours is None else pick(ours, other))
-
 
 class MetricsRegistry:
-    """One run's (or one worker's) named metrics, created on first use.
+    """One run's named metrics, created on first use.
 
     Metric names are dotted lowercase paths (``check.generated_states``,
-    ``supervisor.retries``, ``span.check.run.seconds``); the README's
+    ``store.flushes``, ``span.check.run.seconds``); the README's
     Observability section documents the stable namespace.
     """
 
@@ -197,9 +169,9 @@ class MetricsRegistry:
         yield from self._gauges
         yield from self._histograms
 
-    # -- snapshot / merge ----------------------------------------------------
+    # -- snapshot ------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """Picklable, JSON-able view: what crosses process boundaries."""
+        """JSON-able view: the run's ``metrics`` record."""
         return {
             "counters": {name: c.value for name, c in sorted(self._counters.items())},
             "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
@@ -207,18 +179,3 @@ class MetricsRegistry:
                 name: h.to_dict() for name, h in sorted(self._histograms.items())
             },
         }
-
-    def merge(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a pickled child process) in.
-
-        Counters add, gauges take the max, histograms add bucket-wise --
-        all commutative and associative, so the merged result is independent
-        of the order worker snapshots arrive in.
-        """
-        for name, value in (snapshot.get("counters") or {}).items():
-            self.inc(name, value)
-        for name, value in (snapshot.get("gauges") or {}).items():
-            gauge = self.gauge(name)
-            gauge.set(max(gauge.value, value))
-        for name, data in (snapshot.get("histograms") or {}).items():
-            self.histogram(name, data["edges"]).merge_dict(data)

@@ -6,13 +6,7 @@ sink the event stream goes to, and (optionally) the stderr progress
 ticker.  Instrumented call sites never hold a reference to it -- they ask
 :func:`current` and no-op when it returns ``None``, which is what keeps
 every existing output byte-identical when no observability flag is set.
-
-Child processes participate through the environment channel: activating a
-run exports ``REPRO_METRICS_OUT`` and ``REPRO_RUN_ID``, supervised workers
-pick those up via :func:`worker_telemetry_from_env`, accumulate into a
-private registry, and ship a pickled snapshot up the existing result pipe
-at shutdown; the coordinator merges snapshots whose run id matches the
-active run (see ``repro.resilience.supervisor``).
+Every layer runs in the one process, so the run's registry sees all of it.
 """
 
 from __future__ import annotations
@@ -21,7 +15,7 @@ import os
 import sys
 import threading
 import time
-from typing import Any, Dict, Optional, TextIO, Tuple
+from typing import Any, Dict, Optional, TextIO
 
 from .metrics import MetricsRegistry
 from .schema import SCHEMA_VERSION
@@ -34,19 +28,14 @@ __all__ = [
     "ProgressTicker",
     "current",
     "peak_rss_mb",
-    "reset_for_child_process",
     "span",
     "start_run",
-    "worker_telemetry_from_env",
 ]
 
-#: Environment channel: a path here makes supervised child workers collect
-#: telemetry and ship it back to the coordinator; the CLI also treats it as
-#: a default for ``--metrics-out``.
+#: A path here is the CLI's default for ``--metrics-out``.
 ENV_METRICS_OUT = "REPRO_METRICS_OUT"
 
-#: Overrides the generated run id -- children inherit it so their snapshots
-#: reconcile with the coordinator's run, and tests pin it for determinism.
+#: Overrides the generated run id; tests pin it for determinism.
 ENV_RUN_ID = "REPRO_RUN_ID"
 
 _CURRENT: Optional["ObsRun"] = None
@@ -194,7 +183,6 @@ class ObsRun:
         self._seq = 0
         self._lock = threading.Lock()
         self._closed = False
-        self._saved_env: Dict[str, Optional[str]] = {}
 
     def emit(self, kind: str, **fields: Any) -> None:
         """Stamp and forward one record to the sink (thread-safe)."""
@@ -225,12 +213,6 @@ class ObsRun:
         self.emit("metrics", labels=dict(self.labels), **self.registry.snapshot())
         self.emit("run_end", status=status, exit_code=exit_code)
         self.sink.close()
-        for key, previous in self._saved_env.items():
-            if previous is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = previous
-        self._saved_env = {}
         if _CURRENT is self:
             _CURRENT = None
 
@@ -248,10 +230,7 @@ def start_run(
     """Activate a telemetry run for this process and emit ``run_start``.
 
     Exactly one run may be active at a time; the run id comes from the
-    explicit argument, then ``REPRO_RUN_ID``, then fresh randomness.  While
-    active, the environment channel is exported so child processes spawned
-    by supervised pools report back into this run; ``close()`` restores the
-    previous environment.
+    explicit argument, then ``REPRO_RUN_ID``, then fresh randomness.
     """
     global _CURRENT
     if _CURRENT is not None:
@@ -269,40 +248,6 @@ def start_run(
         labels=labels,
         progress_stream=progress_stream,
     )
-    for key, value in ((ENV_RUN_ID, resolved_id), (ENV_METRICS_OUT, sink_path)):
-        if value is None:
-            continue
-        run._saved_env[key] = os.environ.get(key)
-        os.environ[key] = value
     _CURRENT = run
     run.emit("run_start", command=command, labels=dict(run.labels), pid=os.getpid())
     return run
-
-
-def worker_telemetry_from_env(
-    environ: Optional[Dict[str, str]] = None,
-) -> Optional[Tuple[str, MetricsRegistry]]:
-    """Child-process half of the env channel.
-
-    Returns ``(run_id, registry)`` when a coordinator exported
-    ``REPRO_METRICS_OUT``, else ``None``.  The worker accumulates into the
-    registry and ships ``registry.snapshot()`` tagged with the run id back
-    over its result pipe; it never opens the metrics file itself, so there
-    is exactly one writer per JSONL stream.
-    """
-    env = os.environ if environ is None else environ
-    if not env.get(ENV_METRICS_OUT):
-        return None
-    return env.get(ENV_RUN_ID, ""), MetricsRegistry()
-
-
-def reset_for_child_process() -> None:
-    """Drop any fork-inherited active run.
-
-    On fork start methods the child inherits ``_CURRENT`` (and with it an
-    open sink handle).  Worker mains call this first so the parent's run --
-    and its single-writer guarantee on the JSONL file -- is never touched
-    from a child; workers use :func:`worker_telemetry_from_env` instead.
-    """
-    global _CURRENT
-    _CURRENT = None

@@ -47,12 +47,7 @@ from ..obs import (
     start_run,
 )
 from ..mbtcg.emitters import write_log_suite, write_pytest_module
-from ..resilience import (
-    FAULT_KINDS,
-    FaultPlan,
-    SupervisionConfig,
-    read_watch_checkpoint,
-)
+from ..resilience import read_watch_checkpoint
 from ..stream import WatchConfig, WatchService
 from ..tla.coverage import CoverageReport
 from ..tla.dot import to_dot
@@ -171,12 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         "off otherwise)",
     )
     check_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for --engine simulate (default: 1)",
-    )
-    check_p.add_argument(
         "--walks",
         type=int,
         default=None,
@@ -219,34 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="resume_path",
         help="resume an interrupted run from a --checkpoint snapshot",
-    )
-    check_p.add_argument(
-        "--chaos-rate",
-        type=float,
-        default=None,
-        metavar="P",
-        help="inject worker faults (crash/hang/slow/corrupt) with probability "
-        "P per (worker, task); requires --engine simulate --workers > 1",
-    )
-    check_p.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=None,
-        help="seed of the deterministic fault schedule (default: 0)",
-    )
-    check_p.add_argument(
-        "--chaos-kinds",
-        metavar="KIND[,KIND...]",
-        default=None,
-        help="comma-separated subset of crash,hang,slow,corrupt "
-        "(default: all)",
-    )
-    check_p.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-task wall-clock budget of the supervised worker pool",
     )
     check_p.add_argument(
         "--deadlock", action="store_true", dest="check_deadlock", help="detect deadlocks"
@@ -511,30 +472,12 @@ def _checker_options(args: argparse.Namespace) -> Dict[str, Any]:
     """``check``'s flags as :class:`ModelChecker` keyword arguments.
 
     The checker validates them; what is checked here is only what it has
-    no parameter for: ``--chaos-*`` assembled into a :class:`FaultPlan`,
-    ``--task-timeout`` into a :class:`SupervisionConfig` (each refuses its
-    own bad values), and ``--progress-every``.
+    no parameter for: ``--progress-every``.
     """
     if args.progress_every is not None and args.progress_every <= 0:
         raise ValueError(f"--progress-every must be positive; got {args.progress_every}")
     options = {name: getattr(args, name) for name in _CHECKER_PARAMETERS if name in args}
     options["collect_graph"] = bool(args.dot)
-    if args.chaos_rate is None:
-        for flag, value in (
-            ("--chaos-seed", args.chaos_seed),
-            ("--chaos-kinds", args.chaos_kinds),
-        ):
-            if value is not None:
-                raise ValueError(f"{flag} has no effect without --chaos-rate")
-    elif args.chaos_rate == 0:
-        raise ValueError("--chaos-rate 0 injects no faults; give a rate in (0, 1]")
-    else:
-        kinds = FAULT_KINDS
-        if args.chaos_kinds is not None:
-            kinds = tuple(part.strip() for part in args.chaos_kinds.split(",") if part.strip())
-        options["chaos"] = FaultPlan(seed=args.chaos_seed or 0, rate=args.chaos_rate, kinds=kinds)
-    if args.task_timeout is not None:
-        options["supervision"] = SupervisionConfig(task_timeout=args.task_timeout)
     return options
 
 
@@ -631,9 +574,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"fingerprint collision probability: calculated (optimistic) {collision:.1e}")
     if result.resumed_from:
         print(f"resumed from checkpoint {result.resumed_from}")
-    supervision = result.supervision and result.supervision.summary()
-    if supervision:
-        print(supervision)
     if result.compile_error is not None:
         print(
             f"WARNING: spec compilation failed ({result.compile_error}); "

@@ -99,8 +99,8 @@ class LogParseError(ReproError):
         self.lineno = lineno
 
     def __reduce__(self):
-        # Default exception pickling drops keyword-only attributes; workers
-        # in a supervised pool must deliver the full (path, lineno) context.
+        # Default exception pickling drops keyword-only attributes; a pickled
+        # error keeps its full (path, lineno) context.
         return (
             self.__class__,
             (str(self),),

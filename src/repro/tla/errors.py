@@ -21,9 +21,8 @@ def _rebuild_error(cls: type, args: tuple, attrs: dict) -> "ReproError":
     """Unpickle helper: rebuild without re-running ``__init__``.
 
     Several subclasses take required keyword-only arguments, which the default
-    exception reduction (``cls(*self.args)``) cannot supply; pool worker
-    processes ship exceptions back through pickle, so reconstruction must not
-    depend on ``__init__`` signatures.
+    exception reduction (``cls(*self.args)``) cannot supply, so a pickled
+    error is rebuilt without depending on ``__init__`` signatures.
     """
     exc = cls.__new__(cls)
     Exception.__init__(exc, *args)

@@ -1,14 +1,10 @@
 """First-class specification registry: build any registered spec by name.
 
-The registry is the serialization layer of everything multi-process: a
-:class:`~repro.tla.spec.Specification` is a bundle of closures and therefore
-does not pickle, so worker processes receive the ``(name, params)`` pair that
-*rebuilds* it instead (TLC does the same thing -- every worker parses the
-``.tla`` file rather than receiving a parsed module).  :func:`build_spec`
-stamps the pair onto the spec as ``spec.registry_ref``; the one caller that
-runs worker processes, the simulation engine's sharded walks
-(:mod:`repro.engine.simulate`), hands :func:`worker_spec_args` to its pool
-and calls :func:`build_worker_spec` in each worker.
+A :class:`~repro.tla.spec.Specification` is a bundle of closures and
+therefore does not pickle, so what names a spec outside the process is the
+``(name, params)`` pair that *rebuilds* it.  :func:`build_spec` stamps the
+pair onto the spec as ``spec.registry_ref``, and checkpoints record it so a
+resume refuses a checkpoint of another spec.
 
 Spec modules register themselves at import time via :func:`register_spec`;
 the built-in families under :mod:`repro.specs` are loaded lazily on first
@@ -19,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import import_module
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .errors import SpecError
 from .spec import Specification
@@ -27,11 +23,9 @@ from .spec import Specification
 __all__ = [
     "SpecEntry",
     "build_spec",
-    "build_worker_spec",
     "get_entry",
     "register_spec",
     "registered_names",
-    "worker_spec_args",
 ]
 
 
@@ -113,9 +107,8 @@ def registered_names() -> List[str]:
 def build_spec(name: str, **params: Any) -> Specification:
     """Build a registered spec and stamp its ``registry_ref``.
 
-    The stamped ``(name, params)`` pair must survive a round trip through
-    another process: pool workers call ``build_spec(name, **params)`` to
-    obtain their own copy of the spec.
+    ``build_spec(name, **params)`` with the stamped ``(name, params)`` pair
+    builds an equal spec again.
     """
     entry = get_entry(name)
     try:
@@ -124,30 +117,3 @@ def build_spec(name: str, **params: Any) -> Specification:
         raise SpecError(f"bad parameters for {name!r}: {exc}") from exc
     spec.registry_ref = (name, dict(params))
     return spec
-
-
-def worker_spec_args(spec: Specification) -> Tuple[str, Dict[str, Any], List[str]]:
-    """The picklable arguments a worker passes to :func:`build_worker_spec`.
-
-    ``spec`` must come from :func:`build_spec`; callers that accept
-    hand-built specs check ``spec.registry_ref`` before starting a pool.
-    """
-    assert spec.registry_ref is not None
-    name, params = spec.registry_ref
-    return name, params, list(PROVIDER_MODULES)
-
-
-def build_worker_spec(
-    name: str, params: Dict[str, Any], provider_modules: Iterable[str]
-) -> Specification:
-    """Rebuild the coordinator's spec inside a worker process.
-
-    Under the 'spawn' start method a worker starts with a fresh registry;
-    adopting the coordinator's provider list first keeps specs whose
-    factories live outside the default providers buildable (under 'fork'
-    the registrations are inherited and adopting is a no-op).
-    """
-    for module_name in provider_modules:
-        if module_name not in PROVIDER_MODULES:
-            PROVIDER_MODULES.append(module_name)
-    return build_spec(name, **params)

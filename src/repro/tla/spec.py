@@ -201,8 +201,8 @@ class Specification:
             raise SpecError(f"duplicate action names in specification {name!r}: {names}")
         self._actions_by_name: Dict[str, Action] = {act.name: act for act in self.actions}
         #: Set by :func:`repro.tla.registry.build_spec`: the ``(name, params)``
-        #: pair that rebuilds this spec in another process.  ``None`` for specs
-        #: constructed directly.
+        #: pair that rebuilds this spec, which checkpoints record.  ``None`` for
+        #: specs constructed directly.
         self.registry_ref: Optional[Tuple[str, Dict[str, Any]]] = None
         #: Built by :meth:`repro.tla.trace.SuccessorCache.for_spec` when first
         #: asked for: the substrate every trace check of this spec shares.

@@ -129,8 +129,8 @@ def test_read_checkpoint_rejects_garbage(tmp_path):
 
 
 # One row: the only engine with a checkpoint seam (the id names it).
-@pytest.mark.parametrize("resume_engine,workers", [("fingerprint", None)])
-def test_interrupted_run_resumes_to_golden_stats(tmp_path, resume_engine, workers):
+@pytest.mark.parametrize("resume_engine", ["fingerprint"])
+def test_interrupted_run_resumes_to_golden_stats(tmp_path, resume_engine):
     """Truncate mid-exploration, resume -> identical."""
     golden = check_spec(
         build_spec("locking"), check_properties=False, engine="fingerprint"
@@ -149,7 +149,6 @@ def test_interrupted_run_resumes_to_golden_stats(tmp_path, resume_engine, worker
         build_spec("locking"),
         check_properties=False,
         engine=resume_engine,
-        workers=workers,
         resume_path=str(path),
     )
     assert resumed.resumed_from == str(path)
@@ -190,8 +189,8 @@ def test_keyboard_interrupt_partial_result_then_resume(tmp_path):
     assert resumed.distinct_states == 61 and resumed.max_depth == 60
 
 
-@pytest.mark.parametrize("engine,workers", [("fingerprint", None)])
-def test_interrupted_level_stays_in_the_time_budget(engine, workers):
+@pytest.mark.parametrize("engine", ["fingerprint"])
+def test_interrupted_level_stays_in_the_time_budget(engine):
     """The level an interrupt cuts short is timed like every other level."""
     run = start_run(command="test", sink=MemorySink(), run_id="interrupted")
     _INTERRUPT["armed"] = True
@@ -201,7 +200,6 @@ def test_interrupted_level_stays_in_the_time_budget(engine, workers):
                 build_spec("_test_interrupter"),
                 check_properties=False,
                 engine=engine,
-                workers=workers,
             )
         snapshot = run.registry.snapshot()
     finally:

@@ -1,8 +1,7 @@
 """Bad flags end in one line and exit code 2.
 
 A bad value or combination is refused by the object the command builds --
-``ModelChecker`` for ``check``, ``WatchConfig`` for ``watch``, ``FaultPlan``
-and ``SupervisionConfig`` for the flags assembled into them -- as a
+``ModelChecker`` for ``check`` and ``WatchConfig`` for ``watch`` -- as a
 ``ValueError`` naming the parameter; the few flags no such object has are
 checked by the CLI, and unknown names or flags by argparse.  Either way a CI
 invocation can never silently check something different from what its flags
@@ -15,12 +14,11 @@ import pytest
 from repro.engine import check_spec
 from repro.pipeline.cli import main
 from repro.pipeline.workload import generate_workload
-from repro.resilience import FaultPlan, SupervisionConfig
 from repro.stream import WatchConfig
 from repro.tla.registry import build_spec
 
-#: A run that does start a pool, so only the flag under test is wrong.
-_POOLED = ["check", "locking", "--engine", "simulate", "--workers", "2"]
+#: A walk run, so only the flag under test is wrong.
+_WALKS = ["check", "locking", "--engine", "simulate"]
 
 
 @pytest.mark.parametrize(
@@ -53,7 +51,7 @@ _POOLED = ["check", "locking", "--engine", "simulate", "--workers", "2"]
             ["check", "locking", "--store", "fingerprint", "--store-capacity", "9"],
             "store_capacity",
         ),
-        # ISSUE 6: chaos flags need a worker pool to inject faults into.
+        # The walk pool and its chaos layer are gone, and so are their flags.
         (["check", "locking", "--chaos-rate", "0.3"], "chaos"),
         (
             ["check", "locking", "--engine", "fingerprint", "--chaos-rate", "0.3"],
@@ -63,16 +61,16 @@ _POOLED = ["check", "locking", "--engine", "simulate", "--workers", "2"]
             ["check", "locking", "--engine", "simulate", "--chaos-rate", "0.3"],
             "chaos",
         ),
-        (_POOLED + ["--chaos-seed", "7"], "--chaos-seed"),
-        (_POOLED + ["--chaos-kinds", "crash"], "--chaos-kinds"),
+        (_WALKS + ["--chaos-seed", "7"], "--chaos-seed"),
+        (_WALKS + ["--chaos-kinds", "crash"], "--chaos-kinds"),
         (
-            _POOLED + ["--chaos-rate", "0.3", "--chaos-kinds", "crash,meteor"],
-            "chaos kinds",
+            _WALKS + ["--chaos-rate", "0.3", "--chaos-kinds", "crash,meteor"],
+            "--chaos-kinds",
         ),
-        (_POOLED + ["--chaos-rate", "1.5"], "chaos rate"),
-        (_POOLED + ["--chaos-rate", "0"], "--chaos-rate"),
-        (["check", "locking", "--task-timeout", "5"], "supervision"),
-        (_POOLED + ["--task-timeout", "-1"], "task_timeout"),
+        (_WALKS + ["--chaos-rate", "1.5"], "--chaos-rate"),
+        (_WALKS + ["--chaos-rate", "0"], "--chaos-rate"),
+        (["check", "locking", "--task-timeout", "5"], "--task-timeout"),
+        (_WALKS + ["--task-timeout", "-1"], "--task-timeout"),
         # Checkpointing needs a level-synchronous BFS engine and no --dot.
         (
             ["check", "locking", "--engine", "simulate", "--checkpoint", "x.ckpt"],
@@ -185,10 +183,9 @@ _POOLED = ["check", "locking", "--engine", "simulate", "--workers", "2"]
         (["simulate", "locking", "--workers", "2"], "--workers"),
         # Peak RSS is printed on every check run; the tracemalloc flag is gone.
         (["check", "locking", "--memory-stats"], "--memory-stats"),
-        # A simulate run with no --workers starts no pool to supervise.
-        (["check", "locking", "--engine", "simulate", "--task-timeout", "5"], "supervision"),
-        # The task timer is the pool's only hang detector: it cannot be off.
-        (["REPRO_TASK_TIMEOUT=0"] + _POOLED, "task_timeout"),
+        # Walks run in one process: no pool to size or to time out.
+        (_WALKS + ["--task-timeout", "5"], "--task-timeout"),
+        (_WALKS + ["--workers", "2"], "--workers"),
         # A workload of no traces, or a probability outside [0, 1], used to
         # check nothing and pass; generate_workload refuses both.
         (["simulate", "locking", "--traces", "-5"], "n_traces must be >= 1"),
@@ -234,25 +231,21 @@ def _workload(**kwargs):
     return list(generate_workload(build_spec("locking"), **{"n_traces": 1, **kwargs}))
 
 
-_SUPERVISION = SupervisionConfig(task_timeout=1.0)
-
-
 @pytest.mark.parametrize(
     "call,kwargs,needle",
     [
         # Accepted and ignored before the checker became the one validator.
-        (_check, dict(engine="fingerprint", workers=4), "workers"),
-        (_check, dict(engine="states", workers=4), "workers"),
+        (_check, dict(engine="fingerprint", walk_depth=5), "walk_depth"),
+        (_check, dict(engine="states", seed=9), "seed"),
         (_check, dict(engine="fingerprint", walks=5, seed=9), "walks"),
         (_check, dict(engine="fingerprint", checkpoint_every=3), "checkpoint_every"),
-        (_check, dict(engine="fingerprint", supervision=_SUPERVISION), "supervision"),
-        (_check, dict(engine="simulate", supervision=_SUPERVISION), "supervision"),
+        (_check, dict(engine="states", walks=5), "walks"),
+        (_check, dict(engine="simulate", max_depth=5), "max_depth"),
         (_workload, dict(stutter_probability=-0.1), "stutter_probability"),
-        # One row per rule the checker already had.  (A pooled run of an
-        # unregistered spec is a CheckerError: test_simulate.py pins it.)
+        # One row per rule the checker already had.
         (_check, dict(engine="warp"), "engine"),
         (_check, dict(compile_mode="sometimes"), "compile_mode"),
-        (_check, dict(engine="simulate", workers=0), "workers"),
+        (_check, dict(store_capacity=0), "store_capacity"),
         (_check, dict(max_states=0), "max_states"),
         (_check, dict(max_depth=-1), "max_depth"),
         (_check, dict(engine="simulate", walks=0), "walks"),
@@ -266,11 +259,9 @@ _SUPERVISION = SupervisionConfig(task_timeout=1.0)
         (_check, dict(store_path="x.db"), "store_path"),
         (_check, dict(spill_threshold=0), "spill_threshold"),
         (_check, dict(engine="simulate", spill_threshold=10), "spill_threshold"),
-        (_check, dict(chaos=FaultPlan(rate=0.5)), "chaos"),
+        (_check, dict(engine="simulate", store="states"), "supports stores"),
         (_check, dict(engine="simulate", checkpoint_path="x.ckpt"), "checkpoint_path"),
         (_check, dict(store="disk", checkpoint_path="x.ckpt"), "store_path"),
-        (SupervisionConfig, dict(task_timeout=None), "task_timeout"),
-        (SupervisionConfig.from_env, dict(environ={"REPRO_TASK_TIMEOUT": "0"}), "task_timeout"),
     ],
 )
 def test_the_library_refuses_what_it_would_ignore(call, kwargs, needle):
@@ -334,8 +325,6 @@ def test_consistent_flag_combinations_pass(tmp_path, capsys):
                 "locking",
                 "--engine",
                 "simulate",
-                "--workers",
-                "2",
                 "--walks",
                 "12",
                 "--depth",

@@ -620,17 +620,15 @@ def test_auto_fallback_says_why(monkeypatch, tmp_path, capsys):
     assert isinstance(expander, InterpretedExpander) and fallback == reason
     assert make_expander(build_spec("locking"), "off")[1] is None
 
-    # Pool workers apply the same policy with the same mode: they fall back
-    # too, and the run still matches the interpreted one.
+    # The walk engine falls back too, and its run still matches the
+    # interpreted one.
     walks = dict(engine="simulate", walks=20, walk_depth=10, seed=1)
     golden = check_spec(
         build_spec("locking"), check_properties=False, compile_mode="off", **walks
     )
-    pooled = check_spec(
-        build_spec("locking"), check_properties=False, workers=2, **walks
-    )
-    assert not pooled.compiled and pooled.compile_error == reason
-    assert _stats(pooled) == _stats(golden)
+    walked = check_spec(build_spec("locking"), check_properties=False, **walks)
+    assert not walked.compiled and walked.compile_error == reason
+    assert _stats(walked) == _stats(golden)
 
     path = tmp_path / "m.jsonl"
     assert main(["check", "locking", "--metrics-out", str(path)]) == 0

@@ -6,20 +6,20 @@ validation and sequence-number rewind, the parent pointers kept in the
 same rows, the refusal of older file layouts, the SpillFrontier's
 order-preserving re-iterable contract, engine-level parity
 with the in-memory stores (the golden-stats contract), and disk-store
-checkpoint/resume -- including under deterministic chaos fault injection.
+checkpoint/resume.
 The last section lowers ``HOT_CACHE_ENTRIES`` so fingerprints are dropped
 from memory and the Bloom filter and SQLite lookups are actually reached.
 """
 
 import json
 import os
+import re
 
 import pytest
 
 from repro.engine import check_spec, diskstore
 from repro.engine.diskstore import DiskFingerprintStore, DiskStoreError
 from repro.engine.frontier import SpillFrontier
-from repro.resilience import FaultPlan, SupervisionConfig
 from repro.tla.registry import build_spec
 from repro.tla.state import State, VariableSchema
 
@@ -338,25 +338,18 @@ def test_disk_store_checkpoint_resume_is_bit_identical(tmp_path):
     assert _stats(golden) == _stats(resumed)
 
 
-def test_disk_store_under_chaos_matches_fault_free_walks():
-    """Disk store + supervised pool + chaos: shard fingerprints merged into
-    SQLite under injected worker faults count what a fault-free serial
-    in-memory run counts."""
-    walks = dict(engine="simulate", walks=40, walk_depth=12, seed=5)
-    golden = check_spec(build_spec("locking"), check_properties=False, **walks)
-    chaotic = check_spec(
-        build_spec("locking"),
-        check_properties=False,
-        workers=2,
-        chaos=FaultPlan(seed=7, rate=0.3, kinds=("crash", "corrupt")),
-        supervision=SupervisionConfig.from_env(),
-        store="disk",
-        store_capacity=16,  # force flushes between shard merges
-        **walks,
-    )
-    assert chaotic.store == "disk" and chaotic.workers == 2
-    assert chaotic.supervision.crashes and chaotic.supervision.corruptions
-    assert _stats(golden) == _stats(chaotic)
+def test_walks_on_the_disk_store_match_the_in_memory_store():
+    """Walk fingerprints streamed into SQLite, flushed every 16 adds, count
+    what the in-memory store counts."""
+    walks = dict(engine="simulate", walks=40, walk_depth=12, seed=5, check_properties=False)
+    golden = check_spec(build_spec("locking"), store="fingerprint", **walks)
+    via_disk = check_spec(build_spec("locking"), store="disk", store_capacity=16, **walks)
+    assert _stats(golden) == _stats(via_disk)
+
+    def summary(result):
+        return re.sub(r", [0-9.]+s \[", ", [", result.summary())
+
+    assert summary(via_disk) == summary(golden).replace("store=fingerprint", "store=disk")
 
 
 def test_resuming_against_the_wrong_database_errors(tmp_path):

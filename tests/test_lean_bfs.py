@@ -2,7 +2,7 @@
 
 The BFS engines step on ``expander.transitions`` and ask
 ``expander.verdict_for`` once per *new* state; ``expand`` (with its verdict
-memo) is the simulation engine's.  The fingerprint store is one entry per
+memo) is the simulation engine's, called once per walked state.  The fingerprint store is one entry per
 distinct state -- the state's fingerprint mapped to its parent's -- and
 counterexamples are replayed from those pointers by fingerprint.  Each test
 here fails on a version that breaks one of those contracts.
@@ -33,8 +33,8 @@ def _answers(result):
 
 
 def _instrument(monkeypatch, *, refuse_expand):
-    """Count every ``verdict_for`` / ``expand`` call of the run's expander."""
-    calls = {"verdict_for": [], "expand": 0}
+    """Record every ``verdict_for`` / ``expand`` call of the run's expander."""
+    calls = {"verdict_for": [], "expand": []}
     make_expander = core.make_expander
 
     def instrumented(spec, mode):
@@ -48,7 +48,7 @@ def _instrument(monkeypatch, *, refuse_expand):
         def counted_expand(values):
             if refuse_expand:
                 raise AssertionError("expand called by a BFS engine")
-            calls["expand"] += 1
+            calls["expand"].append(values)
             return expand(values)
 
         expander.verdict_for = counted_verdict_for
@@ -92,13 +92,17 @@ def test_bfs_takes_one_verdict_per_new_state_and_never_expands(
     assert _answers(result) == _answers(reference)
 
 
-def test_simulate_still_walks_on_expand(monkeypatch):
+def test_walks_expand_each_walked_state_once(monkeypatch):
     calls = _instrument(monkeypatch, refuse_expand=False)
     result = check_spec(
         build_spec("locking"), check_properties=False, engine="simulate",
-        walks=5, walk_depth=10,
+        walks=1000, walk_depth=50,
     )
-    assert result.walks == 5 and calls["expand"] > 0
+    expanded = calls["expand"]
+    assert len(expanded) == len(set(expanded))
+    assert 0 < len(expanded) <= result.distinct_states
+    steps = sum(result.action_counts.values())
+    assert steps > 50 * len(expanded)
 
 
 def test_the_fingerprint_bfs_keeps_at_most_260_bytes_per_distinct_state():

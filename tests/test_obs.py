@@ -1,9 +1,8 @@
-"""The telemetry layer: registry merge semantics, spans, sinks, schema,
+"""The telemetry layer: metrics primitives, spans, sinks, schema,
 CLI wiring, and the byte-identity / determinism contracts of ISSUE 9."""
 
 import json
 import os
-import pickle
 import re
 
 import pytest
@@ -15,14 +14,12 @@ from repro.obs import (
     SchemaError,
     current,
     normalized,
-    reset_for_child_process,
     run_profiled,
     span,
     start_run,
     validate_metrics_lines,
     validate_metrics_path,
     validate_status_path,
-    worker_telemetry_from_env,
 )
 from repro.pipeline.cli import main
 
@@ -55,33 +52,11 @@ def test_histogram_bucket_edges():
     assert len(hist.counts) == len(hist.edges) + 1
 
 
-def test_registry_snapshot_survives_pickling_and_merges():
-    worker = MetricsRegistry()
-    worker.inc("worker.tasks_total", 3)
-    worker.set_gauge("depth", 4.0)
-    worker.observe("task_seconds", 0.2)
-    snapshot = pickle.loads(pickle.dumps(worker.snapshot()))
-
-    coordinator = MetricsRegistry()
-    coordinator.inc("worker.tasks_total", 2)
-    coordinator.set_gauge("depth", 9.0)
-    coordinator.observe("task_seconds", 0.4)
-    coordinator.merge(snapshot)
-    merged = coordinator.snapshot()
-    assert merged["counters"]["worker.tasks_total"] == 5  # counters add
-    assert merged["gauges"]["depth"] == 9.0  # gauges keep the max
-    assert merged["histograms"]["task_seconds"]["count"] == 2  # bucket-wise add
-
-
-def test_merge_rejects_mismatched_histogram_layouts():
-    left = MetricsRegistry()
-    left.observe("h", 1.0, edges=(1, 2))
-    right = MetricsRegistry()
-    right.observe("h", 1.0, edges=(1, 2, 3))
+def test_a_histogram_keeps_its_bucket_layout():
+    registry = MetricsRegistry()
+    registry.observe("h", 1.0, edges=(1, 2))
     with pytest.raises(ValueError):
-        left.merge(right.snapshot())
-    with pytest.raises(ValueError):
-        left.histogram("h", edges=(5, 6))
+        registry.histogram("h", edges=(5, 6))
 
 
 # --------------------------------------------------------------------------
@@ -125,32 +100,19 @@ def test_span_stack_survives_exceptions():
     assert after["parent"] is None and after["depth"] == 0
 
 
-def test_single_run_per_process_and_env_channel(tmp_path, monkeypatch):
+def test_single_run_per_process_leaves_the_environment_alone(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_METRICS_OUT", raising=False)
     monkeypatch.delenv("REPRO_RUN_ID", raising=False)
     path = str(tmp_path / "m.jsonl")
     run = start_run(command="test", sink_path=path, run_id="envchan")
     try:
-        assert os.environ["REPRO_METRICS_OUT"] == path
-        assert os.environ["REPRO_RUN_ID"] == "envchan"
+        assert "REPRO_METRICS_OUT" not in os.environ
+        assert "REPRO_RUN_ID" not in os.environ
         with pytest.raises(RuntimeError):
             start_run(command="nested")
-        telemetry = worker_telemetry_from_env()
-        assert telemetry is not None and telemetry[0] == "envchan"
     finally:
         run.close()
-    assert "REPRO_METRICS_OUT" not in os.environ  # restored on close
     assert current() is None
-    assert worker_telemetry_from_env({"PATH": "/bin"}) is None
-
-
-def test_reset_for_child_process_drops_inherited_run():
-    run = start_run(command="test", sink=MemorySink(), run_id="forked")
-    try:
-        reset_for_child_process()
-        assert current() is None
-    finally:
-        run.close()
 
 
 def test_run_profiled_reports_hot_functions(capsys):
@@ -219,33 +181,6 @@ def test_metrics_out_is_deterministic_modulo_timestamps(tmp_path, monkeypatch, c
     assert normalized_streams[0] == normalized_streams[1]
     # run_start, command span, check.run span, metrics, run_end
     assert len(normalized_streams[0]) == 5
-
-
-def test_parallel_check_merges_worker_snapshots(tmp_path, capsys):
-    path = str(tmp_path / "par.jsonl")
-    assert (
-        main(
-            [
-                "check",
-                "locking",
-                "--engine",
-                "simulate",
-                "--walks",
-                "20",
-                "--workers",
-                "2",
-                "--metrics-out",
-                path,
-            ]
-        )
-        == 0
-    )
-    capsys.readouterr()
-    _records, metrics = _metrics_record(path)
-    counters = metrics["counters"]
-    assert counters["supervisor.worker_snapshots"] == 2
-    assert counters["worker.tasks_total"] == counters["supervisor.tasks"]
-    assert "worker.task_seconds" in metrics["histograms"]
 
 
 def test_progress_heartbeat_prints_to_stderr_not_the_sink(tmp_path, capsys):

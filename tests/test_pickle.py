@@ -1,9 +1,9 @@
-"""Pickle round-trips: the serialization layer under the worker pools.
+"""Pickle round-trips: what checkpoints and spilled frontiers rely on.
 
-States, records and the NULL constant cross process boundaries in the
-walk engine's worker pool and land in checkpoints; each must round-trip
-through pickle preserving equality, hashes and fingerprints (fingerprints are
-the cross-process currency, so they must be identical, not just consistent).
+States, records and the NULL constant land in checkpoints and spilled
+frontier chunks; each must round-trip through pickle preserving equality,
+hashes and fingerprints (a resumed run compares fingerprints written by
+another process, so they must be identical, not just consistent).
 """
 
 import pickle

@@ -4,14 +4,11 @@ import pytest
 
 from repro.tla import Specification
 from repro.tla.errors import SpecError
-from repro.tla import registry
 from repro.tla.registry import (
     build_spec,
-    build_worker_spec,
     get_entry,
     register_spec,
     registered_names,
-    worker_spec_args,
 )
 
 
@@ -25,31 +22,12 @@ def test_build_spec_stamps_registry_ref():
     spec = build_spec("raftmongo", n_nodes=2, variant="mbtc")
     assert isinstance(spec, Specification)
     assert spec.registry_ref == ("raftmongo", {"n_nodes": 2, "variant": "mbtc"})
-    # The ref rebuilds an equivalent spec -- the pool workers' contract.
+    # The ref rebuilds an equivalent spec -- what a checkpoint records.
     name, params = spec.registry_ref
     rebuilt = build_spec(name, **params)
     assert rebuilt.name == spec.name
     assert rebuilt.schema.names == spec.schema.names
     assert rebuilt.initial_states() == spec.initial_states()
-
-
-def test_worker_bootstrap_adopts_the_coordinators_providers(monkeypatch):
-    import sys
-
-    import widecounter_spec  # noqa: F401 - appends itself to PROVIDER_MODULES
-
-    args = worker_spec_args(build_spec("_test_widecounter", limit=2))
-    assert args[:2] == ("_test_widecounter", {"limit": 2})
-    assert "widecounter_spec" in args[2]
-    # What a spawn-started worker begins with: nothing registered, the
-    # default providers only, the provider module not yet imported.
-    monkeypatch.setattr(registry, "PROVIDER_MODULES", ["repro.specs"])
-    monkeypatch.setattr(registry, "_REGISTRY", {})
-    monkeypatch.setattr(registry, "_loaded_providers", set())
-    monkeypatch.delitem(sys.modules, "widecounter_spec")
-    rebuilt = build_worker_spec(*args)
-    assert rebuilt.registry_ref == ("_test_widecounter", {"limit": 2})
-    assert rebuilt.initial_states()[0]["xs"] == (0,) * 6
 
 
 def test_unknown_name_and_bad_params_raise_spec_error():

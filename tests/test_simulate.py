@@ -10,7 +10,6 @@ action).
 import pytest
 
 from repro.engine import ModelChecker, check_spec
-from repro.tla.errors import CheckerError
 from repro.tla.registry import build_spec
 
 
@@ -72,52 +71,155 @@ def test_simulate_finds_mutual_exclusion_mutation_deterministically():
     )
 
 
-def test_parallel_walks_report_the_same_counterexample():
-    spec = build_spec("locking", mutation="xx_compatible")
-    serial = check_spec(
-        spec, check_properties=False, engine="simulate", walks=50, walk_depth=20, seed=0
-    )
-    pooled = check_spec(
-        spec,
+#: Walk results pinned from the engine before it memoized expansions, run
+#: with one worker; any change to how walks run must reproduce them.  A
+#: raftmongo row runs every walk (``stop_on_violation=False``) and reports
+#: the first walk that deadlocks; a locking row stops at the first violating
+#: walk.
+#: Columns: spec, params, walks, seed, stop_on_violation, (walks run,
+#: distinct, generated, depth), action_counts, the reported event, and the
+#: counterexample's value tuples as ``repr`` strings.
+_GOLDEN_WALKS = [
+    (
+        "raftmongo", {"variant": "mbtc"}, 2000, 0, False,
+        (2000, 2490, 91516, 23),
+        {"ClientWrite": 1864,
+         "AppendOplog": 3639,
+         "RollbackOplog": 103,
+         "BecomePrimaryByMagic": 4000,
+         "Stepdown": 2481,
+         "AdvanceCommitPoint": 422,
+         "UpdateTermThroughHeartbeat": 5501,
+         "LearnCommitPointWithTermCheck": 434,
+         "LearnCommitPointFromSyncSourceNeverBeyondLastApplied": 397},
+        "deadlock",
+        [
+            "(('Follower', 'Follower', 'Follower'), (0, 0, 0), (NULL, NULL, NULL), ((), (), ()))",
+            "(('Follower', 'Leader', 'Follower'), (0, 1, 0), (NULL, NULL, NULL), ((), (), ()))",
+            "(('Follower', 'Leader', 'Follower'), (0, 1, 1), (NULL, NULL, NULL), ((), (), ()))",
+            "(('Leader', 'Follower', 'Follower'), (2, 1, 1), (NULL, NULL, NULL), ((), (), ()))",
+            "(('Leader', 'Follower', 'Follower'), (2, 2, 1), (NULL, NULL, NULL), ((), (), ()))",
+            "(('Leader', 'Follower', 'Follower'), (2, 2, 1), (NULL, NULL, NULL), ((Record(index=1, term=2),), (), ()))",
+            "(('Leader', 'Follower', 'Follower'), (2, 2, 1), (NULL, NULL, NULL), ((Record(index=1, term=2),), (Record(index=1, term=2),), ()))",
+            "(('Leader', 'Follower', 'Follower'), (2, 2, 2), (NULL, NULL, NULL), ((Record(index=1, term=2),), (Record(index=1, term=2),), ()))",
+            "(('Follower', 'Follower', 'Follower'), (2, 2, 2), (NULL, NULL, NULL), ((Record(index=1, term=2),), (Record(index=1, term=2),), ()))",
+            "(('Follower', 'Follower', 'Follower'), (2, 2, 2), (NULL, NULL, NULL), ((Record(index=1, term=2),), (Record(index=1, term=2),), (Record(index=1, term=2),)))",
+        ],
+    ),
+    (
+        "raftmongo", {"variant": "mbtc"}, 2000, 1, False,
+        (2000, 2387, 90435, 26),
+        {"ClientWrite": 1886,
+         "AppendOplog": 3678,
+         "RollbackOplog": 134,
+         "BecomePrimaryByMagic": 4000,
+         "Stepdown": 2471,
+         "AdvanceCommitPoint": 375,
+         "UpdateTermThroughHeartbeat": 5501,
+         "LearnCommitPointWithTermCheck": 377,
+         "LearnCommitPointFromSyncSourceNeverBeyondLastApplied": 372},
+        "deadlock",
+        [
+            "(('Follower', 'Follower', 'Follower'), (0, 0, 0), (NULL, NULL, NULL), ((), (), ()))",
+            "(('Follower', 'Leader', 'Follower'), (0, 1, 0), (NULL, NULL, NULL), ((), (), ()))",
+            "(('Follower', 'Leader', 'Follower'), (0, 2, 0), (NULL, NULL, NULL), ((), (), ()))",
+            "(('Follower', 'Leader', 'Follower'), (0, 2, 2), (NULL, NULL, NULL), ((), (), ()))",
+            "(('Follower', 'Leader', 'Follower'), (0, 2, 2), (NULL, NULL, NULL), ((), (Record(index=1, term=2),), ()))",
+            "(('Follower', 'Follower', 'Follower'), (0, 2, 2), (NULL, NULL, NULL), ((), (Record(index=1, term=2),), ()))",
+            "(('Follower', 'Follower', 'Follower'), (0, 2, 2), (NULL, NULL, NULL), ((), (Record(index=1, term=2),), (Record(index=1, term=2),)))",
+            "(('Follower', 'Follower', 'Follower'), (0, 2, 2), (NULL, NULL, NULL), ((Record(index=1, term=2),), (Record(index=1, term=2),), (Record(index=1, term=2),)))",
+            "(('Follower', 'Follower', 'Follower'), (2, 2, 2), (NULL, NULL, NULL), ((Record(index=1, term=2),), (Record(index=1, term=2),), (Record(index=1, term=2),)))",
+        ],
+    ),
+    (
+        "raftmongo", {"variant": "mbtc"}, 2000, 42, False,
+        (2000, 2563, 91615, 22),
+        {"ClientWrite": 1862,
+         "AppendOplog": 3623,
+         "RollbackOplog": 106,
+         "BecomePrimaryByMagic": 4000,
+         "Stepdown": 2490,
+         "AdvanceCommitPoint": 421,
+         "UpdateTermThroughHeartbeat": 5496,
+         "LearnCommitPointWithTermCheck": 413,
+         "LearnCommitPointFromSyncSourceNeverBeyondLastApplied": 431},
+        "deadlock",
+        [
+            "(('Follower', 'Follower', 'Follower'), (0, 0, 0), (NULL, NULL, NULL), ((), (), ()))",
+            "(('Follower', 'Follower', 'Leader'), (0, 0, 1), (NULL, NULL, NULL), ((), (), ()))",
+            "(('Follower', 'Follower', 'Leader'), (0, 0, 2), (NULL, NULL, NULL), ((), (), ()))",
+            "(('Follower', 'Follower', 'Leader'), (0, 0, 2), (NULL, NULL, NULL), ((), (), (Record(index=1, term=2),)))",
+            "(('Follower', 'Follower', 'Leader'), (0, 0, 2), (NULL, NULL, NULL), ((), (Record(index=1, term=2),), (Record(index=1, term=2),)))",
+            "(('Follower', 'Follower', 'Leader'), (2, 0, 2), (NULL, NULL, NULL), ((), (Record(index=1, term=2),), (Record(index=1, term=2),)))",
+            "(('Follower', 'Follower', 'Leader'), (2, 2, 2), (NULL, NULL, NULL), ((), (Record(index=1, term=2),), (Record(index=1, term=2),)))",
+            "(('Follower', 'Follower', 'Follower'), (2, 2, 2), (NULL, NULL, NULL), ((), (Record(index=1, term=2),), (Record(index=1, term=2),)))",
+            "(('Follower', 'Follower', 'Follower'), (2, 2, 2), (NULL, NULL, NULL), ((Record(index=1, term=2),), (Record(index=1, term=2),), (Record(index=1, term=2),)))",
+        ],
+    ),
+    (
+        "locking", {"mutation": "xx_compatible"}, 500, 0, True,
+        (2, 29, 253, 50),
+        {"Acquire": 28, "Release": 24},
+        "MutualExclusion",
+        [
+            "((('None', 'None', 'None'), ('None', 'None', 'None')),)",
+            "((('X', 'None', 'None'), ('None', 'None', 'None')),)",
+            "((('X', 'None', 'None'), ('X', 'None', 'None')),)",
+        ],
+    ),
+    (
+        "locking", {"mutation": "xx_compatible"}, 500, 1, True,
+        (4, 87, 707, 50),
+        {"Acquire": 86, "Release": 66},
+        "MutualExclusion",
+        [
+            "((('None', 'None', 'None'), ('None', 'None', 'None')),)",
+            "((('X', 'None', 'None'), ('None', 'None', 'None')),)",
+            "((('X', 'None', 'None'), ('X', 'None', 'None')),)",
+        ],
+    ),
+    (
+        "locking", {"mutation": "xx_compatible"}, 500, 7, True,
+        (6, 125, 1183, 50),
+        {"Acquire": 137, "Release": 115},
+        "MutualExclusion",
+        [
+            "((('None', 'None', 'None'), ('None', 'None', 'None')),)",
+            "((('None', 'None', 'None'), ('X', 'None', 'None')),)",
+            "((('X', 'None', 'None'), ('X', 'None', 'None')),)",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params, walks, seed, stop, stats, action_counts, event, trace",
+    _GOLDEN_WALKS,
+    ids=[f"{row[0]}-seed{row[3]}" for row in _GOLDEN_WALKS],
+)
+def test_walks_match_the_golden_table(
+    name, params, walks, seed, stop, stats, action_counts, event, trace
+):
+    result = check_spec(
+        build_spec(name, **params),
         check_properties=False,
+        check_deadlock=True,
+        stop_on_violation=stop,
         engine="simulate",
-        walks=50,
-        walk_depth=20,
-        seed=0,
-        workers=2,
+        walks=walks,
+        seed=seed,
     )
-    assert pooled.workers == 2
-    assert serial.invariant_violation is not None
-    assert pooled.invariant_violation is not None
-    assert pooled.invariant_violation.property_name == "MutualExclusion"
-    # the minimal-index violating walk wins regardless of sharding
-    assert [s.values for s in pooled.invariant_violation.trace] == [
-        s.values for s in serial.invariant_violation.trace
-    ]
-
-
-def test_pooled_walks_under_chaos_keep_the_counterexample():
-    # The spec's factory lives in a provider module outside repro.specs, so
-    # the workers rebuild it through the provider list the coordinator ships.
-    import widecounter_spec  # noqa: F401 - registers _test_widecounter
-    from repro.resilience import FaultPlan, SupervisionConfig
-
-    walks = dict(engine="simulate", walks=12, walk_depth=20, seed=3)
-    spec = build_spec("_test_widecounter", invariant_bound=8)
-    serial = check_spec(spec, check_properties=False, **walks)
-    chaotic = check_spec(
-        build_spec("_test_widecounter", invariant_bound=8),
-        check_properties=False,
-        workers=2,
-        chaos=FaultPlan(seed=7, rate=0.3, kinds=("crash", "corrupt")),
-        supervision=SupervisionConfig.from_env(),
-        **walks,
-    )
-    assert chaotic.supervision.retries > 0
-    assert serial.invariant_violation.property_name == "Bounded"
-    assert [s.values for s in chaotic.invariant_violation.trace] == [
-        s.values for s in serial.invariant_violation.trace
-    ]
+    assert (
+        result.walks, result.distinct_states, result.generated_states, result.max_depth
+    ) == stats
+    assert result.action_counts == action_counts
+    if event == "deadlock":
+        found, other = result.deadlock, result.invariant_violation
+    else:
+        found, other = result.invariant_violation, result.deadlock
+        assert found.property_name == event
+    assert other is None
+    assert [repr(state.values) for state in found.trace] == trace
 
 
 def test_simulate_checks_invariants_on_out_of_constraint_successors():
@@ -209,98 +311,6 @@ def test_simulate_reports_both_event_kinds_without_stop_on_violation():
     assert result.walks == 16  # nothing stopped early
 
 
-def test_simulate_pooled_reports_actual_shard_count():
-    # 9 walks across 4 requested workers cut into 4 slices (3, 2, 2, 2), so
-    # all 4 processes run; fewer walks than workers is the next test.
-    spec = build_spec("locking")
-    result = check_spec(
-        spec, check_properties=False, engine="simulate", walks=9, walk_depth=5, workers=4
-    )
-    assert result.ok
-    assert result.workers == 4
-
-
-def test_simulate_honors_explicit_workers_even_for_tiny_budgets():
-    # An explicit --workers request is never silently downgraded: 3 walks
-    # across 4 requested workers still pool, sharding into 3 single-walk
-    # slices -- and the result reports the 3 processes that actually ran.
-    spec = build_spec("locking")
-    result = check_spec(
-        spec, check_properties=False, engine="simulate", walks=3, walk_depth=5, workers=4
-    )
-    assert result.ok
-    assert result.workers == 3
-
-
-@pytest.mark.parametrize("workers", [2, 3, 4, 8])
-@pytest.mark.parametrize("walks", [1, 3, 9, 255, 256, 257, 1000, 40000, 100003])
-def test_walk_slices_cover_every_walk_in_short_tasks(walks, workers):
-    from repro.engine.simulate import _WALKS_PER_TASK, _task_slices
-
-    slices = _task_slices(walks, workers)
-    assert [i for piece in slices for i in piece] == list(range(walks))
-    assert max(map(len, slices)) <= _WALKS_PER_TASK
-    assert max(map(len, slices)) - min(map(len, slices)) <= 1
-    assert len(slices) >= min(walks, workers)
-
-
-def test_no_pool_task_carries_more_than_the_slice_size(monkeypatch):
-    import repro.engine.simulate as simulate
-    from repro.resilience import SupervisedPool
-
-    seen = []  # the walk slice of every task the engine submits
-    real_map = SupervisedPool.map
-
-    def spying_map(pool, fn, args_iterable, inline):
-        def recorded():
-            for args in args_iterable:
-                seen.append(args[0])
-                yield args
-
-        return real_map(pool, fn, recorded(), inline)
-
-    monkeypatch.setattr(SupervisedPool, "map", spying_map)
-    monkeypatch.setattr(simulate, "_WALKS_PER_TASK", 16)
-    walks = dict(engine="simulate", walks=100, walk_depth=10, seed=4)
-    serial = check_spec(build_spec("locking"), check_properties=False, **walks)
-    pooled = check_spec(build_spec("locking"), check_properties=False, workers=2, **walks)
-    assert len(seen) == 7 and max(map(len, seen)) <= 16
-    assert [i for piece in seen for i in piece] == list(range(100))
-    assert pooled.supervision.tasks == 7 and pooled.workers == 2
-    assert (pooled.distinct_states, pooled.generated_states, pooled.max_depth) == (
-        serial.distinct_states,
-        serial.generated_states,
-        serial.max_depth,
-    )
-
-
-def test_a_healthy_pooled_run_longer_than_the_task_timeout_reports_no_hang(monkeypatch):
-    # Scaled-down: each worker's share of the walks takes about twice the
-    # task timeout, so one task per worker would be declared hung; one
-    # 16-walk task takes about a ninetieth of it, so no task is.
-    import repro.engine.simulate as simulate
-    from repro.resilience import SupervisionConfig
-
-    monkeypatch.setattr(simulate, "_WALKS_PER_TASK", 16)
-    walks = dict(engine="simulate", walks=6000, walk_depth=20, seed=42)
-    serial = check_spec(build_spec("locking"), check_properties=False, **walks)
-    timeout = serial.duration_seconds / 4
-    pooled = check_spec(
-        build_spec("locking"),
-        check_properties=False,
-        workers=2,
-        supervision=SupervisionConfig(task_timeout=timeout),
-        **walks,
-    )
-    assert pooled.supervision.hangs == 0 and pooled.supervision.summary() is None
-    assert (pooled.distinct_states, pooled.generated_states, pooled.max_depth) == (
-        serial.distinct_states,
-        serial.generated_states,
-        serial.max_depth,
-    )
-    assert pooled.action_counts == serial.action_counts
-
-
 def test_simulate_rejects_bfs_bounds():
     # max_states/max_depth are BFS budgets; simulate is bounded by
     # walks/walk_depth and must refuse rather than silently ignore them.
@@ -309,14 +319,6 @@ def test_simulate_rejects_bfs_bounds():
         ModelChecker(spec, check_properties=False, engine="simulate", max_states=5)
     with pytest.raises(ValueError, match="walks"):
         ModelChecker(spec, check_properties=False, engine="simulate", max_depth=5)
-
-
-def test_simulate_workers_require_registry(locking_spec):
-    assert locking_spec.registry_ref is None
-    with pytest.raises(CheckerError, match="registry"):
-        ModelChecker(
-            locking_spec, check_properties=False, engine="simulate", workers=2
-        )
 
 
 def test_simulate_rejects_bad_budgets(locking_spec):

@@ -11,7 +11,7 @@ Layered like the subsystem itself:
   the snapshot/restore bit-identity the service checkpoint rides on.
 * :class:`WatchService` end to end -- live appends with rotation and a torn
   final line, violation detection while the writer is still writing,
-  SIGTERM graceful drain, quarantine records, supervised-pool parity, and
+  SIGTERM graceful drain, quarantine records, and
   the acceptance contract: an interrupted-then-resumed service writes a
   final report byte-identical to an uninterrupted run's.
 """

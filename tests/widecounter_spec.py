@@ -1,12 +1,10 @@
-"""A registered test-only spec family for the parallel-engine parity suite.
+"""A registered test-only spec family shared by several test modules.
 
-This lives in its own importable module (not inside a test file) so that it
-can ride the production provider mechanism: the coordinator appends
-``widecounter_spec`` to ``PROVIDER_MODULES`` and pool workers import it,
-which re-runs the registration below in *their* interpreter.  That keeps the
-parity suite working under any multiprocessing start method -- relying on
-registration-at-test-import would only work where ``fork`` copies the
-parent's registry.
+It lives in its own importable module (not inside a test file) and rides
+the production provider mechanism: importing it registers
+``_test_widecounter`` and appends ``widecounter_spec`` to
+``PROVIDER_MODULES``, so ``build_spec`` finds it by name as it finds the
+built-in families.
 """
 
 from repro.tla import Action, Invariant, Specification
@@ -14,12 +12,7 @@ from repro.tla.registry import PROVIDER_MODULES, register_spec
 
 
 def wide_counter_factory(limit=40, invariant_bound=None, width=6, ceiling=8):
-    """A tunable spec family: wide frontiers, optional violation, deadlock.
-
-    Width 6 gives BFS levels wide enough to engage the process pool (the
-    checker expands levels below ``workers * 8`` states inline), so the
-    sharded code path is genuinely exercised.
-    """
+    """A tunable spec family: wide frontiers, optional violation, deadlock."""
 
     def init():
         yield {"xs": (0,) * width}
