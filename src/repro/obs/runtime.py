@@ -200,7 +200,7 @@ class ObsRun:
         self.sink.emit(record)
 
     def close(self, *, exit_code: Optional[int] = None, status: str = "ok") -> None:
-        """Emit the merged metrics + ``run_end`` records and deactivate.
+        """Emit the metrics + ``run_end`` records and deactivate.
 
         The metrics record carries the process's peak resident set as the
         ``process.peak_rss_mb`` gauge.

@@ -40,7 +40,7 @@ SCHEMA_VERSION = 1
 
 #: Record kinds, in the order a well-formed run emits them:
 #: ``run_start`` first, then any mix of ``span``/``event``, then exactly one
-#: ``metrics`` (the merged registry snapshot) and a final ``run_end``.
+#: ``metrics`` (the registry snapshot) and a final ``run_end``.
 METRIC_KINDS = frozenset({"run_start", "span", "event", "metrics", "run_end"})
 
 #: ``"kind"`` discriminator of the watch status-file document.

@@ -62,7 +62,7 @@ class JsonlSink(Sink):
     artifact behind.  Append mode means repeated runs pointed at the same
     path stack cleanly; each run is delimited by its ``run_start`` /
     ``run_end`` records and its own ``run`` id.  Every record is flushed
-    immediately -- emission is coarse (spans, per-level events, one merged
+    immediately -- emission is coarse (spans, per-level events, one
     metrics record), so durability for operators tailing the file wins over
     buffering.
     """

@@ -352,6 +352,27 @@ def test_walks_on_the_disk_store_match_the_in_memory_store():
     assert summary(via_disk) == summary(golden).replace("store=fingerprint", "store=disk")
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "name, params",
+    [("raftmongo", {"variant": "mbtc"}), ("ot_array", {})],
+    ids=["raftmongo-mbtc", "ot_array"],
+)
+def test_walks_on_the_disk_store_count_what_memory_counts(name, params, seed):
+    """The same parity on specs whose walks end in deadlocks, every walk run."""
+    walks = dict(
+        engine="simulate", walks=150, walk_depth=20, seed=seed, check_properties=False,
+        check_deadlock=True, stop_on_violation=False,
+    )
+    golden = check_spec(build_spec(name, **params), store="fingerprint", **walks)
+    via_disk = check_spec(build_spec(name, **params), store="disk", store_capacity=16, **walks)
+    assert via_disk.store == "disk" and via_disk.walks == 150
+    assert _stats(golden) == _stats(via_disk)
+    assert [s.values for s in golden.deadlock.trace] == [
+        s.values for s in via_disk.deadlock.trace
+    ]
+
+
 def test_resuming_against_the_wrong_database_errors(tmp_path):
     spec = build_spec("locking", n_threads=3)
     db = str(tmp_path / "visited.db")

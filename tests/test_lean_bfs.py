@@ -105,6 +105,28 @@ def test_walks_expand_each_walked_state_once(monkeypatch):
     assert steps > 50 * len(expanded)
 
 
+@pytest.mark.parametrize("mode", ["on", "off"])
+@pytest.mark.parametrize(
+    "name, params",
+    [("raftmongo", {"variant": "mbtc"}), ("raftmongo", {"variant": "original"}),
+     ("ot_array", {})],
+    ids=["raftmongo-mbtc", "raftmongo-original", "ot_array"],
+)
+def test_walks_expand_each_walked_state_once_on_either_expander(
+    monkeypatch, name, params, mode
+):
+    calls = _instrument(monkeypatch, refuse_expand=False)
+    result = check_spec(
+        build_spec(name, **params), check_properties=False, engine="simulate",
+        walks=300, walk_depth=30, compile_mode=mode,
+    )
+    assert result.compiled == (mode == "on")
+    expanded = calls["expand"]
+    assert len(expanded) == len(set(expanded))
+    assert 0 < len(expanded) <= result.distinct_states
+    assert sum(result.action_counts.values()) > 2 * len(expanded)
+
+
 def test_the_fingerprint_bfs_keeps_at_most_260_bytes_per_distinct_state():
     """The store, frontier and bookkeeping of a run, per distinct state.
 

@@ -59,6 +59,24 @@ def test_a_histogram_keeps_its_bucket_layout():
         registry.histogram("h", edges=(5, 6))
 
 
+def test_registry_snapshot_is_the_json_metrics_record():
+    registry = MetricsRegistry()
+    registry.inc("check.walks", 3)
+    registry.inc("check.walks", 2)
+    registry.set_gauge("depth", 4.0)
+    registry.set_gauge("depth", 9.0)
+    registry.observe("task_seconds", 0.2)
+    registry.observe("task_seconds", 0.4)
+    snapshot = registry.snapshot()
+    assert json.loads(json.dumps(snapshot)) == snapshot
+    assert snapshot["counters"] == {"check.walks": 5}  # increments add
+    assert snapshot["gauges"] == {"depth": 9.0}  # a gauge keeps its last value
+    histogram = snapshot["histograms"]["task_seconds"]
+    assert histogram["count"] == 2 and histogram["sum"] == pytest.approx(0.6)
+    assert sum(histogram["counts"]) == 2
+    assert (histogram["min"], histogram["max"]) == (0.2, 0.4)
+
+
 # --------------------------------------------------------------------------
 # Spans and the run lifecycle
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.tla import Specification
 from repro.tla.errors import SpecError
+from repro.tla import registry
 from repro.tla.registry import (
     build_spec,
     get_entry,
@@ -28,6 +29,23 @@ def test_build_spec_stamps_registry_ref():
     assert rebuilt.name == spec.name
     assert rebuilt.schema.names == spec.schema.names
     assert rebuilt.initial_states() == spec.initial_states()
+
+
+def test_a_provider_module_is_imported_on_first_lookup(monkeypatch):
+    import sys
+
+    import widecounter_spec  # noqa: F401 - appends itself to PROVIDER_MODULES
+
+    assert "widecounter_spec" in registry.PROVIDER_MODULES
+    # A process that has not looked a spec up yet: nothing registered, the
+    # provider module listed but not imported.
+    monkeypatch.setattr(registry, "PROVIDER_MODULES", ["repro.specs", "widecounter_spec"])
+    monkeypatch.setattr(registry, "_REGISTRY", {})
+    monkeypatch.setattr(registry, "_loaded_providers", set())
+    monkeypatch.delitem(sys.modules, "widecounter_spec")
+    rebuilt = build_spec("_test_widecounter", limit=2)
+    assert rebuilt.registry_ref == ("_test_widecounter", {"limit": 2})
+    assert rebuilt.initial_states()[0]["xs"] == (0,) * 6
 
 
 def test_unknown_name_and_bad_params_raise_spec_error():

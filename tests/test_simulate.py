@@ -7,9 +7,12 @@ violation (the trace starts in an initial state and every step is an enabled
 action).
 """
 
+import re
+
 import pytest
 
-from repro.engine import ModelChecker, check_spec
+from repro.engine import ModelChecker, check_spec, simulate
+from repro.engine.base import VERDICT_MEMO_MAX, make_expander
 from repro.tla.registry import build_spec
 
 
@@ -72,13 +75,13 @@ def test_simulate_finds_mutual_exclusion_mutation_deterministically():
 
 
 #: Walk results pinned from the engine before it memoized expansions, run
-#: with one worker; any change to how walks run must reproduce them.  A
-#: raftmongo row runs every walk (``stop_on_violation=False``) and reports
-#: the first walk that deadlocks; a locking row stops at the first violating
-#: walk.
+#: with one worker; any change to how walks run must reproduce them.  A row
+#: with ``stop_on_violation=False`` runs every walk and reports the first
+#: walk that deadlocks; the mutated locking rows stop at the first violating
+#: walk, and the clean locking rows find nothing.
 #: Columns: spec, params, walks, seed, stop_on_violation, (walks run,
-#: distinct, generated, depth), action_counts, the reported event, and the
-#: counterexample's value tuples as ``repr`` strings.
+#: distinct, generated, depth), action_counts, the reported event (None for
+#: none), and the counterexample's value tuples as ``repr`` strings.
 _GOLDEN_WALKS = [
     (
         "raftmongo", {"variant": "mbtc"}, 2000, 0, False,
@@ -189,13 +192,124 @@ _GOLDEN_WALKS = [
             "((('X', 'None', 'None'), ('X', 'None', 'None')),)",
         ],
     ),
+    (
+        "locking", {}, 300, 0, True,
+        (300, 544, 67463, 50),
+        {"Acquire": 8101, "Release": 6899},
+        None,
+        [],
+    ),
+    (
+        "locking", {}, 300, 5, True,
+        (300, 544, 66653, 50),
+        {"Acquire": 8100, "Release": 6900},
+        None,
+        [],
+    ),
+    (
+        "raftmongo", {"variant": "original"}, 500, 0, False,
+        (500, 503, 12538, 16),
+        {"ClientWrite": 459,
+         "AppendOplog": 895,
+         "RollbackOplog": 25,
+         "BecomePrimaryByMagic": 1000,
+         "Stepdown": 627,
+         "AdvanceCommitPoint": 93,
+         "LearnCommitPoint": 182},
+        "deadlock",
+        [
+            "(('Follower', 'Follower', 'Follower'), 0, (NULL, NULL, NULL), ((), (), ()))",
+            "(('Follower', 'Leader', 'Follower'), 1, (NULL, NULL, NULL), ((), (), ()))",
+            "(('Leader', 'Follower', 'Follower'), 2, (NULL, NULL, NULL), ((), (), ()))",
+            "(('Follower', 'Follower', 'Follower'), 2, (NULL, NULL, NULL), ((), (), ()))",
+        ],
+    ),
+    (
+        "raftmongo", {"variant": "original"}, 500, 3, False,
+        (500, 506, 12500, 20),
+        {"ClientWrite": 460,
+         "AppendOplog": 891,
+         "RollbackOplog": 31,
+         "BecomePrimaryByMagic": 1000,
+         "Stepdown": 620,
+         "AdvanceCommitPoint": 103,
+         "LearnCommitPoint": 196},
+        "deadlock",
+        [
+            "(('Follower', 'Follower', 'Follower'), 0, (NULL, NULL, NULL), ((), (), ()))",
+            "(('Follower', 'Leader', 'Follower'), 1, (NULL, NULL, NULL), ((), (), ()))",
+            "(('Follower', 'Leader', 'Follower'), 1, (NULL, NULL, NULL), ((), (Record(index=1, term=1),), ()))",
+            "(('Follower', 'Leader', 'Follower'), 1, (NULL, NULL, NULL), ((), (Record(index=1, term=1),), (Record(index=1, term=1),)))",
+            "(('Follower', 'Leader', 'Follower'), 1, (NULL, NULL, NULL), ((), (Record(index=1, term=1), Record(index=2, term=1)), (Record(index=1, term=1),)))",
+            "(('Follower', 'Leader', 'Follower'), 2, (NULL, NULL, NULL), ((), (Record(index=1, term=1), Record(index=2, term=1)), (Record(index=1, term=1),)))",
+            "(('Follower', 'Leader', 'Follower'), 2, (NULL, NULL, NULL), ((), (Record(index=1, term=1), Record(index=2, term=1)), (Record(index=1, term=1), Record(index=2, term=1))))",
+            "(('Follower', 'Follower', 'Follower'), 2, (NULL, NULL, NULL), ((), (Record(index=1, term=1), Record(index=2, term=1)), (Record(index=1, term=1), Record(index=2, term=1))))",
+            "(('Follower', 'Follower', 'Follower'), 2, (NULL, NULL, NULL), ((Record(index=1, term=1),), (Record(index=1, term=1), Record(index=2, term=1)), (Record(index=1, term=1), Record(index=2, term=1))))",
+            "(('Follower', 'Follower', 'Follower'), 2, (NULL, NULL, NULL), ((Record(index=1, term=1), Record(index=2, term=1)), (Record(index=1, term=1), Record(index=2, term=1)), (Record(index=1, term=1), Record(index=2, term=1))))",
+        ],
+    ),
+    (
+        "raftmongo", {"variant": "mbtc", "n_nodes": 2}, 500, 5, False,
+        (500, 304, 11049, 14),
+        {"ClientWrite": 505,
+         "AppendOplog": 505,
+         "RollbackOplog": 0,
+         "BecomePrimaryByMagic": 1000,
+         "Stepdown": 671,
+         "AdvanceCommitPoint": 78,
+         "UpdateTermThroughHeartbeat": 669,
+         "LearnCommitPointWithTermCheck": 31,
+         "LearnCommitPointFromSyncSourceNeverBeyondLastApplied": 43},
+        "deadlock",
+        [
+            "(('Follower', 'Follower'), (0, 0), (NULL, NULL), ((), ()))",
+            "(('Leader', 'Follower'), (1, 0), (NULL, NULL), ((), ()))",
+            "(('Follower', 'Follower'), (1, 0), (NULL, NULL), ((), ()))",
+            "(('Leader', 'Follower'), (2, 0), (NULL, NULL), ((), ()))",
+            "(('Leader', 'Follower'), (2, 0), (NULL, NULL), ((Record(index=1, term=2),), ()))",
+            "(('Leader', 'Follower'), (2, 0), (NULL, NULL), ((Record(index=1, term=2), Record(index=2, term=2)), ()))",
+            "(('Leader', 'Follower'), (2, 2), (NULL, NULL), ((Record(index=1, term=2), Record(index=2, term=2)), ()))",
+            "(('Follower', 'Follower'), (2, 2), (NULL, NULL), ((Record(index=1, term=2), Record(index=2, term=2)), ()))",
+            "(('Follower', 'Follower'), (2, 2), (NULL, NULL), ((Record(index=1, term=2), Record(index=2, term=2)), (Record(index=1, term=2),)))",
+            "(('Follower', 'Follower'), (2, 2), (NULL, NULL), ((Record(index=1, term=2), Record(index=2, term=2)), (Record(index=1, term=2), Record(index=2, term=2))))",
+        ],
+    ),
+    (
+        "ot_array", {}, 200, 0, False,
+        (200, 196, 5131, 4),
+        {"Insert": 175, "Remove": 93, "Set": 109, "Integrate": 377},
+        "deadlock",
+        [
+            '(((0, 1), (0, 1)), (NULL, NULL), (False, False))',
+            "(((0, 1), (0, 11, 1)), (NULL, Record(kind='insert', pos=1, value=11)), (False, False))",
+            "(((1,), (0, 11, 1)), (Record(kind='remove', pos=0), Record(kind='insert', pos=1, value=11)), (False, False))",
+            "(((1,), (11, 1)), (Record(kind='remove', pos=0), Record(kind='insert', pos=1, value=11)), (False, True))",
+            "(((11, 1), (11, 1)), (Record(kind='remove', pos=0), Record(kind='insert', pos=1, value=11)), (True, True))",
+        ],
+    ),
+    (
+        "ot_array", {}, 200, 1, False,
+        (200, 209, 5128, 4),
+        {"Insert": 166, "Remove": 102, "Set": 108, "Integrate": 376},
+        "deadlock",
+        [
+            '(((0, 1), (0, 1)), (NULL, NULL), (False, False))',
+            "(((0, 1), (0, 11, 1)), (NULL, Record(kind='insert', pos=1, value=11)), (False, False))",
+            "(((20, 1), (0, 11, 1)), (Record(kind='set', pos=0, value=20), Record(kind='insert', pos=1, value=11)), (False, False))",
+            "(((20, 1), (20, 11, 1)), (Record(kind='set', pos=0, value=20), Record(kind='insert', pos=1, value=11)), (False, True))",
+            "(((20, 11, 1), (20, 11, 1)), (Record(kind='set', pos=0, value=20), Record(kind='insert', pos=1, value=11)), (True, True))",
+        ],
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "name, params, walks, seed, stop, stats, action_counts, event, trace",
     _GOLDEN_WALKS,
-    ids=[f"{row[0]}-seed{row[3]}" for row in _GOLDEN_WALKS],
+    ids=[
+        "-".join([row[0], *(f"{k}={v}" for k, v in row[1].items()), f"seed{row[3]}"])
+        for row in _GOLDEN_WALKS
+    ],
 )
 def test_walks_match_the_golden_table(
     name, params, walks, seed, stop, stats, action_counts, event, trace
@@ -213,6 +327,9 @@ def test_walks_match_the_golden_table(
         result.walks, result.distinct_states, result.generated_states, result.max_depth
     ) == stats
     assert result.action_counts == action_counts
+    if event is None:
+        assert result.ok and not trace
+        return
     if event == "deadlock":
         found, other = result.deadlock, result.invariant_violation
     else:
@@ -220,6 +337,135 @@ def test_walks_match_the_golden_table(
         assert found.property_name == event
     assert other is None
     assert [repr(state.values) for state in found.trace] == trace
+
+
+#: Specs the walk properties below run on: (name, params).
+_WALK_SPECS = [
+    ("locking", {}),
+    ("locking", {"mutation": "xx_compatible"}),
+    ("raftmongo", {"variant": "mbtc"}),
+    ("raftmongo", {"variant": "original"}),
+    ("ot_array", {}),
+]
+_WALK_SPEC_IDS = [
+    "-".join([name, *(f"{k}={v}" for k, v in params.items())])
+    for name, params in _WALK_SPECS
+]
+
+
+def _outcome(result):
+    violation, deadlock = result.invariant_violation, result.deadlock
+    return (
+        result.walks,
+        result.distinct_states,
+        result.generated_states,
+        result.max_depth,
+        result.action_counts,
+        None if violation is None else violation.property_name,
+        None if violation is None else [s.values for s in violation.trace],
+        None if deadlock is None else [s.values for s in deadlock.trace],
+    )
+
+
+@pytest.mark.parametrize("cap", [2, 64, None], ids=["cap2", "cap64", "default-cap"])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name, params", _WALK_SPECS, ids=_WALK_SPEC_IDS)
+def test_the_expansion_memo_only_saves_work(monkeypatch, name, params, seed, cap):
+    # Walk i against the memo every walk of a run shares -- at cap 2 and 64
+    # its oldest half is dropped over and over -- equals walk i against an
+    # empty memo on its own expander: the memo decides how often a state is
+    # expanded, never where a walk goes or what it reports.
+    if cap is not None:
+        monkeypatch.setattr(simulate, "VERDICT_MEMO_MAX", cap)
+    spec = build_spec(name, **params)
+    shared_expander, _ = make_expander(spec, "auto")
+    fresh_expander, _ = make_expander(spec, "auto")
+    initial = spec.initial_states()
+    shared = {}
+    for walk_index in range(30):
+        walked = simulate._run_walk(shared_expander, shared, initial, walk_index, seed, 20)
+        alone = simulate._run_walk(fresh_expander, {}, initial, walk_index, seed, 20)
+        assert walked == alone
+        assert len(shared) <= (cap or VERDICT_MEMO_MAX)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name, params", _WALK_SPECS, ids=_WALK_SPEC_IDS)
+def test_walks_are_the_same_on_either_expander(name, params, seed):
+    # Walk i draws by sequence length and both expanders enumerate
+    # successors in the same order, so a compiled and an interpreted run
+    # take the same walks, counterexamples included.
+    runs = [
+        check_spec(
+            build_spec(name, **params),
+            check_properties=False,
+            check_deadlock=True,
+            stop_on_violation=False,
+            engine="simulate",
+            walks=60,
+            walk_depth=25,
+            seed=seed,
+            compile_mode=mode,
+        )
+        for mode in ("on", "off")
+    ]
+    compiled, interpreted = runs
+    assert compiled.compiled and not interpreted.compiled
+    assert _outcome(compiled) == _outcome(interpreted)
+
+
+@pytest.mark.parametrize("name, params", _WALK_SPECS, ids=_WALK_SPEC_IDS)
+def test_a_deeper_budget_extends_every_walk(name, params):
+    # Walk i draws its initial state, then one successor per step, from its
+    # own seeded stream: a deeper budget only lets it go on, so the walk
+    # under the smaller budget is a prefix of the same walk under the larger.
+    spec = build_spec(name, **params)
+    expander, _ = make_expander(spec, "auto")
+    initial = spec.initial_states()
+    memo = {}
+    for walk_index in range(30):
+        short = simulate._run_walk(expander, memo, initial, walk_index, 3, 8)
+        long = simulate._run_walk(expander, memo, initial, walk_index, 3, 24)
+        steps, _generated, fps, _inv, _deadlocked, trace, actions = short
+        assert long[0] >= steps
+        assert long[2][: len(fps)] == fps
+        assert long[5][: len(trace)] == trace and long[6][:steps] == actions
+        if steps < 8:  # the walk ended on its own: the budget never mattered
+            assert long == short
+
+
+@pytest.mark.parametrize(
+    "option, value", [("workers", 2), ("supervision", None), ("chaos", None)]
+)
+def test_the_walk_pool_options_are_gone(locking_spec, option, value):
+    # Walks run in one process: the pool's options are refused, not ignored.
+    with pytest.raises(TypeError, match=option):
+        ModelChecker(locking_spec, engine="simulate", walks=5, **{option: value})
+
+
+@pytest.mark.parametrize(
+    "var, value",
+    [
+        ("REPRO_TASK_TIMEOUT", "0.001"),
+        ("REPRO_CHAOS_RATE", "1"),
+        ("REPRO_CHAOS_SEED", "3"),
+        ("REPRO_CHAOS_KINDS", "crash"),
+    ],
+)
+def test_the_walk_pool_environment_changes_nothing(monkeypatch, capsys, var, value):
+    from repro.pipeline.cli import main
+
+    argv = ["check", "locking", "--engine", "simulate", "--walks", "40", "--seed", "3"]
+
+    def run():
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        out = re.sub(r", [0-9.]+s \[", ", [", out)
+        return [line for line in out.splitlines() if not line.startswith("peak RSS")], err
+
+    plain = run()
+    monkeypatch.setenv(var, value)
+    assert run() == plain
 
 
 def test_simulate_checks_invariants_on_out_of_constraint_successors():
