@@ -14,9 +14,12 @@ Walks run one after another in this process.  Walks revisit the same few
 states over and over (20,000 raftmongo walks generate 907,137 states from
 6,455 distinct ones), so each walked state's expansion -- ``expander.expand``
 digested into what a step needs -- is memoized for the run, keyed by the
-state's exact value tuple and capped like every memo here
-(:data:`~repro.engine.base.VERDICT_MEMO_MAX`, oldest half dropped).  A state
-is expanded once per run unless the cap dropped it.
+state's fingerprint as the visited store and the verdict memo are (a value
+tuple would not do: ``(True, 0) == (1, 0)`` though the two are different
+states), and capped like every memo here at
+:data:`~repro.engine.base.VERDICT_MEMO_MAX`, counted in successors held
+(oldest half dropped).  A state is expanded once per run unless the cap
+dropped it.
 
 Determinism: walk *i* is driven by ``random.Random(f"{seed}:{i}")``, so the
 behaviour of each walk is a pure function of ``(spec, seed, i, walk_depth)``.
@@ -33,6 +36,7 @@ in steps.
 from __future__ import annotations
 
 import random
+from array import array
 from itertools import islice
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -50,8 +54,13 @@ _Step = Tuple[str, Tuple[Any, ...], int]
 
 #: What a walk needs from one state's expansion: (successors generated, the
 #: first successor violating an invariant as (step, invariant name) or None,
-#: the successors within the state constraint).
-_Digest = Tuple[int, Optional[Tuple[_Step, str]], List[_Step]]
+#: then the successors within the state constraint as three columns: their
+#: action names, their fingerprints as an ``array('Q')``, and their value
+#: tuples laid end to end in one flat tuple).  Columns keep no per-successor
+#: tuple or int alive: an entry is what a step reads and no more.
+_Digest = Tuple[
+    int, Optional[Tuple[_Step, str]], Tuple[str, ...], "array[int]", Tuple[Any, ...]
+]
 
 #: One finished walk: (steps taken, states generated, visited fingerprints in
 #: order, violated invariant name or None, deadlocked flag, trace of value
@@ -63,18 +72,50 @@ _WalkOutcome = Tuple[
 
 def _digest(entries: List[SuccessorInfo]) -> _Digest:
     """One state's ``expand`` entries, reduced to what a walk step reads."""
-    candidates: List[_Step] = []
+    names: List[str] = []
+    fps = array("Q")
+    slots: List[Any] = []
     for action_name, nvalues, nfp, inv_name, within in entries:
         if inv_name is not None:
-            return len(entries), ((action_name, nvalues, nfp), inv_name), candidates
+            return len(entries), ((action_name, nvalues, nfp), inv_name), (), fps, ()
         if within:
-            candidates.append((action_name, nvalues, nfp))
-    return len(entries), None, candidates
+            names.append(action_name)
+            fps.append(nfp)
+            slots.extend(nvalues)
+    return len(entries), None, tuple(names), fps, tuple(slots)
+
+
+class _Expansions(dict):
+    """Walked states' digests (:func:`_digest`) for one run, by fingerprint.
+
+    Capped like every memo here at :data:`~repro.engine.base.VERDICT_MEMO_MAX`
+    -- counted in successors held, not states, because an entry's memory
+    grows with its successors: a digest weighs one plus its in-constraint
+    successors.  When the next digest would cross the cap, the oldest half
+    of the entries is dropped.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.weight = 0
+
+    def digest(self, expander: Any, values: Tuple[Any, ...], fp: int) -> _Digest:
+        found = self.get(fp)
+        if found is not None:
+            return found
+        digest = _digest(expander.expand(values))
+        weight = 1 + len(digest[2])
+        while self and self.weight + weight > VERDICT_MEMO_MAX:
+            for key in list(islice(self, (len(self) + 1) // 2)):
+                self.weight -= 1 + len(self.pop(key)[2])
+        self[fp] = digest
+        self.weight += weight
+        return digest
 
 
 def _run_walk(
     expander: Any,
-    memo: Dict[Tuple[Any, ...], _Digest],
+    memo: _Expansions,
     initial: List[State],
     walk_index: int,
     seed: int,
@@ -92,8 +133,8 @@ def _run_walk(
     walk ends at the depth budget, at an invariant violation, at a deadlock,
     or when the constraint fences every successor off.
 
-    ``memo`` maps a walked state's value tuple to its :func:`_digest`; it
-    only saves work, because a state's expansion is deterministic.  The walk
+    ``memo`` holds walked states' expansions by fingerprint; it only saves
+    work, because a state's expansion is deterministic.  The walk
     carries value tuples, not ``State`` objects.  Walk *i* is the same under
     either expander because ``random.Random.choice`` depends only on the
     sequence *length* and both enumerate successors in the same order -- so
@@ -105,6 +146,7 @@ def _run_walk(
     state = rng.choice(initial)
     fp = state.fingerprint()
     values = state.values
+    width = len(values)
     fps = [fp]
     trace: List[Tuple[Any, ...]] = [values]
     actions: List[str] = []
@@ -113,21 +155,17 @@ def _run_walk(
     steps = 0
     if violated_name is None and within:
         while steps < walk_depth:
-            digest = memo.get(values)
-            if digest is None:
-                if len(memo) >= VERDICT_MEMO_MAX:
-                    for key in list(islice(memo, len(memo) // 2)):
-                        del memo[key]
-                digest = memo[values] = _digest(expander.expand(values))
-            count, hit, candidates = digest
+            count, hit, names, successor_fps, slots = memo.digest(expander, values, fp)
             generated += count
             if not count:
                 deadlocked = True
                 break
             if hit is not None:
                 (action_name, values, fp), violated_name = hit
-            elif candidates:
-                action_name, values, fp = rng.choice(candidates)
+            elif names:
+                k = rng.choice(range(len(names)))
+                action_name, fp = names[k], successor_fps[k]
+                values = slots[k * width : (k + 1) * width]
             else:
                 break
             steps += 1
@@ -147,7 +185,7 @@ def run_walks(ctx: CheckContext) -> None:
     # canonical and binds that copy with one identity probe, where an equal
     # fresh one would be re-interned on every walk.
     initial = spec.initial_states()
-    memo: Dict[Tuple[Any, ...], _Digest] = {}
+    memo = _Expansions()
     obs_run = obs_current()
     ticker = obs_run.progress if obs_run is not None else None
     action_counts: Dict[str, int] = {act.name: 0 for act in spec.actions}

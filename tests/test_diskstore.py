@@ -338,12 +338,28 @@ def test_disk_store_checkpoint_resume_is_bit_identical(tmp_path):
     assert _stats(golden) == _stats(resumed)
 
 
-def test_walks_on_the_disk_store_match_the_in_memory_store():
+@pytest.mark.parametrize(
+    "name, params, seed, walks, depth",
+    [
+        ("locking", {}, 5, 40, 12),
+        ("raftmongo", {"variant": "mbtc"}, 0, 150, 20),
+        ("raftmongo", {"variant": "mbtc"}, 1, 150, 20),
+        ("ot_array", {}, 0, 150, 20),
+        ("ot_array", {}, 1, 150, 20),
+    ],
+    ids=["locking-seed5", "raftmongo-mbtc-seed0", "raftmongo-mbtc-seed1",
+         "ot_array-seed0", "ot_array-seed1"],
+)
+def test_walks_on_the_disk_store_count_what_memory_counts(name, params, seed, walks, depth):
     """Walk fingerprints streamed into SQLite, flushed every 16 adds, count
-    what the in-memory store counts."""
-    walks = dict(engine="simulate", walks=40, walk_depth=12, seed=5, check_properties=False)
-    golden = check_spec(build_spec("locking"), store="fingerprint", **walks)
-    via_disk = check_spec(build_spec("locking"), store="disk", store_capacity=16, **walks)
+    what the in-memory store counts, every walk run, deadlock traces too."""
+    kwargs = dict(
+        engine="simulate", walks=walks, walk_depth=depth, seed=seed, check_properties=False,
+        check_deadlock=True, stop_on_violation=False,
+    )
+    golden = check_spec(build_spec(name, **params), store="fingerprint", **kwargs)
+    via_disk = check_spec(build_spec(name, **params), store="disk", store_capacity=16, **kwargs)
+    assert via_disk.store == "disk" and via_disk.walks == walks
     assert _stats(golden) == _stats(via_disk)
 
     def summary(result):
@@ -351,26 +367,10 @@ def test_walks_on_the_disk_store_match_the_in_memory_store():
 
     assert summary(via_disk) == summary(golden).replace("store=fingerprint", "store=disk")
 
+    def trace(deadlock):
+        return None if deadlock is None else [s.values for s in deadlock.trace]
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize(
-    "name, params",
-    [("raftmongo", {"variant": "mbtc"}), ("ot_array", {})],
-    ids=["raftmongo-mbtc", "ot_array"],
-)
-def test_walks_on_the_disk_store_count_what_memory_counts(name, params, seed):
-    """The same parity on specs whose walks end in deadlocks, every walk run."""
-    walks = dict(
-        engine="simulate", walks=150, walk_depth=20, seed=seed, check_properties=False,
-        check_deadlock=True, stop_on_violation=False,
-    )
-    golden = check_spec(build_spec(name, **params), store="fingerprint", **walks)
-    via_disk = check_spec(build_spec(name, **params), store="disk", store_capacity=16, **walks)
-    assert via_disk.store == "disk" and via_disk.walks == 150
-    assert _stats(golden) == _stats(via_disk)
-    assert [s.values for s in golden.deadlock.trace] == [
-        s.values for s in via_disk.deadlock.trace
-    ]
+    assert trace(golden.deadlock) == trace(via_disk.deadlock)
 
 
 def test_resuming_against_the_wrong_database_errors(tmp_path):

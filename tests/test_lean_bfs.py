@@ -92,39 +92,30 @@ def test_bfs_takes_one_verdict_per_new_state_and_never_expands(
     assert _answers(result) == _answers(reference)
 
 
-def test_walks_expand_each_walked_state_once(monkeypatch):
-    calls = _instrument(monkeypatch, refuse_expand=False)
-    result = check_spec(
-        build_spec("locking"), check_properties=False, engine="simulate",
-        walks=1000, walk_depth=50,
-    )
-    expanded = calls["expand"]
-    assert len(expanded) == len(set(expanded))
-    assert 0 < len(expanded) <= result.distinct_states
-    steps = sum(result.action_counts.values())
-    assert steps > 50 * len(expanded)
-
-
 @pytest.mark.parametrize("mode", ["on", "off"])
 @pytest.mark.parametrize(
-    "name, params",
-    [("raftmongo", {"variant": "mbtc"}), ("raftmongo", {"variant": "original"}),
-     ("ot_array", {})],
-    ids=["raftmongo-mbtc", "raftmongo-original", "ot_array"],
+    "name, params, walks, depth, steps_per_expand",
+    [
+        ("locking", {}, 1000, 50, 50),
+        ("raftmongo", {"variant": "mbtc"}, 300, 30, 2),
+        ("raftmongo", {"variant": "original"}, 300, 30, 2),
+        ("ot_array", {}, 300, 30, 2),
+    ],
+    ids=["locking", "raftmongo-mbtc", "raftmongo-original", "ot_array"],
 )
-def test_walks_expand_each_walked_state_once_on_either_expander(
-    monkeypatch, name, params, mode
+def test_walks_expand_each_walked_state_once(
+    monkeypatch, name, params, walks, depth, steps_per_expand, mode
 ):
     calls = _instrument(monkeypatch, refuse_expand=False)
     result = check_spec(
         build_spec(name, **params), check_properties=False, engine="simulate",
-        walks=300, walk_depth=30, compile_mode=mode,
+        walks=walks, walk_depth=depth, compile_mode=mode,
     )
     assert result.compiled == (mode == "on")
     expanded = calls["expand"]
     assert len(expanded) == len(set(expanded))
     assert 0 < len(expanded) <= result.distinct_states
-    assert sum(result.action_counts.values()) > 2 * len(expanded)
+    assert sum(result.action_counts.values()) > steps_per_expand * len(expanded)
 
 
 def test_the_fingerprint_bfs_keeps_at_most_260_bytes_per_distinct_state():

@@ -7,12 +7,11 @@ violation (the trace starts in an initial state and every step is an enabled
 action).
 """
 
-import re
-
 import pytest
 
 from repro.engine import ModelChecker, check_spec, simulate
 from repro.engine.base import VERDICT_MEMO_MAX, make_expander
+from repro.tla import Action, Specification
 from repro.tla.registry import build_spec
 
 
@@ -339,6 +338,66 @@ def test_walks_match_the_golden_table(
     assert [repr(state.values) for state in found.trace] == trace
 
 
+def _typed_flags_spec():
+    """``flag`` is ``True`` in one initial state and ``1`` in the other.
+
+    The two are equal values but different states (their fingerprints
+    differ), with different successors: a bool flag toggles, an int flag
+    counts.  A memo that took one for the other would walk steps the spec
+    never takes.
+    """
+
+    def init():
+        yield {"flag": True, "n": 0}
+        yield {"flag": 1, "n": 0}
+
+    def toggle(state):
+        flag, n = state["flag"], state["n"]
+        return [{"flag": not flag, "n": n}] if isinstance(flag, bool) else []
+
+    def count(state):
+        flag, n = state["flag"], state["n"]
+        return [{"flag": flag, "n": n + 1}] if not isinstance(flag, bool) and n < 3 else []
+
+    def back(state):
+        return [{"flag": state["flag"], "n": 0}] if state["n"] else []
+
+    return Specification(
+        "TypedFlags",
+        variables=("flag", "n"),
+        init=init,
+        actions=[Action("Toggle", toggle), Action("Count", count), Action("Back", back)],
+    )
+
+
+@pytest.mark.parametrize("mode", ["on", "off"])
+@pytest.mark.parametrize(
+    "seed, stats, action_counts",
+    [
+        (0, (20, 6, 250, 8), {"Toggle": 64, "Count": 63, "Back": 33}),
+        (1, (20, 6, 251, 8), {"Toggle": 64, "Count": 62, "Back": 34}),
+        (2, (20, 6, 266, 8), {"Toggle": 32, "Count": 82, "Back": 46}),
+    ],
+)
+def test_walks_keep_equal_but_differently_typed_states_apart(seed, stats, action_counts, mode):
+    # Recorded from the walk engine before it memoized expansions, which
+    # expanded every step afresh: all six states are reached from both sides.
+    result = check_spec(
+        _typed_flags_spec(),
+        check_properties=False,
+        check_deadlock=False,
+        engine="simulate",
+        walks=20,
+        walk_depth=8,
+        seed=seed,
+        compile_mode=mode,
+    )
+    assert (
+        result.walks, result.distinct_states, result.generated_states, result.max_depth
+    ) == stats
+    assert result.action_counts == action_counts
+
+
 #: Specs the walk properties below run on: (name, params).
 _WALK_SPECS = [
     ("locking", {}),
@@ -381,12 +440,16 @@ def test_the_expansion_memo_only_saves_work(monkeypatch, name, params, seed, cap
     shared_expander, _ = make_expander(spec, "auto")
     fresh_expander, _ = make_expander(spec, "auto")
     initial = spec.initial_states()
-    shared = {}
+    shared = simulate._Expansions()
     for walk_index in range(30):
         walked = simulate._run_walk(shared_expander, shared, initial, walk_index, seed, 20)
-        alone = simulate._run_walk(fresh_expander, {}, initial, walk_index, seed, 20)
+        alone = simulate._run_walk(
+            fresh_expander, simulate._Expansions(), initial, walk_index, seed, 20
+        )
         assert walked == alone
-        assert len(shared) <= (cap or VERDICT_MEMO_MAX)
+        # The cap counts successors held; one entry may outweigh it alone.
+        assert shared.weight <= (cap or VERDICT_MEMO_MAX) or len(shared) == 1
+        assert shared.weight == sum(1 + len(digest[2]) for digest in shared.values())
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -422,7 +485,7 @@ def test_a_deeper_budget_extends_every_walk(name, params):
     spec = build_spec(name, **params)
     expander, _ = make_expander(spec, "auto")
     initial = spec.initial_states()
-    memo = {}
+    memo = simulate._Expansions()
     for walk_index in range(30):
         short = simulate._run_walk(expander, memo, initial, walk_index, 3, 8)
         long = simulate._run_walk(expander, memo, initial, walk_index, 3, 24)
@@ -432,40 +495,6 @@ def test_a_deeper_budget_extends_every_walk(name, params):
         assert long[5][: len(trace)] == trace and long[6][:steps] == actions
         if steps < 8:  # the walk ended on its own: the budget never mattered
             assert long == short
-
-
-@pytest.mark.parametrize(
-    "option, value", [("workers", 2), ("supervision", None), ("chaos", None)]
-)
-def test_the_walk_pool_options_are_gone(locking_spec, option, value):
-    # Walks run in one process: the pool's options are refused, not ignored.
-    with pytest.raises(TypeError, match=option):
-        ModelChecker(locking_spec, engine="simulate", walks=5, **{option: value})
-
-
-@pytest.mark.parametrize(
-    "var, value",
-    [
-        ("REPRO_TASK_TIMEOUT", "0.001"),
-        ("REPRO_CHAOS_RATE", "1"),
-        ("REPRO_CHAOS_SEED", "3"),
-        ("REPRO_CHAOS_KINDS", "crash"),
-    ],
-)
-def test_the_walk_pool_environment_changes_nothing(monkeypatch, capsys, var, value):
-    from repro.pipeline.cli import main
-
-    argv = ["check", "locking", "--engine", "simulate", "--walks", "40", "--seed", "3"]
-
-    def run():
-        assert main(argv) == 0
-        out, err = capsys.readouterr()
-        out = re.sub(r", [0-9.]+s \[", ", [", out)
-        return [line for line in out.splitlines() if not line.startswith("peak RSS")], err
-
-    plain = run()
-    monkeypatch.setenv(var, value)
-    assert run() == plain
 
 
 def test_simulate_checks_invariants_on_out_of_constraint_successors():
