@@ -88,8 +88,12 @@ for the same values, i.e. shows itself not to be a function of what it
 reads.  The decision comes from the observed read-sets, not from a flag.
 
 The tries share one entry cap (:data:`MEMO_MAX` leaves, oldest half
-discarded, like ``VERDICT_MEMO_MAX``).  Per action/invariant ``hits``,
-``misses``, ``entries`` and ``opaque`` are live in
+discarded, like ``VERDICT_MEMO_MAX``).  Each stored leaf has one flat record
+in a log, oldest first: its function's stats, the children dict that holds
+it and its key there -- nothing per branch on the way down.  Eviction pops
+the oldest half of the records and deletes those leaves, then one sweep of
+every trie drops the branches left leading to no leaf.  Per action/invariant
+``hits``, ``misses``, ``entries`` and ``opaque`` are live in
 ``compile_info["memo"]``.
 """
 
@@ -189,16 +193,22 @@ class _Memoized:
 
 class _ReadSetMemo:
     """The tries of one compiled spec: binding, the miss path, shared cap,
-    eviction.  The kernels walk the tries themselves."""
+    eviction.  The kernels walk the tries themselves.
+
+    :attr:`log` holds one ``(stats, children, key)`` record per stored leaf,
+    oldest first.  Past :data:`MEMO_MAX` records the oldest half of the
+    leaves is deleted through them, and a sweep of the tries then drops each
+    branch that no longer leads to a leaf.
+    """
 
     def __init__(self, schema: VariableSchema, interner: ValueInterner) -> None:
         self.schema = schema
         self.interner = interner
         self.max_entries = MEMO_MAX
         self.functions: List[_Memoized] = []
-        #: One ``(stats, path)`` per stored leaf, oldest first; a path is
-        #: the ``(children dict, key)`` pairs from ``top`` down to the leaf.
-        self.log: Deque[Tuple[Dict[str, Any], List[Tuple[dict, Any]]]] = deque()
+        #: One ``(stats, children, key)`` record per stored leaf, oldest
+        #: first: the leaf is ``children[key]``, counted in ``stats``.
+        self.log: Deque[Tuple[Dict[str, Any], Dict[Any, Any], Any]] = deque()
         #: The interner eviction count the stored keys are valid for.
         self.epoch = interner.evictions
 
@@ -263,7 +273,6 @@ class _ReadSetMemo:
         # one of what it reads: never look it up again.
         keys = state._keys
         children, key = function.top, None
-        path = []
         for slot in reads:
             node = children.get(key)
             if node is None:
@@ -271,27 +280,33 @@ class _ReadSetMemo:
             elif type(node) is not _Branch or node.slot != slot:
                 stats["opaque"] = True
                 return
-            path.append((children, key))
             children, key = node.children, keys[slot]
         if key in children:
             stats["opaque"] = True
             return
         children[key] = result
-        path.append((children, key))
         stats["entries"] += 1
-        self.log.append((stats, path))
+        self.log.append((stats, children, key))
         if len(self.log) > self.max_entries:
             self._evict_oldest_half()
 
     def _evict_oldest_half(self) -> None:
-        log = self.log
-        for _ in range(len(log) // 2):
-            stats, path = log.popleft()
+        popleft = self.log.popleft
+        for _ in range(len(self.log) // 2):
+            stats, children, key = popleft()
             stats["entries"] -= 1
-            for children, key in reversed(path):
-                children.pop(key, None)
-                if children:
-                    break  # the branch above still leads somewhere
+            del children[key]
+        for function in self.functions:
+            _prune(function.top)
+
+
+def _prune(children: Dict[Any, Any]) -> bool:
+    """Drop the branches under ``children`` that lead to no leaf; True when
+    ``children`` is left empty."""
+    for key, node in list(children.items()):
+        if type(node) is _Branch and _prune(node.children):
+            del children[key]
+    return not children
 
 
 def _action_evaluator(

@@ -303,7 +303,8 @@ class CheckContext:
         return SpillFrontier(threshold=self.spill_threshold)
 
     def note_frontier(self, frontier: Any) -> None:
-        """Fold one consumed level's spill statistics into the result."""
+        """Fold the spill statistics of the level just filled -- the next
+        one to expand -- into the result."""
         spilled = getattr(frontier, "spilled_states", 0)
         if spilled:
             self.result.frontier_spilled_states += spilled

@@ -9,6 +9,11 @@ constraint are evaluated once per *new* state (``expander.verdict_for``),
 never for a duplicate successor, so nothing is memoized per fingerprint
 beside the store.
 
+Two levels are live at a time: the one being expanded and the next one
+being filled.  An in-memory level lets go of each entry as it is expanded,
+so what is held at any moment is the unexpanded rest of the one and what
+the other has gathered so far -- never two whole levels.
+
 It runs on either of two stores: the default ``fingerprint`` store is an
 in-memory dict, and the ``disk`` store pushes the same exact pairs into a
 SQLite file behind a write-back cache (see :mod:`repro.engine.store` and
@@ -20,10 +25,28 @@ millions of distinct states.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from ..obs import COUNT_BUCKETS, current as obs_current, span
-from .base import CheckContext
+from .base import CheckContext, FrontierEntry
 
 __all__ = ["bfs_levels"]
+
+
+def _consumed(frontier: Iterable[FrontierEntry]) -> Iterator[FrontierEntry]:
+    """A level's entries in order; a list hands each over as it goes.
+
+    A list frontier is emptied from its far end after one reversal, so an
+    expanded entry's value tuple is let go of while the level is still
+    being expanded rather than once the next level is complete.  A
+    :class:`~repro.engine.frontier.SpillFrontier` is only iterated: its
+    memory is already bounded.
+    """
+    if type(frontier) is not list:
+        return iter(frontier)
+    frontier.append(None)  # popped last, it ends the iteration
+    frontier.reverse()
+    return iter(frontier.pop, None)
 
 
 def bfs_levels(ctx: CheckContext) -> None:
@@ -58,7 +81,7 @@ def bfs_levels(ctx: CheckContext) -> None:
             with span("engine.level", emit=False):
                 next_frontier = ctx.new_frontier()
                 append = next_frontier.append
-                for values, fp in frontier:
+                for values, fp in _consumed(frontier):
                     if ticker is not None and ticker.due():
                         ticker.emit(
                             depth=depth,

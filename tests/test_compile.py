@@ -494,6 +494,39 @@ def test_memo_eviction_mid_run_is_invisible(monkeypatch):
     assert _stats(evicting) == _stats(roomy)
 
 
+def test_memo_eviction_prunes_the_branches_it_empties(monkeypatch):
+    """Evicted leaves take their emptied branches with them: the tries hold
+    no more branches than the leaves still stored can lead through."""
+    import gc
+
+    from repro.compile import kernels
+
+    monkeypatch.setattr(kernels, "MEMO_MAX", 6)
+    spec = build_spec("raftmongo", n_nodes=2)
+    gc.collect()
+    before = sum(type(obj) is kernels._Branch for obj in gc.get_objects())
+    compiled = compile_spec(build_spec("raftmongo", n_nodes=2))
+    for state in _all_reachable(spec):
+        compiled.expand(state.values)
+    gc.collect()
+    branches = sum(type(obj) is kernels._Branch for obj in gc.get_objects()) - before
+    assert 0 < branches <= len(spec.schema.names) * kernels.MEMO_MAX
+
+    (memo,) = [
+        obj for obj in gc.get_objects()
+        if type(obj) is kernels._ReadSetMemo and obj.interner is compiled.interner
+    ]
+
+    def leaves(node):
+        if type(node) is not kernels._Branch:
+            return 1
+        return sum(leaves(child) for child in node.children.values())
+
+    reachable = sum(leaves(node) for function in memo.functions for node in function.top.values())
+    entries = sum(stats["entries"] for stats in compiled.compile_info["memo"].values())
+    assert 0 < entries == reachable == len(memo.log) <= kernels.MEMO_MAX
+
+
 def test_memo_dropped_when_the_interner_evicts():
     """Trie keys are ids of interned objects: no id may outlive its object."""
     spec = build_spec("raftmongo", n_nodes=2)

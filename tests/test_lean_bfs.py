@@ -118,25 +118,59 @@ def test_walks_expand_each_walked_state_once(
     assert sum(result.action_counts.values()) > steps_per_expand * len(expanded)
 
 
-def test_the_fingerprint_bfs_keeps_at_most_260_bytes_per_distinct_state():
-    """The store, frontier and bookkeeping of a run, per distinct state.
+def _traced_bytes_per_state(spec_builder, **kwargs):
+    """``(result, tracemalloc peak per distinct state)`` of one fingerprint BFS.
 
-    A set slot plus a parent-map tuple plus a verdict memo entry per state,
-    and a ``State`` per frontier entry, come to 384 bytes on this run; one
-    dict entry per state and value tuples on the frontier to about 205.
+    The same check runs once untraced first, so imports, compiling and
+    CPython's free lists are as a run in the middle of the suite finds them,
+    whether the test runs alone or not.
     """
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc is already tracing this process")
-    spec = build_spec("locking", n_threads=4)
+    check_spec(spec_builder(), **kwargs)
+    spec = spec_builder()
     tracemalloc.start()
     try:
-        result = check_spec(spec, max_depth=8)
+        result = check_spec(spec, **kwargs)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert (result.engine, result.store) == ("fingerprint", "fingerprint")
-    assert (result.distinct_states, result.generated_states) == (41_871, 215_049)
-    assert peak / result.distinct_states <= 260
+    return result, peak / result.distinct_states
+
+
+def test_the_fingerprint_bfs_keeps_at_most_210_bytes_per_distinct_state():
+    """The store, frontier and bookkeeping of a run, per distinct state.
+
+    A set slot plus a parent-map tuple plus a verdict memo entry per state,
+    and a ``State`` per frontier entry, come to about 430 bytes on this run;
+    one dict entry per state and value tuples on the frontier to about 230
+    while the level being expanded is held until the next one is complete,
+    and to about 190 when each entry is let go of as it is expanded.
+    """
+    result, per_state = _traced_bytes_per_state(
+        lambda: build_spec("locking", n_threads=4), max_depth=6
+    )
+    assert (result.distinct_states, result.generated_states) == (11_498, 46_025)
+    assert per_state <= 210
+
+
+def test_the_generic_kernel_memo_keeps_at_most_140_bytes_per_distinct_state():
+    """The read-set memo's leaves and their eviction bookkeeping, per state.
+
+    A ``(children dict, key)`` path and a log entry per stored leaf came to
+    about 205 bytes per state on this run; one flat record per leaf to
+    about 110.
+    """
+    result, per_state = _traced_bytes_per_state(
+        lambda: build_spec(
+            "raftmongo", variant="mbtc", n_nodes=3, max_term=2, max_log_len=1
+        ),
+        check_properties=False,
+    )
+    assert result.compiled and not result.compile_error
+    assert (result.distinct_states, result.generated_states) == (2529, 13438)
+    assert per_state <= 140
 
 
 # -- the states engine: its store is the graph ----------------------------------
