@@ -8,7 +8,8 @@ description once per run, then execute the specialized form per state:
 * **fixed-slot tuple states** -- kernels operate on schema-indexed value
   tuples; real ``State`` objects are built only at boundaries (replay,
   graph retention, checkpoints, store snapshots), which therefore stay
-  bit-identical to the interpreted path;
+  bit-identical to interpreting the spec's closures (the test suite's
+  oracle, ``tests/interpreted_reference.py``);
 * **precomputed per-slot fingerprint layout** -- a successor's fingerprint
   is spliced from the parent's per-slot fingerprints, never re-walking
   unchanged variables (:mod:`repro.compile.interner`);
@@ -28,29 +29,26 @@ description once per run, then execute the specialized form per state:
   memo cannot hit (README "Spec compilation" has the numbers);
 * **invariant/constraint verdicts on demand** -- ``verdict_for`` once per
   new BFS state, with no per-fingerprint memo; ``expand`` memoizes them
-  for the simulation engine's walks with the interpreted path's exact cap
-  and eviction policy.
+  for the simulation engine's walks
+  (:func:`repro.engine.base.memoized_verdict`: capped, oldest half
+  evicted).
 
-Entry point: :func:`compile_spec`, called by
-:func:`repro.engine.base.make_expander` per the ``--compile on|off|auto``
-policy.  ``auto`` (the default) falls back to interpretation if compilation
-raises; ``on`` turns a :class:`CompileError` into a run failure.
+Entry point: :func:`compile_spec`, which every check run
+(:meth:`repro.engine.core.ModelChecker.run`) and every trace fold
+(:class:`repro.tla.trace.SuccessorCache`) calls.  It has nothing to refuse:
+a :class:`~repro.tla.spec.Specification` always has actions, and a spec the
+native kernel does not fit gets the generic one.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..tla.errors import CheckerError
 from ..tla.spec import Specification
 from .interner import ValueInterner
 from .kernels import CompiledSpec, build_generic_kernels
 
-__all__ = ["CompileError", "CompiledSpec", "ValueInterner", "compile_spec"]
-
-
-class CompileError(CheckerError):
-    """Raised when a specification cannot be specialized."""
+__all__ = ["CompiledSpec", "ValueInterner", "compile_spec"]
 
 
 def compile_spec(spec: Specification, *, native: bool = True) -> CompiledSpec:
@@ -60,15 +58,6 @@ def compile_spec(spec: Specification, *, native: bool = True) -> CompiledSpec:
     exec-specialized backend -- the parity suite uses it to check the two
     kernel generations against each other.
     """
-    if not isinstance(spec, Specification):
-        if isinstance(spec, CompiledSpec):
-            return spec
-        raise CompileError(
-            f"cannot compile {type(spec).__name__}; expected a Specification"
-        )
-    if not spec.actions:
-        raise CompileError(f"specification {spec.name!r} declares no actions")
-
     interner: Optional[ValueInterner] = None
     kernels = None
     if native:

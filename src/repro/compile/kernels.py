@@ -20,12 +20,13 @@ of interpreting the spec per state.  Its core surface is three functions over
 ``expand(values)``
     The transitions with each successor's verdicts added, as
     :data:`~repro.engine.base.SuccessorInfo` entries -- ``(action, values,
-    fingerprint, violated invariant, constraint verdict)`` -- the exact
-    shape the interpreted :class:`~repro.engine.base.InterpretedExpander`
-    produces.  The simulation engine's walks revisit states, so here the
-    verdicts go through the capped per-fingerprint memo
-    :func:`~repro.engine.base.memoized_verdict` (the interpreted expander's
-    cap and eviction policy).
+    fingerprint, violated invariant, constraint verdict)``.  The simulation
+    engine's walks revisit states, so here the verdicts go through the
+    capped per-fingerprint memo :func:`~repro.engine.base.memoized_verdict`.
+
+Every entry matches, in order, what interpreting the spec's own closures
+gives: the test suite's oracle (``tests/interpreted_reference.py``) is run
+against this class entry for entry.
 
 Two kernel generators exist: the *native* backend
 (:mod:`repro.compile.native_locking`, exec-generated straight-line code for
@@ -451,7 +452,6 @@ def build_generic_kernels(
         return entries
 
     info = {
-        "native": False,
         "kernel": "generic",
         "memo": {function.name: function.stats for function in memo.functions},
     }
@@ -480,17 +480,16 @@ class CompiledSpec:
         self.transitions = transitions
         self.expand = expand
         self.verdict_for = verdict_for
-        #: ``kernel`` / ``native``, and for the generic kernel ``memo``: per
-        #: action, invariant and constraint the live ``hits`` / ``misses`` /
-        #: ``entries`` / ``opaque`` of its read-set memo.
+        #: ``kernel`` (``native`` or ``generic``), and for the generic kernel
+        #: ``memo``: per action, invariant and constraint the live ``hits`` /
+        #: ``misses`` / ``entries`` / ``opaque`` of its read-set memo.
         self.compile_info = dict(info)
         self.interner = interner
 
     def __repr__(self) -> str:
-        kernel = self.compile_info.get("kernel", "?")
-        return f"CompiledSpec({self.spec.name!r}, kernel={kernel!r})"
+        return f"CompiledSpec({self.spec.name!r}, kernel={self.compile_info['kernel']!r})"
 
     @property
     def native(self) -> bool:
         """True when the spec compiled to exec-generated native kernels."""
-        return bool(self.compile_info.get("native"))
+        return self.compile_info["kernel"] == "native"

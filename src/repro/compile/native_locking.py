@@ -48,7 +48,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..engine.base import VERDICT_MEMO_MAX, InterpretedExpander
+from ..engine.base import VERDICT_MEMO_MAX
 from ..specs.locking import (
     COMPATIBILITY,
     LOCK_MODES,
@@ -57,6 +57,7 @@ from ..specs.locking import (
     RESOURCES,
     LockingConfig,
 )
+from ..tla.state import State
 from ..tla.values import _FP_PACK, _digest
 
 __all__ = ["compile_locking"]
@@ -324,7 +325,6 @@ def compile_locking(
         source = _gen_expand_source(cfg.n_threads, with_verdicts)
         exec(compile(source, "<locking-expand>", "exec"), namespace)
     expand, fitted_transitions = namespace["expand"], namespace["transitions"]
-    interpreted = InterpretedExpander(spec)
 
     def transitions(values: Tuple[Any, ...]) -> list:
         try:
@@ -333,7 +333,11 @@ def compile_locking(
             # Not a state this kernel was specialized for (a log can report
             # anything): the spec's own closures answer, or raise what they
             # always raised.  Anything else is a bug here and surfaces.
-            return interpreted.transitions(values)
+            state = State.from_values(spec.schema, values)
+            return [
+                (name, nxt.values, nxt.fingerprint())
+                for name, nxt in spec.successors(state)
+            ]
 
     def verdict_for(values: Tuple[Any, ...], fp: int) -> Tuple[Optional[str], bool]:
         # The locking spec declares no state constraint (guarded above), so
@@ -341,8 +345,7 @@ def compile_locking(
         return violated(values[0]), True
 
     info = {
-        "native": True,
-        "kernel": "locking",
+        "kernel": "native",
         "unrolled_threads": cfg.n_threads,
         "mutation": cfg.mutation,
     }

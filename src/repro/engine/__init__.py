@@ -36,15 +36,12 @@ state's ``(violated invariant, constraint verdict)``, which the BFS engines
 ask once per *new* state and which keeps no memo; ``expand(values)`` is the
 transitions with verdicts attached through a capped per-fingerprint memo,
 for the simulation engine, whose walks revisit states and which memoizes
-each walked state's expansion for the run.  It has two
-implementations,
-:class:`repro.compile.CompiledSpec` (fused successor kernels over
-fixed-slot value tuples) and
-:class:`~repro.engine.base.InterpretedExpander` (the spec's own action
-closures), and one factory, :func:`~repro.engine.base.make_expander`, which
-applies ``compile_mode="on"|"off"|"auto"``.  Each engine is written once against
-``CheckContext.expander`` and never asks which implementation it holds.
-Results are bit-identical under either expander.
+each walked state's expansion for the run.  Every run compiles the spec
+into one, a :class:`repro.compile.CompiledSpec` (fused successor kernels
+over fixed-slot value tuples: the native locking kernel or the generic
+one), and each engine is written once against ``CheckContext.expander``.
+Results are bit-identical to interpreting the spec's own action closures,
+which the test suite keeps as its oracle.
 
 :class:`~repro.engine.core.ModelChecker` coordinates: it resolves
 ``engine="auto"``/``store="auto"`` eagerly, validates the combination --

@@ -1,4 +1,4 @@
-"""What every engine shares: the check context, the result type and the expanders.
+"""What every engine shares: the check context, the result type and the expander's entries.
 
 An *engine* is one exploration strategy over a specification's state space
 -- a function of one argument that :class:`repro.engine.core.ModelChecker`
@@ -9,16 +9,16 @@ context's :class:`CheckResult`.  The context owns what engines share:
 initial-frontier seeding, checkpointing, and counterexample replay from the
 parent fingerprints the store keeps.
 
-The expander is the one way any engine computes successors: an object with
-``transitions(values)``, ``verdict_for(values, fp)`` and ``expand(values)``
-(the first plus a memoized second) over value tuples.  The BFS engines call
-``transitions`` and take one verdict per *new* state; ``simulate``, whose
-walks revisit states, calls ``expand`` once per state it walks and keeps the
-result for the run.  The trace fold
+The expander -- the run's :class:`repro.compile.CompiledSpec`, which
+:meth:`repro.engine.core.ModelChecker.run` builds with
+:func:`repro.compile.compile_spec` -- is the one way any engine computes
+successors: ``transitions(values)``, ``verdict_for(values, fp)`` and
+``expand(values)`` (the first plus a memoized second) over value tuples.  The
+BFS engines call ``transitions`` and take one verdict per *new* state;
+``simulate``, whose walks revisit states, calls ``expand`` once per state it
+walks and keeps the result for the run.  The trace fold
 (:class:`repro.tla.trace.SuccessorCache`) holds one too and calls only
-``transitions``.  There are exactly two -- :class:`InterpretedExpander` here and
-:class:`repro.compile.CompiledSpec` -- and :func:`make_expander` is the one
-place the ``on|off|auto`` policy picks between them.
+``transitions``.
 """
 
 from __future__ import annotations
@@ -32,17 +32,14 @@ from ..tla.errors import CheckerError, DeadlockError, InvariantViolation
 from ..tla.graph import PropertyCheckOutcome, StateGraph
 from ..tla.spec import Specification
 from ..tla.state import State
-from ..tla.values import FingerprintCache
 from .frontier import SpillFrontier
 
 __all__ = [
     "CheckContext",
     "CheckResult",
-    "InterpretedExpander",
     "SuccessorInfo",
     "Transition",
     "Verdict",
-    "make_expander",
     "memoized_verdict",
 ]
 
@@ -94,75 +91,6 @@ def memoized_verdict(
     return cached
 
 
-class InterpretedExpander:
-    """The expander seam over the spec's own action closures.
-
-    ``transitions(values)`` is a state's successors as :data:`Transition`
-    entries, ``verdict_for(values, fp)`` one state's ``(violated invariant
-    name, constraint verdict)`` from the spec's own predicates, and
-    ``expand(values)`` the successors with memoized verdicts, as
-    :data:`SuccessorInfo` entries.
-    :class:`repro.compile.CompiledSpec` is the other implementation and emits
-    the same entries in the same order (``tests/test_compile.py`` compares
-    them entry for entry); engines hold one of the two and never ask which.
-    The fingerprint cache and ``expand``'s verdict memo live as long as the
-    expander: one per run.
-    """
-
-    def __init__(self, spec: Specification) -> None:
-        self.spec = spec
-        self._cache = FingerprintCache()
-        self._verdicts: Dict[int, Verdict] = {}
-
-    def transitions(self, values: Tuple[Any, ...]) -> List[Transition]:
-        cache = self._cache
-        state = State.from_values(self.spec.schema, values)
-        return [
-            (action_name, nxt.values, nxt.fingerprint(cache))
-            for action_name, nxt in self.spec.successors(state)
-        ]
-
-    def expand(self, values: Tuple[Any, ...]) -> List[SuccessorInfo]:
-        verdict_for, verdicts = self.verdict_for, self._verdicts
-        entries: List[SuccessorInfo] = []
-        for action_name, nvalues, nfp in self.transitions(values):
-            cached = memoized_verdict(verdict_for, nvalues, nfp, verdicts)
-            entries.append((action_name, nvalues, nfp, cached[0], cached[1]))
-        return entries
-
-    def verdict_for(self, values: Tuple[Any, ...], fp: int) -> Verdict:
-        spec = self.spec
-        state = State.from_values(spec.schema, values)
-        violated = spec.violated_invariant(state)
-        return (
-            None if violated is None else violated.name,
-            spec.within_constraint(state),
-        )
-
-
-def make_expander(spec: Specification, mode: str) -> Tuple[Any, Optional[str]]:
-    """``(expander, fallback reason)`` for ``spec`` under compile ``mode``.
-
-    ``off`` interprets; ``on`` and ``auto`` specialize the spec
-    (:func:`repro.compile.compile_spec`, imported lazily so the engine
-    package carries no load-time dependency on it).  A compile failure is a
-    :class:`CheckerError` under ``on``; under ``auto`` it falls back to
-    interpretation and the second item says why (``None`` otherwise).
-    """
-    if mode != "off":
-        from ..compile import compile_spec
-
-        try:
-            return compile_spec(spec), None
-        except Exception as exc:  # noqa: BLE001 - the policy decides
-            if mode == "on":
-                raise CheckerError(
-                    f"spec compilation failed for {spec.name!r}: {exc}"
-                ) from exc
-            return InterpretedExpander(spec), f"{type(exc).__name__}: {exc}"
-    return InterpretedExpander(spec), None
-
-
 @dataclass
 class CheckResult:
     """Outcome and statistics of one model-checking run."""
@@ -198,14 +126,8 @@ class CheckResult:
     #: States the BFS frontiers spilled to compressed disk chunks (0 when
     #: spilling never triggered or is disabled).
     frontier_spilled_states: int = 0
-    #: True when the run executed the spec's compiled form
-    #: (:mod:`repro.compile`) rather than interpreting action closures.
-    compiled: bool = False
-    #: Wall-clock seconds spent specializing the spec (0 when interpreted).
+    #: Wall-clock seconds spent specializing the spec (:mod:`repro.compile`).
     compile_seconds: float = 0.0
-    #: Why ``compile_mode="auto"`` fell back to interpreting (None when it
-    #: did not: the spec compiled, or compilation was off).
-    compile_error: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -239,8 +161,6 @@ class CheckResult:
         if self.engine == "simulate":
             resolved += f"({self.walks} walks)"
         resolved += f" store={self.store}"
-        if self.compiled:
-            resolved += " compiled"
         return (
             f"{self.spec_name}: {status}; {self.distinct_states} distinct states, "
             f"{self.generated_states} states generated, depth {self.max_depth}, "
@@ -260,9 +180,10 @@ class CheckContext:
     spec: Specification
     result: CheckResult
     store: Any  # a StateStore (see repro.engine.store)
-    #: How successors are computed (see :func:`make_expander`).  Everything
-    #: at the boundaries (seeding, replay, checkpoints) stays on the spec's
-    #: own interpreted surface, so the two expanders cannot drift there.
+    #: How successors are computed: the run's
+    #: :class:`~repro.compile.CompiledSpec`.  Everything at the boundaries
+    #: (seeding, replay, checkpoints) stays on the spec's own surface, so
+    #: the kernels cannot drift from the spec there.
     expander: Any
     collect_graph: bool = False
     check_deadlock: bool = False

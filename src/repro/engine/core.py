@@ -29,7 +29,7 @@ from ..tla.errors import (
     StateSpaceLimitExceeded,
 )
 from ..tla.spec import Specification
-from .base import CheckContext, CheckResult, InterpretedExpander, make_expander
+from .base import CheckContext, CheckResult
 from .fingerprint import bfs_levels
 from .frontier import DEFAULT_SPILL_THRESHOLD
 from .serial import explore_states
@@ -85,15 +85,9 @@ class ModelChecker:
         checkpoint_path: Optional[str] = None,
         checkpoint_every: Optional[int] = None,
         resume_path: Optional[str] = None,
-        compile_mode: str = "auto",
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if compile_mode not in ("on", "off", "auto"):
-            raise ValueError(
-                f"unknown compile mode {compile_mode!r}; compile_mode must be "
-                "'on', 'off' or 'auto'"
-            )
         for name, value in (
             ("max_states", max_states),
             ("walks", walks),
@@ -112,7 +106,6 @@ class ModelChecker:
         wants_properties = check_properties and bool(spec.properties)
         graph = collect_graph or wants_properties
         self.engine = engine
-        self.compile_mode = compile_mode
         self.check_properties = check_properties
         self.resume_path = resume_path
 
@@ -258,16 +251,16 @@ class ModelChecker:
             store=self.resolved_store,
             checkpoint_path=options.checkpoint_path,
         )
-        # emit=False: making the expander (compiling the spec, unless the
-        # mode is off) is recorded as a metrics gauge and a run label, not a
-        # span event -- event streams stay stable for consumers that pin the
-        # per-run event sequence.
+        # emit=False: compiling the spec is recorded as a metrics gauge and
+        # a run label, not a span event -- event streams stay stable for
+        # consumers that pin the per-run event sequence.  Imported here so
+        # the engine package carries no load-time dependency on it.
+        from ..compile import compile_spec
+
         compile_timer = span("check.compile", emit=False)
         with compile_timer:
-            expander, result.compile_error = make_expander(spec, self.compile_mode)
-        if not isinstance(expander, InterpretedExpander):
-            result.compiled = True
-            result.compile_seconds = compile_timer.elapsed
+            expander = compile_spec(spec)
+        result.compile_seconds = compile_timer.elapsed
         store = make_store(
             self.resolved_store, capacity=options.store_capacity, path=options.store_path
         )
@@ -345,31 +338,26 @@ class ModelChecker:
         run = obs_current()
         if run is None:
             return
-        compiled_label = "compiled" if result.compiled else "interpreted"
-        if result.compile_error is not None:
-            compiled_label += f" ({result.compile_error})"
         run.labels.update(
             {
                 "spec": result.spec_name,
                 "engine": result.engine,
                 "store": result.store,
-                "compiled": compiled_label,
+                "kernel": expander.compile_info["kernel"],
             }
         )
         reg = run.registry
         reg.inc("check.runs")
-        if result.compiled:
-            reg.inc("check.compiled_runs")
-            reg.set_gauge("check.compile_seconds", result.compile_seconds)
-            # The generic kernel's read-set memo, summed over its actions
-            # and invariants.  The native kernel has none.
-            memo = expander.compile_info.get("memo")
-            if memo:
-                for field in ("hits", "misses", "entries"):
-                    reg.inc(
-                        f"compile.memo_{field}",
-                        sum(stats[field] for stats in memo.values()),
-                    )
+        reg.set_gauge("check.compile_seconds", result.compile_seconds)
+        # The generic kernel's read-set memo, summed over its actions and
+        # invariants.  The native kernel has none.
+        memo = expander.compile_info.get("memo")
+        if memo:
+            for field in ("hits", "misses", "entries"):
+                reg.inc(
+                    f"compile.memo_{field}",
+                    sum(stats[field] for stats in memo.values()),
+                )
         reg.inc("check.generated_states", result.generated_states)
         reg.inc("check.distinct_states", result.distinct_states)
         reg.set_gauge("check.max_depth", result.max_depth)

@@ -127,16 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         "needed; simulate runs seeded random walks instead of exhaustive BFS)",
     )
     check_p.add_argument(
-        "--compile",
-        choices=("on", "off", "auto"),
-        default="auto",
-        dest="compile_mode",
-        help="spec compilation (repro.compile): specialize the spec into "
-        "fused successor kernels at check time (default: auto -- compile, "
-        "falling back to interpretation if specialization fails; on makes "
-        "a compile failure fatal; off interprets)",
-    )
-    check_p.add_argument(
         "--store",
         choices=STORES,
         default="auto",
@@ -574,11 +564,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"fingerprint collision probability: calculated (optimistic) {collision:.1e}")
     if result.resumed_from:
         print(f"resumed from checkpoint {result.resumed_from}")
-    if result.compile_error is not None:
-        print(
-            f"WARNING: spec compilation failed ({result.compile_error}); "
-            "interpreting"
-        )
     if result.truncated:
         print(
             "WARNING: exploration truncated by --max-states/--max-depth; "

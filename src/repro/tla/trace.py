@@ -120,10 +120,9 @@ class SuccessorCache:
     execution) asks for the successors of the same states over and over --
     different traces of one workload wander through the same region of the
     state space.  The cache owns the spec's *expander*
-    (:func:`repro.engine.base.make_expander` under ``auto``: the compiled
-    kernels, or the interpreted walk when the spec will not compile) and one
-    :class:`~repro.compile.ValueInterner` (the compiled spec's when it has
-    one), and memoizes each state's ``transitions`` -- no invariant, no
+    (:func:`repro.compile.compile_spec`: the native or the generic kernel)
+    and one :class:`~repro.compile.ValueInterner` (the compiled spec's when
+    it has one), and memoizes each state's ``transitions`` -- no invariant, no
     constraint -- as an :class:`_Expansion`: three columns, one copy of each
     successor.  :meth:`for_spec` is the one everything handed the same
     ``Specification`` object shares.
@@ -160,7 +159,7 @@ class SuccessorCache:
     """
 
     __slots__ = (
-        "spec", "max_entries", "expander", "fallback_reason", "interner",
+        "spec", "max_entries", "expander", "interner",
         "_cache", "_decoded", "_spliced", "_bindings", "_successors", "_initials",
         "_epoch", "_lock",
         "hits", "misses", "decode_hits", "decode_misses", "splice_hits", "splice_misses",
@@ -168,15 +167,14 @@ class SuccessorCache:
 
     def __init__(self, spec: Specification, *, max_entries: int = 250_000) -> None:
         # Imported here, as the engines do: ``repro.tla`` must not need the
-        # compile and engine packages at import time.
+        # compile package at import time.
+        from ..compile import compile_spec
         from ..compile.interner import ValueInterner
-        from ..engine.base import make_expander
 
         self.spec = spec
         self.max_entries = max_entries
-        #: Why ``auto`` fell back to interpreting (None when the spec compiled).
-        self.expander, self.fallback_reason = make_expander(spec, "auto")
-        interner = getattr(self.expander, "interner", None)
+        self.expander = compile_spec(spec)
+        interner = self.expander.interner
         self.interner = interner if interner is not None else ValueInterner()
         self._cache: Dict[Tuple[Any, ...], _Expansion] = {}
         #: repr(payload) -> ((slot, canonical value, key part, packed fp), ...).
@@ -209,11 +207,8 @@ class SuccessorCache:
 
     @property
     def kernel(self) -> str:
-        """What computes successors: ``generic``, ``native`` or ``interpreted: <why>``."""
-        native = getattr(self.expander, "native", None)
-        if native is None:
-            return f"interpreted: {self.fallback_reason}"
-        return "native" if native else "generic"
+        """What computes successors: ``native`` or ``generic``."""
+        return self.expander.compile_info["kernel"]
 
     def stats(self) -> Dict[str, Any]:
         """The kernel kind and the counters of everything the cache runs on.
@@ -226,7 +221,7 @@ class SuccessorCache:
         read-set memo summed over its actions.
         """
         interner = self.interner.stats()
-        memo = getattr(self.expander, "compile_info", {}).get("memo") or {}
+        memo = self.expander.compile_info.get("memo") or {}
         stats = {
             "kernel": self.kernel,
             "hits": self.hits,

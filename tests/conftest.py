@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from interpreted_reference import use_oracle
 from repro.specs import locking, raft_mongo
 from repro.tla import Action, Invariant, Specification
 
@@ -67,3 +68,10 @@ def started_threads(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", recording_start)
     return names
+
+
+@pytest.fixture()
+def oracle(monkeypatch):
+    """The test runs every spec the library compiles on the interpreted
+    oracle (``interpreted_reference.InterpretedExpander``) instead."""
+    use_oracle(monkeypatch)

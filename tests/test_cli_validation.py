@@ -186,6 +186,9 @@ _WALKS = ["check", "locking", "--engine", "simulate"]
         # Walks run in one process: no pool to size or to time out.
         (_WALKS + ["--task-timeout", "5"], "--task-timeout"),
         (_WALKS + ["--workers", "2"], "--workers"),
+        # Every run compiles: the flag that chose otherwise is gone.
+        (["check", "locking", "--compile", "off"], "--compile"),
+        (["check", "locking", "--compile", "on"], "--compile"),
         # A workload of no traces, or a probability outside [0, 1], used to
         # check nothing and pass; generate_workload refuses both.
         (["simulate", "locking", "--traces", "-5"], "n_traces must be >= 1"),
@@ -244,7 +247,6 @@ def _workload(**kwargs):
         (_workload, dict(stutter_probability=-0.1), "stutter_probability"),
         # One row per rule the checker already had.
         (_check, dict(engine="warp"), "engine"),
-        (_check, dict(compile_mode="sometimes"), "compile_mode"),
         (_check, dict(store_capacity=0), "store_capacity"),
         (_check, dict(max_states=0), "max_states"),
         (_check, dict(max_depth=-1), "max_depth"),
@@ -268,6 +270,12 @@ def test_the_library_refuses_what_it_would_ignore(call, kwargs, needle):
     with pytest.raises(ValueError) as excinfo:
         call(**kwargs)
     assert needle in str(excinfo.value)
+
+
+def test_the_library_has_no_compile_mode():
+    # Every run compiles: the parameter that chose otherwise is gone, not ignored.
+    with pytest.raises(TypeError, match="compile_mode"):
+        _check(compile_mode="off")
 
 
 @pytest.mark.parametrize(

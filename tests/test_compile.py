@@ -1,11 +1,13 @@
 """Compiled-vs-interpreted parity for :mod:`repro.compile`.
 
 The compilation contract is *bit-identical results*: every stat, every
-counterexample trace, every coverage figure must match the interpreted path
-exactly, for every registered spec and every engine.  These tests enforce
-that contract directly rather than trusting the kernels; anything the
-compiler specializes away (guard fusion, precomputed fingerprints, verdict
-memoisation) is re-derived here through the interpreted path and compared.
+counterexample trace, every coverage figure must match interpreting the
+spec's own closures exactly, for every registered spec and every engine.
+Every run compiles, so the interpreted side is the test-tree oracle
+(``interpreted_reference.py``); these tests enforce the contract directly
+rather than trusting the kernels.  Anything the compiler specializes away
+(guard fusion, precomputed fingerprints, verdict memoisation) is re-derived
+here through the oracle and compared.
 """
 
 import random
@@ -13,14 +15,13 @@ import re
 
 import pytest
 
+from interpreted_reference import InterpretedExpander, oracle_runs
 from repro.compile import compile_spec
 from repro.compile.interner import ValueInterner, state_fingerprint
 from repro.compile.kernels import CompiledSpec
 from repro.engine import check_spec
-from repro.engine.base import InterpretedExpander, make_expander
 from repro.pipeline.cli import main
 from repro.tla import Action, Invariant, Specification, State
-from repro.tla.errors import CheckerError
 from repro.tla.registry import build_spec
 from repro.tla.values import NULL, fingerprint, freeze
 
@@ -44,21 +45,14 @@ def _violation(result):
 
 
 def _run_pair(spec_name, params, **kwargs):
-    """Run the same check compiled and interpreted; return both results."""
-    compiled = check_spec(
-        build_spec(spec_name, **params),
-        check_properties=False,
-        compile_mode="on",
-        **kwargs,
-    )
-    interpreted = check_spec(
-        build_spec(spec_name, **params),
-        check_properties=False,
-        compile_mode="off",
-        **kwargs,
-    )
-    assert compiled.compiled and not interpreted.compiled
-    return compiled, interpreted
+    """Run the same check compiled and on the oracle; return both results."""
+    results = []
+    for mode in ("on", "off"):
+        with oracle_runs(mode):
+            results.append(
+                check_spec(build_spec(spec_name, **params), check_properties=False, **kwargs)
+            )
+    return tuple(results)
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +113,13 @@ def test_mutated_locking_counterexample_found_compiled():
 @pytest.mark.parametrize("engine", ["fingerprint"])
 def test_checkpoint_resume_compiled_matches_golden(tmp_path, engine):
     spec = build_spec("locking")
-    golden = check_spec(spec, check_properties=False, engine=engine, compile_mode="on")
+    golden = check_spec(spec, check_properties=False, engine=engine)
 
     path = tmp_path / "ck.bin"
     truncated = check_spec(
         build_spec("locking"),
         check_properties=False,
         engine=engine,
-        compile_mode="on",
         max_depth=4,
         checkpoint_path=str(path),
         checkpoint_every=2,
@@ -137,30 +130,26 @@ def test_checkpoint_resume_compiled_matches_golden(tmp_path, engine):
         build_spec("locking"),
         check_properties=False,
         engine=engine,
-        compile_mode="on",
         resume_path=str(path),
     )
     assert _stats(resumed) == _stats(golden)
 
 
 def test_checkpoint_written_interpreted_resumed_compiled(tmp_path):
-    """Checkpoints are a shared boundary: either path can resume the other."""
-    golden = check_spec(
-        build_spec("locking"), check_properties=False, compile_mode="off"
-    )
+    """Checkpoints are a shared boundary: the kernels resume the oracle's run."""
     path = tmp_path / "ck.bin"
-    check_spec(
-        build_spec("locking"),
-        check_properties=False,
-        compile_mode="off",
-        max_depth=4,
-        checkpoint_path=str(path),
-        checkpoint_every=2,
-    )
+    with oracle_runs():
+        golden = check_spec(build_spec("locking"), check_properties=False)
+        check_spec(
+            build_spec("locking"),
+            check_properties=False,
+            max_depth=4,
+            checkpoint_path=str(path),
+            checkpoint_every=2,
+        )
     resumed = check_spec(
         build_spec("locking"),
         check_properties=False,
-        compile_mode="on",
         resume_path=str(path),
     )
     assert _stats(resumed) == _stats(golden)
@@ -488,9 +477,7 @@ def test_memo_eviction_mid_run_is_invisible(monkeypatch):
     evicting, interpreted_run = _run_pair("raftmongo", {"n_nodes": 2})
     assert _stats(evicting) == _stats(interpreted_run)
     monkeypatch.undo()
-    roomy = check_spec(
-        build_spec("raftmongo", n_nodes=2), check_properties=False, compile_mode="on"
-    )
+    roomy = check_spec(build_spec("raftmongo", n_nodes=2), check_properties=False)
     assert _stats(evicting) == _stats(roomy)
 
 
@@ -571,7 +558,6 @@ def test_memo_golden_action_counts_bfs_and_simulate():
         check_properties=False,
         engine="fingerprint",
         max_depth=9,
-        compile_mode="on",
     )
     assert (searched.distinct_states, searched.generated_states) == (9792, 39130)
     assert searched.action_counts == RAFTMONGO_DEPTH9_ACTION_COUNTS
@@ -582,7 +568,6 @@ def test_memo_golden_action_counts_bfs_and_simulate():
         walks=60,
         walk_depth=25,
         seed=7,
-        compile_mode="on",
     )
     assert (walked.distinct_states, walked.generated_states) == (310, 2885)
     assert walked.action_counts == RAFTMONGO_SIMULATE_ACTION_COUNTS
@@ -601,6 +586,7 @@ def test_memo_counters_reach_the_metrics_stream(tmp_path, capsys):
     assert counters["compile.memo_hits"] > counters["compile.memo_misses"] > 0
     assert 0 < counters["compile.memo_entries"] <= counters["compile.memo_misses"]
     assert metrics["labels"]["spec"].startswith("RaftMongo")
+    assert metrics["labels"]["kernel"] == "generic"
     from repro.obs.schema import validate_metrics_path
 
     validate_metrics_path(str(path))
@@ -608,8 +594,11 @@ def test_memo_counters_reach_the_metrics_stream(tmp_path, capsys):
     native_path = tmp_path / "native.jsonl"
     assert main(["check", "locking", "--metrics-out", str(native_path)]) == 0
     capsys.readouterr()
-    assert "check.compiled_runs" in native_path.read_text()
-    assert "compile.memo" not in native_path.read_text()
+    records = [json.loads(line) for line in native_path.read_text().splitlines()]
+    (metrics,) = [r for r in records if r["kind"] == "metrics"]
+    assert metrics["labels"]["kernel"] == "native"
+    assert "check.compile_seconds" in metrics["gauges"]
+    assert not any(name.startswith("compile.memo") for name in metrics["counters"])
     # Without --metrics-out the run prints exactly what it always printed.
     assert main(argv) == 0
     strip = re.compile(r"\d+\.\d+s")
@@ -617,104 +606,30 @@ def test_memo_counters_reach_the_metrics_stream(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Auto mode: fallback on failure, hard error under --compile on
+# Every run compiles; the oracle replaces the kernels wherever they run
 # ---------------------------------------------------------------------------
-
-
-def test_auto_mode_falls_back_to_interpreted(monkeypatch):
-    import repro.compile as compile_pkg
-
-    def _boom(spec, **kwargs):
-        raise RuntimeError("synthetic compile failure")
-
-    monkeypatch.setattr(compile_pkg, "compile_spec", _boom)
-    golden = check_spec(
-        build_spec("locking"), check_properties=False, compile_mode="off"
-    )
-    fallback = check_spec(
-        build_spec("locking"), check_properties=False, compile_mode="auto"
-    )
-    assert not fallback.compiled
-    assert _stats(fallback) == _stats(golden)
-
-
-def test_auto_fallback_says_why(monkeypatch, tmp_path, capsys):
-    """The fallback keeps ``compiled == False`` but is no longer silent."""
-    import json
-
-    import repro.compile as compile_pkg
-
-    def _boom(spec, **kwargs):
-        raise RuntimeError("synthetic compile failure")
-
-    monkeypatch.setattr(compile_pkg, "compile_spec", _boom)
-    reason = "RuntimeError: synthetic compile failure"
-    expander, fallback = make_expander(build_spec("locking"), "auto")
-    assert isinstance(expander, InterpretedExpander) and fallback == reason
-    assert make_expander(build_spec("locking"), "off")[1] is None
-
-    # The walk engine falls back too, and its run still matches the
-    # interpreted one.
-    walks = dict(engine="simulate", walks=20, walk_depth=10, seed=1)
-    golden = check_spec(
-        build_spec("locking"), check_properties=False, compile_mode="off", **walks
-    )
-    walked = check_spec(build_spec("locking"), check_properties=False, **walks)
-    assert not walked.compiled and walked.compile_error == reason
-    assert _stats(walked) == _stats(golden)
-
-    path = tmp_path / "m.jsonl"
-    assert main(["check", "locking", "--metrics-out", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert f"WARNING: spec compilation failed ({reason}); interpreting" in out
-    assert " compiled" not in out
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    (metrics,) = [r for r in records if r["kind"] == "metrics"]
-    assert metrics["labels"]["compiled"] == f"interpreted ({reason})"
-
-
-def test_compile_on_failure_is_a_checker_error(monkeypatch):
-    import repro.compile as compile_pkg
-
-    def _boom(spec, **kwargs):
-        raise RuntimeError("synthetic compile failure")
-
-    monkeypatch.setattr(compile_pkg, "compile_spec", _boom)
-    with pytest.raises(CheckerError, match="compilation failed"):
-        check_spec(build_spec("locking"), check_properties=False, compile_mode="on")
 
 
 def test_result_records_compilation():
-    result = check_spec(
-        build_spec("locking"), check_properties=False, compile_mode="on"
-    )
-    assert result.compiled
-    assert result.compile_seconds >= 0.0
-    assert " compiled" in result.summary()
-    interpreted = check_spec(
-        build_spec("locking"), check_properties=False, compile_mode="off"
-    )
-    assert " compiled" not in interpreted.summary()
+    result = check_spec(build_spec("locking"), check_properties=False)
+    assert result.compile_seconds > 0.0
+    assert result.summary().endswith(" [engine=fingerprint store=fingerprint]")
 
 
-def test_invalid_compile_mode_rejected():
-    with pytest.raises(ValueError, match="compile mode"):
-        check_spec(build_spec("locking"), compile_mode="sometimes")
+def test_the_oracle_replaces_the_kernels_of_a_check_and_of_a_trace_fold(
+    oracle, tmp_path, capsys
+):
+    import json
 
+    from repro.tla.trace import SuccessorCache
 
-# ---------------------------------------------------------------------------
-# CLI flag
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("mode", ["on", "off", "auto"])
-def test_cli_compile_flag(capsys, mode):
-    assert main(["check", "locking", "--compile", mode]) == 0
-    out = capsys.readouterr().out
-    if mode == "off":
-        assert " compiled" not in out
-    else:
-        assert " compiled" in out
+    assert SuccessorCache(build_spec("locking")).kernel == "interpreted"
+    path = tmp_path / "m.jsonl"
+    assert main(["check", "locking", "--metrics-out", str(path)]) == 0
+    assert "544 distinct states, 1981 states generated" in capsys.readouterr().out
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    (metrics,) = [r for r in records if r["kind"] == "metrics"]
+    assert metrics["labels"]["kernel"] == "interpreted"
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Every way of running an exhaustive check -- engine {``fingerprint``,
 ``states``} x store {``fingerprint``, ``disk``} x compile {``on``, ``off``}
 x resume point {none, mid-run} -- must report the statistics and the
 counterexample of the reference run: the unhashed ``states`` engine
-interpreting the spec's own closures.  (``states`` has one store and no
-checkpoint seam, so beside the reference itself it has one more way: the
-compiled one.)
+interpreting the spec's own closures.  Every run compiles; compile ``off``
+runs the test-tree oracle (``interpreted_reference.py``) in the kernels'
+place.  (``states`` has one store and no checkpoint seam, so beside the
+reference itself it has one more way: the compiled one.)
 """
 
 import functools
@@ -14,6 +15,7 @@ import functools
 import pytest
 
 import widecounter_spec  # noqa: F401 - registers _test_widecounter
+from interpreted_reference import oracle_runs
 from repro.engine import check_spec
 from repro.tla.registry import build_spec
 
@@ -62,15 +64,15 @@ def _outcome(result):
 
 def _check(row, engine, store="auto", mode="off", **kwargs):
     name, params, check_kwargs = ROWS[row]
-    return check_spec(
-        build_spec(name, **params),
-        check_properties=False,
-        engine=engine,
-        store=store,
-        compile_mode=mode,
-        **check_kwargs,
-        **kwargs,
-    )
+    with oracle_runs(mode):
+        return check_spec(
+            build_spec(name, **params),
+            check_properties=False,
+            engine=engine,
+            store=store,
+            **check_kwargs,
+            **kwargs,
+        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -101,7 +103,6 @@ def test_every_way_of_checking_matches_the_reference(
     result = _check(row, engine, store, mode, **kwargs)
 
     assert result.engine == engine and result.store == store
-    assert result.compiled == (mode == "on")
     assert (result.resumed_from is not None) == resumed
     assert _outcome(result) == _reference(row)
     # The queue-driven ``states`` engine books its frontier differently, so

@@ -12,11 +12,12 @@ import pickle
 
 import pytest
 
+import repro.compile
+from interpreted_reference import InterpretedExpander
 from repro.compile import compile_spec
 from repro.compile.interner import ValueInterner
 from repro.compile.kernels import _ReadSetMemo, build_generic_kernels
-from repro.engine import check_spec, core
-from repro.engine.base import InterpretedExpander
+from repro.engine import check_spec
 from repro.tla import Action, Invariant, Specification
 from repro.tla.registry import build_spec
 from repro.tla.values import _FP_PACK, _PRIMITIVE_TYPES, NULL, fingerprint
@@ -102,14 +103,13 @@ RAFTMONGO3_MEMO = {
 
 def test_check_raftmongo3_memo_counters_are_pinned(monkeypatch):
     expanders = []
-    make_expander = core.make_expander
 
-    def capture(spec, mode):
-        expander, why = make_expander(spec, mode)
+    def capture(spec):
+        expander = compile_spec(spec)
         expanders.append(expander)
-        return expander, why
+        return expander
 
-    monkeypatch.setattr(core, "make_expander", capture)
+    monkeypatch.setattr(repro.compile, "compile_spec", capture)
     result = check_spec(_raftmongo3(), engine="fingerprint", check_properties=False)
     assert (result.distinct_states, result.generated_states, result.max_depth) == (
         10_408, 60_280, 13,

@@ -12,8 +12,10 @@ import tracemalloc
 
 import pytest
 
+import repro.compile
 import widecounter_spec  # noqa: F401 - registers _test_widecounter
-from repro.engine import check_spec, core
+from interpreted_reference import InterpretedExpander, use_oracle
+from repro.engine import check_spec
 from repro.pipeline.cli import main
 from repro.tla import Action, Invariant, Specification
 from repro.tla.registry import build_spec, register_spec
@@ -33,12 +35,14 @@ def _answers(result):
 
 
 def _instrument(monkeypatch, *, refuse_expand):
-    """Record every ``verdict_for`` / ``expand`` call of the run's expander."""
-    calls = {"verdict_for": [], "expand": []}
-    make_expander = core.make_expander
+    """Record every ``verdict_for`` / ``expand`` call of the run's expander
+    (the compiled spec, or the oracle once ``use_oracle`` has run)."""
+    calls = {"verdict_for": [], "expand": [], "expanders": []}
+    compile_spec = repro.compile.compile_spec
 
-    def instrumented(spec, mode):
-        expander, why = make_expander(spec, mode)
+    def instrumented(spec):
+        expander = compile_spec(spec)
+        calls["expanders"].append(expander)
         verdict_for, expand = expander.verdict_for, expander.expand
 
         def counted_verdict_for(values, fp):
@@ -53,9 +57,9 @@ def _instrument(monkeypatch, *, refuse_expand):
 
         expander.verdict_for = counted_verdict_for
         expander.expand = counted_expand
-        return expander, why
+        return expander
 
-    monkeypatch.setattr(core, "make_expander", instrumented)
+    monkeypatch.setattr(repro.compile, "compile_spec", instrumented)
     return calls
 
 
@@ -74,18 +78,17 @@ SPECS = [
 def test_bfs_takes_one_verdict_per_new_state_and_never_expands(
     monkeypatch, name, params, engine, mode
 ):
+    if mode == "off":
+        use_oracle(monkeypatch)
     reference = check_spec(
-        build_spec(name, **params),
-        check_properties=False,
-        engine="states",
-        compile_mode=mode,
+        build_spec(name, **params), check_properties=False, engine="states"
     )
     calls = _instrument(monkeypatch, refuse_expand=True)
     spec = build_spec(name, **params)
     initial = len({state.fingerprint() for state in spec.initial_states()})
-    result = check_spec(
-        spec, check_properties=False, engine=engine, compile_mode=mode
-    )
+    result = check_spec(spec, check_properties=False, engine=engine)
+    (expander,) = calls["expanders"]
+    assert isinstance(expander, InterpretedExpander) == (mode == "off")
     verdicts = calls["verdict_for"]
     assert len(verdicts) == result.distinct_states - initial
     assert len(set(verdicts)) == len(verdicts)
@@ -106,12 +109,15 @@ def test_bfs_takes_one_verdict_per_new_state_and_never_expands(
 def test_walks_expand_each_walked_state_once(
     monkeypatch, name, params, walks, depth, steps_per_expand, mode
 ):
+    if mode == "off":
+        use_oracle(monkeypatch)
     calls = _instrument(monkeypatch, refuse_expand=False)
     result = check_spec(
         build_spec(name, **params), check_properties=False, engine="simulate",
-        walks=walks, walk_depth=depth, compile_mode=mode,
+        walks=walks, walk_depth=depth,
     )
-    assert result.compiled == (mode == "on")
+    (expander,) = calls["expanders"]
+    assert isinstance(expander, InterpretedExpander) == (mode == "off")
     expanded = calls["expand"]
     assert len(expanded) == len(set(expanded))
     assert 0 < len(expanded) <= result.distinct_states
@@ -168,7 +174,6 @@ def test_the_generic_kernel_memo_keeps_at_most_140_bytes_per_distinct_state():
         ),
         check_properties=False,
     )
-    assert result.compiled and not result.compile_error
     assert (result.distinct_states, result.generated_states) == (2529, 13438)
     assert per_state <= 140
 
@@ -290,7 +295,7 @@ def test_cli_prints_the_collision_line_after_an_unchanged_summary(capsys):
     assert lines[0].startswith(
         "Locking: OK; 544 distinct states, 1981 states generated, depth 6, "
     )
-    assert lines[0].endswith(" [engine=fingerprint store=fingerprint compiled]")
+    assert lines[0].endswith(" [engine=fingerprint store=fingerprint]")
     assert lines[1] == "fingerprint collision probability: calculated (optimistic) 4.2e-14"
     assert main(["check", "locking", "--engine", "states"]) == 0
     assert "collision" not in capsys.readouterr().out

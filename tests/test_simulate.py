@@ -9,8 +9,10 @@ action).
 
 import pytest
 
+from interpreted_reference import oracle_runs, use_oracle
+from repro.compile import compile_spec
 from repro.engine import ModelChecker, check_spec, simulate
-from repro.engine.base import VERDICT_MEMO_MAX, make_expander
+from repro.engine.base import VERDICT_MEMO_MAX
 from repro.tla import Action, Specification
 from repro.tla.registry import build_spec
 
@@ -379,9 +381,13 @@ def _typed_flags_spec():
         (2, (20, 6, 266, 8), {"Toggle": 32, "Count": 82, "Back": 46}),
     ],
 )
-def test_walks_keep_equal_but_differently_typed_states_apart(seed, stats, action_counts, mode):
+def test_walks_keep_equal_but_differently_typed_states_apart(
+    monkeypatch, seed, stats, action_counts, mode
+):
     # Recorded from the walk engine before it memoized expansions, which
     # expanded every step afresh: all six states are reached from both sides.
+    if mode == "off":
+        use_oracle(monkeypatch)
     result = check_spec(
         _typed_flags_spec(),
         check_properties=False,
@@ -390,7 +396,6 @@ def test_walks_keep_equal_but_differently_typed_states_apart(seed, stats, action
         walks=20,
         walk_depth=8,
         seed=seed,
-        compile_mode=mode,
     )
     assert (
         result.walks, result.distinct_states, result.generated_states, result.max_depth
@@ -437,8 +442,8 @@ def test_the_expansion_memo_only_saves_work(monkeypatch, name, params, seed, cap
     if cap is not None:
         monkeypatch.setattr(simulate, "VERDICT_MEMO_MAX", cap)
     spec = build_spec(name, **params)
-    shared_expander, _ = make_expander(spec, "auto")
-    fresh_expander, _ = make_expander(spec, "auto")
+    shared_expander = compile_spec(spec)
+    fresh_expander = compile_spec(spec)
     initial = spec.initial_states()
     shared = simulate._Expansions()
     for walk_index in range(30):
@@ -456,24 +461,24 @@ def test_the_expansion_memo_only_saves_work(monkeypatch, name, params, seed, cap
 @pytest.mark.parametrize("name, params", _WALK_SPECS, ids=_WALK_SPEC_IDS)
 def test_walks_are_the_same_on_either_expander(name, params, seed):
     # Walk i draws by sequence length and both expanders enumerate
-    # successors in the same order, so a compiled and an interpreted run
+    # successors in the same order, so a compiled run and one on the oracle
     # take the same walks, counterexamples included.
-    runs = [
-        check_spec(
-            build_spec(name, **params),
-            check_properties=False,
-            check_deadlock=True,
-            stop_on_violation=False,
-            engine="simulate",
-            walks=60,
-            walk_depth=25,
-            seed=seed,
-            compile_mode=mode,
-        )
-        for mode in ("on", "off")
-    ]
+    runs = []
+    for mode in ("on", "off"):
+        with oracle_runs(mode):
+            runs.append(
+                check_spec(
+                    build_spec(name, **params),
+                    check_properties=False,
+                    check_deadlock=True,
+                    stop_on_violation=False,
+                    engine="simulate",
+                    walks=60,
+                    walk_depth=25,
+                    seed=seed,
+                )
+            )
     compiled, interpreted = runs
-    assert compiled.compiled and not interpreted.compiled
     assert _outcome(compiled) == _outcome(interpreted)
 
 
@@ -483,7 +488,7 @@ def test_a_deeper_budget_extends_every_walk(name, params):
     # own seeded stream: a deeper budget only lets it go on, so the walk
     # under the smaller budget is a prefix of the same walk under the larger.
     spec = build_spec(name, **params)
-    expander, _ = make_expander(spec, "auto")
+    expander = compile_spec(spec)
     initial = spec.initial_states()
     memo = simulate._Expansions()
     for walk_index in range(30):
