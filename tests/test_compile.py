@@ -632,6 +632,63 @@ def test_the_oracle_replaces_the_kernels_of_a_check_and_of_a_trace_fold(
     assert metrics["labels"]["kernel"] == "interpreted"
 
 
+@pytest.mark.parametrize(
+    "spec_name,kernel",
+    [("locking", "native"), ("ot_array", "generic"), ("raftmongo", "generic")],
+)
+def test_every_registered_spec_compiles(spec_name, kernel):
+    # compile_spec has nothing to refuse: each registered spec gets a kernel,
+    # and a trace fold binds the same one a check run does.
+    from repro.tla.trace import SuccessorCache
+
+    spec = build_spec(spec_name)
+    assert compile_spec(spec).compile_info["kernel"] == kernel
+    assert SuccessorCache(spec).kernel == kernel
+
+
+def test_a_spec_the_native_kernel_does_not_fit_gets_the_generic_one():
+    # One variable, like locking, but not locking: compile_locking declines
+    # and the generic kernel runs it exactly as the oracle does.
+    def build():
+        return Specification(
+            "Counter",
+            variables=("x",),
+            init=lambda: iter([{"x": 0}]),
+            actions=[
+                Action("Inc", lambda s: iter([{"x": s["x"] + 1}] if s["x"] < 5 else []))
+            ],
+            invariants=[Invariant("Bounded", lambda s: s["x"] < 4)],
+        )
+
+    assert compile_spec(build()).compile_info["kernel"] == "generic"
+    compiled = check_spec(build(), check_properties=False)
+    with oracle_runs():
+        reference = check_spec(build(), check_properties=False)
+    assert _stats(compiled) == _stats(reference)
+    assert _violation(compiled) == _violation(reference) is not None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "locking"],
+        ["check", "locking", "--engine", "states"],
+        ["check", "locking", "--engine", "simulate", "--walks", "20", "--seed", "3"],
+    ],
+    ids=["fingerprint", "states", "simulate"],
+)
+def test_the_cli_prints_what_the_oracle_prints(argv, capsys):
+    # The CLI surface the removed --compile off used to reach: its summary
+    # line is the oracle's, with no tag naming the kernel.
+    strip = re.compile(r"\d+\.\d+s")
+    assert main(argv) == 0
+    compiled = strip.sub("", capsys.readouterr().out)
+    with oracle_runs():
+        assert main(argv) == 0
+    assert strip.sub("", capsys.readouterr().out) == compiled
+    assert " compiled" not in compiled
+
+
 # ---------------------------------------------------------------------------
 # Interner unit behaviour
 # ---------------------------------------------------------------------------
