@@ -1,26 +1,25 @@
 """The exploration engines of the model checker (the TLC substitute).
 
-One exploration strategy per module, each one function:
+Two exploration strategies, each one function:
 
-* :mod:`repro.engine.fingerprint` -- ``"fingerprint"``: level-synchronous
-  BFS over interned 64-bit fingerprints (the default when no state graph is
-  needed; the one engine that checkpoints, resumes and spills),
-* :mod:`repro.engine.serial` -- ``"states"``: BFS interning every distinct
-  ``State`` once into a :class:`~repro.tla.graph.StateGraph`, its store and
-  the collected graph (required for temporal properties, DOT export and
-  MBTCG, and the unhashed reference the fingerprint engine is compared
-  against),
+* :mod:`repro.engine.fingerprint` -- the one BFS, level-synchronous over
+  64-bit fingerprints, behind two engine names: ``"fingerprint"`` (the
+  default when no state graph is needed; the one that checkpoints, resumes
+  and spills) and ``"states"``, whose store is the
+  :class:`~repro.tla.graph.StateGraph` -- the fingerprint store plus states
+  and edges -- and, when collected, the run's graph (required for temporal
+  properties, DOT export and MBTCG),
 * :mod:`repro.engine.simulate` -- ``"simulate"``: seeded random-walk
   simulation with walk/depth budgets, for state spaces too large to exhaust,
   in one process that expands each walked state once per run.
 
 Visited-state storage is a second, independent seam
-(:mod:`repro.engine.store`): the fingerprint and simulation engines take
-the ``fingerprint`` or ``disk`` store, the states engine its own
-``states`` store.  Every store is exact; they differ in where the set
-lives -- an in-memory dict of fingerprints (each mapped to its parent's,
-the replay pointer), the ``states`` engine's state graph, or the ``disk``
-store (:mod:`repro.engine.diskstore`, imported when one is first made or
+(:mod:`repro.engine.store`): the ``fingerprint`` and ``simulate`` engines
+take the ``fingerprint`` or ``disk`` store, the ``states`` engine the
+``states`` store.  Every store maps a state's fingerprint to its parent's
+(the replay pointer); they differ in where that lives and what rides with
+it -- an in-memory dict, the state graph, or the ``disk`` store
+(:mod:`repro.engine.diskstore`, imported when one is first made or
 ``repro.engine.DiskFingerprintStore`` is first read), which million-state
 runs pair with spill-to-disk frontiers (:mod:`repro.engine.frontier`) so
 peak RSS stays flat as distinct-state counts climb orders of magnitude.
@@ -30,10 +29,10 @@ seam (:mod:`repro.resilience`).
 
 Spec execution is a third seam, the *expander*: an object with three
 calls over value tuples.  ``transitions(values)`` is a state's successors
-as ``(action, successor values, fingerprint)`` entries -- what both BFS
-engines and the trace fold step on; ``verdict_for(values, fp)`` is one
-state's ``(violated invariant, constraint verdict)``, which the BFS engines
-ask once per *new* state and which keeps no memo; ``expand(values)`` is the
+as ``(action, successor values, fingerprint)`` entries -- what the BFS
+and the trace fold step on; ``verdict_for(values, fp)`` is one
+state's ``(violated invariant, constraint verdict)``, which the BFS
+asks once per *new* state and which keeps no memo; ``expand(values)`` is the
 transitions with verdicts attached through a capped per-fingerprint memo,
 for the simulation engine, whose walks revisit states and which memoizes
 each walked state's expansion for the run.  Every run compiles the spec

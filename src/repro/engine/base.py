@@ -137,16 +137,13 @@ class CheckResult:
         return all(outcome.holds for outcome in self.property_outcomes)
 
     @property
-    def fingerprint_collision_probability(self) -> Optional[float]:
+    def fingerprint_collision_probability(self) -> float:
         """TLC's "calculated (optimistic)" chance that two states shared a fingerprint.
 
         ``distinct * (generated - distinct) / 2**64``: every duplicate
         successor was told apart from the distinct states by its 64-bit
         fingerprint alone, and so is every replayed counterexample step.
-        None when the store retained whole states (``states``).
         """
-        if self.store == "states":
-            return None
         distinct = self.distinct_states
         return distinct * (self.generated_states - distinct) / 2.0**64
 
@@ -210,7 +207,13 @@ class CheckContext:
     #: next level to expand and its pending ``(values, fp)`` entries.
     resume: Optional[Tuple[int, List[FrontierEntry]]] = None
 
-    # Shared fingerprint-BFS helpers -----------------------------------------
+    # Shared BFS helpers ------------------------------------------------------
+    @property
+    def graph(self) -> Optional[StateGraph]:
+        """The store when it is the state graph (``store="states"``), else None."""
+        store = self.store
+        return store if isinstance(store, StateGraph) else None
+
     def new_frontier(self):
         """An empty next-level frontier: a plain list, or a spilling buffer.
 
@@ -246,8 +249,8 @@ class CheckContext:
         )
 
     def seed_frontier(self) -> Tuple[List[FrontierEntry], bool]:
-        """Enumerate initial states into the depth-0 frontier."""
-        spec, result = self.spec, self.result
+        """Enumerate initial states into the depth-0 frontier (and the graph)."""
+        spec, result, graph = self.spec, self.result, self.graph
         frontier: List[FrontierEntry] = []
         stop = False
         for state in spec.initial_states():
@@ -255,6 +258,8 @@ class CheckContext:
             fp = state.fingerprint()
             if not self.store.add(fp):
                 continue
+            if graph is not None:
+                graph.place(state)
             violated = spec.violated_invariant(state)
             if violated is not None:
                 result.invariant_violation = self.fp_violation(fp, violated.name)
@@ -323,8 +328,8 @@ class CheckContext:
     def replay(self, target_fp: int) -> List[State]:
         """Rebuild the behaviour leading to ``target_fp`` by forward replay.
 
-        The fingerprint-interned engines do not retain visited states, so
-        the counterexample is reconstructed the way TLC does it: walk the
+        The stores keep parent fingerprints, not visited states, so the
+        counterexample is reconstructed the way TLC does it: walk the
         store's parent fingerprints back to an initial state, then step
         forward, taking at each step the first of ``spec.successors(state)``
         whose fingerprint is the next one in the chain.  Spec action order

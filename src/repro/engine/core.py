@@ -9,10 +9,10 @@ which engine accepts what.  It resolves ``engine="auto"`` /
 (``checker.resolved_engine`` and ``checker.resolved_store`` are set before
 ``run()`` -- nothing resolves silently mid-run), holds the validated
 options in one :class:`~repro.engine.base.CheckContext`, and per run adds
-the result, store and expander and calls the engine's function:
-:func:`~repro.engine.fingerprint.bfs_levels`,
-:func:`~repro.engine.serial.explore_states` or
-:func:`~repro.engine.simulate.run_walks`.
+the result, store and expander and calls the engine's function: the one
+BFS, :func:`~repro.engine.fingerprint.bfs_levels`, for ``fingerprint`` and
+for ``states`` (whose store, the state graph, is the fingerprint store plus
+states and edges), or :func:`~repro.engine.simulate.run_walks`.
 :func:`check_spec` forwards its options to it unchanged.
 """
 
@@ -32,7 +32,6 @@ from ..tla.spec import Specification
 from .base import CheckContext, CheckResult
 from .fingerprint import bfs_levels
 from .frontier import DEFAULT_SPILL_THRESHOLD
-from .serial import explore_states
 from .simulate import run_walks
 from .store import make_store
 
@@ -45,7 +44,7 @@ ENGINES = ("auto", "fingerprint", "states", "simulate")
 STORES = ("auto", "fingerprint", "states", "disk")
 
 #: The function that runs each engine.
-_RUN = {"fingerprint": bfs_levels, "states": explore_states, "simulate": run_walks}
+_RUN = {"fingerprint": bfs_levels, "states": bfs_levels, "simulate": run_walks}
 
 #: The stores each engine accepts; the first is what ``store="auto"`` picks.
 _ENGINE_STORES = {
@@ -175,13 +174,18 @@ class ModelChecker:
                 "store_path only applies to the file-backed 'disk' store; "
                 "pass store='disk' with it"
             )
-        # The fingerprint engine alone has a level-synchronous BFS: the one
-        # frontier that spills and the one exploration a checkpoint captures.
+        # Spilling and checkpoints are the fingerprint engine's: the states
+        # engine runs the same BFS, but its graph holds every state in
+        # memory and is not carried by a checkpoint.
         if spill_threshold is not None and resolved != "fingerprint":
+            why = (
+                "the states engine's graph holds every state, so spilling "
+                "its frontier saves nothing"
+                if resolved == "states"
+                else f"the {resolved} engine has no BFS frontier to spill"
+            )
             raise ValueError(
-                f"the {resolved} engine has no level-synchronous "
-                "BFS frontier to spill; spill_threshold applies to the "
-                "fingerprint engine"
+                f"spill_threshold applies to the fingerprint engine only; {why}"
             )
         if spill_threshold is None and self.resolved_store == "disk" and resolved == "fingerprint":
             # A disk-store run is by definition the "state space will not fit
@@ -192,10 +196,14 @@ class ModelChecker:
         if checkpoint_every is not None and not checkpoint_path:
             raise ValueError("checkpoint_every has no effect without checkpoint_path")
         if (checkpoint_path or resume_path) and resolved != "fingerprint":
+            why = (
+                "a checkpoint does not carry the states engine's graph"
+                if resolved == "states"
+                else f"the {resolved} engine cannot snapshot its exploration"
+            )
             raise ValueError(
-                "checkpoint_path/resume_path need the level-synchronous BFS "
-                f"of the fingerprint engine; the {resolved} engine "
-                "cannot snapshot its exploration"
+                "checkpoint_path/resume_path apply to the fingerprint engine "
+                f"only; {why}"
             )
         if (
             (checkpoint_path or resume_path)

@@ -1,10 +1,11 @@
-"""The fingerprint-interned BFS engine (the default): :func:`bfs_levels`.
+"""The one BFS of the model checker: :func:`bfs_levels`.
 
-The store holds one entry per distinct state, as TLC's fingerprint set
-does: the state's stable 64-bit fingerprint, mapped to the fingerprint of
-the state it was first reached from -- the whole of what counterexample
-replay needs.  The frontier holds ``(value tuple, fingerprint)`` pairs;
-no ``State`` object is built during the search.  Invariants and the
+``engine="fingerprint"`` (the default) and ``engine="states"`` both run
+this loop; they differ only in the store it fills.  The store holds one
+entry per distinct state, as TLC's fingerprint set does: the state's
+stable 64-bit fingerprint, mapped to the fingerprint of the state it was
+first reached from -- the whole of what counterexample replay needs.  The
+frontier holds ``(value tuple, fingerprint)`` pairs.  Invariants and the
 constraint are evaluated once per *new* state (``expander.verdict_for``),
 never for a duplicate successor, so nothing is memoized per fingerprint
 beside the store.
@@ -14,13 +15,17 @@ being filled.  An in-memory level lets go of each entry as it is expanded,
 so what is held at any moment is the unexpanded rest of the one and what
 the other has gathered so far -- never two whole levels.
 
-It runs on either of two stores: the default ``fingerprint`` store is an
-in-memory dict, and the ``disk`` store pushes the same exact pairs into a
+It runs on any of three stores: the default ``fingerprint`` store is an
+in-memory dict; the ``disk`` store pushes the same exact pairs into a
 SQLite file behind a write-back cache (see :mod:`repro.engine.store` and
-:mod:`repro.engine.diskstore`).  Frontier levels, the other per-scale memory
-consumer, can spill to compressed disk chunks past a threshold
-(:mod:`repro.engine.frontier`) -- together that keeps peak RSS flat into the
-millions of distinct states.
+:mod:`repro.engine.diskstore`); the ``states`` store is the
+:class:`~repro.tla.graph.StateGraph` -- the fingerprint store plus states
+and edges -- into which the loop places one ``State`` per new node and, when
+the graph is collected, every generated transition.  Without the graph no
+``State`` object is built during the search.  Frontier levels, the other
+per-scale memory consumer, can spill to compressed disk chunks past a
+threshold (:mod:`repro.engine.frontier`) -- together that keeps peak RSS
+flat into the millions of distinct states.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from ..obs import COUNT_BUCKETS, current as obs_current, span
+from ..tla.state import State
 from .base import CheckContext, FrontierEntry
 
 __all__ = ["bfs_levels"]
@@ -55,12 +61,17 @@ def bfs_levels(ctx: CheckContext) -> None:
     Seeding or resuming, limits, the merge into store and next frontier,
     telemetry and checkpoints; every frontier entry goes through
     ``ctx.expander.transitions`` and every new successor through
-    ``ctx.expander.verdict_for``.
+    ``ctx.expander.verdict_for``.  On the ``states`` store it also fills
+    the graph: a ``State`` per new node, and an edge per generated
+    successor when the graph is collected.
     """
     result, store = ctx.result, ctx.store
     transitions = ctx.expander.transitions
     verdict_for = ctx.expander.verdict_for
     add = store.add
+    graph, schema = ctx.graph, ctx.spec.schema
+    place = graph.place if graph is not None else None
+    link = graph.add_edge if ctx.collect_graph else None
     max_states, check_deadlock = ctx.max_states, ctx.check_deadlock
     stop_on_violation = ctx.stop_on_violation
     frontier, stop, depth, action_counts = ctx.start_frontier()
@@ -103,7 +114,13 @@ def bfs_levels(ctx: CheckContext) -> None:
                         generated += 1
                         action_counts[action_name] += 1
                         if not add(nfp, fp):
+                            if link is not None:
+                                link(fp, action_name, nfp)
                             continue
+                        if place is not None:
+                            place(State.from_values(schema, nvalues))
+                            if link is not None:
+                                link(fp, action_name, nfp)
                         violated_name, within = verdict_for(nvalues, nfp)
                         if violated_name is not None:
                             result.invariant_violation = ctx.fp_violation(
@@ -137,3 +154,4 @@ def bfs_levels(ctx: CheckContext) -> None:
 
     result.distinct_states = store.distinct_count
     result.action_counts = action_counts
+    result.graph = graph if ctx.collect_graph else None

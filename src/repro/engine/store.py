@@ -1,22 +1,22 @@
 """Visited-state stores for the exploration engines.
 
 TLC scales past toy models because its fingerprint set can live in memory
-or on disk.  This module is that seam for the
-reproduction: an exploration engine asks its store "have I seen this state?"
-and never cares how the answer is represented.  Every store is exact -- it
-reports a state new exactly once and ``distinct_count`` is the true
-distinct-state count.  The fingerprint stores also keep, per state, the
-one thing counterexample replay needs, as TLC's fingerprint set does: the
-fingerprint of the state it was first reached from (``add(fp, parent)``,
-read back with ``parent_of(fp)``).  Three ship, the third loaded only when
-one is made (it brings ``sqlite3`` with it):
+or on disk.  This module is that seam for the reproduction: the one BFS
+(:func:`repro.engine.fingerprint.bfs_levels`) asks its store "have I seen
+this fingerprint?" and never cares how the answer is represented.  Every
+store keys a state by its 64-bit fingerprint, reports each fingerprint new
+exactly once, and keeps, per state, the one thing counterexample replay
+needs, as TLC's fingerprint set does: the fingerprint of the state it was
+first reached from (``add(fp, parent)``, read back with ``parent_of(fp)``).
+Three ship, the third loaded only when one is made (it brings ``sqlite3``
+with it):
 
 * ``"fingerprint"`` -- :class:`FingerprintSetStore`: one in-memory dict
   ``fp -> parent fp``, whose keys are the visited set; the default for the
-  fingerprint-interned engines.
-* ``"states"`` -- :class:`~repro.tla.graph.StateGraph`: every distinct
-  ``State`` interned once, by value, as a dense node id
-  (``add_state(state) -> (id, is_new)`` in place of ``add``).  The serial
+  ``fingerprint`` and ``simulate`` engines.
+* ``"states"`` -- :class:`~repro.tla.graph.StateGraph`: the fingerprint
+  store plus states and edges -- each fingerprint numbered as a dense node
+  id in insertion order, its ``State`` attached by the loop.  The
   ``states`` engine's store, and, when the graph is collected, its
   ``result.graph``.
 * ``"disk"`` -- :class:`repro.engine.diskstore.DiskFingerprintStore`: the
@@ -47,8 +47,8 @@ class StateStore(Protocol):
     fingerprint of the state it was reached from, None for an initial state
     -- for :meth:`parent_of`; ``distinct_count`` is the number of distinct
     states the store has seen.  The ``states`` store, a
-    :class:`~repro.tla.graph.StateGraph`, shares ``name``, ``__len__`` and
-    ``distinct_count`` and interns whole states in place of ``add``.
+    :class:`~repro.tla.graph.StateGraph`, has all of it but ``__contains__``,
+    which there asks about a ``State``.
     """
 
     name: str

@@ -559,9 +559,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 143 if received["signum"] == signal.SIGTERM else 130
 
     print(result.summary())
-    collision = result.fingerprint_collision_probability
-    if collision is not None:
-        print(f"fingerprint collision probability: calculated (optimistic) {collision:.1e}")
+    print(
+        "fingerprint collision probability: calculated (optimistic) "
+        f"{result.fingerprint_collision_probability:.1e}"
+    )
     if result.resumed_from:
         print(f"resumed from checkpoint {result.resumed_from}")
     if result.truncated:

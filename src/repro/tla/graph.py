@@ -2,11 +2,15 @@
 
 TLC can export the graph of all reachable states to a GraphViz DOT file; the
 Realm Sync case study parses that file to generate test cases (paper Section
-5.2).  :class:`StateGraph` is the in-memory representation of that graph and
-also the ``states`` engine's visited-state store (``make_store("states")``):
-each distinct state is interned once, by value, into a dense node id, and
-each transition is stored once, in its source node's outgoing list.  The
-model checker hands it out as ``result.graph`` when ``collect_graph`` is
+5.2), and TLC builds that graph from the same fingerprint set its BFS uses.
+So does the reproduction: :class:`StateGraph` is the ``states`` store
+(``make_store("states")``) of the one BFS loop,
+:func:`repro.engine.fingerprint.bfs_levels` -- the fingerprint store plus
+states and edges.  Each distinct state is keyed by its 64-bit fingerprint
+(``add(fp, parent)``, ``parent_of(fp)``, as every store is) and numbered by
+insertion order; the loop attaches its ``State`` once and records each
+generated transition once, in its source node's outgoing list.  The model
+checker hands it out as ``result.graph`` when ``collect_graph`` is
 requested, and the :mod:`repro.mbtcg` test-case generation subsystem
 enumerates its behaviours (see :mod:`repro.mbtcg.strategies`) to produce
 executable test suites.  It also supports the condensation-based
@@ -49,9 +53,9 @@ class PropertyCheckOutcome:
 class StateGraph:
     """The graph of reachable states discovered by the model checker.
 
-    Node ids are dense and follow interning order; ``_outgoing[id]`` is the
-    node's edge list, so :attr:`edges` is those lists concatenated in id
-    order.
+    Node ids are dense and follow fingerprint insertion order (an initial
+    state is one added without a parent); ``_outgoing[id]`` is the node's
+    edge list, so :attr:`edges` is those lists concatenated in id order.
     """
 
     #: The store name this graph is registered under (see
@@ -59,28 +63,42 @@ class StateGraph:
     name = "states"
 
     def __init__(self) -> None:
+        self._ids: Dict[int, int] = {}
+        self._parents: List[Optional[int]] = []
         self._states: List[State] = []
-        self._ids: Dict[State, int] = {}
         self._outgoing: List[List[Edge]] = []
         self._initial: List[int] = []
 
     # Construction -------------------------------------------------------------
-    def add_state(self, state: State, *, initial: bool = False) -> Tuple[int, bool]:
-        """Intern ``state`` by value; return ``(node id, is_new)``."""
-        fresh = len(self._states)
-        node_id = self._ids.setdefault(state, fresh)
-        is_new = node_id == fresh
-        if is_new:
-            self._states.append(state)
-            self._outgoing.append([])
-        if initial and node_id not in self._initial:
+    def add(self, fp: int, parent: Optional[int] = None) -> bool:
+        """Add the node fingerprinted ``fp``, reached from ``parent``'s; True if new.
+
+        Follow a True with :meth:`place` of the node's state.
+        """
+        ids = self._ids
+        if fp in ids:
+            return False
+        node_id = ids[fp] = len(self._parents)
+        self._parents.append(parent)
+        self._outgoing.append([])
+        if parent is None:
             self._initial.append(node_id)
-        return node_id, is_new
+        return True
+
+    def place(self, state: State) -> None:
+        """Attach ``state`` to the node :meth:`add` has just added."""
+        self._states.append(state)
 
     def add_edge(self, source: int, action: str, target: int) -> None:
-        self._outgoing[source].append(Edge(source, action, target))
+        """Record ``action`` from the node fingerprinted ``source`` to ``target``'s."""
+        ids = self._ids
+        source_id = ids[source]
+        self._outgoing[source_id].append(Edge(source_id, action, ids[target]))
 
     # Accessors ------------------------------------------------------------------
+    def parent_of(self, fp: int) -> Optional[int]:
+        return self._parents[self._ids[fp]]
+
     @property
     def initial_ids(self) -> Tuple[int, ...]:
         return tuple(self._initial)
@@ -90,19 +108,19 @@ class StateGraph:
 
     def id_of(self, state: State) -> int:
         try:
-            return self._ids[state]
+            return self._ids[state.fingerprint()]
         except KeyError:
             raise SpecError("state is not part of this graph") from None
 
     def __contains__(self, state: object) -> bool:
-        return isinstance(state, State) and state in self._ids
+        return isinstance(state, State) and state.fingerprint() in self._ids
 
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self._parents)
 
     @property
     def distinct_count(self) -> int:
-        return len(self._states)
+        return len(self._parents)
 
     @property
     def edges(self) -> Tuple[Edge, ...]:

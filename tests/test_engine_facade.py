@@ -119,6 +119,34 @@ class TestStoreValidation:
                 store="states",
             )
 
+    @pytest.mark.parametrize(
+        "option,message",
+        [
+            (
+                {"spill_threshold": 10},
+                "spill_threshold applies to the fingerprint engine only; the "
+                "states engine's graph holds every state, so spilling its "
+                "frontier saves nothing",
+            ),
+            (
+                {"checkpoint_path": "x.ckpt"},
+                "checkpoint_path/resume_path apply to the fingerprint engine "
+                "only; a checkpoint does not carry the states engine's graph",
+            ),
+            (
+                {"resume_path": "x.ckpt"},
+                "checkpoint_path/resume_path apply to the fingerprint engine "
+                "only; a checkpoint does not carry the states engine's graph",
+            ),
+        ],
+    )
+    def test_the_states_engine_refuses_spilling_and_checkpoints_for_what_they_miss(
+        self, locking_spec, option, message
+    ):
+        with pytest.raises(ValueError) as refused:
+            ModelChecker(locking_spec, check_properties=False, engine="states", **option)
+        assert str(refused.value) == message
+
     def test_capacity_only_applies_to_the_disk_store(self, locking_spec):
         with pytest.raises(ValueError, match="store_capacity"):
             repro.engine.ModelChecker(

@@ -3,11 +3,13 @@
 Every way of running an exhaustive check -- engine {``fingerprint``,
 ``states``} x store {``fingerprint``, ``disk``} x compile {``on``, ``off``}
 x resume point {none, mid-run} -- must report the statistics and the
-counterexample of the reference run: the unhashed ``states`` engine
-interpreting the spec's own closures.  Every run compiles; compile ``off``
-runs the test-tree oracle (``interpreted_reference.py``) in the kernels'
-place.  (``states`` has one store and no checkpoint seam, so beside the
-reference itself it has one more way: the compiled one.)
+counterexample of the reference run: the test tree's unhashed, State-keyed
+BFS (``states_reference.py``) interpreting the spec's own closures.  Every
+run compiles; compile ``off`` runs the test-tree oracle
+(``interpreted_reference.py``) in the kernels' place.  (``states`` has one
+store and no checkpoint seam, so it has two ways.)  Both engines run the
+one level loop, so every way reports the same peak frontier, and the
+``states`` engine's graph is the reference's, node for node.
 """
 
 import functools
@@ -18,6 +20,7 @@ import widecounter_spec  # noqa: F401 - registers _test_widecounter
 from interpreted_reference import oracle_runs
 from repro.engine import check_spec
 from repro.tla.registry import build_spec
+from states_reference import reference_check
 
 #: (spec name, spec params, check_spec keywords): the three registered
 #: configurations plus a spec with a state constraint (fencing), a seeded
@@ -31,9 +34,8 @@ ROWS = [
     ("_test_widecounter", {"limit": 1}, {"check_deadlock": True}),
 ]
 
-#: (engine, store, compile mode, resumed mid-run); the reference is
-#: ("states", "states", "off", False).
-WAYS = [("states", "states", "on", False)] + [
+#: (engine, store, compile mode, resumed mid-run).
+WAYS = [("states", "states", mode, False) for mode in ("off", "on")] + [
     ("fingerprint", store, mode, resumed)
     for store in ("fingerprint", "disk")
     for mode in ("off", "on")
@@ -75,12 +77,17 @@ def _check(row, engine, store="auto", mode="off", **kwargs):
         )
 
 
+def _reference_run(row, **kwargs):
+    name, params, check_kwargs = ROWS[row]
+    return reference_check(build_spec(name, **params), **check_kwargs, **kwargs)
+
+
 @functools.lru_cache(maxsize=None)
 def _reference(row):
-    return _outcome(_check(row, "states"))
+    return _outcome(_reference_run(row))
 
 
-#: Per row, the peak frontier of the first fingerprint-engine way that ran.
+#: Per row, the peak frontier of the first way that ran.
 _PEAKS = {}
 
 
@@ -105,10 +112,7 @@ def test_every_way_of_checking_matches_the_reference(
     assert result.engine == engine and result.store == store
     assert (result.resumed_from is not None) == resumed
     assert _outcome(result) == _reference(row)
-    # The queue-driven ``states`` engine books its frontier differently, so
-    # the level loop's peak is compared among its own eight ways.
-    if engine == "fingerprint":
-        assert _PEAKS.setdefault(row, result.peak_frontier) == result.peak_frontier
+    assert _PEAKS.setdefault(row, result.peak_frontier) == result.peak_frontier
 
 
 def test_reference_rows_cover_fencing_violation_and_deadlock():
@@ -123,8 +127,29 @@ def test_reference_rows_cover_fencing_violation_and_deadlock():
 
 
 def test_max_depth_truncates_both_engines_alike():
-    cut = [
-        _outcome(_check(3, engine, max_depth=RESUME_DEPTH))
-        for engine in ("states", "fingerprint")
+    reference = _outcome(_reference_run(3, max_depth=RESUME_DEPTH))
+    assert reference[4]
+    for engine in ("states", "fingerprint"):
+        assert _outcome(_check(3, engine, max_depth=RESUME_DEPTH)) == reference
+
+
+@pytest.mark.parametrize(
+    "name,params,check_kwargs",
+    ROWS + [("ot_array", {"init_length": 3}, {})],
+    ids=[f"row{row}" for row in range(len(ROWS))] + ["ot_array3"],
+)
+def test_the_states_graph_is_the_references_node_for_node(name, params, check_kwargs):
+    graph = check_spec(
+        build_spec(name, **params),
+        collect_graph=True,
+        check_properties=False,
+        **check_kwargs,
+    ).graph
+    table = reference_check(build_spec(name, **params), **check_kwargs).graph
+    assert [state.values for state in graph.states()] == [
+        state.values for state in table.states
     ]
-    assert cut[0] == cut[1] and cut[0][4]
+    assert graph.initial_ids == tuple(table.initial_ids)
+    assert [(e.source, e.action, e.target) for e in graph.edges] == [
+        (e.source, e.action, e.target) for e in table.edges
+    ]

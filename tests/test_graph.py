@@ -19,14 +19,21 @@ def _state(x):
 
 
 def _graph(edges, initial=(0,), n_nodes=None):
-    """Build a graph over integer-valued states 0..n-1 from (src, act, dst)."""
+    """Build a graph over integer-valued states 0..n-1 from (src, act, dst).
+
+    A node added without a parent is initial; the others name node 0's
+    fingerprint as theirs (these graphs are never replayed).
+    """
     if n_nodes is None:
         n_nodes = max([0, *[max(s, d) for s, _a, d in edges]]) + 1
+    states = [_state(node) for node in range(n_nodes)]
+    fps = [state.fingerprint() for state in states]
     graph = StateGraph()
-    for node in range(n_nodes):
-        graph.add_state(_state(node), initial=node in initial)
+    for node, state in enumerate(states):
+        assert graph.add(fps[node], None if node in initial else fps[0])
+        graph.place(state)
     for source, action, target in edges:
-        graph.add_edge(source, action, target)
+        graph.add_edge(fps[source], action, fps[target])
     return graph
 
 
@@ -212,11 +219,13 @@ from repro.tla.graph import StateGraph
 from repro.tla.spec import TemporalProperty
 from repro.tla.state import State, VariableSchema
 schema = VariableSchema(("x",))
+states = [State(schema, {"x": x}) for x in range(3)]
 graph = StateGraph()
-for x in range(3):
-    graph.add_state(State(schema, {"x": x}), initial=x == 0)
+for x, state in enumerate(states):
+    graph.add(state.fingerprint(), None if x == 0 else states[x - 1].fingerprint())
+    graph.place(state)
 for source, target in ((0, 1), (1, 2), (2, 1)):
-    graph.add_edge(source, "step", target)
+    graph.add_edge(states[source].fingerprint(), "step", states[target].fingerprint())
 assert graph.terminal_sccs() == [{1, 2}]
 reaches = TemporalProperty("ReachesTwo", lambda s: s["x"] == 2, kind="eventually")
 never = TemporalProperty("NeverThree", lambda s: s["x"] == 3, kind="eventually")

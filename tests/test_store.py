@@ -16,17 +16,20 @@ def test_fingerprint_store_add_and_membership():
     assert store.distinct_count == 2
 
 
-def test_state_graph_store_interns_by_value():
+def test_state_graph_store_keys_nodes_by_fingerprint():
     schema = VariableSchema(("x",))
     store = StateGraph()
-    a0, new0 = store.add_state(State(schema, {"x": 0}), initial=True)
-    a1, new1 = store.add_state(State(schema, {"x": 1}))
-    dup, new_dup = store.add_state(State(schema, {"x": 0}))
-    assert (a0, new0) == (0, True)
-    assert (a1, new1) == (1, True)
-    assert (dup, new_dup) == (0, False)
+    s0, s1 = State(schema, {"x": 0}), State(schema, {"x": 1})
+    fp0, fp1 = s0.fingerprint(), s1.fingerprint()
+    assert store.add(fp0)
+    store.place(s0)
+    assert store.add(fp1, fp0)
+    store.place(s1)
+    assert not store.add(fp0, fp1)  # duplicate
+    assert store.parent_of(fp0) is None and store.parent_of(fp1) == fp0
     assert store.state_of(1)["x"] == 1
     assert store.id_of(State(schema, {"x": 1})) == 1
+    assert State(schema, {"x": 0}) in store and State(schema, {"x": 2}) not in store
     assert len(store) == store.distinct_count == 2
     assert store.initial_ids == (0,)
     assert store.name == "states"
