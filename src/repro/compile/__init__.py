@@ -28,10 +28,9 @@ description once per run, then execute the specialized form per state:
   yet: locking has one variable, so every read is the whole state and the
   memo cannot hit (README "Spec compilation" has the numbers);
 * **invariant/constraint verdicts on demand** -- ``verdict_for`` once per
-  new BFS state, with no per-fingerprint memo; ``expand`` memoizes them
-  for the simulation engine's walks
-  (:func:`repro.engine.base.memoized_verdict`: capped, oldest half
-  evicted).
+  new BFS state, with no memo; the simulation engine's walks memoize them by
+  fingerprint, and keep each walked state's successors as the one record
+  the trace fold keeps too (:mod:`repro.compile.expansion`).
 
 Entry point: :func:`compile_spec`, which every check run
 (:meth:`repro.engine.core.ModelChecker.run`) and every trace fold

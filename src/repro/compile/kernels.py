@@ -20,9 +20,10 @@ of interpreting the spec per state.  Its core surface is three functions over
 ``expand(values)``
     The transitions with each successor's verdicts added, as
     :data:`~repro.engine.base.SuccessorInfo` entries -- ``(action, values,
-    fingerprint, violated invariant, constraint verdict)``.  The simulation
-    engine's walks revisit states, so here the verdicts go through the
-    capped per-fingerprint memo :func:`~repro.engine.base.memoized_verdict`.
+    fingerprint, violated invariant, constraint verdict)``: one method over
+    the first two for either kernel.  The engines do not call it; the
+    simulation engine's walks, which revisit states, keep their own
+    fingerprint-keyed verdict memo.
 
 Every entry matches, in order, what interpreting the spec's own closures
 gives: the test suite's oracle (``tests/interpreted_reference.py``) is run
@@ -89,8 +90,8 @@ for the same values, i.e. shows itself not to be a function of what it
 reads.  The decision comes from the observed read-sets, not from a flag.
 
 The tries share one entry cap (:data:`MEMO_MAX` leaves, oldest half
-discarded, like ``VERDICT_MEMO_MAX``).  Each stored leaf has one flat record
-in a log, oldest first: its function's stats, the children dict that holds
+discarded, like every :class:`~repro.compile.expansion.Memo`).  Each stored
+leaf has one flat record in a log, oldest first: its function's stats, the children dict that holds
 it and its key there -- nothing per branch on the way down.  Eviction pops
 the oldest half of the records and deletes those leaves, then one sweep of
 every trie drops the branches left leading to no leaf.  Per action/invariant
@@ -105,17 +106,14 @@ from collections.abc import Mapping
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 from zlib import adler32, crc32
 
-from ..engine.base import SuccessorInfo, Transition, Verdict, memoized_verdict
+from ..engine.base import SuccessorInfo, Transition, Verdict
 from ..tla.errors import EvaluationError
 from ..tla.spec import Action, Specification
 from ..tla.state import State, VariableSchema
+from .expansion import MEMO_MAX
 from .interner import Entry, ValueInterner
 
 __all__ = ["CompiledSpec", "build_generic_kernels"]
-
-#: Cap on stored results (trie leaves) across all of a spec's tries; bounds
-#: per-process memory the way ``VERDICT_MEMO_MAX`` does.
-MEMO_MAX = 500_000
 
 #: Evaluations, all reading every slot, after which an action, invariant or
 #: constraint that never produced a storable result is called directly.
@@ -363,8 +361,8 @@ def _action_evaluator(
 
 def build_generic_kernels(
     spec: Specification, interner: ValueInterner
-) -> Tuple[Callable, Callable, Callable, Dict[str, Any]]:
-    """``(transitions, expand, verdict_for, info)``: the read-set memo over ``spec``'s closures.
+) -> Tuple[Callable, Callable, Dict[str, Any]]:
+    """``(transitions, verdict_for, info)``: the read-set memo over ``spec``'s closures.
 
     Works for any specification; see the module docstring for what is
     memoized and why that is exact.
@@ -384,7 +382,6 @@ def build_generic_kernels(
         predicates.append(
             (memo.memoize("constraint", lambda state: bool(constraint(state))), None)
         )
-    verdicts: Dict[int, Verdict] = {}  # expand's memo; see memoized_verdict
 
     def verdict_for(values: Tuple[Any, ...], fp: int) -> Verdict:
         """The first violated invariant, then the constraint: each walked
@@ -443,26 +440,19 @@ def build_generic_kernels(
                 append((name, tuple(new_values), (adler32(data) << 32) | crc32(data)))
         return found
 
-    def expand(values: Tuple[Any, ...]) -> List[SuccessorInfo]:
-        entries: List[SuccessorInfo] = []
-        append = entries.append
-        for name, nvals, nfp in transitions(values):
-            verdict = memoized_verdict(verdict_for, nvals, nfp, verdicts)
-            append((name, nvals, nfp, verdict[0], verdict[1]))
-        return entries
-
     info = {
         "kernel": "generic",
         "memo": {function.name: function.stats for function in memo.functions},
     }
-    return transitions, expand, verdict_for, info
+    return transitions, verdict_for, info
 
 
 class CompiledSpec:
     """A specification specialized into flat compiled form.
 
-    Engines use :attr:`transitions` / :attr:`verdict_for` (``simulate``:
-    :attr:`expand`) on value tuples and the trace fold :attr:`transitions`.
+    Engines use :attr:`transitions` / :attr:`verdict_for` on value tuples and
+    the trace fold :attr:`transitions`; the walks and the trace fold keep what
+    they expand as an :class:`~repro.compile.expansion.Expansion`.
     It is an expander, not a spec: seeding, replay and everything else on
     ``State`` objects goes to the wrapped :attr:`spec` itself.
     """
@@ -471,20 +461,28 @@ class CompiledSpec:
         self,
         spec: Specification,
         transitions: Callable[[Tuple[Any, ...]], List[Transition]],
-        expand: Callable[[Tuple[Any, ...]], List[SuccessorInfo]],
-        verdict_for: Callable[[Tuple[Any, ...], int], Tuple[Optional[str], bool]],
+        verdict_for: Callable[[Tuple[Any, ...], int], Verdict],
         info: Dict[str, Any],
         interner: Optional[ValueInterner] = None,
     ) -> None:
         self.spec = spec
         self.transitions = transitions
-        self.expand = expand
         self.verdict_for = verdict_for
         #: ``kernel`` (``native`` or ``generic``), and for the generic kernel
         #: ``memo``: per action, invariant and constraint the live ``hits`` /
         #: ``misses`` / ``entries`` / ``opaque`` of its read-set memo.
         self.compile_info = dict(info)
         self.interner = interner
+
+    def expand(self, values: Tuple[Any, ...]) -> List[SuccessorInfo]:
+        """``transitions(values)``, each entry with its successor's
+        ``verdict_for``: what the benchmark's expansion probe times and the
+        tests compare with the oracle's."""
+        verdict_for = self.verdict_for
+        return [
+            transition + verdict_for(transition[1], transition[2])
+            for transition in self.transitions(values)
+        ]
 
     def __repr__(self) -> str:
         return f"CompiledSpec({self.spec.name!r}, kernel={self.compile_info['kernel']!r})"

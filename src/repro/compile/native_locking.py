@@ -4,14 +4,14 @@ The generic compiled driver (:mod:`repro.compile.kernels`) still calls the
 spec's action closures, so it inherits their per-successor costs: building a
 ``State`` per parent, allocating update dicts, re-walking rows.  The locking
 spec is small and regular enough to compile *past* the closures: this module
-emits Python source for a fused ``expand(values)`` kernel -- guards, row
-updates, fingerprints and invariant verdicts in one function -- specialized
-to the run's :class:`~repro.specs.locking.LockingConfig`, and ``exec``\\ s it
-with the thread loop unrolled (``n_threads`` is a model constant).  The BFS
-engines step on its verdict-free twin, ``transitions(values)``, and call
-``verdict_for`` -- the generated ``violated`` evaluator, unmemoized -- once
-per new state; ``expand``'s per-fingerprint verdict memo serves the
-simulation engine's walks.
+emits Python source for two kernels specialized to the run's
+:class:`~repro.specs.locking.LockingConfig` and ``exec``\\ s them with the
+thread loop unrolled (``n_threads`` is a model constant):
+``transitions(values)`` -- guards, row updates and fingerprints in one
+function -- and the ``violated`` evaluator behind ``verdict_for``; the
+one ``expand`` both kernels share is :meth:`repro.compile.CompiledSpec.expand`.
+The BFS engines call ``verdict_for`` once per new state, the simulation
+engine's walks once per generated fingerprint, through their verdict memo.
 
 What gets precomputed, all derived from the same tables the interpreted spec
 uses so the two cannot drift:
@@ -45,10 +45,8 @@ action/invariant surface this module was specialized against.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..engine.base import VERDICT_MEMO_MAX
 from ..specs.locking import (
     COMPATIBILITY,
     LOCK_MODES,
@@ -80,27 +78,19 @@ def _mode_pack(mode: str) -> bytes:
     return _FP_PACK(_digest(b"P" + repr(mode).encode("utf-8")))
 
 
-def _gen_expand_source(n: int, verdicts: bool) -> str:
-    """Source of ``expand(values)`` with the thread loop unrolled.
+def _gen_transitions_source(n: int) -> str:
+    """Source of ``transitions(values)`` with the thread loop unrolled.
 
-    With ``verdicts=False`` the same walk as ``transitions(values)``: the
-    verdict lookup is left out and the entries are ``(action, values, fp)``.
-    That one is stepped on by trace checking, where ``values`` comes out of
-    a log and can be anything, so it refuses a ``held`` of another shape
-    (``_rowpack`` refuses rows of another shape or vocabulary).
+    Trace checking steps on it too, where ``values`` comes out of a log and
+    can be anything: a ``held`` of another shape (``_rowpack`` refuses rows
+    of another shape or vocabulary) goes to ``_unfit(values)``.
     """
-    if verdicts:
-        emit = [
-            "v = VERDICTS.get(fp, _MISS)",
-            "if v is _MISS: v = _verdict(nheld, fp)",
-            'append(("{action}", (nheld,), fp, v, True))',
-        ]
-    else:
-        emit = ['append(("{action}", (nheld,), fp))']
-    name = "expand" if verdicts else "transitions"
-    lines = [f"def {name}(values):", "    held = values[0]"]
-    if not verdicts:
-        lines.append(f"    if type(held) is not tuple or len(held) != {n}: raise _Unfit")
+    lines = [
+        "def transitions(values):",
+        "  try:",
+        "    held = values[0]",
+        f"    if type(held) is not tuple or len(held) != {n}: raise _Unfit",
+    ]
     for t in range(n):
         lines.append(f"    row{t} = held[{t}]")
     for t in range(n):
@@ -123,7 +113,7 @@ def _gen_expand_source(n: int, verdicts: bool) -> str:
         lines.append(f"        nheld = ({nheld})")
         lines.append(f"        hfp = _digest(_T + {packs})")
         lines.append("        fp = _digest(_T + _PACK(hfp))")
-        lines += ["        " + line.format(action="Acquire") for line in emit]
+        lines.append('        append(("Acquire", (nheld,), fp))')
     for t in range(n):
         others = [o for o in range(n) if o != t]
         nheld = ", ".join("new_row" if o == t else f"row{o}" for o in range(n))
@@ -137,8 +127,8 @@ def _gen_expand_source(n: int, verdicts: bool) -> str:
         lines.append(f"        nheld = ({nheld})")
         lines.append(f"        hfp = _digest(_T + {packs})")
         lines.append("        fp = _digest(_T + _PACK(hfp))")
-        lines += ["        " + line.format(action="Release") for line in emit]
-    lines.append("    return entries")
+        lines.append('        append(("Release", (nheld,), fp))')
+    lines += ["    return entries", "  except _Unfit:", "    return _unfit(values)"]
     return "\n".join(lines)
 
 
@@ -181,8 +171,8 @@ def _gen_violated_source(n: int) -> str:
 
 def compile_locking(
     spec: Any,
-) -> Optional[Tuple[Callable, Callable, Callable, Dict[str, Any]]]:
-    """``(transitions, expand, verdict_for, info)`` for a registry-built locking spec.
+) -> Optional[Tuple[Callable, Callable, Dict[str, Any]]]:
+    """``(transitions, verdict_for, info)`` for a registry-built locking spec.
 
     Returns ``None`` when the spec is not the locking spec this module was
     specialized against -- unexpected actions, invariants, constraint, a
@@ -229,7 +219,6 @@ def compile_locking(
     acq: Dict[Tuple[str, ...], Tuple] = {}
     rel: Dict[Tuple[str, ...], Optional[Tuple]] = {}
     hier: Dict[Tuple[str, ...], bool] = {}
-    verdicts: Dict[int, Optional[str]] = {}
     modepack = {mode: _mode_pack(mode) for mode in (*LOCK_MODES, NO_LOCK)}
 
     def _rowpack(row: Tuple[str, ...]) -> bytes:
@@ -302,42 +291,24 @@ def compile_locking(
         "ACQ": acq,
         "REL": rel,
         "HIER": hier,
-        "VERDICTS": verdicts,
         "_rowpack": _rowpack,
         "_acq": _acq,
         "_rel": _rel,
         "_hier": _hier,
     }
-    violated_source = _gen_violated_source(cfg.n_threads)
-    exec(compile(violated_source, "<locking-violated>", "exec"), namespace)
-    violated = namespace["violated"]
+    def _unfit(values: Tuple[Any, ...]) -> list:
+        # Not a state this kernel was specialized for (a log can report
+        # anything): the spec's own closures answer, or raise what they
+        # always raised.  Anything else is a bug here and surfaces.
+        state = State.from_values(spec.schema, values)
+        return [(name, nxt.values, nxt.fingerprint()) for name, nxt in spec.successors(state)]
 
-    def _verdict(held: Tuple, fp: int) -> Optional[str]:
-        name = violated(held)
-        if len(verdicts) >= VERDICT_MEMO_MAX:
-            for key in list(islice(verdicts, len(verdicts) // 2)):
-                del verdicts[key]
-        verdicts[fp] = name
-        return name
-
-    namespace["_verdict"] = _verdict
-    for with_verdicts in (True, False):
-        source = _gen_expand_source(cfg.n_threads, with_verdicts)
-        exec(compile(source, "<locking-expand>", "exec"), namespace)
-    expand, fitted_transitions = namespace["expand"], namespace["transitions"]
-
-    def transitions(values: Tuple[Any, ...]) -> list:
-        try:
-            return fitted_transitions(values)
-        except _Unfit:
-            # Not a state this kernel was specialized for (a log can report
-            # anything): the spec's own closures answer, or raise what they
-            # always raised.  Anything else is a bug here and surfaces.
-            state = State.from_values(spec.schema, values)
-            return [
-                (name, nxt.values, nxt.fingerprint())
-                for name, nxt in spec.successors(state)
-            ]
+    namespace["_unfit"] = _unfit
+    source = "\n".join(
+        (_gen_violated_source(cfg.n_threads), _gen_transitions_source(cfg.n_threads))
+    )
+    exec(compile(source, "<locking-kernels>", "exec"), namespace)
+    violated, transitions = namespace["violated"], namespace["transitions"]
 
     def verdict_for(values: Tuple[Any, ...], fp: int) -> Tuple[Optional[str], bool]:
         # The locking spec declares no state constraint (guarded above), so
@@ -349,4 +320,4 @@ def compile_locking(
         "unrolled_threads": cfg.n_threads,
         "mutation": cfg.mutation,
     }
-    return transitions, expand, verdict_for, info
+    return transitions, verdict_for, info

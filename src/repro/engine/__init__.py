@@ -27,20 +27,12 @@ peak RSS stays flat as distinct-state counts climb orders of magnitude.
 The fingerprint engine can checkpoint and resume through the store snapshot
 seam (:mod:`repro.resilience`).
 
-Spec execution is a third seam, the *expander*: an object with three
-calls over value tuples.  ``transitions(values)`` is a state's successors
-as ``(action, successor values, fingerprint)`` entries -- what the BFS
-and the trace fold step on; ``verdict_for(values, fp)`` is one
-state's ``(violated invariant, constraint verdict)``, which the BFS
-asks once per *new* state and which keeps no memo; ``expand(values)`` is the
-transitions with verdicts attached through a capped per-fingerprint memo,
-for the simulation engine, whose walks revisit states and which memoizes
-each walked state's expansion for the run.  Every run compiles the spec
-into one, a :class:`repro.compile.CompiledSpec` (fused successor kernels
-over fixed-slot value tuples: the native locking kernel or the generic
-one), and each engine is written once against ``CheckContext.expander``.
-Results are bit-identical to interpreting the spec's own action closures,
-which the test suite keeps as its oracle.
+Spec execution is a third seam, the *expander*: every run compiles the spec
+into a :class:`repro.compile.CompiledSpec` (:mod:`repro.compile.kernels`
+documents its three calls over value tuples), and each engine is written
+once against ``CheckContext.expander``.  Results are bit-identical to
+interpreting the spec's own action closures, which the test suite keeps as
+its oracle.
 
 :class:`~repro.engine.core.ModelChecker` coordinates: it resolves
 ``engine="auto"``/``store="auto"`` eagerly, validates the combination --

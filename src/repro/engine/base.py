@@ -9,23 +9,19 @@ context's :class:`CheckResult`.  The context owns what engines share:
 initial-frontier seeding, checkpointing, and counterexample replay from the
 parent fingerprints the store keeps.
 
-The expander -- the run's :class:`repro.compile.CompiledSpec`, which
-:meth:`repro.engine.core.ModelChecker.run` builds with
-:func:`repro.compile.compile_spec` -- is the one way any engine computes
-successors: ``transitions(values)``, ``verdict_for(values, fp)`` and
-``expand(values)`` (the first plus a memoized second) over value tuples.  The
-BFS engines call ``transitions`` and take one verdict per *new* state;
-``simulate``, whose walks revisit states, calls ``expand`` once per state it
-walks and keeps the result for the run.  The trace fold
-(:class:`repro.tla.trace.SuccessorCache`) holds one too and calls only
-``transitions``.
+The expander -- the run's :class:`repro.compile.CompiledSpec` -- is the one
+way any engine computes successors.  The BFS engines call ``transitions`` and
+take one ``verdict_for`` per *new* state; ``simulate``, whose walks revisit
+states, calls ``transitions`` once per state it walks and keeps the result
+for the run as the record the trace fold keeps too,
+:class:`repro.compile.expansion.Expansion`, and ``verdict_for`` once per
+state it generates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..resilience.checkpoint import Checkpoint, write_checkpoint
 from ..tla.errors import CheckerError, DeadlockError, InvariantViolation
@@ -40,7 +36,6 @@ __all__ = [
     "SuccessorInfo",
     "Transition",
     "Verdict",
-    "memoized_verdict",
 ]
 
 #: One successor without its verdicts: ``(action name, successor value tuple,
@@ -49,7 +44,7 @@ Transition = Tuple[str, Tuple[Any, ...], int]
 
 #: One entry of an expansion result: ``(action name, successor value tuple,
 #: successor fingerprint, violated invariant name or None, constraint
-#: verdict)``.  What the simulation engine's walks step on.
+#: verdict)``.  What ``expand`` returns.
 SuccessorInfo = Tuple[str, Tuple[Any, ...], int, Optional[str], bool]
 
 #: ``(violated invariant name or None, constraint verdict)`` of one state.
@@ -57,38 +52,6 @@ Verdict = Tuple[Optional[str], bool]
 
 #: One BFS frontier entry: ``(state value tuple, fingerprint)``.
 FrontierEntry = Tuple[Tuple[Any, ...], int]
-
-#: Cap on an expander's invariant/constraint verdict memo (see
-#: :func:`memoized_verdict`) and on the walk engine's expansion memo; bounds
-#: memory on paper-scale runs.
-VERDICT_MEMO_MAX = 500_000
-
-
-def memoized_verdict(
-    verdict_for: Callable[[Tuple[Any, ...], int], Verdict],
-    values: Tuple[Any, ...],
-    fp: int,
-    verdicts: Dict[int, Verdict],
-) -> Verdict:
-    """``verdict_for(values, fp)``, memoized per fingerprint: ``expand``'s verdicts.
-
-    Only ``expand`` -- the simulation engine's walks -- goes through it:
-    walks revisit states, and without the memo they would evaluate
-    invariants once per *generated* state instead of once per *distinct*
-    one.  The BFS engines never do: they ask ``verdict_for`` once per new
-    state, which no memo can improve on.  Verdicts are deterministic per
-    state, so memoization cannot change results; the memo is capped (oldest
-    half discarded, like ``FingerprintCache``) so it never grows into a
-    second copy of a paper-scale visited set.
-    """
-    cached = verdicts.get(fp)
-    if cached is None:
-        cached = verdict_for(values, fp)
-        if len(verdicts) >= VERDICT_MEMO_MAX:
-            for key in list(islice(verdicts, len(verdicts) // 2)):
-                del verdicts[key]
-        verdicts[fp] = cached
-    return cached
 
 
 @dataclass

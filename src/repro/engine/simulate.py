@@ -10,16 +10,16 @@ generates), with the walk itself as the counterexample trace when one trips.
 Every violation it reports is therefore a *real* reachable violation: the
 trace starts in an initial state and takes one enabled action per step.
 
-Walks run one after another in this process.  Walks revisit the same few
+Walks run one after another in this process, and they revisit the same few
 states over and over (20,000 raftmongo walks generate 907,137 states from
-6,455 distinct ones), so each walked state's expansion -- ``expander.expand``
-digested into what a step needs -- is memoized for the run, keyed by the
-state's fingerprint as the visited store and the verdict memo are (a value
-tuple would not do: ``(True, 0) == (1, 0)`` though the two are different
-states), and capped like every memo here at
-:data:`~repro.engine.base.VERDICT_MEMO_MAX`, counted in successors held
-(oldest half dropped).  A state is expanded once per run unless the cap
-dropped it.
+6,455 distinct ones), so each walked state's ``transitions`` are kept for
+the run as the record the trace fold keeps
+(:class:`~repro.compile.expansion.Expansion`) in a
+:class:`~repro.compile.expansion.Memo` keyed by the state's fingerprint, as
+the visited store is (a value tuple would not do: ``(True, 0) == (1, 0)``
+though the two are different states), and each generated state is judged
+by ``verdict_for`` once, through a second fingerprint-keyed memo.  Neither
+takes a lock: walks run in one thread.
 
 Determinism: walk *i* is driven by ``random.Random(f"{seed}:{i}")``, so the
 behaviour of each walk is a pure function of ``(spec, seed, i, walk_depth)``.
@@ -36,31 +36,19 @@ in steps.
 from __future__ import annotations
 
 import random
-from array import array
-from itertools import islice
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..compile.expansion import MEMO_MAX, Expansion, Memo
 from ..obs import current as obs_current
 from ..tla.errors import DeadlockError, InvariantViolation
 from ..tla.spec import Specification
 from ..tla.state import State
-from .base import VERDICT_MEMO_MAX, CheckContext, SuccessorInfo
+from .base import CheckContext, Transition, Verdict
 
 __all__ = ["run_walks"]
 
-#: One enabled step a walk may take: (action name, successor values,
-#: successor fingerprint).
-_Step = Tuple[str, Tuple[Any, ...], int]
-
-#: What a walk needs from one state's expansion: (successors generated, the
-#: first successor violating an invariant as (step, invariant name) or None,
-#: then the successors within the state constraint as three columns: their
-#: action names, their fingerprints as an ``array('Q')``, and their value
-#: tuples laid end to end in one flat tuple).  Columns keep no per-successor
-#: tuple or int alive: an entry is what a step reads and no more.
-_Digest = Tuple[
-    int, Optional[Tuple[_Step, str]], Tuple[str, ...], "array[int]", Tuple[Any, ...]
-]
+#: An initial state as a walk starts in it: (values, fingerprint, verdict).
+_Initial = Tuple[Tuple[Any, ...], int, Verdict]
 
 #: One finished walk: (steps taken, states generated, visited fingerprints in
 #: order, violated invariant name or None, deadlocked flag, trace of value
@@ -70,58 +58,79 @@ _WalkOutcome = Tuple[
 ]
 
 
-def _digest(entries: List[SuccessorInfo]) -> _Digest:
-    """One state's ``expand`` entries, reduced to what a walk step reads."""
-    names: List[str] = []
-    fps = array("Q")
-    slots: List[Any] = []
-    for action_name, nvalues, nfp, inv_name, within in entries:
-        if inv_name is not None:
-            return len(entries), ((action_name, nvalues, nfp), inv_name), (), fps, ()
-        if within:
-            names.append(action_name)
-            fps.append(nfp)
-            slots.extend(nvalues)
-    return len(entries), None, tuple(names), fps, tuple(slots)
+class _Verdicts(Memo):
+    """Generated states' ``(violated invariant, constraint verdict)`` by
+    fingerprint, for the walks of one run: ``verdict_for`` runs once per
+    fingerprint while it is held, not once per time the walks generate it
+    (verdicts are deterministic per state, so the memo cannot change an
+    answer), and each value is one of the few distinct verdict tuples,
+    shared, not one per entry.  Only the walks read it."""
+
+    __slots__ = ("verdict_for", "_shared")
+
+    def __init__(self, verdict_for: Callable[[Tuple[Any, ...], int], Verdict]) -> None:
+        super().__init__(MEMO_MAX)
+        self.verdict_for = verdict_for
+        self._shared: Dict[Verdict, Verdict] = {}
+
+    def judge(self, values: Tuple[Any, ...], fp: int) -> Verdict:
+        verdict = self.get(fp)
+        if verdict is None:
+            verdict = self.verdict_for(values, fp)
+            verdict = self.keep(fp, self._shared.setdefault(verdict, verdict))
+        return verdict
 
 
-class _Expansions(dict):
-    """Walked states' digests (:func:`_digest`) for one run, by fingerprint.
+class _Walked(Expansion):
+    """A walked state's expansion and what a step reads of its successors'
+    verdicts: ``hit``, the first successor violating an invariant as
+    ``(position, name)``, and ``walkable``, the positions of those within the
+    state constraint -- None when there is none, and when that is all of
+    them."""
 
-    Capped like every memo here at :data:`~repro.engine.base.VERDICT_MEMO_MAX`
-    -- counted in successors held, not states, because an entry's memory
-    grows with its successors: a digest weighs one plus its in-constraint
-    successors.  When the next digest would cross the cap, the oldest half
-    of the entries is dropped.
-    """
+    __slots__ = ("hit", "walkable")
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.weight = 0
+    def __init__(self, fp: int, transitions: List[Transition], verdicts: _Verdicts) -> None:
+        # One pass collects the columns and reads the verdicts: a walk miss
+        # is most of a locking walk's time.
+        self.hit: Optional[Tuple[int, str]] = None
+        names: List[str] = []
+        slots: List[Any] = []
+        fps: List[int] = []
+        walkable: List[int] = []
+        known, judge = verdicts.get, verdicts.judge
+        for at, (name, values, successor_fp) in enumerate(transitions):
+            violated, within = known(successor_fp) or judge(values, successor_fp)
+            if violated is not None and self.hit is None:
+                self.hit = at, violated
+            if within:
+                walkable.append(at)
+            names.append(name)
+            slots.extend(values)
+            fps.append(successor_fp)
+        self._hold(None, fp, names, slots, fps)
+        self.walkable = None if len(walkable) == len(names) else tuple(walkable)
 
-    def digest(self, expander: Any, values: Tuple[Any, ...], fp: int) -> _Digest:
-        found = self.get(fp)
-        if found is not None:
-            return found
-        digest = _digest(expander.expand(values))
-        weight = 1 + len(digest[2])
-        while self and self.weight + weight > VERDICT_MEMO_MAX:
-            for key in list(islice(self, (len(self) + 1) // 2)):
-                self.weight -= 1 + len(self.pop(key)[2])
-        self[fp] = digest
-        self.weight += weight
-        return digest
+
+def _judged_initial(spec: Specification, verdicts: _Verdicts) -> List[_Initial]:
+    """The spec's initial states, each judged once for every walk of a run."""
+    rows = []
+    for state in spec.initial_states():
+        fp = state.fingerprint()
+        rows.append((state.values, fp, verdicts.judge(state.values, fp)))
+    return rows
 
 
 def _run_walk(
     expander: Any,
-    memo: _Expansions,
-    initial: List[State],
+    memo: Memo,
+    verdicts: _Verdicts,
+    initial: List[_Initial],
     walk_index: int,
     seed: int,
     walk_depth: int,
 ) -> _WalkOutcome:
-    """Run one seeded random walk; pure function of its arguments but ``memo``.
+    """Run one seeded random walk; pure function of its arguments but the memos.
 
     The walk starts in a uniformly chosen initial state and repeatedly takes
     a uniformly chosen enabled action whose successor satisfies the state
@@ -133,8 +142,9 @@ def _run_walk(
     walk ends at the depth budget, at an invariant violation, at a deadlock,
     or when the constraint fences every successor off.
 
-    ``memo`` holds walked states' expansions by fingerprint; it only saves
-    work, because a state's expansion is deterministic.  The walk
+    ``memo`` holds walked states' expansions by fingerprint and ``verdicts``
+    generated states' verdicts; they only save work, because both are
+    deterministic per state.  The walk
     carries value tuples, not ``State`` objects.  Walk *i* is the same under
     either expander because ``random.Random.choice`` depends only on the
     sequence *length* and both enumerate successors in the same order -- so
@@ -143,31 +153,34 @@ def _run_walk(
     """
     rng = random.Random(f"{seed}:{walk_index}")
     generated = len(initial)
-    state = rng.choice(initial)
-    fp = state.fingerprint()
-    values = state.values
+    values, fp, (violated_name, within) = rng.choice(initial)
     width = len(values)
     fps = [fp]
     trace: List[Tuple[Any, ...]] = [values]
     actions: List[str] = []
-    violated_name, within = expander.verdict_for(values, fp)
     deadlocked = False
     steps = 0
     if violated_name is None and within:
         while steps < walk_depth:
-            count, hit, names, successor_fps, slots = memo.digest(expander, values, fp)
+            here = memo.get(fp)
+            if here is None:
+                here = memo.keep(fp, _Walked(fp, expander.transitions(values), verdicts))
+            count = len(here.actions)
             generated += count
             if not count:
                 deadlocked = True
                 break
+            hit, walkable = here.hit, here.walkable
             if hit is not None:
-                (action_name, values, fp), violated_name = hit
-            elif names:
-                k = rng.choice(range(len(names)))
-                action_name, fp = names[k], successor_fps[k]
-                values = slots[k * width : (k + 1) * width]
+                k, violated_name = hit
+            elif walkable is None:
+                k = rng.choice(range(count))
+            elif walkable:
+                k = rng.choice(walkable)
             else:
                 break
+            action_name, fp = here.actions[k], here.fps[k]
+            values = here.slots[k * width : (k + 1) * width]
             steps += 1
             fps.append(fp)
             trace.append(values)
@@ -180,12 +193,13 @@ def _run_walk(
 def run_walks(ctx: CheckContext) -> None:
     """Seeded random-walk exploration with walk and depth budgets."""
     spec, result, store = ctx.spec, ctx.result, ctx.store
-    # The initial states are made once per run and shared by every walk: the
-    # expander's interner keeps the first copy of each value it sees as
-    # canonical and binds that copy with one identity probe, where an equal
-    # fresh one would be re-interned on every walk.
-    initial = spec.initial_states()
-    memo = _Expansions()
+    # The initial states are made and judged once per run and shared by every
+    # walk: the expander's interner keeps the first copy of each value it
+    # sees as canonical and binds that copy with one identity probe, where an
+    # equal fresh one would be re-interned on every walk.
+    verdicts = _Verdicts(ctx.expander.verdict_for)
+    initial = _judged_initial(spec, verdicts)
+    memo = Memo(MEMO_MAX)
     obs_run = obs_current()
     ticker = obs_run.progress if obs_run is not None else None
     action_counts: Dict[str, int] = {act.name: 0 for act in spec.actions}
@@ -193,7 +207,7 @@ def run_walks(ctx: CheckContext) -> None:
     deadlock: Optional[List[Tuple[Any, ...]]] = None
     for walk_index in range(ctx.walks):
         steps, generated, fps, inv_name, deadlocked, trace, actions = _run_walk(
-            ctx.expander, memo, initial, walk_index, ctx.seed, ctx.walk_depth
+            ctx.expander, memo, verdicts, initial, walk_index, ctx.seed, ctx.walk_depth
         )
         result.walks += 1
         result.generated_states += generated

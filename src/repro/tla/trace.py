@@ -22,17 +22,18 @@ Two checking modes are provided:
 from __future__ import annotations
 
 import threading
-from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from .coverage import CoverageReport
 from .errors import TraceInitialStateMismatch, TraceMismatch
 from .spec import Specification
 from .state import State
 from .values import decode_value, packed_state_fingerprint
+
+if TYPE_CHECKING:
+    from ..compile.expansion import Expansion
 
 __all__ = [
     "STUTTER",
@@ -60,58 +61,6 @@ Binding = Tuple[Tuple[Any, ...], Tuple[Any, ...], Tuple[Any, ...], Tuple[bytes, 
 _FOR_SPEC_LOCK = threading.Lock()
 
 
-class _Expansion:
-    """One canonical state's memoized successors, kept as three columns.
-
-    What the expander handed back -- its order, duplicates kept, nothing
-    bound -- split into ``actions`` (a tuple of names), ``successors`` (the
-    value tuples exactly as returned) and ``fps`` (their fingerprints, an
-    ``array('Q')``); no per-successor tuple, int or index survives the miss.
-    It reads as the sequence of ``(action, values, fp)`` triples the
-    expander returned, each built when it is read.
-    """
-
-    __slots__ = ("values", "fp", "actions", "successors", "fps", "_enabled")
-
-    def __init__(
-        self,
-        values: Tuple[Any, ...],
-        fp: int,
-        transitions: Sequence[Tuple[str, Tuple[Any, ...], int]],
-    ) -> None:
-        #: The state's canonical value tuple -- which keeps alive the objects
-        #: its memo key names by identity -- and its fingerprint.
-        self.values = values
-        self.fp = fp
-        self.actions, self.successors, fps = tuple(zip(*transitions)) or ((), (), ())
-        self.fps = array("Q", fps)
-        self._enabled: Optional[Tuple[str, ...]] = None
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def __getitem__(self, index: int) -> Tuple[str, Tuple[Any, ...], int]:
-        return self.actions[index], self.successors[index], self.fps[index]
-
-    def find(self, fp: int) -> Optional[int]:
-        """The position of the first successor with fingerprint ``fp``, if any.
-
-        The probe *selects* a candidate; :meth:`TraceFold.step` compares the
-        candidate's values before it believes it."""
-        try:
-            return self.fps.index(fp)
-        except ValueError:
-            return None
-
-    @property
-    def enabled(self) -> Tuple[str, ...]:
-        """Enabled action names, in order of first appearance; worked out when
-        first read (coverage and a failure message ask, a bare step does not)."""
-        if self._enabled is None:
-            self._enabled = tuple(dict.fromkeys(self.actions))
-        return self._enabled
-
-
 class SuccessorCache:
     """Memoized successor lookup shared across many trace checks: the one
     place trace checking meets the compiled substrate.
@@ -123,8 +72,12 @@ class SuccessorCache:
     (:func:`repro.compile.compile_spec`: the native or the generic kernel)
     and one :class:`~repro.compile.ValueInterner` (the compiled spec's when
     it has one), and memoizes each state's ``transitions`` -- no invariant, no
-    constraint -- as an :class:`_Expansion`: three columns, one copy of each
-    successor.  :meth:`for_spec` is the one everything handed the same
+    constraint -- as an :class:`~repro.compile.expansion.Expansion`, the
+    record the simulation engine's walks keep too: three columns, one copy
+    of each successor.  Every memo here is a
+    :class:`~repro.compile.expansion.Memo` capped at :attr:`max_entries`
+    (an expansion weighs one plus its successors, anything else one).
+    :meth:`for_spec` is the one everything handed the same
     ``Specification`` object shares.
 
     **Keys are exact; a fingerprint selects, equality decides.**  A state is
@@ -149,18 +102,21 @@ class SuccessorCache:
     equality, remains the one way in for anything else: hand-built states,
     unpickled states, a trace bound in another cache.
 
-    The library folds from one thread, but a caller may share one instance
+    **One instance may be shared between threads**: that is a contract,
+    pinned by ``tests/test_ingest.py``'s eight-thread decode-and-check test.
+    The library folds from one thread, but a caller may share one cache
     between threads of its own: a hit is one dict probe, and everything
     that edits the interner, the expander's memos or these memos -- binding
     a state, a miss, an eviction -- runs under one lock, because none of them
-    is safe to enter twice (and none re-enters: the lock is a plain one).  The
+    is safe to enter twice (and none re-enters: the lock is a plain one);
+    :meth:`for_spec` builds the per-spec instance under another.  The
     hit/miss counters are unsynchronized, so approximate under concurrency
     (they inform a summary line, nothing more).
     """
 
     __slots__ = (
-        "spec", "max_entries", "expander", "interner",
-        "_cache", "_decoded", "_spliced", "_bindings", "_successors", "_initials",
+        "spec", "expander", "interner", "_record",
+        "_cache", "_decoded", "_spliced", "_bindings", "_initials",
         "_epoch", "_lock",
         "hits", "misses", "decode_hits", "decode_misses", "splice_hits", "splice_misses",
     )
@@ -169,23 +125,25 @@ class SuccessorCache:
         # Imported here, as the engines do: ``repro.tla`` must not need the
         # compile package at import time.
         from ..compile import compile_spec
+        from ..compile.expansion import Expansion, Memo
         from ..compile.interner import ValueInterner
 
         self.spec = spec
-        self.max_entries = max_entries
         self.expander = compile_spec(spec)
         interner = self.expander.interner
         self.interner = interner if interner is not None else ValueInterner()
-        self._cache: Dict[Tuple[Any, ...], _Expansion] = {}
+        #: The record class, bound once: an import on every miss costs more
+        #: than the miss's bookkeeping.
+        self._record = Expansion
+        #: key -> the state's Expansion.
+        self._cache = Memo(max_entries)
         #: repr(payload) -> ((slot, canonical value, key part, packed fp), ...).
-        self._decoded: Dict[str, Tuple[Tuple[int, Any, Any, bytes], ...]] = {}
+        self._decoded = Memo(max_entries)
         #: (id(whole), node, key part) -> (whole, spliced whole, its key part
         #: and packed fp): retaining ``whole`` keeps its id from being reused.
-        self._spliced: Dict[Tuple[Any, ...], Tuple[Any, Any, Any, bytes]] = {}
+        self._spliced = Memo(max_entries)
         #: key -> the one binding :meth:`splice` hands out for that state.
-        self._bindings: Dict[Tuple[Any, ...], Binding] = {}
-        #: Successors held in the columns of ``_cache``'s expansions.
-        self._successors = 0
+        self._bindings = Memo(max_entries)
         self._initials: Tuple[int, List[Binding]] = (-1, [])
         self._epoch = self.interner.evictions
         self._lock = threading.Lock()
@@ -206,6 +164,16 @@ class SuccessorCache:
         return len(self._cache)
 
     @property
+    def max_entries(self) -> int:
+        """The cap of every memo here, in :class:`~repro.compile.expansion.Memo` weight."""
+        return self._cache.cap
+
+    @max_entries.setter
+    def max_entries(self, cap: int) -> None:
+        for memo in (self._cache, self._decoded, self._spliced, self._bindings):
+            memo.cap = cap
+
+    @property
     def kernel(self) -> str:
         """What computes successors: ``native`` or ``generic``."""
         return self.expander.compile_info["kernel"]
@@ -214,7 +182,7 @@ class SuccessorCache:
         """The kernel kind and the counters of everything the cache runs on.
 
         ``hits`` / ``misses`` / ``cache_entries``: the successor memo, and
-        ``successors`` the successors its columns hold; ``decode_*`` /
+        ``successors`` the successors its expansions hold; ``decode_*`` /
         ``splice_*``: the decode plan (all misses when every payload is
         distinct), and ``binding_entries`` the distinct states it has bound;
         ``interner_*``: the value interner; ``memo_*``: the generic kernel's
@@ -227,7 +195,7 @@ class SuccessorCache:
             "hits": self.hits,
             "misses": self.misses,
             "cache_entries": len(self._cache),
-            "successors": self._successors,
+            "successors": self._cache.weight - len(self._cache),
             "binding_entries": len(self._bindings),
             "decode_hits": self.decode_hits,
             "decode_misses": self.decode_misses,
@@ -253,18 +221,10 @@ class SuccessorCache:
         if self.interner.evictions != self._epoch:
             # The interner let go of objects the memos are keyed on: equal
             # values are canonical under new identities from here on.
-            self._cache, self._decoded, self._spliced, self._bindings = {}, {}, {}, {}
-            self._successors = 0
+            for each in (self._cache, self._decoded, self._spliced, self._bindings):
+                each.clear()
             self._epoch = self.interner.evictions
-        entries = getattr(self, memo)
-        if len(entries) >= self.max_entries:
-            # Oldest half, as FingerprintCache and the verdict memo do: a
-            # wholesale clear would drop every hot entry mid-batch.
-            for stale in list(islice(entries, len(entries) // 2)):
-                dropped = entries.pop(stale)
-                if memo == "_cache":
-                    self._successors -= len(dropped)
-        entries[key] = entry
+        getattr(self, memo).keep(key, entry)
 
     # -- binding: observed values -> canonical values + exact key --------------
     def bind(self, values: Tuple[Any, ...], near: Optional[Binding] = None) -> Binding:
@@ -368,7 +328,7 @@ class SuccessorCache:
         return found
 
     # -- lookup -----------------------------------------------------------------
-    def expansion(self, binding: Binding) -> _Expansion:
+    def expansion(self, binding: Binding) -> Expansion:
         """The memoized expansion of the state bound as ``binding``.
 
         A miss runs the expander on the canonical values and keeps what it
@@ -383,9 +343,8 @@ class SuccessorCache:
         self.misses += 1
         with self._lock:
             transitions = self.expander.transitions(values)
-            found = _Expansion(values, packed_state_fingerprint(fps), transitions)
+            found = self._record(values, packed_state_fingerprint(fps), transitions)
             self._file("_cache", key, found)
-            self._successors += len(found)
         return found
 
 
@@ -520,7 +479,7 @@ class TraceFold:
         # The fingerprint and the expansion are looked up once per state,
         # however many of step / coverage / failure ask.
         self._binding, self._fp = binding, fp
-        self._expansion: Optional[_Expansion] = None
+        self._expansion: Optional[Expansion] = None
 
     @property
     def state(self) -> Optional[State]:
@@ -587,7 +546,7 @@ class TraceFold:
             here = self._successors()
             fp = packed_state_fingerprint(fps)
             at = here.find(fp)
-            if at is None or here.successors[at] != values:
+            if at is None or here.successor(at) != values:
                 for at, successor in enumerate(here.successors):
                     if successor == values:
                         break
@@ -663,7 +622,7 @@ class TraceFold:
             self._fp = packed_state_fingerprint(self._binding[3])
         return self._fp
 
-    def _successors(self) -> _Expansion:
+    def _successors(self) -> Expansion:
         """The current state's expansion, looked up once per state."""
         here = self._expansion
         if here is None:

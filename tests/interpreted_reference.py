@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Tuple
 import pytest
 
 import repro.compile
-from repro.engine.base import SuccessorInfo, Transition, Verdict, memoized_verdict
+from repro.engine.base import SuccessorInfo, Transition, Verdict
 from repro.tla.spec import Specification
 from repro.tla.state import State
 from repro.tla.values import FingerprintCache
@@ -31,8 +31,8 @@ class InterpretedExpander:
     the spec's own predicates, and ``expand(values)`` the successors with
     memoized verdicts, as :data:`~repro.engine.base.SuccessorInfo` entries --
     what :class:`~repro.compile.CompiledSpec` must emit, in the same order.
-    The fingerprint cache and ``expand``'s verdict memo live as long as the
-    expander: one per run.
+    The fingerprint cache and ``expand``'s verdict memo (a plain dict: an
+    oracle needs no cap) live as long as the expander: one per run.
     """
 
     #: A compiled spec's ``interner``: there is none to share.
@@ -57,7 +57,9 @@ class InterpretedExpander:
         verdict_for, verdicts = self.verdict_for, self._verdicts
         entries: List[SuccessorInfo] = []
         for action_name, nvalues, nfp in self.transitions(values):
-            cached = memoized_verdict(verdict_for, nvalues, nfp, verdicts)
+            cached = verdicts.get(nfp)
+            if cached is None:
+                cached = verdicts[nfp] = verdict_for(nvalues, nfp)
             entries.append((action_name, nvalues, nfp, cached[0], cached[1]))
         return entries
 

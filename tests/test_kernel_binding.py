@@ -152,7 +152,7 @@ def test_a_state_bound_across_an_interner_eviction_stores_nothing(monkeypatch, k
     interner may no longer retain what the bind took keys of, so no trie leaf
     is filed for that state."""
     interner = ValueInterner(max_entries=4)
-    transitions, _expand, verdict_for, info = build_generic_kernels(_pairs_spec(), interner)
+    transitions, verdict_for, info = build_generic_kernels(_pairs_spec(), interner)
     reference = InterpretedExpander(_pairs_spec())
 
     def agrees(values):

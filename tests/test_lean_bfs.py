@@ -1,8 +1,8 @@
 """What the fingerprint BFS keeps per state, and what it no longer computes.
 
 The BFS engines step on ``expander.transitions`` and ask
-``expander.verdict_for`` once per *new* state; ``expand`` (with its verdict
-memo) is the simulation engine's, called once per walked state.  The fingerprint store is one entry per
+``expander.verdict_for`` once per *new* state, and never call ``expand``; the
+simulation engine's walks call ``transitions`` once per walked state.  The fingerprint store is one entry per
 distinct state -- the state's fingerprint mapped to its parent's -- and
 counterexamples are replayed from those pointers by fingerprint.  Each test
 here fails on a version that breaks one of those contracts.
@@ -36,15 +36,21 @@ def _answers(result):
 
 
 def _instrument(monkeypatch, *, refuse_expand):
-    """Record every ``verdict_for`` / ``expand`` call of the run's expander
-    (the compiled spec, or the oracle once ``use_oracle`` has run)."""
-    calls = {"verdict_for": [], "expand": [], "expanders": []}
+    """Record every ``verdict_for`` / ``expand`` / ``transitions`` call of the
+    run's expander (the compiled spec, or the oracle once ``use_oracle`` has
+    run)."""
+    calls = {"verdict_for": [], "expand": [], "transitions": [], "expanders": []}
     compile_spec = repro.compile.compile_spec
 
     def instrumented(spec):
         expander = compile_spec(spec)
         calls["expanders"].append(expander)
         verdict_for, expand = expander.verdict_for, expander.expand
+        transitions = expander.transitions
+
+        def counted_transitions(values):
+            calls["transitions"].append(values)
+            return transitions(values)
 
         def counted_verdict_for(values, fp):
             calls["verdict_for"].append(fp)
@@ -58,6 +64,7 @@ def _instrument(monkeypatch, *, refuse_expand):
 
         expander.verdict_for = counted_verdict_for
         expander.expand = counted_expand
+        expander.transitions = counted_transitions
         return expander
 
     monkeypatch.setattr(repro.compile, "compile_spec", instrumented)
@@ -117,7 +124,8 @@ def test_walks_expand_each_walked_state_once(
     )
     (expander,) = calls["expanders"]
     assert isinstance(expander, InterpretedExpander) == (mode == "off")
-    expanded = calls["expand"]
+    assert not calls["expand"]
+    expanded = calls["transitions"]
     assert len(expanded) == len(set(expanded))
     assert 0 < len(expanded) <= result.distinct_states
     assert sum(result.action_counts.values()) > steps_per_expand * len(expanded)

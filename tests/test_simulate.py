@@ -11,8 +11,8 @@ import pytest
 
 from interpreted_reference import oracle_runs, use_oracle
 from repro.compile import compile_spec
+from repro.compile.expansion import MEMO_MAX, Memo
 from repro.engine import ModelChecker, check_spec, simulate
-from repro.engine.base import VERDICT_MEMO_MAX
 from repro.tla import Action, Specification
 from repro.tla.registry import build_spec
 
@@ -434,27 +434,32 @@ def _outcome(result):
 @pytest.mark.parametrize("cap", [2, 64, None], ids=["cap2", "cap64", "default-cap"])
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("name, params", _WALK_SPECS, ids=_WALK_SPEC_IDS)
-def test_the_expansion_memo_only_saves_work(monkeypatch, name, params, seed, cap):
+def test_the_expansion_memo_only_saves_work(name, params, seed, cap):
     # Walk i against the memo every walk of a run shares -- at cap 2 and 64
-    # its oldest half is dropped over and over -- equals walk i against an
-    # empty memo on its own expander: the memo decides how often a state is
-    # expanded, never where a walk goes or what it reports.
-    if cap is not None:
-        monkeypatch.setattr(simulate, "VERDICT_MEMO_MAX", cap)
+    # its oldest half is dropped over and over, and so is the verdict memo's
+    # -- equals walk i against an empty memo on its own expander: the memos
+    # decide how often a state is expanded and judged, never where a walk
+    # goes or what it reports.
     spec = build_spec(name, **params)
     shared_expander = compile_spec(spec)
     fresh_expander = compile_spec(spec)
-    initial = spec.initial_states()
-    shared = simulate._Expansions()
+    initial = simulate._judged_initial(spec, simulate._Verdicts(fresh_expander.verdict_for))
+    shared = Memo(cap or MEMO_MAX)
+    shared_verdicts = simulate._Verdicts(shared_expander.verdict_for)
+    shared_verdicts.cap = cap or MEMO_MAX
     for walk_index in range(30):
-        walked = simulate._run_walk(shared_expander, shared, initial, walk_index, seed, 20)
+        walked = simulate._run_walk(
+            shared_expander, shared, shared_verdicts, initial, walk_index, seed, 20
+        )
         alone = simulate._run_walk(
-            fresh_expander, simulate._Expansions(), initial, walk_index, seed, 20
+            fresh_expander, Memo(), simulate._Verdicts(fresh_expander.verdict_for),
+            initial, walk_index, seed, 20,
         )
         assert walked == alone
         # The cap counts successors held; one entry may outweigh it alone.
-        assert shared.weight <= (cap or VERDICT_MEMO_MAX) or len(shared) == 1
-        assert shared.weight == sum(1 + len(digest[2]) for digest in shared.values())
+        assert shared.weight <= (cap or MEMO_MAX) or len(shared) == 1
+        assert shared.weight == sum(1 + len(expansion) for expansion in shared.values())
+        assert len(shared_verdicts) <= (cap or MEMO_MAX)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -489,11 +494,12 @@ def test_a_deeper_budget_extends_every_walk(name, params):
     # under the smaller budget is a prefix of the same walk under the larger.
     spec = build_spec(name, **params)
     expander = compile_spec(spec)
-    initial = spec.initial_states()
-    memo = simulate._Expansions()
+    verdicts = simulate._Verdicts(expander.verdict_for)
+    initial = simulate._judged_initial(spec, verdicts)
+    memo = Memo()
     for walk_index in range(30):
-        short = simulate._run_walk(expander, memo, initial, walk_index, 3, 8)
-        long = simulate._run_walk(expander, memo, initial, walk_index, 3, 24)
+        short = simulate._run_walk(expander, memo, verdicts, initial, walk_index, 3, 8)
+        long = simulate._run_walk(expander, memo, verdicts, initial, walk_index, 3, 24)
         steps, _generated, fps, _inv, _deadlocked, trace, actions = short
         assert long[0] >= steps
         assert long[2][: len(fps)] == fps
@@ -654,3 +660,78 @@ def test_cli_check_simulate_finds_seeded_mutation(capsys):
     out = capsys.readouterr().out
     assert "VIOLATION" in out
     assert "counterexample" in out
+
+
+def _judging(monkeypatch):
+    """Every ``verdict_for`` call and every generated fingerprint of the runs
+    compiled while ``monkeypatch`` holds, through a wrapped expander."""
+    import repro.compile
+
+    seen = {"judged": [], "generated": set(), "kernels": []}
+    compile_spec = repro.compile.compile_spec
+
+    def wrapped(spec):
+        expander = compile_spec(spec)
+        verdict_for, transitions = expander.verdict_for, expander.transitions
+
+        def counted_verdict_for(values, fp):
+            seen["judged"].append((values, fp))
+            return verdict_for(values, fp)
+
+        def recorded_transitions(values):
+            found = transitions(values)
+            seen["generated"].update(fp for _action, _values, fp in found)
+            return found
+
+        expander.verdict_for = counted_verdict_for
+        expander.transitions = recorded_transitions
+        seen["kernels"].append(expander.compile_info["kernel"])
+        return expander
+
+    monkeypatch.setattr(repro.compile, "compile_spec", wrapped)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "name, params, kernel",
+    [("raftmongo", {"variant": "mbtc"}, "generic"), ("locking", {}, "native")],
+    ids=["raftmongo", "locking"],
+)
+def test_a_walk_run_judges_each_generated_fingerprint_once(monkeypatch, name, params, kernel):
+    # Below the cap nothing is evicted, so the walks' verdict memo judges
+    # every fingerprint they generate -- initial states included -- once,
+    # however often they generate it.
+    seen = _judging(monkeypatch)
+    spec = build_spec(name, **params)
+    initial = {state.fingerprint() for state in spec.initial_states()}
+    result = check_spec(
+        spec, check_properties=False, engine="simulate", walks=2000, walk_depth=50, seed=1
+    )
+    assert seen["kernels"] == [kernel]
+    judged = [fp for _values, fp in seen["judged"]]
+    assert len(judged) == len(set(judged))
+    assert set(judged) == seen["generated"] | initial
+    assert result.generated_states > 10 * len(judged) > 0
+
+
+def test_an_out_of_constraint_successor_is_counted_and_judged(monkeypatch):
+    # One counter, fenced at 2: a walk goes 0 -> 1 -> 2, generates 3 -- which
+    # it never enters -- and stops.  Every walk counts 3 among its generated
+    # states, and the run judges it once; with a bound of 3 that judgment is
+    # the violation, with the walk plus 3 as the counterexample.
+    import widecounter_spec  # noqa: F401 - registers _test_widecounter
+
+    seen = _judging(monkeypatch)
+    options = dict(check_properties=False, engine="simulate", walk_depth=10, seed=0)
+    fenced = check_spec(build_spec("_test_widecounter", width=1, ceiling=2), walks=5, **options)
+    assert fenced.ok and fenced.max_depth == 2 and fenced.distinct_states == 3
+    assert fenced.generated_states == 5 * 4  # the initial state and three successors
+    assert [values for values, _fp in seen["judged"]] == [((0,),), ((1,),), ((2,),), ((3,),)]
+
+    bounded = check_spec(
+        build_spec("_test_widecounter", width=1, ceiling=2, invariant_bound=3), walks=5, **options
+    )
+    violation = bounded.invariant_violation
+    assert violation.property_name == "Bounded" and bounded.walks == 1
+    assert [state["xs"] for state in violation.trace] == [(0,), (1,), (2,), (3,)]
+    assert bounded.generated_states == 4
