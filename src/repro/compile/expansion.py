@@ -4,8 +4,9 @@ The trace fold (:class:`repro.tla.trace.SuccessorCache`, paper Section 4) and
 the simulation engine's walks (:mod:`repro.engine.simulate`) ask "what are
 the successors of this state?" over and over.  Both keep the answer as an
 :class:`Expansion` in a :class:`Memo`, each under its own key: the trace fold
-under the interner's exact key (a fingerprint selects, equality decides), a
-walk under the walked state's fingerprint, as the visited store does.
+under the interner's exact key (a fingerprint selects, equality decides), as
+a :class:`StateExpansion`, which keeps the state too; a walk under the walked
+state's fingerprint, as the visited store does.
 """
 
 from __future__ import annotations
@@ -14,64 +15,52 @@ from array import array
 from itertools import islice
 from typing import Any, List, Optional, Sequence, Tuple
 
-__all__ = ["MEMO_MAX", "Expansion", "Memo"]
+__all__ = ["MEMO_MAX", "Expansion", "Memo", "StateExpansion"]
 
-#: The one cap: on a walk's expansion memo and the compiled spec's verdict
-#: memo (successors held), and on the generic kernel's read-set tries
-#: (leaves).  Bounds per-process memory on paper-scale runs.
+#: The one cap: on the walk's expansion and verdict memos and on the generic
+#: kernel's read-set tries (leaves).  Bounds per-process memory on
+#: paper-scale runs.
 MEMO_MAX = 500_000
 
 
 class Expansion:
     """One state's successors as three columns: ``actions`` (a tuple of names),
-    ``slots`` (their value tuples laid end to end in one flat tuple) and
+    ``slots`` (their value tuples laid end to end, ``width`` slots each) and
     ``fps`` (their fingerprints, an ``array('Q')``).
 
-    Built from what the expander handed back -- its order, duplicates kept,
-    nothing bound; ``transitions`` entries, or ``expand``'s, whose verdicts
-    it drops -- and no per-successor tuple or int survives it.  It reads as
-    the sequence of ``(action, values, fp)`` triples, each built when read.
-    ``values`` is the state's value tuple when the record must keep its
-    objects alive (a trace fold's memo key names them by identity), else None.
+    Built from what the expander's ``transitions`` handed back -- its order,
+    duplicates kept, nothing bound -- and no per-successor tuple or int
+    survives it.  It reads as the sequence of ``(action, values, fp)``
+    triples, each built when read.
     """
 
-    __slots__ = ("values", "fp", "actions", "slots", "fps", "_enabled")
+    __slots__ = ("actions", "slots", "width", "fps")
 
-    def __init__(
-        self, values: Optional[Tuple[Any, ...]], fp: int, transitions: Sequence[Tuple]
-    ) -> None:
+    def __init__(self, transitions: Sequence[Tuple]) -> None:
         names: List[str] = []
         slots: List[Any] = []
         fps: List[int] = []
-        for entry in transitions:
-            names.append(entry[0])
-            slots.extend(entry[1])
-            fps.append(entry[2])
-        self._hold(values, fp, names, slots, fps)
-
-    def _hold(
-        self, values: Optional[Tuple[Any, ...]], fp: int, names: List[str], slots: List[Any],
-        fps: List[int],
-    ) -> None:
-        """Keep the columns collected from the transitions, in their layout."""
-        self.values = values
-        self.fp = fp
+        for name, successor, successor_fp in transitions:
+            names.append(name)
+            slots.extend(successor)
+            fps.append(successor_fp)
         self.actions = tuple(names)
         self.slots = tuple(slots)
+        self.width = len(slots) // len(names) if names else 0
         self.fps = array("Q", fps)
-        self._enabled: Optional[Tuple[str, ...]] = None
 
     def __len__(self) -> int:
         return len(self.actions)
 
     def __getitem__(self, index: int) -> Tuple[str, Tuple[Any, ...], int]:
-        index = range(len(self.actions))[index]
-        return self.actions[index], self.successor(index), self.fps[index]
+        action = self.actions[index]  # an IndexError ends iteration
+        start = (index % len(self.actions)) * self.width
+        return action, self.slots[start : start + self.width], self.fps[index]
 
     def successor(self, position: int) -> Tuple[Any, ...]:
         """The value tuple of the successor at ``position`` (``0 <= position < len(self)``)."""
-        width = len(self.slots) // len(self.actions)
-        return self.slots[position * width : (position + 1) * width]
+        start = position * self.width
+        return self.slots[start : start + self.width]
 
     @property
     def successors(self) -> Tuple[Tuple[Any, ...], ...]:
@@ -85,6 +74,21 @@ class Expansion:
             return self.fps.index(fp)
         except ValueError:
             return None
+
+
+class StateExpansion(Expansion):
+    """An :class:`Expansion` that keeps its state, as the trace fold needs:
+    ``values``, whose objects the fold's memo key names by identity and so
+    must stay alive, ``fp``, and :attr:`enabled`.  A walk keys its records on
+    the fingerprint and keeps none of this."""
+
+    __slots__ = ("values", "fp", "_enabled")
+
+    def __init__(self, values: Tuple[Any, ...], fp: int, transitions: Sequence[Tuple]) -> None:
+        super().__init__(transitions)
+        self.values = values
+        self.fp = fp
+        self._enabled: Optional[Tuple[str, ...]] = None
 
     @property
     def enabled(self) -> Tuple[str, ...]:
@@ -100,36 +104,34 @@ def _weight(value: Any) -> int:
 
 
 class Memo(dict):
-    """A dict capped by :attr:`weight`: an entry weighs one plus the successors
-    it holds (an :class:`Expansion`'s length; any other value holds none).
+    """A dict capped at :attr:`cap`, the oldest half of its entries evicted
+    first -- a wholesale clear would drop every hot entry mid-run.
 
-    When the next entry would take the weight past :attr:`cap`, the oldest
-    half of the entries goes first -- a wholesale clear would drop every hot
-    entry mid-run -- so one entry alone may outweigh the cap.
+    :attr:`weight` is one per entry plus the successors its
+    :class:`Expansion` entries hold.  The cap counts that weight, since an
+    expansion's memory grows with its successors, so one entry alone may
+    outweigh it; with ``weighed=False`` it counts entries.
     """
 
-    __slots__ = ("cap", "weight")
+    __slots__ = ("cap", "weighed", "weight")
 
-    def __init__(self, cap: int = MEMO_MAX) -> None:
+    def __init__(self, cap: int = MEMO_MAX, *, weighed: bool = True) -> None:
         super().__init__()
         self.cap = cap
+        self.weighed = weighed
         self.weight = 0
 
     def keep(self, key: Any, value: Any) -> Any:
         """Store ``value`` under ``key``, evicting first; returns ``value``."""
         weight = _weight(value)
-        while self and self.weight + weight > self.cap:
+        while self and (self.weight + weight if self.weighed else len(self) + 1) > self.cap:
             for stale in list(islice(self, (len(self) + 1) // 2)):
-                self._drop(stale)
-        kept = self.setdefault(key, value)
-        if kept is not value:  # two threads missed the same key
-            self[key] = value
-            self.weight -= _weight(kept)
+                self.weight -= _weight(self.pop(stale))
+        if key in self:  # two threads missed the same key
+            self.weight -= _weight(self[key])
+        self[key] = value
         self.weight += weight
         return value
-
-    def _drop(self, key: Any) -> None:
-        self.weight -= _weight(self.pop(key))
 
     def clear(self) -> None:
         super().clear()

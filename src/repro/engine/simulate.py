@@ -85,31 +85,22 @@ class _Walked(Expansion):
     """A walked state's expansion and what a step reads of its successors'
     verdicts: ``hit``, the first successor violating an invariant as
     ``(position, name)``, and ``walkable``, the positions of those within the
-    state constraint -- None when there is none, and when that is all of
-    them."""
+    state constraint -- None when that is all of them."""
 
     __slots__ = ("hit", "walkable")
 
-    def __init__(self, fp: int, transitions: List[Transition], verdicts: _Verdicts) -> None:
-        # One pass collects the columns and reads the verdicts: a walk miss
-        # is most of a locking walk's time.
+    def __init__(self, transitions: List[Transition], verdicts: _Verdicts) -> None:
+        super().__init__(transitions)
         self.hit: Optional[Tuple[int, str]] = None
-        names: List[str] = []
-        slots: List[Any] = []
-        fps: List[int] = []
         walkable: List[int] = []
         known, judge = verdicts.get, verdicts.judge
-        for at, (name, values, successor_fp) in enumerate(transitions):
+        for at, (_name, values, successor_fp) in enumerate(transitions):
             violated, within = known(successor_fp) or judge(values, successor_fp)
             if violated is not None and self.hit is None:
                 self.hit = at, violated
             if within:
                 walkable.append(at)
-            names.append(name)
-            slots.extend(values)
-            fps.append(successor_fp)
-        self._hold(None, fp, names, slots, fps)
-        self.walkable = None if len(walkable) == len(names) else tuple(walkable)
+        self.walkable = None if len(walkable) == len(transitions) else tuple(walkable)
 
 
 def _judged_initial(spec: Specification, verdicts: _Verdicts) -> List[_Initial]:
@@ -154,7 +145,6 @@ def _run_walk(
     rng = random.Random(f"{seed}:{walk_index}")
     generated = len(initial)
     values, fp, (violated_name, within) = rng.choice(initial)
-    width = len(values)
     fps = [fp]
     trace: List[Tuple[Any, ...]] = [values]
     actions: List[str] = []
@@ -164,7 +154,7 @@ def _run_walk(
         while steps < walk_depth:
             here = memo.get(fp)
             if here is None:
-                here = memo.keep(fp, _Walked(fp, expander.transitions(values), verdicts))
+                here = memo.keep(fp, _Walked(expander.transitions(values), verdicts))
             count = len(here.actions)
             generated += count
             if not count:
@@ -179,8 +169,7 @@ def _run_walk(
                 k = rng.choice(walkable)
             else:
                 break
-            action_name, fp = here.actions[k], here.fps[k]
-            values = here.slots[k * width : (k + 1) * width]
+            action_name, fp, values = here.actions[k], here.fps[k], here.successor(k)
             steps += 1
             fps.append(fp)
             trace.append(values)

@@ -33,7 +33,7 @@ from .state import State
 from .values import decode_value, packed_state_fingerprint
 
 if TYPE_CHECKING:
-    from ..compile.expansion import Expansion
+    from ..compile.expansion import StateExpansion
 
 __all__ = [
     "STUTTER",
@@ -72,11 +72,11 @@ class SuccessorCache:
     (:func:`repro.compile.compile_spec`: the native or the generic kernel)
     and one :class:`~repro.compile.ValueInterner` (the compiled spec's when
     it has one), and memoizes each state's ``transitions`` -- no invariant, no
-    constraint -- as an :class:`~repro.compile.expansion.Expansion`, the
-    record the simulation engine's walks keep too: three columns, one copy
-    of each successor.  Every memo here is a
+    constraint -- as a :class:`~repro.compile.expansion.StateExpansion`: the
+    record the simulation engine's walks keep too, three columns with one
+    copy of each successor, plus the state itself.  Every memo here is a
     :class:`~repro.compile.expansion.Memo` capped at :attr:`max_entries`
-    (an expansion weighs one plus its successors, anything else one).
+    entries: a state counts once, however many successors it holds.
     :meth:`for_spec` is the one everything handed the same
     ``Specification`` object shares.
 
@@ -125,7 +125,7 @@ class SuccessorCache:
         # Imported here, as the engines do: ``repro.tla`` must not need the
         # compile package at import time.
         from ..compile import compile_spec
-        from ..compile.expansion import Expansion, Memo
+        from ..compile.expansion import Memo, StateExpansion
         from ..compile.interner import ValueInterner
 
         self.spec = spec
@@ -134,9 +134,10 @@ class SuccessorCache:
         self.interner = interner if interner is not None else ValueInterner()
         #: The record class, bound once: an import on every miss costs more
         #: than the miss's bookkeeping.
-        self._record = Expansion
-        #: key -> the state's Expansion.
-        self._cache = Memo(max_entries)
+        self._record = StateExpansion
+        #: key -> the state's StateExpansion; capped in states, not successors
+        #: (the other memos' entries weigh one each anyway).
+        self._cache = Memo(max_entries, weighed=False)
         #: repr(payload) -> ((slot, canonical value, key part, packed fp), ...).
         self._decoded = Memo(max_entries)
         #: (id(whole), node, key part) -> (whole, spliced whole, its key part
@@ -165,7 +166,7 @@ class SuccessorCache:
 
     @property
     def max_entries(self) -> int:
-        """The cap of every memo here, in :class:`~repro.compile.expansion.Memo` weight."""
+        """The cap of every memo here, in entries."""
         return self._cache.cap
 
     @max_entries.setter
@@ -328,7 +329,7 @@ class SuccessorCache:
         return found
 
     # -- lookup -----------------------------------------------------------------
-    def expansion(self, binding: Binding) -> Expansion:
+    def expansion(self, binding: Binding) -> StateExpansion:
         """The memoized expansion of the state bound as ``binding``.
 
         A miss runs the expander on the canonical values and keeps what it
@@ -479,7 +480,7 @@ class TraceFold:
         # The fingerprint and the expansion are looked up once per state,
         # however many of step / coverage / failure ask.
         self._binding, self._fp = binding, fp
-        self._expansion: Optional[Expansion] = None
+        self._expansion: Optional[StateExpansion] = None
 
     @property
     def state(self) -> Optional[State]:
@@ -622,7 +623,7 @@ class TraceFold:
             self._fp = packed_state_fingerprint(self._binding[3])
         return self._fp
 
-    def _successors(self) -> Expansion:
+    def _successors(self) -> StateExpansion:
         """The current state's expansion, looked up once per state."""
         here = self._expansion
         if here is None:

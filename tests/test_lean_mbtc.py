@@ -139,6 +139,29 @@ def test_the_successor_count_follows_misses_evictions_and_epochs():
     assert cache.interner.evictions > 0
 
 
+def test_max_entries_counts_states_not_successors():
+    # A cache capped at 8 holds 8 states however many successors they have,
+    # and sheds its oldest half only for the ninth.
+    spec = build_spec("raftmongo", n_nodes=2)
+    cache = SuccessorCache(spec, max_entries=8)
+    distinct = {}
+    for trace in generate_workload(spec, n_traces=10, seed=5):
+        binding = None
+        for state in trace.states:
+            binding = cache.bind(state.values, binding)
+            distinct.setdefault(binding[2], binding)
+    bindings = list(distinct.values())[:9]
+    assert len(bindings) == 9
+    for binding in bindings[:8]:
+        cache.expansion(binding)
+    assert len(cache) == cache.misses == 8 and cache.stats()["successors"] > 8
+    for binding in bindings[:8]:
+        cache.expansion(binding)
+    assert cache.hits == 8 and cache.misses == 8
+    cache.expansion(bindings[8])
+    assert len(cache) == 5 and cache.misses == 9
+
+
 # -- the decode plan: one binding per distinct state ---------------------------
 
 
