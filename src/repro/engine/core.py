@@ -19,7 +19,7 @@ states and edges), or :func:`~repro.engine.simulate.run_walks`.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Optional
+from typing import Annotated, Any, Optional
 
 from ..obs import current as obs_current, span
 from ..resilience.checkpoint import Checkpoint, read_checkpoint
@@ -67,23 +67,71 @@ class ModelChecker:
         self,
         spec: Specification,
         *,
+        # A parameter typed ``Annotated[T, {...}]`` is also a ``repro check``
+        # flag of that name: the dict is its help and any other flag
+        # spelling, metavar or choices (see ``repro.pipeline.cli``).
+        engine: Annotated[str, {
+            "choices": ENGINES,
+            "help": "exploration engine (default: fingerprint unless a graph is needed; "
+            "simulate runs seeded random walks instead of exhaustive BFS)",
+        }] = "auto",
+        store: Annotated[str, {
+            "choices": STORES,
+            "help": "visited-state store (default: the engine's native store; disk keeps "
+            "the visited set in a SQLite file for million-state runs)",
+        }] = "auto",
+        store_capacity: Annotated[Optional[int], {
+            "help": "the disk store's write-back cache size",
+        }] = None,
+        store_path: Annotated[Optional[str], {
+            "metavar": "FILE",
+            "help": "database file of --store disk (default: an ephemeral temp file; "
+            "required when checkpointing a disk-store run)",
+        }] = None,
+        spill_threshold: Annotated[Optional[int], {
+            "metavar": "N",
+            "help": "BFS frontier entries kept in memory before a level spills to "
+            "compressed disk chunks (default: on at 100000 with --store disk, "
+            "off otherwise)",
+        }] = None,
+        walks: Annotated[Optional[int], {
+            "help": "random walks for --engine simulate (default: 100)",
+        }] = None,
+        walk_depth: Annotated[Optional[int], {
+            "flag": "--depth",
+            "metavar": "DEPTH",
+            "help": "max steps per random walk for --engine simulate (default: 50)",
+        }] = None,
+        seed: Annotated[Optional[int], {
+            "help": "RNG seed for --engine simulate (default: 0)",
+        }] = None,
+        max_states: Annotated[Optional[int], {}] = None,
+        max_depth: Annotated[Optional[int], {}] = None,
+        checkpoint_path: Annotated[Optional[str], {
+            "flag": "--checkpoint",
+            "metavar": "FILE",
+            "help": "write a resumable snapshot of the BFS every --checkpoint-every "
+            "levels (fingerprint engine)",
+        }] = None,
+        checkpoint_every: Annotated[Optional[int], {
+            "metavar": "K",
+            "help": "levels between checkpoints (default: 1, i.e. every level)",
+        }] = None,
+        resume_path: Annotated[Optional[str], {
+            "flag": "--resume",
+            "metavar": "FILE",
+            "help": "resume an interrupted run from a --checkpoint snapshot",
+        }] = None,
+        check_deadlock: Annotated[bool, {
+            "flag": "--deadlock",
+            "help": "detect deadlocks",
+        }] = False,
+        check_properties: Annotated[bool, {
+            "flag": "--no-properties",
+            "help": "skip temporal properties",
+        }] = True,
         collect_graph: bool = False,
-        check_deadlock: bool = False,
-        check_properties: bool = True,
-        max_states: Optional[int] = None,
-        max_depth: Optional[int] = None,
         stop_on_violation: bool = True,
-        engine: str = "auto",
-        store: str = "auto",
-        store_capacity: Optional[int] = None,
-        store_path: Optional[str] = None,
-        spill_threshold: Optional[int] = None,
-        walks: Optional[int] = None,
-        walk_depth: Optional[int] = None,
-        seed: Optional[int] = None,
-        checkpoint_path: Optional[str] = None,
-        checkpoint_every: Optional[int] = None,
-        resume_path: Optional[str] = None,
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")

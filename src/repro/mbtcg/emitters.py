@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..pipeline.logs import SNAPSHOT_ACTION, LogEvent, anchor_binding, write_per_node_logs
+from ..pipeline.logs import SNAPSHOT_ACTION, LogEvent, anchor_binding, write_trace_logs
 from ..pipeline.runner import BatchReport, check_traces
 from ..tla.registry import SpecEntry, build_spec, get_entry
 from ..tla.spec import Specification
@@ -346,36 +346,16 @@ def write_log_suite(
 ) -> List[str]:
     """Write cases as per-node log files replayable by ``python -m repro trace``.
 
-    Each case becomes ``case-<id>-node<N>.jsonl`` files in the
-    :mod:`repro.pipeline.logs` event format.  Requires the spec's registry
-    entry to carry the log-pipeline metadata (``per_node_variables`` /
-    ``node_count``); returns every path written.
+    Each of the first ``limit`` cases becomes ``case-<id>-node<N>.jsonl``
+    files in the :mod:`repro.pipeline.logs` event format, through
+    :func:`~repro.pipeline.logs.write_trace_logs`: the spec's registry entry
+    must carry the log-pipeline metadata.  Returns every path written.
     """
     registry_name, _params = _require_registry_ref(suite)
-    if entry is None:
-        entry = get_entry(registry_name)
-    if entry.per_node_variables is None or entry.node_count is None:
-        raise GenerationError(
-            f"specification {registry_name!r} was registered without "
-            "per_node_variables/node_count metadata, which the log emitter "
-            "requires"
-        )
-    per_node = entry.per_node_variables(spec)
-    nodes = entry.node_count(spec)
-    if limit is not None and limit < 0:
-        raise GenerationError(f"limit must be >= 0, got {limit}")
-    paths: List[str] = []
-    selected = suite.cases if limit is None else suite.cases[:limit]
-    for case in selected:
-        paths.extend(
-            write_per_node_logs(
-                spec,
-                list(case.states),
-                per_node=per_node,
-                nodes=nodes,
-                directory=directory,
-                basename=f"case-{case.case_id}",
-                actions=list(case.actions),
-            )
-        )
-    return paths
+    return write_trace_logs(
+        spec,
+        entry or get_entry(registry_name),
+        ((f"case-{case.case_id}", case.states, case.actions) for case in suite.cases),
+        directory,
+        limit=limit,
+    )

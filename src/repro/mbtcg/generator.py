@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Annotated, Any, Dict, List, Optional, Set, Tuple
 
 from ..engine import check_spec
 from ..tla.errors import ReproError
@@ -135,12 +135,24 @@ def build_graph(
 def generate_suite(
     spec: Specification,
     *,
-    strategy: str = "exhaustive",
-    max_length: int = 6,
-    n_tests: int = 50,
-    seed: int = 0,
+    # A parameter typed ``Annotated[T, {...}]`` is also a ``repro generate``
+    # flag (see ``repro.pipeline.cli``).
+    strategy: Annotated[str, {
+        "choices": STRATEGIES,
+        "help": "enumeration strategy (default: %(default)s)",
+    }] = "exhaustive",
+    max_length: Annotated[int, {
+        "help": "maximum behaviour length in states (default: %(default)s)",
+    }] = 6,
+    n_tests: Annotated[int, {
+        "flag": "--tests",
+        "help": "sample size for --strategy random (default: %(default)s)",
+    }] = 50,
+    seed: Annotated[int, {"help": "random-strategy seed"}] = 0,
     graph: Optional[StateGraph] = None,
-    max_states: Optional[int] = None,
+    max_states: Annotated[Optional[int], {
+        "help": "truncate graph exploration (generated prefixes still replay)",
+    }] = None,
 ) -> GeneratedSuite:
     """Generate a deduplicated test suite from ``spec``'s state graph.
 

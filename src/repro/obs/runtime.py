@@ -223,7 +223,7 @@ def start_run(
     sink_path: Optional[str] = None,
     sink: Optional[Sink] = None,
     run_id: Optional[str] = None,
-    progress_every: float = 0.0,
+    progress_every: Optional[float] = None,
     labels: Optional[Dict[str, Any]] = None,
     progress_stream: Optional[TextIO] = None,
 ) -> ObsRun:
@@ -231,8 +231,12 @@ def start_run(
 
     Exactly one run may be active at a time; the run id comes from the
     explicit argument, then ``REPRO_RUN_ID``, then fresh randomness.
+    ``progress_every`` (``repro check --progress-every``) is the heartbeat
+    interval in seconds; ``None`` prints no heartbeat.
     """
     global _CURRENT
+    if progress_every is not None and progress_every <= 0:
+        raise ValueError(f"--progress-every must be positive; got {progress_every}")
     if _CURRENT is not None:
         raise RuntimeError(
             f"telemetry run {_CURRENT.run_id!r} is already active in this process"

@@ -36,6 +36,7 @@ payload before more often than not.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 import os
@@ -76,6 +77,7 @@ __all__ = [
     "trace_from_logs",
     "write_log_file",
     "write_per_node_logs",
+    "write_trace_logs",
 ]
 
 
@@ -534,9 +536,8 @@ def write_per_node_logs(
     diffed into events and each node's events land in
     ``{basename}-node{N}.jsonl``.  Global (``node=None``) events are placed
     in node 0's file; the timestamp merge restores the total order on read.
-    Shared by ``repro simulate --log-dir`` and the :mod:`repro.mbtcg` log
-    emitter, so both sides of the generate -> replay loop speak the same
-    format.
+    :func:`write_trace_logs` writes every log set through here, so both
+    sides of the generate -> replay loop speak the same format.
     """
     events = events_from_trace(spec, states, per_node=per_node, actions=actions)
     paths: List[str] = []
@@ -549,6 +550,46 @@ def write_per_node_logs(
         path = os.path.join(directory, f"{basename}-node{node}.jsonl")
         write_log_file(path, mine)
         paths.append(path)
+    return paths
+
+
+def write_trace_logs(
+    spec: Specification,
+    entry: Any,
+    traces: Iterable[Tuple[str, Sequence[State], Sequence[Optional[str]]]],
+    directory: str,
+    *,
+    limit: Optional[int] = None,
+) -> List[str]:
+    """Write the first ``limit`` (``None``: all) ``traces`` as per-node logs.
+
+    Each trace is ``(basename, states, actions)`` and becomes
+    :func:`write_per_node_logs` files in ``directory`` (made if missing),
+    split by ``entry.log_layout(spec)`` -- ``entry`` is the spec's
+    :class:`~repro.tla.registry.SpecEntry`.  The limit, the layout and the
+    selected traces are all in hand before anything is written; returns
+    every path written.
+    ``repro simulate --log-dir`` and :func:`repro.mbtcg.write_log_suite`
+    both write through here.
+    """
+    if limit is not None and limit < 0:
+        raise ValueError(f"--log-limit must be >= 0; got {limit}")
+    per_node, nodes = entry.log_layout(spec)
+    selected = list(itertools.islice(traces, limit))
+    os.makedirs(directory, exist_ok=True)
+    paths: List[str] = []
+    for basename, states, actions in selected:
+        paths.extend(
+            write_per_node_logs(
+                spec,
+                states,
+                per_node=per_node,
+                nodes=nodes,
+                directory=directory,
+                basename=basename,
+                actions=actions,
+            )
+        )
     return paths
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Annotated, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..obs import current as obs_current
 from ..tla import Specification, State
@@ -187,8 +187,16 @@ def check_one(
     cache: Optional[SuccessorCache],
     trace: Sequence[Any],
     *,
-    allow_stuttering: bool,
-    require_initial: bool,
+    # A parameter typed ``Annotated[T, {...}]`` is also a ``repro trace``
+    # flag (see ``repro.pipeline.cli``).
+    require_initial: Annotated[bool, {
+        "flag": "--no-require-initial",
+        "help": "accept traces that start mid-execution",
+    }] = True,
+    allow_stuttering: Annotated[bool, {
+        "flag": "--no-stuttering",
+        "help": "reject stuttering steps",
+    }] = True,
     collect_coverage: bool,
 ) -> Tuple[TraceCheckResult, Optional[CoverageReport]]:
     """Check one trace, with the coverage of exactly the states it validated.
@@ -240,7 +248,10 @@ def check_traces(
     require_initial: bool = True,
     reachable_count: Optional[int] = None,
     collect_coverage: bool = True,
-    fail_fast: bool = False,
+    # Also a ``repro simulate`` flag (see ``repro.pipeline.cli``).
+    fail_fast: Annotated[bool, {
+        "help": "stop the batch at the first failed, errored or unexpected trace",
+    }] = False,
 ) -> BatchReport:
     """Check every trace against ``spec``; return a :class:`BatchReport`.
 

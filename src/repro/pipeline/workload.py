@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Annotated, Iterator, List, Optional, Tuple
 
 from ..tla import Specification, State
 from ..tla.trace import SuccessorCache, TraceFold
@@ -141,12 +141,16 @@ _INJECTORS = {"teleport": _inject_teleport, "drop-head": _inject_drop_head}
 def generate_workload(
     spec: Specification,
     *,
-    n_traces: int,
-    seed: int = 0,
-    fault_rate: float = 0.0,
-    min_steps: int = 4,
-    max_steps: int = 24,
-    stutter_probability: float = 0.0,
+    # A parameter typed ``Annotated[T, {...}]`` is also a ``repro simulate``
+    # flag (see ``repro.pipeline.cli``).
+    n_traces: Annotated[int, {"flag": "--traces", "help": "number of traces"}] = 1000,
+    seed: Annotated[int, {}] = 0,
+    fault_rate: Annotated[float, {
+        "help": "fraction of traces mutated into guaranteed-invalid executions",
+    }] = 0.0,
+    min_steps: Annotated[int, {}] = 4,
+    max_steps: Annotated[int, {}] = 24,
+    stutter_probability: Annotated[float, {"flag": "--stutter-prob"}] = 0.0,
 ) -> Iterator[GeneratedTrace]:
     """Yield ``n_traces`` executions, a ``fault_rate`` fraction of them invalid.
 

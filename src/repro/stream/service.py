@@ -41,10 +41,10 @@ import sys
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Annotated, Any, Deque, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from ..obs import SCHEMA_VERSION as OBS_SCHEMA_VERSION, STATUS_KIND, current as obs_current
-from ..pipeline.logs import LogEvent, LogParseError, get_adapter, split_location
+from ..pipeline.logs import LogEvent, LogParseError, adapter_names, get_adapter, split_location
 from ..pipeline.runner import record_cache_telemetry
 from ..resilience import WatchCheckpoint, atomic_write_text, write_watch_checkpoint
 from ..tla import Specification
@@ -66,32 +66,61 @@ class WatchConfig:
     ``error:`` line).
     """
 
-    #: Log-adapter name (see :func:`repro.pipeline.logs.adapter_names`).
-    adapter: str = "jsonl"
-    #: Idle time after a round that found nothing to check: what paces the
-    #: polls, torn-line retries, watchdog and stop checks of quiet sources.
-    poll_interval: float = 0.05
-    #: Seconds without new data before the watchdog flags a source; 0
-    #: disables the watchdog (it is always off in ``once`` mode).
-    stall_timeout: float = 30.0
-    partial_retries: int = 5
-    partial_backoff: float = 0.05
-    #: Consumed lines between periodic checkpoints (None: 500); a checkpoint
-    #: is also written on drain.
-    checkpoint_every: Optional[int] = None
-    #: Seconds between rolling report refreshes (0 = only on drain).
-    report_every: float = 5.0
-    #: Max lines consumed per source per main-loop round.
-    batch_limit: int = 256
-    #: Drain and exit once every source reaches EOF (CI / resume replays).
-    once: bool = False
-    report_path: Optional[str] = None
-    quarantine_path: Optional[str] = None
-    checkpoint_path: Optional[str] = None
-    #: Atomically rewritten JSON snapshot of live runtime state (per-source
-    #: lag / queue depth / stall flags, quarantine rate) on the
-    #: ``report_every`` cadence and at drain -- the operator polling seam.
-    status_path: Optional[str] = None
+    # A field typed ``Annotated[T, {...}]`` is also a ``repro watch`` flag
+    # of that name: the dict is its help and any other flag spelling,
+    # metavar or choices (see ``repro.pipeline.cli``).
+    adapter: Annotated[str, {
+        "choices": adapter_names(),
+        "help": "log line format (default: %(default)s)",
+    }] = "jsonl"
+    poll_interval: Annotated[float, {
+        "help": "seconds the service loop idles when no source has a line to check: "
+        "paces re-polls at EOF, torn-line retries, the watchdog and the reaction to "
+        "a stop signal (default: %(default)s)",
+    }] = 0.05
+    #: The watchdog is always off in ``once`` mode.
+    stall_timeout: Annotated[float, {
+        "help": "watchdog: flag a source silent this long; 0 disables",
+    }] = 30.0
+    partial_retries: Annotated[int, {
+        "help": "re-reads of a newline-less tail line before declaring it torn",
+    }] = 5
+    partial_backoff: Annotated[float, {
+        "help": "first torn-line retry delay; doubles per retry",
+    }] = 0.05
+    batch_limit: Annotated[int, {
+        "help": "max lines consumed per source per service round",
+    }] = 256
+    report_path: Annotated[Optional[str], {
+        "flag": "--report",
+        "metavar": "FILE",
+        "help": "rolling report JSON, atomically rewritten while the service runs",
+    }] = None
+    report_every: Annotated[float, {
+        "help": "seconds between rolling report refreshes; 0 = only on drain",
+    }] = 5.0
+    quarantine_path: Annotated[Optional[str], {
+        "flag": "--quarantine",
+        "metavar": "FILE",
+        "help": "append undecodable lines here as JSONL (with file/offset context)",
+    }] = None
+    checkpoint_path: Annotated[Optional[str], {
+        "flag": "--checkpoint",
+        "metavar": "FILE",
+        "help": "write a resumable service checkpoint here (periodic + on drain)",
+    }] = None
+    checkpoint_every: Annotated[Optional[int], {
+        "help": "consumed lines between periodic checkpoints (default: 500)",
+    }] = None
+    once: Annotated[bool, {
+        "help": "drain to EOF and exit instead of following forever",
+    }] = False
+    status_path: Annotated[Optional[str], {
+        "flag": "--status-file",
+        "metavar": "FILE",
+        "help": "atomically rewrite a live service-status JSON here (per-source lag, "
+        "queue depths, quarantine rate) on the --report-every cadence",
+    }] = None
 
     def __post_init__(self) -> None:
         every = self.checkpoint_every

@@ -44,6 +44,20 @@ class SpecEntry:
     per_node_variables: Optional[Callable[[Specification], Tuple[str, ...]]] = None
     node_count: Optional[Callable[[Specification], int]] = None
 
+    def log_layout(self, spec: Specification) -> Tuple[Tuple[str, ...], int]:
+        """``(per_node, nodes)``: how ``spec``'s state splits into per-node logs.
+
+        ``register_spec`` makes the metadata optional (checking needs only a
+        factory); every command that reads or writes per-node logs asks here.
+        """
+        if self.per_node_variables is None or self.node_count is None:
+            raise SpecError(
+                f"specification {self.name!r} was registered without "
+                "per_node_variables/node_count metadata, which per-node logs "
+                "require; pass them to register_spec to enable this command"
+            )
+        return self.per_node_variables(spec), self.node_count(spec)
+
 
 _REGISTRY: Dict[str, SpecEntry] = {}
 

@@ -207,6 +207,11 @@ _WALKS = ["check", "locking", "--engine", "simulate"]
             "cannot open disk store",
         ),
         (["check", "locking", "--store", "disk", "--store-path", "."], "cannot open disk store"),
+        # One --log-limit rule for simulate and generate, before any file is written.
+        (
+            ["generate", "--spec", "ot_array", "--log-dir", "d", "--log-limit", "-1"],
+            "--log-limit must be >= 0; got -1",
+        ),
     ],
 )
 def test_inconsistent_flags_exit_2(capsys, monkeypatch, tmp_path, argv, needle):
@@ -365,3 +370,18 @@ def test_consistent_flag_combinations_pass(tmp_path, capsys):
     assert db.exists()
     out = capsys.readouterr().out
     assert "store: disk" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # generate used to write its whole corpus and only then refuse the limit.
+        ["generate", "--spec", "ot_array", "--log-dir", "d", "--log-limit", "-1"],
+        ["simulate", "locking", "--traces", "0", "--log-dir", "d"],
+    ],
+)
+def test_a_refused_command_writes_nothing(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.count("error:") == 1
+    assert list(tmp_path.iterdir()) == []

@@ -280,6 +280,17 @@ def test_importing_the_library_loads_no_heavy_module(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_the_option_declarations_do_not_load_argparse(tmp_path):
+    # The library declares the CLI's options as plain ``Annotated`` data that
+    # only ``repro.pipeline.cli.build_parser`` reads.
+    done = _python(
+        "import sys, repro.engine, repro.stream, repro.mbtcg, repro.pipeline.runner, "
+        "repro.pipeline.workload; assert 'argparse' not in sys.modules",
+        tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_each_heavy_module_loads_on_the_path_that_uses_it(tmp_path):
     done = _python(
         f"HEAVY = {HEAVY!r}\n"
