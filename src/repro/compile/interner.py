@@ -158,11 +158,6 @@ class ValueInterner:
         # object's address would invite id-reuse aliasing.
         return entry
 
-    def slot_fingerprints(self, values: Tuple[Any, ...]) -> list:
-        """Per-slot fingerprints of a state's values tuple."""
-        intern = self.intern
-        return [intern(value)[1] for value in values]
-
     def _file(self, memo: dict, key: Any, entry: Entry) -> None:
         """Keep a new canonical ``entry`` in ``memo`` and the identity memo,
         first discarding the oldest half of ``memo`` if it is full."""

@@ -105,8 +105,8 @@ class ModelChecker:
         seed: Annotated[Optional[int], {
             "help": "RNG seed for --engine simulate (default: 0)",
         }] = None,
-        max_states: Annotated[Optional[int], {}] = None,
-        max_depth: Annotated[Optional[int], {}] = None,
+        max_states: Annotated[Optional[int], {"help": "stop at this many distinct states"}] = None,
+        max_depth: Annotated[Optional[int], {"help": "stop this many BFS levels deep"}] = None,
         checkpoint_path: Annotated[Optional[str], {
             "flag": "--checkpoint",
             "metavar": "FILE",

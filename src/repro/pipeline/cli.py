@@ -415,7 +415,7 @@ _COMMANDS = {
             "--log-dir", metavar="DIR",
             help="also write the first --log-limit traces as per-node JSON-lines logs",
         ),
-        _option("--log-limit", type=int, default=10),
+        _option("--log-limit", type=int, default=10, help="traces --log-dir writes (default: 10)"),
         _option("--coverage-out", metavar="FILE", help="merged coverage JSON"),
         _option(
             "--with-reachable", action="store_true",
@@ -479,7 +479,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 progress_every=progress_every,
             )
         exit_code = run_profiled(dispatch) if args.profile else dispatch()
+        sys.stdout.flush()  # a reader that left surfaces here, not at exit
         return exit_code
+    except BrokenPipeError:  # say nothing; the exit flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a writer the signal killed exits
     except (ReproError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -144,13 +144,15 @@ def generate_workload(
     # A parameter typed ``Annotated[T, {...}]`` is also a ``repro simulate``
     # flag (see ``repro.pipeline.cli``).
     n_traces: Annotated[int, {"flag": "--traces", "help": "number of traces"}] = 1000,
-    seed: Annotated[int, {}] = 0,
+    seed: Annotated[int, {"help": "RNG seed; a seed gives the same traces (default: 0)"}] = 0,
     fault_rate: Annotated[float, {
         "help": "fraction of traces mutated into guaranteed-invalid executions",
     }] = 0.0,
-    min_steps: Annotated[int, {}] = 4,
-    max_steps: Annotated[int, {}] = 24,
-    stutter_probability: Annotated[float, {"flag": "--stutter-prob"}] = 0.0,
+    min_steps: Annotated[int, {"help": "fewest steps per trace (default: 4)"}] = 4,
+    max_steps: Annotated[int, {"help": "most steps per trace (default: 24)"}] = 24,
+    stutter_probability: Annotated[float, {
+        "flag": "--stutter-prob", "help": "chance that a step repeats its state (default: 0.0)",
+    }] = 0.0,
 ) -> Iterator[GeneratedTrace]:
     """Yield ``n_traces`` executions, a ``fault_rate`` fraction of them invalid.
 

@@ -40,6 +40,7 @@ from .trace import (
     check_partial_trace,
     check_trace,
     explain_failure,
+    trace_spec,
 )
 from .values import (
     NULL,
@@ -101,4 +102,5 @@ __all__ = [
     "sub_seq",
     "thaw",
     "to_dot",
+    "trace_spec",
 ]

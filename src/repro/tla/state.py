@@ -10,7 +10,7 @@ when first asked for: the fingerprint engines and the trace fold never ask.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Any, Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Any, Dict, Iterator, Sequence, Tuple
 
 from .errors import SpecError
 from .values import FingerprintCache, fingerprint, freeze, thaw
@@ -134,20 +134,6 @@ class State(Mapping[str, Any]):
             new_values[self.schema.index_of(name)] = freeze(value)
         return State.from_values(self.schema, tuple(new_values))
 
-    def with_frozen_updates(self, updates: Mapping[str, Any]) -> "State":
-        """:meth:`with_updates` for values that are already frozen.
-
-        The compiled successor kernels (:mod:`repro.compile`) intern every
-        value they produce, so converting their updates back into a real
-        ``State`` at the engine boundary must not pay a second freeze walk.
-        """
-        if not updates:
-            return self
-        new_values = list(self.values)
-        for name, value in updates.items():
-            new_values[self.schema.index_of(name)] = value
-        return State.from_values(self.schema, tuple(new_values))
-
     @classmethod
     def from_values(cls, schema: VariableSchema, values: Tuple[Any, ...]) -> "State":
         """Build a state directly from an already-frozen value tuple."""
@@ -162,18 +148,6 @@ class State(Mapping[str, Any]):
     def to_dict(self) -> Dict[str, Any]:
         """Plain mutable dictionary view of the state (values thawed)."""
         return {name: thaw(value) for name, value in zip(self.schema.names, self.values)}
-
-    def restrict(self, names: Iterable[str]) -> Dict[str, Any]:
-        """Project the state onto a subset of variables (frozen values).
-
-        Used by partial-observation trace checking, where the implementation
-        logs only some of the specification's variables (paper Section 4.2.3).
-        """
-        return {name: self[name] for name in names}
-
-    def matches(self, observation: Mapping[str, Any]) -> bool:
-        """True when every observed variable has the observed value."""
-        return all(self[name] == freeze(value) for name, value in observation.items())
 
     def fingerprint(self, cache: "FingerprintCache | None" = None) -> int:
         """Stable 64-bit fingerprint, independent of process hash seeds.

@@ -3,20 +3,15 @@
 This is the heart of MBTC (paper Section 4).  Given a sequence of states
 observed from the running implementation, we check that the sequence is a
 behaviour of the specification, following the method Ron Pressler proposed
-for TLA+/TLC [34]: the trace is turned into a constraint and the checker
-verifies each step is either a specification action or a stuttering step.
+for TLA+/TLC [34]: every step must be a specification action or a stutter.
 
-Two checking modes are provided:
-
-* :func:`check_trace` -- the observed states bind *every* specification
-  variable.  This is the mode the MongoDB team used for ``RaftMongo.tla``.
-  Its per-step decision is :class:`TraceFold`, which the batch runner and
-  the streaming checker drive too.
-* :func:`check_partial_trace` -- the observations bind only a subset of the
-  variables; the checker searches for *some* assignment of the hidden
-  variables that makes the trace a behaviour (Pressler's refinement-mapping
-  technique, discussed in paper Section 4.2.3 for variables that are too
-  expensive to snapshot under the Server's hierarchical locking).
+* Full observations (every variable, as the MongoDB team logged
+  ``RaftMongo.tla``'s) are one fold: :class:`TraceFold`, which
+  :func:`check_trace`, the batch runner and the streaming checker drive.
+* Partial observations (variables too costly to snapshot under the
+  Server's hierarchical locking hidden, paper Section 4.2.3) are one trace
+  spec: :func:`trace_spec`, which :func:`check_partial_trace` has the
+  model checker's one BFS search; an accepted trace has a ``witness``.
 """
 
 from __future__ import annotations
@@ -24,13 +19,13 @@ from __future__ import annotations
 import threading
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from .coverage import CoverageReport
 from .errors import TraceInitialStateMismatch, TraceMismatch
-from .spec import Specification
+from .spec import Action, Invariant, Specification
 from .state import State
-from .values import decode_value, packed_state_fingerprint
+from .values import decode_value, freeze, packed_state_fingerprint
 
 if TYPE_CHECKING:
     from ..compile.expansion import StateExpansion
@@ -44,6 +39,7 @@ __all__ = [
     "check_partial_trace",
     "check_trace",
     "explain_failure",
+    "trace_spec",
 ]
 
 #: What :meth:`TraceFold.step` reports for a step that changes nothing.
@@ -361,7 +357,8 @@ class TraceCheckResult:
     failure: Optional[Exception] = None
     matched_actions: List[Optional[str]] = field(default_factory=list)
     stuttering_steps: int = 0
-    frontier_sizes: List[int] = field(default_factory=list)
+    #: An accepted partial trace's behaviour: one full state per observation.
+    witness: List[State] = field(default_factory=list)
 
     def validated_prefix(self, states: Sequence[State]) -> List[State]:
         """The states this check actually witnessed as a behaviour prefix.
@@ -660,70 +657,113 @@ def check_trace(
     return fold.check(trace, require_initial)
 
 
+def _observed(spec: Specification, observation: Mapping[str, Any]) -> Tuple[Tuple[int, Any], ...]:
+    """An observation frozen once: ``(slot, value)`` per observed variable."""
+    return tuple((spec.schema.index_of(name), freeze(v)) for name, v in observation.items())
+
+
+def _matches(values: Tuple[Any, ...], observed: Tuple[Tuple[int, Any], ...]) -> bool:
+    return all(values[slot] == value for slot, value in observed)
+
+
+def trace_spec(
+    spec: Specification,
+    observations: Sequence[Mapping[str, Any]],
+    *,
+    allow_stuttering: bool = True,
+) -> Specification:
+    """The spec whose behaviours are ``spec``'s that match ``observations``.
+
+    Its state is ``spec``'s variables plus a step index ``i``, starting at
+    0 in the initial states that match observation 0.  Each of ``spec``'s
+    actions, under its own name, keeps the successors that match
+    observation ``i + 1`` and sets ``i`` to it; with ``allow_stuttering``,
+    :data:`STUTTER` advances ``i`` alone.  Its one invariant, ``i < n - 1``,
+    fails once the whole trace is explained: the counterexample is the
+    behaviour.  ``spec``'s invariants, constraint and properties are not
+    carried.
+    """
+    observed = [_observed(spec, observation) for observation in observations]
+    width, last = len(spec.schema), len(observed) - 1
+
+    def init() -> Iterator[State]:
+        for state in spec.initial_states():
+            if _matches(state.values, observed[0]):
+                yield State.from_values(product.schema, (*state.values, 0))
+
+    def lift(act: Action) -> Action:
+        def effect(state: State) -> Iterator[State]:
+            i = state["i"] + 1
+            if i > last:
+                return
+            for successor in act.successors(state):
+                values = successor.values[:width]
+                if _matches(values, observed[i]):
+                    yield State.from_values(product.schema, (*values, i))
+
+        return Action(act.name, effect)
+
+    def stutter(state: State) -> Iterator[Dict[str, int]]:
+        i = state["i"] + 1
+        if i <= last and _matches(state.values, observed[i]):
+            yield {"i": i}
+
+    actions = [lift(act) for act in spec.actions]
+    if allow_stuttering:
+        actions.append(Action(STUTTER, stutter))
+    product = Specification(
+        f"{spec.name}.trace",
+        variables=(*spec.schema.names, "i"),
+        init=init,
+        actions=actions,
+        invariants=[Invariant("Unexplained", lambda state: state["i"] < last)],
+    )
+    return product
+
+
 def check_partial_trace(
     spec: Specification,
     observations: Sequence[Mapping[str, Any]],
     *,
     allow_stuttering: bool = True,
-    max_frontier: int = 10_000,
 ) -> TraceCheckResult:
     """Check a trace that observes only a subset of the spec's variables.
 
-    Each observation is a mapping from observed variable names to values.  The
-    checker maintains the set ("frontier") of full specification states that
-    are consistent with the observations so far; a trace is accepted when the
-    frontier is non-empty after the final observation.  The frontier size per
-    step is recorded because it is the practical cost driver Pressler warns
-    about and the reason paper Section 4.2.4 calls trace checking of long
-    traces "impractically slow".
+    The model checker's BFS searches :func:`trace_spec`, whose level ``i``
+    is every full state consistent with observations 0..``i``: the
+    hidden-variable search that paper Section 4.2.4 finds "impractically
+    slow" on long traces.  An accepted trace carries its ``witness``; a
+    rejected one fails at the deepest level reached.
     """
-    result = TraceCheckResult(
-        spec_name=spec.name, trace_length=len(observations), ok=True, checked_steps=0
-    )
-    if not observations:
-        return result
+    # Imported here, as SuccessorCache imports compile_spec: ``repro.tla``
+    # must not need the engine package at import time.
+    from ..engine.core import check_spec
 
-    frontier: Set[State] = {
-        state for state in spec.initial_states() if state.matches(observations[0])
-    }
-    result.frontier_sizes.append(len(frontier))
-    if not frontier:
-        result.ok = False
-        result.failure_index = 0
+    n = len(observations)
+    result = TraceCheckResult(spec.name, n, ok=True, checked_steps=max(n - 1, 0))
+    if not n:
+        return result
+    first = _observed(spec, observations[0])
+    if not any(_matches(state.values, first) for state in spec.initial_states()):
+        result.ok, result.checked_steps, result.failure_index = False, 0, 0
         result.failure = TraceInitialStateMismatch(
             f"no initial state of {spec.name!r} matches the first observation"
         )
         return result
-
-    for index in range(1, len(observations)):
-        observation = observations[index]
-        next_frontier: Set[State] = set()
-        for state in frontier:
-            if allow_stuttering and state.matches(observation):
-                next_frontier.add(state)
-            for _action, successor in spec.successors(state):
-                if successor.matches(observation):
-                    next_frontier.add(successor)
-            if len(next_frontier) > max_frontier:
-                raise TraceMismatch(
-                    "partial-trace frontier exceeded "
-                    f"{max_frontier} states at step {index}; the hidden-variable "
-                    "search is intractable for this spec/trace combination",
-                    step_index=index,
-                )
-        result.frontier_sizes.append(len(next_frontier))
-        result.checked_steps += 1
-        if not next_frontier:
-            result.ok = False
-            result.failure_index = index - 1
-            result.failure = TraceMismatch(
-                f"observation {index} cannot be explained by any action of "
-                f"{spec.name!r} from the states consistent with the trace so far",
-                step_index=index - 1,
-                observed=dict(observation),
-            )
-            return result
-        frontier = next_frontier
+    product = trace_spec(spec, observations, allow_stuttering=allow_stuttering)
+    found = check_spec(product, engine="fingerprint", check_properties=False)
+    if found.invariant_violation is not None:
+        behaviour = found.invariant_violation.trace
+        result.witness = [State.from_values(spec.schema, s.values[:-1]) for s in behaviour]
+        return result
+    index = result.checked_steps = result.failure_index = found.max_depth
+    result.ok = False
+    result.failure = TraceMismatch(
+        f"observation {index + 1} cannot be explained by any action of "
+        f"{spec.name!r} from the states consistent with the trace so far",
+        step_index=index,
+        observed=dict(observations[index + 1]),
+    )
     return result
 
 

@@ -162,24 +162,16 @@ class Record(Mapping[str, Any]):
         return (Record._from_items, (self._items,))
 
     def _replace_fields(
-        self, updates: "dict[str, Any]", *, frozen: bool = False
+        self, updates: "dict[str, Any]"
     ) -> "tuple[list[Tuple[str, Any]], dict[str, Any]]":
         """Freeze ``updates`` and replace existing fields positionally.
 
         Returns the new items list (key order untouched, unchanged values not
         re-frozen) and whatever update keys named no existing field -- the
         one point where ``except_`` and ``with_fields`` differ.
-
-        ``frozen=True`` skips the per-value :func:`freeze` walk entirely:
-        the compiled successor kernels hand back values that are canonical
-        by construction, so re-freezing them at the ``Record`` rebuild
-        boundary would re-walk every sequence they contain.
         """
         new_items = list(self._items)
-        if frozen:
-            pending = dict(updates)
-        else:
-            pending = {key: freeze(value) for key, value in updates.items()}
+        pending = {key: freeze(value) for key, value in updates.items()}
         for position, (name, _old) in enumerate(new_items):
             if name in pending:
                 new_items[position] = (name, pending.pop(name))
@@ -201,22 +193,6 @@ class Record(Mapping[str, Any]):
         new_items, pending = self._replace_fields(updates)
         if pending:
             # New field names: only now does the key order need rebuilding.
-            merged = dict(new_items)
-            merged.update(pending)
-            return Record._from_items(tuple(sorted(merged.items())))
-        return Record._from_items(tuple(new_items))
-
-    def with_frozen_fields(self, **updates: Any) -> "Record":
-        """:meth:`with_fields` for values that are already frozen.
-
-        The compiled-spec boundary (see :mod:`repro.compile`) converts flat
-        successor tuples back into real values; everything it holds is
-        canonical already, so this skips the defensive re-freeze walk.
-        """
-        if not updates:
-            return self
-        new_items, pending = self._replace_fields(updates, frozen=True)
-        if pending:
             merged = dict(new_items)
             merged.update(pending)
             return Record._from_items(tuple(sorted(merged.items())))

@@ -9,8 +9,14 @@ say.  Rows are only ever replaced in place or appended: the test ids carry
 their position.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.engine import check_spec
 from repro.pipeline.cli import main
 from repro.pipeline.workload import generate_workload
@@ -385,3 +391,23 @@ def test_a_refused_command_writes_nothing(capsys, monkeypatch, tmp_path, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.count("error:") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_closed_stdout_ends_the_run_quietly_with_141(tmp_path, capsys):
+    # A reader that left (``repro trace ... | head -1``) is no refusal: no
+    # ``error:`` line, and the exit code of a writer killed by SIGPIPE.
+    logs = tmp_path / "logs"
+    assert main(["simulate", "locking", "--traces", "1", "--log-dir", str(logs)]) == 0
+    capsys.readouterr()
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # gone before the child writes a byte
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "trace", "locking",
+             *sorted(str(path) for path in logs.glob("trace0000-node*.jsonl"))],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1])),
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")

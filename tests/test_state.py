@@ -61,12 +61,6 @@ class TestState:
         assert state.to_dict() == {"role": "Leader", "term": 1}
         assert len(state) == 2
 
-    def test_restrict_and_matches(self, schema):
-        state = State(schema, {"role": "Leader", "term": 1})
-        assert state.restrict(["role"]) == {"role": "Leader"}
-        assert state.matches({"term": 1})
-        assert not state.matches({"term": 2})
-
     def test_fingerprint_is_memoized_and_cache_consistent(self, schema):
         state = State(schema, {"role": ("Leader",), "term": 1})
         twin = State(schema, {"role": ("Leader",), "term": 1})

@@ -88,7 +88,7 @@ def test_partial_trace_search_over_hidden_variables(raft_mbtc_2node_spec):
     ]
     result = check_partial_trace(spec, observations)
     assert result.ok
-    assert len(result.frontier_sizes) == len(observations)
+    assert len(result.witness) == len(observations)
 
     impossible = observations + [{"role": ("Leader", "Leader"), "oplog": observations[-1]["oplog"]}]
     rejected = check_partial_trace(spec, impossible)
