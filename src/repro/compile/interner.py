@@ -1,11 +1,10 @@
 """Combined freeze + fingerprint value interning for compiled specs.
 
-The interpreted hot path pays three separate walks per successor value: a
-defensive :func:`~repro.tla.values.freeze`, a structural hash for the
-``State`` object, and a fingerprint walk through the
-:class:`~repro.tla.values.FingerprintCache`.  The compiled path collapses
-them into one :class:`ValueInterner` pass that returns an *entry*: everything
-a caller binding a state slot needs, worked out once per canonical value.
+Binding a successor value takes a defensive
+:func:`~repro.tla.values.freeze`, a canonical object for the read-set memos
+to key on, and the value's fingerprint.  One :class:`ValueInterner` pass
+returns all of it as an *entry*: everything a caller binding a state slot
+needs, worked out once per canonical value.
 
 ``(canonical, fp, key, packed)``
     the canonical object, its 64-bit fingerprint, its exact memo key, and the
@@ -32,9 +31,10 @@ trace cache of :mod:`repro.tla.trace`) adds no collision surface.
 * a **primitive memo** keyed by ``(type, value)``, whose first comer is the
   canonical object of every equal primitive of its type.
 
-Fingerprints are computed by the same :func:`repro.tla.values._fp_of`
-walk the interpreter uses, so a compiled fingerprint is equal to the
-interpreted one *by construction*, not by parallel reimplementation.
+Fingerprints are computed by :func:`repro.tla.values._fp_of`, the one
+fingerprint walk (primitives included), so a compiled fingerprint is equal
+to :func:`~repro.tla.values.fingerprint`'s *by construction*, not by
+parallel reimplementation.
 
 Identity-memo safety: only canonical objects (retained by the entry tuples of
 the equality and primitive memos) are keyed by ``id()``.  A retained
@@ -50,17 +50,13 @@ from typing import Any, Tuple
 from ..tla.values import (
     _FP_PACK,
     _PRIMITIVE_TYPES,
-    _digest,
     _fp_of,
     _same_types,
-    FingerprintCache,
     Record,
     freeze,
-    packed_state_fingerprint,
-    state_fingerprint,
 )
 
-__all__ = ["Entry", "ValueInterner", "packed_state_fingerprint", "state_fingerprint"]
+__all__ = ["Entry", "ValueInterner"]
 
 #: What :meth:`ValueInterner.intern` returns: ``(canonical, fp, key, packed fp)``.
 Entry = Tuple[Any, int, Any, bytes]
@@ -85,9 +81,9 @@ def _type_signature(value: Any) -> Any:
 class ValueInterner:
     """Single-pass freeze + canonicalize + fingerprint for one run.
 
-    Bounded like :class:`~repro.tla.values.FingerprintCache`: when a memo
-    fills up, its oldest half (dict insertion order) is discarded, so the
-    interner never grows into a second copy of a paper-scale state space.
+    Bounded by ``max_entries`` per memo: when a memo fills up, its oldest
+    half (dict insertion order) is discarded, so the interner never grows
+    into a second copy of a paper-scale state space.
 
     Not thread-safe: a miss walks and edits the memos over many bytecodes.
     Threads sharing one interner serialize on the lock of whoever shares it
@@ -97,7 +93,7 @@ class ValueInterner:
 
     MAX_ENTRIES = 1_000_000
 
-    __slots__ = ("_by_id", "_canon", "_prim", "max_entries", "cache", "hits", "misses", "evictions")
+    __slots__ = ("_by_id", "_canon", "_prim", "max_entries", "hits", "misses", "evictions")
 
     def __init__(self, *, max_entries: int = MAX_ENTRIES) -> None:
         if max_entries < 2:
@@ -111,8 +107,6 @@ class ValueInterner:
         #: (type, value) -> entry for primitives.
         self._prim: dict[Tuple[type, Any], Entry] = {}
         self.max_entries = max_entries
-        #: Sub-value memo for the structural fingerprint walk on misses.
-        self.cache = FingerprintCache(max_entries=max_entries)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -139,7 +133,7 @@ class ValueInterner:
             key = (tp, value)
             entry = self._prim.get(key)
             if entry is None:
-                fp = _digest(b"P" + repr(value).encode("utf-8"))
+                fp = _fp_of(value)
                 entry = (value, fp, key, _FP_PACK(fp))
                 self._file(self._prim, key, entry)
             return entry
@@ -150,7 +144,7 @@ class ValueInterner:
             key = (_TYPED, _type_signature(value), value)
             entry = self._canon.get(key)
         if entry is None:
-            fp = _fp_of(value, self.cache)
+            fp = _fp_of(value)
             entry = (value, fp, id(value), _FP_PACK(fp))
             self._file(self._canon, key, entry)
         # The caller's fresh-but-equal object is NOT id-mapped: it is about

@@ -314,23 +314,23 @@ def _action_evaluator(
     """``evaluate(state)``: the action's updates as ``(slot, canonical, packed fp)`` triples.
 
     Parity with :class:`~repro.tla.spec.Action` is structural: the effect
-    call *and its iteration* are wrapped in :class:`EvaluationError` (effects
-    are generators, so the body runs while iterating), items are classified
+    call *and its iteration* are wrapped in the action's own
+    :class:`EvaluationError` (effects are generators, so the body runs while
+    iterating) unless they raised one already, items are classified
     State-before-Mapping, and unknown update variables raise the schema's
     own ``SpecError``.
     """
-    name, effect = act.name, act.effect
+    effect = act.effect
     index_of, intern = schema.index_of, interner.intern
 
     def evaluate(state: _BoundState) -> Tuple[Tuple[Tuple[int, Any, bytes], ...], ...]:
         try:
             produced = effect(state)
             items = () if produced is None else list(produced)
+        except EvaluationError:
+            raise  # mirror Action.successors: never wrapped twice
         except Exception as exc:  # noqa: BLE001 - mirror Action.successors
-            raise EvaluationError(
-                f"action {name!r} raised {type(exc).__name__}: {exc}",
-                action=name,
-            ) from exc
+            raise act._evaluation_error(exc) from exc
         updates = []
         for item in items:
             tp = type(item)
@@ -348,11 +348,7 @@ def _action_evaluator(
                     canonical, _fp, _key, packed = intern(val)
                     update.append((slot, canonical, packed))
             else:
-                raise EvaluationError(
-                    f"action {name!r} produced {tp.__name__}; "
-                    "expected State or mapping of variable updates",
-                    action=name,
-                )
+                raise act._bad_item(item)
             updates.append(tuple(update))
         return tuple(updates)
 

@@ -56,7 +56,7 @@ from ..specs.locking import (
     LockingConfig,
 )
 from ..tla.state import State
-from ..tla.values import _FP_PACK, _digest
+from ..tla.values import _FP_PACK, _digest, _fp_of
 
 __all__ = ["compile_locking"]
 
@@ -72,10 +72,6 @@ _CONFIG_KEYS = ("n_threads", "allow_exclusive", "mutation")
 
 class _Unfit(Exception):
     """A state of a shape the generated kernels were not specialized for."""
-
-
-def _mode_pack(mode: str) -> bytes:
-    return _FP_PACK(_digest(b"P" + repr(mode).encode("utf-8")))
 
 
 def _gen_transitions_source(n: int) -> str:
@@ -219,7 +215,7 @@ def compile_locking(
     acq: Dict[Tuple[str, ...], Tuple] = {}
     rel: Dict[Tuple[str, ...], Optional[Tuple]] = {}
     hier: Dict[Tuple[str, ...], bool] = {}
-    modepack = {mode: _mode_pack(mode) for mode in (*LOCK_MODES, NO_LOCK)}
+    modepack = {mode: _FP_PACK(_fp_of(mode)) for mode in (*LOCK_MODES, NO_LOCK)}
 
     def _rowpack(row: Tuple[str, ...]) -> bytes:
         if type(row) is not tuple or len(row) != n_resources:

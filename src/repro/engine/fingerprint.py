@@ -118,7 +118,7 @@ def bfs_levels(ctx: CheckContext) -> None:
                                 link(fp, action_name, nfp)
                             continue
                         if place is not None:
-                            place(State.from_values(schema, nvalues))
+                            place(State.from_values(schema, nvalues, nfp))
                             if link is not None:
                                 link(fp, action_name, nfp)
                         violated_name, within = verdict_for(nvalues, nfp)

@@ -17,10 +17,10 @@ faced (4,913 exhaustive OT tests were practical; larger models need less):
 
 Every strategy returns ``(cases, enumerated)``: the surviving behaviours as
 :class:`~repro.mbtcg.testcase.TestCase` objects, whose ``case_id`` is the
-fingerprint they were deduplicated by -- computed once per behaviour, over one
-:class:`~repro.tla.values.FingerprintCache` per call -- and the count of
-behaviours *before* deduplication; the generator turns the ratio into the
-suite's dedup statistic.
+fingerprint they were deduplicated by -- computed once per behaviour, from the
+fingerprints the graph's states already carry -- and the count of behaviours
+*before* deduplication; the generator turns the ratio into the suite's dedup
+statistic.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import random
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..tla.graph import StateGraph
-from ..tla.values import FingerprintCache
 from .testcase import Behaviour, TestCase
 
 __all__ = [
@@ -56,12 +55,11 @@ def dedup_behaviours(
 ) -> Tuple[List[TestCase], int]:
     """Lift behaviours into cases, dropping fingerprint duplicates, until
     ``limit`` distinct ones are kept; returns (unique cases, total seen)."""
-    cache = FingerprintCache()
     unique: Dict[str, TestCase] = {}
     total = 0
     for behaviour in behaviours:
         total += 1
-        case = TestCase.from_behaviour(behaviour, cache)
+        case = TestCase.from_behaviour(behaviour)
         unique.setdefault(case.case_id, case)
         if len(unique) == limit:
             break

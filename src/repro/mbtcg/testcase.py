@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..tla.state import State
-from ..tla.values import FingerprintCache, fingerprint
+from ..tla.values import fingerprint
 
 __all__ = ["Behaviour", "TestCase", "behaviour_fingerprint"]
 
@@ -25,26 +25,17 @@ __all__ = ["Behaviour", "TestCase", "behaviour_fingerprint"]
 Behaviour = List[Tuple[Optional[str], State]]
 
 
-def behaviour_fingerprint(
-    behaviour: Sequence[Tuple[Optional[str], State]],
-    cache: Optional[FingerprintCache] = None,
-) -> int:
+def behaviour_fingerprint(behaviour: Sequence[Tuple[Optional[str], State]]) -> int:
     """Stable 64-bit identity of one behaviour (actions and states both count).
 
     Two behaviours that visit the same states via differently-named actions
     are different test cases (they exercise different implementation paths),
     so the action names participate in the fingerprint alongside the state
-    fingerprints.
-
-    ``cache`` memoizes the parts behaviours share -- a state's slot values,
-    an ``(action, state fingerprint)`` pair: one per edge of the graph, however
-    many behaviours run through it -- and never the behaviour itself; the
-    result is the same with or without it.
+    fingerprints.  A graph's states carry their fingerprints, so only the
+    ``(action, state fingerprint)`` pairs are walked.
     """
-    pairs = tuple((action, state.fingerprint(cache)) for action, state in behaviour)
-    if cache is None:
-        return fingerprint(pairs, frozen=True)
-    return cache.state_values_fingerprint(pairs)
+    pairs = tuple((action, state.fingerprint()) for action, state in behaviour)
+    return fingerprint(pairs, frozen=True)
 
 
 @dataclass(frozen=True)
@@ -64,14 +55,10 @@ class TestCase:
     states: Tuple[State, ...]
 
     @classmethod
-    def from_behaviour(
-        cls,
-        behaviour: Sequence[Tuple[Optional[str], State]],
-        cache: Optional[FingerprintCache] = None,
-    ) -> "TestCase":
+    def from_behaviour(cls, behaviour: Sequence[Tuple[Optional[str], State]]) -> "TestCase":
         """Lift one behaviour: the one place its fingerprint is computed."""
         return cls(
-            case_id=format(behaviour_fingerprint(behaviour, cache), "016x"),
+            case_id=format(behaviour_fingerprint(behaviour), "016x"),
             actions=tuple(action for action, _state in behaviour),
             states=tuple(state for _action, state in behaviour),
         )

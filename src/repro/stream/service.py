@@ -21,7 +21,9 @@ thread -- the caller's -- that reads, parses and checks):
   SIGTERM/SIGINT by the CLI) stops reading, checks everything already
   pending, then writes the final checkpoint and report.  The exit code is
   ``128 + signum`` (143 for SIGTERM, 130 for SIGINT); a clean ``--once``
-  completion exits 1 if any trace violated its specification, else 0.
+  completion exits 1 if any trace violated its specification, else 0.  A
+  ``--once`` source that cannot be opened is refused before anything is
+  read (one ``error:`` line, exit 2); follow mode waits for it to appear.
 
 One source file is one trace: the service does not merge events across
 files, because live per-node logs cannot be totally ordered without the
@@ -44,7 +46,14 @@ from dataclasses import dataclass
 from typing import Annotated, Any, Deque, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from ..obs import SCHEMA_VERSION as OBS_SCHEMA_VERSION, STATUS_KIND, current as obs_current
-from ..pipeline.logs import LogEvent, LogParseError, adapter_names, get_adapter, split_location
+from ..pipeline.logs import (
+    LogEvent,
+    LogIngestError,
+    LogParseError,
+    adapter_names,
+    get_adapter,
+    split_location,
+)
 from ..pipeline.runner import record_cache_telemetry
 from ..resilience import WatchCheckpoint, atomic_write_text, write_watch_checkpoint
 from ..tla import Specification
@@ -186,6 +195,14 @@ class WatchService:
         #: (checked or quarantined) -- the checkpointed resume position.
         self._consumed: Dict[str, Dict[str, int]] = {}
 
+        if self.config.once:
+            # Follow mode waits for a file to appear; a drain has nothing to
+            # wait for, and a source it cannot read is no clean run.
+            for source in self.sources:
+                try:
+                    open(source, "rb").close()
+                except OSError as exc:
+                    raise LogIngestError(f"cannot read log file {source!r}: {exc}") from exc
         start: Dict[str, Dict[str, Any]] = {}
         if resume_from is not None:
             resume_from.validate_for(

@@ -44,7 +44,6 @@ from .trace import (
 )
 from .values import (
     NULL,
-    FingerprintCache,
     Record,
     append,
     fingerprint,
@@ -62,7 +61,6 @@ __all__ = [
     "DeadlockError",
     "Edge",
     "EvaluationError",
-    "FingerprintCache",
     "Invariant",
     "InvariantViolation",
     "LivenessViolation",

@@ -69,6 +69,8 @@ class Action:
         try:
             produced = self.effect(state)
             items = [] if produced is None else list(produced)
+        except EvaluationError:
+            raise  # already names its action (an action built on another's successors)
         except Exception as exc:  # noqa: BLE001 - rewrap with action context
             raise self._evaluation_error(exc) from exc
         results: List[State] = []
@@ -92,6 +94,8 @@ class Action:
         try:
             produced = self.effect(state)
             first = [] if produced is None else list(islice(produced, 1))
+        except EvaluationError:
+            raise
         except Exception as exc:  # noqa: BLE001 - rewrap with action context
             raise self._evaluation_error(exc) from exc
         for item in first:

@@ -10,10 +10,10 @@ when first asked for: the fingerprint engines and the trace fold never ask.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Any, Dict, Iterator, Sequence, Tuple
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from .errors import SpecError
-from .values import FingerprintCache, fingerprint, freeze, thaw
+from .values import fingerprint, freeze, thaw
 
 __all__ = ["State", "VariableSchema"]
 
@@ -135,13 +135,19 @@ class State(Mapping[str, Any]):
         return State.from_values(self.schema, tuple(new_values))
 
     @classmethod
-    def from_values(cls, schema: VariableSchema, values: Tuple[Any, ...]) -> "State":
-        """Build a state directly from an already-frozen value tuple."""
+    def from_values(
+        cls, schema: VariableSchema, values: Tuple[Any, ...], fp: Optional[int] = None
+    ) -> "State":
+        """Build a state directly from an already-frozen value tuple.
+
+        ``fp``, when the caller already has it, is the state's fingerprint
+        (``fingerprint(values, frozen=True)``), so it is never walked again.
+        """
         state = object.__new__(cls)
         object.__setattr__(state, "schema", schema)
         object.__setattr__(state, "values", values)
         object.__setattr__(state, "_hash", None)
-        object.__setattr__(state, "_fp", None)
+        object.__setattr__(state, "_fp", fp)
         return state
 
     # Introspection -----------------------------------------------------------
@@ -149,19 +155,15 @@ class State(Mapping[str, Any]):
         """Plain mutable dictionary view of the state (values thawed)."""
         return {name: thaw(value) for name, value in zip(self.schema.names, self.values)}
 
-    def fingerprint(self, cache: "FingerprintCache | None" = None) -> int:
+    def fingerprint(self) -> int:
         """Stable 64-bit fingerprint, independent of process hash seeds.
 
-        Computed lazily and memoized on the state.  The fingerprint-interned
-        checker passes its per-run :class:`~repro.tla.values.FingerprintCache`
-        so that per-variable sub-values, which recur across states, are
-        fingerprinted once; the result is identical with or without a cache.
+        Computed when first asked for and kept on the state, unless the state
+        was built with it (a state graph's states carry the fingerprint the
+        BFS found them by).
         """
         cached = self._fp
         if cached is None:
-            if cache is not None:
-                cached = cache.state_values_fingerprint(self.values)
-            else:
-                cached = fingerprint(self.values, frozen=True)
+            cached = fingerprint(self.values, frozen=True)
             object.__setattr__(self, "_fp", cached)
         return cached

@@ -24,14 +24,12 @@ import operator
 import struct
 import zlib
 from collections.abc import Mapping
-from itertools import islice
 from typing import Any, Iterable, Iterator, Tuple
 
 from .errors import SpecError
 
 __all__ = [
     "NULL",
-    "FingerprintCache",
     "Record",
     "append",
     "decode_value",
@@ -245,8 +243,8 @@ def freeze(value: Any) -> Any:
             new is old for new, old in zip(frozen_items, value)
         ):
             # Already-frozen fast path: returning the original tuple keeps
-            # object identity, so fingerprint memo entries and Record._fp
-            # caches attached to the shared value stay shared across states.
+            # object identity, so interner entries and Record._fp caches
+            # attached to the shared value stay shared across states.
             return value
         return tuple(frozen_items)
     if hasattr(value, "__hash__") and value.__hash__ is not None:
@@ -336,22 +334,13 @@ def _digest(data: bytes) -> int:
     return (zlib.adler32(data) << 32) | zlib.crc32(data)
 
 
-def state_fingerprint(slot_fps: Iterable[int]) -> int:
-    """Fold per-slot fingerprints into a state fingerprint.
-
-    Byte-identical to :meth:`FingerprintCache.state_values_fingerprint` and
-    ``fingerprint(values, frozen=True)``: the ``T`` digest over the packed
-    slot fingerprints.
-    """
-    return packed_state_fingerprint(map(_FP_PACK, slot_fps))
-
-
 def packed_state_fingerprint(packed_slot_fps: Iterable[bytes]) -> int:
-    """:func:`state_fingerprint` over already-packed slot fingerprints.
+    """Fold packed per-slot fingerprints into a state fingerprint.
 
-    The generic kernel keeps slot fingerprints packed, in bound states and
-    in memoized updates alike, so a successor's fingerprint is one splice,
-    one join and one digest.
+    Equal to ``fingerprint(values, frozen=True)``: the ``T`` digest over the
+    slots' fingerprints, each packed to 8 bytes.  The generic kernel keeps
+    slot fingerprints packed, in bound states and in memoized updates alike,
+    so a successor's fingerprint is one splice, one join and one digest.
     """
     return _digest(b"T" + b"".join(packed_slot_fps))
 
@@ -393,54 +382,43 @@ def _same_types(a: Any, b: Any) -> bool:
     return True
 
 
-def _fp_of(value: Any, cache: "FingerprintCache | None") -> int:
+#: The structural kinds and the tag each one's digest starts with.
+_FP_TAGS = {tuple: b"T", Record: b"R", frozenset: b"S"}
+
+
+def _fp_of(value: Any) -> int:
     """Structural fingerprint: combine child fingerprints, no string building.
 
-    Records cache their fingerprint on the instance (they are immutable and
-    shared across the BFS frontier); tuples and frozensets optionally go
-    through the equality-keyed sub-value memo a :class:`FingerprintCache`
-    carries for the duration of one checker run.  The result is the same
-    with or without a cache, whatever the memo saw before.
+    The one fingerprint walk.  Records cache their fingerprint on the
+    instance (they are immutable and shared across the BFS frontier);
+    tuples and frozensets are walked each time they are asked for.
+    Dispatch is on the exact type first: ``isinstance`` against
+    :class:`Record`, an ABC, costs more than a leaf's digest.
     """
-    if isinstance(value, Record):
+    tp = type(value)
+    tag = _FP_TAGS.get(tp)
+    if tag is None and tp not in _PRIMITIVE_TYPES:
+        # A subclass is fingerprinted as the kind it extends, anything else
+        # as a primitive.
+        tag = next((t for kind, t in _FP_TAGS.items() if isinstance(value, kind)), None)
+    if tag is None:
+        # Primitives: repr disambiguates types (True vs 1 vs "1" vs 1.0 all
+        # render differently) and is stable across processes.
+        return _digest(b"P" + repr(value).encode("utf-8"))
+    if tag == b"R":
         cached = value._fp
         if cached is None:
             data = b"R" + b"".join(
-                key.encode("utf-8") + b"\0" + _FP_PACK(_fp_of(item, cache))
+                key.encode("utf-8") + b"\0" + _FP_PACK(_fp_of(item))
                 for key, item in value._items
             )
             cached = _digest(data)
             object.__setattr__(value, "_fp", cached)
         return cached
-    if isinstance(value, tuple):
-        tag = b"T"
-    elif isinstance(value, frozenset):
-        tag = b"S"
-    else:
-        # Primitives: repr disambiguates types (True vs 1 vs "1" vs 1.0 all
-        # render differently) and is stable across processes.
-        return _digest(b"P" + repr(value).encode("utf-8"))
-    memoize = cache is not None
-    if memoize:
-        found = cache._memo.get(value)
-        if found is not None:
-            if _same_types(found[0], value):
-                cache.hits += 1
-                return found[1]
-            # Equal to a memoized value of other types: the entry stays with
-            # the first comer, this one is walked each time it is asked for.
-            memoize = False
-        cache.misses += 1
-    packed = [_FP_PACK(_fp_of(item, cache)) for item in value]
+    packed = [_FP_PACK(_fp_of(item)) for item in value]
     if tag == b"S":
         packed.sort()
-    result = _digest(tag + b"".join(packed))
-    if memoize:
-        memo = cache._memo
-        if len(memo) >= cache.max_entries:
-            cache._evict_oldest_half()
-        memo[value] = (value, result)
-    return result
+    return _digest(tag + b"".join(packed))
 
 
 def fingerprint(value: Any, *, frozen: bool = False) -> int:
@@ -458,68 +436,4 @@ def fingerprint(value: Any, *, frozen: bool = False) -> int:
     """
     if not frozen:
         value = freeze(value)
-    return _fp_of(value, None)
-
-
-class FingerprintCache:
-    """Sub-value fingerprint memo for one model-checking or batch-checking run.
-
-    Successor states share most of their per-variable values with their
-    parents, and distinct per-variable values recur across the state space far
-    more often than whole states do, so memoizing them makes fingerprint
-    interning roughly as fast as Python-hash interning while the visited set
-    stays a plain set of ints.  The top-level value handed to
-    :meth:`state_values_fingerprint` is deliberately *not* memoized: state
-    tuples are unique, and caching them would retain the entire state space --
-    exactly what the fingerprint engine exists to avoid.
-
-    When the memo fills up, the oldest half (dict insertion order) is
-    discarded rather than the whole memo: sub-values inserted recently are the
-    ones the current BFS frontier still shares, so wholesale clearing dropped
-    every hot entry mid-run.  ``hits``/``misses``/``evictions`` are reported
-    by :meth:`stats`.
-    """
-
-    MAX_ENTRIES = 1_000_000
-
-    __slots__ = ("_memo", "max_entries", "hits", "misses", "evictions")
-
-    def __init__(self, *, max_entries: int = MAX_ENTRIES) -> None:
-        if max_entries < 2:
-            raise ValueError("max_entries must be at least 2")
-        #: frozen value -> (that value, fingerprint); the stored object is
-        #: what a hit is type-checked against (see :func:`_same_types`).
-        self._memo: dict[Any, Tuple[Any, int]] = {}
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._memo)
-
-    def _evict_oldest_half(self) -> None:
-        memo = self._memo
-        for key in list(islice(memo, len(memo) // 2)):
-            del memo[key]
-        self.evictions += 1
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss/eviction counters and the current entry count."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": len(self._memo),
-        }
-
-    def value_fingerprint(self, value: Any) -> int:
-        """Fingerprint one (frozen) value, memoizing it and its sub-values."""
-        return _fp_of(value, self)
-
-    def state_values_fingerprint(self, values: Tuple[Any, ...]) -> int:
-        """Fingerprint a state's values tuple without memoizing the tuple itself.
-
-        Returns exactly what ``fingerprint(values, frozen=True)`` returns.
-        """
-        return state_fingerprint(_fp_of(item, self) for item in values)
+    return _fp_of(value)

@@ -19,7 +19,6 @@ import repro.compile
 from repro.engine.base import SuccessorInfo, Transition, Verdict
 from repro.tla.spec import Specification
 from repro.tla.state import State
-from repro.tla.values import FingerprintCache
 
 
 class InterpretedExpander:
@@ -31,8 +30,8 @@ class InterpretedExpander:
     the spec's own predicates, and ``expand(values)`` the successors with
     memoized verdicts, as :data:`~repro.engine.base.SuccessorInfo` entries --
     what :class:`~repro.compile.CompiledSpec` must emit, in the same order.
-    The fingerprint cache and ``expand``'s verdict memo (a plain dict: an
-    oracle needs no cap) live as long as the expander: one per run.
+    ``expand``'s verdict memo (a plain dict: an oracle needs no cap) lives
+    as long as the expander: one per run.
     """
 
     #: A compiled spec's ``interner``: there is none to share.
@@ -42,14 +41,12 @@ class InterpretedExpander:
         self.spec = spec
         #: What a check run's ``kernel`` label and ``SuccessorCache.kernel`` read.
         self.compile_info = {"kernel": "interpreted"}
-        self._cache = FingerprintCache()
         self._verdicts: Dict[int, Verdict] = {}
 
     def transitions(self, values: Tuple[Any, ...]) -> List[Transition]:
-        cache = self._cache
         state = State.from_values(self.spec.schema, values)
         return [
-            (action_name, nxt.values, nxt.fingerprint(cache))
+            (action_name, nxt.values, nxt.fingerprint())
             for action_name, nxt in self.spec.successors(state)
         ]
 

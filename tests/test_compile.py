@@ -17,13 +17,13 @@ import pytest
 
 from interpreted_reference import InterpretedExpander, oracle_runs
 from repro.compile import compile_spec
-from repro.compile.interner import ValueInterner, state_fingerprint
+from repro.compile.interner import ValueInterner
 from repro.compile.kernels import CompiledSpec
 from repro.engine import check_spec
 from repro.pipeline.cli import main
 from repro.tla import Action, Invariant, Specification, State
 from repro.tla.registry import build_spec
-from repro.tla.values import NULL, fingerprint, freeze
+from repro.tla.values import NULL, fingerprint, freeze, packed_state_fingerprint
 
 
 def _stats(result):
@@ -599,9 +599,10 @@ def test_memo_counters_reach_the_metrics_stream(tmp_path, capsys):
     assert metrics["labels"]["kernel"] == "native"
     assert "check.compile_seconds" in metrics["gauges"]
     assert not any(name.startswith("compile.memo") for name in metrics["counters"])
-    # Without --metrics-out the run prints exactly what it always printed.
+    # Without --metrics-out the run prints exactly what it always printed,
+    # timings and the process-wide peak RSS apart.
     assert main(argv) == 0
-    strip = re.compile(r"\d+\.\d+s")
+    strip = re.compile(r"\d+\.\d+s|peak RSS: \d+\.\d+ MB")
     assert strip.sub("", capsys.readouterr().out) == strip.sub("", with_metrics)
 
 
@@ -734,8 +735,8 @@ def test_state_fingerprint_matches_state_class():
     spec = build_spec("locking")
     for state in _reachable_sample(spec, limit=50, sample=10):
         interner = ValueInterner()
-        slot_fps = [interner.intern(value)[1] for value in state.values]
-        assert state_fingerprint(slot_fps) == state.fingerprint()
+        packed = [interner.intern(value)[3] for value in state.values]
+        assert packed_state_fingerprint(packed) == state.fingerprint()
 
 
 # ---------------------------------------------------------------------------

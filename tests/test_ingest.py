@@ -213,7 +213,7 @@ def test_an_eviction_mid_batch_sheds_the_decode_plan_and_no_verdict():
     tiny_spec = build_spec("raftmongo", n_nodes=2)
     tiny = SuccessorCache.for_spec(tiny_spec)
     tiny.max_entries = 8
-    tiny.interner.max_entries = tiny.interner.cache.max_entries = 16
+    tiny.interner.max_entries = 16
 
     def decode_and_check(events):
         return outcome(tiny_spec, tiny, events_to_trace(tiny_spec, events, per_node=per_node))

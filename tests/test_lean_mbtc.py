@@ -134,7 +134,7 @@ def test_the_successor_count_follows_misses_evictions_and_epochs():
 
     expand(5)
     assert len(cache) <= 8 < cache.misses and cache.interner.evictions == 0
-    cache.interner.max_entries = cache.interner.cache.max_entries = 16
+    cache.interner.max_entries = 16
     expand(6)
     assert cache.interner.evictions > 0
 
@@ -210,7 +210,7 @@ def test_traces_through_one_state_share_its_binding_until_the_interner_evicts(ba
 
     # Tiny caps (as in test_trace.py): checking the batch moves the epoch.
     cache.max_entries = 8
-    cache.interner.max_entries = cache.interner.cache.max_entries = 16
+    cache.interner.max_entries = 16
     assert _verdicts(spec, first) == reference
     assert cache.interner.evictions > 0
     again = _decoded(spec, batch)

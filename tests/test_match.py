@@ -315,7 +315,7 @@ def test_an_eviction_mid_batch_keeps_the_oracles_verdicts():
     tiny_spec = build_spec(name, **params)
     tiny = SuccessorCache.for_spec(tiny_spec)
     tiny.max_entries = 8
-    tiny.interner.max_entries = tiny.interner.cache.max_entries = 16
+    tiny.interner.max_entries = 16
     inline = check_traces(tiny_spec, labelled())
     assert tiny.interner.evictions > 0 and len(tiny) <= 8
     roomy = check_traces(build_spec(name, **params), labelled())

@@ -37,7 +37,7 @@ from repro.pipeline.runner import BatchReport, TraceOutcome, check_traces
 from repro.tla import State, check_trace
 from repro.tla.registry import build_spec, get_entry
 from repro.tla.trace import SuccessorCache
-from repro.tla.values import FingerprintCache
+from repro.tla.values import fingerprint
 
 from conftest import make_counter_spec
 
@@ -184,22 +184,27 @@ def test_case_ids_are_pinned():
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_case_id_is_the_behaviour_fingerprint_with_or_without_a_cache(
-    ot_spec, ot_graph, strategy
-):
+def test_case_id_is_the_behaviour_fingerprint_of_fresh_states(ot_spec, ot_graph, strategy):
     suite = generate_suite(
         ot_spec, strategy=strategy, max_length=6, n_tests=20, seed=3, graph=ot_graph
     )
-    cache = FingerprintCache()
     for case in suite.cases:
-        for memo in (None, cache):
-            # Fresh states: a State keeps the fingerprint it was first asked for.
-            behaviour = [
-                (action, State.from_values(state.schema, state.values))
-                for action, state in zip(case.actions, case.states)
-            ]
-            assert case.case_id == format(behaviour_fingerprint(behaviour, memo), "016x")
-    assert cache.hits  # the memo was in play
+        # Fresh states: a State keeps the fingerprint it was built with.
+        behaviour = [
+            (action, State.from_values(state.schema, state.values))
+            for action, state in zip(case.actions, case.states)
+        ]
+        assert case.case_id == format(behaviour_fingerprint(behaviour), "016x")
+
+
+def test_graph_states_carry_the_fingerprint_the_bfs_found_them_by():
+    graph = build_graph(build_spec("ot_array", init_length=3))
+    assert len(graph) > 100
+    for node, state in enumerate(graph.states()):
+        known = state._fp  # read before anything asks: nothing is walked here
+        assert known is not None
+        assert known == fingerprint(state.values, frozen=True)
+        assert graph.id_of(state) == node
 
 
 @pytest.mark.parametrize("strategy", ["exhaustive", "coverage"])
@@ -209,9 +214,9 @@ def test_behaviour_fingerprint_runs_once_per_enumerated_behaviour(
     calls = []
     real = behaviour_fingerprint
 
-    def counting(behaviour, cache=None):
+    def counting(behaviour):
         calls.append(len(behaviour))
-        return real(behaviour, cache)
+        return real(behaviour)
 
     # Wherever repro.mbtcg holds the name: dedup, TestCase and the coverage
     # sort each used to compute it for themselves.
@@ -347,7 +352,7 @@ def test_an_interner_eviction_sheds_the_shared_bindings_and_no_verdict(
         spec = build_spec(header["spec"], **header["params"])
         cache = SuccessorCache.for_spec(spec)
         if interner_entries:
-            cache.interner.max_entries = cache.interner.cache.max_entries = interner_entries
+            cache.interner.max_entries = interner_entries
         return cache, check_traces(spec, corpus_traces(spec, cases))
 
     roomy_cache, roomy = replay(None)
@@ -503,6 +508,10 @@ def test_cli_generate_smoke_preset(tmp_path, capsys):
     header, _cases = read_corpus(str(out))
     assert header["spec"] == "ot_array"
     assert header["max_length"] <= 5
+    # The corpus bytes ROADMAP and CHANGES cite: states, case ids and order.
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "5bd0973900967edae04e69de379f7265b770407997a381b12baae06113136ae0"
+    )
 
 
 def test_cli_generate_replay_with_an_errored_case_exits_1(tmp_path, capsys, monkeypatch):

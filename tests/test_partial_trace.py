@@ -15,8 +15,8 @@ import pytest
 from partial_reference import reference_partial_check
 from repro.engine import check_spec
 from repro.specs import ot_array, raft_mongo
-from repro.tla import check_partial_trace, check_trace, trace_spec
-from repro.tla.errors import TraceInitialStateMismatch
+from repro.tla import Action, Specification, check_partial_trace, check_trace, trace_spec
+from repro.tla.errors import EvaluationError, TraceInitialStateMismatch
 from repro.tla.values import freeze
 
 
@@ -120,3 +120,23 @@ def test_edges_of_the_trace(raft_mbtc_2node_spec):
     assert [act.name for act in product.actions][:-1] == [act.name for act in spec.actions]
     assert [inv.name for inv in product.invariants] == ["Unexplained"]
     assert product.constraint is None and not product.properties
+
+
+def test_an_action_error_is_wrapped_once():
+    """The lifted action re-raises the inner ``EvaluationError`` as it is."""
+
+    def bad(state):
+        raise ValueError("boom")
+        yield  # pragma: no cover - makes ``bad`` a generator
+
+    spec = Specification(
+        "Boom", variables=("x",), init=lambda: [{"x": 0}], actions=[Action("Bad", bad)]
+    )
+    for run in (
+        lambda: check_spec(spec, check_properties=False),
+        lambda: check_partial_trace(spec, [{"x": 0}, {"x": 1}]),
+    ):
+        with pytest.raises(EvaluationError) as info:
+            run()
+        assert str(info.value) == "action 'Bad' raised ValueError: boom"
+        assert info.value.action == "Bad"

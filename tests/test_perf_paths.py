@@ -1,12 +1,11 @@
-"""The PR's satellite perf fixes: freeze fast paths, record rebuilds,
-O(1) action lookup, and FingerprintCache eviction/counters."""
+"""Perf fast paths: freeze fast paths, record rebuilds, O(1) action
+lookup, and the trace fold's fast path."""
 
 import pytest
 
 from repro.tla import Record, State, VariableSchema, fingerprint, freeze
 from repro.tla.errors import SpecError
 from repro.tla.registry import build_spec
-from repro.tla.values import FingerprintCache
 
 
 # Freeze fast path -----------------------------------------------------------
@@ -85,50 +84,6 @@ def test_action_named_uses_prebuilt_index():
     assert acquire.name == "Acquire"
     with pytest.raises(SpecError):
         spec.action_named("NoSuchAction")
-
-
-# FingerprintCache eviction and counters -------------------------------------
-
-
-def test_cache_counts_hits_and_misses():
-    cache = FingerprintCache()
-    value = (1, (2, 3))
-    first = cache.value_fingerprint(value)
-    assert cache.misses > 0 and cache.hits == 0
-    second = cache.value_fingerprint(value)
-    assert second == first
-    assert cache.hits >= 1
-    assert cache.stats()["entries"] == len(cache)
-
-
-def test_cache_evicts_oldest_half_not_everything():
-    cache = FingerprintCache(max_entries=8)
-    values = [(i, i + 1) for i in range(9)]
-    for value in values:
-        cache.value_fingerprint(value)
-    assert cache.evictions == 1
-    assert 0 < len(cache) <= 8
-    # The most recent insertions survive the eviction...
-    cache.hits = cache.misses = 0
-    cache.value_fingerprint(values[-1])
-    assert cache.hits == 1
-    # ...and evicted entries recompute to the same fingerprint.
-    assert cache.value_fingerprint(values[0]) == fingerprint(values[0])
-
-
-def test_cached_fingerprints_match_uncached():
-    spec = build_spec("raftmongo", n_nodes=2, variant="mbtc")
-    cache = FingerprintCache(max_entries=16)  # force evictions mid-run
-    for state in spec.initial_states():
-        for _name, successor in spec.successors(state):
-            assert successor.fingerprint(cache) == fingerprint(
-                successor.values, frozen=True
-            )
-
-
-def test_cache_rejects_degenerate_capacity():
-    with pytest.raises(ValueError):
-        FingerprintCache(max_entries=1)
 
 
 # The trace fold's fast path, by counts ---------------------------------------

@@ -4,7 +4,6 @@ import pytest
 
 from repro.tla import State, VariableSchema
 from repro.tla.errors import SpecError
-from repro.tla.values import FingerprintCache
 
 
 @pytest.fixture()
@@ -61,9 +60,9 @@ class TestState:
         assert state.to_dict() == {"role": "Leader", "term": 1}
         assert len(state) == 2
 
-    def test_fingerprint_is_memoized_and_cache_consistent(self, schema):
+    def test_fingerprint_is_memoized(self, schema):
         state = State(schema, {"role": ("Leader",), "term": 1})
         twin = State(schema, {"role": ("Leader",), "term": 1})
         first = state.fingerprint()
         assert state.fingerprint() == first  # memoized path
-        assert twin.fingerprint(FingerprintCache()) == first
+        assert twin.fingerprint() == first

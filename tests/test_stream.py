@@ -427,6 +427,21 @@ def test_watch_cli_writes_evidence_for_each_quarantined_event(tmp_path, capsys):
     assert "names node 99" in records[1]["reason"]
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_watch_once_refuses_a_source_it_cannot_read(tmp_path, capsys, kind):
+    # A drain of nothing is no clean run: ``trace`` refuses the same path.
+    source = tmp_path / "missing.jsonl" if kind == "missing" else tmp_path
+    assert main(["watch", "locking", "--once", str(source)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read log file {str(source)!r}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert "traces:" not in captured.out + captured.err
+    # Follow mode still waits for a file that does not exist yet.
+    spec, per_node = _locking()
+    later = [str(tmp_path / "later.jsonl")]
+    WatchService(spec, later, per_node=per_node, config=_fast_config(once=False))
+
+
 # -- IncrementalChecker -------------------------------------------------------
 
 

@@ -213,7 +213,7 @@ def test_fold_verdicts_survive_evictions_in_the_cache_and_the_interner():
 
     roomy = SuccessorCache(spec)
     tiny = SuccessorCache(spec, max_entries=8)
-    tiny.interner.max_entries = tiny.interner.cache.max_entries = 24
+    tiny.interner.max_entries = 24
     assert run(tiny) == run(roomy)
     assert len(tiny) <= 8 < len(roomy)
     assert tiny.interner.evictions > 0 and roomy.interner.evictions == 0
@@ -245,7 +245,7 @@ def test_threads_sharing_a_cache_survive_evictions_mid_batch(name, params):
     roomy = SuccessorCache(spec)
     expected = [outcome(roomy, states) for states in traces]
     tiny = SuccessorCache(spec, max_entries=8)
-    tiny.interner.max_entries = tiny.interner.cache.max_entries = 16
+    tiny.interner.max_entries = 16
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

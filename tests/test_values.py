@@ -3,11 +3,12 @@
 import pickle
 import subprocess
 import sys
+from collections import namedtuple
 
 import pytest
 
 from repro.tla import NULL, Record, append, fingerprint, freeze, last, sub_seq, thaw
-from repro.tla.values import FingerprintCache, seq_index
+from repro.tla.values import _digest, seq_index
 
 
 class TestNull:
@@ -116,35 +117,22 @@ class TestFingerprint:
             ).stdout.strip()
             assert int(output) == expected
 
-    def test_cache_matches_uncached_fingerprints(self):
-        cache = FingerprintCache()
-        values = (("a", "b"), Record(term=1, index=1), frozenset({1, 2}), NULL)
-        assert cache.state_values_fingerprint(values) == fingerprint(
-            values, frozen=True
-        )
-        for value in values:
-            assert cache.value_fingerprint(value) == fingerprint(value, frozen=True)
-        assert len(cache) > 0
+    def test_a_subclass_is_fingerprinted_as_the_kind_it_extends(self):
+        # The walk dispatches on exact types first; subclasses keep the
+        # fingerprint of their base kind, anything else is a primitive.
+        Pair = namedtuple("Pair", "a b")
 
-    def test_cache_rejects_degenerate_capacity(self):
-        # max_entries=1 would make _evict_oldest_half a no-op (1 // 2 == 0
-        # entries dropped) and the memo would never shrink below the cap.
-        with pytest.raises(ValueError):
-            FingerprintCache(max_entries=1)
+        class Tags(frozenset):
+            pass
 
-    def test_eviction_at_minimal_capacity_keeps_fingerprints_correct(self):
-        # ISSUE 7 satellite: _evict_oldest_half at the smallest legal capacity
-        # must still evict (not loop or no-op) and never corrupt results.
-        cache = FingerprintCache(max_entries=2)
-        values = [(i, i + 1) for i in range(10)]
-        for value in values:
-            assert cache.value_fingerprint(value) == fingerprint(value, frozen=True)
-            assert len(cache) <= cache.max_entries
-        assert cache.evictions >= 1
-        # Re-fingerprinting after heavy eviction still agrees with the
-        # uncached path, including for values that were evicted.
-        for value in values:
-            assert cache.value_fingerprint(value) == fingerprint(value, frozen=True)
+        class Level(int):
+            def __repr__(self):
+                return f"Level({int(self)})"
+
+        assert fingerprint(Pair(1, "x"), frozen=True) == fingerprint((1, "x"), frozen=True)
+        assert fingerprint(Tags({1, 2}), frozen=True) == fingerprint(frozenset({1, 2}))
+        assert fingerprint(Level(3), frozen=True) == _digest(b"PLevel(3)")
+        assert fingerprint(Level(3), frozen=True) != fingerprint(3)
 
 
 class TestEqualButDifferentlyTyped:
@@ -158,15 +146,6 @@ class TestEqualButDifferentlyTyped:
         (frozenset({(0, 1)}), frozenset({(False, True)})),
         ((Record(flag=1),), (Record(flag=True),)),
     ]
-
-    @pytest.mark.parametrize("first, second", PAIRS + [(b, a) for a, b in PAIRS])
-    def test_cached_fingerprint_is_the_true_fingerprint(self, first, second):
-        from repro.tla.values import _fp_of
-
-        cache = FingerprintCache()
-        assert first == second and fingerprint(first) != fingerprint(second)
-        for value in (first, second, first):
-            assert _fp_of(value, cache) == _fp_of(value, None)
 
     @pytest.mark.parametrize("first, second", PAIRS + [(b, a) for a, b in PAIRS])
     def test_interned_value_keeps_its_types(self, first, second):
