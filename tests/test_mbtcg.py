@@ -37,6 +37,7 @@ from repro.pipeline.runner import BatchReport, TraceOutcome, check_traces
 from repro.tla import State, check_trace
 from repro.tla.registry import build_spec, get_entry
 from repro.tla.trace import SuccessorCache
+from repro.tla import values as values_module
 from repro.tla.values import fingerprint
 
 from conftest import make_counter_spec
@@ -205,6 +206,30 @@ def test_graph_states_carry_the_fingerprint_the_bfs_found_them_by():
         assert known is not None
         assert known == fingerprint(state.values, frozen=True)
         assert graph.id_of(state) == node
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_generation_on_a_collected_graph_walks_no_state(monkeypatch, ot_spec, strategy):
+    graph = build_graph(ot_spec)
+    slots = {id(value) for state in graph.states() for value in state.values}
+    walk = values_module._fp_of
+    walked = []
+
+    def watching(value, *args):
+        if id(value) in slots:
+            walked.append(value)
+        return walk(value, *args)
+
+    # Case ids, dedup and coverage goals all read the fingerprint each graph
+    # state was placed with; the one walk recurses through the module name.
+    monkeypatch.setattr(values_module, "_fp_of", watching)
+    suite = generate_suite(
+        ot_spec, strategy=strategy, max_length=6, n_tests=20, seed=3, graph=graph
+    )
+    classes = state_classes(graph)
+    for case in suite.cases:
+        coverage_pairs(graph, case, classes)
+    assert suite.cases and not walked
 
 
 @pytest.mark.parametrize("strategy", ["exhaustive", "coverage"])

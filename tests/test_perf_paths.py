@@ -1,8 +1,9 @@
 """Perf fast paths: freeze fast paths, record rebuilds, O(1) action
-lookup, and the trace fold's fast path."""
+lookup, interner eviction and counters, and the trace fold's fast path."""
 
 import pytest
 
+from repro.compile import ValueInterner, compile_spec
 from repro.tla import Record, State, VariableSchema, fingerprint, freeze
 from repro.tla.errors import SpecError
 from repro.tla.registry import build_spec
@@ -84,6 +85,54 @@ def test_action_named_uses_prebuilt_index():
     assert acquire.name == "Acquire"
     with pytest.raises(SpecError):
         spec.action_named("NoSuchAction")
+
+
+# ValueInterner eviction and counters: its max_entries is the one value cap -
+
+
+def test_interner_counts_hits_and_misses():
+    interner = ValueInterner()
+    value = (1, (2, 3))
+    canonical, first, _key, _packed = interner.intern(value)
+    assert interner.misses == 1 and interner.hits == 0
+    assert interner.intern(canonical)[1] == first  # the identity memo
+    assert interner.hits == 1
+    assert interner.stats()["entries"] == len(interner) == 1
+
+
+def test_interner_evicts_oldest_half_not_everything():
+    interner = ValueInterner(max_entries=8)
+    values = [interner.intern((i, i + 1))[0] for i in range(9)]
+    assert interner.evictions == 1
+    assert 0 < len(interner) <= 8
+    # The most recent insertion survives the eviction ...
+    interner.hits = 0
+    interner.intern(values[-1])
+    assert interner.hits == 1
+    # ... and an evicted value interns again to the same fingerprint.
+    assert interner.intern((0, 1))[1] == fingerprint((0, 1))
+
+
+def test_interner_rejects_degenerate_capacity():
+    # max_entries=1 would drop 1 // 2 == 0 entries per eviction: the memo
+    # would never shrink below its cap.
+    with pytest.raises(ValueError):
+        ValueInterner(max_entries=1)
+
+
+def test_compiled_fingerprints_survive_interner_evictions():
+    spec = build_spec("raftmongo", n_nodes=2, variant="mbtc")
+    compiled = compile_spec(spec)
+    compiled.interner.max_entries = 16  # evicts all through the expansion
+    frontier = [state.values for state in spec.initial_states()]
+    seen = set(frontier)
+    while frontier and len(seen) < 300:
+        for _name, values, fp, *_verdicts in compiled.expand(frontier.pop(0)):
+            assert fp == fingerprint(values, frozen=True)
+            if values not in seen:
+                seen.add(values)
+                frontier.append(values)
+    assert len(seen) >= 300 and compiled.interner.evictions > 0
 
 
 # The trace fold's fast path, by counts ---------------------------------------

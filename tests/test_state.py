@@ -66,3 +66,15 @@ class TestState:
         first = state.fingerprint()
         assert state.fingerprint() == first  # memoized path
         assert twin.fingerprint() == first
+
+    def test_from_values_keeps_the_fingerprint_it_is_given(self, schema, monkeypatch):
+        values = (("Leader",), 1)
+        fp = State(schema, {"role": ("Leader",), "term": 1}).fingerprint()
+
+        def walked(*args, **kwargs):
+            raise AssertionError("a state with a known fingerprint was walked")
+
+        monkeypatch.setattr("repro.tla.state.fingerprint", walked)
+        state = State.from_values(schema, values, fp)
+        assert state.fingerprint() == fp
+        assert state == State.from_values(schema, values)  # equality walks nothing

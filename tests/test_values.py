@@ -7,7 +7,18 @@ from collections import namedtuple
 
 import pytest
 
-from repro.tla import NULL, Record, append, fingerprint, freeze, last, sub_seq, thaw
+from repro.tla import (
+    NULL,
+    Record,
+    State,
+    VariableSchema,
+    append,
+    fingerprint,
+    freeze,
+    last,
+    sub_seq,
+    thaw,
+)
 from repro.tla.values import _digest, seq_index
 
 
@@ -146,6 +157,21 @@ class TestEqualButDifferentlyTyped:
         (frozenset({(0, 1)}), frozenset({(False, True)})),
         ((Record(flag=1),), (Record(flag=True),)),
     ]
+
+    @pytest.mark.parametrize("first, second", PAIRS + [(b, a) for a, b in PAIRS])
+    def test_state_fingerprints_keep_the_types_apart(self, first, second):
+        # One walk and no value memo: whichever is fingerprinted first, the
+        # other still gets its own fingerprint, in a state as on its own.
+        assert first == second
+        fps = [fingerprint(value) for value in (first, second, first)]
+        assert fps[0] == fps[2] != fps[1]
+        schema = VariableSchema(("x", "y"))
+        states = [State(schema, {"x": value, "y": 0}) for value in (first, second)]
+        assert states[0] == states[1]
+        assert [state.fingerprint() for state in states] == [
+            fingerprint((value, 0), frozen=True) for value in (first, second)
+        ]
+        assert states[0].fingerprint() != states[1].fingerprint()
 
     @pytest.mark.parametrize("first, second", PAIRS + [(b, a) for a, b in PAIRS])
     def test_interned_value_keeps_its_types(self, first, second):
