@@ -6,9 +6,10 @@ to key on, and the value's fingerprint.  One :class:`ValueInterner` pass
 returns all of it as an *entry*: everything a caller binding a state slot
 needs, worked out once per canonical value.
 
-``(canonical, fp, key, packed)``
+``(canonical, fp, key, cube)``
     the canonical object, its 64-bit fingerprint, its exact memo key, and the
-    fingerprint packed to the 8 bytes a state fingerprint joins.
+    fingerprint's cube (:func:`repro.tla.values._cube`) -- the share a
+    container holding the value sums, times its position multiplier.
 
 The key rule lives here and nowhere else: a container's key is
 ``id(canonical)``, a primitive's is ``(type, value)`` -- *not* the value
@@ -32,9 +33,15 @@ trace cache of :mod:`repro.tla.trace`) adds no collision surface.
   canonical object of every equal primitive of its type.
 
 Fingerprints are computed by :func:`repro.tla.values._fp_of`, the one
-fingerprint walk (primitives included), so a compiled fingerprint is equal
+fingerprint rule (primitives included), so a compiled fingerprint is equal
 to :func:`~repro.tla.values.fingerprint`'s *by construction*, not by
-parallel reimplementation.
+parallel reimplementation.  On a container miss the rule is handed the
+interner's own view of the children: a child that is already canonical
+(an identity-memo hit) gives its entry's cube, a primitive child its
+primitive-memo entry's, and only fresh sub-values are walked.  Those are
+not filed as entries of their own: a decoded value's sub-values are fresh
+objects that nothing looks up again, and the memos' caps count top-level
+values only.
 
 Identity-memo safety: only canonical objects (retained by the entry tuples of
 the equality and primitive memos) are keyed by ``id()``.  A retained
@@ -48,8 +55,8 @@ from itertools import islice
 from typing import Any, Tuple
 
 from ..tla.values import (
-    _FP_PACK,
     _PRIMITIVE_TYPES,
+    _cube,
     _fp_of,
     _same_types,
     Record,
@@ -58,8 +65,13 @@ from ..tla.values import (
 
 __all__ = ["Entry", "ValueInterner"]
 
-#: What :meth:`ValueInterner.intern` returns: ``(canonical, fp, key, packed fp)``.
-Entry = Tuple[Any, int, Any, bytes]
+#: What :meth:`ValueInterner.intern` returns: ``(canonical, fp, key, cube)``.
+Entry = Tuple[Any, int, Any, int]
+
+#: Primitive types whose equal values share a ``repr``, so a child of one
+#: can take the primitive memo's fingerprint: not ``float``, where the
+#: canonical ``0.0`` would hand ``-0.0`` its fingerprint.
+_MEMO_LEAVES = _PRIMITIVE_TYPES - {float}
 
 #: Leads the equality-memo key of a value that is equal to, but typed
 #: differently from, a value already canonical; no spec value can equal it.
@@ -115,28 +127,21 @@ class ValueInterner:
         return len(self._canon)
 
     def intern(self, value: Any) -> Entry:
-        """``(canonical, fp, key, packed fp)`` for an arbitrary spec value.
+        """``(canonical, fp, key, cube)`` for an arbitrary spec value.
 
         The canonical value is frozen, equal to ``value`` *with the same
         types throughout* (never ``(0, 1)`` for ``(False, True)``), and
         stable: two such inputs intern to the *same* object, so later lookups
         hit the identity memo.  The fingerprint equals
         ``fingerprint(freeze(value))`` from :mod:`repro.tla.values`; the key
-        and the packed fingerprint are the module docstring's.
+        and the cube are the module docstring's.
         """
         entry = self._by_id.get(id(value))
         if entry is not None:
             self.hits += 1
             return entry
-        tp = type(value)
-        if tp in _PRIMITIVE_TYPES:
-            key = (tp, value)
-            entry = self._prim.get(key)
-            if entry is None:
-                fp = _fp_of(value)
-                entry = (value, fp, key, _FP_PACK(fp))
-                self._file(self._prim, key, entry)
-            return entry
+        if type(value) in _PRIMITIVE_TYPES:
+            return self._primitive(value)
         self.misses += 1
         key = value = freeze(value)
         entry = self._canon.get(key)
@@ -144,13 +149,34 @@ class ValueInterner:
             key = (_TYPED, _type_signature(value), value)
             entry = self._canon.get(key)
         if entry is None:
-            fp = _fp_of(value)
-            entry = (value, fp, id(value), _FP_PACK(fp))
+            fp = _fp_of(value, self._image)
+            entry = (value, fp, id(value), _cube(fp))
             self._file(self._canon, key, entry)
         # The caller's fresh-but-equal object is NOT id-mapped: it is about
         # to be dropped in favour of the canonical one, and memoizing a dead
         # object's address would invite id-reuse aliasing.
         return entry
+
+    def _primitive(self, value: Any) -> Entry:
+        """The primitive memo's entry for ``value``, filed on a miss."""
+        key = (type(value), value)
+        entry = self._prim.get(key)
+        if entry is None:
+            fp = _fp_of(value)
+            entry = (value, fp, key, _cube(fp))
+            self._file(self._prim, key, entry)
+        return entry
+
+    def _image(self, child: Any) -> int:
+        """The cube of a sub-value's fingerprint, for a container miss: from
+        the entry of a canonical child or of an interned primitive equal to
+        it, else by walking it -- and filing nothing."""
+        entry = self._by_id.get(id(child))
+        if entry is None and type(child) in _MEMO_LEAVES:
+            entry = self._prim.get((type(child), child))
+        if entry is not None:
+            return entry[3]
+        return _cube(_fp_of(child, self._image))
 
     def _file(self, memo: dict, key: Any, entry: Entry) -> None:
         """Keep a new canonical ``entry`` in ``memo`` and the identity memo,

@@ -46,7 +46,8 @@ reads**, not once per state:
   that records, in first-read order, which slots ``state[...]`` (and ``get``
   / ``in``, which go through it) touched;
 * the result -- an action's yielded updates, already interned to ``(slot,
-  canonical value, packed slot fingerprint)`` triples, or a predicate's
+  canonical value, slot term)`` triples (the term is the slot's share of
+  the state fingerprint, :func:`~repro.tla.values.slot_term`), or a predicate's
   boolean -- is stored in a per-action *decision trie*: the root names the
   first slot read, its children are keyed on that slot's value and name the
   next slot read under that value, and so on down to the result.  The next
@@ -55,10 +56,11 @@ reads**, not once per state:
   ``role`` when there is no leader and three more variables when there is
   one);
 * binding a state is one identity probe per slot: the interner's entry for
-  a canonical object already carries its trie key and packed fingerprint;
+  a canonical object already carries its trie key and fingerprint;
 * ``transitions`` is then, per action, one dict lookup per slot read down
-  to a leaf, walked inline, and per stored update a slot splice and one
-  fingerprint join and digest -- no closure call, no ``freeze``, no
+  to a leaf, walked inline, and per stored update a slot splice and the
+  state rule's update -- the parent's fingerprint less the rewritten slot's
+  old term plus its new one, one ``% FP_PRIME`` -- no closure call, no ``freeze``, no
   ``intern``, no bound state; ``verdict_for`` is the same walk down each
   invariant's and the constraint's trie.  A :class:`_BoundState` is built
   only for a function the walk found no leaf for.
@@ -103,13 +105,19 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
+from operator import mul
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
-from zlib import adler32, crc32
 
 from ..engine.base import SuccessorInfo, Transition, Verdict
 from ..tla.errors import EvaluationError
 from ..tla.spec import Action, Specification
 from ..tla.state import State, VariableSchema
+from ..tla.values import (
+    FP_PRIME,
+    _slot_multipliers,
+    slot_term,
+    state_fingerprint_of_terms,
+)
 from .expansion import MEMO_MAX
 from .interner import Entry, ValueInterner
 
@@ -138,7 +146,7 @@ class _BoundState(State):
 
     def __init__(self, schema: VariableSchema, entries: List[Entry], epoch: int) -> None:
         self.schema = schema
-        self._vals, _fps, self._keys, _packed = zip(*entries)
+        self._vals, _fps, self._keys, _cubes = zip(*entries)
         #: The interner's eviction count before the first slot was bound.
         self._epoch = epoch
         self._fp = None
@@ -310,8 +318,8 @@ def _prune(children: Dict[Any, Any]) -> bool:
 
 def _action_evaluator(
     act: Action, schema: VariableSchema, interner: ValueInterner
-) -> Callable[[_BoundState], Tuple[Tuple[Tuple[int, Any, bytes], ...], ...]]:
-    """``evaluate(state)``: the action's updates as ``(slot, canonical, packed fp)`` triples.
+) -> Callable[[_BoundState], Tuple[Tuple[Tuple[int, Any, int], ...], ...]]:
+    """``evaluate(state)``: the action's updates as ``(slot, canonical, slot term)`` triples.
 
     Parity with :class:`~repro.tla.spec.Action` is structural: the effect
     call *and its iteration* are wrapped in the action's own
@@ -323,7 +331,7 @@ def _action_evaluator(
     effect = act.effect
     index_of, intern = schema.index_of, interner.intern
 
-    def evaluate(state: _BoundState) -> Tuple[Tuple[Tuple[int, Any, bytes], ...], ...]:
+    def evaluate(state: _BoundState) -> Tuple[Tuple[Tuple[int, Any, int], ...], ...]:
         try:
             produced = effect(state)
             items = () if produced is None else list(produced)
@@ -339,14 +347,15 @@ def _action_evaluator(
             ):
                 update = []
                 for var, val in item.items():
-                    canonical, _fp, _key, packed = intern(val)
-                    update.append((index_of(var), canonical, packed))
+                    canonical, fp, _key, _cube = intern(val)
+                    slot = index_of(var)
+                    update.append((slot, canonical, slot_term(slot, fp)))
             elif isinstance(item, State):
                 state._all = True  # a ready-made State stands for every slot
                 update = []
                 for slot, val in enumerate(item.values):
-                    canonical, _fp, _key, packed = intern(val)
-                    update.append((slot, canonical, packed))
+                    canonical, fp, _key, _cube = intern(val)
+                    update.append((slot, canonical, slot_term(slot, fp)))
             else:
                 raise act._bad_item(item)
             updates.append(tuple(update))
@@ -364,6 +373,7 @@ def build_generic_kernels(
     memoized and why that is exact.
     """
     schema = spec.schema
+    slots = _slot_multipliers(len(schema))
     memo = _ReadSetMemo(schema, interner)
     bind, recall = memo.bind, memo.recall
     actions = [
@@ -407,9 +417,12 @@ def build_generic_kernels(
     def transitions(values: Tuple[Any, ...]) -> List[Transition]:
         """Per action, a walk down its trie -- one dict probe per slot read,
         :meth:`_ReadSetMemo.recall` only without a leaf -- then per stored
-        update a splice and the state fingerprint's join and digest."""
+        update a splice and the parent's fingerprint with the rewritten
+        slots' terms swapped."""
         entries, epoch = bind(values)
-        vals, _fps, keys, fps = zip(*entries)
+        vals, fps, keys, _cubes = zip(*entries)
+        terms = list(map(mul, slots, fps))
+        here = state_fingerprint_of_terms(terms)
         state = None  # built for the first action without a leaf
         found: List[Transition] = []
         append = found.append
@@ -427,13 +440,11 @@ def build_generic_kernels(
             name = function.name
             for update in node:
                 new_values = list(vals)
-                new_fps = list(fps)
-                for slot, canonical, vfp in update:
+                fp = here
+                for slot, canonical, term in update:
                     new_values[slot] = canonical
-                    new_fps[slot] = vfp
-                # packed_state_fingerprint(new_fps), without its two frames.
-                data = b"T" + b"".join(new_fps)
-                append((name, tuple(new_values), (adler32(data) << 32) | crc32(data)))
+                    fp += term - terms[slot]
+                append((name, tuple(new_values), fp % FP_PRIME))
         return found
 
     info = {

@@ -16,16 +16,17 @@ engine's walks once per generated fingerprint, through their verdict memo.
 What gets precomputed, all derived from the same tables the interpreted spec
 uses so the two cannot drift:
 
-* ``MODEPACK`` -- the packed 8-byte fingerprint of every lock-mode string;
-* ``ROWPACK`` -- packed fingerprint per per-thread row (``(g, db, coll)``
-  mode triple); rows live in a tiny universe, so this memo saturates fast;
-* ``ACQ[row]`` -- the row-local acquire candidates ``(idx, mode, blockers,
-  new_row, new_pack)`` that already pass the self-free and parent-intent
-  guards; only the cross-thread grant check remains per state, as a
-  frozenset membership test against the other threads' modes;
-* ``REL[row]`` -- the single releasable (deepest held) lock of a row, if
-  any: release order means the first held resource scanning leaf-to-root
-  has no held children by construction;
+* ``TERM<t>[row]`` -- thread ``t``'s row (a ``(g, db, coll)`` mode triple)
+  as its share of the state fingerprint; rows live in a tiny universe, so
+  these memos saturate fast;
+* ``ACQ<t>[row]`` -- the row-local acquire candidates ``(idx, blockers,
+  new_row, new_term)`` of thread ``t`` that already pass the
+  self-free and parent-intent guards; only the cross-thread grant check
+  remains per state, as a frozenset membership test against the other
+  threads' modes;
+* ``REL<t>[row]`` -- the single releasable (deepest held) lock of a row, if
+  any, as ``(new_row, new_term)``: release order means the first held
+  resource scanning leaf-to-root has no held children by construction;
 * ``BLOCKERS[mode]`` -- modes whose concurrent grant blocks ``mode``, with
   the seeded ``xx_compatible`` bug applied exactly as the spec's
   ``_grantable`` does (a second X slips past the check);
@@ -33,10 +34,14 @@ uses so the two cannot drift:
   generated invariant evaluator: the seeded bug lives in the grant path
   only, never in the invariants.
 
-A successor state's fingerprint is assembled from the parent's row packs by
-splicing in the one changed row -- no value walk at all.  The emitted bytes
-match :func:`repro.tla.values._fp_of` format for formula
-``T(T(T(P(mode)...)...))`` by construction.
+A successor state's fingerprint is the parent's with one row term swapped:
+the state rule of :mod:`repro.tla.values` is linear in its slots, and the
+one slot, ``held``, is a tuple whose fingerprint is linear in its rows'
+cubes, so ``fp(state) = BASE + sum(TERM<t>[row t])`` mod ``FP_PRIME`` with
+``BASE = state_fingerprint(((),))`` and ``TERM<t>[row] = slot_term(0,
+_position_term(t, fingerprint(row)))``.  An Acquire or a Release is then one
+add and one ``% FP_PRIME`` -- no value walk and no digest; the terms come
+from the values module's rule, not from a copy of it.
 
 :func:`compile_locking` returns ``None`` (falling back to the generic
 driver) unless the spec is the registry-built locking spec with the exact
@@ -56,7 +61,7 @@ from ..specs.locking import (
     LockingConfig,
 )
 from ..tla.state import State
-from ..tla.values import _FP_PACK, _digest, _fp_of
+from ..tla.values import FP_PRIME, _fp_of, _position_term, slot_term, state_fingerprint
 
 __all__ = ["compile_locking"]
 
@@ -78,7 +83,7 @@ def _gen_transitions_source(n: int) -> str:
     """Source of ``transitions(values)`` with the thread loop unrolled.
 
     Trace checking steps on it too, where ``values`` comes out of a log and
-    can be anything: a ``held`` of another shape (``_rowpack`` refuses rows
+    can be anything: a ``held`` of another shape (``_term`` refuses rows
     of another shape or vocabulary) goes to ``_unfit(values)``.
     """
     lines = [
@@ -90,40 +95,36 @@ def _gen_transitions_source(n: int) -> str:
     for t in range(n):
         lines.append(f"    row{t} = held[{t}]")
     for t in range(n):
-        # Non-empty bytes are always truthy, so ``or`` is a safe miss test.
-        lines.append(f"    p{t} = ROWPACK.get(row{t}) or _rowpack(row{t})")
+        # A zero term (one chance in 2**64) only recomputes: ``or`` is safe.
+        lines.append(f"    r{t} = TERM{t}.get(row{t}) or _term({t}, row{t})")
+    lines.append("    here = BASE + " + " + ".join(f"r{t}" for t in range(n)))
+    for t in range(n):
+        lines.append(f"    s{t} = here - r{t}")
     lines += ["    entries = []", "    append = entries.append"]
     for t in range(n):
         others = [o for o in range(n) if o != t]
         nheld = ", ".join("new_row" if o == t else f"row{o}" for o in range(n))
         if n == 1:
             nheld += ","
-        packs = " + ".join("npack" if o == t else f"p{o}" for o in range(n))
-        lines.append(f"    opts = ACQ.get(row{t})")
-        lines.append(f"    if opts is None: opts = _acq(row{t})")
-        lines.append("    for idx, mode, blk, new_row, npack in opts:")
+        lines.append(f"    opts = ACQ{t}.get(row{t})")
+        lines.append(f"    if opts is None: opts = _acq({t}, row{t})")
+        lines.append("    for idx, blk, new_row, nterm in opts:")
         guard = " or ".join(f"row{o}[idx] in blk" for o in others)
         if guard:
             lines.append(f"        if {guard}:")
             lines.append("            continue")
         lines.append(f"        nheld = ({nheld})")
-        lines.append(f"        hfp = _digest(_T + {packs})")
-        lines.append("        fp = _digest(_T + _PACK(hfp))")
-        lines.append('        append(("Acquire", (nheld,), fp))')
+        lines.append(f'        append(("Acquire", (nheld,), (s{t} + nterm) % _P))')
     for t in range(n):
-        others = [o for o in range(n) if o != t]
         nheld = ", ".join("new_row" if o == t else f"row{o}" for o in range(n))
         if n == 1:
             nheld += ","
-        packs = " + ".join("npack" if o == t else f"p{o}" for o in range(n))
-        lines.append(f"    rel = REL.get(row{t}, _MISS)")
-        lines.append(f"    if rel is _MISS: rel = _rel(row{t})")
+        lines.append(f"    rel = REL{t}.get(row{t}, _MISS)")
+        lines.append(f"    if rel is _MISS: rel = _rel({t}, row{t})")
         lines.append("    if rel is not None:")
-        lines.append("        new_row, npack = rel")
+        lines.append("        new_row, nterm = rel")
         lines.append(f"        nheld = ({nheld})")
-        lines.append(f"        hfp = _digest(_T + {packs})")
-        lines.append("        fp = _digest(_T + _PACK(hfp))")
-        lines.append('        append(("Release", (nheld,), fp))')
+        lines.append(f'        append(("Release", (nheld,), (s{t} + nterm) % _P))')
     lines += ["    return entries", "  except _Unfit:", "    return _unfit(values)"]
     return "\n".join(lines)
 
@@ -209,28 +210,26 @@ def compile_locking(
         blockers["X"] = blockers["X"] - {"X"}
 
     n_resources = len(RESOURCES)
+    n_threads = cfg.n_threads
+    vocabulary = frozenset((*LOCK_MODES, NO_LOCK))
     _MISS = object()
     rows: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
-    rowpack: Dict[Tuple[str, ...], bytes] = {}
-    acq: Dict[Tuple[str, ...], Tuple] = {}
-    rel: Dict[Tuple[str, ...], Optional[Tuple]] = {}
+    terms = [{} for _ in range(n_threads)]
+    acqs = [{} for _ in range(n_threads)]
+    rels = [{} for _ in range(n_threads)]
     hier: Dict[Tuple[str, ...], bool] = {}
-    modepack = {mode: _FP_PACK(_fp_of(mode)) for mode in (*LOCK_MODES, NO_LOCK)}
 
-    def _rowpack(row: Tuple[str, ...]) -> bytes:
-        if type(row) is not tuple or len(row) != n_resources:
+    def _term(t: int, row: Tuple[str, ...]) -> int:
+        """Thread ``t`` holding ``row``: its share of the state fingerprint."""
+        if type(row) is not tuple or len(row) != n_resources or not vocabulary.issuperset(row):
             raise _Unfit
-        try:
-            pack = _FP_PACK(_digest(b"T" + b"".join(modepack[m] for m in row)))
-        except KeyError:  # not a lock mode
-            raise _Unfit from None
-        rowpack[row] = pack
-        return pack
+        term = terms[t][row] = slot_term(0, _position_term(t, _fp_of(row)))
+        return term
 
     def _intern_row(row: Tuple[str, ...]) -> Tuple[str, ...]:
         return rows.setdefault(row, row)
 
-    def _acq(row: Tuple[str, ...]) -> Tuple:
+    def _acq(t: int, row: Tuple[str, ...]) -> Tuple:
         opts = []
         for idx in range(n_resources):
             if row[idx] != NO_LOCK:
@@ -239,27 +238,19 @@ def compile_locking(
                 if idx and row[idx - 1] not in REQUIRED_PARENT_MODE[mode]:
                     continue
                 new_row = _intern_row(row[:idx] + (mode,) + row[idx + 1 :])
-                opts.append(
-                    (
-                        idx,
-                        mode,
-                        blockers[mode],
-                        new_row,
-                        rowpack.get(new_row) or _rowpack(new_row),
-                    )
-                )
-        result = tuple(opts)
-        acq[row] = result
+                new_term = terms[t].get(new_row) or _term(t, new_row)
+                opts.append((idx, blockers[mode], new_row, new_term))
+        result = acqs[t][row] = tuple(opts)
         return result
 
-    def _rel(row: Tuple[str, ...]) -> Optional[Tuple]:
+    def _rel(t: int, row: Tuple[str, ...]) -> Optional[Tuple]:
         result = None
         for idx in range(n_resources - 1, -1, -1):
             if row[idx] != NO_LOCK:
                 new_row = _intern_row(row[:idx] + (NO_LOCK,) + row[idx + 1 :])
-                result = (new_row, rowpack.get(new_row) or _rowpack(new_row))
+                result = (new_row, terms[t].get(new_row) or _term(t, new_row))
                 break
-        rel[row] = result
+        rels[t][row] = result
         return result
 
     def _hier(row: Tuple[str, ...]) -> bool:
@@ -273,9 +264,8 @@ def compile_locking(
         return ok
 
     namespace: Dict[str, Any] = {
-        "_digest": _digest,
-        "_PACK": _FP_PACK,
-        "_T": b"T",
+        "_P": FP_PRIME,
+        "BASE": state_fingerprint(((),)),
         "_X": "X",
         "_NO": NO_LOCK,
         "_NOX": frozenset((NO_LOCK, "X")),
@@ -283,15 +273,15 @@ def compile_locking(
         "_MISS": _MISS,
         "_Unfit": _Unfit,
         "CONFL": confl,
-        "ROWPACK": rowpack,
-        "ACQ": acq,
-        "REL": rel,
         "HIER": hier,
-        "_rowpack": _rowpack,
+        "_term": _term,
         "_acq": _acq,
         "_rel": _rel,
         "_hier": _hier,
     }
+    for t in range(n_threads):
+        namespace.update({f"TERM{t}": terms[t], f"ACQ{t}": acqs[t], f"REL{t}": rels[t]})
+
     def _unfit(values: Tuple[Any, ...]) -> list:
         # Not a state this kernel was specialized for (a log can report
         # anything): the spec's own closures answer, or raise what they

@@ -69,9 +69,10 @@ BLOOM_BITS = 1 << 25
 _IDENTITY_BYTES = 8
 
 #: ``meta`` marker distinguishing our databases from arbitrary SQLite files;
-#: the suffix is the table layout's version.
+#: the suffix is the format's version: v2 the one-table layout, v3 the same
+#: layout holding fingerprints mod ``2**64 - 59`` (:mod:`repro.tla.values`).
 _MAGIC_PREFIX = "repro-disk-store-"
-_MAGIC = _MAGIC_PREFIX + "v2"
+_MAGIC = _MAGIC_PREFIX + "v3"
 
 
 class DiskStoreError(CheckerError):

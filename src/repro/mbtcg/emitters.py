@@ -56,7 +56,9 @@ __all__ = [
 ]
 
 CORPUS_FORMAT = "repro-mbtcg-corpus"
-CORPUS_VERSION = 2
+#: Version 3: case ids are behaviour fingerprints mod ``2**64 - 59``
+#: (:mod:`repro.tla.values`); a version-2 corpus carries the older digests.
+CORPUS_VERSION = 3
 
 _CASE_KEYS = frozenset(("id", "actions", "states"))
 

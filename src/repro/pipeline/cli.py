@@ -117,7 +117,11 @@ def _accumulate_coverage(path: str, report: CoverageReport) -> None:
     """Accumulate coverage across CLI invocations (paper Section 4.2.4)."""
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as handle:
-            report = CoverageReport.from_json(handle.read()).merge(report)
+            text = handle.read()
+        try:
+            report = CoverageReport.from_json(text).merge(report)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(report.to_json())
     print("accumulated " + report.summary())

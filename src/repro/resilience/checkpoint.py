@@ -54,9 +54,12 @@ __all__ = [
     "write_watch_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 2
+#: Version 3: fingerprints mod ``2**64 - 59`` (:mod:`repro.tla.values`);
+#: a version-2 snapshot's frontier and store hold the older digests.
+CHECKPOINT_VERSION = 3
 
-WATCH_CHECKPOINT_VERSION = 1
+#: Version 2: the checkers' visited fingerprints follow the same rule.
+WATCH_CHECKPOINT_VERSION = 2
 
 #: Leading bytes of every checkpoint file, checked before unpickling.
 _MAGIC = b"REPROCKPT1\n"

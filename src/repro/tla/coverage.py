@@ -6,7 +6,10 @@ traces, which would permit engineers to calculate the total coverage achieved
 by deploying MBTC to continuous integration."  This module provides exactly
 that: per-trace coverage reports keyed by stable state fingerprints, a merge
 operation, and JSON (de)serialization so reports can be accumulated across
-processes or CI tasks.
+processes or CI tasks.  The JSON names the fingerprint rule its
+fingerprints follow, and a report of another rule (or of none: the files
+written before the field existed) is refused rather than merged, where every
+state would count twice.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional, Set
+
+from .values import FINGERPRINT_FORMAT
 
 __all__ = ["CoverageReport", "merge_reports"]
 
@@ -92,6 +97,7 @@ class CoverageReport:
     # Serialization -------------------------------------------------------------------
     def to_json(self) -> str:
         payload: Dict[str, Any] = {
+            "fingerprint_format": FINGERPRINT_FORMAT,
             "spec_name": self.spec_name,
             "visited_fingerprints": sorted(self.visited_fingerprints),
             "action_counts": self.action_counts,
@@ -104,6 +110,13 @@ class CoverageReport:
     @classmethod
     def from_json(cls, text: str) -> "CoverageReport":
         payload = json.loads(text)
+        found = payload.get("fingerprint_format") if isinstance(payload, dict) else None
+        if found != FINGERPRINT_FORMAT:
+            raise ValueError(
+                f"coverage report fingerprints are of format {found!r}, not "
+                f"{FINGERPRINT_FORMAT!r}; merging them would count every state "
+                "twice -- start a new coverage file"
+            )
         return cls(
             spec_name=payload["spec_name"],
             visited_fingerprints=set(payload["visited_fingerprints"]),

@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from .errors import SpecError
-from .values import fingerprint, freeze, thaw
+from .values import freeze, state_fingerprint, thaw
 
 __all__ = ["State", "VariableSchema"]
 
@@ -141,7 +141,7 @@ class State(Mapping[str, Any]):
         """Build a state directly from an already-frozen value tuple.
 
         ``fp``, when the caller already has it, is the state's fingerprint
-        (``fingerprint(values, frozen=True)``), so it is never walked again.
+        (``state_fingerprint(values)``), so it is never walked again.
         """
         state = object.__new__(cls)
         object.__setattr__(state, "schema", schema)
@@ -156,7 +156,9 @@ class State(Mapping[str, Any]):
         return {name: thaw(value) for name, value in zip(self.schema.names, self.values)}
 
     def fingerprint(self) -> int:
-        """Stable 64-bit fingerprint, independent of process hash seeds.
+        """Stable 64-bit fingerprint, independent of process hash seeds:
+        :func:`~repro.tla.values.state_fingerprint` of the values, the rule
+        the kernels and the trace fold update slot by slot.
 
         Computed when first asked for and kept on the state, unless the state
         was built with it (a state graph's states carry the fingerprint the
@@ -164,6 +166,6 @@ class State(Mapping[str, Any]):
         """
         cached = self._fp
         if cached is None:
-            cached = fingerprint(self.values, frozen=True)
+            cached = state_fingerprint(self.values)
             object.__setattr__(self, "_fp", cached)
         return cached

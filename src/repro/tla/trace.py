@@ -25,7 +25,7 @@ from .coverage import CoverageReport
 from .errors import TraceInitialStateMismatch, TraceMismatch
 from .spec import Action, Invariant, Specification
 from .state import State
-from .values import decode_value, freeze, packed_state_fingerprint
+from .values import decode_value, freeze, slot_term, state_fingerprint_of_terms
 
 if TYPE_CHECKING:
     from ..compile.expansion import StateExpansion
@@ -50,9 +50,10 @@ STUTTER = "<stutter>"
 _UNBOUND = object()
 
 #: A state bound in a :class:`SuccessorCache`: ``(values as observed, canonical
-#: values, exact key, packed per-slot fingerprints)``; a state the cache decoded
-#: itself has no other values.  Its fingerprint is one join and digest of the last.
-Binding = Tuple[Tuple[Any, ...], Tuple[Any, ...], Tuple[Any, ...], Tuple[bytes, ...]]
+#: values, exact key, slot terms)``; a state the cache decoded itself has no
+#: other values.  Its fingerprint is the sum of the last
+#: (:func:`~repro.tla.values.state_fingerprint_of_terms`).
+Binding = Tuple[Tuple[Any, ...], Tuple[Any, ...], Tuple[Any, ...], Tuple[int, ...]]
 
 _FOR_SPEC_LOCK = threading.Lock()
 
@@ -80,8 +81,8 @@ class SuccessorCache:
     bound slot by slot to the value's interner entry: the canonical object,
     its key (its identity; a ``(type, value)`` pair for a primitive -- the
     interner's one rule, which the read-set tries of
-    :mod:`repro.compile.kernels` key on too) and its packed fingerprint, none
-    of them worked out here.  The memo is keyed on those keys -- never on a 64-bit
+    :mod:`repro.compile.kernels` key on too) and its slot term (the slot's
+    share of the state fingerprint), worked out from the entry's fingerprint.  The memo is keyed on those keys -- never on a 64-bit
     fingerprint -- an entry retains the objects its key names, and every memo
     is dropped when the interner's eviction count moves.  A state's
     *successors* are kept as the expander handed them back, none of them
@@ -134,10 +135,10 @@ class SuccessorCache:
         #: key -> the state's StateExpansion; capped in states, not successors
         #: (the other memos' entries weigh one each anyway).
         self._cache = Memo(max_entries, weighed=False)
-        #: repr(payload) -> ((slot, canonical value, key part, packed fp), ...).
+        #: repr(payload) -> ((slot, canonical value, key part, slot term), ...).
         self._decoded = Memo(max_entries)
-        #: (id(whole), node, key part) -> (whole, spliced whole, its key part
-        #: and packed fp): retaining ``whole`` keeps its id from being reused.
+        #: (slot, id(whole), node, key part) -> (whole, spliced whole, its key
+        #: part and slot term): retaining ``whole`` keeps its id from being reused.
         self._spliced = Memo(max_entries)
         #: key -> the one binding :meth:`splice` hands out for that state.
         self._bindings = Memo(max_entries)
@@ -207,11 +208,10 @@ class SuccessorCache:
             stats[f"memo_{name}"] = sum(function[name] for function in memo.values())
         return stats
 
-    def _canonical(self, value: Any) -> Tuple[Any, Any, bytes]:
-        """``(canonical object, key part, packed fingerprint)`` of one slot's
-        value: its interner entry, less the fingerprint as an int."""
-        canonical, _fp, key, packed = self.interner.intern(value)
-        return canonical, key, packed
+    def _canonical(self, value: Any, slot: int) -> Tuple[Any, Any, int]:
+        """``(canonical object, key part, slot term)`` of ``value`` held in ``slot``."""
+        canonical, fp, key, _cube = self.interner.intern(value)
+        return canonical, key, slot_term(slot, fp)
 
     def _file(self, memo: str, key: Any, entry: Any) -> None:
         """Under the lock: keep a miss's ``entry`` in the memo named ``memo``."""
@@ -225,7 +225,7 @@ class SuccessorCache:
 
     # -- binding: observed values -> canonical values + exact key --------------
     def bind(self, values: Tuple[Any, ...], near: Optional[Binding] = None) -> Binding:
-        """``(values, canonical values, key, packed fingerprints)``: a state's
+        """``(values, canonical values, key, slot terms)``: a state's
         value tuple, bound.
 
         ``near`` is the binding of a state ``values`` was derived from
@@ -234,15 +234,17 @@ class SuccessorCache:
         looked at again.
         """
         if near is None:
-            base = new_values = new_key = new_fps = [_UNBOUND] * len(values)
+            base = new_values = new_key = new_terms = [_UNBOUND] * len(values)
         else:
-            base, new_values, new_key, new_fps = near
-        new_values, new_key, new_fps = list(new_values), list(new_key), list(new_fps)
+            base, new_values, new_key, new_terms = near
+        new_values, new_key, new_terms = list(new_values), list(new_key), list(new_terms)
         with self._lock:
             for slot, value in enumerate(values):
                 if value is not base[slot]:
-                    new_values[slot], new_key[slot], new_fps[slot] = self._canonical(value)
-        return values, tuple(new_values), tuple(new_key), tuple(new_fps)
+                    new_values[slot], new_key[slot], new_terms[slot] = self._canonical(
+                        value, slot
+                    )
+        return values, tuple(new_values), tuple(new_key), tuple(new_terms)
 
     def initial_bindings(self) -> List[Binding]:
         """The spec's initial states, bound once per interner epoch."""
@@ -273,55 +275,56 @@ class SuccessorCache:
             parts = self._decode(text, payload)
         else:
             self.decode_hits += 1
-        _seen, values, key, fps = binding
-        new_values, new_key, new_fps = list(values), list(key), list(fps)
-        for slot, value, part, packed in parts:
+        _seen, values, key, terms = binding
+        new_values, new_key, new_terms = list(values), list(key), list(terms)
+        for slot, value, part, term in parts:
             if node is not None and slot in per_node_slots:
                 whole = new_values[slot]
-                found = self._spliced.get((id(whole), node, part)) if live else None
+                found = self._spliced.get((slot, id(whole), node, part)) if live else None
                 if found is None:
                     found = self._splice(slot, whole, node, value, part)
                 else:
                     self.splice_hits += 1
-                _whole, value, part, packed = found
+                _whole, value, part, term = found
             new_values[slot] = value
             new_key[slot] = part
-            new_fps[slot] = packed
+            new_terms[slot] = term
         key = tuple(new_key)
         found = self._bindings.get(key) if live else None
         if found is None:
             values = tuple(new_values)
-            found = values, values, key, tuple(new_fps)
+            found = values, values, key, tuple(new_terms)
             with self._lock:
                 self._file("_bindings", key, found)
         return found
 
     def _decode(
         self, text: str, payload: Mapping[str, Any]
-    ) -> Tuple[Tuple[int, Any, Any, bytes], ...]:
+    ) -> Tuple[Tuple[int, Any, Any, int], ...]:
         self.decode_misses += 1
         schema = self.spec.schema
         for name in payload:
             if name not in schema:
                 raise KeyError(name)
         with self._lock:
+            slots = [(schema.index_of(name), raw) for name, raw in payload.items()]
             parts = tuple(
-                (schema.index_of(name), *self._canonical(decode_value(raw)))
-                for name, raw in payload.items()
+                (slot, *self._canonical(decode_value(raw), slot)) for slot, raw in slots
             )
             self._file("_decoded", text, parts)
         return parts
 
     def _splice(
         self, slot: int, whole: Any, node: int, value: Any, part: Any
-    ) -> Tuple[Any, Any, Any, bytes]:
+    ) -> Tuple[Any, Any, Any, int]:
         self.splice_misses += 1
         size = len(whole) if type(whole) is tuple else 0
         if not 0 <= node < size:
             raise IndexError(slot, size)
         with self._lock:
-            found = (whole, *self._canonical(whole[:node] + (value,) + whole[node + 1 :]))
-            self._file("_spliced", (id(whole), node, part), found)
+            spliced = whole[:node] + (value,) + whole[node + 1 :]
+            found = (whole, *self._canonical(spliced, slot))
+            self._file("_spliced", (slot, id(whole), node, part), found)
         return found
 
     # -- lookup -----------------------------------------------------------------
@@ -331,7 +334,7 @@ class SuccessorCache:
         A miss runs the expander on the canonical values and keeps what it
         hands back in columns -- no successor is bound to find one of them.
         """
-        _seen, values, key, fps = binding
+        _seen, values, key, terms = binding
         if self.interner.evictions == self._epoch:
             found = self._cache.get(key)
             if found is not None:
@@ -340,7 +343,7 @@ class SuccessorCache:
         self.misses += 1
         with self._lock:
             transitions = self.expander.transitions(values)
-            found = self._record(values, packed_state_fingerprint(fps), transitions)
+            found = self._record(values, state_fingerprint_of_terms(terms), transitions)
             self._file("_cache", key, found)
         return found
 
@@ -440,9 +443,9 @@ class TraceFold:
     batch runner and the streaming ``IncrementalChecker`` are its drivers.
 
     The fold's position is the current state's *binding* in the
-    :class:`SuccessorCache` -- canonical values, exact key, packed slot
-    fingerprints -- so a step is one join, one digest, one probe of a
-    fingerprint column and one comparison, a :class:`BoundTrace` of the same
+    :class:`SuccessorCache` -- canonical values, exact key, slot terms --
+    so a step is one sum of the terms, one probe of a fingerprint column and
+    one comparison, a :class:`BoundTrace` of the same
     cache is stepped on as it is, and the coverage fingerprint is the one the
     step was found by.
     ``state`` is built for whoever asks: a checkpoint, a pool task.
@@ -496,10 +499,10 @@ class TraceFold:
         False, with ``failure`` set, if it had to be initial."""
         self._reset()
         if require_initial:
-            _seen, values, key, _fps = binding
+            _seen, values, key, _terms = binding
             # By key, else by equality: what defines a stutter in ``step``.
             if not any(
-                key == k or values == v for _seen, v, k, _fps in self.cache.initial_bindings()
+                key == k or values == v for _seen, v, k, _terms in self.cache.initial_bindings()
             ):
                 self.failure = TraceInitialStateMismatch(
                     f"trace state 0 is not an initial state of {self.spec.name!r}"
@@ -516,8 +519,8 @@ class TraceFold:
 
         What *defines* the verdict is equality of the values.  A step that
         is the current key again, or equals the current state whatever its
-        key, is a stutter.  Otherwise the observation's fingerprint -- one
-        join and digest of the slot fingerprints its binding carries --
+        key, is a stutter.  Otherwise the observation's fingerprint -- the
+        sum of the slot terms its binding carries --
         *selects* the first successor with that fingerprint in the
         expansion's fingerprint column, and the step matches it only if its
         values equal the observed ones; no match is ever reported on
@@ -533,8 +536,8 @@ class TraceFold:
         ``what`` names the observation in the failure message (the streaming
         driver says which log event it was); the default is the step's index.
         """
-        _seen, values, key, fps = binding
-        _seen, here_values, here_key, _fps = self._binding
+        _seen, values, key, terms = binding
+        _seen, here_values, here_key, _terms = self._binding
         if self.allow_stuttering and (key == here_key or values == here_values):
             # Equality with the current state is asked before the successors
             # are: a ``1`` logged for a ``True`` slot is a stutter even when
@@ -542,7 +545,7 @@ class TraceFold:
             matched = STUTTER
         else:
             here = self._successors()
-            fp = packed_state_fingerprint(fps)
+            fp = state_fingerprint_of_terms(terms)
             at = here.find(fp)
             if at is None or here.successor(at) != values:
                 for at, successor in enumerate(here.successors):
@@ -617,7 +620,7 @@ class TraceFold:
     def fingerprint(self) -> int:
         """The current state's fingerprint: ``self.state.fingerprint()``, not re-walked."""
         if self._fp is None:
-            self._fp = packed_state_fingerprint(self._binding[3])
+            self._fp = state_fingerprint_of_terms(self._binding[3])
         return self._fp
 
     def _successors(self) -> StateExpansion:

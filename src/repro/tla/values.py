@@ -15,20 +15,32 @@ to compare.  This module provides:
   convention for frozen values (logs, corpora, generated test modules),
 * sequence helpers (:func:`append`, :func:`sub_seq`, :func:`seq_index`)
   mirroring the ``Sequences`` standard module, and
-* :func:`fingerprint` -- a stable 64-bit fingerprint used by the checker.
+* :func:`fingerprint` -- a stable 64-bit fingerprint used by the checker,
+  and :func:`state_fingerprint` -- a state's, from its slots' fingerprints.
+
+Fingerprints are one algebra mod the prime ``FP_PRIME = 2**64 - 59``, in the
+spirit of TLC's 64-bit fingerprints and of incremental (Zobrist-style)
+hashing: a leaf is a 64-bit blake2b digest of its type-tagged ``repr``; a
+container is its tag plus a sum over its children of a position or field
+multiplier times the cube of the child's fingerprint; a state is
+``Z + sum(L_s * fp(slot s))``.  The state rule is linear, so a successor's
+fingerprint is its parent's plus, per rewritten slot, the new slot term less
+the old -- one add and one ``% FP_PRIME``, no walk and no digest.
 """
 
 from __future__ import annotations
 
 import operator
-import struct
-import zlib
+import threading
 from collections.abc import Mapping
-from typing import Any, Iterable, Iterator, Tuple
+from hashlib import blake2b
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
 
 from .errors import SpecError
 
 __all__ = [
+    "FINGERPRINT_FORMAT",
+    "FP_PRIME",
     "NULL",
     "Record",
     "append",
@@ -38,6 +50,9 @@ __all__ = [
     "freeze",
     "last",
     "seq_index",
+    "slot_term",
+    "state_fingerprint",
+    "state_fingerprint_of_terms",
     "sub_seq",
     "thaw",
 ]
@@ -326,23 +341,93 @@ def last(sequence: Tuple[Any, ...]) -> Any:
     return sequence[-1]
 
 
-_FP_PACK = struct.Struct("<Q").pack
+#: The fingerprint modulus, the largest prime below ``2**64``: every
+#: fingerprint is an int in ``[0, FP_PRIME)``.
+FP_PRIME = (1 << 64) - 59
+
+#: Names the fingerprint rule below in files that keep fingerprints without a
+#: version of their own (coverage reports), so one of another rule is refused.
+FINGERPRINT_FORMAT = "blake2b-cube-mod-2^64-59"
 
 
-def _digest(data: bytes) -> int:
-    """Fold a byte string into 64 bits, stable across processes and runs."""
-    return (zlib.adler32(data) << 32) | zlib.crc32(data)
+def _leaf(data: bytes) -> int:
+    """A leaf fingerprint: the 64-bit blake2b digest of ``data``, mod :data:`FP_PRIME`."""
+    return int.from_bytes(blake2b(data, digest_size=8).digest(), "little") % FP_PRIME
 
 
-def packed_state_fingerprint(packed_slot_fps: Iterable[bytes]) -> int:
-    """Fold packed per-slot fingerprints into a state fingerprint.
+def _cube(fp: int) -> int:
+    """``fp**3 mod FP_PRIME``: how a container sees a child's fingerprint.
 
-    Equal to ``fingerprint(values, frozen=True)``: the ``T`` digest over the
-    slots' fingerprints, each packed to 8 bytes.  The generic kernel keeps
-    slot fingerprints packed, in bound states and in memoized updates alike,
-    so a successor's fingerprint is one splice, one join and one digest.
+    A bijection (``gcd(3, FP_PRIME - 1) == 1``), and not linear, so nested
+    transpositions such as ``((a, b), (c, d))`` and ``((a, c), (b, d))``
+    do not cancel out as they would in a plain weighted sum.
     """
-    return _digest(b"T" + b"".join(packed_slot_fps))
+    return fp * fp % FP_PRIME * fp % FP_PRIME
+
+
+#: The multipliers a container weighs its children's cubes by, and the state
+#: rule's constants; each one a leaf digest of a label, so stable everywhere.
+_POSITIONS: List[int] = []
+_SLOTS: List[int] = []
+_FIELDS: Dict[str, int] = {}
+_STATE_TAG = _leaf(b"Z")
+_GROW = threading.Lock()
+
+
+def _grown(multipliers: List[int], label: bytes, n: int) -> List[int]:
+    """``multipliers`` (``_leaf(label + b"<i>")`` at index ``i``), at least ``n`` long."""
+    if len(multipliers) < n:
+        with _GROW:
+            multipliers.extend(
+                _leaf(label + str(i).encode()) for i in range(len(multipliers), n)
+            )
+    return multipliers
+
+
+_grown(_POSITIONS, b"I", 64)
+_grown(_SLOTS, b"L", 16)
+
+
+def _field(name: str) -> int:
+    """The multiplier of a record field."""
+    weight = _FIELDS.get(name)
+    if weight is None:
+        weight = _FIELDS[name] = _leaf(b"F" + name.encode("utf-8"))
+    return weight
+
+
+def _position_term(position: int, fp: int) -> int:
+    """A tuple's child at ``position`` with fingerprint ``fp``: its share of
+    the tuple's fingerprint, which is ``fingerprint(())`` plus these."""
+    return _grown(_POSITIONS, b"I", position + 1)[position] * _cube(fp) % FP_PRIME
+
+
+def _slot_multipliers(n: int) -> Tuple[int, ...]:
+    """``L_0 .. L_(n-1)``: the state rule's multipliers for ``n`` slots."""
+    return tuple(_grown(_SLOTS, b"L", n)[:n])
+
+
+def slot_term(slot: int, fp: int) -> int:
+    """Slot ``slot``'s share of a state fingerprint, holding a value whose
+    fingerprint is ``fp``: ``L_slot * fp mod FP_PRIME``."""
+    return _grown(_SLOTS, b"L", slot + 1)[slot] * fp % FP_PRIME
+
+
+def state_fingerprint_of_terms(terms: Iterable[int]) -> int:
+    """A state's fingerprint from its slots' :func:`slot_term`\\ s.
+
+    The state rule is linear -- ``Z + sum(L_s * fp(slot s)) mod FP_PRIME`` --
+    so a successor's fingerprint is its parent's, less the terms of the slots
+    an action rewrote, plus their new terms: the kernels and the trace fold
+    keep terms, not values, to take that shortcut.
+    """
+    return (_STATE_TAG + sum(terms)) % FP_PRIME
+
+
+def state_fingerprint(values: Tuple[Any, ...]) -> int:
+    """The fingerprint of a state holding the frozen ``values``, one per slot."""
+    slots = _grown(_SLOTS, b"L", len(values))
+    return (_STATE_TAG + sum(map(operator.mul, slots, map(_fp_of, values)))) % FP_PRIME
 
 
 _ITEM_VALUE = operator.itemgetter(1)
@@ -382,43 +467,55 @@ def _same_types(a: Any, b: Any) -> bool:
     return True
 
 
-#: The structural kinds and the tag each one's digest starts with.
-_FP_TAGS = {tuple: b"T", Record: b"R", frozenset: b"S"}
+#: The structural kinds and the tag each one's fingerprint starts from.
+_FP_TAGS = {tuple: _leaf(b"T"), Record: _leaf(b"R"), frozenset: _leaf(b"S")}
 
 
-def _fp_of(value: Any) -> int:
-    """Structural fingerprint: combine child fingerprints, no string building.
+def _image(value: Any) -> int:
+    """``_cube(_fp_of(value))``: a child's share before its container's multiplier."""
+    fp = _fp_of(value)
+    return fp * fp % FP_PRIME * fp % FP_PRIME
 
-    The one fingerprint walk.  Records cache their fingerprint on the
-    instance (they are immutable and shared across the BFS frontier);
-    tuples and frozensets are walked each time they are asked for.
-    Dispatch is on the exact type first: ``isinstance`` against
-    :class:`Record`, an ABC, costs more than a leaf's digest.
+
+def _fp_of(value: Any, image: Callable[[Any], int] = _image) -> int:
+    """The one fingerprint rule, walking ``value``.
+
+    A primitive is the :func:`_leaf` of ``P`` and its ``repr`` (which keeps
+    ``True``, ``1``, ``1.0`` and ``"1"`` apart, and is stable across
+    processes).  A container is its kind's tag plus, mod :data:`FP_PRIME`,
+    each child's ``image`` -- the cube of its fingerprint -- times the
+    child's position (tuple) or field name (record) multiplier; a frozenset
+    adds its elements' images unweighted.  ``image`` lets the interner
+    answer children it already knows; the default walks them.
+
+    Records cache their fingerprint on the instance (they are immutable and
+    shared across the BFS frontier); tuples and frozensets are walked each
+    time they are asked for.  Dispatch is on the exact type first:
+    ``isinstance`` against :class:`Record`, an ABC, costs more than a leaf.
     """
     tp = type(value)
     tag = _FP_TAGS.get(tp)
     if tag is None and tp not in _PRIMITIVE_TYPES:
         # A subclass is fingerprinted as the kind it extends, anything else
         # as a primitive.
-        tag = next((t for kind, t in _FP_TAGS.items() if isinstance(value, kind)), None)
+        tp = next((kind for kind in _FP_TAGS if isinstance(value, kind)), None)
+        tag = _FP_TAGS.get(tp)
     if tag is None:
-        # Primitives: repr disambiguates types (True vs 1 vs "1" vs 1.0 all
-        # render differently) and is stable across processes.
-        return _digest(b"P" + repr(value).encode("utf-8"))
-    if tag == b"R":
-        cached = value._fp
-        if cached is None:
-            data = b"R" + b"".join(
-                key.encode("utf-8") + b"\0" + _FP_PACK(_fp_of(item))
-                for key, item in value._items
-            )
-            cached = _digest(data)
-            object.__setattr__(value, "_fp", cached)
-        return cached
-    packed = [_FP_PACK(_fp_of(item)) for item in value]
-    if tag == b"S":
-        packed.sort()
-    return _digest(tag + b"".join(packed))
+        return _leaf(b"P" + repr(value).encode("utf-8"))
+    if tp is tuple:
+        positions = _POSITIONS if len(value) <= len(_POSITIONS) else (
+            _grown(_POSITIONS, b"I", len(value))
+        )
+        return (tag + sum(map(operator.mul, positions, map(image, value)))) % FP_PRIME
+    if tp is frozenset:
+        return (tag + sum(map(image, value))) % FP_PRIME
+    cached = value._fp
+    if cached is None:
+        cached = (
+            tag + sum(_field(name) * image(item) for name, item in value._items)
+        ) % FP_PRIME
+        object.__setattr__(value, "_fp", cached)
+    return cached
 
 
 def fingerprint(value: Any, *, frozen: bool = False) -> int:
@@ -426,9 +523,10 @@ def fingerprint(value: Any, *, frozen: bool = False) -> int:
 
     Python's built-in ``hash`` is randomized per process for strings, which
     would make fingerprints unusable for cross-run coverage merging (one of
-    the TLC gaps the paper calls out in Section 4.2.4).  We therefore combine
-    CRC-based digests over the value structure, which is stable across
-    processes and runs.
+    the TLC gaps the paper calls out in Section 4.2.4).  Leaves are blake2b
+    digests of their ``repr`` and containers combine their children's
+    fingerprints arithmetically mod the prime :data:`FP_PRIME` (see
+    :func:`_fp_of`), which is stable across processes and runs.
 
     ``frozen=True`` skips the defensive :func:`freeze` walk; callers such as
     :meth:`repro.tla.state.State.fingerprint` whose values are frozen by

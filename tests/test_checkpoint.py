@@ -17,9 +17,11 @@ from repro.obs import MemorySink, start_run
 from repro.pipeline.cli import main
 from repro.resilience import (
     CheckpointError,
+    WatchCheckpoint,
     atomic_write_text,
     read_checkpoint,
     write_checkpoint,
+    write_watch_checkpoint,
 )
 from repro.tla import Action, Invariant, Specification
 from repro.tla.errors import CheckerError, CheckInterrupted
@@ -97,7 +99,7 @@ def test_checkpoint_file_round_trips_and_validates(tmp_path):
     )
     assert result.truncated and result.checkpoint_path == str(path)
     checkpoint = read_checkpoint(str(path))
-    assert checkpoint.version == 2
+    assert checkpoint.version == 3
     assert checkpoint.spec_name == spec.name
     assert checkpoint.store_name == "fingerprint"
     assert checkpoint.depth % 2 == 0 and checkpoint.depth > 0
@@ -311,4 +313,40 @@ def test_cli_resume_of_a_version_1_checkpoint_exits_2(tmp_path, capsys):
     assert main(["check", "locking", "--resume", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: checkpoint version 1 is not supported")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_resume_of_a_version_2_checkpoint_exits_2(tmp_path, capsys):
+    """Version 2 holds fingerprints of the older digest: its store would
+    never meet a successor's fingerprint again, so it is refused."""
+    path = tmp_path / "v2.ckpt"
+    check_spec(
+        build_spec("locking"),
+        check_properties=False,
+        max_depth=2,
+        checkpoint_path=str(path),
+    )
+    old = read_checkpoint(str(path))
+    old.version = 2
+    write_checkpoint(str(path), old)
+    assert main(["check", "locking", "--resume", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint version 2 is not supported")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_resume_of_a_version_1_watch_checkpoint_exits_2(tmp_path, capsys):
+    """A watch checkpoint of version 1 holds older visited fingerprints."""
+    log = tmp_path / "t.jsonl"
+    log.write_text("")
+    path = tmp_path / "w.ckpt"
+    spec = build_spec("locking")
+    write_watch_checkpoint(
+        str(path),
+        WatchCheckpoint(spec.name, spec.registry_ref, "jsonl", version=1),
+    )
+    argv = ["watch", "locking", str(log), "--once", "--resume", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: watch checkpoint version 1 is not supported")
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -23,7 +23,13 @@ from repro.engine import check_spec
 from repro.pipeline.cli import main
 from repro.tla import Action, Invariant, Specification, State
 from repro.tla.registry import build_spec
-from repro.tla.values import NULL, fingerprint, freeze, packed_state_fingerprint
+from repro.tla.values import (
+    NULL,
+    fingerprint,
+    freeze,
+    slot_term,
+    state_fingerprint_of_terms,
+)
 
 
 def _stats(result):
@@ -735,8 +741,11 @@ def test_state_fingerprint_matches_state_class():
     spec = build_spec("locking")
     for state in _reachable_sample(spec, limit=50, sample=10):
         interner = ValueInterner()
-        packed = [interner.intern(value)[3] for value in state.values]
-        assert packed_state_fingerprint(packed) == state.fingerprint()
+        terms = [
+            slot_term(slot, interner.intern(value)[1])
+            for slot, value in enumerate(state.values)
+        ]
+        assert state_fingerprint_of_terms(terms) == state.fingerprint()
 
 
 # ---------------------------------------------------------------------------

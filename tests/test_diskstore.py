@@ -162,6 +162,28 @@ def test_disk_parent_map_survives_flush_and_reports_length(tmp_path):
     store.close()
 
 
+def test_disk_store_refuses_older_fingerprints_and_leaves_them_alone(tmp_path, capsys):
+    """A v2 store: this layout, the older fingerprint digest; one line, exit 2."""
+    import sqlite3
+
+    from repro.pipeline.cli import main
+
+    path = tmp_path / "v2.db"
+    argv = ["check", "locking", "--store", "disk", "--store-path", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    conn = sqlite3.connect(str(path))
+    conn.execute("UPDATE meta SET value = 'repro-disk-store-v2' WHERE key = 'magic'")
+    conn.commit()
+    conn.close()
+    before = path.read_bytes()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "older format (repro-disk-store-v2" in err
+    assert path.read_bytes() == before
+
+
 def test_disk_store_refuses_an_older_layout_and_leaves_it_alone(tmp_path, capsys):
     """A store file of the separate-parents layout: one line, exit 2, kept."""
     import sqlite3

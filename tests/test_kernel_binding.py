@@ -20,7 +20,7 @@ from repro.compile.kernels import _ReadSetMemo, build_generic_kernels
 from repro.engine import check_spec
 from repro.tla import Action, Invariant, Specification
 from repro.tla.registry import build_spec
-from repro.tla.values import _FP_PACK, _PRIMITIVE_TYPES, NULL, fingerprint
+from repro.tla.values import _PRIMITIVE_TYPES, NULL, _cube, fingerprint
 
 
 def _raftmongo3():
@@ -45,10 +45,10 @@ def _counting_intern(monkeypatch):
 @pytest.mark.parametrize(
     "value", [0, True, 1.0, "x", None, NULL, b"raw", ("t", (1,)), frozenset({1})]
 )
-def test_an_entry_carries_the_key_and_the_packed_fingerprint(value):
+def test_an_entry_carries_the_key_and_the_fingerprint_cube(value):
     interner = ValueInterner()
-    canonical, fp, key, packed = entry = interner.intern(value)
-    assert fp == fingerprint(value) and packed == _FP_PACK(fp)
+    canonical, fp, key, cube = entry = interner.intern(value)
+    assert fp == fingerprint(value) and cube == _cube(fp)
     tp = type(canonical)
     assert key == ((tp, canonical) if tp in _PRIMITIVE_TYPES else id(canonical))
     # The canonical object is filed under its identity: one probe finds it all.

@@ -27,7 +27,7 @@ from repro.tla.errors import TraceMismatch
 from repro.tla.registry import build_spec, get_entry
 from repro.tla.state import State
 from repro.tla.trace import STUTTER, SuccessorCache, TraceFold
-from repro.tla.values import packed_state_fingerprint
+from repro.tla.values import state_fingerprint_of_terms
 
 SMALL = dict(n_traces=60, seed=17, fault_rate=0.4, min_steps=5, max_steps=14,
              stutter_probability=0.1)
@@ -42,8 +42,8 @@ class EagerExpansion:
     """The expansion as it was: every successor bound, filed under its key."""
 
     def __init__(self, cache, binding):
-        _seen, values, key, fps = binding
-        self.fp = packed_state_fingerprint(fps)
+        _seen, values, key, terms = binding
+        self.fp = state_fingerprint_of_terms(terms)
         self.transitions, self.index = [], {}
         for name, successor, successor_fp in cache.expander.transitions(values):
             _seen, successor, successor_key, _fps = cache.bind(successor, (values, *binding[1:]))
@@ -294,7 +294,7 @@ def test_a_state_that_only_shares_a_successors_fingerprint_is_a_violation():
         target = cache.bind(trace.states[-1].values)
         lying = SuccessorCache(spec)
         lying.expander = _SharedFingerprints(
-            lying.expander, lambda found, fp=packed_state_fingerprint(target[3]): fp
+            lying.expander, lambda found, fp=state_fingerprint_of_terms(target[3]): fp
         )
         assert outcome(spec, lying, trace.states) == expected
 

@@ -38,7 +38,7 @@ from repro.tla import State, check_trace
 from repro.tla.registry import build_spec, get_entry
 from repro.tla.trace import SuccessorCache
 from repro.tla import values as values_module
-from repro.tla.values import fingerprint
+from repro.tla.values import fingerprint, state_fingerprint
 
 from conftest import make_counter_spec
 
@@ -171,9 +171,10 @@ def test_behaviour_fingerprint_distinguishes_actions(ot_graph):
 
 
 # The sha256 of the 1,482 case ids of ``ot_array init_length=6`` (exhaustive,
-# max_length=6), comma-joined in suite order, as every commit before the
-# fingerprint was carried produced them (PYTHONHASHSEED 0 and 123 alike).
-_PAPER_SIZE_IDS = "890d064a303d84911f5814ccad6d3e28a5a07ded33e11c37701934178cde30f0"
+# max_length=6), comma-joined in suite order (PYTHONHASHSEED 0 and 123 alike).
+# Re-pinned once, for fingerprints mod 2**64 - 59: the suite's sorted
+# (actions, states) lists are the same as under the older digest's pin.
+_PAPER_SIZE_IDS = "bddcfe6460bde162463cf5ca944f26bd4bb98fbc0b3df8c4ec8d91a28f4f5d6b"
 
 
 def test_case_ids_are_pinned():
@@ -204,7 +205,7 @@ def test_graph_states_carry_the_fingerprint_the_bfs_found_them_by():
     for node, state in enumerate(graph.states()):
         known = state._fp  # read before anything asks: nothing is walked here
         assert known is not None
-        assert known == fingerprint(state.values, frozen=True)
+        assert known == state_fingerprint(state.values)
         assert graph.id_of(state) == node
 
 
@@ -311,7 +312,7 @@ def test_corpora_are_byte_identical_across_hash_seeds(tmp_path):
         assert proc.returncode == 0, proc.stderr
         written.append(out.read_bytes())
     assert written[0] == written[1]
-    assert json.loads(written[0].splitlines()[0])["version"] == 2
+    assert json.loads(written[0].splitlines()[0])["version"] == 3
 
 
 def _tampered_corpus(path, suite, number=1):
@@ -414,6 +415,7 @@ _MALFORMED = {
     ),
     "empty": (lambda lines: lines.clear(), None, "is empty"),
     "v1": (_edit_row(0, version=1), None, "unsupported version 1"),
+    "v2-older-case-ids": (_edit_row(0, version=2), None, "unsupported version 2"),
     "no-spec": (_edit_row(0, spec=None), 1, "header is missing 'spec'"),
     "not-json": (lambda lines: lines.insert(3, "{not json"), 4, "not valid JSON"),
     "torn-last-line": (
@@ -535,7 +537,7 @@ def test_cli_generate_smoke_preset(tmp_path, capsys):
     assert header["max_length"] <= 5
     # The corpus bytes ROADMAP and CHANGES cite: states, case ids and order.
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "5bd0973900967edae04e69de379f7265b770407997a381b12baae06113136ae0"
+        "f81541d0d7202aff86cf27d673b627a030cc2593f7027ff39215e3f1d0ab1d07"
     )
 
 

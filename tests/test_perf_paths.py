@@ -7,6 +7,7 @@ from repro.compile import ValueInterner, compile_spec
 from repro.tla import Record, State, VariableSchema, fingerprint, freeze
 from repro.tla.errors import SpecError
 from repro.tla.registry import build_spec
+from repro.tla.values import state_fingerprint
 
 
 # Freeze fast path -----------------------------------------------------------
@@ -93,7 +94,7 @@ def test_action_named_uses_prebuilt_index():
 def test_interner_counts_hits_and_misses():
     interner = ValueInterner()
     value = (1, (2, 3))
-    canonical, first, _key, _packed = interner.intern(value)
+    canonical, first, _key, _cube = interner.intern(value)
     assert interner.misses == 1 and interner.hits == 0
     assert interner.intern(canonical)[1] == first  # the identity memo
     assert interner.hits == 1
@@ -128,7 +129,7 @@ def test_compiled_fingerprints_survive_interner_evictions():
     seen = set(frontier)
     while frontier and len(seen) < 300:
         for _name, values, fp, *_verdicts in compiled.expand(frontier.pop(0)):
-            assert fp == fingerprint(values, frozen=True)
+            assert fp == state_fingerprint(values)
             if values not in seen:
                 seen.add(values)
                 frontier.append(values)

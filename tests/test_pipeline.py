@@ -330,6 +330,25 @@ class TestRegistryAndCli:
         assert log_files
         assert main(["trace", "locking", *log_files]) == 0
 
+    def test_cli_refuses_to_merge_coverage_without_the_fingerprint_format(
+        self, tmp_path, capsys
+    ):
+        """A coverage file from before the format field: merging it would
+        count each state twice, so it is refused in one line and kept."""
+        coverage_file = tmp_path / "coverage.json"
+        argv = ["simulate", "locking", "--traces", "2", "--coverage-out", str(coverage_file)]
+        assert main(argv) == 0
+        old = json.loads(coverage_file.read_text())
+        del old["fingerprint_format"]
+        coverage_file.write_text(json.dumps(old))
+        before = coverage_file.read_bytes()
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {coverage_file}: coverage report fingerprints")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert coverage_file.read_bytes() == before
+
     def test_cli_trace_detects_corrupt_log(self, tmp_path, capsys):
         log_file = tmp_path / "node0.jsonl"
         log_file.write_text(

@@ -74,7 +74,7 @@ class TestState:
         def walked(*args, **kwargs):
             raise AssertionError("a state with a known fingerprint was walked")
 
-        monkeypatch.setattr("repro.tla.state.fingerprint", walked)
+        monkeypatch.setattr("repro.tla.state.state_fingerprint", walked)
         state = State.from_values(schema, values, fp)
         assert state.fingerprint() == fp
         assert state == State.from_values(schema, values)  # equality walks nothing

@@ -19,7 +19,7 @@ from repro.tla import (
     sub_seq,
     thaw,
 )
-from repro.tla.values import _digest, seq_index
+from repro.tla.values import _leaf, seq_index, state_fingerprint
 
 
 class TestNull:
@@ -142,7 +142,7 @@ class TestFingerprint:
 
         assert fingerprint(Pair(1, "x"), frozen=True) == fingerprint((1, "x"), frozen=True)
         assert fingerprint(Tags({1, 2}), frozen=True) == fingerprint(frozenset({1, 2}))
-        assert fingerprint(Level(3), frozen=True) == _digest(b"PLevel(3)")
+        assert fingerprint(Level(3), frozen=True) == _leaf(b"PLevel(3)")
         assert fingerprint(Level(3), frozen=True) != fingerprint(3)
 
 
@@ -169,7 +169,7 @@ class TestEqualButDifferentlyTyped:
         states = [State(schema, {"x": value, "y": 0}) for value in (first, second)]
         assert states[0] == states[1]
         assert [state.fingerprint() for state in states] == [
-            fingerprint((value, 0), frozen=True) for value in (first, second)
+            state_fingerprint((value, 0)) for value in (first, second)
         ]
         assert states[0].fingerprint() != states[1].fingerprint()
 
@@ -179,7 +179,7 @@ class TestEqualButDifferentlyTyped:
 
         interner = ValueInterner()
         for value in (first, second, first, second):
-            canonical, fp, _key, _packed = interner.intern(value)
+            canonical, fp, _key, _cube = interner.intern(value)
             assert repr(canonical) == repr(value)
             assert fp == fingerprint(value)
         # Each of the two is canonical under its own identity from then on.
