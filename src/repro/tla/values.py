@@ -467,6 +467,12 @@ def _same_types(a: Any, b: Any) -> bool:
     return True
 
 
+#: Leaf fingerprints of ``str`` and ``int`` values, which repeat across
+#: values (action names, counters, state fingerprints in behaviour ids):
+#: a digest costs more than the probe.  Emptied when it reaches the cap.
+_LEAVES: Dict[Any, int] = {}
+_LEAVES_CAP = 1 << 16
+
 #: The structural kinds and the tag each one's fingerprint starts from.
 _FP_TAGS = {tuple: _leaf(b"T"), Record: _leaf(b"R"), frozenset: _leaf(b"S")}
 
@@ -501,6 +507,13 @@ def _fp_of(value: Any, image: Callable[[Any], int] = _image) -> int:
         tp = next((kind for kind in _FP_TAGS if isinstance(value, kind)), None)
         tag = _FP_TAGS.get(tp)
     if tag is None:
+        if tp is str or tp is int:  # no two equal values of these differ in repr
+            fp = _LEAVES.get(value)
+            if fp is None:
+                if len(_LEAVES) >= _LEAVES_CAP:
+                    _LEAVES.clear()
+                fp = _LEAVES[value] = _leaf(b"P" + repr(value).encode("utf-8"))
+            return fp
         return _leaf(b"P" + repr(value).encode("utf-8"))
     if tp is tuple:
         positions = _POSITIONS if len(value) <= len(_POSITIONS) else (
