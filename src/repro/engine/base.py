@@ -69,10 +69,9 @@ class CheckResult:
     property_outcomes: List[PropertyCheckOutcome] = field(default_factory=list)
     graph: Optional[StateGraph] = None
     truncated: bool = False
-    #: The *resolved* engine name: ``engine="auto"`` never appears here.
-    engine: str = "states"
-    #: The resolved visited-store name (``store="auto"`` never appears here).
-    store: str = "states"
+    engine: str = "fingerprint"
+    #: The visited store's name: ``graph`` when the run kept the state graph.
+    store: str = "fingerprint"
     peak_frontier: int = 0
     #: Random walks completed (``simulate`` engine only; 0 otherwise).
     walks: int = 0
@@ -113,8 +112,7 @@ class CheckResult:
     def summary(self) -> str:
         """One-line human-readable summary, similar to TLC's final output.
 
-        The resolved engine and store are always reported, so a run started
-        with ``engine="auto"`` shows what it actually resolved to.
+        The engine and the visited store are always reported.
         """
         status = "OK" if self.ok else "VIOLATION"
         resolved = f"engine={self.engine}"
@@ -173,9 +171,8 @@ class CheckContext:
     # Shared BFS helpers ------------------------------------------------------
     @property
     def graph(self) -> Optional[StateGraph]:
-        """The store when it is the state graph (``store="states"``), else None."""
-        store = self.store
-        return store if isinstance(store, StateGraph) else None
+        """The store when the run keeps the state graph, else None."""
+        return self.store if self.collect_graph else None
 
     def new_frontier(self):
         """An empty next-level frontier: a plain list, or a spilling buffer.

@@ -1,19 +1,16 @@
-"""The coordinator: resolve engine + store, build the context, run, report.
+"""The coordinator: validate the options, build the context, run, report.
 
 :class:`ModelChecker` is the public face of the engine package.  It
 contains no exploration logic: it is the one validator of the ``check``
 options (every bad value or combination is a ``ValueError`` naming the
-parameter, raised before anything runs) and the one place that knows
-which engine accepts what.  It resolves ``engine="auto"`` /
-``store="auto"`` to concrete names *eagerly*
-(``checker.resolved_engine`` and ``checker.resolved_store`` are set before
-``run()`` -- nothing resolves silently mid-run), holds the validated
-options in one :class:`~repro.engine.base.CheckContext`, and per run adds
-the result, store and expander and calls the engine's function: the one
-BFS, :func:`~repro.engine.fingerprint.bfs_levels`, for ``fingerprint`` and
-for ``states`` (whose store, the state graph, is the fingerprint store plus
-states and edges), or :func:`~repro.engine.simulate.run_walks`.
-:func:`check_spec` forwards its options to it unchanged.
+parameter, raised before anything runs), holds the validated options in
+one :class:`~repro.engine.base.CheckContext`, and per run adds the
+result, store and expander and calls the engine's function: the one BFS,
+:func:`~repro.engine.fingerprint.bfs_levels`, or
+:func:`~repro.engine.simulate.run_walks`.  A BFS run keeps the state graph
+exactly when ``collect_graph`` is set or the spec's temporal properties
+are checked; the graph is then its visited store (reported as
+``store=graph``).  :func:`check_spec` forwards its options to it unchanged.
 """
 
 from __future__ import annotations
@@ -28,6 +25,7 @@ from ..tla.errors import (
     LivenessViolation,
     StateSpaceLimitExceeded,
 )
+from ..tla.graph import StateGraph
 from ..tla.spec import Specification
 from .base import CheckContext, CheckResult
 from .fingerprint import bfs_levels
@@ -38,29 +36,19 @@ from .store import make_store
 __all__ = ["ENGINES", "STORES", "ModelChecker", "check_spec"]
 
 #: Engine names accepted by ``ModelChecker(engine=...)`` and the CLI.
-ENGINES = ("auto", "fingerprint", "states", "simulate")
+ENGINES = ("fingerprint", "simulate")
 
 #: Store names accepted by ``ModelChecker(store=...)`` and the CLI.
-STORES = ("auto", "fingerprint", "states", "disk")
-
-#: The function that runs each engine.
-_RUN = {"fingerprint": bfs_levels, "states": bfs_levels, "simulate": run_walks}
-
-#: The stores each engine accepts; the first is what ``store="auto"`` picks.
-_ENGINE_STORES = {
-    "fingerprint": ("fingerprint", "disk"),
-    "states": ("states",),
-    "simulate": ("fingerprint", "disk"),
-}
+STORES = ("fingerprint", "disk")
 
 
 class ModelChecker:
-    """Explicit-state model checker dispatching to one of three engines.
+    """Explicit-state model checker: the one BFS, or seeded random walks.
 
     The constructor is the one validator of the ``check`` options: a value
-    out of range, or one the resolved engine or store would silently
-    ignore, raises ``ValueError`` naming the parameter before anything runs
-    (the CLI prints it as its one ``error:`` line).
+    out of range, or one the run would silently ignore, raises
+    ``ValueError`` naming the parameter before anything runs (the CLI
+    prints it as its one ``error:`` line).
     """
 
     def __init__(
@@ -72,14 +60,15 @@ class ModelChecker:
         # spelling, metavar or choices (see ``repro.pipeline.cli``).
         engine: Annotated[str, {
             "choices": ENGINES,
-            "help": "exploration engine (default: fingerprint unless a graph is needed; "
-            "simulate runs seeded random walks instead of exhaustive BFS)",
-        }] = "auto",
+            "help": "exploration engine (default: fingerprint, the exhaustive BFS; "
+            "simulate runs seeded random walks instead)",
+        }] = "fingerprint",
         store: Annotated[str, {
             "choices": STORES,
-            "help": "visited-state store (default: the engine's native store; disk keeps "
-            "the visited set in a SQLite file for million-state runs)",
-        }] = "auto",
+            "help": "visited-state store (default: fingerprint, in memory; disk keeps the "
+            "visited set in a SQLite file for million-state runs; not with --dot or "
+            "temporal properties, whose state graph is the store)",
+        }] = "fingerprint",
         store_capacity: Annotated[Optional[int], {
             "help": "the disk store's write-back cache size",
         }] = None,
@@ -111,7 +100,7 @@ class ModelChecker:
             "flag": "--checkpoint",
             "metavar": "FILE",
             "help": "write a resumable snapshot of the BFS every --checkpoint-every "
-            "levels (fingerprint engine)",
+            "levels (not with --dot or temporal properties, which keep the state graph)",
         }] = None,
         checkpoint_every: Annotated[Optional[int], {
             "metavar": "K",
@@ -133,8 +122,12 @@ class ModelChecker:
         collect_graph: bool = False,
         stop_on_violation: bool = True,
     ) -> None:
+        if engine == "states":
+            engine = "fingerprint"  # kept only because benchmarks/ still passes it
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+        if store not in STORES:
+            raise ValueError(f"unknown store {store!r}; expected one of {STORES}")
         for name, value in (
             ("max_states", max_states),
             ("walks", walks),
@@ -148,31 +141,47 @@ class ModelChecker:
         if max_depth is not None and max_depth < 0:
             raise ValueError(f"max_depth must be >= 0; got {max_depth}")
         # Temporal properties are checked on the state graph, so requesting
-        # them implies collecting it.  Large runs (the paper-scale RaftMongo
+        # them implies keeping it.  Large runs (the paper-scale RaftMongo
         # configuration) can disable property checking to save memory.
-        wants_properties = check_properties and bool(spec.properties)
-        graph = collect_graph or wants_properties
-        self.engine = engine
-        self.check_properties = check_properties
-        self.resume_path = resume_path
-
-        # Resolve ``auto`` eagerly: the resolved names are attributes (and
-        # later CheckResult fields), never a silent mid-run decision.
-        if engine == "auto":
-            resolved = "states" if graph else "fingerprint"
-        else:
-            resolved = engine
-        self.resolved_engine = resolved
-
+        graph = collect_graph or (check_properties and bool(spec.properties))
+        if graph:
+            if collect_graph:
+                asked = "collect_graph (--dot) asks for it"
+            else:
+                asked = (
+                    f"{spec.name}'s temporal properties are checked on it (pass "
+                    "check_properties=False, --no-properties, to skip them)"
+                )
+            for option, passed in (
+                ("engine='simulate'", engine == "simulate"),
+                ("store='disk'", store == "disk"),
+                ("spill_threshold", spill_threshold is not None),
+                ("checkpoint_path/resume_path", bool(checkpoint_path or resume_path)),
+            ):
+                if passed:
+                    raise ValueError(
+                        f"{option} cannot be combined with the state graph, which "
+                        f"a run keeps in memory; {asked}"
+                    )
         # Only simulate is bounded by its own budgets (walks of walk_depth
         # from seed) instead of max_states/max_depth; each side's options
         # are refused by the other.
-        if resolved == "simulate":
+        if engine == "simulate":
             if max_states is not None or max_depth is not None:
                 raise ValueError(
-                    f"the {resolved} engine is bounded by its own "
-                    "budgets (walks/walk_depth) and does not consume "
-                    "max_states/max_depth; passing them would be silently ignored"
+                    "the simulate engine is bounded by its own budgets "
+                    "(walks/walk_depth) and does not consume max_states/max_depth; "
+                    "passing them would be silently ignored"
+                )
+            if spill_threshold is not None:
+                raise ValueError(
+                    "spill_threshold applies to the BFS only; the simulate "
+                    "engine has no frontier to spill"
+                )
+            if checkpoint_path or resume_path:
+                raise ValueError(
+                    "checkpoint_path/resume_path apply to the BFS only; the "
+                    "simulate engine cannot snapshot its exploration"
                 )
         else:
             for option, value in (
@@ -183,87 +192,37 @@ class ModelChecker:
                 if value is not None:
                     raise ValueError(
                         f"{option} applies only to engine='simulate'; the "
-                        f"{resolved} engine would silently ignore it"
+                        f"{engine} engine would silently ignore it"
                     )
-        if graph and resolved != "states":
-            raise ValueError(
-                f"the {resolved} engine cannot collect a state graph; "
-                "use engine='states' (or 'auto') when collect_graph or "
-                "temporal-property checking is requested"
-            )
-        if store not in STORES:
-            raise ValueError(f"unknown store {store!r}; expected one of {STORES}")
-        stores = _ENGINE_STORES[resolved]
-        if store == "auto":
-            self.resolved_store = stores[0]
-        elif store in stores:
-            self.resolved_store = store
-        else:
-            refusal = f"the {resolved} engine supports stores {stores}; got {store!r}"
-            if engine == "auto":
-                if collect_graph:
-                    why = "collect_graph needs the state graph"
-                elif wants_properties:
-                    why = (
-                        "check_properties needs the state graph to check "
-                        "the spec's temporal properties"
-                    )
-                else:
-                    why = "no state graph was requested"
-                refusal = f"engine='auto' resolved to {resolved!r} because {why}; {refusal}"
-            raise ValueError(refusal)
-        if store_capacity is not None and self.resolved_store != "disk":
+        if store_capacity is not None and store != "disk":
             raise ValueError(
                 "store_capacity only applies to the 'disk' store's write-back "
                 "cache; pass store='disk' with it"
             )
-        if store_path is not None and self.resolved_store != "disk":
+        if store_path is not None and store != "disk":
             raise ValueError(
                 "store_path only applies to the file-backed 'disk' store; "
                 "pass store='disk' with it"
             )
-        # Spilling and checkpoints are the fingerprint engine's: the states
-        # engine runs the same BFS, but its graph holds every state in
-        # memory and is not carried by a checkpoint.
-        if spill_threshold is not None and resolved != "fingerprint":
-            why = (
-                "the states engine's graph holds every state, so spilling "
-                "its frontier saves nothing"
-                if resolved == "states"
-                else f"the {resolved} engine has no BFS frontier to spill"
-            )
-            raise ValueError(
-                f"spill_threshold applies to the fingerprint engine only; {why}"
-            )
-        if spill_threshold is None and self.resolved_store == "disk" and resolved == "fingerprint":
+        if spill_threshold is None and store == "disk" and engine == "fingerprint":
             # A disk-store run is by definition the "state space will not fit
             # in memory" regime, and there the frontier is the next-largest
             # resident consumer -- so spilling defaults on with the store.
             spill_threshold = DEFAULT_SPILL_THRESHOLD
-
         if checkpoint_every is not None and not checkpoint_path:
             raise ValueError("checkpoint_every has no effect without checkpoint_path")
-        if (checkpoint_path or resume_path) and resolved != "fingerprint":
-            why = (
-                "a checkpoint does not carry the states engine's graph"
-                if resolved == "states"
-                else f"the {resolved} engine cannot snapshot its exploration"
-            )
-            raise ValueError(
-                "checkpoint_path/resume_path apply to the fingerprint engine "
-                f"only; {why}"
-            )
-        if (
-            (checkpoint_path or resume_path)
-            and self.resolved_store == "disk"
-            and not store_path
-        ):
+        if (checkpoint_path or resume_path) and store == "disk" and not store_path:
             raise ValueError(
                 "checkpoint/resume with the disk store requires store_path: "
                 "the checkpoint records only the database's identity and "
                 "high-water mark, and an ephemeral temp database disappears "
                 "with the process"
             )
+        self.engine = engine
+        #: The visited store's name, as reported: a graph run's is "graph".
+        self.store = StateGraph.name if graph else store
+        self.check_properties = check_properties
+        self.resume_path = resume_path
 
         # The validated options, held once; run() adds each run's result,
         # store and expander.
@@ -303,8 +262,8 @@ class ModelChecker:
         spec = options.spec
         result = CheckResult(
             spec_name=spec.name,
-            engine=self.resolved_engine,
-            store=self.resolved_store,
+            engine=self.engine,
+            store=self.store,
             checkpoint_path=options.checkpoint_path,
         )
         # emit=False: compiling the spec is recorded as a metrics gauge and
@@ -317,16 +276,19 @@ class ModelChecker:
         with compile_timer:
             expander = compile_spec(spec)
         result.compile_seconds = compile_timer.elapsed
-        store = make_store(
-            self.resolved_store, capacity=options.store_capacity, path=options.store_path
-        )
+        if options.collect_graph:
+            store = StateGraph()
+        else:
+            store = make_store(
+                self.store, capacity=options.store_capacity, path=options.store_path
+            )
         ctx = replace(options, result=result, store=store, expander=expander)
         if self.resume_path is not None:
             self._restore(ctx, result)
         timer = span("check.run")
         try:
             with timer:
-                _RUN[self.resolved_engine](ctx)
+                (run_walks if self.engine == "simulate" else bfs_levels)(ctx)
         except KeyboardInterrupt:
             result.duration_seconds = timer.elapsed
             result.interrupted = True
@@ -446,7 +408,7 @@ class ModelChecker:
         """
         assert self.resume_path is not None
         checkpoint: Checkpoint = read_checkpoint(self.resume_path)
-        checkpoint.validate_for(ctx.spec.name, ctx.spec.registry_ref, self.resolved_store)
+        checkpoint.validate_for(ctx.spec.name, ctx.spec.registry_ref, self.store)
         ctx.store.restore(checkpoint.store_state)
         stats = checkpoint.stats
         result.generated_states = stats.get("generated_states", 0)

@@ -1,11 +1,10 @@
 """The one BFS of the model checker: :func:`bfs_levels`.
 
-``engine="fingerprint"`` (the default) and ``engine="states"`` both run
-this loop; they differ only in the store it fills.  The store holds one
-entry per distinct state, as TLC's fingerprint set does: the state's
-stable 64-bit fingerprint, mapped to the fingerprint of the state it was
-first reached from -- the whole of what counterexample replay needs.  The
-frontier holds ``(value tuple, fingerprint)`` pairs.  Invariants and the
+``engine="fingerprint"`` (the default) runs this loop, with or without
+the state graph.  The store holds one entry per distinct state, as TLC's
+fingerprint set does: the state's stable 64-bit fingerprint, mapped to the
+fingerprint of the state it was first reached from -- the whole of what
+counterexample replay needs.  The frontier holds ``(value tuple, fingerprint)`` pairs.  Invariants and the
 constraint are evaluated once per *new* state (``expander.verdict_for``),
 never for a duplicate successor, so nothing is memoized per fingerprint
 beside the store.
@@ -15,17 +14,18 @@ being filled.  An in-memory level lets go of each entry as it is expanded,
 so what is held at any moment is the unexpanded rest of the one and what
 the other has gathered so far -- never two whole levels.
 
-It runs on any of three stores: the default ``fingerprint`` store is an
+It runs on either store: the default ``fingerprint`` store is an
 in-memory dict; the ``disk`` store pushes the same exact pairs into a
 SQLite file behind a write-back cache (see :mod:`repro.engine.store` and
-:mod:`repro.engine.diskstore`); the ``states`` store is the
+:mod:`repro.engine.diskstore`).  A run that keeps the state graph
+(``collect_graph``) stores its visited set in the
 :class:`~repro.tla.graph.StateGraph` -- the fingerprint store plus states
-and edges -- into which the loop places one ``State`` per new node and, when
-the graph is collected, every generated transition.  Without the graph no
-``State`` object is built during the search.  Frontier levels, the other
-per-scale memory consumer, can spill to compressed disk chunks past a
-threshold (:mod:`repro.engine.frontier`) -- together that keeps peak RSS
-flat into the millions of distinct states.
+and edges -- into which the loop places one ``State`` per new node and
+every generated transition.  Without the graph no ``State`` object is
+built during the search.  Frontier levels, the other per-scale memory
+consumer, can spill to compressed disk chunks past a threshold
+(:mod:`repro.engine.frontier`) -- together that keeps peak RSS flat into
+the millions of distinct states.
 """
 
 from __future__ import annotations
@@ -61,17 +61,16 @@ def bfs_levels(ctx: CheckContext) -> None:
     Seeding or resuming, limits, the merge into store and next frontier,
     telemetry and checkpoints; every frontier entry goes through
     ``ctx.expander.transitions`` and every new successor through
-    ``ctx.expander.verdict_for``.  On the ``states`` store it also fills
-    the graph: a ``State`` per new node, and an edge per generated
-    successor when the graph is collected.
+    ``ctx.expander.verdict_for``.  When the run keeps the graph it also
+    fills it: a ``State`` per new node and an edge per generated successor.
     """
     result, store = ctx.result, ctx.store
     transitions = ctx.expander.transitions
     verdict_for = ctx.expander.verdict_for
     add = store.add
     graph, schema = ctx.graph, ctx.spec.schema
-    place = graph.place if graph is not None else None
-    link = graph.add_edge if ctx.collect_graph else None
+    if graph is not None:
+        place, link = graph.place, graph.add_edge
     max_states, check_deadlock = ctx.max_states, ctx.check_deadlock
     stop_on_violation = ctx.stop_on_violation
     frontier, stop, depth, action_counts = ctx.start_frontier()
@@ -114,13 +113,12 @@ def bfs_levels(ctx: CheckContext) -> None:
                         generated += 1
                         action_counts[action_name] += 1
                         if not add(nfp, fp):
-                            if link is not None:
+                            if graph is not None:
                                 link(fp, action_name, nfp)
                             continue
-                        if place is not None:
+                        if graph is not None:
                             place(State.from_values(schema, nvalues, nfp))
-                            if link is not None:
-                                link(fp, action_name, nfp)
+                            link(fp, action_name, nfp)
                         violated_name, within = verdict_for(nvalues, nfp)
                         if violated_name is not None:
                             result.invariant_violation = ctx.fp_violation(
@@ -154,4 +152,4 @@ def bfs_levels(ctx: CheckContext) -> None:
 
     result.distinct_states = store.distinct_count
     result.action_counts = action_counts
-    result.graph = graph if ctx.collect_graph else None
+    result.graph = graph

@@ -8,33 +8,26 @@ store keys a state by its 64-bit fingerprint, reports each fingerprint new
 exactly once, and keeps, per state, the one thing counterexample replay
 needs, as TLC's fingerprint set does: the fingerprint of the state it was
 first reached from (``add(fp, parent)``, read back with ``parent_of(fp)``).
-Three ship, the third loaded only when one is made (it brings ``sqlite3``
+Two ship, the second loaded only when one is made (it brings ``sqlite3``
 with it):
 
 * ``"fingerprint"`` -- :class:`FingerprintSetStore`: one in-memory dict
-  ``fp -> parent fp``, whose keys are the visited set; the default for the
-  ``fingerprint`` and ``simulate`` engines.
-* ``"states"`` -- :class:`~repro.tla.graph.StateGraph`: the fingerprint
-  store plus states and edges -- each fingerprint numbered as a dense node
-  id in insertion order, its ``State`` attached by the loop.  The
-  ``states`` engine's store, and, when the graph is collected, its
-  ``result.graph``.
+  ``fp -> parent fp``, whose keys are the visited set; the default.
 * ``"disk"`` -- :class:`repro.engine.diskstore.DiskFingerprintStore`: the
   same ``fp -> parent fp`` pairs in a SQLite file behind a write-back cache
   and a Bloom filter, so million-state runs keep a flat memory profile.  Takes a
   ``path`` (the CLI's ``--store-path``); ``capacity`` sizes its write-back
   cache.
 
-:func:`make_store` builds one by name;
-:class:`repro.engine.core.ModelChecker` knows which stores each engine
-accepts and resolves ``store="auto"`` to the engine's default.
+:func:`make_store` builds one by name.  A run that keeps the state graph
+stores its visited set in the :class:`~repro.tla.graph.StateGraph`
+instead -- the fingerprint store plus states and edges -- which
+:class:`repro.engine.core.ModelChecker` builds itself.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Protocol
-
-from ..tla.graph import StateGraph
 
 __all__ = ["FingerprintSetStore", "StateStore", "make_store"]
 
@@ -46,9 +39,8 @@ class StateStore(Protocol):
     new and should be explored) and then records ``parent`` -- the
     fingerprint of the state it was reached from, None for an initial state
     -- for :meth:`parent_of`; ``distinct_count`` is the number of distinct
-    states the store has seen.  The ``states`` store, a
-    :class:`~repro.tla.graph.StateGraph`, has all of it but ``__contains__``,
-    which there asks about a ``State``.
+    states the store has seen.  The :class:`~repro.tla.graph.StateGraph`
+    has all of it but ``__contains__``, which there asks about a ``State``.
     """
 
     name: str
@@ -119,12 +111,10 @@ def make_store(
     """
     if name == "fingerprint":
         return FingerprintSetStore()
-    if name == "states":
-        return StateGraph()
     if name == "disk":
         from .diskstore import DiskFingerprintStore
 
         return DiskFingerprintStore(capacity, path)
     raise ValueError(
-        f"unknown store {name!r}; expected one of: fingerprint, states, disk"
+        f"unknown store {name!r}; expected one of: fingerprint, disk"
     )

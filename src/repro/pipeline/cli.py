@@ -36,7 +36,7 @@ from ..mbtcg import generate_suite, replay_corpus, write_corpus
 from ..obs import ENV_METRICS_OUT, peak_rss_mb, run_profiled, span, start_run
 from ..obs import current as obs_current
 from ..mbtcg.emitters import write_log_suite, write_pytest_module
-from ..resilience import read_watch_checkpoint
+from ..resilience import atomic_write_text, read_watch_checkpoint
 from ..stream import WatchConfig, WatchService
 from ..tla.coverage import CoverageReport
 from ..tla.dot import to_dot
@@ -119,11 +119,10 @@ def _accumulate_coverage(path: str, report: CoverageReport) -> None:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
         try:
-            report = CoverageReport.from_json(text).merge(report)
+            report = CoverageReport.from_json(text).absorb(report)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json())
+    atomic_write_text(path, report.to_json())
     print("accumulated " + report.summary())
 
 
@@ -162,15 +161,15 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     spec = build_spec(args.spec, **parse_params(args.param))
     options = dict(_kwargs(ModelChecker, args), collect_graph=bool(args.dot))
-    # The engines that keep no state graph cannot check temporal properties.
+    # Random walks keep no state graph, so they cannot check temporal properties.
     skips_properties = (
-        args.engine not in ("auto", "states") and args.check_properties and bool(spec.properties)
+        args.engine == "simulate" and args.check_properties and bool(spec.properties)
     )
     if skips_properties:
         options["check_properties"] = False
     checker = ModelChecker(spec, **options)
     if skips_properties:
-        print(f"note: {args.engine} engine skips temporal properties (needs the state graph)")
+        print("note: simulate engine skips temporal properties (needs the state graph)")
 
     # A service manager stops a long check with SIGTERM, not ctrl-C; route
     # it through the same checkpoint-and-report path KeyboardInterrupt takes

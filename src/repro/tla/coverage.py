@@ -51,33 +51,27 @@ class CoverageReport:
         return self.visited_count / self.reachable_count
 
     # Combination ------------------------------------------------------------------
-    def merge(self, other: "CoverageReport") -> "CoverageReport":
-        """Combine two reports for the same specification (set union)."""
-        if other.spec_name != self.spec_name:
-            raise ValueError(
-                f"cannot merge coverage of {other.spec_name!r} into {self.spec_name!r}"
-            )
-        merged_actions = dict(self.action_counts)
-        for name, count in other.action_counts.items():
-            merged_actions[name] = merged_actions.get(name, 0) + count
-        merged_enabled = dict(self.enabled_action_counts)
-        for name, count in other.enabled_action_counts.items():
-            merged_enabled[name] = merged_enabled.get(name, 0) + count
+    def copy(self) -> "CoverageReport":
+        """A report equal to this one that shares no mutable state with it."""
         return CoverageReport(
             spec_name=self.spec_name,
-            visited_fingerprints=self.visited_fingerprints | other.visited_fingerprints,
-            action_counts=merged_actions,
-            reachable_count=self.reachable_count or other.reachable_count,
-            trace_count=self.trace_count + other.trace_count,
-            enabled_action_counts=merged_enabled,
+            visited_fingerprints=set(self.visited_fingerprints),
+            action_counts=dict(self.action_counts),
+            reachable_count=self.reachable_count,
+            trace_count=self.trace_count,
+            enabled_action_counts=dict(self.enabled_action_counts),
         )
 
+    def merge(self, other: "CoverageReport") -> "CoverageReport":
+        """Combine two reports for the same specification into a new one."""
+        return self.copy().absorb(other)
+
     def absorb(self, other: "CoverageReport") -> "CoverageReport":
-        """In-place variant of :meth:`merge`, returning ``self``.
+        """Fold ``other`` into this report (set union, summed counts); return ``self``.
 
         :meth:`merge` copies the fingerprint set, which makes folding the
-        per-trace reports of a large batch quadratic; the batch runner absorbs
-        each report into one accumulator instead.
+        per-trace reports of a large batch quadratic; a fold absorbs each
+        report into one accumulator instead.
         """
         if other.spec_name != self.spec_name:
             raise ValueError(
@@ -117,14 +111,19 @@ class CoverageReport:
                 f"{FINGERPRINT_FORMAT!r}; merging them would count every state "
                 "twice -- start a new coverage file"
             )
-        return cls(
-            spec_name=payload["spec_name"],
-            visited_fingerprints=set(payload["visited_fingerprints"]),
-            action_counts=dict(payload["action_counts"]),
-            reachable_count=payload.get("reachable_count"),
-            trace_count=payload.get("trace_count", 0),
-            enabled_action_counts=dict(payload.get("enabled_action_counts", {})),
-        )
+        try:
+            return cls(
+                spec_name=payload["spec_name"],
+                visited_fingerprints=set(payload["visited_fingerprints"]),
+                action_counts=dict(payload["action_counts"]),
+                reachable_count=payload.get("reachable_count"),
+                trace_count=payload.get("trace_count", 0),
+                enabled_action_counts=dict(payload.get("enabled_action_counts", {})),
+            )
+        except KeyError as missing:
+            raise ValueError(f"coverage report has no {missing} field") from None
+        except TypeError as malformed:
+            raise ValueError(f"coverage report is malformed: {malformed}") from None
 
     def summary(self) -> str:
         fraction = self.state_fraction()
@@ -139,9 +138,9 @@ def merge_reports(reports: Iterable[CoverageReport]) -> CoverageReport:
     """Fold any number of coverage reports for one spec into a single report."""
     iterator = iter(reports)
     try:
-        merged = next(iterator)
+        merged = next(iterator).copy()
     except StopIteration:
         raise ValueError("merge_reports() requires at least one report") from None
     for report in iterator:
-        merged = merged.merge(report)
+        merged.absorb(report)
     return merged

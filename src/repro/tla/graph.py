@@ -3,15 +3,15 @@
 TLC can export the graph of all reachable states to a GraphViz DOT file; the
 Realm Sync case study parses that file to generate test cases (paper Section
 5.2), and TLC builds that graph from the same fingerprint set its BFS uses.
-So does the reproduction: :class:`StateGraph` is the ``states`` store
-(``make_store("states")``) of the one BFS loop,
-:func:`repro.engine.fingerprint.bfs_levels` -- the fingerprint store plus
-states and edges.  Each distinct state is keyed by its 64-bit fingerprint
-(``add(fp, parent)``, ``parent_of(fp)``, as every store is) and numbered by
-insertion order; the loop attaches its ``State`` once and records each
-generated transition once, in its source node's outgoing list.  The model
-checker hands it out as ``result.graph`` when ``collect_graph`` is
-requested, and the :mod:`repro.mbtcg` test-case generation subsystem
+So does the reproduction: :class:`StateGraph` is the visited store of the
+one BFS loop, :func:`repro.engine.fingerprint.bfs_levels`, in a run that
+keeps the graph (``collect_graph``, or temporal properties to check) --
+the fingerprint store plus states and edges.  Each distinct state is keyed
+by its 64-bit fingerprint (``add(fp, parent)``, ``parent_of(fp)``, as
+every store is) and numbered by insertion order; the loop attaches its
+``State`` once and records each generated transition once, in its source
+node's outgoing list.  The model checker hands it out as ``result.graph``,
+and the :mod:`repro.mbtcg` test-case generation subsystem
 enumerates its behaviours (see :mod:`repro.mbtcg.strategies`) to produce
 executable test suites.  It also supports the condensation-based
 "eventually" checks used to validate RaftMongo's temporal property ("the
@@ -58,9 +58,8 @@ class StateGraph:
     edge list, so :attr:`edges` is those lists concatenated in id order.
     """
 
-    #: The store name this graph is registered under (see
-    #: :mod:`repro.engine.store`).
-    name = "states"
+    #: The store name a run that keeps the graph reports.
+    name = "graph"
 
     def __init__(self) -> None:
         self._ids: Dict[int, int] = {}

@@ -687,7 +687,7 @@ def trace_spec(
     carried.
     """
     observed = [_observed(spec, observation) for observation in observations]
-    width, last = len(spec.schema), len(observed) - 1
+    width, last, names = len(spec.schema), len(observed) - 1, spec.schema.names
 
     def init() -> Iterator[State]:
         for state in spec.initial_states():
@@ -707,8 +707,10 @@ def trace_spec(
         return Action(act.name, effect)
 
     def stutter(state: State) -> Iterator[Dict[str, int]]:
+        # Each slot is read by name, so the read-set memo sees the stutter
+        # read ``i`` and the observed slots only, not the whole state.
         i = state["i"] + 1
-        if i <= last and _matches(state.values, observed[i]):
+        if i <= last and all(state[names[slot]] == value for slot, value in observed[i]):
             yield {"i": i}
 
     actions = [lift(act) for act in spec.actions]

@@ -1,6 +1,6 @@
 """The state-keyed BFS, worked out the slow way: the tests' exhaustive reference.
 
-``engine="states"`` runs the library's one BFS loop over a
+A run that keeps the graph runs the library's one BFS loop over a
 fingerprint-keyed :class:`~repro.tla.graph.StateGraph`.  :func:`explore_states`
 is the exploration it replaced, kept as the independent reference: a queue
 of node ids over a private :class:`NodeTable` that interns every distinct

@@ -213,7 +213,7 @@ def test_interrupted_level_stays_in_the_time_budget(engine):
     assert snapshot["counters"]["engine.levels"] == 44
 
 
-def test_checkpoint_rejects_unsupported_engine_and_store(tmp_path):
+def test_checkpoint_rejects_walks_and_the_state_graph(tmp_path):
     path = str(tmp_path / "x.ckpt")
     with pytest.raises((CheckerError, ValueError), match="checkpoint"):
         check_spec(
@@ -224,11 +224,11 @@ def test_checkpoint_rejects_unsupported_engine_and_store(tmp_path):
             walk_depth=5,
             checkpoint_path=path,
         )
-    with pytest.raises((CheckerError, ValueError), match="(checkpoint|snapshot|states)"):
+    with pytest.raises(ValueError, match="checkpoint_path.*collect_graph"):
         check_spec(
             build_spec("locking"),
             check_properties=False,
-            engine="states",
+            collect_graph=True,
             checkpoint_path=path,
         )
 

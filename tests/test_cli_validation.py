@@ -30,7 +30,10 @@ _WALKS = ["check", "locking", "--engine", "simulate"]
 @pytest.mark.parametrize(
     "argv,needle",
     [
-        (["check", "locking", "--engine", "fingerprint", "--dot", "g.dot"], "collect_graph"),
+        (
+            ["check", "raftmongo", "--param", "n_nodes=2", "--store", "disk"],
+            "--no-properties",
+        ),
         (["check", "locking", "--dot", "g.dot", "--resume", "x.ckpt"], "resume_path"),
         (["check", "locking", "--engine", "simulate", "--dot", "g.dot"], "collect_graph"),
         (["check", "locking", "--workers", "2"], "workers"),
@@ -38,9 +41,9 @@ _WALKS = ["check", "locking", "--engine", "simulate"]
             ["check", "locking", "--engine", "fingerprint", "--workers", "2"],
             "workers",
         ),
-        (["check", "locking", "--engine", "states", "--workers", "2"], "workers"),
+        (["check", "locking", "--engine", "states", "--workers", "2"], "invalid choice"),
         (["check", "locking", "--walks", "5"], "walks"),
-        (["check", "locking", "--engine", "states", "--walks", "5"], "walks"),
+        (["check", "locking", "--store", "disk", "--walks", "5"], "walks"),
         (["check", "locking", "--depth", "5"], "walk_depth"),
         (["check", "locking", "--seed", "7"], "seed"),
         (
@@ -77,13 +80,13 @@ _WALKS = ["check", "locking", "--engine", "simulate"]
         (_WALKS + ["--chaos-rate", "0"], "--chaos-rate"),
         (["check", "locking", "--task-timeout", "5"], "--task-timeout"),
         (_WALKS + ["--task-timeout", "-1"], "--task-timeout"),
-        # Checkpointing needs a level-synchronous BFS engine and no --dot.
+        # Checkpointing needs the BFS and no state graph.
         (
             ["check", "locking", "--engine", "simulate", "--checkpoint", "x.ckpt"],
             "checkpoint_path",
         ),
         (
-            ["check", "locking", "--engine", "states", "--resume", "x.ckpt"],
+            ["check", "raftmongo", "--param", "n_nodes=2", "--resume", "x.ckpt"],
             "resume_path",
         ),
         (
@@ -110,14 +113,14 @@ _WALKS = ["check", "locking", "--engine", "simulate"]
         ),
         (
             ["check", "locking", "--store", "states", "--store-path", "x.db"],
-            "supports stores",
+            "invalid choice",
         ),
         (
             ["check", "locking", "--engine", "simulate", "--spill-threshold", "10"],
             "spill_threshold",
         ),
         (
-            ["check", "locking", "--engine", "states", "--spill-threshold", "10"],
+            ["check", "locking", "--dot", "g.dot", "--spill-threshold", "10"],
             "spill_threshold",
         ),
         (
@@ -178,8 +181,8 @@ _WALKS = ["check", "locking", "--engine", "simulate"]
         ),
         # ISSUE 20: removed engines, stores and flags are refused, and the
         # line names what there is to choose from.
-        (["check", "locking", "--engine", "parallel"], "'fingerprint', 'states', 'simulate'"),
-        (["check", "locking", "--store", "lru"], "'fingerprint', 'states', 'disk'"),
+        (["check", "locking", "--engine", "parallel"], "'fingerprint', 'simulate'"),
+        (["check", "locking", "--store", "lru"], "'fingerprint', 'disk'"),
         (["generate", "--spec", "ot_array", "--workers", "2"], "--workers"),
         # ISSUE 22: one thread checks traces; the flags that sized the queues
         # and chose the thread pool are gone, not ignored.
@@ -250,10 +253,10 @@ def _workload(**kwargs):
     [
         # Accepted and ignored before the checker became the one validator.
         (_check, dict(engine="fingerprint", walk_depth=5), "walk_depth"),
-        (_check, dict(engine="states", seed=9), "seed"),
+        (_check, dict(engine="fingerprint", seed=9), "seed"),
         (_check, dict(engine="fingerprint", walks=5, seed=9), "walks"),
         (_check, dict(engine="fingerprint", checkpoint_every=3), "checkpoint_every"),
-        (_check, dict(engine="states", walks=5), "walks"),
+        (_check, dict(collect_graph=True, walks=5), "walks"),
         (_check, dict(engine="simulate", max_depth=5), "max_depth"),
         (_workload, dict(stutter_probability=-0.1), "stutter_probability"),
         # One row per rule the checker already had.
@@ -265,14 +268,14 @@ def _workload(**kwargs):
         (_check, dict(engine="simulate", walk_depth=0), "walk_depth"),
         (_check, dict(checkpoint_path="x.ckpt", checkpoint_every=0), "checkpoint_every"),
         (_check, dict(engine="simulate", max_states=5), "max_states"),
-        (_check, dict(engine="fingerprint", collect_graph=True), "collect_graph"),
+        (_check, dict(engine="simulate", collect_graph=True), "collect_graph"),
         (_check, dict(store="mmap"), "store"),
-        (_check, dict(engine="states", store="disk"), "supports stores"),
+        (_check, dict(collect_graph=True, store="disk"), "collect_graph"),
         (_check, dict(store_capacity=10), "store_capacity"),
         (_check, dict(store_path="x.db"), "store_path"),
         (_check, dict(spill_threshold=0), "spill_threshold"),
         (_check, dict(engine="simulate", spill_threshold=10), "spill_threshold"),
-        (_check, dict(engine="simulate", store="states"), "supports stores"),
+        (_check, dict(engine="simulate", store="states"), "unknown store"),
         (_check, dict(engine="simulate", checkpoint_path="x.ckpt"), "checkpoint_path"),
         (_check, dict(store="disk", checkpoint_path="x.ckpt"), "store_path"),
     ],
@@ -335,8 +338,11 @@ def test_resuming_a_checkpoint_of_a_removed_store_exits_2(tmp_path, capsys):
 
 def test_consistent_flag_combinations_pass(tmp_path, capsys):
     dot_file = tmp_path / "g.dot"
-    assert main(["check", "locking", "--dot", str(dot_file)]) == 0  # auto -> states
+    assert main(["check", "locking", "--dot", str(dot_file)]) == 0  # the graph, kept
     assert dot_file.read_text().startswith("digraph")
+    dot_again = tmp_path / "again.dot"
+    assert main(["check", "locking", "--engine", "fingerprint", "--dot", str(dot_again)]) == 0
+    assert dot_again.read_bytes() == dot_file.read_bytes()
     assert (
         main(
             [

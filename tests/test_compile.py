@@ -62,7 +62,7 @@ def _run_pair(spec_name, params, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Golden-stats parity: every engine x every registered spec
+# Golden-stats parity: the BFS with and without the graph x every registered spec
 # ---------------------------------------------------------------------------
 
 CASES = [
@@ -73,16 +73,16 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("engine", ["fingerprint", "states"])
+@pytest.mark.parametrize("collect_graph", [False, True], ids=["no-graph", "graph"])
 @pytest.mark.parametrize("spec_name,params,limits", CASES)
-def test_serial_engines_bit_identical(spec_name, params, limits, engine):
+def test_serial_engines_bit_identical(spec_name, params, limits, collect_graph):
     compiled, interpreted = check_pair = _run_pair(
-        spec_name, params, engine=engine, **limits
+        spec_name, params, collect_graph=collect_graph, **limits
     )
     assert _stats(compiled) == _stats(interpreted)
     assert _violation(compiled) == _violation(interpreted)
     for result in check_pair:
-        assert result.engine == engine
+        assert (result.graph is not None) == collect_graph
 
 
 @pytest.mark.parametrize(
@@ -679,10 +679,10 @@ def test_a_spec_the_native_kernel_does_not_fit_gets_the_generic_one():
     "argv",
     [
         ["check", "locking"],
-        ["check", "locking", "--engine", "states"],
+        ["check", "raftmongo", "--param", "n_nodes=2"],
         ["check", "locking", "--engine", "simulate", "--walks", "20", "--seed", "3"],
     ],
-    ids=["fingerprint", "states", "simulate"],
+    ids=["fingerprint", "graph", "simulate"],
 )
 def test_the_cli_prints_what_the_oracle_prints(argv, capsys):
     # The CLI surface the removed --compile off used to reach: its summary

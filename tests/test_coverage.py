@@ -1,5 +1,6 @@
 """Coverage report tests: the cross-run merging TLC lacks (Section 4.2.4)."""
 
+import json
 import random
 
 import pytest
@@ -100,6 +101,39 @@ def test_merge_reports_folds_many(trace_report):
     assert merged.trace_count == 5
     with pytest.raises(ValueError):
         merge_reports([])
+
+
+def test_merge_reports_absorbs_into_one_copy(trace_report, monkeypatch):
+    """The fold copies the first report once, not the union once per report."""
+    first = CoverageReport.from_json(trace_report.to_json())
+    others = [
+        CoverageReport(spec_name=first.spec_name, visited_fingerprints={i}, trace_count=1)
+        for i in range(3)
+    ]
+    expected = first.merge(others[0]).merge(others[1]).merge(others[2])
+
+    def no_merge(self, other):
+        raise AssertionError("merge_reports copied through merge()")
+
+    monkeypatch.setattr(CoverageReport, "merge", no_merge)
+    merged = merge_reports([first, *others])
+    assert merged == expected and merged is not first
+    assert first == trace_report  # the inputs are left as they were
+
+
+@pytest.mark.parametrize("missing", ["spec_name", "visited_fingerprints", "action_counts"])
+def test_a_report_missing_a_field_is_refused_by_name(trace_report, missing):
+    payload = json.loads(trace_report.to_json())
+    del payload[missing]
+    with pytest.raises(ValueError, match=f"coverage report has no '{missing}' field"):
+        CoverageReport.from_json(json.dumps(payload))
+
+
+def test_a_report_of_the_wrong_shape_is_refused(trace_report):
+    payload = json.loads(trace_report.to_json())
+    payload["visited_fingerprints"] = 5
+    with pytest.raises(ValueError, match="coverage report is malformed"):
+        CoverageReport.from_json(json.dumps(payload))
 
 
 @pytest.mark.parametrize("spec_name", ["locking", "raftmongo", "ot_array"])

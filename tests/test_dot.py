@@ -13,10 +13,9 @@ from repro.engine import check_spec
 from repro.pipeline.cli import main
 from repro.tla import to_dot
 
-#: sha256 of ``check raftmongo --param n_nodes=2 --engine states --dot F``.
+#: sha256 of ``check raftmongo --param n_nodes=2 --dot F``.
 RAFTMONGO_2NODE_SHA256 = "d3e560290605f39afbf7e2cf5fd2319a846164dc7f54a518660ac4a01bfe0d89"
-#: sha256 of ``check ot_array --param init_length=3 --engine states
-#: --no-properties --dot F``.
+#: sha256 of ``check ot_array --param init_length=3 --no-properties --dot F``.
 OT_ARRAY_3_SHA256 = "fe05a1d50fd5c6b7b11a4e4131dd37402ace9dd86784e4e7aa9e325e6f1282fd"
 
 _NODE = re.compile(r'^  (\d+) \[label="(.*)"(,init=true)?\];$', re.MULTILINE)
@@ -44,7 +43,7 @@ def test_check_dot_is_the_same_under_any_hash_seed(tmp_path, seed):
     out = tmp_path / "graph.dot"
     subprocess.run(
         [sys.executable, "-m", "repro", "check", "raftmongo", "--param", "n_nodes=2",
-         "--engine", "states", "--dot", str(out)],
+         "--dot", str(out)],
         cwd=_ROOT, capture_output=True, check=True,
         env={**os.environ, "PYTHONPATH": "src", "PYTHONHASHSEED": seed},
     )
@@ -54,7 +53,7 @@ def test_check_dot_is_the_same_under_any_hash_seed(tmp_path, seed):
 def test_ot_array_check_dot_is_golden(tmp_path, capsys):
     out = tmp_path / "graph.dot"
     assert main([
-        "check", "ot_array", "--param", "init_length=3", "--engine", "states",
+        "check", "ot_array", "--param", "init_length=3", "--engine", "fingerprint",
         "--no-properties", "--dot", str(out),
     ]) == 0
     capsys.readouterr()

@@ -1,8 +1,9 @@
 """Cross-engine parity across the repro.engine seam.
 
-The engine and store names, how ``ModelChecker`` resolves and refuses each
-engine x store pair, and the contract that all engines -- including
-``simulate`` -- agree about what is reachable and what violates.
+The engine and store names, what ``ModelChecker`` reports and refuses for
+each engine x store pair with the state graph kept or not, and the
+contract that all engines -- including ``simulate`` -- agree about what is
+reachable and what violates.
 """
 
 import pytest
@@ -23,72 +24,105 @@ def _stats(result):
     )
 
 
-_GRAPH = "collect_graph"
-_STORE = "supports stores"
-
-#: ``(engine, store) -> (answer without collect_graph, answer with it)`` on
-#: locking without properties: a ``(resolved_engine, resolved_store)`` pair,
-#: or the phrase of the refused parameter.  Recorded from the engine classes
-#: and their capability flags, before they became rules in ModelChecker.
-RESOLUTION = {
-    ("auto", "auto"): (("fingerprint", "fingerprint"), ("states", "states")),
-    ("auto", "fingerprint"): (("fingerprint", "fingerprint"), _STORE),
-    ("auto", "states"): (_STORE, ("states", "states")),
-    ("auto", "disk"): (("fingerprint", "disk"), _STORE),
-    ("fingerprint", "auto"): (("fingerprint", "fingerprint"), _GRAPH),
-    ("fingerprint", "fingerprint"): (("fingerprint", "fingerprint"), _GRAPH),
-    ("fingerprint", "states"): (_STORE, _GRAPH),
-    ("fingerprint", "disk"): (("fingerprint", "disk"), _GRAPH),
-    ("states", "auto"): (("states", "states"), ("states", "states")),
-    ("states", "fingerprint"): (_STORE, _STORE),
-    ("states", "states"): (("states", "states"), ("states", "states")),
-    ("states", "disk"): (_STORE, _STORE),
-    ("simulate", "auto"): (("simulate", "fingerprint"), _GRAPH),
-    ("simulate", "fingerprint"): (("simulate", "fingerprint"), _GRAPH),
-    ("simulate", "states"): (_STORE, _GRAPH),
-    ("simulate", "disk"): (("simulate", "disk"), _GRAPH),
+#: What keeps the state graph: nothing, ``collect_graph``, or the temporal
+#: properties of RaftMongo (locking has none).
+GRAPH = {
+    "none": ("locking", {}, dict(check_properties=False)),
+    "collect_graph": ("locking", {}, dict(check_properties=False, collect_graph=True)),
+    "properties": ("raftmongo", {"n_nodes": 2}, dict(check_properties=True)),
 }
 
+#: ``(engine, store) -> (answer without the graph, answer with it)``: the
+#: ``(engine, store)`` the checker reports, or the refused parameter as
+#: the refusal names it.
+MATRIX = {
+    ("fingerprint", "fingerprint"): (("fingerprint", "fingerprint"), ("fingerprint", "graph")),
+    ("fingerprint", "disk"): (("fingerprint", "disk"), "store='disk'"),
+    ("simulate", "fingerprint"): (("simulate", "fingerprint"), "engine='simulate'"),
+    ("simulate", "disk"): (("simulate", "disk"), "engine='simulate'"),
+}
 
-class TestResolution:
+#: How each reason for the graph tells the caller to drop it.
+DROP = {"collect_graph": "collect_graph (--dot)", "properties": "--no-properties"}
+
+
+def _checker(graph, **options):
+    name, params, keep = GRAPH[graph]
+    return ModelChecker(build_spec(name, **params), **keep, **options)
+
+
+class TestOptions:
     def test_engine_and_store_names(self):
-        assert ENGINES == ("auto", "fingerprint", "states", "simulate")
-        assert STORES == ("auto", "fingerprint", "states", "disk")
+        assert ENGINES == ("fingerprint", "simulate")
+        assert STORES == ("fingerprint", "disk")
 
-    @pytest.mark.parametrize("collect_graph", [False, True])
+    @pytest.mark.parametrize("graph", list(GRAPH))
     @pytest.mark.parametrize("store", STORES)
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_every_engine_store_pair_resolves_or_is_refused(
-        self, locking_spec, engine, store, collect_graph
-    ):
-        expected = RESOLUTION[engine, store][collect_graph]
-        options = dict(engine=engine, store=store, collect_graph=collect_graph)
+    def test_every_engine_store_pair_runs_or_is_refused(self, engine, store, graph):
+        expected = MATRIX[engine, store][graph != "none"]
         if isinstance(expected, str):
-            with pytest.raises(ValueError, match=expected):
-                ModelChecker(locking_spec, check_properties=False, **options)
+            with pytest.raises(ValueError) as refused:
+                _checker(graph, engine=engine, store=store)
+            message = str(refused.value)
+            assert message.startswith(expected + " cannot be combined with the state graph")
+            assert DROP[graph] in message and "auto" not in message
         else:
-            checker = ModelChecker(locking_spec, check_properties=False, **options)
-            assert (checker.resolved_engine, checker.resolved_store) == expected
+            checker = _checker(graph, engine=engine, store=store)
+            assert (checker.engine, checker.store) == expected
 
     @pytest.mark.parametrize(
-        "argv,resolved,why",
+        "argv,needle",
         [
-            (
-                ["check", "raftmongo", "--param", "n_nodes=2", "--store", "disk"],
-                "'states'",
-                "check_properties",
-            ),
-            (["check", "locking", "--store", "states"], "'fingerprint'", "no state graph"),
+            (["--store", "disk"], "--no-properties"),
+            (["--checkpoint", "x.ckpt"], "--no-properties"),
+            (["--resume", "x.ckpt"], "--no-properties"),
+            (["--spill-threshold", "10"], "--no-properties"),
+            (["--dot", "g.dot", "--store", "disk"], "collect_graph (--dot)"),
+            (["--dot", "g.dot", "--checkpoint", "x.ckpt"], "collect_graph (--dot)"),
+            (["--dot", "g.dot", "--engine", "simulate"], "collect_graph (--dot)"),
+            (["--dot", "g.dot", "--spill-threshold", "10"], "collect_graph (--dot)"),
         ],
     )
-    def test_an_auto_refusal_says_what_auto_chose_and_why(
-        self, capsys, argv, resolved, why
+    def test_a_graph_refusal_says_what_asked_for_the_graph_in_one_line(
+        self, capsys, monkeypatch, tmp_path, argv, needle
     ):
-        assert main(argv) == 2
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "raftmongo", "--param", "n_nodes=2"] + argv) == 2
         err = capsys.readouterr().err
-        assert err.count("error:") == 1 and err.count("\n") == 1
-        assert "engine='auto'" in err and f"resolved to {resolved}" in err
-        assert why in err and "supports stores" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "cannot be combined with the state graph" in err
+        assert needle in err and "auto" not in err
+        assert not (tmp_path / "g.dot").exists() and not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--store", "disk"], ["--spill-threshold", "10"], ["--checkpoint", "x.ckpt"]],
+    )
+    def test_dropping_the_properties_drops_the_refusal(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["check", "raftmongo", "--param", "n_nodes=2", "--no-properties"] + argv
+        assert main(argv) == 0
+        assert "607 distinct states" in capsys.readouterr().out
+
+    def test_the_default_engine_keeps_the_graph_for_properties_and_dot(
+        self, capsys, tmp_path
+    ):
+        dot = tmp_path / "g.dot"
+        assert main(["check", "raftmongo", "--param", "n_nodes=2", "--dot", str(dot)]) == 0
+        out = capsys.readouterr().out
+        assert "[engine=fingerprint store=graph]" in out
+        assert "  property CommitPointEventuallyPropagated: holds" in out
+        assert "note:" not in out and dot.read_text().startswith("digraph")
+
+    def test_walks_skip_properties_with_one_note(self, capsys):
+        argv = ["check", "raftmongo", "--param", "n_nodes=2", "--engine", "simulate"]
+        assert main(argv + ["--walks", "5", "--depth", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("note:") == 1
+        assert out.startswith("note: simulate engine skips temporal properties")
 
     @pytest.mark.parametrize(
         "removed,listed",
@@ -100,52 +134,79 @@ class TestResolution:
         with pytest.raises(ValueError, match=f"unknown .*expected one of .*{listed}"):
             repro.engine.check_spec(locking_spec, check_properties=False, **removed)
 
+    @pytest.mark.parametrize("removed", ["auto", "states"])
+    @pytest.mark.parametrize("flag", ["--engine", "--store"])
+    def test_the_cli_offers_neither_auto_nor_states(self, capsys, flag, removed):
+        with pytest.raises(SystemExit) as exited:
+            main(["check", "locking", flag, removed])
+        assert exited.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("store", ["auto", "states"])
+    def test_the_library_refuses_the_removed_store_names(self, locking_spec, store):
+        with pytest.raises(ValueError, match=f"unknown store '{store}'"):
+            ModelChecker(locking_spec, check_properties=False, store=store)
+
+    def test_the_library_refuses_engine_auto(self, locking_spec):
+        with pytest.raises(ValueError, match="unknown engine 'auto'"):
+            ModelChecker(locking_spec, check_properties=False, engine="auto")
+
+
+class TestStatesSpelling:
+    """``engine="states"`` is the library's old spelling of ``"fingerprint"``."""
+
+    @pytest.mark.parametrize("collect_graph", [False, True], ids=["no-graph", "graph"])
+    def test_states_gives_the_fingerprint_result(self, locking_spec, collect_graph):
+        options = dict(check_properties=False, collect_graph=collect_graph)
+        states = repro.engine.check_spec(locking_spec, engine="states", **options)
+        fingerprint = repro.engine.check_spec(locking_spec, engine="fingerprint", **options)
+        assert _stats(states) == _stats(fingerprint)
+        assert (states.engine, states.store) == (fingerprint.engine, fingerprint.store)
+        if collect_graph:
+            assert [s.values for s in states.graph.states()] == [
+                s.values for s in fingerprint.graph.states()
+            ]
+            assert states.graph.edges == fingerprint.graph.edges
+        else:
+            assert states.graph is None and fingerprint.graph is None
+
+    def test_states_keeps_the_graph_for_properties(self, raft_mbtc_2node_spec):
+        result = repro.engine.check_spec(raft_mbtc_2node_spec, engine="states")
+        assert (result.engine, result.store) == ("fingerprint", "graph")
+        assert [outcome.holds for outcome in result.property_outcomes] == [True]
+
 
 class TestStoreValidation:
     def test_unknown_store_rejected(self, locking_spec):
         with pytest.raises(ValueError, match="unknown store"):
             repro.engine.ModelChecker(locking_spec, store="mmap")
 
-    def test_incompatible_engine_store_pairs_rejected(self, locking_spec):
-        with pytest.raises(ValueError, match="supports stores"):
-            repro.engine.ModelChecker(
-                locking_spec, check_properties=False, engine="states", store="disk"
-            )
-        with pytest.raises(ValueError, match="supports stores"):
-            repro.engine.ModelChecker(
-                locking_spec,
-                check_properties=False,
-                engine="fingerprint",
-                store="states",
-            )
-
     @pytest.mark.parametrize(
-        "option,message",
+        "option,refused",
         [
-            (
-                {"spill_threshold": 10},
-                "spill_threshold applies to the fingerprint engine only; the "
-                "states engine's graph holds every state, so spilling its "
-                "frontier saves nothing",
-            ),
-            (
-                {"checkpoint_path": "x.ckpt"},
-                "checkpoint_path/resume_path apply to the fingerprint engine "
-                "only; a checkpoint does not carry the states engine's graph",
-            ),
-            (
-                {"resume_path": "x.ckpt"},
-                "checkpoint_path/resume_path apply to the fingerprint engine "
-                "only; a checkpoint does not carry the states engine's graph",
-            ),
+            ({"store": "disk"}, "store='disk'"),
+            ({"engine": "simulate"}, "engine='simulate'"),
+            ({"spill_threshold": 10}, "spill_threshold"),
+            ({"checkpoint_path": "x.ckpt"}, "checkpoint_path/resume_path"),
+            ({"resume_path": "x.ckpt"}, "checkpoint_path/resume_path"),
         ],
     )
-    def test_the_states_engine_refuses_spilling_and_checkpoints_for_what_they_miss(
-        self, locking_spec, option, message
+    def test_a_graph_run_refuses_what_it_cannot_do_in_the_callers_terms(
+        self, locking_spec, raft_mbtc_2node_spec, option, refused
     ):
-        with pytest.raises(ValueError) as refused:
-            ModelChecker(locking_spec, check_properties=False, engine="states", **option)
-        assert str(refused.value) == message
+        with pytest.raises(ValueError) as asked:
+            ModelChecker(locking_spec, check_properties=False, collect_graph=True, **option)
+        assert str(asked.value) == (
+            f"{refused} cannot be combined with the state graph, which a run "
+            "keeps in memory; collect_graph (--dot) asks for it"
+        )
+        with pytest.raises(ValueError) as properties:
+            ModelChecker(raft_mbtc_2node_spec, **option)
+        assert str(properties.value) == (
+            f"{refused} cannot be combined with the state graph, which a run "
+            "keeps in memory; RaftMongo[mbtc]'s temporal properties are checked "
+            "on it (pass check_properties=False, --no-properties, to skip them)"
+        )
 
     def test_capacity_only_applies_to_the_disk_store(self, locking_spec):
         with pytest.raises(ValueError, match="store_capacity"):
@@ -163,8 +224,8 @@ class TestCrossEngineParity:
             "fingerprint": repro.engine.check_spec(
                 spec, check_properties=False, engine="fingerprint"
             ),
-            "states": repro.engine.check_spec(
-                spec, check_properties=False, engine="states"
+            "graph": repro.engine.check_spec(
+                spec, check_properties=False, collect_graph=True
             ),
             "simulate": repro.engine.check_spec(
                 spec,
@@ -186,10 +247,10 @@ class TestCrossEngineParity:
             for current, nxt in zip(trace, trace[1:]):
                 assert nxt in [s for _a, s in spec.successors(current)]
             assert spec.violated_invariant(trace[-1]).name == "MutualExclusion"
-        # the exhaustive BFS engines remain bit-identical to each other
-        assert _stats(results["fingerprint"])[:4] == _stats(results["states"])[:4]
+        # the BFS is bit-identical with and without the graph
+        assert _stats(results["fingerprint"])[:4] == _stats(results["graph"])[:4]
         assert [s.values for s in results["fingerprint"].invariant_violation.trace] == [
-            s.values for s in results["states"].invariant_violation.trace
+            s.values for s in results["graph"].invariant_violation.trace
         ]
 
     def test_simulate_distinct_states_bounded_by_reachable_space(self):

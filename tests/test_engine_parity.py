@@ -1,15 +1,16 @@
 """The bit-identical contract as one table.
 
-Every way of running an exhaustive check -- engine {``fingerprint``,
-``states``} x store {``fingerprint``, ``disk``} x compile {``on``, ``off``}
-x resume point {none, mid-run} -- must report the statistics and the
-counterexample of the reference run: the test tree's unhashed, State-keyed
-BFS (``states_reference.py``) interpreting the spec's own closures.  Every
-run compiles; compile ``off`` runs the test-tree oracle
-(``interpreted_reference.py``) in the kernels' place.  (``states`` has one
-store and no checkpoint seam, so it has two ways.)  Both engines run the
-one level loop, so every way reports the same peak frontier, and the
-``states`` engine's graph is the reference's, node for node.
+Every way of running an exhaustive check -- state graph {kept, not kept}
+x store {``fingerprint``, ``disk``} x compile {``on``, ``off``} x resume
+point {none, mid-run} -- must report the statistics and the counterexample
+of the reference run: the test tree's unhashed, State-keyed BFS
+(``states_reference.py``) interpreting the spec's own closures.  Every run
+compiles; compile ``off`` runs the test-tree oracle
+(``interpreted_reference.py``) in the kernels' place.  (A run that keeps
+the graph stores its visited set there and has no checkpoint seam, so it
+has two ways.)  Every way runs the one level loop, so every way reports
+the same peak frontier, and the kept graph is the reference's, node for
+node.
 """
 
 import functools
@@ -34,9 +35,9 @@ ROWS = [
     ("_test_widecounter", {"limit": 1}, {"check_deadlock": True}),
 ]
 
-#: (engine, store, compile mode, resumed mid-run).
-WAYS = [("states", "states", mode, False) for mode in ("off", "on")] + [
-    ("fingerprint", store, mode, resumed)
+#: (graph kept, store, compile mode, resumed mid-run).
+WAYS = [(True, "graph", mode, False) for mode in ("off", "on")] + [
+    (False, store, mode, resumed)
     for store in ("fingerprint", "disk")
     for mode in ("off", "on")
     for resumed in (False, True)
@@ -64,14 +65,14 @@ def _outcome(result):
     )
 
 
-def _check(row, engine, store="auto", mode="off", **kwargs):
+def _check(row, graph, store="fingerprint", mode="off", **kwargs):
     name, params, check_kwargs = ROWS[row]
     with oracle_runs(mode):
         return check_spec(
             build_spec(name, **params),
             check_properties=False,
-            engine=engine,
-            store=store,
+            collect_graph=graph,
+            store="fingerprint" if graph else store,
             **check_kwargs,
             **kwargs,
         )
@@ -91,10 +92,10 @@ def _reference(row):
 _PEAKS = {}
 
 
-@pytest.mark.parametrize("engine,store,mode,resumed", WAYS)
+@pytest.mark.parametrize("graph,store,mode,resumed", WAYS)
 @pytest.mark.parametrize("row", range(len(ROWS)), ids=lambda row: f"row{row}")
 def test_every_way_of_checking_matches_the_reference(
-    tmp_path, row, engine, store, mode, resumed
+    tmp_path, row, graph, store, mode, resumed
 ):
     kwargs = {}
     if store == "disk":
@@ -102,14 +103,15 @@ def test_every_way_of_checking_matches_the_reference(
     if resumed:
         checkpoint = str(tmp_path / "run.ckpt")
         cut = _check(
-            row, engine, store, mode,
+            row, graph, store, mode,
             max_depth=RESUME_DEPTH, checkpoint_path=checkpoint, **kwargs,
         )
         assert cut.truncated
         kwargs["resume_path"] = checkpoint
-    result = _check(row, engine, store, mode, **kwargs)
+    result = _check(row, graph, store, mode, **kwargs)
 
-    assert result.engine == engine and result.store == store
+    assert result.engine == "fingerprint" and result.store == store
+    assert (result.graph is not None) == graph
     assert (result.resumed_from is not None) == resumed
     assert _outcome(result) == _reference(row)
     assert _PEAKS.setdefault(row, result.peak_frontier) == result.peak_frontier
@@ -126,11 +128,11 @@ def test_reference_rows_cover_fencing_violation_and_deadlock():
     assert deadlocked[6][1][-1] == ((1,) * 6,)
 
 
-def test_max_depth_truncates_both_engines_alike():
+def test_max_depth_truncates_with_and_without_the_graph_alike():
     reference = _outcome(_reference_run(3, max_depth=RESUME_DEPTH))
     assert reference[4]
-    for engine in ("states", "fingerprint"):
-        assert _outcome(_check(3, engine, max_depth=RESUME_DEPTH)) == reference
+    for graph in (True, False):
+        assert _outcome(_check(3, graph, max_depth=RESUME_DEPTH)) == reference
 
 
 @pytest.mark.parametrize(
@@ -138,7 +140,7 @@ def test_max_depth_truncates_both_engines_alike():
     ROWS + [("ot_array", {"init_length": 3}, {})],
     ids=[f"row{row}" for row in range(len(ROWS))] + ["ot_array3"],
 )
-def test_the_states_graph_is_the_references_node_for_node(name, params, check_kwargs):
+def test_the_kept_graph_is_the_references_node_for_node(name, params, check_kwargs):
     graph = check_spec(
         build_spec(name, **params),
         collect_graph=True,

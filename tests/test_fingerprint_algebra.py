@@ -106,7 +106,7 @@ def test_each_32_bit_view_collides_as_a_uniform_hash_would():
     """ROADMAP item 3's criterion on a space small enough for every run:
     RaftMongo mbtc at max_term=3, max_log_len=1 (10,408 states)."""
     spec = build_spec("raftmongo", variant="mbtc", max_term=3, max_log_len=1)
-    result = check_spec(spec, engine="states", check_properties=False, collect_graph=True)
+    result = check_spec(spec, check_properties=False, collect_graph=True)
     states = list(result.graph.states())
     assert len(states) == 10408
     fps = [state.fingerprint() for state in states]

@@ -81,10 +81,10 @@ SPECS = [
 
 
 @pytest.mark.parametrize("mode", ["on", "off"])
-@pytest.mark.parametrize("engine", ["fingerprint", "states"])
+@pytest.mark.parametrize("collect_graph", [False, True], ids=["no-graph", "graph"])
 @pytest.mark.parametrize("name,params", SPECS)
 def test_bfs_takes_one_verdict_per_new_state_and_never_expands(
-    monkeypatch, name, params, engine, mode
+    monkeypatch, name, params, collect_graph, mode
 ):
     if mode == "off":
         use_oracle(monkeypatch)
@@ -92,7 +92,7 @@ def test_bfs_takes_one_verdict_per_new_state_and_never_expands(
     calls = _instrument(monkeypatch, refuse_expand=True)
     spec = build_spec(name, **params)
     initial = len({state.fingerprint() for state in spec.initial_states()})
-    result = check_spec(spec, check_properties=False, engine=engine)
+    result = check_spec(spec, check_properties=False, collect_graph=collect_graph)
     (expander,) = calls["expanders"]
     assert isinstance(expander, InterpretedExpander) == (mode == "off")
     verdicts = calls["verdict_for"]
@@ -185,10 +185,10 @@ def test_the_generic_kernel_memo_keeps_at_most_140_bytes_per_distinct_state():
     assert per_state <= 140
 
 
-# -- the states engine: its store is the graph ----------------------------------
+# -- a graph run: its store is the graph ------------------------------------------
 
 
-def test_the_states_bfs_keeps_at_most_1100_bytes_per_distinct_state_with_its_graph():
+def test_the_graph_bfs_keeps_at_most_1100_bytes_per_distinct_state_with_its_graph():
     """Each state interned once, into the graph, and each edge stored once.
 
     A separate ``State -> id`` store beside the graph's own, and every
@@ -204,7 +204,7 @@ def test_the_states_bfs_keeps_at_most_1100_bytes_per_distinct_state_with_its_gra
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (result.engine, result.store) == ("states", "states")
+    assert (result.engine, result.store) == ("fingerprint", "graph")
     assert (result.distinct_states, result.generated_states) == (2529, 13438)
     assert peak / result.distinct_states <= 1100
 
@@ -219,7 +219,7 @@ def test_the_states_graph_stores_each_edge_once_in_id_order():
     )
     initial = len(graph.initial_ids)
     assert len(graph.edges) == result.generated_states - initial
-    assert check_spec(spec, engine="states", check_properties=False).graph is None
+    assert check_spec(spec, check_properties=False).graph is None
 
 
 # -- replay by fingerprint ----------------------------------------------------
@@ -277,7 +277,7 @@ def test_replayed_counterexamples_equal_the_retained_ones(tmp_path, violate, sto
         )
     )
     assert reference[5 if violate else 6] is not None
-    assert _answers(check("states")) == reference
+    assert _answers(check("fingerprint", collect_graph=True)) == reference
     kwargs = {"store": store}
     if store == "disk":
         kwargs["store_path"] = str(tmp_path / "visited.db")
@@ -297,8 +297,8 @@ def test_collision_probability_is_tlc_optimistic_estimate():
     result = check_spec(build_spec("locking"), check_properties=False)
     assert (result.distinct_states, result.generated_states) == (544, 1981)
     assert result.fingerprint_collision_probability == 544 * (1981 - 544) / 2**64
-    # The states engine's graph is keyed by fingerprint too, as TLC's is.
-    states = check_spec(build_spec("locking"), check_properties=False, engine="states")
+    # The state graph is keyed by fingerprint too, as TLC's is.
+    states = check_spec(build_spec("locking"), check_properties=False, collect_graph=True)
     assert states.fingerprint_collision_probability == 544 * (1981 - 544) / 2**64
 
 
@@ -310,5 +310,5 @@ def test_cli_prints_the_collision_line_after_an_unchanged_summary(capsys):
     )
     assert lines[0].endswith(" [engine=fingerprint store=fingerprint]")
     assert lines[1] == "fingerprint collision probability: calculated (optimistic) 4.2e-14"
-    assert main(["check", "locking", "--engine", "states"]) == 0
+    assert main(["check", "locking", "--engine", "fingerprint", "--store", "disk"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == lines[1]

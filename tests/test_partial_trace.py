@@ -140,3 +140,25 @@ def test_an_action_error_is_wrapped_once():
             run()
         assert str(info.value) == "action 'Bad' raised ValueError: boom"
         assert info.value.action == "Bad"
+
+
+def test_the_stutter_reads_only_i_and_the_observed_slots(monkeypatch):
+    """``<stutter>`` reads its slots by name, so the read-set memo keys it on
+    ``i`` and the observed variables and serves most of its calls."""
+    import repro.compile
+
+    spec = raft_mongo.build_spec(raft_mongo.RaftMongoConfig(n_nodes=3))
+    traces = _traces(spec, ("role",), _all_leaders, count=6, length=14, seed=3)
+    longest = max(traces, key=len)
+    compiled = []
+    compile_spec = repro.compile.compile_spec
+
+    def recording(spec):
+        compiled.append(compile_spec(spec))
+        return compiled[-1]
+
+    monkeypatch.setattr(repro.compile, "compile_spec", recording)
+    check_spec(trace_spec(spec, longest), check_properties=False)
+    stats = compiled[0].compile_info["memo"]["<stutter>"]
+    assert not stats["opaque"]
+    assert stats["hits"] > stats["misses"] > 0

@@ -1,6 +1,7 @@
 """End-to-end tests for the batch pipeline: logs, workload, runner, CLI."""
 
 import json
+import os
 import random
 
 import pytest
@@ -286,14 +287,13 @@ class TestRegistryAndCli:
                 "raftmongo",
                 "--param",
                 "n_nodes=2",
-                "--engine",
-                "states",
                 "--dot",
                 str(dot_file),
             ]
         )
         assert code == 0
         assert dot_file.read_text().startswith("digraph")
+        assert "[engine=fingerprint store=graph]" in capsys.readouterr().out
 
     def test_cli_simulate_batch_with_logs_and_coverage(self, tmp_path, capsys):
         log_dir = tmp_path / "logs"
@@ -348,6 +348,52 @@ class TestRegistryAndCli:
         assert err.startswith(f"error: {coverage_file}: coverage report fingerprints")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert coverage_file.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "field,value,reason",
+        [
+            ("visited_fingerprints", None, "has no 'visited_fingerprints' field"),
+            ("action_counts", None, "has no 'action_counts' field"),
+            ("visited_fingerprints", 5, "is malformed: 'int' object is not iterable"),
+        ],
+    )
+    def test_cli_refuses_a_coverage_file_missing_a_field_in_one_line(
+        self, tmp_path, capsys, field, value, reason
+    ):
+        """A file of the right format whose fields are missing or malformed
+        is refused as ``error: <path>: ...``, exit 2, and kept as it was."""
+        coverage_file = tmp_path / "coverage.json"
+        argv = ["simulate", "locking", "--traces", "2", "--coverage-out", str(coverage_file)]
+        assert main(argv) == 0
+        payload = json.loads(coverage_file.read_text())
+        if value is None:
+            del payload[field]
+        else:
+            payload[field] = value
+        coverage_file.write_text(json.dumps(payload))
+        before = coverage_file.read_bytes()
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {coverage_file}: coverage report {reason}\n"
+        assert coverage_file.read_bytes() == before
+
+    def test_cli_replaces_the_coverage_file_instead_of_rewriting_it(self, tmp_path, capsys):
+        """The accumulated report lands by atomic rename: a run cut short
+        while writing leaves the previous file whole."""
+        coverage_file = tmp_path / "coverage.json"
+        argv = ["simulate", "locking", "--traces", "2", "--coverage-out", str(coverage_file)]
+        assert main(argv) == 0
+        first = os.stat(coverage_file).st_ino
+        held = open(coverage_file, "rb")  # keeps the first inode from being reused
+        try:
+            assert main(argv) == 0
+            assert os.stat(coverage_file).st_ino != first
+            assert json.loads(held.read())["trace_count"] == 2
+        finally:
+            held.close()
+        assert json.loads(coverage_file.read_text())["trace_count"] == 4
+        assert list(tmp_path.iterdir()) == [coverage_file]
 
     def test_cli_trace_detects_corrupt_log(self, tmp_path, capsys):
         log_file = tmp_path / "node0.jsonl"

@@ -32,14 +32,14 @@ def test_state_graph_store_keys_nodes_by_fingerprint():
     assert State(schema, {"x": 0}) in store and State(schema, {"x": 2}) not in store
     assert len(store) == store.distinct_count == 2
     assert store.initial_ids == (0,)
-    assert store.name == "states"
+    assert store.name == "graph"
 
 
 def test_make_store_builds_each_store_by_name():
     assert isinstance(make_store("fingerprint"), FingerprintSetStore)
-    assert isinstance(make_store("states"), StateGraph)
     disk = make_store("disk")
     assert isinstance(disk, DiskFingerprintStore)
     disk.close()
-    with pytest.raises(ValueError, match="unknown store 'lru'; expected one of: "):
-        make_store("lru")
+    for removed in ("lru", "states", "graph"):
+        with pytest.raises(ValueError, match=f"unknown store '{removed}'; expected one of: "):
+            make_store(removed)
